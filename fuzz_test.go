@@ -8,9 +8,9 @@ package indexedrec
 // reproduces the direct solve bit for bit. Each input also picks an
 // execution configuration — persistent gang vs spawn-per-round,
 // monomorphized kernels vs generic dispatch, blocked-scan vs
-// pointer-jumping replays of blocked-compiled plans, and the sparse fast
-// path vs its dense-expansion fallback — so the equivalence holds across
-// every path the hot-path engine can take.
+// pointer-jumping replays of blocked-compiled plans — so the equivalence
+// holds across every path the hot-path engine can take; every system is also
+// re-solved in the compressed sparse encoding against the same oracle.
 
 import (
 	"context"
@@ -28,21 +28,19 @@ import (
 	"indexedrec/ir"
 )
 
-// toggleEngine selects the gang, kernel, blocked-scan, and sparse dispatch
-// paths from four fuzz seed bits and returns a restore function. The solvers
-// must be bit-identical across all sixteen combinations.
+// toggleEngine selects the gang, kernel, and blocked-scan dispatch paths
+// from three fuzz seed bits and returns a restore function. The solvers must
+// be bit-identical across all eight combinations.
 func toggleEngine(seed int64) func() {
 	prevGang := parallel.SetGangEnabled(seed&1 == 0)
 	prevKern := ordinary.SetKernelsEnabled(seed&2 == 0)
 	prevBlk := ordinary.SetBlockedEnabled(seed&4 == 0)
 	prevGrid := grid2d.SetKernelsEnabled(seed&2 == 0)
-	prevSparse := ir.SetSparseEnabled(seed&8 == 0)
 	return func() {
 		parallel.SetGangEnabled(prevGang)
 		ordinary.SetKernelsEnabled(prevKern)
 		ordinary.SetBlockedEnabled(prevBlk)
 		grid2d.SetKernelsEnabled(prevGrid)
-		ir.SetSparseEnabled(prevSparse)
 	}
 }
 
@@ -63,8 +61,7 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 	f.Add(int64(9), 512, 511, uint8(3))
 	f.Add(int64(12), 512, 511, uint8(3))
 	// Sparse-shaped systems (zipfian touched sets in a much larger global
-	// array); seed 16 keeps the sparse fast path on, 24 (bit 3 set) forces
-	// the dense-expansion fallback, so both halves of the kill switch fuzz.
+	// array), two draws.
 	f.Add(int64(16), 256, 128, uint8(4))
 	f.Add(int64(24), 256, 128, uint8(4))
 	f.Add(int64(25), 300, 200, uint8(0))
@@ -188,9 +185,8 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 		}
 
 		// Sparse/dense bit-identity: compress the system and solve the
-		// compact form. Whichever route seed bit 3 selected — the compact
-		// fast path or the dense-expansion fallback behind the kill switch —
-		// every touched cell must reproduce the oracle exactly.
+		// compact form; every touched cell must reproduce the dense oracle
+		// exactly.
 		if s.N > 0 {
 			sp, err := ir.CompressSystem(s)
 			if err != nil {

@@ -115,7 +115,7 @@ func specFor(fam ir.Family, sys *ir.System, m int, g, f []int, data ir.PlanData)
 	if fam == ir.FamilyMoebius {
 		return &solveSpec{family: fam, m: m, g: g, f: f, data: data}
 	}
-	return &solveSpec{family: fam, sys: sys, data: data}
+	return &solveSpec{family: fam, solve: &server.SolveRequest{Family: fam, Sys: sys, Data: data}, data: data}
 }
 
 // localSolution computes the reference answer with the plan layer directly.
@@ -126,8 +126,8 @@ func localSolution(t testing.TB, spec *solveSpec) *ir.PlanSolution {
 	if spec.family == ir.FamilyMoebius {
 		p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
 	} else {
-		p, err = ir.CompileCtx(context.Background(), spec.sys, ir.CompileOptions{
-			Family: spec.family, MaxExponentBits: spec.bits,
+		p, err = ir.CompileCtx(context.Background(), spec.solve.Sys, ir.CompileOptions{
+			Family: spec.family, MaxExponentBits: spec.solve.Bits,
 		})
 	}
 	if err != nil {
@@ -200,7 +200,7 @@ func randSpec(rng *rand.Rand) *solveSpec {
 		}
 		spec := specFor(ir.FamilyGeneral, &ir.System{M: m, N: n, G: g, F: f, H: h}, 0, nil, nil,
 			ir.PlanData{Op: "mul-mod", Mod: 1_000_003, InitInt: init})
-		spec.bits = 4096
+		spec.solve.Bits = 4096
 		return spec
 	default: // moebius with denominators kept off zero
 		perm := rng.Perm(m)
@@ -254,8 +254,8 @@ func FuzzClusterAgainstLocal(f *testing.F) {
 			if spec.family == ir.FamilyMoebius {
 				p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
 			} else {
-				p, err = ir.CompileCtx(context.Background(), spec.sys, ir.CompileOptions{
-					Family: spec.family, MaxExponentBits: spec.bits,
+				p, err = ir.CompileCtx(context.Background(), spec.solve.Sys, ir.CompileOptions{
+					Family: spec.family, MaxExponentBits: spec.solve.Bits,
 				})
 			}
 			if err != nil {
@@ -300,8 +300,8 @@ func TestClusterSolveAllFamilies(t *testing.T) {
 				if spec.family == ir.FamilyMoebius {
 					p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
 				} else {
-					p, err = ir.CompileCtx(context.Background(), spec.sys, ir.CompileOptions{
-						Family: spec.family, MaxExponentBits: spec.bits,
+					p, err = ir.CompileCtx(context.Background(), spec.solve.Sys, ir.CompileOptions{
+						Family: spec.family, MaxExponentBits: spec.solve.Bits,
 					})
 				}
 				if err != nil {

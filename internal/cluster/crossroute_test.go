@@ -1,0 +1,299 @@
+package cluster
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"indexedrec/internal/core"
+	"indexedrec/internal/server"
+	"indexedrec/internal/workload"
+	"indexedrec/ir"
+)
+
+// crossCase is one row of the cross-route table: a family, an encoding and
+// an operator.
+type crossCase struct {
+	family ir.Family
+	sparse bool
+	op     string
+	mod    int64
+}
+
+func (c crossCase) String() string {
+	enc := "dense"
+	if c.sparse {
+		enc = "sparse"
+	}
+	return fmt.Sprintf("%v/%s/%s", c.family, enc, c.op)
+}
+
+// crossSystem draws a case's system: SparseZipf's touched set (48 writes
+// over a global array 64x larger) and, for the general family, an H over
+// the same touched cells so the CAP path counts are nontrivial.
+func crossSystem(t *testing.T, rng *rand.Rand, fam ir.Family) *ir.SparseSystem {
+	t.Helper()
+	zipf := workload.SparseZipf(rng, 64*48, 48)
+	if fam == ir.FamilyOrdinary {
+		return zipf
+	}
+	d := zipf.Dense()
+	h := make([]int, d.N)
+	for i := range h {
+		h[i] = zipf.Cells[rng.Intn(len(zipf.Cells))]
+	}
+	sp, err := ir.NewSparseSystem(zipf.M, d.G, d.F, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// crossAnswer is the value-bearing part of every route's response.
+type crossAnswer struct {
+	ValuesInt   []int64   `json:"values_int"`
+	ValuesFloat []float64 `json:"values_float"`
+	Cells       []int     `json:"cells"`
+}
+
+// bits flattens the values to their bit patterns, so int and float cases
+// share one exact comparison.
+func (a crossAnswer) bits() []uint64 {
+	out := make([]uint64, 0, len(a.ValuesInt)+len(a.ValuesFloat))
+	for _, v := range a.ValuesInt {
+		out = append(out, uint64(v))
+	}
+	for _, v := range a.ValuesFloat {
+		out = append(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// TestCrossRouteBitIdentity runs one table of requests — {ordinary,
+// general} × {dense, sparse} × {integer, float} operator — through
+// irserved's solve endpoint, its shard endpoint over the whole shard
+// domain, and the coordinator with one and with two workers. Every answer,
+// read back through its touched-cell list, must be bit-identical to
+// core.RunSequential on the dense expansion.
+func TestCrossRouteBitIdentity(t *testing.T) {
+	leak := checkGoroutines(t)
+	func() {
+		co1, workers, down1 := newFleet(t, 1, nil)
+		co2, _, down2 := newFleet(t, 2, nil)
+		front1 := httptest.NewServer(co1.Handler())
+		front2 := httptest.NewServer(co2.Handler())
+		defer down2()
+		defer down1()
+		defer front2.Close()
+		defer front1.Close()
+		worker := workers[0].ts.URL
+
+		var cases []crossCase
+		for _, fam := range []ir.Family{ir.FamilyOrdinary, ir.FamilyGeneral} {
+			intOp, mod := "int64-add", int64(0)
+			if fam == ir.FamilyGeneral {
+				intOp, mod = "mul-mod", 1_000_003
+			}
+			for _, sparse := range []bool{false, true} {
+				cases = append(cases,
+					crossCase{family: fam, sparse: sparse, op: intOp, mod: mod},
+					crossCase{family: fam, sparse: sparse, op: "float64-add"})
+			}
+		}
+		rng := rand.New(rand.NewSource(12))
+		for _, c := range cases {
+			t.Run(c.String(), func(t *testing.T) {
+				sp := crossSystem(t, rng, c.family)
+				dense := sp.Dense()
+				iop, err := ir.IntOpByName(c.op, c.mod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fop, err := ir.FloatOpByName(c.op)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				// Small integral inits keep float sums exact, so every
+				// association order yields the same bits.
+				var oracle crossAnswer
+				var initAny any
+				if iop != nil {
+					init := make([]int64, dense.M)
+					for x := range init {
+						init[x] = rng.Int63n(1000) + 1
+					}
+					oracle.ValuesInt = core.RunSequential[int64](dense, iop, init)
+					initAny = init
+					if c.sparse {
+						initAny, err = core.GatherTouched(sp, init)
+					}
+				} else {
+					init := make([]float64, dense.M)
+					for x := range init {
+						init[x] = float64(rng.Intn(9) + 1)
+					}
+					oracle.ValuesFloat = core.RunSequential[float64](dense, fop, init)
+					initAny = init
+					if c.sparse {
+						initAny, err = core.GatherTouched(sp, init)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := json.Marshal(initAny)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wire := ir.WireFromSystem(dense)
+				if c.sparse {
+					wire = ir.WireFromSparse(sp)
+				}
+				want := oracle.bits()
+
+				check := func(route string, got crossAnswer) {
+					t.Helper()
+					vals := got.bits()
+					if !c.sparse {
+						if len(got.Cells) != 0 || len(vals) != len(want) {
+							t.Fatalf("%s: %d values, %d cells; want %d dense values", route, len(vals), len(got.Cells), len(want))
+						}
+						for x := range want {
+							if vals[x] != want[x] {
+								t.Fatalf("%s: cell %d differs from the sequential oracle", route, x)
+							}
+						}
+						return
+					}
+					if len(got.Cells) != len(sp.Cells) || len(vals) != len(sp.Cells) {
+						t.Fatalf("%s: %d values over %d cells, want %d", route, len(vals), len(got.Cells), len(sp.Cells))
+					}
+					for i, x := range got.Cells {
+						if x != sp.Cells[i] || vals[i] != want[x] {
+							t.Fatalf("%s: compact id %d (cell %d) differs from the sequential oracle at cell %d", route, i, x, sp.Cells[i])
+						}
+					}
+				}
+				solve := func(route, url string) {
+					t.Helper()
+					body := server.GeneralRequest{System: wire, Op: c.op, Mod: c.mod, Init: raw}
+					code, data := postFront(t, url+server.APIPrefix+c.family.String(), body)
+					if code != http.StatusOK {
+						t.Fatalf("%s: HTTP %d: %s", route, code, data)
+					}
+					var got crossAnswer
+					if err := json.Unmarshal(data, &got); err != nil {
+						t.Fatal(err)
+					}
+					check(route, got)
+				}
+				solve("irserved", worker)
+				solve("ircoord/1", front1.URL)
+				solve("ircoord/2", front2.URL)
+
+				// The shard endpoint over the whole domain, merged the way the
+				// coordinator merges a one-shard scatter.
+				sr, err := server.DecodeSolve(c.family, wire, c.op, c.mod, raw, false, ir.OptionsWire{},
+					server.Limits{MaxN: 1 << 22, MaxExponentBits: 16384})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := sr.Compile(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := server.ShardRequest{
+					Family: c.family.String(), System: wire,
+					Shard: server.ShardWire{Lo: 0, Hi: p.ShardUnits()},
+					Op:    c.op, Mod: c.mod, Init: raw,
+				}
+				code, data := postFront(t, worker+server.ShardPrefix+"solve", req)
+				if code != http.StatusOK {
+					t.Fatalf("shard: HTTP %d: %s", code, data)
+				}
+				var part server.ShardResponse
+				if err := json.Unmarshal(data, &part); err != nil {
+					t.Fatal(err)
+				}
+				sol, err := p.MergeShards(sr.Data, []*ir.ShardSolution{{
+					Shard: ir.Shard{Lo: part.Shard.Lo, Hi: part.Shard.Hi}, Cells: part.Cells,
+					ValuesInt: part.ValuesInt, ValuesFloat: part.ValuesFloat,
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				merged := crossAnswer{ValuesInt: sol.ValuesInt, ValuesFloat: sol.ValuesFloat}
+				if c.sparse {
+					merged.Cells = sp.Cells
+				}
+				check("shard", merged)
+			})
+		}
+		if co2.metrics.shards.Value() == 0 {
+			t.Fatal("the two-worker coordinator never scattered")
+		}
+	}()
+	leak()
+}
+
+// TestStatusParity posts the same malformed requests to irserved and to the
+// coordinator: both daemons share one decoder and one status mapping, so
+// every row must answer the same status from each.
+func TestStatusParity(t *testing.T) {
+	leak := checkGoroutines(t)
+	func() {
+		co, workers, down := newFleet(t, 1, nil)
+		front := httptest.NewServer(co.Handler())
+		defer down()
+		defer front.Close()
+
+		sp := workload.SparseZipf(rand.New(rand.NewSource(5)), 4096, 32)
+		dense := ir.WireFromSystem(sp.Dense())
+		sparse := ir.WireFromSparse(sp)
+		ints := func(n int) json.RawMessage {
+			blob, err := json.Marshal(make([]int64, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return blob
+		}
+		unsorted := sparse
+		unsorted.Cells = append([]int(nil), sparse.Cells...)
+		unsorted.Cells[0], unsorted.Cells[1] = unsorted.Cells[1], unsorted.Cells[0]
+		general := dense
+		general.H = make([]int, len(dense.G))
+
+		rows := []struct {
+			name     string
+			endpoint string
+			req      server.GeneralRequest
+			want     int
+		}{
+			{"dense init length", "ordinary",
+				server.GeneralRequest{System: dense, Op: "int64-add", Init: ints(sp.M - 1)}, http.StatusBadRequest},
+			{"sparse init length", "ordinary",
+				server.GeneralRequest{System: sparse, Op: "int64-add", Init: ints(sp.NumCells() - 1)}, http.StatusUnprocessableEntity},
+			{"unsorted cells", "general",
+				server.GeneralRequest{System: unsorted, Op: "int64-add", Init: ints(sp.NumCells())}, http.StatusUnprocessableEntity},
+			{"H != G on ordinary", "ordinary",
+				server.GeneralRequest{System: general, Op: "int64-add", Init: ints(sp.M)}, http.StatusBadRequest},
+			{"unknown op", "general",
+				server.GeneralRequest{System: dense, Op: "no-such-op", Init: ints(sp.M)}, http.StatusBadRequest},
+		}
+		for _, row := range rows {
+			for _, base := range []string{workers[0].ts.URL, front.URL} {
+				code, data := postFront(t, base+server.APIPrefix+row.endpoint, row.req)
+				if code != row.want {
+					t.Errorf("%s via %s: HTTP %d (%s), want %d", row.name, base, code, data, row.want)
+				}
+			}
+		}
+	}()
+	leak()
+}

@@ -114,7 +114,7 @@ func generalSpec(m int) *solveSpec {
 	}
 	spec := specFor(ir.FamilyGeneral, &ir.System{M: m, N: n, G: g, F: f, H: h}, 0, nil, nil,
 		ir.PlanData{Op: "mul-mod", Mod: 1_000_003, InitInt: init})
-	spec.bits = 4096
+	spec.solve.Bits = 4096
 	return spec
 }
 

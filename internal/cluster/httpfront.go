@@ -4,16 +4,13 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"indexedrec/internal/moebius"
 	"indexedrec/internal/server"
 	"indexedrec/ir"
 )
@@ -52,16 +49,16 @@ func (co *Coordinator) routes() {
 	co.handle("POST", server.ClusterPrefix+"deregister", co.handleDeregister)
 	co.sessionRoutes()
 	co.handle("POST", server.APIPrefix+"ordinary", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "ordinary", co.specOrdinary)
+		co.handleSolve(w, r, "ordinary", co.specSolve(ir.FamilyOrdinary))
 	})
 	co.handle("POST", server.APIPrefix+"general", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "general", co.specGeneral)
+		co.handleSolve(w, r, "general", co.specSolve(ir.FamilyGeneral))
 	})
 	co.handle("POST", server.APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "linear", co.specLinear)
+		co.handleSolve(w, r, "linear", co.specMoebius("linear"))
 	})
 	co.handle("POST", server.APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "moebius", co.specMoebius)
+		co.handleSolve(w, r, "moebius", co.specMoebius("moebius"))
 	})
 	co.handle("POST", server.APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
 		co.handleSolve(w, r, "grid2d", co.specGrid2D)
@@ -245,7 +242,7 @@ func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, endpo
 	}
 	spec, shape, err := decode(body)
 	if err != nil {
-		co.writeError(w, endpoint, statusForSpec(err), err.Error())
+		co.writeError(w, endpoint, server.StatusForValidation(err), err.Error())
 		return
 	}
 	ctx, cancel := co.requestContext(r, spec.timeoutMs)
@@ -253,7 +250,7 @@ func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, endpo
 	sol, err := co.Solve(ctx, spec)
 	co.metrics.solveLatency.With(endpoint).Observe(time.Since(start).Seconds())
 	if err != nil {
-		co.writeError(w, endpoint, statusFor(err), err.Error())
+		co.writeError(w, endpoint, server.StatusForSolve(err), err.Error())
 		return
 	}
 	co.writeJSON(w, endpoint, http.StatusOK, shape(sol, time.Since(start)))
@@ -272,231 +269,18 @@ func (co *Coordinator) requestContext(r *http.Request, timeoutMs int) (context.C
 	return context.WithTimeout(r.Context(), d)
 }
 
-func (co *Coordinator) specOrdinary(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-	var req server.OrdinaryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, fmt.Errorf("bad request body: %v", err)
-	}
-	if req.System.IsSparse() {
-		return co.specSparseOrdinary(&req)
-	}
-	sys, data, err := co.systemAndData(req.System, req.Op, req.Mod, req.Init, req.Opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !sys.Ordinary() {
-		return nil, nil, fmt.Errorf("/v1/solve/ordinary requires H = G (use /v1/solve/general)")
-	}
-	spec := &solveSpec{family: ir.FamilyOrdinary, sys: sys, data: data, timeoutMs: req.Opts.TimeoutMs}
-	return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
-		return server.OrdinaryResponse{
-			ValuesInt:   sol.ValuesInt,
-			ValuesFloat: sol.ValuesFloat,
-			Rounds:      sol.Rounds,
-			Combines:    sol.Combines,
-			ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
+// specSolve decodes an ordinary or general request through
+// server.DecodeSolveBody, the decoder irserved uses, so dense and sparse
+// requests validate, key their plans and shape their responses identically
+// on both daemons.
+func (co *Coordinator) specSolve(family ir.Family) specFunc {
+	return func(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
+		sr, err := server.DecodeSolveBody(family, body, server.Limits{MaxN: co.cfg.MaxN, MaxExponentBits: co.cfg.MaxExponentBits})
+		if err != nil {
+			return nil, nil, err
 		}
-	}, nil
-}
-
-func (co *Coordinator) specGeneral(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-	var req server.GeneralRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, fmt.Errorf("bad request body: %v", err)
+		return &solveSpec{family: family, solve: sr, data: sr.Data, timeoutMs: sr.TimeoutMs}, sr.Response, nil
 	}
-	if req.System.IsSparse() {
-		return co.specSparseGeneral(&req)
-	}
-	sys, data, err := co.systemAndData(req.System, req.Op, req.Mod, req.Init, req.Opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	bits := co.cfg.MaxExponentBits
-	if b := req.Opts.MaxExponentBits; b > 0 && b < bits {
-		bits = b
-	}
-	data.WithPowers = req.WithPowers
-	spec := &solveSpec{family: ir.FamilyGeneral, sys: sys, bits: bits, data: data, timeoutMs: req.Opts.TimeoutMs}
-	return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
-		return server.GeneralResponse{
-			ValuesInt:   sol.ValuesInt,
-			ValuesFloat: sol.ValuesFloat,
-			Powers:      sol.Powers,
-			CAPRounds:   sol.CAPRounds,
-			ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
-		}
-	}, nil
-}
-
-// specSparseOrdinary is specOrdinary's sparse-encoding branch: values and
-// init are in compact order, and the response echoes the touched-cell list.
-func (co *Coordinator) specSparseOrdinary(req *server.OrdinaryRequest) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-	sp, data, err := co.sparseAndData(req.System, req.Op, req.Mod, req.Init, req.Opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !sp.Compact.Ordinary() {
-		return nil, nil, fmt.Errorf("%w: /v1/solve/ordinary requires H = G (use /v1/solve/general)", ir.ErrInvalidSparse)
-	}
-	spec, gather, err := co.sparseSpec(sp, ir.FamilyOrdinary, 0, data, req.Opts.TimeoutMs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
-		gather(sol)
-		return server.OrdinaryResponse{
-			ValuesInt:   sol.ValuesInt,
-			ValuesFloat: sol.ValuesFloat,
-			Cells:       sp.Cells,
-			Rounds:      sol.Rounds,
-			Combines:    sol.Combines,
-			ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
-		}
-	}, nil
-}
-
-// specSparseGeneral is specGeneral's sparse-encoding branch. Power traces
-// come back in compact order but name global cells, matching irserved.
-func (co *Coordinator) specSparseGeneral(req *server.GeneralRequest) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-	sp, data, err := co.sparseAndData(req.System, req.Op, req.Mod, req.Init, req.Opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	bits := co.cfg.MaxExponentBits
-	if b := req.Opts.MaxExponentBits; b > 0 && b < bits {
-		bits = b
-	}
-	data.WithPowers = req.WithPowers
-	spec, gather, err := co.sparseSpec(sp, ir.FamilyGeneral, bits, data, req.Opts.TimeoutMs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
-		gather(sol)
-		return server.GeneralResponse{
-			ValuesInt:   sol.ValuesInt,
-			ValuesFloat: sol.ValuesFloat,
-			Cells:       sp.Cells,
-			Powers:      sol.Powers,
-			CAPRounds:   sol.CAPRounds,
-			ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
-		}
-	}, nil
-}
-
-// sparseSpec builds the solve spec for a sparse system. With the fast path
-// enabled the compact system is the plan source and scatters as-is. Under
-// the kill switch (ir.SetSparseEnabled(false)) the coordinator expands to
-// the dense form locally — refused when the global size exceeds the dense
-// limit, since materialising it is exactly what the sparse form avoids —
-// and the returned gather maps the dense solution back to compact order,
-// bit-identically. The switch is read once here, so the spec's plan, shard
-// payloads, and response shaping always agree.
-func (co *Coordinator) sparseSpec(sp *ir.SparseSystem, fam ir.Family, bits int, data ir.PlanData, timeoutMs int) (*solveSpec, func(*ir.PlanSolution), error) {
-	if ir.SparseEnabled() {
-		spec := &solveSpec{family: fam, sys: sp.Compact, sparse: sp, bits: bits, data: data, timeoutMs: timeoutMs}
-		return spec, func(sol *ir.PlanSolution) {
-			// Compact-plan power traces name compact sinks; report global ids.
-			for _, terms := range sol.Powers {
-				for k := range terms {
-					terms[k].Cell = sp.Cells[terms[k].Cell]
-				}
-			}
-		}, nil
-	}
-	if sp.M > co.cfg.MaxN {
-		return nil, nil, fmt.Errorf("global m = %d exceeds the coordinator limit %d while the sparse fast path is disabled",
-			sp.M, co.cfg.MaxN)
-	}
-	dense := data
-	if data.InitInt != nil {
-		full := make([]int64, sp.M)
-		for i, c := range sp.Cells {
-			full[c] = data.InitInt[i]
-		}
-		dense.InitInt = full
-	}
-	if data.InitFloat != nil {
-		full := make([]float64, sp.M)
-		for i, c := range sp.Cells {
-			full[c] = data.InitFloat[i]
-		}
-		dense.InitFloat = full
-	}
-	spec := &solveSpec{family: fam, sys: sp.Dense(), bits: bits, data: dense, timeoutMs: timeoutMs}
-	return spec, func(sol *ir.PlanSolution) {
-		if sol.ValuesInt != nil {
-			compact := make([]int64, len(sp.Cells))
-			for i, c := range sp.Cells {
-				compact[i] = sol.ValuesInt[c]
-			}
-			sol.ValuesInt = compact
-		}
-		if sol.ValuesFloat != nil {
-			compact := make([]float64, len(sp.Cells))
-			for i, c := range sp.Cells {
-				compact[i] = sol.ValuesFloat[c]
-			}
-			sol.ValuesFloat = compact
-		}
-		if sol.Powers != nil {
-			compact := make([][]ir.PowerTerm, len(sp.Cells))
-			for i, c := range sp.Cells {
-				compact[i] = sol.Powers[c]
-			}
-			sol.Powers = compact
-		}
-	}, nil
-}
-
-// sparseAndData is systemAndData's sparse twin: it bounds the compact
-// encoding by the coordinator limit (the global size is deliberately
-// unbounded on the fast path — work scales with the touched count), decodes
-// the wire form, and sizes init against the touched-cell count.
-func (co *Coordinator) sparseAndData(w ir.SystemWire, op string, mod int64, init json.RawMessage, opts ir.OptionsWire) (*ir.SparseSystem, ir.PlanData, error) {
-	var data ir.PlanData
-	if w.N > co.cfg.MaxN || len(w.G) > co.cfg.MaxN || len(w.Cells) > co.cfg.MaxN {
-		return nil, data, fmt.Errorf("n = %d exceeds the coordinator limit %d",
-			max(w.N, max(len(w.G), len(w.Cells))), co.cfg.MaxN)
-	}
-	sp, err := w.Sparse()
-	if err != nil {
-		return nil, data, err
-	}
-	opt, err := opts.Options()
-	if err != nil {
-		return nil, data, err
-	}
-	data = ir.PlanData{Op: op, Mod: mod, Opts: opt}
-	iop, err := ir.IntOpByName(op, mod)
-	if err != nil {
-		return nil, data, err
-	}
-	if iop != nil {
-		if data.InitInt, err = server.DecodeInitInt(init); err != nil {
-			return nil, data, err
-		}
-		if len(data.InitInt) != sp.NumCells() {
-			return nil, data, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d",
-				ir.ErrInvalidSparse, len(data.InitInt), sp.NumCells())
-		}
-		return sp, data, nil
-	}
-	fop, err := ir.FloatOpByName(op)
-	if err != nil {
-		return nil, data, err
-	}
-	if fop == nil {
-		return nil, data, fmt.Errorf("unknown op %q (one of %s)", op, strings.Join(ir.OpNames(), ", "))
-	}
-	if data.InitFloat, err = server.DecodeInitFloat(init); err != nil {
-		return nil, data, err
-	}
-	if len(data.InitFloat) != sp.NumCells() {
-		return nil, data, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d",
-			ir.ErrInvalidSparse, len(data.InitFloat), sp.NumCells())
-	}
-	return sp, data, nil
 }
 
 func (co *Coordinator) specGrid2D(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
@@ -505,11 +289,7 @@ func (co *Coordinator) specGrid2D(body []byte) (*solveSpec, func(*ir.PlanSolutio
 		return nil, nil, fmt.Errorf("bad request body: %v", err)
 	}
 	sys := &req.System
-	if cells := int64(sys.Rows) * int64(sys.Cols); sys.Rows > 0 && sys.Cols > 0 && cells > int64(co.cfg.MaxN) {
-		return nil, nil, fmt.Errorf("grid %dx%d = %d cells exceeds the coordinator limit %d",
-			sys.Rows, sys.Cols, cells, co.cfg.MaxN)
-	}
-	if err := sys.Validate(); err != nil {
+	if err := server.ValidateGrid2D(sys, co.cfg.MaxN); err != nil {
 		return nil, nil, err
 	}
 	opt, err := req.Opts.Options()
@@ -533,139 +313,31 @@ func (co *Coordinator) specGrid2D(body []byte) (*solveSpec, func(*ir.PlanSolutio
 	}, nil
 }
 
-func (co *Coordinator) specLinear(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-	var req server.LinearRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, fmt.Errorf("bad request body: %v", err)
-	}
-	var ms *moebius.MoebiusSystem
-	if req.Extended {
-		if len(req.X0) != req.M {
-			return nil, nil, fmt.Errorf("extended form: len(x0) = %d, want m = %d", len(req.X0), req.M)
+// specMoebius decodes a linear or moebius request through
+// server.DecodeMoebius, irserved's decoder for the same endpoints.
+func (co *Coordinator) specMoebius(endpoint string) specFunc {
+	return func(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
+		ms, x0, opts, err := server.DecodeMoebius(endpoint, body, co.cfg.MaxN)
+		if err != nil {
+			return nil, nil, err
 		}
-		ms = moebius.NewExtended(req.M, req.G, req.F, req.A, req.B, req.X0)
-	} else {
-		ms = moebius.NewLinear(req.M, req.G, req.F, req.A, req.B)
-	}
-	return co.specFromMoebius(ms, req.X0, req.Opts)
-}
-
-func (co *Coordinator) specMoebius(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-	var req server.MoebiusRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, fmt.Errorf("bad request body: %v", err)
-	}
-	ms := &moebius.MoebiusSystem{M: req.M, G: req.G, F: req.F, A: req.A, B: req.B, C: req.C, D: req.D}
-	return co.specFromMoebius(ms, req.X0, req.Opts)
-}
-
-func (co *Coordinator) specFromMoebius(ms *moebius.MoebiusSystem, x0 []float64, opts ir.OptionsWire) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-	if len(ms.G) > co.cfg.MaxN {
-		return nil, nil, fmt.Errorf("n = %d exceeds the coordinator limit %d", len(ms.G), co.cfg.MaxN)
-	}
-	if err := ms.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := ms.CheckFinite(); err != nil {
-		return nil, nil, err
-	}
-	if len(x0) != ms.M {
-		return nil, nil, fmt.Errorf("len(x0) = %d, want m = %d", len(x0), ms.M)
-	}
-	for i, v := range x0 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, fmt.Errorf("x0[%d] = %v is not finite", i, v)
+		opt, err := opts.Options()
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	opt, err := opts.Options()
-	if err != nil {
-		return nil, nil, err
-	}
-	spec := &solveSpec{
-		family: ir.FamilyMoebius,
-		m:      ms.M, g: ms.G, f: ms.F,
-		data:      ir.PlanData{A: ms.A, B: ms.B, C: ms.C, D: ms.D, X0: x0, Opts: opt},
-		timeoutMs: opts.TimeoutMs,
-	}
-	return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
-		return server.MoebiusResponse{
-			Values:    sol.Values,
-			BatchSize: 1,
-			ElapsedMs: float64(elapsed.Microseconds()) / 1000,
+		spec := &solveSpec{
+			family: ir.FamilyMoebius,
+			m:      ms.M, g: ms.G, f: ms.F,
+			data:      ir.PlanData{A: ms.A, B: ms.B, C: ms.C, D: ms.D, X0: x0, Opts: opt},
+			timeoutMs: opts.TimeoutMs,
 		}
-	}, nil
-}
-
-// systemAndData validates an ordinary/general request's system and decodes
-// its init array into PlanData by the operator's domain.
-func (co *Coordinator) systemAndData(w ir.SystemWire, op string, mod int64, init json.RawMessage, opts ir.OptionsWire) (*ir.System, ir.PlanData, error) {
-	var data ir.PlanData
-	if w.N > co.cfg.MaxN || len(w.G) > co.cfg.MaxN {
-		return nil, data, fmt.Errorf("n = %d exceeds the coordinator limit %d", max(w.N, len(w.G)), co.cfg.MaxN)
-	}
-	sys, err := w.System()
-	if err != nil {
-		return nil, data, err
-	}
-	opt, err := opts.Options()
-	if err != nil {
-		return nil, data, err
-	}
-	data = ir.PlanData{Op: op, Mod: mod, Opts: opt}
-	iop, err := ir.IntOpByName(op, mod)
-	if err != nil {
-		return nil, data, err
-	}
-	if iop != nil {
-		if data.InitInt, err = server.DecodeInitInt(init); err != nil {
-			return nil, data, err
-		}
-		if len(data.InitInt) != sys.M {
-			return nil, data, fmt.Errorf("len(init) = %d, want m = %d", len(data.InitInt), sys.M)
-		}
-		return sys, data, nil
-	}
-	fop, err := ir.FloatOpByName(op)
-	if err != nil {
-		return nil, data, err
-	}
-	if fop == nil {
-		return nil, data, fmt.Errorf("unknown op %q (one of %s)", op, strings.Join(ir.OpNames(), ", "))
-	}
-	if data.InitFloat, err = server.DecodeInitFloat(init); err != nil {
-		return nil, data, err
-	}
-	if len(data.InitFloat) != sys.M {
-		return nil, data, fmt.Errorf("len(init) = %d, want m = %d", len(data.InitFloat), sys.M)
-	}
-	return sys, data, nil
-}
-
-// statusForSpec maps request-decode errors: sparse-encoding defects are
-// semantic errors in a well-formed request (422, as on irserved); anything
-// else at decode time is a bad request.
-func statusForSpec(err error) int {
-	if errors.Is(err, ir.ErrInvalidSparse) {
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusBadRequest
-}
-
-// statusFor maps solve errors to HTTP statuses (the coordinator-side twin
-// of irserved's mapping).
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ir.ErrInvalidSystem), errors.Is(err, moebius.ErrBadSystem), errors.Is(err, ir.ErrShard):
-		return http.StatusBadRequest
-	case errors.Is(err, ir.ErrNonFinite), errors.Is(err, ir.ErrGrid2DNonFinite),
-		errors.Is(err, ir.ErrExponentLimit), errors.Is(err, ir.ErrInvalidSparse):
-		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusInternalServerError
+		return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
+			return server.MoebiusResponse{
+				Values:    sol.Values,
+				BatchSize: 1,
+				ElapsedMs: float64(elapsed.Microseconds()) / 1000,
+			}
+		}, nil
 	}
 }
 

@@ -15,21 +15,20 @@ import (
 	"indexedrec/ir"
 )
 
-// solveSpec is one distributed solve, family-dispatched: sys for the
-// ordinary/general families, (m, g, f) for Möbius, data for the values.
+// solveSpec is one distributed solve, family-dispatched: solve for the
+// ordinary/general families, (m, g, f) for Möbius, grid for grid2d, data for
+// the values.
 type solveSpec struct {
 	family ir.Family
-	sys    *ir.System // ordinary / general
-	// sparse, when set, marks an ordinary/general solve in the compressed
-	// encoding: the plan is compiled from the compact system (sys then
-	// aliases sparse.Compact) and shard payloads ship the sparse wire form,
-	// so scatter traffic is O(n) however large the global array.
-	sparse *ir.SparseSystem
-	m      int              // moebius
-	g, f   []int            // moebius
-	grid   *ir.Grid2DSystem // grid2d
-	bits   int              // general: effective MaxExponentBits (compile-time)
-	data   ir.PlanData
+	// solve is the decoded ordinary/general request, dense or sparse: its
+	// plan is compiled from solve.Sys (the compact system when sparse) and
+	// shard payloads ship solve.Wire(), so a sparse scatter's traffic is O(n)
+	// however large the global array.
+	solve *server.SolveRequest
+	m     int              // moebius
+	g, f  []int            // moebius
+	grid  *ir.Grid2DSystem // grid2d
+	data  ir.PlanData
 	// timeoutMs is the client's requested deadline (the wire option is not
 	// part of ir.SolveOptions; the coordinator applies it to the solve ctx).
 	timeoutMs int
@@ -37,15 +36,17 @@ type solveSpec struct {
 
 // planFor compiles or cache-loads the spec's plan on the coordinator. The
 // coordinator needs the plan itself — not just its fingerprint — because
-// Partition and MergeShards read the compiled structure.
+// Partition and MergeShards read the compiled structure. Every shard of a
+// scatter shares the plan's one fingerprint, so rendezvous plan affinity
+// warms workers with one plan per structure.
 func (co *Coordinator) planFor(ctx context.Context, spec *solveSpec) (*ir.Plan, error) {
-	if spec.family == ir.FamilyMoebius {
+	switch spec.family {
+	case ir.FamilyMoebius:
 		fp := ir.PlanFingerprint(ir.FamilyMoebius, len(spec.g), spec.m, spec.g, spec.f, nil, 0)
 		return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
 			return ir.CompileMoebiusCtx(ctx, spec.m, spec.g, spec.f)
 		})
-	}
-	if spec.family == ir.FamilyGrid2D {
+	case ir.FamilyGrid2D:
 		fp, err := ir.Grid2DFingerprint(spec.grid)
 		if err != nil {
 			return nil, err
@@ -53,24 +54,9 @@ func (co *Coordinator) planFor(ctx context.Context, spec *solveSpec) (*ir.Plan, 
 		return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
 			return ir.CompileGrid2DCtx(ctx, spec.grid)
 		})
+	default:
+		return server.PlanFor(co.plans, ctx, spec.solve.Fingerprint(), spec.solve.Compile)
 	}
-	if spec.sparse != nil {
-		// One fingerprint for the whole solve: every shard of a sparse
-		// scatter shares it, so rendezvous plan affinity warms workers with
-		// one compact plan exactly as for dense scatters.
-		fp := ir.SparseFingerprint(spec.family, spec.sparse, spec.bits)
-		return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileSparseCtx(ctx, spec.sparse, ir.CompileOptions{
-				Family: spec.family, Procs: spec.data.Opts.Procs, MaxExponentBits: spec.bits,
-			})
-		})
-	}
-	fp := ir.PlanFingerprint(spec.family, spec.sys.N, spec.sys.M, spec.sys.G, spec.sys.F, spec.sys.H, spec.bits)
-	return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-		return ir.CompileCtx(ctx, spec.sys, ir.CompileOptions{
-			Family: spec.family, Procs: spec.data.Opts.Procs, MaxExponentBits: spec.bits,
-		})
-	})
 }
 
 // Solve runs one distributed solve: plan, partition, scatter, gather,
@@ -366,10 +352,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 func shardRequest(spec *solveSpec, ctx context.Context) (server.ShardRequest, error) {
 	req := server.ShardRequest{
 		Family: spec.family.String(),
-		Opts: ir.OptionsWire{
-			Procs:           spec.data.Opts.Procs,
-			MaxExponentBits: spec.bits,
-		},
+		Opts:   ir.OptionsWire{Procs: spec.data.Opts.Procs},
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl).Milliseconds()
@@ -388,11 +371,8 @@ func shardRequest(spec *solveSpec, ctx context.Context) (server.ShardRequest, er
 		// Bands attach their own Grid (with halo boundaries) per send.
 		return req, nil
 	}
-	if spec.sparse != nil {
-		req.System = ir.WireFromSparse(spec.sparse)
-	} else {
-		req.System = ir.WireFromSystem(spec.sys)
-	}
+	req.System = spec.solve.Wire()
+	req.Opts.MaxExponentBits = spec.solve.Bits
 	req.Op, req.Mod = spec.data.Op, spec.data.Mod
 	var init any = spec.data.InitFloat
 	if spec.data.InitInt != nil {

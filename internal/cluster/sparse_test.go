@@ -173,50 +173,3 @@ func TestClusterSparseErrors(t *testing.T) {
 	}()
 	leak()
 }
-
-// TestClusterSparseKillSwitch flips the sparse fast path off at the
-// coordinator: small systems fall back to a dense expansion bit-identically,
-// and global sizes beyond the dense limit are refused instead of expanded.
-func TestClusterSparseKillSwitch(t *testing.T) {
-	leak := checkGoroutines(t)
-	func() {
-		co, _, down := newFleet(t, 1, nil)
-		front := httptest.NewServer(co.Handler())
-		defer front.Close()
-		_ = co
-
-		sp, req, init := sparseClusterReq(t, 100_000, 64, 2)
-		want, err := ir.SolveSparseOrdinaryCtx[int64](context.Background(), sp, ir.IntAdd{}, init, ir.SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ir.SetSparseEnabled(false)
-		defer ir.SetSparseEnabled(true)
-
-		code, data := postFront(t, front.URL+server.APIPrefix+"ordinary", req)
-		if code != http.StatusOK {
-			t.Fatalf("HTTP %d: %s", code, data)
-		}
-		var out server.OrdinaryResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		if len(out.ValuesInt) != sp.NumCells() || len(out.Cells) != sp.NumCells() {
-			t.Fatalf("fallback shape: %d values over %d cells, want compact %d", len(out.ValuesInt), len(out.Cells), sp.NumCells())
-		}
-		for i := range want.Values {
-			if out.ValuesInt[i] != want.Values[i] {
-				t.Fatalf("kill-switch fallback diverges at compact id %d", i)
-			}
-		}
-
-		// A 50M-cell global array cannot be expanded under the 4M dense limit.
-		_, big, _ := sparseClusterReq(t, 50_000_000, 64, 2)
-		code, data = postFront(t, front.URL+server.APIPrefix+"ordinary", big)
-		if code == http.StatusOK {
-			t.Fatalf("global m=50M accepted with the sparse path disabled: %s", data)
-		}
-		down()
-	}()
-	leak()
-}

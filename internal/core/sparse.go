@@ -200,8 +200,8 @@ func (sp *SparseSystem) String() string {
 // ExpandInit scatters a touched-cell init slice (length NumCells, compact
 // order) into a full global init array of length M, zero-valued elsewhere.
 // Untouched cells are never read by any iteration, so the zero fill cannot
-// influence touched results — this is what makes the dense fallback
-// bit-identical to the compact solve.
+// influence touched results — this is what makes a dense solve of the
+// expansion bit-identical to the compact solve.
 func ExpandInit[T any](sp *SparseSystem, init []T) ([]T, error) {
 	if len(init) != len(sp.Cells) {
 		return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d",
@@ -216,7 +216,7 @@ func ExpandInit[T any](sp *SparseSystem, init []T) ([]T, error) {
 
 // GatherTouched gathers the touched cells of a full global value array
 // (length M) into compact order — the inverse of ExpandInit, used to read a
-// dense-fallback solve back into the sparse response shape.
+// dense reference solve back into compact order for comparison.
 func GatherTouched[T any](sp *SparseSystem, full []T) ([]T, error) {
 	if len(full) != sp.M {
 		return nil, fmt.Errorf("%w: len(values) = %d, want global cell count %d",

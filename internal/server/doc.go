@@ -9,8 +9,11 @@
 //
 // # Request path
 //
-// Every solve request is validated before admission (client mistakes cost no
-// worker time), then queued; a full queue sheds with 429 + Retry-After.
+// Every solve request is decoded once and validated before admission (client
+// mistakes cost no worker time), then queued; a full queue sheds with 429 +
+// Retry-After. Ordinary and general requests, dense or sparse, share one
+// decoder (DecodeSolve, also used by the shard endpoint and the coordinator)
+// and one solve path: plan by fingerprint, replay, shape the response.
 // Workers execute solves under the request's context, so deadlines and
 // client disconnects abandon work promptly. Möbius-family requests pass
 // through the coalescer, which holds the first request of a batch up to
@@ -21,11 +24,11 @@
 //
 // # Invariants
 //
-// Responses are bit-identical whether a solve ran direct, through a cached
-// plan, batched, or fell back to a per-item solve — caching and coalescing
-// are performance layers, never semantic ones. Every admitted request gets
-// exactly one response; Shutdown drains in-flight work before the pool
-// exits.
+// Responses are bit-identical whether a solve compiled its plan or replayed
+// a cached one, was batched, or fell back to a per-item solve — caching and
+// coalescing are performance layers, never semantic ones. Every admitted
+// request gets exactly one response; Shutdown drains in-flight work before
+// the pool exits.
 //
 // # Concurrency
 //

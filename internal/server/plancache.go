@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
 
 	"indexedrec/ir"
@@ -157,102 +156,11 @@ func PlanFor[P CachedPlan](c *PlanCache, ctx context.Context, key string, compil
 	return p, nil
 }
 
-// solveOrdinary runs one ordinary-family solve, through the plan cache when
-// it is enabled and directly otherwise. Replayed results are bit-identical
-// to ir.SolveOrdinaryCtx by the plan layer's contract.
-func solveOrdinary[T any](ctx context.Context, s *Server, sys *ir.System, op ir.Semigroup[T], init []T, opt ir.SolveOptions) (*ir.OrdinaryResult[T], error) {
-	if s.plans == nil {
-		return ir.SolveOrdinaryCtx[T](ctx, sys, op, init, opt)
-	}
-	fp := ir.PlanFingerprint(ir.FamilyOrdinary, sys.N, sys.M, sys.G, sys.F, nil, 0)
-	p, err := PlanFor(s.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-		return ir.CompileCtx(ctx, sys, ir.CompileOptions{Family: ir.FamilyOrdinary, Procs: opt.Procs})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ir.SolveOrdinaryPlanCtx[T](ctx, p, op, init, opt)
-}
-
-// solveSparseOrdinary runs one sparse ordinary-family solve. With the sparse
-// fast path enabled it resolves a compact plan through the cache — keyed by
-// the sparse fingerprint, so plans are sized by the touched count and every
-// same-shaped request replays them — and replays it over compact init. With
-// the path disabled (ir.SetSparseEnabled kill switch) it expands to the
-// dense form and solves that, bit-identically, provided the global size fits
-// the server's dense limit. Each solve increments
-// irserved_sparse_solves_total with the mode it took.
-func solveSparseOrdinary[T any](ctx context.Context, s *Server, sp *ir.SparseSystem, op ir.Semigroup[T], init []T, opt ir.SolveOptions) (*ir.OrdinaryResult[T], error) {
-	if !ir.SparseEnabled() {
-		if sp.M > s.cfg.MaxN {
-			return nil, fmt.Errorf("%w: global m = %d exceeds the server limit %d while the sparse fast path is disabled",
-				ir.ErrInvalidSystem, sp.M, s.cfg.MaxN)
-		}
-		s.metrics.sparseSolves.Inc("dense-fallback")
-		return ir.SolveSparseOrdinaryCtx[T](ctx, sp, op, init, opt)
-	}
-	s.metrics.sparseSolves.Inc("sparse")
-	if s.plans == nil {
-		return ir.SolveOrdinaryCtx[T](ctx, sp.Compact, op, init, opt)
-	}
-	fp := ir.SparseFingerprint(ir.FamilyOrdinary, sp, 0)
-	p, err := PlanFor(s.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-		return ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{Family: ir.FamilyOrdinary, Procs: opt.Procs})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ir.SolveOrdinaryPlanCtx[T](ctx, p, op, init, opt)
-}
-
-// solveSparseGeneral is solveSparseOrdinary's general-family counterpart.
-// Power traces name global cells on every path (the plan replay's compact
-// sink ids are remapped through the plan's touched-cell list).
-func solveSparseGeneral[T any](ctx context.Context, s *Server, sp *ir.SparseSystem, op ir.CommutativeMonoid[T], init []T, opt ir.SolveOptions) (*ir.GeneralResult[T], error) {
-	if !ir.SparseEnabled() {
-		if sp.M > s.cfg.MaxN {
-			return nil, fmt.Errorf("%w: global m = %d exceeds the server limit %d while the sparse fast path is disabled",
-				ir.ErrInvalidSystem, sp.M, s.cfg.MaxN)
-		}
-		s.metrics.sparseSolves.Inc("dense-fallback")
-		return ir.SolveSparseGeneralCtx[T](ctx, sp, op, init, opt)
-	}
-	s.metrics.sparseSolves.Inc("sparse")
-	if s.plans == nil {
-		return ir.SolveSparseGeneralCtx[T](ctx, sp, op, init, opt)
-	}
-	fp := ir.SparseFingerprint(ir.FamilyGeneral, sp, opt.MaxExponentBits)
-	p, err := PlanFor(s.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-		return ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{
-			Family:          ir.FamilyGeneral,
-			Procs:           opt.Procs,
-			MaxExponentBits: opt.MaxExponentBits,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := ir.SolveGeneralPlanCtx[T](ctx, p, op, init, opt)
-	if err != nil {
-		return nil, err
-	}
-	cells := p.TouchedCells()
-	for _, terms := range res.Powers {
-		for k := range terms {
-			terms[k].Cell = cells[terms[k].Cell]
-		}
-	}
-	return res, nil
-}
-
 // solveGrid2D runs one grid2d-family solve through the plan cache: grid
 // plans depend only on (rows, cols, semiring, term mask), so repeated DP
 // sweeps over the same shape reuse the compiled wavefront schedule and its
 // pooled arenas.
 func solveGrid2D(ctx context.Context, s *Server, sys *ir.Grid2DSystem, opt ir.SolveOptions) (*ir.Grid2DResult, error) {
-	if s.plans == nil {
-		return ir.SolveGrid2DCtx(ctx, sys, opt)
-	}
 	fp, err := ir.Grid2DFingerprint(sys)
 	if err != nil {
 		return nil, err
@@ -264,25 +172,4 @@ func solveGrid2D(ctx context.Context, s *Server, sys *ir.Grid2DSystem, opt ir.So
 		return nil, err
 	}
 	return ir.SolveGrid2DPlanCtx(ctx, p, sys, opt)
-}
-
-// solveGeneral is solveOrdinary's general-family counterpart. The effective
-// MaxExponentBits is part of the fingerprint because it changes the compiled
-// CAP counts.
-func solveGeneral[T any](ctx context.Context, s *Server, sys *ir.System, op ir.CommutativeMonoid[T], init []T, opt ir.SolveOptions) (*ir.GeneralResult[T], error) {
-	if s.plans == nil {
-		return ir.SolveGeneralCtx[T](ctx, sys, op, init, opt)
-	}
-	fp := ir.PlanFingerprint(ir.FamilyGeneral, sys.N, sys.M, sys.G, sys.F, sys.H, opt.MaxExponentBits)
-	p, err := PlanFor(s.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-		return ir.CompileCtx(ctx, sys, ir.CompileOptions{
-			Family:          ir.FamilyGeneral,
-			Procs:           opt.Procs,
-			MaxExponentBits: opt.MaxExponentBits,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ir.SolveGeneralPlanCtx[T](ctx, p, op, init, opt)
 }

@@ -9,13 +9,11 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"indexedrec/internal/moebius"
-	"indexedrec/internal/parallel"
 	"indexedrec/internal/session"
 	"indexedrec/ir"
 )
@@ -55,8 +53,8 @@ type Config struct {
 	// (default 16384); requests may lower it but not raise it.
 	MaxExponentBits int
 	// PlanCacheBytes bounds the compiled-plan LRU cache (default 64 MiB).
-	// Negative disables plan caching: every request then runs the direct
-	// solve paths, recomputing structure each time.
+	// Negative disables plan caching: every request then compiles its plan
+	// afresh, recomputing structure each time.
 	PlanCacheBytes int64
 	// Tenants configures per-tenant admission (WFQ weight, shed priority,
 	// queue quota) keyed by the X-IR-Tenant header value. Tenants absent
@@ -174,7 +172,7 @@ func newServerMetrics(reg *Registry, depthFn func() float64, capacity int) *serv
 			[]float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10},
 			"endpoint"),
 		sparseSolves: reg.NewCounterVec("irserved_sparse_solves_total",
-			"Sparse-encoded solves by execution mode: \"sparse\" replays the compact plan, \"dense-fallback\" expanded to the dense form because the sparse fast path is disabled.", "mode"),
+			"Sparse-encoded solves by execution mode; \"sparse\", the only mode, replays the compact plan over touched cells.", "mode"),
 		planHits: reg.NewCounter("irserved_plan_cache_hits_total",
 			"Solves replayed from a cached compiled plan."),
 		planMisses: reg.NewCounter("irserved_plan_cache_misses_total",
@@ -293,10 +291,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("POST "+APIPrefix+"ordinary", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "ordinary", s.execOrdinary)
+		s.handleSolve(w, r, "ordinary", s.execSolve(ir.FamilyOrdinary))
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"general", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "general", s.execGeneral)
+		s.handleSolve(w, r, "general", s.execSolve(ir.FamilyGeneral))
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
 		s.handleCoalesced(w, r, "linear")
@@ -408,9 +406,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Inc("metrics", "200")
 }
 
-// execFunc validates a decoded request and returns the closure that a pool
-// worker will run; validation errors surface before admission as 4xx.
-type execFunc func(body []byte) (func(ctx context.Context) (any, error), error)
+// runFunc is the closure a pool worker runs for one admitted request.
+type runFunc func(ctx context.Context) (any, error)
+
+// execFunc decodes and validates a request body once, returning the closure
+// a pool worker will run plus the request's timeout_ms; validation errors
+// surface before admission as 4xx.
+type execFunc func(body []byte) (run runFunc, timeoutMs int, err error)
 
 // handleSolve is the common path for directly-executed endpoints
 // (ordinary, general, loop): decode+validate, admit, run on the pool, wait.
@@ -430,12 +432,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 		s.writeError(w, endpoint, http.StatusBadRequest, werr.Error())
 		return
 	}
-	run, err := exec(body)
+	run, timeoutMs, err := exec(body)
 	if err != nil {
-		s.writeError(w, endpoint, statusForValidation(err), err.Error())
+		s.writeError(w, endpoint, StatusForValidation(err), err.Error())
 		return
 	}
-	ctx, cancel := s.requestContext(r, timeoutOf(body))
+	ctx, cancel := s.requestContext(r, timeoutMs)
 	defer cancel()
 
 	type outcome struct {
@@ -470,7 +472,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 			return
 		}
 		if out.err != nil {
-			s.writeError(w, endpoint, statusForSolve(out.err), out.err.Error())
+			s.writeError(w, endpoint, StatusForSolve(out.err), out.err.Error())
 			return
 		}
 		s.writeJSON(w, endpoint, http.StatusOK, out.v)
@@ -478,7 +480,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 		// Deadline or client disconnect while queued/solving; the worker
 		// will observe ctx and abandon the solve.
 		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
-		s.writeError(w, endpoint, statusForSolve(ctx.Err()), ctx.Err().Error())
+		s.writeError(w, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
 	}
 }
 
@@ -500,9 +502,9 @@ func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoin
 		s.writeError(w, endpoint, http.StatusBadRequest, werr.Error())
 		return
 	}
-	ms, x0, opts, err := s.decodeMoebius(endpoint, body)
+	ms, x0, opts, err := DecodeMoebius(endpoint, body, s.cfg.MaxN)
 	if err != nil {
-		s.writeError(w, endpoint, statusForValidation(err), err.Error())
+		s.writeError(w, endpoint, StatusForValidation(err), err.Error())
 		return
 	}
 	ctx, cancel := s.requestContext(r, opts.TimeoutMs)
@@ -531,7 +533,7 @@ func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoin
 	case br := <-it.res:
 		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
 		if br.err != nil {
-			s.writeError(w, endpoint, statusForSolve(br.err), br.err.Error())
+			s.writeError(w, endpoint, StatusForSolve(br.err), br.err.Error())
 			return
 		}
 		s.writeJSON(w, endpoint, http.StatusOK, MoebiusResponse{
@@ -541,342 +543,53 @@ func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoin
 		})
 	case <-ctx.Done():
 		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
-		s.writeError(w, endpoint, statusForSolve(ctx.Err()), ctx.Err().Error())
+		s.writeError(w, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
 	}
 }
-
-// decodeMoebius turns a linear or moebius request body into a validated
-// MoebiusSystem ready for batching.
-func (s *Server) decodeMoebius(endpoint string, body []byte) (*moebius.MoebiusSystem, []float64, ir.OptionsWire, error) {
-	var ms *moebius.MoebiusSystem
-	var x0 []float64
-	var opts ir.OptionsWire
-	switch endpoint {
-	case "linear":
-		var req LinearRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, nil, opts, fmt.Errorf("bad request body: %v", err)
-		}
-		if req.Extended {
-			if len(req.X0) != req.M {
-				return nil, nil, opts, fmt.Errorf("extended form: len(x0) = %d, want m = %d", len(req.X0), req.M)
-			}
-			ms = moebius.NewExtended(req.M, req.G, req.F, req.A, req.B, req.X0)
-		} else {
-			ms = moebius.NewLinear(req.M, req.G, req.F, req.A, req.B)
-		}
-		x0, opts = req.X0, req.Opts
-	case "moebius":
-		var req MoebiusRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, nil, opts, fmt.Errorf("bad request body: %v", err)
-		}
-		ms = &moebius.MoebiusSystem{M: req.M, G: req.G, F: req.F, A: req.A, B: req.B, C: req.C, D: req.D}
-		x0, opts = req.X0, req.Opts
-	default:
-		panic("unreachable endpoint " + endpoint)
-	}
-	if len(ms.G) > s.cfg.MaxN {
-		return nil, nil, opts, fmt.Errorf("n = %d exceeds the server limit %d", len(ms.G), s.cfg.MaxN)
-	}
-	if err := ms.Validate(); err != nil {
-		return nil, nil, opts, err
-	}
-	if err := ms.CheckFinite(); err != nil {
-		return nil, nil, opts, err
-	}
-	if len(x0) != ms.M {
-		return nil, nil, opts, fmt.Errorf("len(x0) = %d, want m = %d", len(x0), ms.M)
-	}
-	for i, v := range x0 {
-		if v != v || v > maxFinite || v < -maxFinite {
-			return nil, nil, opts, fmt.Errorf("x0[%d] = %v is not finite", i, v)
-		}
-	}
-	return ms, x0, opts, nil
-}
-
-const maxFinite = 1.7976931348623157e308
 
 // ------------------------------------------------------------ direct execs
 
-func (s *Server) execOrdinary(body []byte) (func(ctx context.Context) (any, error), error) {
-	var req OrdinaryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	if req.System.IsSparse() {
-		return s.execSparseOrdinary(&req)
-	}
-	sys, opt, err := s.systemAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	if !sys.Ordinary() {
-		return nil, fmt.Errorf("%w: /v1/solve/ordinary requires H = G (use /v1/solve/general)", ir.ErrInvalidSystem)
-	}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		init, err := DecodeInitInt(req.Init)
+// execSolve is the one exec for the ordinary and general endpoints: decode
+// with DecodeSolveBody, clamp procs, then resolve the plan through the cache
+// (compiling on a miss) and replay it. Dense and sparse requests differ only
+// in the plan key and the Cells relabel inside SolveRequest.
+func (s *Server) execSolve(family ir.Family) execFunc {
+	return func(body []byte) (runFunc, int, error) {
+		req, err := DecodeSolveBody(family, body, s.limits())
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if len(init) != sys.M {
-			return nil, fmt.Errorf("len(init) = %d, want m = %d", len(init), sys.M)
-		}
+		req.Data.Opts.Procs = s.clampProcs(req.Data.Opts.Procs)
 		return func(ctx context.Context) (any, error) {
 			start := time.Now()
-			res, err := solveOrdinary(ctx, s, sys, iop, init, opt)
+			if req.Sparse != nil {
+				s.metrics.sparseSolves.Inc("sparse")
+			}
+			p, err := PlanFor(s.plans, ctx, req.Fingerprint(), req.Compile)
 			if err != nil {
 				return nil, err
 			}
-			return OrdinaryResponse{ValuesInt: res.Values, Rounds: res.Rounds,
-				Combines: res.Combines, ElapsedMs: ms(start)}, nil
-		}, nil
-	}
-	fop, err := floatOp(req.Op)
-	if err != nil {
-		return nil, err
-	}
-	if fop == nil {
-		return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-	}
-	init, err := DecodeInitFloat(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	if len(init) != sys.M {
-		return nil, fmt.Errorf("len(init) = %d, want m = %d", len(init), sys.M)
-	}
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveOrdinary(ctx, s, sys, fop, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		return OrdinaryResponse{ValuesFloat: res.Values, Rounds: res.Rounds,
-			Combines: res.Combines, ElapsedMs: ms(start)}, nil
-	}, nil
-}
-
-// execSparseOrdinary handles the sparse encoding of /v1/solve/ordinary: the
-// wire system carries the touched-cell list and compact index maps, and the
-// init array is in compact order (length len(cells)). The response echoes
-// the touched cells alongside the compact-order values. Malformed sparse
-// encodings answer 422 (see statusForValidation).
-func (s *Server) execSparseOrdinary(req *OrdinaryRequest) (func(ctx context.Context) (any, error), error) {
-	sp, opt, err := s.sparseAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	if !sp.Compact.Ordinary() {
-		return nil, fmt.Errorf("%w: /v1/solve/ordinary requires H = G (use /v1/solve/general)", ir.ErrInvalidSparse)
-	}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		init, err := DecodeInitInt(req.Init)
-		if err != nil {
-			return nil, err
-		}
-		if len(init) != sp.NumCells() {
-			return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(init), sp.NumCells())
-		}
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			res, err := solveSparseOrdinary(ctx, s, sp, iop, init, opt)
+			sol, err := p.SolveCtx(ctx, req.Data)
 			if err != nil {
 				return nil, err
 			}
-			return OrdinaryResponse{ValuesInt: res.Values, Cells: sp.Cells, Rounds: res.Rounds,
-				Combines: res.Combines, ElapsedMs: ms(start)}, nil
-		}, nil
+			return req.Response(sol, time.Since(start)), nil
+		}, req.TimeoutMs, nil
 	}
-	fop, err := floatOp(req.Op)
-	if err != nil {
-		return nil, err
-	}
-	if fop == nil {
-		return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-	}
-	init, err := DecodeInitFloat(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	if len(init) != sp.NumCells() {
-		return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(init), sp.NumCells())
-	}
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveSparseOrdinary(ctx, s, sp, fop, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		return OrdinaryResponse{ValuesFloat: res.Values, Cells: sp.Cells, Rounds: res.Rounds,
-			Combines: res.Combines, ElapsedMs: ms(start)}, nil
-	}, nil
 }
 
-// execSparseGeneral is execSparseOrdinary's general-family twin (reached
-// from execGeneral when the wire system is sparse-encoded). Power traces
-// name global cells.
-func (s *Server) execSparseGeneral(req *GeneralRequest, opt ir.SolveOptions) (func(ctx context.Context) (any, error), error) {
-	sp, _, err := s.sparseAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		init, err := DecodeInitInt(req.Init)
-		if err != nil {
-			return nil, err
-		}
-		if len(init) != sp.NumCells() {
-			return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(init), sp.NumCells())
-		}
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			res, err := solveSparseGeneral(ctx, s, sp, iop, init, opt)
-			if err != nil {
-				return nil, err
-			}
-			out := GeneralResponse{ValuesInt: res.Values, Cells: sp.Cells, CAPRounds: res.CAPRounds, ElapsedMs: ms(start)}
-			if req.WithPowers {
-				out.Powers = res.Powers
-			}
-			return out, nil
-		}, nil
-	}
-	fop, err := floatOp(req.Op)
-	if err != nil {
-		return nil, err
-	}
-	if fop == nil {
-		return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-	}
-	init, err := DecodeInitFloat(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	if len(init) != sp.NumCells() {
-		return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(init), sp.NumCells())
-	}
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveSparseGeneral(ctx, s, sp, fop, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		out := GeneralResponse{ValuesFloat: res.Values, Cells: sp.Cells, CAPRounds: res.CAPRounds, ElapsedMs: ms(start)}
-		if req.WithPowers {
-			out.Powers = res.Powers
-		}
-		return out, nil
-	}, nil
-}
-
-func (s *Server) execGeneral(body []byte) (func(ctx context.Context) (any, error), error) {
-	var req GeneralRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	if req.System.IsSparse() {
-		opt, err := req.Opts.Options()
-		if err != nil {
-			return nil, err
-		}
-		opt.Procs = s.clampProcs(opt.Procs)
-		opt.MaxExponentBits = s.cfg.MaxExponentBits
-		if b := req.Opts.MaxExponentBits; b > 0 && b < opt.MaxExponentBits {
-			opt.MaxExponentBits = b
-		}
-		return s.execSparseGeneral(&req, opt)
-	}
-	sys, opt, err := s.systemAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	opt.MaxExponentBits = s.cfg.MaxExponentBits
-	if b := req.Opts.MaxExponentBits; b > 0 && b < opt.MaxExponentBits {
-		opt.MaxExponentBits = b
-	}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		init, err := DecodeInitInt(req.Init)
-		if err != nil {
-			return nil, err
-		}
-		if len(init) != sys.M {
-			return nil, fmt.Errorf("len(init) = %d, want m = %d", len(init), sys.M)
-		}
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			res, err := solveGeneral(ctx, s, sys, iop, init, opt)
-			if err != nil {
-				return nil, err
-			}
-			out := GeneralResponse{ValuesInt: res.Values, CAPRounds: res.CAPRounds, ElapsedMs: ms(start)}
-			if req.WithPowers {
-				out.Powers = res.Powers
-			}
-			return out, nil
-		}, nil
-	}
-	fop, err := floatOp(req.Op)
-	if err != nil {
-		return nil, err
-	}
-	if fop == nil {
-		return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-	}
-	init, err := DecodeInitFloat(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	if len(init) != sys.M {
-		return nil, fmt.Errorf("len(init) = %d, want m = %d", len(init), sys.M)
-	}
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveGeneral(ctx, s, sys, fop, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		out := GeneralResponse{ValuesFloat: res.Values, CAPRounds: res.CAPRounds, ElapsedMs: ms(start)}
-		if req.WithPowers {
-			out.Powers = res.Powers
-		}
-		return out, nil
-	}, nil
-}
-
-func (s *Server) execGrid2D(body []byte) (func(ctx context.Context) (any, error), error) {
+func (s *Server) execGrid2D(body []byte) (runFunc, int, error) {
 	var req Grid2DRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
+		return nil, 0, fmt.Errorf("bad request body: %v", err)
 	}
 	sys := &req.System
-	if cells := int64(sys.Rows) * int64(sys.Cols); sys.Rows > 0 && sys.Cols > 0 && cells > int64(s.cfg.MaxN) {
-		return nil, fmt.Errorf("grid %dx%d = %d cells exceeds the server limit %d",
-			sys.Rows, sys.Cols, cells, s.cfg.MaxN)
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, err
+	if err := ValidateGrid2D(sys, s.cfg.MaxN); err != nil {
+		return nil, 0, err
 	}
 	opt, err := req.Opts.Options()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	opt.Procs = s.clampProcs(opt.Procs)
 	return func(ctx context.Context) (any, error) {
@@ -887,20 +600,20 @@ func (s *Server) execGrid2D(body []byte) (func(ctx context.Context) (any, error)
 		}
 		return Grid2DResponse{Values: res.Values, Rounds: res.Rounds,
 			Cells: res.Cells, ElapsedMs: ms(start)}, nil
-	}, nil
+	}, req.Opts.TimeoutMs, nil
 }
 
-func (s *Server) execLoop(body []byte) (func(ctx context.Context) (any, error), error) {
+func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 	var req LoopRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
+		return nil, 0, fmt.Errorf("bad request body: %v", err)
 	}
 	if req.Loop == "" {
-		return nil, fmt.Errorf("missing \"loop\" source")
+		return nil, 0, fmt.Errorf("missing \"loop\" source")
 	}
 	loop, err := ir.ParseLoop(req.Loop)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	c := ir.CompileLoop(loop)
 	procs := s.clampProcs(req.Opts.Procs)
@@ -925,54 +638,14 @@ func (s *Server) execLoop(body []byte) (func(ctx context.Context) (any, error), 
 			Arrays:    env.Arrays,
 			ElapsedMs: ms(start),
 		}, nil
-	}, nil
+	}, req.Opts.TimeoutMs, nil
 }
 
 // ---------------------------------------------------------------- plumbing
 
-// systemAndOptions validates the wire system against server limits and
-// resolves the effective solve options.
-func (s *Server) systemAndOptions(w ir.SystemWire, ow ir.OptionsWire) (*ir.System, ir.SolveOptions, error) {
-	if w.N > s.cfg.MaxN || len(w.G) > s.cfg.MaxN {
-		return nil, ir.SolveOptions{}, fmt.Errorf("n = %d exceeds the server limit %d", max(w.N, len(w.G)), s.cfg.MaxN)
-	}
-	sys, err := w.System()
-	if err != nil {
-		return nil, ir.SolveOptions{}, err
-	}
-	opt, err := ow.Options()
-	if err != nil {
-		return nil, ir.SolveOptions{}, err
-	}
-	opt.Procs = s.clampProcs(opt.Procs)
-	return sys, opt, nil
-}
-
-// sparseAndOptions is systemAndOptions' sparse twin: it bounds the compact
-// dimensions (iterations and touched cells) by MaxN — the global cell count
-// is deliberately unbounded, since sparse work scales with the touched count
-// — decodes and validates the sparse encoding, and resolves options. When
-// the sparse fast path is disabled the dense fallback would materialize the
-// global array, so the global size must then also fit MaxN.
-func (s *Server) sparseAndOptions(w ir.SystemWire, ow ir.OptionsWire) (*ir.SparseSystem, ir.SolveOptions, error) {
-	if w.N > s.cfg.MaxN || len(w.G) > s.cfg.MaxN || len(w.Cells) > s.cfg.MaxN {
-		return nil, ir.SolveOptions{}, fmt.Errorf("n = %d exceeds the server limit %d",
-			max(w.N, max(len(w.G), len(w.Cells))), s.cfg.MaxN)
-	}
-	sp, err := w.Sparse()
-	if err != nil {
-		return nil, ir.SolveOptions{}, err
-	}
-	if !ir.SparseEnabled() && sp.M > s.cfg.MaxN {
-		return nil, ir.SolveOptions{}, fmt.Errorf("global m = %d exceeds the server limit %d while the sparse fast path is disabled",
-			sp.M, s.cfg.MaxN)
-	}
-	opt, err := ow.Options()
-	if err != nil {
-		return nil, ir.SolveOptions{}, err
-	}
-	opt.Procs = s.clampProcs(opt.Procs)
-	return sp, opt, nil
+// limits is the decode bound DecodeSolve applies for this server.
+func (s *Server) limits() Limits {
+	return Limits{MaxN: s.cfg.MaxN, MaxExponentBits: s.cfg.MaxExponentBits}
 }
 
 // clampProcs resolves a client-requested procs count against the server's
@@ -995,16 +668,6 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 		}
 	}
 	return context.WithTimeout(r.Context(), d)
-}
-
-// timeoutOf peeks the timeout_ms option out of a raw body; decode errors
-// are reported by the endpoint's own decoder, so they're ignored here.
-func timeoutOf(body []byte) int {
-	var probe struct {
-		Opts ir.OptionsWire `json:"opts"`
-	}
-	_ = json.Unmarshal(body, &probe)
-	return probe.Opts.TimeoutMs
 }
 
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
@@ -1070,21 +733,23 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// statusForValidation maps pre-admission errors (all client mistakes) to
+// StatusForValidation maps pre-admission errors (all client mistakes) to
 // 400, except sparse-encoding defects — an unsorted, duplicated or
 // out-of-range touched-cell list, compact ids off the cell list, a
 // wrong-length compact init — which answer 422: the request parsed but its
-// sparse encoding is semantically unprocessable.
-func statusForValidation(err error) int {
+// sparse encoding is semantically unprocessable. Shared with the coordinator
+// front-end, like StatusForSolve.
+func StatusForValidation(err error) int {
 	if errors.Is(err, ir.ErrInvalidSparse) {
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest
 }
 
-// statusForSolve maps solver errors to HTTP statuses.
-func statusForSolve(err error) int {
-	var pe *parallel.PanicError
+// StatusForSolve maps solver errors to HTTP statuses. irserved and the
+// coordinator front-end share it, so the two daemons answer every error
+// type alike.
+func StatusForSolve(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -1096,9 +761,7 @@ func statusForSolve(err error) int {
 	case errors.Is(err, ir.ErrNonFinite), errors.Is(err, ir.ErrGrid2DNonFinite),
 		errors.Is(err, ir.ErrExponentLimit), errors.Is(err, ir.ErrInvalidSparse):
 		return http.StatusUnprocessableEntity
-	case errors.As(err, &pe):
-		return http.StatusInternalServerError
-	default:
+	default: // worker panics (parallel.PanicError) included
 		return http.StatusInternalServerError
 	}
 }

@@ -131,14 +131,14 @@ func (s *Server) sessionRoutes() {
 // execSessionOpen validates an open request and returns the pool job that
 // seeds the session (sequential fold of the prefix + plan compile) and
 // admits it into the store.
-func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, error), error) {
+func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 	var req SessionOpenRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
+		return nil, 0, fmt.Errorf("bad request body: %v", err)
 	}
 	spec, err := s.sessionSpec(&req)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
@@ -198,7 +198,7 @@ func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, e
 			Fingerprint: sess.Fingerprint(),
 			ElapsedMs:   ms(start),
 		}, nil
-	}, nil
+	}, req.Opts.TimeoutMs, nil
 }
 
 // sessionSpec converts a wire open request into a session.Spec, applying
@@ -255,25 +255,8 @@ func (s *Server) sessionSpec(req *SessionOpenRequest) (*session.Spec, error) {
 		}
 		spec.System = sys
 		spec.Op, spec.Mod = req.Op, req.Mod
-		iop, err := intOp(req.Op, req.Mod)
-		if err != nil {
+		if spec.InitInt, spec.InitFloat, err = decodeInit(req.Op, req.Mod, req.Init); err != nil {
 			return nil, err
-		}
-		if iop != nil {
-			if spec.InitInt, err = DecodeInitInt(req.Init); err != nil {
-				return nil, err
-			}
-		} else {
-			fop, err := floatOp(req.Op)
-			if err != nil {
-				return nil, err
-			}
-			if fop == nil {
-				return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-			}
-			if spec.InitFloat, err = DecodeInitFloat(req.Init); err != nil {
-				return nil, err
-			}
 		}
 	default:
 		return nil, fmt.Errorf("unknown family %q (one of ordinary, general, auto, linear, moebius)", req.Family)
@@ -368,7 +351,7 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 		})
 	case <-ctx.Done():
 		s.metrics.sessionAppendLatency.Observe(time.Since(start).Seconds())
-		s.writeError(w, endpoint, statusForSolve(ctx.Err()), ctx.Err().Error())
+		s.writeError(w, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
 	}
 }
 
@@ -423,6 +406,6 @@ func statusForSession(err error) int {
 	case errors.Is(err, session.ErrStoreFull):
 		return http.StatusInsufficientStorage
 	default:
-		return statusForSolve(err)
+		return StatusForSolve(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"indexedrec/ir"
@@ -19,153 +18,51 @@ import (
 // direct traffic degrades both honestly rather than either silently.
 
 // execShard validates a ShardRequest and returns the pool closure that
-// resolves the plan (via the shared cache) and executes the slice.
-func (s *Server) execShard(body []byte) (func(ctx context.Context) (any, error), error) {
+// resolves the plan (via the shared cache) and executes the slice. The
+// ordinary and general families decode exactly like the solve endpoints
+// (DecodeSolve), so a sparse shard ships the compact structure plus the
+// touched-cell list — O(n) on the wire however large the global array — and
+// its shard range and response cells address the compact plan; the
+// coordinator holds the touched-cell list to map them back.
+func (s *Server) execShard(body []byte) (runFunc, int, error) {
 	var req ShardRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
+		return nil, 0, fmt.Errorf("bad request body: %v", err)
 	}
 	fam, err := ir.FamilyByName(req.Family)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sh := ir.Shard{Lo: req.Shard.Lo, Hi: req.Shard.Hi}
 	if sh.Lo < 0 || sh.Hi < sh.Lo {
-		return nil, fmt.Errorf("%w: [%d, %d)", ir.ErrShard, sh.Lo, sh.Hi)
+		return nil, 0, fmt.Errorf("%w: [%d, %d)", ir.ErrShard, sh.Lo, sh.Hi)
 	}
-	if fam == ir.FamilyMoebius {
-		return s.execShardMoebius(&req, sh)
+	var run runFunc
+	switch fam {
+	case ir.FamilyMoebius:
+		run, err = s.execShardMoebius(&req, sh)
+	case ir.FamilyGrid2D:
+		run, err = s.execShardGrid2D(&req, sh)
+	default:
+		run, err = s.execShardSolve(&req, fam, sh)
 	}
-	if fam == ir.FamilyGrid2D {
-		return s.execShardGrid2D(&req, sh)
-	}
-	if req.System.IsSparse() {
-		return s.execShardSparse(&req, fam, sh)
-	}
-
-	sys, opt, err := s.systemAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	var bits int
-	if fam == ir.FamilyGeneral {
-		bits = s.cfg.MaxExponentBits
-		if b := req.Opts.MaxExponentBits; b > 0 && b < bits {
-			bits = b
-		}
-	} else if !sys.Ordinary() {
-		return nil, fmt.Errorf("%w: ordinary shard requires H = G", ir.ErrInvalidSystem)
-	}
-	data := ir.PlanData{Op: req.Op, Mod: req.Mod, Opts: opt}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		if data.InitInt, err = DecodeInitInt(req.Init); err != nil {
-			return nil, err
-		}
-		if len(data.InitInt) != sys.M {
-			return nil, fmt.Errorf("len(init) = %d, want m = %d", len(data.InitInt), sys.M)
-		}
-	} else {
-		fop, err := floatOp(req.Op)
-		if err != nil {
-			return nil, err
-		}
-		if fop == nil {
-			return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-		}
-		if data.InitFloat, err = DecodeInitFloat(req.Init); err != nil {
-			return nil, err
-		}
-		if len(data.InitFloat) != sys.M {
-			return nil, fmt.Errorf("len(init) = %d, want m = %d", len(data.InitFloat), sys.M)
-		}
-	}
-	fp := ir.PlanFingerprint(fam, sys.N, sys.M, sys.G, sys.F, sys.H, bits)
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		p, err := PlanFor(s.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileCtx(ctx, sys, ir.CompileOptions{
-				Family: fam, Procs: opt.Procs, MaxExponentBits: bits,
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		part, err := p.SolveShardCtx(ctx, data, sh)
-		if err != nil {
-			return nil, err
-		}
-		return shardResponse(part, start), nil
-	}, nil
+	return run, req.Opts.TimeoutMs, err
 }
 
-// execShardSparse is execShard's sparse arm: the request ships the compact
-// structure plus the touched-cell list — O(n) on the wire however large the
-// global array — and a compact init, and the worker resolves the compact
-// plan through the shared cache keyed by the sparse fingerprint (one key for
-// every shard of a solve, so rendezvous affinity warms exactly as for dense
-// scatters). Shard ranges address the compact plan's chain/cell domain, and
-// the response's cells/values are in compact ids like any ordinary shard's;
-// the coordinator already holds the touched-cell list to map them globally.
-// Shard solves always replay the compact plan — the coordinator decides
-// sparse-vs-dense before scattering, so the kill switch gates the scatter,
-// not the worker.
-func (s *Server) execShardSparse(req *ShardRequest, fam ir.Family, sh ir.Shard) (func(ctx context.Context) (any, error), error) {
-	sp, opt, err := s.sparseAndOptions(req.System, req.Opts)
+// execShardSolve is execShard's ordinary/general arm.
+func (s *Server) execShardSolve(req *ShardRequest, fam ir.Family, sh ir.Shard) (runFunc, error) {
+	sr, err := DecodeSolve(fam, req.System, req.Op, req.Mod, req.Init, false, req.Opts, s.limits())
 	if err != nil {
 		return nil, err
 	}
-	var bits int
-	if fam == ir.FamilyGeneral {
-		bits = s.cfg.MaxExponentBits
-		if b := req.Opts.MaxExponentBits; b > 0 && b < bits {
-			bits = b
-		}
-	} else if !sp.Compact.Ordinary() {
-		return nil, fmt.Errorf("%w: ordinary shard requires H = G", ir.ErrInvalidSparse)
-	}
-	data := ir.PlanData{Op: req.Op, Mod: req.Mod, Opts: opt}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		if data.InitInt, err = DecodeInitInt(req.Init); err != nil {
-			return nil, err
-		}
-		if len(data.InitInt) != sp.NumCells() {
-			return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(data.InitInt), sp.NumCells())
-		}
-	} else {
-		fop, err := floatOp(req.Op)
-		if err != nil {
-			return nil, err
-		}
-		if fop == nil {
-			return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-		}
-		if data.InitFloat, err = DecodeInitFloat(req.Init); err != nil {
-			return nil, err
-		}
-		if len(data.InitFloat) != sp.NumCells() {
-			return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(data.InitFloat), sp.NumCells())
-		}
-	}
-	fp := ir.SparseFingerprint(fam, sp, bits)
+	sr.Data.Opts.Procs = s.clampProcs(sr.Data.Opts.Procs)
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
-		p, err := PlanFor(s.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{
-				Family: fam, Procs: opt.Procs, MaxExponentBits: bits,
-			})
-		})
+		p, err := PlanFor(s.plans, ctx, sr.Fingerprint(), sr.Compile)
 		if err != nil {
 			return nil, err
 		}
-		part, err := p.SolveShardCtx(ctx, data, sh)
+		part, err := p.SolveShardCtx(ctx, sr.Data, sh)
 		if err != nil {
 			return nil, err
 		}
@@ -179,16 +76,12 @@ func (s *Server) execShardSparse(req *ShardRequest, fam ir.Family, sh ir.Shard) 
 // row), so the worker solves it like any whole grid — through the plan
 // cache, keyed by the band's own shape — and Shard only echoes the band's
 // row range in the original grid.
-func (s *Server) execShardGrid2D(req *ShardRequest, sh ir.Shard) (func(ctx context.Context) (any, error), error) {
+func (s *Server) execShardGrid2D(req *ShardRequest, sh ir.Shard) (runFunc, error) {
 	grid := req.Grid
 	if grid == nil {
 		return nil, fmt.Errorf("%w: grid2d shard request missing grid", ir.ErrInvalidSystem)
 	}
-	if cells := int64(grid.Rows) * int64(grid.Cols); grid.Rows > 0 && grid.Cols > 0 && cells > int64(s.cfg.MaxN) {
-		return nil, fmt.Errorf("grid %dx%d = %d cells exceeds the server limit %d",
-			grid.Rows, grid.Cols, cells, s.cfg.MaxN)
-	}
-	if err := grid.Validate(); err != nil {
+	if err := ValidateGrid2D(grid, s.cfg.MaxN); err != nil {
 		return nil, err
 	}
 	if sh.Hi-sh.Lo != grid.Rows {
@@ -216,7 +109,7 @@ func (s *Server) execShardGrid2D(req *ShardRequest, sh ir.Shard) (func(ctx conte
 // execShardMoebius is execShard's Möbius-family arm: coefficients travel in
 // A..D/X0, structure in System.M/G/F, and the compiled plan is the shadow
 // ordinary system over 2x2 matrices.
-func (s *Server) execShardMoebius(req *ShardRequest, sh ir.Shard) (func(ctx context.Context) (any, error), error) {
+func (s *Server) execShardMoebius(req *ShardRequest, sh ir.Shard) (runFunc, error) {
 	g, f, m := req.System.G, req.System.F, req.System.M
 	if len(g) > s.cfg.MaxN {
 		return nil, fmt.Errorf("n = %d exceeds the server limit %d", len(g), s.cfg.MaxN)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -213,60 +212,6 @@ func TestSparseErrorPaths(t *testing.T) {
 				t.Fatalf("error %+v does not name the sparse validation", e)
 			}
 		})
-	}
-}
-
-// TestSparseKillSwitchFallback disables the sparse fast path and asserts
-// the dense fallback answers bit-identically (with the cell echo intact),
-// is counted under its own metric mode, and refuses global sizes beyond
-// the server's dense limit instead of materialising them.
-func TestSparseKillSwitchFallback(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{MaxN: 5_000})
-	sp, init := sparseChain(t, 16, 100, 2_000) // m = 2000 fits MaxN densely
-	req := OrdinaryRequest{System: ir.WireFromSparse(sp), Op: "int64-add", Init: rawInts(t, init)}
-
-	solve := func() OrdinaryResponse {
-		t.Helper()
-		resp, data := post(t, ts.URL+APIPrefix+"ordinary", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("HTTP %d: %s", resp.StatusCode, data)
-		}
-		var out OrdinaryResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	fast := solve()
-
-	ir.SetSparseEnabled(false)
-	defer ir.SetSparseEnabled(true)
-	slow := solve()
-	if fmt.Sprint(fast.ValuesInt) != fmt.Sprint(slow.ValuesInt) || fmt.Sprint(fast.Cells) != fmt.Sprint(slow.Cells) {
-		t.Fatalf("kill-switch fallback diverges: %v vs %v", fast, slow)
-	}
-	if got := s.metrics.sparseSolves.Value("dense-fallback"); got != 1 {
-		t.Fatalf(`sparse_solves_total{mode="dense-fallback"} = %d, want 1`, got)
-	}
-	if got := s.metrics.sparseSolves.Value("sparse"); got != 1 {
-		t.Fatalf(`sparse_solves_total{mode="sparse"} = %d, want 1`, got)
-	}
-
-	// With the fast path off, a sparse system over a huge global array must
-	// be refused up front — expanding it would be the exact DoS the sparse
-	// form exists to avoid.
-	big, bigInit := sparseChain(t, 16, 1000, 5_000_000)
-	bigReq := OrdinaryRequest{System: ir.WireFromSparse(big), Op: "int64-add", Init: rawInts(t, bigInit)}
-	resp, data := post(t, ts.URL+APIPrefix+"ordinary", bigReq)
-	if resp.StatusCode == http.StatusOK {
-		t.Fatalf("global m=5M accepted with the sparse path disabled: %s", data)
-	}
-
-	// Re-enabled, the same request sails through the compact path.
-	ir.SetSparseEnabled(true)
-	resp, data = post(t, ts.URL+APIPrefix+"ordinary", bigReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d with sparse enabled: %s", resp.StatusCode, data)
 	}
 }
 

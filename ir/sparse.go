@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sync/atomic"
 
 	"indexedrec/internal/core"
 )
@@ -17,14 +16,11 @@ import (
 // n_c rather than the global cell count m — turning O(m) walks into O(n)
 // across the whole hot path while staying bit-identical to the dense solve
 // (the compact relabeling is order-preserving, so the chain forest, schedule
-// selection, and combine order are isomorphic; see DESIGN §16).
-//
-// SetSparseEnabled is the operational kill switch: with the fast path off,
-// the facade solvers expand the sparse system to its dense form, solve that,
-// and gather the touched cells back — bit-identical by construction, at the
-// dense cost. Plans compiled by CompileSparse always replay the compact
-// structure (a compiled artifact does not change shape under the switch);
-// the switch gates which path new solves and servers choose.
+// selection, and combine order are isomorphic; see DESIGN §16). A dense
+// system is the special case whose touched set is every cell, so the
+// services decode both encodings into one request shape and solve them on
+// one path; the sparse form only changes the plan key and relabels cells at
+// the edges.
 
 // SparseSystem is the compressed (CSR-like) system form; see
 // core.SparseSystem for the invariants and the bit-identity argument.
@@ -53,89 +49,35 @@ func SparseFromCompact(m int, cells, g, f, h []int) (*SparseSystem, error) {
 	return core.SparseFromCompact(m, cells, g, f, h)
 }
 
-// sparseDisabled flips the sparse fast path off; the zero value (enabled) is
-// the default, mirroring the blocked-scan and kernel kill switches.
-var sparseDisabled atomic.Bool
-
-// SetSparseEnabled toggles the sparse fast path at runtime and returns the
-// previous setting. Disabling it routes SolveSparseOrdinaryCtx /
-// SolveSparseGeneralCtx (and the servers' sparse endpoints) through the
-// dense expansion — bit-identical results at dense cost, the operational
-// escape hatch if the compact path ever misbehaves. Already-compiled sparse
-// plans keep replaying their compact structure.
-func SetSparseEnabled(on bool) bool { return !sparseDisabled.Swap(!on) }
-
-// SparseEnabled reports whether the sparse fast path is active.
-func SparseEnabled() bool { return !sparseDisabled.Load() }
-
-// SolveSparseOrdinaryCtx solves an ordinary sparse system. init is in
-// compact order (length sp.NumCells()), as are the result values — index i
-// corresponds to global cell sp.Cells[i]. With the fast path enabled the
-// compact system is solved directly in O(n_c); with it disabled the system
-// is expanded to dense form (O(m) memory) and the touched cells gathered
-// back, bit-identically. The error contract matches SolveOrdinaryCtx.
+// SolveSparseOrdinaryCtx solves an ordinary sparse system in O(n_c) by
+// solving its compact system directly. init is in compact order (length
+// sp.NumCells()), as are the result values — index i corresponds to global
+// cell sp.Cells[i]. The error contract matches SolveOrdinaryCtx.
 func SolveSparseOrdinaryCtx[T any](ctx context.Context, sp *SparseSystem, op Semigroup[T], init []T, opt SolveOptions) (*OrdinaryResult[T], error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if SparseEnabled() {
-		return SolveOrdinaryCtx(ctx, sp.Compact, op, init, opt)
-	}
-	full, err := core.ExpandInit(sp, init)
-	if err != nil {
-		return nil, err
-	}
-	res, err := SolveOrdinaryCtx(ctx, sp.Dense(), op, full, opt)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := core.GatherTouched(sp, res.Values)
-	if err != nil {
-		return nil, err
-	}
-	return &OrdinaryResult[T]{Values: vals, Rounds: res.Rounds, Combines: res.Combines}, nil
+	return SolveOrdinaryCtx(ctx, sp.Compact, op, init, opt)
 }
 
 // SolveSparseGeneralCtx solves a general-family sparse system; init and
-// values are in compact order like SolveSparseOrdinaryCtx's. Power traces,
-// when present, are also in compact order but name global cells in
-// PowerTerm.Cell. The error contract matches SolveGeneralCtx.
+// values are in compact order like SolveSparseOrdinaryCtx's. Power traces
+// are also in compact order but name global cells in PowerTerm.Cell. The
+// error contract matches SolveGeneralCtx.
 func SolveSparseGeneralCtx[T any](ctx context.Context, sp *SparseSystem, op CommutativeMonoid[T], init []T, opt SolveOptions) (*GeneralResult[T], error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if SparseEnabled() {
-		res, err := SolveGeneralCtx(ctx, sp.Compact, op, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		for _, terms := range res.Powers {
-			for k := range terms {
-				terms[k].Cell = sp.Cells[terms[k].Cell]
-			}
-		}
-		return res, nil
-	}
-	full, err := core.ExpandInit(sp, init)
+	res, err := SolveGeneralCtx(ctx, sp.Compact, op, init, opt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := SolveGeneralCtx(ctx, sp.Dense(), op, full, opt)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := core.GatherTouched(sp, res.Values)
-	if err != nil {
-		return nil, err
-	}
-	out := &GeneralResult[T]{Values: vals, CAPRounds: res.CAPRounds}
-	if res.Powers != nil {
-		out.Powers, err = core.GatherTouched(sp, res.Powers)
-		if err != nil {
-			return nil, err
+	for _, terms := range res.Powers {
+		for k := range terms {
+			terms[k].Cell = sp.Cells[terms[k].Cell]
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // SparseFingerprint returns the canonical structure hash of a sparse system:
@@ -181,10 +123,8 @@ func CompileSparse(sp *SparseSystem, opt CompileOptions) (*Plan, error) {
 // O(n_c log n_c) regardless of the global cell count — and tags the plan
 // with the touched-cell list and global size. The plan replays exactly like
 // a dense plan over n_c cells: init and values are in compact order, and
-// Plan.TouchedCells maps them back to global ids. Sparse plans replay the
-// compact structure even when SetSparseEnabled is off (the switch gates path
-// selection at solve submission, not compiled artifacts). Family selection
-// and errors follow CompileCtx; the fingerprint is SparseFingerprint's.
+// Plan.TouchedCells maps them back to global ids. Family selection and
+// errors follow CompileCtx; the fingerprint is SparseFingerprint's.
 func CompileSparseCtx(ctx context.Context, sp *SparseSystem, opt CompileOptions) (*Plan, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err

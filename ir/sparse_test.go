@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"indexedrec/internal/core"
 )
 
 // sparseTestInit returns deterministic compact-order initial values.
@@ -56,6 +58,22 @@ func sparseStrided(t *testing.T, n, stride int) (*SparseSystem, []int64) {
 	return sp, sparseTestInit(rng, sp.NumCells())
 }
 
+// denseReference solves the dense expansion of sp with solve and gathers
+// the touched cells back into compact order: the reference every compact
+// solve must reproduce bit for bit.
+func denseReference(t *testing.T, sp *SparseSystem, init []int64, solve func(*System, []int64) []int64) []int64 {
+	t.Helper()
+	full, err := core.ExpandInit(sp, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathered, err := core.GatherTouched(sp, solve(sp.Dense(), full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gathered
+}
+
 func TestSolveSparseOrdinaryMatchesDense(t *testing.T) {
 	ctx := context.Background()
 	sp, init := sparseStrided(t, 600, 997) // long chain -> blocked-scan eligible
@@ -63,24 +81,18 @@ func TestSolveSparseOrdinaryMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The kill switch must fall back to the dense expansion, bit-identically.
-	if prev := SetSparseEnabled(false); !prev {
-		t.Fatal("sparse path should default to enabled")
-	}
-	defer SetSparseEnabled(true)
-	if SparseEnabled() {
-		t.Fatal("SparseEnabled after disable")
-	}
-	slow, err := SolveSparseOrdinaryCtx[int64](ctx, sp, IntAdd{}, init, SolveOptions{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast.Values) != sp.NumCells() || len(slow.Values) != sp.NumCells() {
-		t.Fatalf("value lengths %d/%d, want %d", len(fast.Values), len(slow.Values), sp.NumCells())
+	want := denseReference(t, sp, init, func(s *System, full []int64) []int64 {
+		res, err := SolveOrdinaryCtx[int64](ctx, s, IntAdd{}, full, SolveOptions{Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Values
+	})
+	if len(fast.Values) != sp.NumCells() {
+		t.Fatalf("value length %d, want %d", len(fast.Values), sp.NumCells())
 	}
 	for i := range fast.Values {
-		if fast.Values[i] != slow.Values[i] {
+		if fast.Values[i] != want[i] {
 			t.Fatalf("sparse/dense diverge at compact id %d", i)
 		}
 	}
@@ -110,15 +122,24 @@ func TestSolveSparseGeneralMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetSparseEnabled(false)
-	defer SetSparseEnabled(true)
-	slow, err := SolveSparseGeneralCtx[int64](ctx, sp, op, init, SolveOptions{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := denseReference(t, sp, init, func(s *System, full []int64) []int64 {
+		res, err := SolveGeneralCtx[int64](ctx, s, op, full, SolveOptions{Procs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Values
+	})
 	for i := range fast.Values {
-		if fast.Values[i] != slow.Values[i] {
+		if fast.Values[i] != want[i] {
 			t.Fatalf("sparse/dense general diverge at compact id %d", i)
+		}
+	}
+	// Power traces name global touched cells.
+	for _, terms := range fast.Powers {
+		for _, term := range terms {
+			if term.Cell%stride != 0 {
+				t.Fatalf("power trace names cell %d: not a global touched cell", term.Cell)
+			}
 		}
 	}
 }
@@ -197,18 +218,6 @@ func TestCompileSparsePlan(t *testing.T) {
 		}
 	}
 
-	// A sparse plan replays compact even under the kill switch.
-	SetSparseEnabled(false)
-	defer SetSparseEnabled(true)
-	sol2, err := p.SolveCtx(ctx, PlanData{Op: "int64-add", InitInt: init, Opts: SolveOptions{Procs: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range direct.Values {
-		if sol2.ValuesInt[i] != direct.Values[i] {
-			t.Fatalf("kill-switch replay diverges at compact id %d", i)
-		}
-	}
 }
 
 func TestSparsePlanSharding(t *testing.T) {
