@@ -39,17 +39,9 @@ func (s *System) Ordinary() bool {
 
 // GDistinct reports whether no cell is written by more than one iteration —
 // the paper's precondition for the O(n)-processor ordinary algorithm and for
-// the Möbius rewriting of the extended linear form.
-func (s *System) GDistinct() bool {
-	seen := make(map[int]struct{}, len(s.G))
-	for _, g := range s.G {
-		if _, dup := seen[g]; dup {
-			return false
-		}
-		seen[g] = struct{}{}
-	}
-	return true
-}
+// the Möbius rewriting of the extended linear form. It answers for any G,
+// including the out-of-range ids of a system that fails Validate.
+func (s *System) GDistinct() bool { return FirstRepeat(s.G, s.M) < 0 }
 
 // ErrInvalidSystem wraps all validation failures.
 var ErrInvalidSystem = errors.New("core: invalid IR system")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"indexedrec/internal/core"
 	"indexedrec/internal/ordinary"
 )
 
@@ -81,15 +82,25 @@ func (ms *MoebiusSystem) Validate() error {
 	if ms.M <= 0 {
 		return fmt.Errorf("%w: M = %d", ErrBadSystem, ms.M)
 	}
-	seen := make(map[int]struct{}, n)
-	for i := 0; i < n; i++ {
-		if ms.G[i] < 0 || ms.G[i] >= ms.M || ms.F[i] < 0 || ms.F[i] >= ms.M {
-			return fmt.Errorf("%w: index out of range at iteration %d", ErrBadSystem, i)
+	return checkIndexMaps(ms.M, ms.G, ms.F)
+}
+
+// checkIndexMaps checks that g and f (of equal length) index [0, m) and that
+// g is distinct, reporting the first failing iteration in loop order: a range
+// error at iteration i, or a duplicate write whose repeat comes first.
+func checkIndexMaps(m int, g, f []int) error {
+	bad := len(g)
+	for i := range g {
+		if g[i] < 0 || g[i] >= m || f[i] < 0 || f[i] >= m {
+			bad = i
+			break
 		}
-		if _, dup := seen[ms.G[i]]; dup {
-			return fmt.Errorf("%w: g not distinct (cell %d)", ErrBadSystem, ms.G[i])
-		}
-		seen[ms.G[i]] = struct{}{}
+	}
+	if dup := core.FirstRepeat(g[:bad], m); dup >= 0 {
+		return fmt.Errorf("%w: g not distinct (cell %d)", ErrBadSystem, g[dup])
+	}
+	if bad < len(g) {
+		return fmt.Errorf("%w: index out of range at iteration %d", ErrBadSystem, bad)
 	}
 	return nil
 }
@@ -165,7 +176,10 @@ func (ms *MoebiusSystem) solve(ctx context.Context, x0 []float64, opt ordinary.O
 		return nil, fmt.Errorf("%w: len(x0) = %d, want M = %d", ErrInitLen, len(x0), ms.M)
 	}
 	n := len(ms.G)
-	sys, origOf := buildShadowSystem(ms.M, ms.G, ms.F)
+	sys, origOf, err := buildShadowSystem(ms.M, ms.G, ms.F)
+	if err != nil {
+		return nil, err
+	}
 
 	// Step 1: per-cell matrices.
 	mats := make([]Mat2, sys.M)
@@ -186,11 +200,7 @@ func (ms *MoebiusSystem) solve(ctx context.Context, x0 []float64, opt ordinary.O
 	out := append([]float64(nil), x0...)
 	for i := 0; i < n; i++ {
 		x := ms.G[i]
-		root := res.Roots[x]
-		if orig, ok := origOf[root]; ok {
-			root = orig
-		}
-		out[x] = res.Values[x].Apply(x0[root])
+		out[x] = res.Values[x].Apply(x0[shadowOrig(res.Roots[x], ms.M, origOf)])
 	}
 	return out, nil
 }

@@ -51,18 +51,14 @@ func CompilePlan(ctx context.Context, m int, g, f []int) (*Plan, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("%w: M = %d", ErrBadSystem, m)
 	}
-	seen := make(map[int]struct{}, len(g))
-	for i := range g {
-		if g[i] < 0 || g[i] >= m || f[i] < 0 || f[i] >= m {
-			return nil, fmt.Errorf("%w: index out of range at iteration %d", ErrBadSystem, i)
-		}
-		if _, dup := seen[g[i]]; dup {
-			return nil, fmt.Errorf("%w: g not distinct (cell %d)", ErrBadSystem, g[i])
-		}
-		seen[g[i]] = struct{}{}
+	if err := checkIndexMaps(m, g, f); err != nil {
+		return nil, err
 	}
 
-	sys, origOf := buildShadowSystem(m, g, f)
+	sys, origOf, err := buildShadowSystem(m, g, f)
+	if err != nil {
+		return nil, err
+	}
 	// Pinned to pointer jumping: Mat2 products are float and reassociation
 	// changes rounding, while this layer's replays promise bit-identity to
 	// the direct Möbius solve (FuzzMoebiusPlanAgainstDirect enforces it).
@@ -82,13 +78,8 @@ func CompilePlan(ctx context.Context, m int, g, f []int) (*Plan, error) {
 		p.applyRoot[x] = -1
 	}
 	roots := ord.Roots()
-	for i := range g {
-		x := g[i]
-		root := roots[x]
-		if orig, ok := origOf[root]; ok {
-			root = orig
-		}
-		p.applyRoot[x] = root
+	for _, x := range g {
+		p.applyRoot[x] = shadowOrig(roots[x], m, origOf)
 	}
 	return p, nil
 }

@@ -100,7 +100,10 @@ func (rs *RatSystem) RunSequential(x0 []*big.Rat) ([]*big.Rat, error) {
 // Solve is the exact-arithmetic parallel solver; its output is bit-for-bit
 // equal to RunSequential for pole-free loops.
 func (rs *RatSystem) Solve(x0 []*big.Rat, opt ordinary.Options) ([]*big.Rat, error) {
-	sys, origOf := buildShadowSystem(rs.M, rs.G, rs.F)
+	sys, origOf, err := buildShadowSystem(rs.M, rs.G, rs.F)
+	if err != nil {
+		return nil, err
+	}
 	mats := make([]RatMat2, sys.M)
 	for x := range mats {
 		mats[x] = RatIdentity()
@@ -118,11 +121,7 @@ func (rs *RatSystem) Solve(x0 []*big.Rat, opt ordinary.Options) ([]*big.Rat, err
 	}
 	for i := range rs.G {
 		x := rs.G[i]
-		root := res.Roots[x]
-		if orig, ok := origOf[root]; ok {
-			root = orig
-		}
-		v, err := res.Values[x].Apply(x0[root])
+		v, err := res.Values[x].Apply(x0[shadowOrig(res.Roots[x], rs.M, origOf)])
 		if err != nil {
 			return nil, fmt.Errorf("cell %d: %w", x, err)
 		}

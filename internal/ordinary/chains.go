@@ -32,7 +32,9 @@ type Forest struct {
 }
 
 // BuildForest validates the system and constructs its write-chain forest in
-// O(n + m) time.
+// one O(n + m) scan over (g, f) — the paper's linear forest construction,
+// with no auxiliary dependence arrays or hash sets. Written doubles as the
+// distinctness check: a g(i) already marked written is a duplicate write.
 func BuildForest(s *core.System) (*Forest, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -40,10 +42,6 @@ func BuildForest(s *core.System) (*Forest, error) {
 	if !s.Ordinary() {
 		return nil, fmt.Errorf("%w: %v", ErrNotOrdinary, s)
 	}
-	if !s.GDistinct() {
-		return nil, fmt.Errorf("%w: %v", ErrGNotDistinct, s)
-	}
-	deps := core.ComputeDeps(s)
 	fr := &Forest{
 		Next:    make([]int, s.M),
 		InitF:   make([]int, s.M),
@@ -54,17 +52,23 @@ func BuildForest(s *core.System) (*Forest, error) {
 		fr.Next[x], fr.InitF[x] = -1, -1
 	}
 	for i := 0; i < s.N; i++ {
-		x := s.G[i]
-		fr.Written[x] = true
-		fr.Cells = append(fr.Cells, x)
-		if deps.FPrev[i] >= 0 {
-			// Some j < i writes f(i); the consumed value is f(i)'s final
-			// value, so the chain continues through cell f(i).
-			fr.Next[x] = s.F[i]
+		x, fc := s.G[i], s.F[i]
+		if fr.Written[x] {
+			return nil, fmt.Errorf("%w: %v", ErrGNotDistinct, s)
+		}
+		// Written still reflects iterations j < i only, so it answers "does
+		// some earlier iteration write f(i)?" (a self-read f(i) = g(i) reads
+		// the initial value, since g(i) is not yet marked).
+		if fr.Written[fc] {
+			// The consumed value is f(i)'s final value, so the chain
+			// continues through cell f(i).
+			fr.Next[x] = fc
 		} else {
 			// The consumed value is the initial A₀[f(i)]; fold it in.
-			fr.InitF[x] = s.F[i]
+			fr.InitF[x] = fc
 		}
+		fr.Written[x] = true
+		fr.Cells = append(fr.Cells, x)
 	}
 	return fr, nil
 }

@@ -255,7 +255,23 @@ func (p *Plan) recordJumping(ctx context.Context) error {
 		if len(tmpDst) == 0 {
 			break
 		}
+		// Size the split exactly (the gather count first) rather than
+		// growing four slices by doubling across O(log n) rounds.
+		gathers := 0
+		for _, src := range tmpSrc {
+			if dstRound[src] == r {
+				gathers++
+			}
+		}
 		var rs roundSched
+		if gathers > 0 {
+			rs.gatherDst = make([]int32, 0, gathers)
+			rs.gatherSrc = make([]int32, 0, gathers)
+		}
+		if direct := len(tmpDst) - gathers; direct > 0 {
+			rs.directDst = make([]int32, 0, direct)
+			rs.directSrc = make([]int32, 0, direct)
+		}
 		for k := range tmpDst {
 			if dstRound[tmpSrc[k]] == r {
 				rs.gatherDst = append(rs.gatherDst, tmpDst[k])

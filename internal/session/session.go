@@ -128,28 +128,16 @@ func Open(ctx context.Context, spec Spec) (*Session, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	family := spec.Family
-	if family == ir.FamilyAuto {
-		if sys.Ordinary() && sys.GDistinct() {
-			family = ir.FamilyOrdinary
-		} else {
-			family = ir.FamilyGeneral
-		}
-	}
-	s := &Session{
-		family: family,
-		m:      sys.M,
-		maxN:   spec.MaxN,
-		opts:   spec.Opts,
-		bits:   spec.MaxExponentBits,
-		sys:    sys,
-		op:     spec.Op,
-		mod:    spec.Mod,
-	}
 	if spec.MaxN > 0 && sys.N > spec.MaxN {
 		return nil, fmt.Errorf("%w: n = %d > %d", ErrLimit, sys.N, spec.MaxN)
 	}
+	family := spec.Family
 	switch family {
+	case ir.FamilyAuto:
+		family = ir.FamilyGeneral
+		if sys.Ordinary() && sys.GDistinct() {
+			family = ir.FamilyOrdinary
+		}
 	case ir.FamilyOrdinary:
 		if !sys.Ordinary() {
 			return nil, fmt.Errorf("%w: H != G", ir.ErrPlanFamily)
@@ -160,6 +148,16 @@ func Open(ctx context.Context, spec Spec) (*Session, error) {
 	case ir.FamilyGeneral:
 	default:
 		return nil, fmt.Errorf("%w: cannot open family %v", ir.ErrPlanFamily, family)
+	}
+	s := &Session{
+		family: family,
+		m:      sys.M,
+		maxN:   spec.MaxN,
+		opts:   spec.Opts,
+		bits:   spec.MaxExponentBits,
+		sys:    sys,
+		op:     spec.Op,
+		mod:    spec.Mod,
 	}
 	iop, err := ir.IntOpByName(spec.Op, spec.Mod)
 	if err != nil {

@@ -305,17 +305,22 @@ func TestStoreTTLEvictionUnderConcurrentAppend(t *testing.T) {
 		}(ids[w], 1+w*500)
 	}
 	wg.Wait()
-	// Idle out everything that remains.
+	// Idle out everything that remains. The sweeper empties the store under
+	// its lock and runs the Closed hooks after releasing it, so wait for the
+	// hook count too rather than racing it.
+	evictedSoFar := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return evicted
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for st.Len() > 0 && time.Now().Before(deadline) {
+	for (st.Len() > 0 || evictedSoFar() == 0) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if st.Len() != 0 {
 		t.Fatalf("%d sessions survived the TTL", st.Len())
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if evicted == 0 {
+	if evictedSoFar() == 0 {
 		t.Fatal("no eviction observed")
 	}
 }

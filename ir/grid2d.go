@@ -2,9 +2,6 @@ package ir
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 
 	"indexedrec/internal/grid2d"
@@ -96,17 +93,12 @@ func Grid2DFingerprint(s *Grid2DSystem) (string, error) {
 	if err := gs.Validate(); err != nil {
 		return "", err
 	}
-	hsh := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		hsh.Write(buf[:])
-	}
-	hsh.Write([]byte{byte(FamilyGrid2D)})
-	writeInt(gs.Rows)
-	writeInt(gs.Cols)
-	hsh.Write([]byte{byte(gs.Ring), gs.TermMask()})
-	return FamilyGrid2D.String() + ":" + hex.EncodeToString(hsh.Sum(nil)[:16]), nil
+	hs := newStructHasher(FamilyGrid2D)
+	hs.int(gs.Rows)
+	hs.int(gs.Cols)
+	hs.byte(byte(gs.Ring))
+	hs.byte(gs.TermMask())
+	return hs.sum(FamilyGrid2D.String()), nil
 }
 
 // CompileGrid2D precomputes the wavefront schedule of s's structure. It is

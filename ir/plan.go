@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 
 	"indexedrec/internal/gir"
 	"indexedrec/internal/grid2d"
@@ -151,27 +152,67 @@ func (p *Plan) Schedule() string {
 // (ordinary and Möbius families); maxExponentBits only matters for the
 // general family and should be 0 otherwise.
 func PlanFingerprint(family Family, n, m int, g, f, h []int, maxExponentBits int) string {
-	hsh := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		hsh.Write(buf[:])
+	hs := newStructHasher(family)
+	hs.int(n)
+	hs.int(m)
+	hs.int(maxExponentBits)
+	hs.slice('g', g)
+	hs.slice('f', f)
+	hs.slice('h', h)
+	return hs.sum(family.String())
+}
+
+// structHasher streams the fingerprint byte format (DESIGN §9.2) into
+// sha256: a family byte, then little-endian 8-byte integers, each index
+// slice as a tag byte, its length and its values. Bytes collect in a block
+// buffer so the hash sees a few large writes rather than one per integer;
+// the hashed stream — and so every fingerprint — is the same either way.
+type structHasher struct {
+	h   hash.Hash
+	n   int
+	buf [8192]byte
+}
+
+// newStructHasher starts a fingerprint stream with its family byte.
+func newStructHasher(family Family) *structHasher {
+	hs := &structHasher{h: sha256.New()}
+	hs.byte(byte(family))
+	return hs
+}
+
+func (hs *structHasher) flush() {
+	hs.h.Write(hs.buf[:hs.n])
+	hs.n = 0
+}
+
+func (hs *structHasher) byte(b byte) {
+	if hs.n == len(hs.buf) {
+		hs.flush()
 	}
-	writeSlice := func(tag byte, s []int) {
-		hsh.Write([]byte{tag})
-		writeInt(len(s))
-		for _, v := range s {
-			writeInt(v)
-		}
+	hs.buf[hs.n] = b
+	hs.n++
+}
+
+func (hs *structHasher) int(v int) {
+	if hs.n+8 > len(hs.buf) {
+		hs.flush()
 	}
-	hsh.Write([]byte{byte(family)})
-	writeInt(n)
-	writeInt(m)
-	writeInt(maxExponentBits)
-	writeSlice('g', g)
-	writeSlice('f', f)
-	writeSlice('h', h)
-	return family.String() + ":" + hex.EncodeToString(hsh.Sum(nil)[:16])
+	binary.LittleEndian.PutUint64(hs.buf[hs.n:], uint64(v))
+	hs.n += 8
+}
+
+func (hs *structHasher) slice(tag byte, s []int) {
+	hs.byte(tag)
+	hs.int(len(s))
+	for _, v := range s {
+		hs.int(v)
+	}
+}
+
+// sum finishes the stream as "<prefix>:<first 16 digest bytes in hex>".
+func (hs *structHasher) sum(prefix string) string {
+	hs.flush()
+	return prefix + ":" + hex.EncodeToString(hs.h.Sum(nil)[:16])
 }
 
 // Compile precomputes the structure-only artifacts of a solve — see the

@@ -314,3 +314,88 @@ func TestPlanFingerprint(t *testing.T) {
 		t.Fatal("plan reports non-positive size")
 	}
 }
+
+// TestGoldenFingerprints pins the exact fingerprint strings (and the compiled
+// cost profile) of fixed structures. Fingerprints key the plan caches and the
+// cluster's rendezvous placement, so a change to the hashed byte stream —
+// even one that keeps fingerprints deterministic and collision-free — splits
+// a mixed-version fleet; this test fails on any such change.
+func TestGoldenFingerprints(t *testing.T) {
+	ctx := context.Background()
+	chain := FromFuncs(300, 301, func(i int) int { return i + 1 }, func(i int) int { return i }, nil)
+	tree := FromFuncs(48, 64, func(i int) int { return (37*i + 5) % 64 }, func(i int) int { return (11*i + 3) % 64 }, nil)
+	gen := FromFuncs(24, 16, func(i int) int { return 5 * i % 16 }, func(i int) int { return (3*i + 1) % 16 },
+		func(i int) int { return (7*i + 2) % 16 })
+	sp, err := NewSparseSystem(1<<20, []int{40, 7000, 123456, 900000}, []int{7, 40, 7000, 123456}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type ordGolden struct {
+		name      string
+		plan      func() (*Plan, error)
+		m         int
+		fp, sched string
+		rounds    int
+		combines  int64
+		size      int64
+	}
+	for _, c := range []ordGolden{
+		{"chain", func() (*Plan, error) { return Compile(chain, CompileOptions{}) }, chain.M,
+			"ordinary:9bddabc1fd242f648407379a5a6b7c80", "blocked-scan", 3, 600, 11173},
+		{"tree", func() (*Plan, error) { return Compile(tree, CompileOptions{}) }, tree.M,
+			"ordinary:d072a2cb6c64228403f4d57dacbacebc", "pointer-jumping", 2, 52, 2400},
+		{"sparse", func() (*Plan, error) { return CompileSparse(sp, CompileOptions{}) }, sp.NumCells(),
+			"sparse-ordinary:c8dd0d7972b585a4a1dcdfa8035c11ce", "pointer-jumping", 2, 6, 245},
+	} {
+		p, err := c.plan()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		init := make([]int64, c.m)
+		for x := range init {
+			init[x] = int64(x + 1)
+		}
+		sol, err := p.SolveCtx(ctx, PlanData{Op: "int64-add", InitInt: init})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.Fingerprint() != c.fp || p.Schedule() != c.sched || sol.Rounds != c.rounds ||
+			sol.Combines != c.combines || p.SizeBytes() != c.size {
+			t.Errorf("%s: got (%q, %q, rounds %d, combines %d, size %d), want (%q, %q, %d, %d, %d)",
+				c.name, p.Fingerprint(), p.Schedule(), sol.Rounds, sol.Combines, p.SizeBytes(),
+				c.fp, c.sched, c.rounds, c.combines, c.size)
+		}
+	}
+
+	gp, err := Compile(gen, CompileOptions{Family: FamilyGeneral, MaxExponentBits: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "general:a2ccda0aa8f0edf6e044227e69108e5a"; gp.Fingerprint() != want {
+		t.Errorf("general: fingerprint %q, want %q", gp.Fingerprint(), want)
+	}
+	if want := PlanFingerprint(FamilyGeneral, gen.N, gen.M, gen.G, gen.F, gen.H, 4096); gp.Fingerprint() != want {
+		t.Errorf("general: plan fingerprint %q != PlanFingerprint %q", gp.Fingerprint(), want)
+	}
+
+	mp, err := CompileMoebius(tree.M, tree.G, tree.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, size := "moebius:c288818c1a16aa2b1f89e3116ce54709", int64(3771); mp.Fingerprint() != want || mp.SizeBytes() != size ||
+		mp.Schedule() != "pointer-jumping" {
+		t.Errorf("moebius: got (%q, %q, size %d), want (%q, pointer-jumping, %d)",
+			mp.Fingerprint(), mp.Schedule(), mp.SizeBytes(), want, size)
+	}
+
+	gfp, err := Grid2DFingerprint(&Grid2DSystem{Rows: 3, Cols: 5, Semiring: "minplus",
+		A: make([]float64, 15), B: make([]float64, 15), Diag: make([]float64, 15),
+		North: make([]float64, 5), West: make([]float64, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "grid2d:31fcc33538349db686cdd9765864c812"; gfp != want {
+		t.Errorf("grid2d: fingerprint %q, want %q", gfp, want)
+	}
+}

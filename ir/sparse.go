@@ -2,9 +2,6 @@ package ir
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 
 	"indexedrec/internal/core"
 )
@@ -87,29 +84,16 @@ func SolveSparseGeneralCtx[T any](ctx context.Context, sp *SparseSystem, op Comm
 // fingerprint exactly when they can share a compiled plan — and it can never
 // collide with a dense fingerprint (distinct prefix).
 func SparseFingerprint(family Family, sp *SparseSystem, maxExponentBits int) string {
-	hsh := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		hsh.Write(buf[:])
-	}
-	writeSlice := func(tag byte, s []int) {
-		hsh.Write([]byte{tag})
-		writeInt(len(s))
-		for _, v := range s {
-			writeInt(v)
-		}
-	}
-	hsh.Write([]byte{byte(family)})
-	writeInt(sp.Compact.N)
-	writeInt(sp.Compact.M)
-	writeInt(sp.M)
-	writeInt(maxExponentBits)
-	writeSlice('c', sp.Cells)
-	writeSlice('g', sp.Compact.G)
-	writeSlice('f', sp.Compact.F)
-	writeSlice('h', sp.Compact.H)
-	return "sparse-" + family.String() + ":" + hex.EncodeToString(hsh.Sum(nil)[:16])
+	hs := newStructHasher(family)
+	hs.int(sp.Compact.N)
+	hs.int(sp.Compact.M)
+	hs.int(sp.M)
+	hs.int(maxExponentBits)
+	hs.slice('c', sp.Cells)
+	hs.slice('g', sp.Compact.G)
+	hs.slice('f', sp.Compact.F)
+	hs.slice('h', sp.Compact.H)
+	return hs.sum("sparse-" + family.String())
 }
 
 // CompileSparse compiles a sparse system into a Plan sized by the touched
