@@ -7,10 +7,11 @@ package indexedrec
 // with the oracle exactly, and a compiled plan (ir.Compile + replay)
 // reproduces the direct solve bit for bit. Each input also picks an
 // execution configuration — persistent gang vs spawn-per-round,
-// monomorphized kernels vs generic dispatch, blocked-scan vs
-// pointer-jumping replays of blocked-compiled plans — so the equivalence
-// holds across every path the hot-path engine can take; every system is also
-// re-solved in the compressed sparse encoding against the same oracle.
+// monomorphized kernels vs generic dispatch — so the equivalence holds
+// across every path the hot-path engine can take. Ordinary systems are also
+// compiled under both the blocked-scan and pointer-jumping schedules, whose
+// full and member replays must agree, and every system is re-solved in the
+// compressed sparse encoding against the same oracle.
 
 import (
 	"context"
@@ -28,19 +29,71 @@ import (
 	"indexedrec/ir"
 )
 
-// toggleEngine selects the gang, kernel, and blocked-scan dispatch paths
-// from three fuzz seed bits and returns a restore function. The solvers must
-// be bit-identical across all eight combinations.
+// toggleEngine selects the gang and kernel dispatch paths from two fuzz
+// seed bits and returns a restore function. The solvers must be
+// bit-identical across all four combinations.
 func toggleEngine(seed int64) func() {
 	prevGang := parallel.SetGangEnabled(seed&1 == 0)
 	prevKern := ordinary.SetKernelsEnabled(seed&2 == 0)
-	prevBlk := ordinary.SetBlockedEnabled(seed&4 == 0)
 	prevGrid := grid2d.SetKernelsEnabled(seed&2 == 0)
 	return func() {
 		parallel.SetGangEnabled(prevGang)
 		ordinary.SetKernelsEnabled(prevKern)
-		ordinary.SetBlockedEnabled(prevBlk)
 		grid2d.SetKernelsEnabled(prevGrid)
+	}
+}
+
+// compareSchedules compiles s under ScheduleJumping and ScheduleBlocked
+// and requires identical full replays and identical member replays of a
+// few chain ranges. A forest that is not a path union has no blocked
+// schedule and is skipped. op must be exactly associative.
+func compareSchedules(t *testing.T, s *core.System, op core.Semigroup[int64], init []int64) {
+	t.Helper()
+	ctx := context.Background()
+	opt := ordinary.Options{Procs: 4}
+	jp, err := ordinary.CompilePlanOpts(ctx, s, ordinary.PlanOptions{Schedule: ordinary.ScheduleJumping})
+	if err != nil {
+		t.Fatalf("compile jumping: %v", err)
+	}
+	bp, err := ordinary.CompilePlanOpts(ctx, s, ordinary.PlanOptions{Schedule: ordinary.ScheduleBlocked})
+	if err != nil {
+		return
+	}
+	jr, err := ordinary.SolvePlanCtx(ctx, jp, op, init, opt)
+	if err != nil {
+		t.Fatalf("jumping replay: %v", err)
+	}
+	br, err := ordinary.SolvePlanCtx(ctx, bp, op, init, opt)
+	if err != nil {
+		t.Fatalf("blocked replay: %v", err)
+	}
+	for x, v := range jr.Values {
+		if br.Values[x] != v {
+			t.Fatalf("cell %d: blocked replay %d != jumping replay %d", x, br.Values[x], v)
+		}
+	}
+	if bp.NumChains() != jp.NumChains() {
+		t.Fatalf("chain count: blocked %d != jumping %d", bp.NumChains(), jp.NumChains())
+	}
+	k := jp.NumChains()
+	for _, r := range [][2]int{{0, k}, {0, k / 2}, {k / 2, k}, {k / 3, 2 * k / 3}} {
+		member, err := jp.MemberForChains(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		jv, err := ordinary.SolvePlanMemberCtx(ctx, jp, op, init, member, opt)
+		if err != nil {
+			t.Fatalf("jumping member replay: %v", err)
+		}
+		bv, err := ordinary.SolvePlanMemberCtx(ctx, bp, op, init, member, opt)
+		if err != nil {
+			t.Fatalf("blocked member replay: %v", err)
+		}
+		for x, v := range jv {
+			if bv[x] != v {
+				t.Fatalf("chains [%d,%d) cell %d: blocked member %d != jumping member %d", r[0], r[1], x, bv[x], v)
+			}
+		}
 	}
 }
 
@@ -57,7 +110,7 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 	f.Add(int64(7), 2, 300, uint8(2))
 	f.Add(int64(8), 500, 499, uint8(0))
 	// Long single chains compile to the blocked-scan schedule (m > 256);
-	// seed 9 replays it blocked, seed 12 forces the jumping fallback.
+	// seeds 9 and 12 replay it under different gang/kernel paths.
 	f.Add(int64(9), 512, 511, uint8(3))
 	f.Add(int64(12), 512, 511, uint8(3))
 	// Sparse-shaped systems (zipfian touched sets in a much larger global
@@ -128,10 +181,9 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 				}
 			}
 			// A blocked-scan replay does O(n) combines against the direct
-			// solver's O(n log n), so the cost counters only match when the
-			// replay actually ran the jumping schedule.
-			blockedReplay := plan.Schedule() == "blocked-scan" && seed&4 == 0
-			if !blockedReplay && (prep.Rounds != res.Rounds || prep.Combines != res.Combines) {
+			// solver's O(n log n), so the cost counters only match for a
+			// pointer-jumping plan.
+			if plan.Schedule() != "blocked-scan" && (prep.Rounds != res.Rounds || prep.Combines != res.Combines) {
 				t.Fatalf("ordinary plan cost: replay (%d rounds, %d combines) != direct (%d, %d)",
 					prep.Rounds, prep.Combines, res.Rounds, res.Combines)
 			}
@@ -153,6 +205,8 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 					t.Fatalf("IntAdd plan cell %d: replay %d != direct %d", i, v, sumDirect.Values[i])
 				}
 			}
+			compareSchedules(t, s, op, init)
+			compareSchedules(t, s, ir.IntAdd{}, init)
 		}
 
 		res, err := gir.SolveCtx[int64](ctx, s, op, init, gir.Options{Procs: 4, MaxExponentBits: 4096})

@@ -77,6 +77,8 @@ func CompilePlan(ctx context.Context, m int, g, f []int) (*Plan, error) {
 	for x := range p.applyRoot {
 		p.applyRoot[x] = -1
 	}
+	// The ordinary plan keeps no roots array; Roots derives one from its
+	// chain table, used here once and dropped.
 	roots := ord.Roots()
 	for _, x := range g {
 		p.applyRoot[x] = shadowOrig(roots[x], m, origOf)

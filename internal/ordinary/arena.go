@@ -38,11 +38,14 @@ func kernelFor[T any](op core.Semigroup[T]) core.Kernel[T] {
 // at a time (not safe for concurrent SolveCtx calls on the same arena), and
 // the result of a solve aliases the arena's buffers — it is valid only
 // until the next SolveCtx on the same arena. Use one arena per worker, or
-// SolvePlanPooledCtx for a pool-managed copy-out replay.
+// SolvePlanPooledCtx for pool-managed scratch and a caller-owned result.
 type Arena[T any] struct {
 	plan *Plan
-	v    []T
-	src  []T
+	// v is the working value array: the arena's own buffer, or — for the
+	// value-less arenas SolvePlanPooledCtx pools — the caller's result
+	// array, bound for one solve.
+	v   []T
+	src []T
 	// sum/sum2 are the blocked schedule's double-buffered segment-summary
 	// arrays (one slot per segment), carved out once here so warm blocked
 	// replays allocate nothing.
@@ -72,9 +75,15 @@ type Arena[T any] struct {
 // snapshot buffer of the plan's widest round (or the segment-summary
 // buffers of a blocked plan), and the bound round bodies.
 func NewArena[T any](p *Plan) *Arena[T] {
+	return newArena(p, make([]T, p.M))
+}
+
+// newArena builds an arena over the working array v; nil leaves the array
+// to be bound per solve (SolvePlanPooledCtx).
+func newArena[T any](p *Plan, v []T) *Arena[T] {
 	a := &Arena[T]{
 		plan: p,
-		v:    make([]T, p.M),
+		v:    v,
 		src:  make([]T, p.maxGather),
 	}
 	a.initBody = a.initFold
@@ -163,7 +172,7 @@ func (a *Arena[T]) blkReduce(lo, hi int) error {
 		cLo, cHi := b.segBounds(s)
 		var acc T
 		if int(b.segFirst[s]) == s {
-			acc = a.init[b.rootOf[b.segChain[s]]]
+			acc = a.init[a.plan.initSrc[b.segChain[s]]]
 		} else {
 			acc = a.init[b.cellSeq[cLo]]
 			cLo++
@@ -210,7 +219,7 @@ func (a *Arena[T]) blkApply(lo, hi int) error {
 		cLo, cHi := b.segBounds(s)
 		var acc T
 		if int(b.segFirst[s]) == s {
-			acc = a.init[b.rootOf[b.segChain[s]]]
+			acc = a.init[a.plan.initSrc[b.segChain[s]]]
 		} else {
 			acc = a.sum[s-1]
 		}
@@ -235,15 +244,15 @@ func (a *Arena[T]) Buf() []T { return a.v }
 
 // SolveCtx replays the arena's plan against fresh data, reusing the arena's
 // scratch: a steady-state warm replay allocates nothing. The returned result
-// aliases the arena (Values is the working array, Roots the plan's) and is
-// valid until the next SolveCtx on the same arena. Combines and operand
-// order are exactly SolvePlanCtx's, so results are bit-identical; error and
-// cancellation behavior follows the same contract.
+// aliases the arena (Values is the working array) and is valid until the
+// next SolveCtx on the same arena. Combines and operand order are exactly
+// SolvePlanCtx's, so results are bit-identical; error and cancellation
+// behavior follows the same contract.
 func (a *Arena[T]) SolveCtx(ctx context.Context, op core.Semigroup[T], init []T, opt Options) (*Result[T], error) {
 	if len(init) != a.plan.M {
 		return nil, fmt.Errorf("%w: len(init) = %d, want M = %d", ErrInitLen, len(init), a.plan.M)
 	}
-	return a.solve(ctx, op, init, opt)
+	return a.result(a.solve(ctx, op, init, opt))
 }
 
 // SolvePrimedCtx replays the arena's plan reading initial values from the
@@ -259,16 +268,27 @@ func (a *Arena[T]) SolvePrimedCtx(ctx context.Context, op core.Semigroup[T], opt
 	if !a.plan.primeable {
 		return nil, fmt.Errorf("ordinary: SolvePrimedCtx: plan is not primeable (an initialization source cell is written)")
 	}
-	return a.solve(ctx, op, nil, opt)
+	return a.result(a.solve(ctx, op, nil, opt))
 }
 
-// solve is the shared replay body; init == nil means primed mode (a.v
-// already holds the initial values and doubles as the init array).
-func (a *Arena[T]) solve(ctx context.Context, op core.Semigroup[T], init []T, opt Options) (res *Result[T], err error) {
+// result fills the arena's result shell after a successful solve.
+func (a *Arena[T]) result(err error) (*Result[T], error) {
+	if err != nil {
+		return nil, err
+	}
+	a.res = Result[T]{Values: a.v, Rounds: a.plan.Rounds(), Combines: a.plan.Combines()}
+	return &a.res, nil
+}
+
+// solve is the shared replay body, writing final values into a.v; init ==
+// nil means primed mode (a.v already holds the initial values and doubles
+// as the init array).
+func (a *Arena[T]) solve(ctx context.Context, op core.Semigroup[T], init []T, opt Options) (err error) {
 	defer parallel.RecoverTo(&err)
 	p := a.plan
 	ctx, release := parallel.EnsureGang(ctx, opt.Procs, p.M)
 	defer release()
+	defer a.reset()
 
 	a.op = op
 	a.kern = kernelFor(op)
@@ -278,41 +298,28 @@ func (a *Arena[T]) solve(ctx context.Context, op core.Semigroup[T], init []T, op
 	} else {
 		a.init = a.v
 	}
-	if p.blocked != nil && blockedEnabled() {
+	if p.blocked != nil {
 		return a.solveBlocked(ctx, opt)
 	}
-	p.ensureJumping()
-	if cap(a.src) < p.maxGather {
-		// Blocked plans record jumping rounds lazily, so an arena built
-		// before this fallback sized src for zero gathers; grow it once.
-		a.src = make([]T, p.maxGather)
-	}
 	if err := parallel.ForCtx(ctx, len(p.initDst), opt.Procs, a.initBody); err != nil {
-		a.reset()
-		return nil, err
+		return err
 	}
 	for r := range p.rounds {
 		rd := &p.rounds[r]
 		if err := ctx.Err(); err != nil {
-			a.reset()
-			return nil, err
+			return err
 		}
 		a.round = rd
 		if g := len(rd.gatherDst); g > 0 {
-			a.src = a.src[:g]
 			if err := parallel.ForCtx(ctx, g, opt.Procs, a.gatherBody); err != nil {
-				a.reset()
-				return nil, err
+				return err
 			}
 		}
 		if err := parallel.ForCtx(ctx, rd.pairs(), opt.Procs, a.applyBody); err != nil {
-			a.reset()
-			return nil, err
+			return err
 		}
 	}
-	a.reset()
-	a.res = Result[T]{Values: a.v, Roots: p.roots, Rounds: len(p.rounds), Combines: p.combines}
-	return &a.res, nil
+	return nil
 }
 
 // solveBlocked runs the three blocked-scan phases (reduce, combine tree,
@@ -320,39 +327,28 @@ func (a *Arena[T]) solve(ctx context.Context, op core.Semigroup[T], init []T, op
 // segment-level loops dispatch through ForCtxWeighted so the per-item grain
 // cutover accounts for each segment's blockedSegLen cells of work. Called
 // with op/kern/init already bound by solve; shares its error contract.
-func (a *Arena[T]) solveBlocked(ctx context.Context, opt Options) (*Result[T], error) {
-	p := a.plan
-	b := p.blocked
+func (a *Arena[T]) solveBlocked(ctx context.Context, opt Options) error {
+	b := a.plan.blocked
 	n := b.numSegs()
 	if err := parallel.ForCtxWeighted(ctx, n, opt.Procs, blockedSegLen, a.reduceBody); err != nil {
-		a.reset()
-		return nil, err
+		return err
 	}
 	for a.stride = 1; a.stride < b.maxSegs; a.stride *= 2 {
 		if err := ctx.Err(); err != nil {
-			a.reset()
-			return nil, err
+			return err
 		}
 		if err := parallel.ForCtx(ctx, n, opt.Procs, a.treeBody); err != nil {
-			a.reset()
-			return nil, err
+			return err
 		}
 		a.sum, a.sum2 = a.sum2, a.sum
 	}
-	if err := parallel.ForCtxWeighted(ctx, n, opt.Procs, blockedSegLen, a.applyBlkBody); err != nil {
-		a.reset()
-		return nil, err
-	}
-	a.reset()
-	a.res = Result[T]{Values: a.v, Roots: p.roots, Rounds: b.rounds + 2, Combines: b.combines}
-	return &a.res, nil
+	return parallel.ForCtxWeighted(ctx, n, opt.Procs, blockedSegLen, a.applyBlkBody)
 }
 
 // reset drops the per-solve bindings so a pooled arena retains no caller
 // references.
 func (a *Arena[T]) reset() {
 	a.op, a.kern, a.init, a.round = nil, nil, nil, nil
-	a.src = a.src[:cap(a.src)]
 }
 
 // Plan returns the plan this arena's scratch is sized for.

@@ -3,7 +3,6 @@ package ordinary
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"indexedrec/internal/core"
 	"indexedrec/internal/parallel"
@@ -47,36 +46,17 @@ const (
 	blockedSegLen = 256
 )
 
-// blockedDisabled is the global kill switch for the blocked-scan schedule
-// (see SetBlockedEnabled): when set, replays of blocked-compiled plans fall
-// back to the pointer-jumping schedule (recorded lazily on first need).
-var blockedDisabled atomic.Bool
-
-// SetBlockedEnabled globally enables (default) or disables blocked-scan
-// replays and reports whether they were enabled before. Intended for tests
-// and fuzzers proving the blocked and jumping schedules are bit-identical;
-// not a production tunable. Compilation is unaffected — plans keep their
-// blocked schedule and re-enable instantly.
-func SetBlockedEnabled(on bool) bool {
-	return !blockedDisabled.Swap(!on)
-}
-
-// blockedEnabled reports whether blocked-scan replays are globally enabled.
-func blockedEnabled() bool { return !blockedDisabled.Load() }
-
 // blockedSched is the compiled blocked-scan schedule: the chain-major cell
 // order plus the segment table. All arrays are immutable after buildBlocked.
 type blockedSched struct {
 	// cellSeq lists every written cell in chain-major order, each chain
 	// terminal → head — i.e. the order the sequential loop's fold consumes
 	// the chain's values. Chains are ordered by ascending terminal cell,
-	// matching Plan.ChainOf's chain numbering.
+	// matching the plan's chain numbering.
 	cellSeq []int32
-	// chainOff[c] : chainOff[c+1] bound chain c within cellSeq.
+	// chainOff[c] : chainOff[c+1] bound chain c within cellSeq. The cell
+	// whose initial value seeds chain c's fold is the plan's initSrc[c].
 	chainOff []int32
-	// rootOf[c] is the cell whose initial value seeds chain c's fold
-	// (= Forest.InitF of the chain's terminal cell).
-	rootOf []int32
 	// segOff[s] : segOff[s+1] bound segment s within cellSeq. Segments are
 	// blockedSegLen cells except the last of each chain, and never straddle
 	// a chain boundary.
@@ -105,13 +85,14 @@ func (b *blockedSched) segBounds(s int) (int, int) {
 	return int(b.segOff[s]), int(b.segOff[s+1])
 }
 
-// buildBlocked compiles the blocked-scan schedule for fr, or returns
-// (nil, nil) when the forest does not qualify under the auto heuristic:
-// the forest must be path-only (no cell is the Next target of two chains —
-// a tree join has no contiguous-segment decomposition) and its longest
-// chain must reach blockedMinChain. force (PlanOptions ScheduleBlocked)
-// skips the length gate and turns the path-only failure into an error.
-func buildBlocked(fr *Forest, m int, force bool) (*blockedSched, error) {
+// buildBlocked compiles the blocked-scan schedule for fr, given its chain
+// terminals in ascending cell order, or returns (nil, nil) when the forest
+// does not qualify under the auto heuristic: the forest
+// must be path-only (no cell is the Next target of two chains — a tree join
+// has no contiguous-segment decomposition) and its longest chain must reach
+// blockedMinChain. force (PlanOptions ScheduleBlocked) skips the length gate
+// and turns the path-only failure into an error.
+func buildBlocked(fr *Forest, m int, terminals []int32, force bool) (*blockedSched, error) {
 	// Path-only check + reverse links in one pass: prev[y] is y's unique
 	// chain predecessor, or -1.
 	prev := make([]int32, m)
@@ -134,31 +115,32 @@ func buildBlocked(fr *Forest, m int, force bool) (*blockedSched, error) {
 
 	b := &blockedSched{
 		cellSeq:  make([]int32, 0, len(fr.Cells)),
-		chainOff: []int32{0},
+		chainOff: make([]int32, 1, len(terminals)+1),
 	}
 	maxLen := 0
-	// Terminals in ascending cell order give the same chain numbering as
-	// Plan.ChainOf (chains sorted by terminal root cell).
-	for t := 0; t < m; t++ {
-		if !fr.Written[t] || fr.Next[t] >= 0 {
-			continue
-		}
+	for _, t := range terminals {
 		start := len(b.cellSeq)
-		for x := int32(t); x >= 0; x = prev[x] {
+		for x := t; x >= 0; x = prev[x] {
 			b.cellSeq = append(b.cellSeq, x)
 		}
 		if l := len(b.cellSeq) - start; l > maxLen {
 			maxLen = l
 		}
 		b.chainOff = append(b.chainOff, int32(len(b.cellSeq)))
-		b.rootOf = append(b.rootOf, int32(fr.InitF[t]))
 	}
 	if !force && maxLen < blockedMinChain {
 		return nil, nil
 	}
 
-	// Segment table: fixed-length cuts per chain, never crossing chains.
-	b.segOff = []int32{0}
+	// Segment table: fixed-length cuts per chain, never crossing chains,
+	// sized exactly so the resident tables carry no append slack.
+	segs := 0
+	for c := 0; c+1 < len(b.chainOff); c++ {
+		segs += int(b.chainOff[c+1]-b.chainOff[c]+blockedSegLen-1) / blockedSegLen
+	}
+	b.segOff = make([]int32, 1, segs+1)
+	b.segChain = make([]int32, 0, segs)
+	b.segFirst = make([]int32, 0, segs)
 	for c := 0; c+1 < len(b.chainOff); c++ {
 		first := int32(len(b.segChain))
 		lo, hi := b.chainOff[c], b.chainOff[c+1]
@@ -246,7 +228,7 @@ func solveBlockedMember[T any](ctx context.Context, p *Plan, op core.Semigroup[T
 			cLo, cHi := int(b.segOff[s]), segEnd(s)
 			var acc T
 			if int(b.segFirst[s]) == s {
-				acc = init[b.rootOf[b.segChain[s]]]
+				acc = init[p.initSrc[b.segChain[s]]]
 			} else {
 				acc = init[b.cellSeq[cLo]]
 				cLo++
@@ -291,7 +273,7 @@ func solveBlockedMember[T any](ctx context.Context, p *Plan, op core.Semigroup[T
 			cLo, cHi := int(b.segOff[s]), segEnd(s)
 			var acc T
 			if int(b.segFirst[s]) == s {
-				acc = init[b.rootOf[b.segChain[s]]]
+				acc = init[p.initSrc[b.segChain[s]]]
 			} else {
 				acc = sum[s-1]
 			}

@@ -245,43 +245,46 @@ func TestBlockedCombinesCountExact(t *testing.T) {
 	}
 }
 
-func TestBlockedKillSwitchFallsBackToJumping(t *testing.T) {
+// TestBlockedAndJumpingPlansAgree compiles one system under both schedules
+// and requires identical full replays, each reporting its own plan's cost
+// profile.
+func TestBlockedAndJumpingPlansAgree(t *testing.T) {
 	ctx := context.Background()
 	s := multiChain(2, 600)
 	init := stringInit(s.M)
-	p, err := CompilePlan(ctx, s)
+	bp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleBlocked})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.BlockedScan() {
-		t.Fatal("expected blocked schedule")
+	jp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleJumping})
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := core.RunSequential[string](s, core.Concat{}, init)
-
-	prev := SetBlockedEnabled(false)
-	defer SetBlockedEnabled(prev)
-	off, err := SolvePlanCtx[string](ctx, p, core.Concat{}, init, Options{Procs: 4})
+	br, err := SolvePlanCtx[string](ctx, bp, core.Concat{}, init, Options{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetBlockedEnabled(true)
-	on, err := SolvePlanCtx[string](ctx, p, core.Concat{}, init, Options{Procs: 4})
+	jr, err := SolvePlanCtx[string](ctx, jp, core.Concat{}, init, Options{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for x := range want {
-		if off.Values[x] != want[x] || on.Values[x] != want[x] {
-			t.Fatalf("cell %d: off %q on %q want %q", x, off.Values[x], on.Values[x], want[x])
+		if jr.Values[x] != want[x] || br.Values[x] != want[x] {
+			t.Fatalf("cell %d: jumping %q blocked %q want %q", x, jr.Values[x], br.Values[x], want[x])
 		}
 	}
-	// The fallback replay runs the lazily-recorded jumping rounds; the
-	// re-enabled replay runs the 3-phase blocked schedule.
-	if off.Rounds == on.Rounds {
-		t.Errorf("fallback and blocked replays report the same round count %d", on.Rounds)
+	if jr.Rounds == br.Rounds {
+		t.Errorf("jumping and blocked replays report the same round count %d", br.Rounds)
 	}
-	if on.Rounds != p.Rounds() || on.Combines != p.Combines() {
-		t.Errorf("blocked replay: rounds %d combines %d, plan reports %d/%d",
-			on.Rounds, on.Combines, p.Rounds(), p.Combines())
+	for _, c := range []struct {
+		p   *Plan
+		res *Result[string]
+	}{{bp, br}, {jp, jr}} {
+		if c.res.Rounds != c.p.Rounds() || c.res.Combines != c.p.Combines() {
+			t.Errorf("%s replay: rounds %d combines %d, plan reports %d/%d",
+				c.p.Schedule(), c.res.Rounds, c.res.Combines, c.p.Rounds(), c.p.Combines())
+		}
 	}
 }
 
@@ -363,31 +366,48 @@ func TestBlockedMemberChains(t *testing.T) {
 	}
 }
 
-func TestBlockedMemberKillSwitchAgrees(t *testing.T) {
+// TestBlockedAndJumpingMemberReplaysAgree runs every chain range's member
+// replay on a blocked and a jumping plan of the same system: the chain
+// numbering and the member cells' values must coincide.
+func TestBlockedAndJumpingMemberReplaysAgree(t *testing.T) {
 	ctx := context.Background()
 	s := multiChain(3, 400)
 	init := stringInit(s.M)
-	p, err := CompilePlan(ctx, s)
+	bp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleBlocked})
 	if err != nil {
 		t.Fatal(err)
 	}
-	member, err := p.MemberForChains(0, 2)
+	jp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleJumping})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := SolvePlanMemberCtx[string](ctx, p, core.Concat{}, init, member, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
+	if bp.NumChains() != jp.NumChains() {
+		t.Fatalf("chain count: blocked %d, jumping %d", bp.NumChains(), jp.NumChains())
 	}
-	prev := SetBlockedEnabled(false)
-	off, err := SolvePlanMemberCtx[string](ctx, p, core.Concat{}, init, member, Options{Procs: 4})
-	SetBlockedEnabled(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range on {
-		if on[x] != off[x] {
-			t.Fatalf("cell %d: blocked member %q, jumping member %q", x, on[x], off[x])
+	for lo := 0; lo <= bp.NumChains(); lo++ {
+		for hi := lo; hi <= bp.NumChains(); hi++ {
+			bm, err := bp.MemberForChains(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jm, err := jp.MemberForChains(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bv, err := SolvePlanMemberCtx[string](ctx, bp, core.Concat{}, init, bm, Options{Procs: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jv, err := SolvePlanMemberCtx[string](ctx, jp, core.Concat{}, init, jm, Options{Procs: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := range bv {
+				if bm[x] != jm[x] || bv[x] != jv[x] {
+					t.Fatalf("chains [%d,%d) cell %d: blocked (%v, %q), jumping (%v, %q)",
+						lo, hi, x, bm[x], bv[x], jm[x], jv[x])
+				}
+			}
 		}
 	}
 }

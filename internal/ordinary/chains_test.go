@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"indexedrec/internal/core"
@@ -117,9 +118,9 @@ func TestBuildForestMatchesDepsOracle(t *testing.T) {
 }
 
 // compileBytesPerCell is the TotalAlloc budget of compiling a long chain,
-// per cell. The forest, roots and blocked schedule need ~41 B/cell; a hash
-// set or a dependence-array pass in compile (the old path spent ~109 B/cell)
-// breaks it.
+// per cell. The forest temporary and the blocked schedule need ~33 B/cell;
+// a hash set or a dependence-array pass in compile (an earlier path spent
+// ~109 B/cell) breaks it.
 const compileBytesPerCell = 56
 
 // TestCompileChainAllocPerCell is the compile-allocation gate: compiling a
@@ -152,5 +153,250 @@ func BenchmarkCompileChain(b *testing.B) {
 		if _, err := ordinary.CompilePlan(ctx, s); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// oracleChains is the chain decomposition plans used to keep: chains are the
+// forest components, found by walking Next to each terminal with path
+// marking, deduplicated through a map and numbered by sorting the terminal
+// cells. Kept test-local as the oracle of the plans' chain tables.
+func oracleChains(fr *ordinary.Forest) (chainOf []int32, sizes []int) {
+	m := len(fr.Next)
+	rootOf := make([]int32, m)
+	for x := range rootOf {
+		rootOf[x] = -1
+	}
+	var path []int
+	for _, x := range fr.Cells {
+		y := x
+		path = path[:0]
+		for rootOf[y] < 0 && fr.Next[y] >= 0 {
+			path = append(path, y)
+			y = fr.Next[y]
+		}
+		r := rootOf[y]
+		if r < 0 {
+			r = int32(y)
+			rootOf[y] = r
+		}
+		for _, c := range path {
+			rootOf[c] = r
+		}
+	}
+	var terminals []int
+	seen := make(map[int32]int)
+	for _, x := range fr.Cells {
+		if _, ok := seen[rootOf[x]]; !ok {
+			seen[rootOf[x]] = 0
+			terminals = append(terminals, int(rootOf[x]))
+		}
+	}
+	sort.Ints(terminals)
+	for id, r := range terminals {
+		seen[int32(r)] = id
+	}
+	chainOf = make([]int32, m)
+	for x := range chainOf {
+		chainOf[x] = -1
+	}
+	sizes = make([]int, len(terminals))
+	for _, x := range fr.Cells {
+		id := seen[rootOf[x]]
+		chainOf[x] = int32(id)
+		sizes[id]++
+	}
+	return chainOf, sizes
+}
+
+// oracleRoots is the root propagation the pointer-jumping recorder used to
+// run alongside its pointers: rt[x] ← rt[nx[x]] until every pointer ends.
+func oracleRoots(fr *ordinary.Forest) []int {
+	m := len(fr.Next)
+	nx, rt := make([]int, m), make([]int, m)
+	for x := range nx {
+		switch {
+		case !fr.Written[x]:
+			nx[x], rt[x] = -1, x
+		case fr.Next[x] >= 0:
+			nx[x], rt[x] = fr.Next[x], x
+		default:
+			nx[x], rt[x] = -1, fr.InitF[x]
+		}
+	}
+	for {
+		nx2, rt2 := append([]int(nil), nx...), append([]int(nil), rt...)
+		active := false
+		for _, x := range fr.Cells {
+			if n := nx[x]; n >= 0 {
+				nx2[x], rt2[x] = nx[n], rt[n]
+				active = true
+			}
+		}
+		if !active {
+			return rt
+		}
+		nx, rt = nx2, rt2
+	}
+}
+
+// TestChainTablesMatchOracle checks the plans' derived chain tables —
+// ChainOf, ChainSizes, Roots and chain-range shard replays — against the
+// forest-walking oracles, on path-shaped, multi-chain, tree-shaped and
+// sparse compact systems, under both schedules where they apply.
+func TestChainTablesMatchOracle(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1401))
+	systems := []*core.System{workload.Chain(0), workload.Chain(1), workload.Chain(700)}
+	for trial := 0; trial < 12; trial++ {
+		m := 1 + rng.Intn(400)
+		systems = append(systems,
+			workload.Chains(rng.Intn(900), 1+rng.Intn(9)),
+			workload.RandomOrdinary(rng, m, rng.Intn(m+1)),
+			workload.SparseZipf(rng, 1000+rng.Intn(100000), 1+rng.Intn(300)).Compact)
+	}
+	blocked := 0
+	for k, s := range systems {
+		fr, err := ordinary.BuildForest(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOf, wantSizes := oracleChains(fr)
+		wantRoots := oracleRoots(fr)
+		init := make([]string, s.M)
+		for x := range init {
+			init[x] = fmt.Sprintf("%d.", x)
+		}
+		seq := core.RunSequential[string](s, core.Concat{}, init)
+		for _, sched := range []ordinary.Schedule{ordinary.ScheduleJumping, ordinary.ScheduleBlocked} {
+			p, err := ordinary.CompilePlanOpts(ctx, s, ordinary.PlanOptions{Schedule: sched})
+			if sched == ordinary.ScheduleBlocked && err != nil {
+				continue // a branching forest has no blocked schedule
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.BlockedScan() {
+				blocked++
+			}
+			name := fmt.Sprintf("system %d (%v) %s", k, s, p.Schedule())
+			if err := sameInts(p.ChainOf(), wantOf); err != nil {
+				t.Fatalf("%s ChainOf: %v", name, err)
+			}
+			if err := sameInts(p.ChainSizes(), wantSizes); err != nil {
+				t.Fatalf("%s ChainSizes: %v", name, err)
+			}
+			if err := sameInts(p.Roots(), wantRoots); err != nil {
+				t.Fatalf("%s Roots: %v", name, err)
+			}
+			nc := p.NumChains()
+			for _, r := range [][2]int{{0, nc}, {0, nc / 2}, {nc / 2, nc}, {nc / 3, nc/3 + 1}} {
+				if r[1] > nc {
+					continue
+				}
+				sr, err := ordinary.SolvePlanChainsCtx[string](ctx, p, core.Concat{}, init, r[0], r[1], ordinary.Options{Procs: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wantCells []int
+				for x, c := range wantOf {
+					if int(c) >= r[0] && int(c) < r[1] {
+						wantCells = append(wantCells, x)
+					}
+				}
+				if err := sameInts(sr.Cells, wantCells); err != nil {
+					t.Fatalf("%s chains [%d,%d) cells: %v", name, r[0], r[1], err)
+				}
+				for i, x := range sr.Cells {
+					if sr.Values[i] != seq[x] {
+						t.Fatalf("%s chains [%d,%d) cell %d: %q, sequential %q", name, r[0], r[1], x, sr.Values[i], seq[x])
+					}
+				}
+			}
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("no system compiled to a blocked schedule")
+	}
+}
+
+func sameInts[A, B int | int32](got []A, want []B) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("length %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if int(got[i]) != int(want[i]) {
+			return fmt.Errorf("[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// Retained-heap budgets of compiled plans, per cell. A blocked plan keeps
+// its chain-major cell order (4 B/cell) plus per-chain and per-segment
+// tables; a jumping plan keeps its rounds and a 4 B/cell chain table.
+// Keeping the write-chain forest or a roots array resident (~37 and ~42
+// B/cell) breaks both.
+const (
+	retainedBlockedPerCell = 8
+	retainedJumpingPerCell = 16
+)
+
+// liveHeap returns the heap in use after a full collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestPlanRetainedAllocPerCell is the retained-memory gate: the heap a
+// compiled plan keeps alive must stay within the per-cell budget, and
+// SizeBytes — the plan cache's accounting — within 10% of it. For the
+// blocked plan the gate also covers the arena a pooled replay leaves in the
+// plan's pool, which must hold no cell-sized value array.
+func TestPlanRetainedAllocPerCell(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1402))
+	for _, c := range []struct {
+		name   string
+		s      *core.System
+		sched  string
+		budget float64
+	}{
+		{"Chain(1<<20)", workload.Chain(1 << 20), "blocked-scan", retainedBlockedPerCell},
+		{"RandomOrdinary(1<<18)", workload.RandomOrdinary(rng, 1<<18, 1<<18), "pointer-jumping", retainedJumpingPerCell},
+	} {
+		base := liveHeap()
+		p, err := ordinary.CompilePlan(ctx, c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := liveHeap() - base
+		perCell := float64(retained) / float64(c.s.M)
+		t.Logf("%s (%s): retains %.2f B/cell, SizeBytes %d of measured %d", c.name, p.Schedule(), perCell, p.SizeBytes(), retained)
+		if p.Schedule() != c.sched {
+			t.Fatalf("%s: schedule %s, want %s", c.name, p.Schedule(), c.sched)
+		}
+		if perCell > c.budget {
+			t.Errorf("%s: plan retains %.2f B/cell, budget %.0f", c.name, perCell, c.budget)
+		}
+		if d := float64(p.SizeBytes() - retained); d > 0.1*float64(retained) || -d > 0.1*float64(retained) {
+			t.Errorf("%s: SizeBytes %d is more than 10%% off the retained %d bytes", c.name, p.SizeBytes(), retained)
+		}
+
+		init := make([]int64, c.s.M)
+		if _, err := ordinary.SolvePlanPooledCtx[int64](ctx, p, core.IntAdd{}, init, ordinary.Options{Procs: 2}); err != nil {
+			t.Fatal(err)
+		}
+		init = nil
+		pooled := float64(liveHeap()-base) / float64(c.s.M)
+		t.Logf("%s: plan plus pooled scratch retains %.2f B/cell", c.name, pooled)
+		if pooled > c.budget {
+			t.Errorf("%s: plan plus pooled scratch retains %.2f B/cell, budget %.0f", c.name, pooled, c.budget)
+		}
+		runtime.KeepAlive(p)
 	}
 }

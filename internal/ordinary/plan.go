@@ -10,13 +10,13 @@ import (
 )
 
 // This file implements compiled solve plans for the ordinary solver: the
-// structure-only half of SolveCtx — forest construction plus the entire
-// combine schedule (which cell combines which, in which round) — is computed
-// once by CompilePlan and replayed against fresh data by SolvePlanCtx. The
-// pointer arrays nx/rt evolve independently of the values, so the schedule
-// depends only on (g, f, n, m); replays skip all pointer bookkeeping and
-// perform exactly the value combines SolveCtx would, in the same order,
-// making results bit-identical.
+// structure-only half of SolveCtx — the entire combine schedule (which cell
+// combines which, in which round), derived from the write-chain forest — is
+// computed once by CompilePlan and replayed against fresh data by
+// SolvePlanCtx. The pointer array nx evolves independently of the values, so
+// the schedule depends only on (g, f, n, m); replays skip all pointer
+// bookkeeping and perform exactly the value combines SolveCtx would, in the
+// same order, making results bit-identical.
 //
 // Two schedules exist: the paper's pointer jumping (O(n log n) work,
 // recorded below) and the work-optimal blocked scan (O(n) work, blocked.go),
@@ -42,29 +42,34 @@ func (r *roundSched) pairs() int { return len(r.gatherDst) + len(r.directDst) }
 
 // Plan is the compiled, data-independent part of an ordinary-IR solve.
 // A Plan is immutable after CompilePlan returns and safe for concurrent
-// replays; the slices returned inside replay results (Roots) alias the plan
-// and must be treated as read-only.
+// replays.
+//
+// A plan holds int32 schedule data only. The write-chain forest it was
+// compiled from is a compile-time temporary: everything a replay or a shard
+// slice needs is in the tables below, and Roots, ChainOf and ChainSizes are
+// derived from them on demand.
 type Plan struct {
 	// M and N mirror the compiled system's dimensions.
 	M, N int
-	// Forest is the write-chain forest the schedule was compiled from
-	// (retained for diagnostics and MaxChainLen).
-	Forest *Forest
 	// initDst/initSrc hold the initialization-phase combines of terminal
 	// written cells: v[initDst[k]] = op(init[initSrc[k]], init[initDst[k]]).
 	// Both operands read initial values, so no ordering constraints apply.
+	// initDst lists every chain terminal in ascending cell order, which is
+	// the chain numbering: chain c ends at initDst[c], and initSrc[c] is
+	// its root, the cell whose initial value starts every trace of chain c.
 	initDst, initSrc []int32
 	// rounds[r] is the combine schedule of pointer-jumping round r+1.
-	// Within a round all dst cells are distinct.
+	// Within a round all dst cells are distinct. Empty for blocked plans.
 	rounds []roundSched
 	// maxGather is the largest per-round gather-pair count — the snapshot
 	// buffer size an Arena needs.
 	maxGather int
-	// roots[x] is the cell whose initial value the trace of x begins with
-	// (Result.Roots of every replay).
-	roots []int
-	// combines is the total op-application count of any replay
-	// (Result.Combines).
+	// chainOf maps each cell of a pointer-jumping plan to its chain id (-1
+	// for unwritten cells). Blocked plans leave it nil: their chain-major
+	// cellSeq already lists every chain's cells.
+	chainOf []int32
+	// combines is the total op-application count of a pointer-jumping
+	// replay (Result.Combines).
 	combines int64
 	// primeable reports that every initialization-phase source cell is
 	// unwritten, so a replay may read initial values straight from the
@@ -73,13 +78,10 @@ type Plan struct {
 
 	// blocked is the work-optimal blocked-scan schedule, non-nil when the
 	// compile-time heuristic (or PlanOptions) picked it; replays then skip
-	// the rounds machinery entirely. Plans compiled blocked do not record
-	// pointer-jumping rounds up front — compiling and storing O(n log n)
-	// pairs would negate the blocked path's O(n) compile and memory wins —
-	// so rounds/maxGather stay empty until jumpOnce records them on first
-	// need (the SetBlockedEnabled kill-switch fallback).
-	blocked  *blockedSched
-	jumpOnce sync.Once
+	// the rounds machinery entirely, and no pointer-jumping rounds are
+	// recorded — storing O(n log n) pairs would negate the blocked path's
+	// O(n) compile and memory wins.
+	blocked *blockedSched
 
 	// arenas pools replay scratch (see Arena) per plan — together with the
 	// plan cache's fingerprint keying this is the "arena pool keyed by plan
@@ -88,14 +90,6 @@ type Plan struct {
 	// any; a type mismatch (same plan replayed under two element types)
 	// just drops the entry.
 	arenas sync.Pool
-
-	// Chain decomposition (shard.go), computed lazily on first use: chainOf
-	// maps each written cell to its chain id (-1 for unwritten cells), and
-	// chainSizes[c] counts the cells of chain c. Chains are the connected
-	// components of the write-chain forest — the natural distribution unit.
-	chainsOnce sync.Once
-	chainOf    []int32
-	chainSizes []int
 }
 
 // Schedule selects the combine schedule CompilePlanOpts records.
@@ -141,19 +135,28 @@ func CompilePlanOpts(ctx context.Context, s *core.System, popt PlanOptions) (*Pl
 	if s.M > math.MaxInt32 {
 		return nil, fmt.Errorf("ordinary: CompilePlan: m = %d exceeds the plan cell limit %d", s.M, math.MaxInt32)
 	}
-	p := &Plan{M: s.M, N: s.N, Forest: fr, roots: make([]int, s.M)}
+	p := &Plan{M: s.M, N: s.N}
 
 	// Initialization phase, mirroring SolveCtx: unwritten and non-terminal
 	// cells start at init[x]; terminal written cells fold in init[InitF[x]].
 	// Recorded for both schedules (the blocked reduce seeds subsume it, the
-	// member replays and primeable check read it).
+	// member replays and primeable check read it, and its terminal order is
+	// the chain numbering).
+	terminals := 0
+	for x := 0; x < s.M; x++ {
+		if fr.Written[x] && fr.Next[x] < 0 {
+			terminals++
+		}
+	}
+	p.initDst = make([]int32, 0, terminals)
+	p.initSrc = make([]int32, 0, terminals)
 	for x := 0; x < s.M; x++ {
 		if fr.Written[x] && fr.Next[x] < 0 {
 			p.initDst = append(p.initDst, int32(x))
 			p.initSrc = append(p.initSrc, int32(fr.InitF[x]))
 		}
 	}
-	p.combines = int64(len(p.initDst))
+	p.combines = int64(terminals)
 	p.primeable = true
 	for _, s := range p.initSrc {
 		if fr.Written[s] {
@@ -163,63 +166,47 @@ func CompilePlanOpts(ctx context.Context, s *core.System, popt PlanOptions) (*Pl
 	}
 
 	if popt.Schedule != ScheduleJumping {
-		blk, err := buildBlocked(fr, s.M, popt.Schedule == ScheduleBlocked)
+		blk, err := buildBlocked(fr, s.M, p.initDst, popt.Schedule == ScheduleBlocked)
 		if err != nil {
 			return nil, err
 		}
 		if blk != nil {
 			p.blocked = blk
-			// Roots straight from the chain decomposition (identical to
-			// what the jumping recorder's rt propagation converges to):
-			// written cells root at their chain's init source, unwritten
-			// cells at themselves.
-			for x := range p.roots {
-				p.roots[x] = x
-			}
-			for c := 0; c+1 < len(blk.chainOff); c++ {
-				r := int(blk.rootOf[c])
-				for k := blk.chainOff[c]; k < blk.chainOff[c+1]; k++ {
-					p.roots[blk.cellSeq[k]] = r
-				}
-			}
 			return p, nil
 		}
 	}
-	if err := p.recordJumping(ctx); err != nil {
+	p.chainOf = chainTable(fr, s.M, p.initDst)
+	if err := p.recordJumping(ctx, fr); err != nil {
 		return nil, err
 	}
-	p.jumpOnce.Do(func() {})
 	return p, nil
 }
 
-// ensureJumping lazily records the pointer-jumping schedule of a
-// blocked-compiled plan, for the SetBlockedEnabled fallback path. Eagerly
-// compiled plans burned the Once at compile time; concurrent callers
-// synchronize on it.
-func (p *Plan) ensureJumping() {
-	p.jumpOnce.Do(func() {
-		// Background: recording is pure CPU over retained structure; the
-		// caller's ctx still guards the replay that follows.
-		_ = p.recordJumping(context.Background())
-	})
-}
-
-// recordJumping records the pointer-jumping round schedule from the retained
-// forest into p.rounds/maxGather and adds its combines to p.combines.
-func (p *Plan) recordJumping(ctx context.Context) error {
-	fr := p.Forest
-	nx := make([]int, p.M)
-	rt := make([]int, p.M)
-	for x := 0; x < p.M; x++ {
-		switch {
-		case !fr.Written[x]:
-			nx[x], rt[x] = -1, x
-		case fr.Next[x] >= 0:
-			nx[x], rt[x] = fr.Next[x], x
-		default:
-			nx[x], rt[x] = -1, fr.InitF[x]
+// chainTable numbers the chain of every written cell: chain c is the
+// forest component ending at terminal initDst[c]. One pass over fr.Cells
+// suffices because Cells is in iteration order and a cell's Next target
+// was written by an earlier iteration, so its id is already known.
+func chainTable(fr *Forest, m int, initDst []int32) []int32 {
+	chainOf := make([]int32, m)
+	for x := range chainOf {
+		chainOf[x] = -1
+	}
+	for c, t := range initDst {
+		chainOf[t] = int32(c)
+	}
+	for _, x := range fr.Cells {
+		if n := fr.Next[x]; n >= 0 {
+			chainOf[x] = chainOf[n]
 		}
 	}
+	return chainOf
+}
+
+// recordJumping records the pointer-jumping round schedule of forest fr
+// into p.rounds/maxGather and adds its combines to p.combines.
+func (p *Plan) recordJumping(ctx context.Context, fr *Forest) error {
+	nx := make([]int, p.M)
+	copy(nx, fr.Next)
 
 	// Lock-step rounds: record each round's (dst, src) combine list while
 	// advancing the pointers exactly as SolveCtx does (double-buffered
@@ -228,7 +215,6 @@ func (p *Plan) recordJumping(ctx context.Context) error {
 	// rest read in place.
 	cells := fr.Cells
 	nx2 := make([]int, p.M)
-	rt2 := make([]int, p.M)
 	tmpDst := make([]int32, 0, len(cells))
 	tmpSrc := make([]int32, 0, len(cells))
 	dstRound := make([]int32, p.M)
@@ -243,14 +229,13 @@ func (p *Plan) recordJumping(ctx context.Context) error {
 		for _, x := range cells {
 			n := nx[x]
 			if n < 0 {
-				nx2[x], rt2[x] = -1, rt[x]
+				nx2[x] = -1
 				continue
 			}
 			tmpDst = append(tmpDst, int32(x))
 			tmpSrc = append(tmpSrc, int32(n))
 			dstRound[x] = r
 			nx2[x] = nx[n]
-			rt2[x] = rt[n]
 		}
 		if len(tmpDst) == 0 {
 			break
@@ -287,12 +272,6 @@ func (p *Plan) recordJumping(ctx context.Context) error {
 		p.rounds = append(p.rounds, rs)
 		p.combines += int64(len(tmpDst))
 		nx, nx2 = nx2, nx
-		rt, rt2 = rt2, rt
-	}
-	if p.blocked == nil {
-		// Blocked plans already hold identical roots; skipping the copy
-		// keeps lazy recording race-free against concurrent root readers.
-		copy(p.roots, rt)
 	}
 	return nil
 }
@@ -308,8 +287,7 @@ func (p *Plan) Rounds() int {
 }
 
 // BlockedScan reports whether the plan compiled to the work-optimal
-// blocked-scan schedule (replays may still fall back to pointer jumping
-// while SetBlockedEnabled(false) holds).
+// blocked-scan schedule.
 func (p *Plan) BlockedScan() bool { return p.blocked != nil }
 
 // Schedule names the compiled combine schedule: "blocked-scan" or
@@ -344,27 +322,32 @@ func (p *Plan) Combines() int64 {
 	return p.combines
 }
 
-// Roots returns the chain-root array shared with every replay result.
-// The slice is owned by the plan; callers must not modify it.
-func (p *Plan) Roots() []int { return p.roots }
+// Roots returns, for every cell x, the cell whose initial value the trace
+// of x begins with: x itself for unwritten cells, the chain root for
+// written ones. It is the direct solve's Result.Roots, derived from the
+// chain tables into a fresh slice on each call (replay results do not
+// carry roots).
+func (p *Plan) Roots() []int {
+	roots := make([]int, p.M)
+	for x := range roots {
+		roots[x] = x
+	}
+	p.eachWritten(func(x, c int) { roots[x] = int(p.initSrc[c]) })
+	return roots
+}
 
-// SizeBytes estimates the plan's resident size, for cache accounting.
+// SizeBytes is the plan's resident size, for cache accounting: the int32
+// schedule tables, counted at capacity.
 func (p *Plan) SizeBytes() int64 {
-	size := int64(len(p.initDst)+len(p.initSrc)) * 4
+	words := cap(p.initDst) + cap(p.initSrc) + cap(p.chainOf)
 	for i := range p.rounds {
 		r := &p.rounds[i]
-		size += int64(len(r.gatherDst)+len(r.gatherSrc)+len(r.directDst)+len(r.directSrc)) * 4
+		words += cap(r.gatherDst) + cap(r.gatherSrc) + cap(r.directDst) + cap(r.directSrc)
 	}
-	size += int64(p.M) * 8 // roots
 	if b := p.blocked; b != nil {
-		size += int64(len(b.cellSeq)+len(b.chainOff)+len(b.rootOf)+
-			len(b.segOff)+len(b.segChain)+len(b.segFirst)) * 4
+		words += cap(b.cellSeq) + cap(b.chainOff) + cap(b.segOff) + cap(b.segChain) + cap(b.segFirst)
 	}
-	if p.Forest != nil {
-		size += int64(len(p.Forest.Next)+len(p.Forest.InitF)+len(p.Forest.Cells))*8 +
-			int64(len(p.Forest.Written))
-	}
-	return size
+	return int64(words) * 4
 }
 
 // SolvePlanCtx replays a compiled plan against fresh data. The value combines
@@ -373,29 +356,34 @@ func (p *Plan) SizeBytes() int64 {
 // solve's. Error and cancellation behavior follows the SolveCtx contract:
 // panics in op.Combine return as errors with all workers joined, and
 // cancellation stops the replay between rounds and chunks. The returned
-// result owns fresh value storage; hot loops that can recycle scratch
-// should use an Arena (or SolvePlanPooledCtx) instead.
+// result owns fresh value storage and leaves Roots nil (see Plan.Roots);
+// hot loops that can recycle scratch should use an Arena (or
+// SolvePlanPooledCtx) instead.
 func SolvePlanCtx[T any](ctx context.Context, p *Plan, op core.Semigroup[T], init []T, opt Options) (*Result[T], error) {
 	return NewArena[T](p).SolveCtx(ctx, op, init, opt)
 }
 
-// SolvePlanPooledCtx replays a compiled plan through the plan's arena pool:
-// scratch buffers (value array, gather snapshots) are checked out, reused,
-// and returned, so a warm replay's only allocation is the caller-owned copy
-// of the final values. Results are bit-identical to SolvePlanCtx.
+// SolvePlanPooledCtx replays a compiled plan straight into a freshly
+// allocated result, drawing the rest of its scratch (gather snapshots,
+// segment summaries) from the plan's arena pool. The pooled arenas hold no
+// value array: a warm replay allocates the result's Values and the result
+// itself, and nothing else. Results are bit-identical to SolvePlanCtx and
+// never share storage with each other or with the pool.
 func SolvePlanPooledCtx[T any](ctx context.Context, p *Plan, op core.Semigroup[T], init []T, opt Options) (*Result[T], error) {
+	if len(init) != p.M {
+		return nil, fmt.Errorf("%w: len(init) = %d, want M = %d", ErrInitLen, len(init), p.M)
+	}
 	a, _ := p.arenas.Get().(*Arena[T])
 	if a == nil {
-		a = NewArena[T](p)
+		a = newArena[T](p, nil)
 	}
-	res, err := a.SolveCtx(ctx, op, init, opt)
+	out := &Result[T]{Values: make([]T, p.M), Rounds: p.Rounds(), Combines: p.Combines()}
+	a.v = out.Values
+	err := a.solve(ctx, op, init, opt)
+	a.v = nil
+	p.arenas.Put(a)
 	if err != nil {
-		p.arenas.Put(a)
 		return nil, err
 	}
-	values := make([]T, p.M)
-	copy(values, res.Values)
-	out := &Result[T]{Values: values, Roots: res.Roots, Rounds: res.Rounds, Combines: res.Combines}
-	p.arenas.Put(a)
 	return out, nil
 }

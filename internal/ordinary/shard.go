@@ -3,7 +3,6 @@ package ordinary
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"indexedrec/internal/core"
 	"indexedrec/internal/parallel"
@@ -22,79 +21,55 @@ import (
 // fit the plan.
 var ErrShardRange = fmt.Errorf("ordinary: shard range out of bounds")
 
-// initChains computes the chain decomposition once: chain ids are assigned
-// by ascending terminal-root cell, so the numbering is deterministic for a
-// given plan structure (coordinator and workers agree on it by construction).
-func (p *Plan) initChains() {
-	p.chainsOnce.Do(func() {
-		fr := p.Forest
-		rootOf := make([]int32, p.M)
-		for x := range rootOf {
-			rootOf[x] = -1
-		}
-		var path []int
-		for _, x := range fr.Cells {
-			y := x
-			path = path[:0]
-			for rootOf[y] < 0 && fr.Next[y] >= 0 {
-				path = append(path, y)
-				y = fr.Next[y]
-			}
-			r := rootOf[y]
-			if r < 0 {
-				r = int32(y) // y is a terminal written cell: a chain root
-				rootOf[y] = r
-			}
-			for _, c := range path {
-				rootOf[c] = r
+// Chains are numbered by ascending terminal cell, so the numbering is a
+// function of the plan structure alone (coordinator and workers agree on it
+// by construction). The plan stores no per-chain cell lists beyond its
+// schedule: blocked plans read them off the chain-major cellSeq, jumping
+// plans off their chainOf table.
+
+// eachWritten calls fn(x, c) for every written cell x with its chain id c.
+func (p *Plan) eachWritten(fn func(x, c int)) {
+	if b := p.blocked; b != nil {
+		for c := 0; c+1 < len(b.chainOff); c++ {
+			for _, x := range b.cellSeq[b.chainOff[c]:b.chainOff[c+1]] {
+				fn(int(x), c)
 			}
 		}
-		roots := make([]int, 0, 16)
-		seen := make(map[int32]int)
-		for _, x := range fr.Cells {
-			r := rootOf[x]
-			if _, ok := seen[r]; !ok {
-				seen[r] = 0
-				roots = append(roots, int(r))
-			}
+		return
+	}
+	for x, c := range p.chainOf {
+		if c >= 0 {
+			fn(x, int(c))
 		}
-		sort.Ints(roots)
-		for id, r := range roots {
-			seen[int32(r)] = id
-		}
-		p.chainOf = make([]int32, p.M)
-		for x := range p.chainOf {
-			p.chainOf[x] = -1
-		}
-		p.chainSizes = make([]int, len(roots))
-		for _, x := range fr.Cells {
-			id := seen[rootOf[x]]
-			p.chainOf[x] = int32(id)
-			p.chainSizes[id]++
-		}
-	})
+	}
 }
 
 // NumChains returns the number of chains (forest components) in the plan —
-// the size of the ordinary family's shard domain.
-func (p *Plan) NumChains() int {
-	p.initChains()
-	return len(p.chainSizes)
-}
+// the size of the ordinary family's shard domain. Every chain has exactly
+// one terminal, so this is the initialization-phase combine count.
+func (p *Plan) NumChains() int { return len(p.initDst) }
 
-// ChainSizes returns the cell count of each chain, indexed by chain id. The
-// slice is owned by the plan; callers must not modify it. Partitioners use
-// it to cut balanced contiguous chain ranges.
+// ChainSizes returns the cell count of each chain, indexed by chain id, in
+// a fresh slice. Partitioners use it to cut balanced contiguous chain
+// ranges.
 func (p *Plan) ChainSizes() []int {
-	p.initChains()
-	return p.chainSizes
+	sizes := make([]int, p.NumChains())
+	p.eachWritten(func(_, c int) { sizes[c]++ })
+	return sizes
 }
 
 // ChainOf returns the chain id of every cell (-1 for unwritten cells). The
-// slice is owned by the plan; callers must not modify it.
+// slice may be the plan's own table; callers must not modify it.
 func (p *Plan) ChainOf() []int32 {
-	p.initChains()
-	return p.chainOf
+	if p.blocked == nil {
+		return p.chainOf
+	}
+	chainOf := make([]int32, p.M)
+	for x := range chainOf {
+		chainOf[x] = -1
+	}
+	p.eachWritten(func(x, c int) { chainOf[x] = int32(c) })
+	return chainOf
 }
 
 // ShardResult is a sparse slice of a replay: the final values of the cells
@@ -124,10 +99,9 @@ func SolvePlanMemberCtx[T any](ctx context.Context, p *Plan, op core.Semigroup[T
 	}
 	ctx, release := parallel.EnsureGang(ctx, opt.Procs, p.M)
 	defer release()
-	if p.blocked != nil && blockedEnabled() {
+	if p.blocked != nil {
 		return solveBlockedMember(ctx, p, op, init, member, opt)
 	}
-	p.ensureJumping()
 	v := make([]T, p.M)
 	copy(v, init)
 
@@ -202,17 +176,30 @@ func SolvePlanMemberCtx[T any](ctx context.Context, p *Plan, op core.Semigroup[T
 // MemberForChains returns the cell membership bitmap of the chain range
 // [chainLo, chainHi) — the closure SolvePlanMemberCtx requires.
 func (p *Plan) MemberForChains(chainLo, chainHi int) ([]bool, error) {
-	p.initChains()
-	if chainLo < 0 || chainHi > len(p.chainSizes) || chainLo > chainHi {
-		return nil, fmt.Errorf("%w: chains [%d, %d) of %d", ErrShardRange, chainLo, chainHi, len(p.chainSizes))
+	member, _, err := p.memberForChains(chainLo, chainHi)
+	return member, err
+}
+
+// memberForChains is MemberForChains plus the member cell count.
+func (p *Plan) memberForChains(chainLo, chainHi int) ([]bool, int, error) {
+	if chainLo < 0 || chainHi > p.NumChains() || chainLo > chainHi {
+		return nil, 0, fmt.Errorf("%w: chains [%d, %d) of %d", ErrShardRange, chainLo, chainHi, p.NumChains())
 	}
 	member := make([]bool, p.M)
-	for _, x := range p.Forest.Cells {
-		if c := p.chainOf[x]; int(c) >= chainLo && int(c) < chainHi {
+	count := 0
+	if b := p.blocked; b != nil {
+		for _, x := range b.cellSeq[b.chainOff[chainLo]:b.chainOff[chainHi]] {
 			member[x] = true
 		}
+		return member, int(b.chainOff[chainHi] - b.chainOff[chainLo]), nil
 	}
-	return member, nil
+	for x, c := range p.chainOf {
+		if int(c) >= chainLo && int(c) < chainHi {
+			member[x] = true
+			count++
+		}
+	}
+	return member, count, nil
 }
 
 // SolvePlanChainsCtx replays the chain range [chainLo, chainHi) of a
@@ -220,17 +207,13 @@ func (p *Plan) MemberForChains(chainLo, chainHi int) ([]bool, error) {
 // the same cells of SolvePlanCtx. It is the worker-side entry point of a
 // distributed ordinary solve.
 func SolvePlanChainsCtx[T any](ctx context.Context, p *Plan, op core.Semigroup[T], init []T, chainLo, chainHi int, opt Options) (*ShardResult[T], error) {
-	member, err := p.MemberForChains(chainLo, chainHi)
+	member, count, err := p.memberForChains(chainLo, chainHi)
 	if err != nil {
 		return nil, err
 	}
 	v, err := SolvePlanMemberCtx(ctx, p, op, init, member, opt)
 	if err != nil {
 		return nil, err
-	}
-	count := 0
-	for c := chainLo; c < chainHi; c++ {
-		count += p.chainSizes[c]
 	}
 	res := &ShardResult[T]{
 		Cells:  make([]int, 0, count),

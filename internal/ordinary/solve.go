@@ -32,7 +32,9 @@ type Result[T any] struct {
 	// to core.RunSequential.
 	Values []T
 	// Roots[x] is the cell whose initial value the trace of x begins with;
-	// Roots[x] == x for unwritten cells. Package moebius consumes this.
+	// Roots[x] == x for unwritten cells. Package moebius consumes this. Set
+	// by SolveCtx only: plan replays leave it nil, and Plan.Roots derives
+	// the same array from a compiled plan.
 	Roots []int
 	// Rounds is the number of pointer-jumping rounds executed
 	// (= ⌈log₂ L⌉ for longest chain L, plus the final no-change round).

@@ -287,7 +287,7 @@ func TestSessionDrainClosesSessions(t *testing.T) {
 // proves the session still appends correctly — it holds its own plan
 // reference, so cache eviction can never invalidate a live stream.
 func TestSessionSurvivesPlanCacheEviction(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{PlanCacheBytes: 64 << 10})
+	s, ts, _ := newTestServer(t, Config{PlanCacheBytes: 16 << 10})
 	rng := rand.New(rand.NewSource(11))
 	const m, n0, step = 128, 32, 32
 	g, f := sessionParts(rng, m, m)
@@ -310,7 +310,7 @@ func TestSessionSurvivesPlanCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Churn: 8 distinct ~21 KiB shapes through a 64 KiB cache evict the
+	// Churn: 8 distinct ~7 KiB shapes through a 16 KiB cache evict the
 	// session's entry. No cache Get of the session's key in the loop — a
 	// hit would refresh its LRU position and defeat the churn.
 	for size := 0; size < 8; size++ {

@@ -342,11 +342,11 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 	for _, c := range []ordGolden{
 		{"chain", func() (*Plan, error) { return Compile(chain, CompileOptions{}) }, chain.M,
-			"ordinary:9bddabc1fd242f648407379a5a6b7c80", "blocked-scan", 3, 600, 11173},
+			"ordinary:9bddabc1fd242f648407379a5a6b7c80", "blocked-scan", 3, 600, 1244},
 		{"tree", func() (*Plan, error) { return Compile(tree, CompileOptions{}) }, tree.M,
-			"ordinary:d072a2cb6c64228403f4d57dacbacebc", "pointer-jumping", 2, 52, 2400},
+			"ordinary:d072a2cb6c64228403f4d57dacbacebc", "pointer-jumping", 2, 52, 672},
 		{"sparse", func() (*Plan, error) { return CompileSparse(sp, CompileOptions{}) }, sp.NumCells(),
-			"sparse-ordinary:c8dd0d7972b585a4a1dcdfa8035c11ce", "pointer-jumping", 2, 6, 245},
+			"sparse-ordinary:c8dd0d7972b585a4a1dcdfa8035c11ce", "pointer-jumping", 2, 6, 108},
 	} {
 		p, err := c.plan()
 		if err != nil {
@@ -383,7 +383,7 @@ func TestGoldenFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, size := "moebius:c288818c1a16aa2b1f89e3116ce54709", int64(3771); mp.Fingerprint() != want || mp.SizeBytes() != size ||
+	if want, size := "moebius:c288818c1a16aa2b1f89e3116ce54709", int64(1644); mp.Fingerprint() != want || mp.SizeBytes() != size ||
 		mp.Schedule() != "pointer-jumping" {
 		t.Errorf("moebius: got (%q, %q, size %d), want (%q, pointer-jumping, %d)",
 			mp.Fingerprint(), mp.Schedule(), mp.SizeBytes(), want, size)

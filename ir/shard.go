@@ -287,7 +287,8 @@ func mergeSparse[T any](p *Plan, parts []*ShardSolution, init []T, pick func(*Sh
 		}
 		owned += len(s.Cells)
 	}
-	if want := len(p.ord.Forest.Cells); owned != want {
+	// g is distinct, so an ordinary plan writes exactly N cells.
+	if want := p.ord.N; owned != want {
 		return nil, fmt.Errorf("%w: gather owns %d of %d written cells", ErrShard, owned, want)
 	}
 	return out, nil
