@@ -1,11 +1,11 @@
 // Command irserved is the solve service daemon: an HTTP JSON API over the
 // hardened solver runtime with admission control (bounded queue, 429 load
-// shedding), dynamic batch coalescing for Möbius/linear requests, an LRU
-// cache of compiled solve plans keyed by loop structure, a worker pool
+// shedding), an LRU cache of compiled solve plans keyed by loop structure
+// (linear/Möbius requests replay it like every other family), a worker pool
 // sized off GOMAXPROCS, and Prometheus metrics.
 //
 //	irserved                                  # serve on :8080
-//	irserved -addr 127.0.0.1:9090 -queue 512 -batch-window 2ms
+//	irserved -addr 127.0.0.1:9090 -queue 512 -workers 2
 //	irserved -addr 127.0.0.1:9090 -coordinator-url http://coord:8070
 //	irserved -coordinator -workers-list host1:8080,host2:8080
 //	curl -s localhost:8080/healthz
@@ -69,8 +69,6 @@ func main() {
 		queue       = flag.Int("queue", 256, "admission queue depth (full queue sheds with 429)")
 		workers     = flag.Int("workers", 0, "solve workers (0 = GOMAXPROCS/2)")
 		procs       = flag.Int("procs", 0, "goroutines per solve (0 = GOMAXPROCS/workers)")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "Moebius/linear coalescing window")
-		maxBatch    = flag.Int("max-batch", 32, "close a coalesced batch at this many requests")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request solve deadline")
 		maxTimeout  = flag.Duration("max-timeout", 2*time.Minute, "cap on client-requested deadlines")
 		maxN        = flag.Int("max-n", 4<<20, "max iterations per request")
@@ -131,8 +129,6 @@ func main() {
 		QueueDepth:     *queue,
 		Workers:        *workers,
 		Procs:          *procs,
-		BatchWindow:    *batchWindow,
-		MaxBatch:       *maxBatch,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxN:           *maxN,

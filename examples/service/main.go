@@ -1,15 +1,16 @@
 // Service: run the irserved solve service in-process, hit it with a burst
-// of concurrent clients, and watch the dynamic batcher coalesce compatible
-// linear solves into shared Möbius sweeps.
+// of concurrent clients that share one loop structure, and watch every
+// request replay the one compiled plan the first request cached.
 //
 //	go run ./examples/service
 //
-// Every client posts its own chain X[i] := a·X[i-1] + 1; the server holds
-// each request for a short batching window and dispatches everything that
-// arrived together as ONE moebius.SolveBatchCtx call. The per-request cost
-// of a solve drops from "one parallel sweep each" to "a shared sweep,
-// amortized" — the service-level version of the paper's batched Livermore
-// Loop 23 experiment.
+// Every client posts the chain X[i] := a·X[i-1] + 1 over the same index
+// maps with its own ratio a. The structure-only half of the solve — the
+// Möbius shadow rewrite and the pointer-jumping schedule over 2x2 matrices
+// — depends only on those maps, so the server compiles it once, caches it
+// by fingerprint, and every later request pays only the numeric replay.
+// The program checks each answer against its closed form and exits non-zero
+// if any differs or the cache compiled more plans than there are workers.
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -29,13 +31,10 @@ import (
 
 func main() {
 	// An in-process service on a loopback port: same wiring as cmd/irserved,
-	// minus the flags. A long batching window makes the coalescing visible
-	// even on a lightly loaded machine.
-	s := server.New(server.Config{
-		BatchWindow: 10 * time.Millisecond,
-		MaxBatch:    16,
-		QueueDepth:  256,
-	})
+	// minus the flags. Two workers bound the concurrent misses: the first
+	// request on each worker may compile before any plan is cached.
+	const workers = 2
+	s := server.New(server.Config{Workers: workers, QueueDepth: 256})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -51,18 +50,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 48 concurrent clients, each solving a geometric-ish chain with its own
-	// ratio a: X[0] = 1, X[i] = a·X[i-1] + 1, closed form checkable in O(1).
-	const clients = 48
+	// 48 concurrent clients, one structure (n = 12), each with its own
+	// ratio a: X[0] = 1, X[i] = a·X[i-1] + 1, closed form checkable in O(n).
+	const clients, n = 48, 12
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	maxBatch, solved := 0, 0
+	errs := make(chan error, clients)
 	start := time.Now()
 	for k := 0; k < clients; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			n := 8 + k%5
 			a := 1 + float64(k%3)
 			req := server.LinearRequest{M: n + 1, X0: make([]float64, n+1)}
 			req.X0[0] = 1
@@ -74,43 +71,37 @@ func main() {
 			}
 			out, err := c.SolveLinear(ctx, req)
 			if err != nil {
-				log.Fatalf("client %d: %v", k, err)
+				errs <- fmt.Errorf("client %d: %v", k, err)
+				return
 			}
 			want := 1.0
-			for i := 0; i < n; i++ {
+			for i := 0; i <= n; i++ {
+				if math.Abs(out.Values[i]-want) > 1e-9*want {
+					errs <- fmt.Errorf("client %d: X[%d] = %v, want %v", k, i, out.Values[i], want)
+					return
+				}
 				want = a*want + 1
 			}
-			if math.Abs(out.Values[n]-want) > 1e-6*math.Abs(want) {
-				log.Fatalf("client %d: X[%d] = %v, want %v", k, n, out.Values[n], want)
-			}
-			mu.Lock()
-			solved++
-			if out.BatchSize > maxBatch {
-				maxBatch = out.BatchSize
-			}
-			mu.Unlock()
 		}(k)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	close(errs)
+	for err := range errs {
+		log.Fatal(err)
+	}
+	fmt.Printf("solved %d chains, all matching their closed forms, in %v\n",
+		clients, time.Since(start).Round(time.Millisecond))
 
-	batches, coalesced := s.BatchStats()
-	fmt.Printf("solved %d/%d chains in %v\n", solved, clients, elapsed.Round(time.Millisecond))
-	fmt.Printf("coalescing: %d requests ran as %d batched sweeps (largest batch: %d)\n\n",
-		coalesced, batches, maxBatch)
-
-	// The same numbers, as the scrape endpoint reports them.
+	// The plan cache, as the scrape endpoint reports it.
 	text, err := c.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("selected /metrics lines:")
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "irserved_batches_total") ||
-			strings.HasPrefix(line, "irserved_requests_total") ||
-			strings.HasPrefix(line, "irserved_batch_size_count") {
-			fmt.Println("  " + line)
-		}
+	hits := metric(text, "irserved_plan_cache_hits_total")
+	misses := metric(text, "irserved_plan_cache_misses_total")
+	fmt.Printf("plan cache: %d hits, %d misses for %d requests on one structure\n", hits, misses, clients)
+	if misses < 1 || misses > workers || hits+misses != clients {
+		log.Fatalf("plan cache: want 1..%d misses and %d lookups in all", workers, clients)
 	}
 
 	// Graceful drain: stop admitting, finish in-flight work, then exit.
@@ -121,4 +112,19 @@ func main() {
 	}
 	hs.Shutdown(shCtx)
 	fmt.Println("\ndrained and shut down cleanly")
+}
+
+// metric reads an unlabelled counter's value from a /metrics page.
+func metric(text, name string) int {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				log.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	log.Fatalf("/metrics has no %s sample", name)
+	return 0
 }

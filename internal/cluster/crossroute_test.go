@@ -75,11 +75,13 @@ func (a crossAnswer) bits() []uint64 {
 }
 
 // TestCrossRouteBitIdentity runs one table of requests — {ordinary,
-// general} × {dense, sparse} × {integer, float} operator — through
-// irserved's solve endpoint, its shard endpoint over the whole shard
-// domain, and the coordinator with one and with two workers. Every answer,
-// read back through its touched-cell list, must be bit-identical to
-// core.RunSequential on the dense expansion.
+// general} × {dense, sparse} × {integer, float} operator, plus a linear and
+// a moebius row — through irserved's solve endpoint, its shard endpoint over
+// the whole shard domain, and the coordinator with one and with two
+// workers. Every ordinary/general answer, read back through its
+// touched-cell list, must be bit-identical to core.RunSequential on the
+// dense expansion; every linear/moebius answer to ir.SolveMoebiusPlanCtx on
+// the same input.
 func TestCrossRouteBitIdentity(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
@@ -235,11 +237,105 @@ func TestCrossRouteBitIdentity(t *testing.T) {
 				check("shard", merged)
 			})
 		}
+		for _, endpoint := range []string{"linear", "moebius"} {
+			t.Run(endpoint, func(t *testing.T) {
+				crossMoebius(t, rng, endpoint, worker, front1.URL, front2.URL)
+			})
+		}
 		if co2.metrics.shards.Value() == 0 {
 			t.Fatal("the two-worker coordinator never scattered")
 		}
 	}()
 	leak()
+}
+
+// crossMoebius is TestCrossRouteBitIdentity's linear/moebius row: a random
+// chain forest with coefficients that keep every value bounded, posted to
+// the endpoint on irserved and on both coordinators, and to irserved's shard
+// endpoint over the whole domain. Each answer must match
+// ir.SolveMoebiusPlanCtx bit for bit.
+func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker, front1, front2 string) {
+	t.Helper()
+	sys := workload.RandomOrdinary(rng, 512, 400)
+	m, g, f, n := sys.M, sys.G, sys.F, sys.N
+	uniform := func(k int, lo, hi float64) []float64 {
+		out := make([]float64, k)
+		for i := range out {
+			out[i] = lo + (hi-lo)*rng.Float64()
+		}
+		return out
+	}
+	// |a|, |b| <= 1, |c| <= 0.1 and d >= 2 keep |x| <= 2 along any chain
+	// from |x0| <= 1, so no route can overflow.
+	a, b, x0 := uniform(n, -1, 1), uniform(n, -1, 1), uniform(m, -1, 1)
+	var c, d []float64
+	var body any
+	if endpoint == "linear" {
+		// The linear endpoint solves the affine form as c = 0, d = 1.
+		c, d = make([]float64, n), make([]float64, n)
+		for i := range d {
+			d[i] = 1
+		}
+		body = server.LinearRequest{M: m, G: g, F: f, A: a, B: b, X0: x0}
+	} else {
+		c, d = uniform(n, -0.1, 0.1), uniform(n, 2, 3)
+		body = server.MoebiusRequest{M: m, G: g, F: f, A: a, B: b, C: c, D: d, X0: x0}
+	}
+	p, err := ir.CompileMoebiusCtx(t.Context(), m, g, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ir.SolveMoebiusPlanCtx(t.Context(), p, a, b, c, d, x0, ir.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(route string, got []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", route, len(got), len(want))
+		}
+		for x := range want {
+			if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
+				t.Fatalf("%s: cell %d = %v differs from the plan replay's %v", route, x, got[x], want[x])
+			}
+		}
+	}
+	for _, r := range []struct{ route, url string }{
+		{"irserved", worker}, {"ircoord/1", front1}, {"ircoord/2", front2},
+	} {
+		code, data := postFront(t, r.url+server.APIPrefix+endpoint, body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", r.route, code, data)
+		}
+		var got server.MoebiusResponse
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.BatchSize != 1 {
+			t.Errorf("%s: batch_size = %d, want 1", r.route, got.BatchSize)
+		}
+		check(r.route, got.Values)
+	}
+
+	code, data := postFront(t, worker+server.ShardPrefix+"solve", server.ShardRequest{
+		Family: "moebius", System: ir.SystemWire{M: m, N: n, G: g, F: f},
+		Shard: server.ShardWire{Lo: 0, Hi: p.ShardUnits()},
+		A:     a, B: b, C: c, D: d, X0: x0,
+	})
+	if code != http.StatusOK {
+		t.Fatalf("shard: HTTP %d: %s", code, data)
+	}
+	var part server.ShardResponse
+	if err := json.Unmarshal(data, &part); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := p.MergeShards(ir.PlanData{A: a, B: b, C: c, D: d, X0: x0}, []*ir.ShardSolution{{
+		Shard: ir.Shard{Lo: part.Shard.Lo, Hi: part.Shard.Hi}, Values: part.Values,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("shard", sol.Values)
 }
 
 // TestStatusParity posts the same malformed requests to irserved and to the
@@ -269,10 +365,21 @@ func TestStatusParity(t *testing.T) {
 		general := dense
 		general.H = make([]int, len(dense.G))
 
+		// x[1] = 1/x[0] with x0[0] = 0 divides by zero one step down a chain.
+		divZero := server.MoebiusRequest{M: 3, G: []int{1, 2}, F: []int{0, 1},
+			A: []float64{0, 1}, B: []float64{1, 0}, C: []float64{1, 0}, D: []float64{0, 1},
+			X0: []float64{0, 0, 0}}
+		chain := server.LinearRequest{M: 3, G: []int{1, 2}, F: []int{0, 1},
+			A: []float64{1, 1}, B: []float64{1, 1}, X0: []float64{1, 0, 0}}
+		// JSON has no Inf: an overflowing literal is how one arrives.
+		nonFinite := json.RawMessage(`{"m":3,"g":[1,2],"f":[0,1],"a":[1,1],"b":[1,1],"x0":[1,1e999,0]}`)
+		outOfRange := chain
+		outOfRange.G = []int{1, 3}
+
 		rows := []struct {
 			name     string
 			endpoint string
-			req      server.GeneralRequest
+			req      any
 			want     int
 		}{
 			{"dense init length", "ordinary",
@@ -285,6 +392,9 @@ func TestStatusParity(t *testing.T) {
 				server.GeneralRequest{System: general, Op: "int64-add", Init: ints(sp.M)}, http.StatusBadRequest},
 			{"unknown op", "general",
 				server.GeneralRequest{System: dense, Op: "no-such-op", Init: ints(sp.M)}, http.StatusBadRequest},
+			{"division by zero along a chain", "moebius", divZero, http.StatusUnprocessableEntity},
+			{"non-finite x0", "linear", nonFinite, http.StatusBadRequest},
+			{"g out of range", "linear", outOfRange, http.StatusBadRequest},
 		}
 		for _, row := range rows {
 			for _, base := range []string{workers[0].ts.URL, front.URL} {

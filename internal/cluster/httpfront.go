@@ -332,11 +332,7 @@ func (co *Coordinator) specMoebius(endpoint string) specFunc {
 			timeoutMs: opts.TimeoutMs,
 		}
 		return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
-			return server.MoebiusResponse{
-				Values:    sol.Values,
-				BatchSize: 1,
-				ElapsedMs: float64(elapsed.Microseconds()) / 1000,
-			}
+			return server.NewMoebiusResponse(sol.Values, elapsed)
 		}, nil
 	}
 }

@@ -42,10 +42,7 @@ type solveSpec struct {
 func (co *Coordinator) planFor(ctx context.Context, spec *solveSpec) (*ir.Plan, error) {
 	switch spec.family {
 	case ir.FamilyMoebius:
-		fp := ir.PlanFingerprint(ir.FamilyMoebius, len(spec.g), spec.m, spec.g, spec.f, nil, 0)
-		return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileMoebiusCtx(ctx, spec.m, spec.g, spec.f)
-		})
+		return server.MoebiusPlan(ctx, co.plans, spec.m, spec.g, spec.f)
 	case ir.FamilyGrid2D:
 		fp, err := ir.Grid2DFingerprint(spec.grid)
 		if err != nil {

@@ -42,8 +42,8 @@
 //
 // CompilePlan precomputes everything above that depends only on (m, g, f) —
 // the shadow rewrite and the ordinary-solver schedule — so repeated solves
-// over the same index maps pay only the numeric phase; Plan.SolveCtx and
-// SolveBatchPlansCtx replay bit-identically to the direct entry points. A
+// over the same index maps pay only the numeric phase; Plan.SolveCtx
+// replays bit-identically to the direct entry points. A
 // Plan is immutable after CompilePlan returns and safe for concurrent
 // solves from any number of goroutines.
 package moebius

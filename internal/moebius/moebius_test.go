@@ -368,41 +368,3 @@ func constSlice(n int, v float64) []float64 {
 	}
 	return s
 }
-
-func TestSolveBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	var systems []*MoebiusSystem
-	var x0s [][]float64
-	var wants [][]float64
-	for k := 0; k < 12; k++ {
-		ms, x0 := randomLinear(rng, 2+rng.Intn(25))
-		systems = append(systems, ms)
-		x0s = append(x0s, x0)
-		wants = append(wants, ms.RunSequential(x0))
-	}
-	got, err := SolveBatch(systems, x0s, ordinary.Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range wants {
-		for x := range wants[k] {
-			if !approxEqual(got[k][x], wants[k][x], 1e-9) {
-				t.Fatalf("system %d cell %d: got %v, want %v", k, x, got[k][x], wants[k][x])
-			}
-		}
-	}
-}
-
-func TestSolveBatchLengthMismatch(t *testing.T) {
-	if _, err := SolveBatch(make([]*MoebiusSystem, 2), make([][]float64, 1), ordinary.Options{}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestSolveBatchPropagatesError(t *testing.T) {
-	bad := NewLinear(2, []int{0, 0}, []int{1, 1}, []float64{1, 1}, []float64{0, 0})
-	_, err := SolveBatch([]*MoebiusSystem{bad}, [][]float64{{1, 2}}, ordinary.Options{})
-	if err == nil {
-		t.Fatal("invalid system accepted")
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"indexedrec/internal/ordinary"
-	"indexedrec/internal/parallel"
 )
 
 // Compiled solve plans for the Möbius family. Everything the three-step
@@ -109,29 +108,4 @@ func (p *Plan) SolveCtx(ctx context.Context, a, b, c, d, x0 []float64, opt ordin
 // matrix fill itself).
 func (p *Plan) SolveLinearCtx(ctx context.Context, a, b, x0 []float64, opt ordinary.Options) ([]float64, error) {
 	return p.solvePooled(ctx, a, b, nil, nil, x0, true, opt)
-}
-
-// SolveBatchPlansCtx solves independent Möbius systems through their
-// compiled plans concurrently — the plan-aware SolveBatchCtx. plans[k] must
-// have been compiled from systems[k]'s index maps. The sweep stops at the
-// first failing system; cancellation stops scheduling further systems.
-func SolveBatchPlansCtx(ctx context.Context, plans []*Plan, systems []*MoebiusSystem, x0s [][]float64, opt ordinary.Options) ([][]float64, error) {
-	if len(plans) != len(systems) || len(systems) != len(x0s) {
-		return nil, fmt.Errorf("moebius: SolveBatchPlansCtx: %d plans, %d systems, %d initial arrays",
-			len(plans), len(systems), len(x0s))
-	}
-	out := make([][]float64, len(systems))
-	err := parallel.ForEachCtx(ctx, len(systems), opt.Procs, func(k int) error {
-		ms := systems[k]
-		res, err := plans[k].SolveCtx(ctx, ms.A, ms.B, ms.C, ms.D, x0s[k], opt)
-		if err != nil {
-			return fmt.Errorf("moebius: SolveBatchPlansCtx system %d: %w", k, err)
-		}
-		out[k] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

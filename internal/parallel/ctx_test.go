@@ -209,6 +209,47 @@ func TestForEachCtxStopsAtError(t *testing.T) {
 	}
 }
 
+// TestNestedForEachCtxProcsClamping nests ForCtx inside ForEachCtx (items
+// across, chunks within) with degenerate procs — negative, zero, absurdly
+// large: both levels clamp to their own work, so every index is covered
+// once and the peak goroutine count is bounded by the chunk counts, not by
+// procs².
+func TestNestedForEachCtxProcsClamping(t *testing.T) {
+	const items, perItem = 64, 256
+	base := runtime.NumGoroutine()
+	limit := int64(base + (items/minGrain+1)*(perItem/minGrain+1) + 16)
+	for _, p := range []int{-1, 0, 1, 3, 1 << 20} {
+		seen := make([]int32, items*perItem)
+		var peak atomic.Int64
+		err := ForEachCtx(context.Background(), items, p, func(k int) error {
+			return ForCtx(context.Background(), perItem, p, func(lo, hi int) error {
+				for g := int64(runtime.NumGoroutine()); ; {
+					cur := peak.Load()
+					if g <= cur || peak.CompareAndSwap(cur, g) {
+						break
+					}
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[k*perItem+i], 1)
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		for i, v := range seen {
+			if v != 1 {
+				t.Fatalf("p=%d: index %d visited %d times", p, i, v)
+			}
+		}
+		if got := peak.Load(); got > limit {
+			t.Errorf("p=%d: %d goroutines alive at peak (baseline %d)", p, got, base)
+		}
+	}
+	waitGoroutines(t, base)
+}
+
 func TestBarrierBreakReleasesWaiters(t *testing.T) {
 	base := runtime.NumGoroutine()
 	b := NewBarrier(3)

@@ -8,13 +8,12 @@ import (
 	"indexedrec/internal/parallel"
 )
 
-// Admission control and the worker pool. Every solve — single request or
-// coalesced batch — is a job. Jobs pass through one bounded multi-tenant
-// queue; when the queue is full the submitter sheds load (HTTP 429
-// upstream) instead of queueing unboundedly. A fixed pool of workers drains
-// the queue, so at most Workers solves run concurrently and solver-internal
-// parallelism (Options.Procs goroutines per solve) composes with
-// request-level parallelism into a bounded total.
+// Admission control and the worker pool. Every solve is a job. Jobs pass
+// through one bounded multi-tenant queue; when the queue is full the
+// submitter sheds load (HTTP 429 upstream) instead of queueing unboundedly.
+// A fixed pool of workers drains the queue, so at most Workers solves run
+// concurrently and solver-internal parallelism (Options.Procs goroutines
+// per solve) composes with request-level parallelism into a bounded total.
 //
 // Tenancy refines both ends of the queue. Each request carries a tenant
 // (the X-IR-Tenant header; absent means DefaultTenant) and every tenant
@@ -42,15 +41,6 @@ var errDraining = errors.New("server: draining, not accepting work")
 // accounted under.
 const DefaultTenant = "default"
 
-// internalTenant owns the server's own work (coalesced batch dispatches):
-// high weight, never evictable, no quota.
-const internalTenant = "_internal"
-
-// internalPriority outranks any configurable tenant priority so internal
-// work is never an eviction victim by priority comparison (its jobs carry
-// no shed hook either, which already exempts them).
-const internalPriority = 1 << 30
-
 // TenantConfig tunes one tenant's share of the admission queue; the zero
 // value means weight 1, priority 0, no per-tenant quota.
 type TenantConfig struct {
@@ -63,9 +53,8 @@ type TenantConfig struct {
 	// lowest-priority tenant strictly below it. Equal priorities never
 	// evict each other (default 0).
 	Priority int
-	// MaxQueued bounds this tenant's queued (not yet running) jobs,
-	// including reservations held by in-flight coalesced requests; 0 means
-	// no per-tenant bound beyond the global queue.
+	// MaxQueued bounds this tenant's queued (not yet running) jobs; 0
+	// means no per-tenant bound beyond the global queue.
 	MaxQueued int
 }
 
@@ -102,10 +91,6 @@ type tenantQueue struct {
 	cfg   TenantConfig
 	jobs  []*job
 	vtime float64 // virtual finish time of the newest enqueued job
-	// pending counts coalesced-path reservations: requests admitted into
-	// the coalescer whose batch job has not yet been enqueued. They hold
-	// quota so a tenant cannot sidestep MaxQueued through the batch path.
-	pending int
 }
 
 // evictable reports whether the tenant holds at least one shed-capable job.
@@ -160,24 +145,19 @@ func (p *pool) tenantLocked(name string) *tenantQueue {
 	}
 	tq := p.tenants[name]
 	if tq == nil {
-		cfg := p.cfgs[name]
-		if name == internalTenant {
-			cfg = TenantConfig{Weight: 16, Priority: internalPriority}
-		}
-		tq = &tenantQueue{name: name, cfg: cfg}
+		tq = &tenantQueue{name: name, cfg: p.cfgs[name]}
 		p.tenants[name] = tq
 	}
 	return tq
 }
 
 // gcLocked drops a tenant queue holding no state the scheduler needs: no
-// queued jobs, no coalescer reservations, and a vtime at or behind the pool
-// vclock — recreating such a queue tags new jobs identically (start =
-// vclock), so the drop is invisible to WFQ. Called after every dequeue,
-// release, and shed, it keeps the tenants map bounded even when clients
-// send arbitrary X-IR-Tenant names.
+// queued jobs and a vtime at or behind the pool vclock — recreating such a
+// queue tags new jobs identically (start = vclock), so the drop is
+// invisible to WFQ. Called after every dequeue and shed, it keeps the
+// tenants map bounded even when clients send arbitrary X-IR-Tenant names.
 func (p *pool) gcLocked(tq *tenantQueue) {
-	if len(tq.jobs) == 0 && tq.pending == 0 && tq.vtime <= p.vclock {
+	if len(tq.jobs) == 0 && tq.vtime <= p.vclock {
 		delete(p.tenants, tq.name)
 	}
 }
@@ -302,7 +282,7 @@ func (p *pool) submit(j *job) error {
 		return errDraining
 	}
 	tq := p.tenantLocked(j.tenant)
-	if q := tq.cfg.MaxQueued; q > 0 && len(tq.jobs)+tq.pending >= q {
+	if q := tq.cfg.MaxQueued; q > 0 && len(tq.jobs) >= q {
 		p.onShed(tq.name)
 		p.gcLocked(tq)
 		return errTenantShed
@@ -316,61 +296,6 @@ func (p *pool) submit(j *job) error {
 	}
 	p.enqueueLocked(tq, j)
 	return nil
-}
-
-// submitInternal enqueues server-originated work (coalesced batch
-// dispatches) under the internal tenant. The items inside were each
-// admitted individually — through reserve quotas and the coalescer's own
-// bounded intake — so the batch job bypasses capacity checks rather than
-// shedding or blocking. It still fails with errDraining once the pool
-// closed.
-func (p *pool) submitInternal(j *job) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return errDraining
-	}
-	j.tenant = internalTenant
-	p.enqueueLocked(p.tenantLocked(internalTenant), j)
-	return nil
-}
-
-// reserve charges one unit of the tenant's MaxQueued quota for a request
-// entering the coalesced path, before its batch job exists. Callers must
-// pair it with release.
-func (p *pool) reserve(tenant string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return errDraining
-	}
-	tq := p.tenantLocked(tenant)
-	if q := tq.cfg.MaxQueued; q > 0 && len(tq.jobs)+tq.pending >= q {
-		p.onShed(tq.name)
-		p.gcLocked(tq)
-		return errTenantShed
-	}
-	tq.pending++
-	return nil
-}
-
-// release returns a reserve'd quota unit.
-func (p *pool) release(tenant string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if tq := p.tenants[orDefault(tenant)]; tq != nil {
-		if tq.pending > 0 {
-			tq.pending--
-		}
-		p.gcLocked(tq)
-	}
-}
-
-func orDefault(tenant string) string {
-	if tenant == "" {
-		return DefaultTenant
-	}
-	return tenant
 }
 
 // runSafely executes fn, swallowing any panic that escaped the solver's own

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"time"
 
 	"indexedrec/ir"
 )
@@ -65,8 +66,7 @@ type GeneralResponse struct {
 
 // LinearRequest is the body of POST /v1/solve/linear:
 // X[g(i)] := a[i]·X[f(i)] + b[i], with Extended selecting the paper's
-// X[g] := X[g] + a·X[f] + b rewriting. Linear requests are eligible for
-// server-side batch coalescing.
+// X[g] := X[g] + a·X[f] + b rewriting.
 type LinearRequest struct {
 	M        int            `json:"m"`
 	G        []int          `json:"g"`
@@ -79,8 +79,7 @@ type LinearRequest struct {
 }
 
 // MoebiusRequest is the body of POST /v1/solve/moebius — the full
-// fractional-linear form X[g] := (a·X[f]+b)/(c·X[f]+d). Eligible for
-// batch coalescing.
+// fractional-linear form X[g] := (a·X[f]+b)/(c·X[f]+d).
 type MoebiusRequest struct {
 	M    int            `json:"m"`
 	G    []int          `json:"g"`
@@ -94,12 +93,17 @@ type MoebiusRequest struct {
 }
 
 // MoebiusResponse is shared by the linear and moebius endpoints. BatchSize
-// reports how many requests the server coalesced into the dispatch that
-// solved this one (1 = solved alone).
+// is always 1, kept for wire compatibility: every request is solved alone.
 type MoebiusResponse struct {
 	Values    []float64 `json:"values"`
 	BatchSize int       `json:"batch_size"`
 	ElapsedMs float64   `json:"elapsed_ms"`
+}
+
+// NewMoebiusResponse shapes solved values as the linear/moebius response;
+// irserved and the coordinator both answer through it.
+func NewMoebiusResponse(values []float64, elapsed time.Duration) MoebiusResponse {
+	return MoebiusResponse{Values: values, BatchSize: 1, ElapsedMs: float64(elapsed.Microseconds()) / 1000}
 }
 
 // Grid2DRequest is the body of POST /v1/solve/grid2d — a 2-D recurrence

@@ -129,8 +129,8 @@ func (c *Client) SolveGeneral(ctx context.Context, req server.GeneralRequest) (*
 	return &out, nil
 }
 
-// SolveLinear solves an affine recurrence; close-together calls coalesce
-// into one server-side batch (see MoebiusResponse.BatchSize).
+// SolveLinear solves an affine recurrence. The response's BatchSize is
+// always 1, kept for wire compatibility.
 func (c *Client) SolveLinear(ctx context.Context, req server.LinearRequest) (*server.MoebiusResponse, error) {
 	var out server.MoebiusResponse
 	if err := c.do(ctx, server.APIPrefix+"linear", req, &out); err != nil {
@@ -139,8 +139,8 @@ func (c *Client) SolveLinear(ctx context.Context, req server.LinearRequest) (*se
 	return &out, nil
 }
 
-// SolveMoebius solves a fractional-linear recurrence (batch-coalesced like
-// SolveLinear).
+// SolveMoebius solves a fractional-linear recurrence; its response has the
+// shape SolveLinear's does.
 func (c *Client) SolveMoebius(ctx context.Context, req server.MoebiusRequest) (*server.MoebiusResponse, error) {
 	var out server.MoebiusResponse
 	if err := c.do(ctx, server.APIPrefix+"moebius", req, &out); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -29,14 +30,12 @@ func startService(t *testing.T, cfg server.Config) (*server.Server, *Client) {
 }
 
 // TestClientEndToEnd drives every typed client method against an in-process
-// service: ≥32 concurrent linear solves that must coalesce, plus one call
-// per remaining endpoint.
+// service: ≥32 concurrent linear solves on one structure that must all
+// answer correctly and replay one cached plan, plus one call per remaining
+// endpoint.
 func TestClientEndToEnd(t *testing.T) {
-	s, c := startService(t, server.Config{
-		BatchWindow: 25 * time.Millisecond,
-		MaxBatch:    16,
-		QueueDepth:  128,
-	})
+	const workers = 2
+	_, c := startService(t, server.Config{Workers: workers, QueueDepth: 128})
 	ctx := context.Background()
 
 	if err := c.Healthz(ctx); err != nil {
@@ -46,17 +45,15 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Fatalf("Readyz = %v, %v", ready, err)
 	}
 
-	// 40 concurrent linear chains X[i] := 2*X[i-1] over x0[0] = 1.
-	const reqs = 40
+	// 40 concurrent linear chains X[i] := 2*X[i-1] over x0[0] = 1, all on
+	// one structure.
+	const reqs, n = 40, 8
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	maxBatch := 0
 	errCh := make(chan error, reqs)
 	for k := 0; k < reqs; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			n := 6 + k%4
 			req := server.LinearRequest{M: n + 1, X0: make([]float64, n+1)}
 			req.X0[0] = 1
 			for i := 0; i < n; i++ {
@@ -78,11 +75,9 @@ func TestClientEndToEnd(t *testing.T) {
 				}
 				want *= 2
 			}
-			mu.Lock()
-			if out.BatchSize > maxBatch {
-				maxBatch = out.BatchSize
+			if out.BatchSize != 1 {
+				errCh <- fmt.Errorf("request %d: batch_size = %d, want 1", k, out.BatchSize)
 			}
-			mu.Unlock()
 		}(k)
 	}
 	wg.Wait()
@@ -90,11 +85,23 @@ func TestClientEndToEnd(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	if maxBatch < 2 {
-		t.Errorf("max reported batch size = %d, want >= 2 (coalescing)", maxBatch)
+	// Concurrent misses compile at most once per worker; every other
+	// request replays the cached plan.
+	page, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
 	}
-	batches, coalesced := s.BatchStats()
-	t.Logf("%d requests coalesced into %d batches, max batch %d", coalesced, batches, maxBatch)
+	hits := -1
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, "irserved_plan_cache_hits_total "); ok {
+			if hits, err = strconv.Atoi(v); err != nil {
+				t.Fatalf("plan-cache hits sample %q: %v", line, err)
+			}
+		}
+	}
+	if hits < reqs-workers {
+		t.Errorf("plan-cache hits = %d, want >= %d (requests - workers)", hits, reqs-workers)
+	}
 
 	// Ordinary via wire system types.
 	sys := ir.FromFuncs(8, 9, func(i int) int { return i + 1 }, func(i int) int { return i }, nil)

@@ -1,8 +1,8 @@
 // Package server is the solve service over the hardened solver runtime: an
 // HTTP JSON API (stdlib only) exposing the ordinary, general, linear/Möbius
 // and loop-source solvers behind admission control (bounded queue, load
-// shedding), a dynamic batch coalescer for Möbius-family requests, a
-// compiled-plan LRU cache, a worker pool sized off GOMAXPROCS, and built-in
+// shedding), a compiled-plan LRU cache, a worker pool sized off GOMAXPROCS,
+// and built-in
 // observability (/healthz, /readyz, Prometheus /metrics). cmd/irserved is a
 // thin daemon over this package; the client subpackage is the matching Go
 // client.
@@ -15,25 +15,25 @@
 // decoder (DecodeSolve, also used by the shard endpoint and the coordinator)
 // and one solve path: plan by fingerprint, replay, shape the response.
 // Workers execute solves under the request's context, so deadlines and
-// client disconnects abandon work promptly. Möbius-family requests pass
-// through the coalescer, which holds the first request of a batch up to
-// BatchWindow waiting for companions and dispatches the whole batch as one
-// sweep. Solves resolve their structure through the plan cache (see
+// client disconnects abandon work promptly. Linear and Möbius requests
+// (DecodeMoebius) take the same path: their structure keys one *ir.Plan
+// (MoebiusPlan) that sessions, the shard endpoint and the coordinator
+// share. Solves resolve their structure through the plan cache (see
 // plancache.go): requests sharing an index-map fingerprint reuse one
 // compiled plan and pay only the data phase; DESIGN.md §9 has the diagram.
 //
 // # Invariants
 //
 // Responses are bit-identical whether a solve compiled its plan or replayed
-// a cached one, was batched, or fell back to a per-item solve — caching and
-// coalescing are performance layers, never semantic ones. Every admitted
+// a cached one — caching is a performance layer, never a semantic one.
+// Every admitted
 // request gets exactly one response; Shutdown drains in-flight work before
 // the pool exits.
 //
 // # Concurrency
 //
 // Server is safe for concurrent use by any number of HTTP clients. Internal
-// state is guarded per-structure (the pool's queue, the coalescer's
-// channel, the plan cache's mutex, atomic metrics); handlers share no
+// state is guarded per-structure (the pool's queue, the plan cache's
+// mutex, atomic metrics); handlers share no
 // mutable per-request state.
 package server

@@ -359,7 +359,7 @@ func (h *Histogram) Sum() float64 {
 
 // MaxObservedBound returns the smallest upper bound covering every
 // observation so far (+Inf if any observation exceeded the last bound, 0 if
-// none). Tests use it to assert batch-size distributions.
+// none). Tests use it to assert histogram distributions.
 func (h *Histogram) MaxObservedBound() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -19,8 +19,8 @@ import (
 // entries, and is observable as irserved_plan_cache_{hits,misses,
 // evictions}_total and irserved_plan_cache_bytes.
 
-// CachedPlan is what the cache stores: a compiled plan of any family that
-// can report its resident size (*ir.Plan, *moebius.Plan).
+// CachedPlan is what the cache stores: a compiled plan that can report its
+// resident size. The daemons cache *ir.Plan for every family.
 type CachedPlan interface {
 	SizeBytes() int64
 }
@@ -154,6 +154,17 @@ func PlanFor[P CachedPlan](c *PlanCache, ctx context.Context, key string, compil
 		c.Put(key, p)
 	}
 	return p, nil
+}
+
+// MoebiusPlan resolves the Möbius-family plan for structure (m, g, f)
+// through the cache. It is the one place that keys and compiles a Möbius
+// plan, so the linear/moebius endpoints, linear sessions, the shard
+// endpoint and the coordinator all share one *ir.Plan per structure.
+func MoebiusPlan(ctx context.Context, c *PlanCache, m int, g, f []int) (*ir.Plan, error) {
+	fp := ir.PlanFingerprint(ir.FamilyMoebius, len(g), m, g, f, nil, 0)
+	return PlanFor(c, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
+		return ir.CompileMoebiusCtx(ctx, m, g, f)
+	})
 }
 
 // solveGrid2D runs one grid2d-family solve through the plan cache: grid

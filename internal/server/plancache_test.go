@@ -209,3 +209,53 @@ func systemWireScatter(n int) (w ir.SystemWire) {
 	}
 	return w
 }
+
+// TestMoebiusPlanSharedAcrossRoutes sends one structure through every route
+// that compiles a Möbius-family plan — the linear and moebius endpoints, a
+// linear session open and a Möbius shard solve — and asserts each finds the
+// same cached *ir.Plan under the structure's fingerprint: one compile, then
+// replays, whichever route came first.
+func TestMoebiusPlanSharedAcrossRoutes(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	lin := chainLinear(3)
+	fp := ir.PlanFingerprint(ir.FamilyMoebius, len(lin.G), lin.M, lin.G, lin.F, nil, 0)
+	ones := []float64{1, 1, 1}
+	zeros := []float64{0, 0, 0}
+
+	var first *ir.Plan
+	expectShared := func(route string) {
+		t.Helper()
+		got, ok := s.plans.Get(fp)
+		if !ok {
+			t.Fatalf("after %s: no plan cached under the Möbius fingerprint", route)
+		}
+		p, ok := got.(*ir.Plan)
+		if !ok {
+			t.Fatalf("after %s: cached plan is %T, want *ir.Plan", route, got)
+		}
+		if first == nil {
+			first = p
+		} else if p != first {
+			t.Fatalf("after %s: cached plan %p replaced the first route's %p", route, p, first)
+		}
+	}
+	send := func(route, path string, body any) {
+		t.Helper()
+		resp, data := post(t, ts.URL+path, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", route, resp.StatusCode, data)
+		}
+		expectShared(route)
+	}
+
+	send("linear", APIPrefix+"linear", lin)
+	send("moebius", APIPrefix+"moebius", MoebiusRequest{M: lin.M, G: lin.G, F: lin.F,
+		A: lin.A, B: lin.B, C: zeros, D: ones, X0: lin.X0})
+	send("session", SessionPrefix, SessionOpenRequest{Family: "linear", M: lin.M, G: lin.G, F: lin.F,
+		A: lin.A, B: lin.B, X0: lin.X0})
+	send("shard", ShardPrefix+"solve", ShardRequest{Family: "moebius",
+		System: ir.SystemWire{M: lin.M, N: len(lin.G), G: lin.G, F: lin.F},
+		Shard:  ShardWire{Lo: 0, Hi: first.ShardUnits()},
+		A:      lin.A, B: lin.B, X0: lin.X0})
+	send("linear again", APIPrefix+"linear", lin)
+}

@@ -32,12 +32,6 @@ type Config struct {
 	// (default max(1, GOMAXPROCS/Workers)); client-requested procs are
 	// clamped to it.
 	Procs int
-	// BatchWindow is how long the coalescer holds the first Möbius/linear
-	// request of a batch waiting for companions (default 2ms).
-	BatchWindow time.Duration
-	// MaxBatch closes a batch early once this many requests coalesced
-	// (default 32).
-	MaxBatch int
 	// DefaultTimeout bounds solves whose request didn't set timeout_ms
 	// (default 30s); MaxTimeout clamps client-requested deadlines
 	// (default 2m).
@@ -89,12 +83,6 @@ func (c *Config) setDefaults() {
 			c.Procs = 1
 		}
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
@@ -120,22 +108,19 @@ func (c *Config) setDefaults() {
 
 // serverMetrics is the service's metrics contract; see DESIGN.md §8.
 type serverMetrics struct {
-	requests       *CounterVec   // irserved_requests_total{endpoint,code}
-	shed           *CounterVec   // irserved_shed_total{endpoint}
-	tenantShed     *CounterVec   // irserved_tenant_shed_total{tenant}
-	queueDepth     *Gauge        // irserved_queue_depth
-	queueCapacity  *Gauge        // irserved_queue_capacity
-	inflight       *Gauge        // irserved_inflight_requests
-	ready          *Gauge        // irserved_ready
-	batches        *Counter      // irserved_batches_total
-	batchSize      *Histogram    // irserved_batch_size
-	batchFallbacks *Counter      // irserved_batch_fallbacks_total
-	latency        *HistogramVec // irserved_solve_seconds{endpoint}
-	sparseSolves   *CounterVec   // irserved_sparse_solves_total{mode}
-	planHits       *Counter      // irserved_plan_cache_hits_total
-	planMisses     *Counter      // irserved_plan_cache_misses_total
-	planEvictions  *Counter      // irserved_plan_cache_evictions_total
-	planBytes      *Gauge        // irserved_plan_cache_bytes
+	requests      *CounterVec   // irserved_requests_total{endpoint,code}
+	shed          *CounterVec   // irserved_shed_total{endpoint}
+	tenantShed    *CounterVec   // irserved_tenant_shed_total{tenant}
+	queueDepth    *Gauge        // irserved_queue_depth
+	queueCapacity *Gauge        // irserved_queue_capacity
+	inflight      *Gauge        // irserved_inflight_requests
+	ready         *Gauge        // irserved_ready
+	latency       *HistogramVec // irserved_solve_seconds{endpoint}
+	sparseSolves  *CounterVec   // irserved_sparse_solves_total{mode}
+	planHits      *Counter      // irserved_plan_cache_hits_total
+	planMisses    *Counter      // irserved_plan_cache_misses_total
+	planEvictions *Counter      // irserved_plan_cache_evictions_total
+	planBytes     *Gauge        // irserved_plan_cache_bytes
 
 	sessions             *GaugeVec  // irserved_sessions{state}
 	sessionAppends       *Counter   // irserved_session_appends_total
@@ -160,13 +145,6 @@ func newServerMetrics(reg *Registry, depthFn func() float64, capacity int) *serv
 			"Solve requests currently admitted and not yet answered."),
 		ready: reg.NewGauge("irserved_ready",
 			"1 while serving, 0 once draining began."),
-		batches: reg.NewCounter("irserved_batches_total",
-			"Coalesced Moebius/linear batches dispatched."),
-		batchSize: reg.NewHistogram("irserved_batch_size",
-			"Requests coalesced per dispatched batch.",
-			[]float64{1, 2, 4, 8, 16, 32, 64}),
-		batchFallbacks: reg.NewCounter("irserved_batch_fallbacks_total",
-			"Batches that fell back to per-item solves after a sweep error."),
 		latency: reg.NewHistogramVec("irserved_solve_seconds",
 			"End-to-end solve latency (admission queueing included).",
 			[]float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10},
@@ -216,7 +194,6 @@ type Server struct {
 	reg     *Registry
 	metrics *serverMetrics
 	pool    *pool
-	co      *coalescer
 	// plans caches compiled solve plans by fingerprint; nil when
 	// Config.PlanCacheBytes is negative (caching disabled).
 	plans *PlanCache
@@ -227,27 +204,23 @@ type Server struct {
 	sessionOpen   atomic.Int64
 	sessionClosed atomic.Int64
 	mux           *http.ServeMux
-	lifetime      context.Context
-	cancel        context.CancelFunc
 	draining      atomic.Bool
 	inflight      sync.WaitGroup
 	shutOnce      sync.Once
 
 	// testHook, when non-nil, runs on the worker goroutine before each
-	// non-batch solve and before each batch sweep — tests use it to hold
-	// workers busy deterministically.
+	// solve — tests use it to hold workers busy deterministically.
 	testHook func()
 }
 
-// New builds a Server and starts its worker pool and coalescer.
+// New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{cfg: cfg, reg: NewRegistry()}
-	s.lifetime, s.cancel = context.WithCancel(context.Background())
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.Procs, cfg.Tenants,
 		func(tenant string) { s.metrics.tenantShed.Inc(s.shedLabel(tenant)) })
 	s.metrics = newServerMetrics(s.reg,
-		func() float64 { return float64(s.pool.depth() + len(s.co.in)) },
+		func() float64 { return float64(s.pool.depth()) },
 		cfg.QueueDepth)
 	if cfg.PlanCacheBytes > 0 {
 		s.plans = NewPlanCache(cfg.PlanCacheBytes, s.metrics.planCacheMetrics())
@@ -268,19 +241,6 @@ func New(cfg Config) *Server {
 			Bytes: func(total int64) { s.metrics.sessionBytes.Set(total) },
 		},
 	})
-	s.co = newCoalescer(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, func(items []*batchItem) {
-		j := &job{ctx: s.lifetime, run: func(jctx context.Context) {
-			if s.testHook != nil {
-				s.testHook()
-			}
-			s.runBatch(jctx, items)
-		}}
-		if err := s.pool.submitInternal(j); err != nil {
-			for _, it := range items {
-				it.res <- batchResult{err: err}
-			}
-		}
-	})
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -297,10 +257,10 @@ func (s *Server) routes() {
 		s.handleSolve(w, r, "general", s.execSolve(ir.FamilyGeneral))
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCoalesced(w, r, "linear")
+		s.handleSolve(w, r, "linear", s.execMoebius("linear"))
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCoalesced(w, r, "moebius")
+		s.handleSolve(w, r, "moebius", s.execMoebius("moebius"))
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "grid2d", s.execGrid2D)
@@ -320,12 +280,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry exposes the metrics registry (the example prints from it).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// BatchStats reports (batches dispatched, requests coalesced into them) —
-// convenience over the underlying metrics.
-func (s *Server) BatchStats() (batches, coalesced int64) {
-	return s.metrics.batches.Value(), int64(s.metrics.batchSize.Sum())
-}
 
 // ListenAndServe serves on cfg.Addr until ctx is cancelled, then drains
 // gracefully: readyz flips to 503, in-flight solves finish under their own
@@ -351,9 +305,10 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 }
 
 // Shutdown drains the service: new solve requests are refused with 503,
-// queued and running solves finish (bounded by ctx), the coalescer flushes,
-// and the worker pool exits. Safe to call once; later calls return nil
-// immediately.
+// queued and running solves finish under their own deadlines, and the
+// worker pool exits. If ctx ends first, Shutdown still waits for them and
+// then reports the interrupted drain. Safe to call once; later calls
+// return nil immediately.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutOnce.Do(func() {
@@ -368,8 +323,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		case <-done:
 		case <-ctx.Done():
 			err = fmt.Errorf("server: drain interrupted: %w", ctx.Err())
-			// Cancel stragglers so pool.close below still terminates.
-			s.cancel()
 			<-done
 		}
 		// Drain the streaming sessions after in-flight appends finished: every
@@ -377,9 +330,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// stops.
 		s.sessions.CloseAll()
 		s.sessions.Close()
-		s.co.close()
 		s.pool.close()
-		s.cancel()
 	})
 	return err
 }
@@ -414,8 +365,8 @@ type runFunc func(ctx context.Context) (any, error)
 // surface before admission as 4xx.
 type execFunc func(body []byte) (run runFunc, timeoutMs int, err error)
 
-// handleSolve is the common path for directly-executed endpoints
-// (ordinary, general, loop): decode+validate, admit, run on the pool, wait.
+// handleSolve is the one path for every solve endpoint: decode+validate,
+// admit, run on the pool, wait.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint string, exec execFunc) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -484,69 +435,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 	}
 }
 
-// handleCoalesced is the path for linear/moebius requests: full validation
-// up front, then admission into the coalescer rather than the plain queue.
-func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoint string) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	s.metrics.inflight.Inc()
-	defer s.metrics.inflight.Dec()
-	start := time.Now()
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.writeError(w, endpoint, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	body, werr := s.readBody(w, r)
-	if werr != nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, werr.Error())
-		return
-	}
-	ms, x0, opts, err := DecodeMoebius(endpoint, body, s.cfg.MaxN)
-	if err != nil {
-		s.writeError(w, endpoint, StatusForValidation(err), err.Error())
-		return
-	}
-	ctx, cancel := s.requestContext(r, opts.TimeoutMs)
-	defer cancel()
-	// Charge the tenant's quota while the request sits in the coalescer:
-	// batch jobs run under the internal tenant, so without the reservation
-	// the coalesced path would sidestep MaxQueued entirely.
-	tenant := tenantOf(r)
-	if err := s.pool.reserve(tenant); err != nil {
-		s.refuse(w, endpoint, err)
-		return
-	}
-	defer s.pool.release(tenant)
-	it := &batchItem{ms: ms, x0: x0, ctx: ctx, res: make(chan batchResult, 1)}
-	if s.plans != nil {
-		it.fp = ir.PlanFingerprint(ir.FamilyMoebius, len(ms.G), ms.M, ms.G, ms.F, nil, 0)
-	}
-	select {
-	case s.co.in <- it:
-	default:
-		s.metrics.tenantShed.Inc(s.shedLabel(tenant))
-		s.refuse(w, endpoint, errShed)
-		return
-	}
-	select {
-	case br := <-it.res:
-		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
-		if br.err != nil {
-			s.writeError(w, endpoint, StatusForSolve(br.err), br.err.Error())
-			return
-		}
-		s.writeJSON(w, endpoint, http.StatusOK, MoebiusResponse{
-			Values:    br.values,
-			BatchSize: br.size,
-			ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		})
-	case <-ctx.Done():
-		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
-		s.writeError(w, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
-	}
-}
-
 // ------------------------------------------------------------ direct execs
 
 // execSolve is the one exec for the ordinary and general endpoints: decode
@@ -575,6 +463,36 @@ func (s *Server) execSolve(family ir.Family) execFunc {
 			}
 			return req.Response(sol, time.Since(start)), nil
 		}, req.TimeoutMs, nil
+	}
+}
+
+// execMoebius is the exec for the linear and moebius endpoints: decode with
+// DecodeMoebius, clamp procs, then replay the structure's Möbius plan from
+// the cache (compiling on a miss) — the steps the coordinator's specMoebius
+// takes, so both daemons answer bit-identically.
+func (s *Server) execMoebius(endpoint string) execFunc {
+	return func(body []byte) (runFunc, int, error) {
+		ms, x0, wopts, err := DecodeMoebius(endpoint, body, s.cfg.MaxN)
+		if err != nil {
+			return nil, 0, err
+		}
+		opt, err := wopts.Options()
+		if err != nil {
+			return nil, 0, err
+		}
+		opt.Procs = s.clampProcs(opt.Procs)
+		return func(ctx context.Context) (any, error) {
+			start := time.Now()
+			p, err := MoebiusPlan(ctx, s.plans, ms.M, ms.G, ms.F)
+			if err != nil {
+				return nil, err
+			}
+			values, err := ir.SolveMoebiusPlanCtx(ctx, p, ms.A, ms.B, ms.C, ms.D, x0, opt)
+			if err != nil {
+				return nil, err
+			}
+			return NewMoebiusResponse(values, time.Since(start)), nil
+		}, wopts.TimeoutMs, nil
 	}
 }
 
@@ -703,11 +621,11 @@ func (s *Server) refuse(w http.ResponseWriter, endpoint string, err error) {
 }
 
 // shedLabel bounds the irserved_tenant_shed_total label set: configured
-// tenants (plus the default and internal ones) keep their own label, while
+// tenants (plus the default one) keep their own label, while
 // arbitrary unconfigured X-IR-Tenant values fold into "other" so a client
 // inventing tenant names cannot grow the metric series without bound.
 func (s *Server) shedLabel(tenant string) string {
-	if tenant == DefaultTenant || tenant == internalTenant {
+	if tenant == DefaultTenant {
 		return tenant
 	}
 	if _, ok := s.cfg.Tenants[tenant]; ok {

@@ -90,65 +90,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func())
 	return s, ts, down
 }
 
-// TestCoalescing fires 32 concurrent linear requests and asserts the
-// coalescer demonstrably batched them (batch-size metric > 1) while every
-// request still got its own correct answer.
-func TestCoalescing(t *testing.T) {
-	leak := checkGoroutines(t)
-	func() {
-		s, ts, down := newTestServer(t, Config{
-			BatchWindow: 25 * time.Millisecond,
-			MaxBatch:    8,
-			QueueDepth:  64,
-		})
-		defer down()
-		const reqs = 32
-		var wg sync.WaitGroup
-		errs := make(chan error, reqs)
-		for k := 0; k < reqs; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				n := 8 + k%5 // varied shapes coalesce fine — systems are independent
-				resp, data := post(t, ts.URL+APIPrefix+"linear", chainLinear(n))
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("request %d: HTTP %d: %s", k, resp.StatusCode, data)
-					return
-				}
-				var out MoebiusResponse
-				if err := json.Unmarshal(data, &out); err != nil {
-					errs <- fmt.Errorf("request %d: %v", k, err)
-					return
-				}
-				for i := 0; i <= n; i++ {
-					if out.Values[i] != float64(i+1) {
-						errs <- fmt.Errorf("request %d: X[%d] = %v, want %d", k, i, out.Values[i], i+1)
-						return
-					}
-				}
-			}(k)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-		batches, coalesced := s.BatchStats()
-		if coalesced != reqs {
-			t.Errorf("coalesced = %d, want %d", coalesced, reqs)
-		}
-		if batches >= reqs {
-			t.Errorf("batches = %d for %d requests — nothing coalesced", batches, reqs)
-		}
-		if got := s.metrics.batchSize.MaxObservedBound(); got < 2 {
-			t.Errorf("max batch-size bucket = %v, want >= 2 (a batch with >1 request)", got)
-		}
-		t.Logf("%d requests coalesced into %d batches (max bucket %v)",
-			coalesced, batches, s.metrics.batchSize.MaxObservedBound())
-	}()
-	leak()
-}
-
 // TestOverloadSheds saturates a tiny queue and asserts shed requests get
 // 429 + Retry-After while every accepted request still succeeds.
 func TestOverloadSheds(t *testing.T) {
@@ -357,50 +298,48 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestDivisionByZero: a finite Möbius system whose chain divides by zero is
-// a data-dependent failure — 422, and (because it's batched) its batch
-// neighbors must still succeed via the per-item fallback.
+// a data-dependent failure — 422 — and a concurrent good request still
+// gets 200 with the right values.
 func TestDivisionByZero(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{BatchWindow: 25 * time.Millisecond, MaxBatch: 8})
+	_, ts, _ := newTestServer(t, Config{})
 	// x[1] = (0*x[0] + 1) / (1*x[0] + 0) = 1/x[0] with x0[0] = 0 → 1/0.
 	bad := MoebiusRequest{M: 2, G: []int{1}, F: []int{0},
 		A: []float64{0}, B: []float64{1}, C: []float64{1}, D: []float64{0},
 		X0: []float64{0, 0}}
 	var wg sync.WaitGroup
-	codes := make(chan int, 2)
+	var badCode, goodCode int
+	var goodValues []float64
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		resp, _ := post(t, ts.URL+APIPrefix+"moebius", bad)
-		codes <- resp.StatusCode
+		badCode = resp.StatusCode
 	}()
-	var goodValues []float64
 	go func() {
 		defer wg.Done()
 		resp, data := post(t, ts.URL+APIPrefix+"linear", chainLinear(4))
-		codes <- -resp.StatusCode // negative marks the good request
+		goodCode = resp.StatusCode
 		var out MoebiusResponse
-		_ = json.Unmarshal(data, &out)
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Errorf("good request: %v (%s)", err, data)
+		}
 		goodValues = out.Values
 	}()
 	wg.Wait()
-	close(codes)
-	for c := range codes {
-		switch {
-		case c == http.StatusUnprocessableEntity:
-		case c == -http.StatusOK:
-		case c < 0:
-			t.Errorf("good request got HTTP %d, want 200", -c)
-		default:
-			t.Errorf("bad request got HTTP %d, want 422", c)
+	if badCode != http.StatusUnprocessableEntity {
+		t.Errorf("bad request got HTTP %d, want 422", badCode)
+	}
+	if goodCode != http.StatusOK {
+		t.Fatalf("good request got HTTP %d, want 200", goodCode)
+	}
+	if len(goodValues) != 5 {
+		t.Fatalf("good request values = %v, want 5 cells", goodValues)
+	}
+	for i, v := range goodValues {
+		if v != float64(i+1) {
+			t.Fatalf("good request values = %v, want [1 2 3 4 5]", goodValues)
 		}
 	}
-	if len(goodValues) == 5 && goodValues[4] != 5 {
-		t.Errorf("good request values = %v", goodValues)
-	}
-	// The two coalesce only when they land in one window; either way the
-	// bad one must not have poisoned the good one (asserted above). If
-	// they did coalesce, the fallback counter recorded it.
-	t.Logf("batch fallbacks: %d", s.metrics.batchFallbacks.Value())
 }
 
 // TestDeadline asserts a request-level deadline surfaces as 504.
@@ -447,8 +386,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	checkExposition(t, text)
 	for _, fam := range []string{
 		"irserved_requests_total", "irserved_queue_depth", "irserved_queue_capacity",
-		"irserved_shed_total", "irserved_batch_size", "irserved_solve_seconds",
-		"irserved_batches_total", "irserved_ready", "irserved_inflight_requests",
+		"irserved_shed_total", "irserved_solve_seconds",
+		"irserved_ready", "irserved_inflight_requests",
 	} {
 		if !strings.Contains(text, "# TYPE "+fam+" ") {
 			t.Errorf("metrics missing family %s", fam)
@@ -540,8 +479,8 @@ func TestEndpointsEndToEnd(t *testing.T) {
 				t.Fatalf("x[%d] = %v, want %v", i, out.Values[i], want)
 			}
 		}
-		if out.BatchSize < 1 {
-			t.Errorf("BatchSize = %d, want >= 1", out.BatchSize)
+		if out.BatchSize != 1 {
+			t.Errorf("BatchSize = %d, want 1", out.BatchSize)
 		}
 	})
 

@@ -146,13 +146,10 @@ func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 		// configured; the session keeps its own reference, so later cache
 		// eviction cannot invalidate it.
 		if s.plans != nil {
-			var fp string
-			var compile func(context.Context) (*ir.Plan, error)
+			var p *ir.Plan
+			var err error
 			if spec.Family == ir.FamilyMoebius {
-				fp = ir.PlanFingerprint(ir.FamilyMoebius, len(spec.G), spec.M, spec.G, spec.F, nil, 0)
-				compile = func(cctx context.Context) (*ir.Plan, error) {
-					return ir.CompileMoebiusCtx(cctx, spec.M, spec.G, spec.F)
-				}
+				p, err = MoebiusPlan(ctx, s.plans, spec.M, spec.G, spec.F)
 			} else {
 				fam := spec.Family
 				if fam == ir.FamilyAuto {
@@ -165,6 +162,7 @@ func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 				// Key exactly as the session's own fingerprint (and the
 				// one-shot solve paths) do: ordinary drops H and the
 				// exponent bits from the key.
+				var fp string
 				if fam == ir.FamilyOrdinary {
 					fp = ir.PlanFingerprint(fam, spec.System.N, spec.System.M,
 						spec.System.G, spec.System.F, nil, 0)
@@ -172,13 +170,13 @@ func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 					fp = ir.PlanFingerprint(fam, spec.System.N, spec.System.M,
 						spec.System.G, spec.System.F, spec.System.H, spec.MaxExponentBits)
 				}
-				compile = func(cctx context.Context) (*ir.Plan, error) {
+				p, err = PlanFor(s.plans, ctx, fp, func(cctx context.Context) (*ir.Plan, error) {
 					return ir.CompileCtx(cctx, spec.System, ir.CompileOptions{
 						Family: fam, Procs: spec.Opts.Procs, MaxExponentBits: spec.MaxExponentBits,
 					})
-				}
+				})
 			}
-			if p, err := PlanFor(s.plans, ctx, fp, compile); err == nil {
+			if err == nil {
 				spec.Plan = p
 			}
 		}

@@ -120,12 +120,9 @@ func (s *Server) execShardMoebius(req *ShardRequest, sh ir.Shard) (runFunc, erro
 	}
 	opt.Procs = s.clampProcs(opt.Procs)
 	data := ir.PlanData{A: req.A, B: req.B, C: req.C, D: req.D, X0: req.X0, Opts: opt}
-	fp := ir.PlanFingerprint(ir.FamilyMoebius, len(g), m, g, f, nil, 0)
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
-		p, err := PlanFor(s.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileMoebiusCtx(ctx, m, g, f)
-		})
+		p, err := MoebiusPlan(ctx, s.plans, m, g, f)
 		if err != nil {
 			return nil, err
 		}

@@ -68,8 +68,24 @@ func waitDepth(t *testing.T, s *Server, n int) {
 // TestTenantQuotaSheds bounds one tenant to a single queued job: with the
 // lone worker held busy and one job queued, the tenant's next request is
 // shed with 429 — while the global queue still has room — and the shed is
-// attributed to the tenant in irserved_tenant_shed_total.
+// attributed to the tenant in irserved_tenant_shed_total. Every solve
+// endpoint is admitted by the same submit, so linear requests meet the
+// quota exactly as ordinary ones do.
 func TestTenantQuotaSheds(t *testing.T) {
+	for _, ep := range []struct {
+		endpoint string
+		body     any
+	}{
+		{"ordinary", ordinaryChainReq()},
+		{"linear", chainLinear(8)},
+	} {
+		t.Run(ep.endpoint, func(t *testing.T) {
+			testTenantQuotaSheds(t, ep.endpoint, ep.body)
+		})
+	}
+}
+
+func testTenantQuotaSheds(t *testing.T, endpoint string, req any) {
 	leak := checkGoroutines(t)
 	func() {
 		s, ts, down := newTestServer(t, Config{
@@ -89,7 +105,7 @@ func TestTenantQuotaSheds(t *testing.T) {
 
 		// Request 1 occupies the worker; request 2 fills the tenant's quota
 		// of one queued job.
-		url := ts.URL + APIPrefix + "ordinary"
+		url := ts.URL + APIPrefix + endpoint
 		type reply struct {
 			code int
 			body []byte
@@ -97,7 +113,7 @@ func TestTenantQuotaSheds(t *testing.T) {
 		replies := make(chan reply, 2)
 		for i := 0; i < 2; i++ {
 			go func() {
-				resp, body := postTenant(t, url, "free", ordinaryChainReq())
+				resp, body := postTenant(t, url, "free", req)
 				replies <- reply{resp.StatusCode, body}
 			}()
 			if i == 0 {
@@ -109,7 +125,7 @@ func TestTenantQuotaSheds(t *testing.T) {
 
 		// The third request exceeds MaxQueued and sheds even though the
 		// global queue (depth 8) is nearly empty.
-		resp, body := postTenant(t, url, "free", ordinaryChainReq())
+		resp, body := postTenant(t, url, "free", req)
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("over-quota request: HTTP %d (%s), want 429", resp.StatusCode, body)
 		}
@@ -123,7 +139,7 @@ func TestTenantQuotaSheds(t *testing.T) {
 		// A different tenant is not affected by free's quota.
 		done := make(chan reply, 1)
 		go func() {
-			resp, body := postTenant(t, url, "paid", ordinaryChainReq())
+			resp, body := postTenant(t, url, "paid", req)
 			done <- reply{resp.StatusCode, body}
 		}()
 		waitDepth(t, s, 2)
@@ -262,9 +278,8 @@ func TestTenantPriorityEviction(t *testing.T) {
 // TestTenantQueueGC drives the pool directly and asserts the tenants map
 // stays bounded under arbitrary tenant names: a shed submission never
 // leaves its just-created queue behind, a drained tenant's queue is
-// dropped after dequeue, and a released reservation drops its queue — so a
-// client inventing X-IR-Tenant values cannot grow pool memory (or dequeue
-// scan cost) without bound.
+// dropped after dequeue — so a client inventing X-IR-Tenant values cannot
+// grow pool memory (or dequeue scan cost) without bound.
 func TestTenantQueueGC(t *testing.T) {
 	p := newPool(1, 1, 1, map[string]TenantConfig{"cfgd": {Weight: 2}}, nil)
 
@@ -315,18 +330,6 @@ func TestTenantQueueGC(t *testing.T) {
 			t.Fatalf("tenants after drain = %d, want 0", tenantCount())
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-
-	// A coalescer reservation pins its queue only while held.
-	if err := p.reserve("batcher"); err != nil {
-		t.Fatal(err)
-	}
-	if got := tenantCount(); got != 1 {
-		t.Fatalf("tenants during a reservation = %d, want 1", got)
-	}
-	p.release("batcher")
-	if got := tenantCount(); got != 0 {
-		t.Fatalf("tenants after release = %d, want 0", got)
 	}
 
 	p.close()
