@@ -10,10 +10,10 @@ import (
 )
 
 // This file is the hardened half of the runtime: context-aware, panic-safe
-// variants of For / ForEach / SPMD. The solvers' error-returning entry
-// points are built on these, while the legacy For/ForEach/SPMD keep their
-// zero-overhead fire-and-forget contract for callers that control their own
-// bodies (benchmarks, internal sweeps).
+// variants of For and SPMD, plus ForEachCtx, the per-item form of ForCtx.
+// The solvers' error-returning entry points are built on these, while the
+// legacy For/SPMD keep their zero-overhead fire-and-forget contract for
+// callers that control their own bodies (benchmarks, internal sweeps).
 //
 // Contract shared by ForCtx, ForEachCtx and SPMDCtx:
 //

@@ -76,16 +76,6 @@ func For(n, p int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForEach runs body(i) for every i in [0, n) using For's chunking. It is a
-// convenience for bodies that are per-item anyway.
-func ForEach(n, p int, body func(i int)) {
-	For(n, p, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // Chunks partitions [0, n) into at most p nearly-equal contiguous ranges and
 // returns their boundaries as (lo, hi) pairs. It is exported so lock-step
 // algorithms can pin a persistent goroutine per chunk across many rounds.

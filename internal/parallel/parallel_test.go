@@ -27,17 +27,6 @@ func TestForCoversAllIndicesOnce(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	n := 500
-	out := make([]int32, n)
-	ForEach(n, 8, func(i int) { atomic.AddInt32(&out[i], 1) })
-	for i, v := range out {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-}
-
 func TestChunksProperties(t *testing.T) {
 	f := func(n uint16, p int8) bool {
 		cs := Chunks(int(n), int(p))

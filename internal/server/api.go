@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"time"
 
 	"indexedrec/ir"
@@ -26,13 +30,13 @@ type OrdinaryRequest struct {
 // OrdinaryResponse mirrors ir.OrdinaryResult on the wire; exactly one of
 // ValuesInt/ValuesFloat is set, matching the operator's domain.
 type OrdinaryResponse struct {
-	ValuesInt   []int64   `json:"values_int,omitempty"`
+	ValuesInt   ir.Int64s `json:"values_int,omitempty"`
 	ValuesFloat []float64 `json:"values_float,omitempty"`
 	// Cells echoes the touched-cell list of a sparse-encoded request:
 	// values_int/values_float are then in compact order, with entry i the
 	// final value of global cell Cells[i]. Empty for dense requests, whose
 	// values tile the whole array.
-	Cells     []int   `json:"cells,omitempty"`
+	Cells     ir.Ints `json:"cells,omitempty"`
 	Rounds    int     `json:"rounds"`
 	Combines  int64   `json:"combines"`
 	ElapsedMs float64 `json:"elapsed_ms"`
@@ -53,12 +57,12 @@ type GeneralRequest struct {
 
 // GeneralResponse mirrors ir.GeneralResult on the wire.
 type GeneralResponse struct {
-	ValuesInt   []int64   `json:"values_int,omitempty"`
+	ValuesInt   ir.Int64s `json:"values_int,omitempty"`
 	ValuesFloat []float64 `json:"values_float,omitempty"`
 	// Cells echoes a sparse-encoded request's touched-cell list; values
 	// (and power-trace rows) are then in compact order over these global
 	// cells. Empty for dense requests.
-	Cells     []int            `json:"cells,omitempty"`
+	Cells     ir.Ints          `json:"cells,omitempty"`
 	Powers    [][]ir.PowerTerm `json:"powers,omitempty"`
 	CAPRounds int              `json:"cap_rounds"`
 	ElapsedMs float64          `json:"elapsed_ms"`
@@ -69,8 +73,8 @@ type GeneralResponse struct {
 // X[g] := X[g] + a·X[f] + b rewriting.
 type LinearRequest struct {
 	M        int            `json:"m"`
-	G        []int          `json:"g"`
-	F        []int          `json:"f"`
+	G        ir.Ints        `json:"g"`
+	F        ir.Ints        `json:"f"`
 	A        []float64      `json:"a"`
 	B        []float64      `json:"b"`
 	X0       []float64      `json:"x0"`
@@ -82,8 +86,8 @@ type LinearRequest struct {
 // fractional-linear form X[g] := (a·X[f]+b)/(c·X[f]+d).
 type MoebiusRequest struct {
 	M    int            `json:"m"`
-	G    []int          `json:"g"`
-	F    []int          `json:"f"`
+	G    ir.Ints        `json:"g"`
+	F    ir.Ints        `json:"f"`
 	A    []float64      `json:"a"`
 	B    []float64      `json:"b"`
 	C    []float64      `json:"c"`
@@ -189,10 +193,10 @@ type ShardResponse struct {
 	// Shard echoes the executed slice.
 	Shard ShardWire `json:"shard"`
 	// Cells lists a sparse (ordinary) shard's owned cells, ascending.
-	Cells []int `json:"cells,omitempty"`
+	Cells ir.Ints `json:"cells,omitempty"`
 	// ValuesInt / ValuesFloat / Values carry the slice values; exactly one
 	// is set, as in ir.ShardSolution.
-	ValuesInt   []int64   `json:"values_int,omitempty"`
+	ValuesInt   ir.Int64s `json:"values_int,omitempty"`
 	ValuesFloat []float64 `json:"values_float,omitempty"`
 	Values      []float64 `json:"values,omitempty"`
 	// ElapsedMs is the worker-side solve time.
@@ -275,25 +279,29 @@ func floatOp(name string) (ir.CommutativeMonoid[float64], error) {
 // messages and docs.
 func OpNames() []string { return ir.OpNames() }
 
-// DecodeInitInt parses the raw init array as int64s, rejecting non-integral
-// values rather than truncating.
+// DecodeInitInt parses the raw init array as int64s in one pass (through
+// ir.Int64s), rejecting non-integral, out-of-range and null elements rather
+// than truncating or zeroing them. A null array decodes as empty.
 func DecodeInitInt(raw json.RawMessage) ([]int64, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("missing \"init\"")
 	}
-	var vals []json.Number
-	if err := json.Unmarshal(raw, &vals); err != nil {
+	var vals ir.Int64s
+	err := vals.UnmarshalJSON(raw)
+	var te *json.UnmarshalTypeError
+	if errors.As(err, &te) && te.Type == reflect.TypeFor[int64]() {
+		// Every element before the rejected one is an integer literal, so
+		// the commas before it count its index.
+		i := bytes.Count(raw[:te.Offset], []byte(","))
+		return nil, fmt.Errorf("init[%d] = %s is not an int64 (op has integer domain)", i, strings.TrimPrefix(te.Value, "number "))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("bad \"init\": %v", err)
 	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		x, err := v.Int64()
-		if err != nil {
-			return nil, fmt.Errorf("init[%d] = %s is not an int64 (op has integer domain)", i, v)
-		}
-		out[i] = x
+	if vals == nil {
+		vals = ir.Int64s{} // callers then report a null init by its length
 	}
-	return out, nil
+	return vals, nil
 }
 
 // DecodeInitFloat parses the raw init array as float64s, rejecting

@@ -43,8 +43,8 @@ type SessionOpenRequest struct {
 	// M, G, F, A, B, C, D, X0 describe a linear/Möbius prefix; nil C and D
 	// select the affine form, Extended the X[g] += a·X[f] + b rewriting.
 	M        int       `json:"m,omitempty"`
-	G        []int     `json:"g,omitempty"`
-	F        []int     `json:"f,omitempty"`
+	G        ir.Ints   `json:"g,omitempty"`
+	F        ir.Ints   `json:"f,omitempty"`
 	A        []float64 `json:"a,omitempty"`
 	B        []float64 `json:"b,omitempty"`
 	C        []float64 `json:"c,omitempty"`
@@ -78,9 +78,9 @@ type SessionOpenResponse struct {
 // coefficient rows (nil C/D = affine; an extended session rewrites B
 // itself).
 type SessionAppendRequest struct {
-	G []int     `json:"g"`
-	F []int     `json:"f"`
-	H []int     `json:"h,omitempty"`
+	G ir.Ints   `json:"g"`
+	F ir.Ints   `json:"f"`
+	H ir.Ints   `json:"h,omitempty"`
 	A []float64 `json:"a,omitempty"`
 	B []float64 `json:"b,omitempty"`
 	C []float64 `json:"c,omitempty"`
@@ -97,7 +97,7 @@ type SessionAppendResponse struct {
 	N       int   `json:"n"`
 	Appends int64 `json:"appends"`
 	// Exactly one of the value slices is set, matching the session domain.
-	ValuesInt   []int64   `json:"values_int,omitempty"`
+	ValuesInt   ir.Int64s `json:"values_int,omitempty"`
 	ValuesFloat []float64 `json:"values_float,omitempty"`
 	Values      []float64 `json:"values,omitempty"`
 	ElapsedMs   float64   `json:"elapsed_ms"`
@@ -113,7 +113,7 @@ type SessionStateResponse struct {
 	Appends     int64  `json:"appends"`
 	Fingerprint string `json:"fingerprint"`
 	// Exactly one of the value slices is set, matching the session domain.
-	ValuesInt   []int64   `json:"values_int,omitempty"`
+	ValuesInt   ir.Int64s `json:"values_int,omitempty"`
 	ValuesFloat []float64 `json:"values_float,omitempty"`
 	Values      []float64 `json:"values,omitempty"`
 }
