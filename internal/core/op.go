@@ -28,7 +28,9 @@ type Monoid[T any] interface {
 type CommutativeMonoid[T any] interface {
 	Monoid[T]
 	// Pow returns a combined with itself k times (a^k under Combine).
-	// Pow(a, 0) must return Identity(). k is never negative.
+	// Pow(a, 0) must return Identity(). k is never negative. k is
+	// read-only and valid only for the call: callers reuse one big.Int
+	// across calls, so Pow must neither modify nor retain it.
 	Pow(a T, k *big.Int) T
 }
 

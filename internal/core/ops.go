@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // This file provides the library of concrete operators used by the solvers,
@@ -144,16 +145,35 @@ func (o MulMod) Combine(a, b int64) int64 {
 // Identity returns 1 mod M.
 func (o MulMod) Identity() int64 { return 1 % o.M }
 
-// Pow uses big.Int.Exp, which handles huge exponents (e.g. Fibonacci-sized
-// path counts) in O(log k) multiplications — the paper's "atomic power".
+// Pow is square-and-multiply in O(log k) multiplications — the paper's
+// "atomic power". An exponent that fits a uint64 runs on 128-bit products
+// (bits.Mul64, bits.Rem64), exact for any modulus and free of allocation;
+// a wider one (e.g. a Fibonacci-sized path count) uses big.Int.Exp.
 func (o MulMod) Pow(a int64, k *big.Int) int64 {
 	a %= o.M
 	if a < 0 {
 		a += o.M
 	}
-	var r big.Int
-	r.Exp(big.NewInt(a), k, big.NewInt(o.M))
-	return r.Int64()
+	if !k.IsUint64() {
+		var r big.Int
+		r.Exp(big.NewInt(a), k, big.NewInt(o.M))
+		return r.Int64()
+	}
+	m, e := uint64(o.M), k.Uint64()
+	r, b := 1%m, uint64(a)
+	for ; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			r = mulMod64(r, b, m)
+		}
+		b = mulMod64(b, b, m)
+	}
+	return int64(r)
+}
+
+// mulMod64 returns a*b mod m from the full 128-bit product.
+func mulMod64(a, b, m uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return bits.Rem64(hi, lo, m)
 }
 
 // AddMod is (Z_m, +, 0); Pow(a,k) = (k mod m)*a mod m.
@@ -179,9 +199,14 @@ func (o AddMod) Identity() int64 { return 0 }
 
 // Pow returns (k mod M)*a mod M — k-fold modular addition in O(1).
 func (o AddMod) Pow(a int64, k *big.Int) int64 {
-	var km big.Int
-	km.Mod(k, big.NewInt(o.M))
-	return o.Combine(a%o.M*km.Int64()%o.M, 0)
+	var km int64
+	if k.IsUint64() {
+		km = int64(k.Uint64() % uint64(o.M))
+	} else {
+		var r big.Int
+		km = r.Mod(k, big.NewInt(o.M)).Int64()
+	}
+	return o.Combine(a%o.M*km%o.M, 0)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -212,5 +213,61 @@ func TestGcdAsIROp(t *testing.T) {
 		if out[i] != want[i] {
 			t.Fatalf("out = %v, want %v", out, want)
 		}
+	}
+}
+
+// bigMulModPow and bigAddModPow are the big.Int formulas MulMod.Pow and
+// AddMod.Pow used for every exponent before their uint64 paths.
+func bigMulModPow(o MulMod, a int64, k *big.Int) int64 {
+	a %= o.M
+	if a < 0 {
+		a += o.M
+	}
+	var r big.Int
+	r.Exp(big.NewInt(a), k, big.NewInt(o.M))
+	return r.Int64()
+}
+
+func bigAddModPow(o AddMod, a int64, k *big.Int) int64 {
+	var km big.Int
+	km.Mod(k, big.NewInt(o.M))
+	return o.Combine(a%o.M*km.Int64()%o.M, 0)
+}
+
+// TestModPowMatchesBigInt is the differential check of the uint64 power
+// paths against the big.Int formulas, over negative and boundary operands,
+// boundary and random exponents and moduli up to 2^62+57.
+func TestModPowMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(149))
+	exps := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 63),
+		new(big.Int).SetUint64(^uint64(0)), new(big.Int).Lsh(big.NewInt(1), 70)}
+	for i := 0; i < 20; i++ {
+		exps = append(exps, new(big.Int).SetUint64(rng.Uint64()>>uint(rng.Intn(64))))
+	}
+	for _, mod := range []int64{2, 3, 1_000_003, 1<<31 - 1, 1<<62 + 57} {
+		as := []int64{0, 1, -1, mod - 1, -mod + 1, mod, math.MaxInt64, math.MinInt64 + 1}
+		for i := 0; i < 10; i++ {
+			as = append(as, rng.Int63()-rng.Int63())
+		}
+		for _, a := range as {
+			for _, k := range exps {
+				mm, am := MulMod{M: mod}, AddMod{M: mod}
+				if got, want := mm.Pow(a, k), bigMulModPow(mm, a, k); got != want {
+					t.Errorf("MulMod{%d}.Pow(%d, %s) = %d, big.Int %d", mod, a, k, got, want)
+				}
+				if got, want := am.Pow(a, k), bigAddModPow(am, a, k); got != want {
+					t.Errorf("AddMod{%d}.Pow(%d, %s) = %d, big.Int %d", mod, a, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestModPowAlloc checks that a uint64 exponent costs no allocation.
+func TestModPowAlloc(t *testing.T) {
+	k := big.NewInt(1_234_567_891)
+	mm, am := MulMod{M: 1_000_003}, AddMod{M: 1_000_003}
+	if n := testing.AllocsPerRun(100, func() { mm.Pow(-42, k); am.Pow(-42, k) }); n != 0 {
+		t.Fatalf("Pow allocated %.0f times per call pair, want 0", n)
 	}
 }

@@ -197,7 +197,7 @@ func runColdVsWarm(w io.Writer, opt Options) error {
 	}
 	tb.Render(w)
 	fmt.Fprintln(w, "\nWarm replays skip structure work entirely: chain decomposition and the")
-	fmt.Fprintln(w, "combine schedule (ordinary, linear, moebius) or the dependence DAG and")
+	fmt.Fprintln(w, "combine schedule (ordinary, linear, moebius) or the final cells'")
 	fmt.Fprintln(w, "CAP path counts (general) are baked into the plan, so only the data")
 	fmt.Fprintln(w, "phase runs. The identical column certifies bit-equal results.")
 	return nil

@@ -114,7 +114,7 @@ func runSparse(w io.Writer, opt Options) error {
 		var sparseVals []int64
 		var plan *ir.Plan
 		sparseBytes, sparseMs, err := allocMeasured(coldReps, func() error {
-			p, err := ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{Family: ir.FamilyOrdinary, Procs: sparseProcs})
+			p, err := ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{Family: ir.FamilyOrdinary})
 			if err != nil {
 				return err
 			}
@@ -156,7 +156,7 @@ func runSparse(w io.Writer, opt Options) error {
 			// hiccup during the first best-of window must not fail CI, a
 			// real code regression will reproduce here.
 			_, retryMs, rerr := allocMeasured(2*coldReps, func() error {
-				p, err := ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{Family: ir.FamilyOrdinary, Procs: sparseProcs})
+				p, err := ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{Family: ir.FamilyOrdinary})
 				if err != nil {
 					return err
 				}

@@ -196,6 +196,29 @@ func SolveCtx[T any](ctx context.Context, s *core.System, op core.CommutativeMon
 	return solveOnGraphCtx(ctx, d, s, op, init, opt)
 }
 
+// countCtx runs the CAP engine selected by opt over d's graph — the
+// structure-only phase of SolveCtx.
+func countCtx(ctx context.Context, d *DepGraph, opt Options) (cap.Counts, *cap.Stats, error) {
+	switch opt.Engine {
+	case EngineSquaring:
+		return cap.CountSquaringCtx(ctx, d.G, cap.SquaringOptions{
+			Procs:   opt.Procs,
+			MaxBits: opt.MaxExponentBits,
+		})
+	case EngineDP:
+		counts, err := cap.CountDPCtx(ctx, d.G, opt.MaxExponentBits)
+		return counts, nil, err
+	case EngineMatrix:
+		counts, err := cap.CountMatrixCtx(ctx, d.G, opt.Procs, opt.MaxExponentBits)
+		return counts, nil, err
+	case EngineWavefront:
+		counts, err := cap.CountWavefrontCtx(ctx, d.G, opt.Procs, opt.MaxExponentBits)
+		return counts, nil, err
+	default:
+		return nil, nil, fmt.Errorf("%w: %d", ErrEngine, int(opt.Engine))
+	}
+}
+
 // evalPowersCtx is the evaluation phase: every cell's value is a product of
 // atomic powers of initial values; cells are independent, so this is one
 // parallel step of O(k) combines per cell (O(log k) with tree reduction;

@@ -272,11 +272,11 @@ func (c *Compiled) ExecuteCtx(ctx context.Context, env *Env, procs int) error {
 			// Repeated writes to one cell: outside §2's precondition, but
 			// + and * are commutative, so the general solver applies
 			// (H = G implicitly).
-			gres, gerr := gir.SolveCtx[float64](ctx, sys, op, env.Arrays[an.Array], gir.Options{Procs: procs})
+			_, values, gerr := gir.CompileSolveCtx[float64](ctx, sys, op, env.Arrays[an.Array], 0, procs)
 			if gerr != nil {
 				return gerr
 			}
-			copy(env.Arrays[an.Array], gres.Values)
+			copy(env.Arrays[an.Array], values)
 			return nil
 		}
 		if err != nil {
@@ -295,11 +295,11 @@ func (c *Compiled) ExecuteCtx(ctx context.Context, env *Env, procs int) error {
 		} else {
 			op = core.Float64Mul{}
 		}
-		res, err := gir.SolveCtx[float64](ctx, sys, op, env.Arrays[an.Array], gir.Options{Procs: procs})
+		_, values, err := gir.CompileSolveCtx[float64](ctx, sys, op, env.Arrays[an.Array], 0, procs)
 		if err != nil {
 			return err
 		}
-		copy(env.Arrays[an.Array], res.Values)
+		copy(env.Arrays[an.Array], values)
 		return nil
 	case FormLinear, FormLinearExtended, FormMoebius:
 		// Pure accumulations X[g] := X[g] + expr with repeated targets
@@ -425,15 +425,10 @@ func (c *Compiled) executeScatterAdd(ctx context.Context, env *Env, procs int) e
 		sys.F[i] = m + i
 		sys.H[i] = g[i]
 	}
-	// Engine choice: an accumulation chain into one bucket is deep and
-	// sink-heavy, where the squaring engine's interior edges grow
-	// quadratically; the level-synchronized wavefront engine handles that
-	// shape with linear label work.
-	res, err := gir.SolveCtx[float64](ctx, sys, core.Float64Add{}, init,
-		gir.Options{Procs: procs, Engine: gir.EngineWavefront})
+	_, values, err := gir.CompileSolveCtx[float64](ctx, sys, core.Float64Add{}, init, 0, procs)
 	if err != nil {
 		return err
 	}
-	copy(arr, res.Values[:m])
+	copy(arr, values[:m])
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 
 // The compiled-plan LRU cache. Production traffic often re-solves one loop
 // shape with fresh data every timestep, and the structure-only half of a
-// solve — chain decomposition, the CAP dependence DAG and path counts, the
+// solve — chain decomposition, the general family's path counts, the
 // Möbius shadow rewrite — depends only on the index maps. The server
 // compiles that half once into a plan keyed by its canonical fingerprint
 // (ir.PlanFingerprint over family, n, m, g, f, h) and replays it for every

@@ -144,7 +144,7 @@ func (r *SolveRequest) Fingerprint() string {
 // Compile builds the request's plan: ir.CompileSparseCtx for a sparse
 // request, ir.CompileCtx otherwise.
 func (r *SolveRequest) Compile(ctx context.Context) (*ir.Plan, error) {
-	opt := ir.CompileOptions{Family: r.Family, Procs: r.Data.Opts.Procs, MaxExponentBits: r.Bits}
+	opt := ir.CompileOptions{Family: r.Family, MaxExponentBits: r.Bits}
 	if r.Sparse != nil {
 		return ir.CompileSparseCtx(ctx, r.Sparse, opt)
 	}

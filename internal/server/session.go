@@ -172,7 +172,7 @@ func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 				}
 				p, err = PlanFor(s.plans, ctx, fp, func(cctx context.Context) (*ir.Plan, error) {
 					return ir.CompileCtx(cctx, spec.System, ir.CompileOptions{
-						Family: fam, Procs: spec.Opts.Procs, MaxExponentBits: spec.MaxExponentBits,
+						Family: fam, MaxExponentBits: spec.MaxExponentBits,
 					})
 				})
 			}

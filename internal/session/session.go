@@ -278,7 +278,7 @@ func (s *Session) adoptPlan(ctx context.Context, p *ir.Plan) error {
 		s.plan, err = ir.CompileMoebiusCtx(ctx, s.ms.M, s.ms.G, s.ms.F)
 	default:
 		s.plan, err = ir.CompileCtx(ctx, s.sys, ir.CompileOptions{
-			Family: s.family, Procs: s.opts.Procs, MaxExponentBits: s.bits,
+			Family: s.family, MaxExponentBits: s.bits,
 		})
 	}
 	if err != nil {
@@ -432,7 +432,7 @@ func (s *Session) maybeRecompile(ctx context.Context) {
 	}
 	_, p, err := s.plan.ExtendCtx(ctx, base,
 		s.sys.G[s.planN:], s.sys.F[s.planN:], h,
-		ir.CompileOptions{Procs: s.opts.Procs, MaxExponentBits: s.bits})
+		ir.CompileOptions{MaxExponentBits: s.bits})
 	if err == nil {
 		s.plan, s.planN = p, p.N()
 	}

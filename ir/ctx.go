@@ -61,27 +61,14 @@ func SolveOrdinaryCtx[T any](ctx context.Context, s *System, op Semigroup[T], in
 }
 
 // SolveGeneralCtx is the hardened SolveGeneral; see the file comment for
-// the error and cancellation contract.
+// the error and cancellation contract. It compiles the system's path
+// counts and replays them once, the path SolveGeneralPlanCtx repeats.
 func SolveGeneralCtx[T any](ctx context.Context, s *System, op CommutativeMonoid[T], init []T, opt SolveOptions) (*GeneralResult[T], error) {
-	res, err := gir.SolveCtx[T](ctx, s, op, init, gir.Options{
-		Procs:           opt.Procs,
-		MaxExponentBits: opt.MaxExponentBits,
-	})
+	gp, values, err := gir.CompileSolveCtx(ctx, s, op, init, opt.MaxExponentBits, opt.Procs)
 	if err != nil {
 		return nil, err
 	}
-	out := &GeneralResult[T]{Values: res.Values, Powers: make([][]PowerTerm, len(res.Powers))}
-	if res.CAPStats != nil {
-		out.CAPRounds = res.CAPStats.Rounds
-	}
-	for x, terms := range res.Powers {
-		pts := make([]PowerTerm, len(terms))
-		for k, t := range terms {
-			pts[k] = PowerTerm{Cell: t.Sink, Exp: t.Count.String()}
-		}
-		out.Powers[x] = pts
-	}
-	return out, nil
+	return generalResult(gp, values, true), nil
 }
 
 // SolveLinearCtx is the hardened SolveLinear; non-finite inputs or outputs

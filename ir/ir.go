@@ -30,6 +30,9 @@
 package ir
 
 import (
+	"context"
+	"errors"
+
 	"indexedrec/internal/core"
 	"indexedrec/internal/gir"
 	"indexedrec/internal/moebius"
@@ -121,25 +124,15 @@ type GeneralResult[T any] struct {
 }
 
 // SolveGeneral solves an arbitrary system (any G, F, H — G need not be
-// distinct) with the paper's dependence-graph + CAP algorithm. op must be
-// commutative with an atomic power.
+// distinct) with the paper's dependence-graph path counting. op must be
+// commutative with an atomic power. An init-length mismatch panics (the
+// historical contract); use SolveGeneralCtx for the error-returning API.
 func SolveGeneral[T any](s *System, op CommutativeMonoid[T], init []T, procs int) (*GeneralResult[T], error) {
-	res, err := gir.Solve[T](s, op, init, gir.Options{Procs: procs})
-	if err != nil {
-		return nil, err
+	res, err := SolveGeneralCtx(context.Background(), s, op, init, SolveOptions{Procs: procs})
+	if errors.Is(err, gir.ErrInitLen) {
+		panic("gir: solveOnGraph: len(init) != s.M")
 	}
-	out := &GeneralResult[T]{Values: res.Values, Powers: make([][]PowerTerm, len(res.Powers))}
-	if res.CAPStats != nil {
-		out.CAPRounds = res.CAPStats.Rounds
-	}
-	for x, terms := range res.Powers {
-		pts := make([]PowerTerm, len(terms))
-		for k, t := range terms {
-			pts[k] = PowerTerm{Cell: t.Sink, Exp: t.Count.String()}
-		}
-		out.Powers[x] = pts
-	}
-	return out, nil
+	return res, err
 }
 
 // SolveLinear solves X[g(i)] := a[i]·X[f(i)] + b[i] (g distinct) via the

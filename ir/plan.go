@@ -19,7 +19,7 @@ import (
 // runtime. Every solver family spends a large, data-independent fraction of
 // its work on structure-only preprocessing — the ordinary solver's
 // chain/trace decomposition depends only on (g, f, n, m), the general
-// solver's dependence DAG and CAP path counts only on (g, f, h, n, m), and
+// solver's path counts (CAP) only on (g, f, h, n, m), and
 // the Möbius reduction's shadow rewrite and composition schedule only on
 // (m, g, f). Compile runs that preprocessing once into an immutable Plan;
 // the Solve*PlanCtx functions (and the non-generic Plan.SolveCtx
@@ -75,8 +75,10 @@ type CompileOptions struct {
 	// FamilyGeneral on an ordinary-eligible system is valid (the general
 	// solver covers it); forcing FamilyOrdinary on a general system fails.
 	Family Family
-	// Procs bounds goroutines during compilation (the CAP rounds); <= 0
-	// means GOMAXPROCS. Replays take their own procs via SolveOptions.
+	// Procs is ignored: every family's compile is one sequential pass.
+	// Replays take their procs from SolveOptions.
+	//
+	// Deprecated: Procs has no effect and will be removed.
 	Procs int
 	// MaxExponentBits caps CAP path-count growth for general-family
 	// compilation, exactly as SolveOptions.MaxExponentBits does for direct
@@ -223,10 +225,11 @@ func Compile(s *System, opt CompileOptions) (*Plan, error) {
 
 // CompileCtx compiles a system into a Plan. For the ordinary family this
 // builds the write-chain forest and records the full pointer-jumping
-// schedule; for the general family it builds the dependence DAG and runs
-// CAP (the dominant cost of a general solve, so warm replays skip almost
-// everything). Cancelling ctx stops compilation; errors follow the
-// hardened-solver contract.
+// schedule; for the general family it counts the paths of the versioned
+// dependence graph in one pass over the iterations and keeps each cell's
+// final (sink, count) terms — the dominant cost of a general solve, so
+// warm replays skip almost everything. Cancelling ctx stops compilation;
+// errors follow the hardened-solver contract.
 func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, error) {
 	family := opt.Family
 	if family == FamilyAuto {
@@ -250,10 +253,7 @@ func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, erro
 		p.size = op.SizeBytes()
 		return p, nil
 	case FamilyGeneral:
-		gp, err := gir.CompilePlanCtx(ctx, s, gir.Options{
-			Procs:           opt.Procs,
-			MaxExponentBits: opt.MaxExponentBits,
-		})
+		gp, err := gir.CompilePlanCtx(ctx, s, opt.MaxExponentBits)
 		if err != nil {
 			return nil, err
 		}
@@ -306,28 +306,48 @@ func SolveOrdinaryPlanCtx[T any](ctx context.Context, p *Plan, op Semigroup[T], 
 }
 
 // SolveGeneralPlanCtx replays a general-family plan: only the
-// power-evaluation phase runs (the dependence graph and CAP counts are
-// baked into the plan), bit-identical to SolveGeneralCtx.
+// power-evaluation phase runs (the path counts are baked into the plan),
+// bit-identical to SolveGeneralCtx.
 func SolveGeneralPlanCtx[T any](ctx context.Context, p *Plan, op CommutativeMonoid[T], init []T, opt SolveOptions) (*GeneralResult[T], error) {
 	if p.family != FamilyGeneral {
 		return nil, fmt.Errorf("%w: plan is %v, want general", ErrPlanFamily, p.family)
 	}
-	res, err := gir.SolvePlanCtx[T](ctx, p.gen, op, init, opt.Procs)
+	return solveGeneralPlan(ctx, p.gen, op, init, opt, true)
+}
+
+// solveGeneralPlan is the general replay path of SolveGeneralPlanCtx and
+// Plan.SolveCtx. withPowers renders the per-cell traces.
+func solveGeneralPlan[T any](ctx context.Context, gp *gir.Plan, op CommutativeMonoid[T], init []T, opt SolveOptions, withPowers bool) (*GeneralResult[T], error) {
+	values, err := gir.SolvePlanCtx[T](ctx, gp, op, init, opt.Procs)
 	if err != nil {
 		return nil, err
 	}
-	out := &GeneralResult[T]{Values: res.Values, Powers: make([][]PowerTerm, len(res.Powers))}
-	if res.CAPStats != nil {
-		out.CAPRounds = res.CAPStats.Rounds
+	return generalResult(gp, values, withPowers), nil
+}
+
+// generalResult wraps a general solve's values, from a replay or from
+// SolveGeneralCtx's compile-and-solve, with the plan's rounds and traces.
+func generalResult[T any](gp *gir.Plan, values []T, withPowers bool) *GeneralResult[T] {
+	out := &GeneralResult[T]{Values: values, CAPRounds: gp.Rounds()}
+	if withPowers {
+		out.Powers = generalPowers(gp)
 	}
-	for x, terms := range res.Powers {
-		pts := make([]PowerTerm, len(terms))
-		for k, t := range terms {
-			pts[k] = PowerTerm{Cell: t.Sink, Exp: t.Count.String()}
-		}
-		out.Powers[x] = pts
+	return out
+}
+
+// generalPowers renders every cell's trace as PowerTerms over one shared
+// backing array, sorted by cell as the plan stores them.
+func generalPowers(gp *gir.Plan) [][]PowerTerm {
+	flat := make([]PowerTerm, gp.NumTerms())
+	for t := range flat {
+		flat[t].Cell, flat[t].Exp = gp.Term(t)
 	}
-	return out, nil
+	powers := make([][]PowerTerm, gp.M())
+	for x := range powers {
+		lo, hi := gp.Span(x)
+		powers[x] = flat[lo:hi:hi]
+	}
+	return powers
 }
 
 // SolveMoebiusPlanCtx replays a Möbius-family plan against fresh
@@ -387,7 +407,8 @@ type PlanSolution struct {
 	// Rounds and Combines report the replayed ordinary schedule's cost.
 	Rounds   int
 	Combines int64
-	// CAPRounds reports the compiled CAP round count (general).
+	// CAPRounds reports the compiled CAP round count, ⌈log₂⌉ of the
+	// longest dependence path (general).
 	CAPRounds int
 	// Powers carries the symbolic traces when PlanData.WithPowers was set.
 	Powers [][]PowerTerm
@@ -443,15 +464,11 @@ func (p *Plan) SolveCtx(ctx context.Context, data PlanData) (*PlanSolution, erro
 			}
 			return &PlanSolution{ValuesInt: res.Values, Rounds: res.Rounds, Combines: res.Combines}, nil
 		}
-		res, err := SolveGeneralPlanCtx[int64](ctx, p, iop, data.InitInt, data.Opts)
+		res, err := solveGeneralPlan[int64](ctx, p.gen, iop, data.InitInt, data.Opts, data.WithPowers)
 		if err != nil {
 			return nil, err
 		}
-		sol := &PlanSolution{ValuesInt: res.Values, CAPRounds: res.CAPRounds}
-		if data.WithPowers {
-			sol.Powers = res.Powers
-		}
-		return sol, nil
+		return &PlanSolution{ValuesInt: res.Values, CAPRounds: res.CAPRounds, Powers: res.Powers}, nil
 	}
 	fop, err := FloatOpByName(data.Op)
 	if err != nil {
@@ -470,13 +487,9 @@ func (p *Plan) SolveCtx(ctx context.Context, data PlanData) (*PlanSolution, erro
 		}
 		return &PlanSolution{ValuesFloat: res.Values, Rounds: res.Rounds, Combines: res.Combines}, nil
 	}
-	res, err := SolveGeneralPlanCtx[float64](ctx, p, fop, data.InitFloat, data.Opts)
+	res, err := solveGeneralPlan[float64](ctx, p.gen, fop, data.InitFloat, data.Opts, data.WithPowers)
 	if err != nil {
 		return nil, err
 	}
-	sol := &PlanSolution{ValuesFloat: res.Values, CAPRounds: res.CAPRounds}
-	if data.WithPowers {
-		sol.Powers = res.Powers
-	}
-	return sol, nil
+	return &PlanSolution{ValuesFloat: res.Values, CAPRounds: res.CAPRounds, Powers: res.Powers}, nil
 }

@@ -375,6 +375,19 @@ func TestGoldenFingerprints(t *testing.T) {
 	if want := "general:a2ccda0aa8f0edf6e044227e69108e5a"; gp.Fingerprint() != want {
 		t.Errorf("general: fingerprint %q, want %q", gp.Fingerprint(), want)
 	}
+	// The flat plan holds 4 bytes per offset and 12 per term: 4·17 + 12·76.
+	// (The squaring-engine plan it replaced accounted 5248 bytes.)
+	init := make([]int64, gen.M)
+	for x := range init {
+		init[x] = int64(x + 1)
+	}
+	gsol, err := gp.SolveCtx(ctx, PlanData{Op: "int64-add", InitInt: init})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size, rounds := int64(980), 3; gp.SizeBytes() != size || gsol.CAPRounds != rounds {
+		t.Errorf("general: got (size %d, CAP rounds %d), want (%d, %d)", gp.SizeBytes(), gsol.CAPRounds, size, rounds)
+	}
 	if want := PlanFingerprint(FamilyGeneral, gen.N, gen.M, gen.G, gen.F, gen.H, 4096); gp.Fingerprint() != want {
 		t.Errorf("general: plan fingerprint %q != PlanFingerprint %q", gp.Fingerprint(), want)
 	}

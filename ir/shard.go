@@ -207,10 +207,7 @@ func (p *Plan) MergeShards(data PlanData, parts []*ShardSolution) (*PlanSolution
 		}
 		return &PlanSolution{Values: values}, nil
 	case FamilyGeneral:
-		sol := &PlanSolution{}
-		if p.gen.Stats != nil {
-			sol.CAPRounds = p.gen.Stats.Rounds
-		}
+		sol := &PlanSolution{CAPRounds: p.gen.Rounds()}
 		var err error
 		if data.InitInt != nil {
 			sol.ValuesInt, err = mergeDense(p.m, parts, func(s *ShardSolution) []int64 { return s.ValuesInt })
