@@ -1,10 +1,10 @@
-// Grid2D: dynamic programming on 2-D recurrence grids solved by
-// anti-diagonal wavefronts. Two classic DP kernels ride the same engine:
+// Grid2D: dynamic programming on 2-D recurrence grids solved by tiled
+// wavefronts. Two classic DP kernels ride the same engine:
 //
 //   - Edit distance (Levenshtein) over the min-plus semiring: the DP table
 //     D[i][j] = min(D[i-1][j]+1, D[i][j-1]+1, D[i-1][j-1]+sub) is exactly a
-//     linear 2-D indexed recurrence, and every anti-diagonal is one batched
-//     parallel round.
+//     linear 2-D indexed recurrence, and every anti-diagonal of 256×256
+//     tiles is one parallel round.
 //   - Smith–Waterman local alignment over the max-plus semiring, where the
 //     constant-term grid holds the 0 floor that restarts negative-scoring
 //     prefixes.

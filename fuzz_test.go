@@ -423,8 +423,9 @@ func FuzzGrid2DAgainstOracle(f *testing.F) {
 				t.Fatalf("cell (%d,%d): facade %v != oracle %v", i/cols, i%cols, v, want.Values[i])
 			}
 		}
-		if got.Rounds != rows+cols-1 {
-			t.Fatalf("rounds = %d, want %d", got.Rounds, rows+cols-1)
+		b := grid2d.TileSide(rows, cols)
+		if want := (rows+b-1)/b + (cols+b-1)/b - 1; got.Rounds != want {
+			t.Fatalf("rounds = %d, want %d tile rounds of side %d", got.Rounds, want, b)
 		}
 
 		// Plan replay and two warm arena replays: bit-identical, every time.

@@ -97,5 +97,5 @@ func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, spec *solv
 		north = out[(r1-1)*cols : r1*cols]
 		nw = sys.West[r1-1]
 	}
-	return &ir.PlanSolution{Values: out, Rounds: rows + cols - 1}, nil
+	return &ir.PlanSolution{Values: out, Rounds: p.N()}, nil
 }

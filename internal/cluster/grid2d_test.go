@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,8 +14,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"indexedrec/internal/grid2d"
 	"indexedrec/internal/server"
 	"indexedrec/internal/server/client"
+	"indexedrec/internal/workload"
 	"indexedrec/ir"
 )
 
@@ -201,6 +205,137 @@ func TestGrid2DFrontEndToEnd(t *testing.T) {
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
 		t.Fatalf("want 422 APIError, got %v", err)
+	}
+}
+
+// TestGrid2DCrossRouteBitIdentity solves every ring × term mask on a
+// one-tile grid, and each ring on a grid two ragged tiles wide, through the
+// facade, irserved, the shard endpoint and ircoord with one and two
+// workers. Every route must match grid2d.SolveSequential bit
+// for bit, rounds included. An overflowing multi-tile grid, whose first bad
+// cell in row-major order sits in a later tile round than another bad
+// cell, must fail on every route naming the oracle's cell.
+func TestGrid2DCrossRouteBitIdentity(t *testing.T) {
+	defer checkGoroutines(t)()
+	co1, workers, down1 := newFleet(t, 1, nil)
+	co2, _, down2 := newFleet(t, 2, nil)
+	front1 := httptest.NewServer(co1.Handler())
+	front2 := httptest.NewServer(co2.Handler())
+	defer down2()
+	defer down1()
+	defer front2.Close()
+	defer front1.Close()
+	worker := workers[0].ts.URL
+
+	oracle := func(sys *ir.Grid2DSystem) (*grid2d.Result, error) {
+		ring, err := grid2d.RingByName(sys.Semiring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return grid2d.SolveSequential(&grid2d.System{
+			Rows: sys.Rows, Cols: sys.Cols, Ring: ring,
+			A: sys.A, B: sys.B, D: sys.Diag, C: sys.C,
+			North: sys.North, West: sys.West, NW: sys.NorthWest,
+		})
+	}
+	// solve runs sys through every route and returns each route's values
+	// and rounds (0 where the route does not report them), or its error
+	// text.
+	type answer struct {
+		values []float64
+		rounds int
+		err    string
+	}
+	solve := func(sys *ir.Grid2DSystem) map[string]answer {
+		got := map[string]answer{}
+		if res, err := ir.SolveGrid2D(sys, ir.SolveOptions{Procs: 2}); err != nil {
+			got["facade"] = answer{err: err.Error()}
+		} else {
+			got["facade"] = answer{values: res.Values, rounds: res.Rounds}
+		}
+		post := func(route, url string, body any, into func([]byte) answer) {
+			code, data := postFront(t, url, body)
+			if code != http.StatusOK {
+				got[route] = answer{err: fmt.Sprintf("HTTP %d: %s", code, data)}
+				return
+			}
+			got[route] = into(data)
+		}
+		grid := func(data []byte) answer {
+			var r server.Grid2DResponse
+			if err := json.Unmarshal(data, &r); err != nil {
+				t.Fatal(err)
+			}
+			return answer{values: r.Values, rounds: r.Rounds}
+		}
+		post("irserved", worker+server.APIPrefix+"grid2d", server.Grid2DRequest{System: *sys}, grid)
+		post("ircoord/1", front1.URL+server.APIPrefix+"grid2d", server.Grid2DRequest{System: *sys}, grid)
+		post("ircoord/2", front2.URL+server.APIPrefix+"grid2d", server.Grid2DRequest{System: *sys}, grid)
+		post("shard", worker+server.ShardPrefix+"solve", server.ShardRequest{
+			Family: "grid2d", Shard: server.ShardWire{Lo: 0, Hi: sys.Rows}, Grid: sys,
+		}, func(data []byte) answer {
+			var r server.ShardResponse
+			if err := json.Unmarshal(data, &r); err != nil {
+				t.Fatal(err)
+			}
+			return answer{values: r.Values}
+		})
+		return got
+	}
+
+	rng := rand.New(rand.NewSource(18))
+	type gridCase struct {
+		rows, cols int
+		ring       string
+		mask       uint8
+	}
+	var cases []gridCase
+	for _, ring := range []string{"affine", "minplus", "maxplus"} {
+		for mask := uint8(1); mask < 16; mask++ {
+			cases = append(cases, gridCase{7, 9, ring, mask})
+		}
+		cases = append(cases, gridCase{40, 300, ring, 15})
+	}
+	for _, c := range cases {
+		label := fmt.Sprintf("%dx%d %s mask %#x", c.rows, c.cols, c.ring, c.mask)
+		sys := workload.RandomGrid2D(rng, c.rows, c.cols, c.ring, c.mask)
+		want, err := oracle(sys)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", label, err)
+		}
+		for route, got := range solve(sys) {
+			if got.err != "" {
+				t.Fatalf("%s via %s: %s", label, route, got.err)
+			}
+			if len(got.values) != len(want.Values) {
+				t.Fatalf("%s via %s: %d values, want %d", label, route, len(got.values), len(want.Values))
+			}
+			for k, v := range want.Values {
+				if math.Float64bits(got.values[k]) != math.Float64bits(v) {
+					t.Fatalf("%s via %s: cell %d = %v, oracle %v", label, route, k, got.values[k], v)
+				}
+			}
+			if route != "shard" && got.rounds != want.Rounds {
+				t.Fatalf("%s via %s: %d rounds, oracle %d", label, route, got.rounds, want.Rounds)
+			}
+		}
+	}
+
+	// A huge cell times a huge left coefficient overflows its right
+	// neighbour: (39,200) in tile (0,0), round 0, and (0,256) in tile
+	// (0,1), round 1 — the later round holds the row-major-first bad cell.
+	bad := workload.RandomGrid2D(rng, 40, 300, "affine", 15)
+	for _, k := range []int{39*300 + 200, 256} {
+		bad.C[k-1], bad.B[k] = 1.7e308, 1e300
+	}
+	_, oerr := oracle(bad)
+	if !errors.Is(oerr, grid2d.ErrNonFinite) || !strings.Contains(oerr.Error(), "cell (0,256)") {
+		t.Fatalf("oracle error = %v, want ErrNonFinite at cell (0,256)", oerr)
+	}
+	for route, got := range solve(bad) {
+		if !strings.Contains(got.err, oerr.Error()) {
+			t.Fatalf("overflow via %s: got %q, want the oracle's %q", route, got.err, oerr)
+		}
 	}
 }
 

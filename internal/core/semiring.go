@@ -1,14 +1,13 @@
 package core
 
+import "math"
+
 // The float64 semirings the 2-D grid family (internal/grid2d) folds with.
 // Natale's wavefront decomposition is algebra-agnostic: the cell update
 // w[i,j] = (a ⊗ w[i-1,j]) ⊕ (b ⊗ w[i,j-1]) ⊕ (d ⊗ w[i-1,j-1]) ⊕ c only
 // needs (⊕, ⊗) to distribute, so the op classification lives here in the
 // kernel layer — the affine ring for linear recurrences, max-plus and
-// min-plus for dynamic programming — instead of being hard-coded into one
-// solver. Every path through a grid solve (sequential oracle, generic
-// interface dispatch, monomorphized kernels) funnels through gridCell, so
-// the fold order — and with it bit-identity — is fixed in exactly one place.
+// min-plus for dynamic programming — instead of in one solver.
 
 // Semiring is a float64 semiring: the (⊕, ⊗) pair a 2-D recurrence cell
 // update folds with. Implementations must be stateless value types; both
@@ -77,29 +76,60 @@ func (MinPlusF64) Plus(x, y float64) float64 {
 // Times returns x + y.
 func (MinPlusF64) Times(x, y float64) float64 { return x + y }
 
-// GridKernel is the grid family's analogue of Kernel: a batched cell-update
-// method over one anti-diagonal of the extended (boundary-augmented) grid.
-// The monomorphized instances (GridKernelFor) compile the semiring's ops to
-// direct calls; the generic instance (GridKernelGeneric) dispatches through
-// the Semiring interface. Both run gridCell per cell, so they are
-// bit-identical by construction — which is exactly what the grid2d fuzzer's
-// kernel toggle asserts.
-type GridKernel interface {
-	// UpdateDiag computes w[ext] for the cells t in [lo, hi) of one
-	// anti-diagonal. The extended grid w has row stride `stride`; cell t
-	// sits at ext = ext0 + t·(stride-1) and reads its up / left / diagonal
-	// neighbours at ext-stride, ext-1, ext-stride-1 (all on earlier
-	// diagonals, so any partition of [0, count) races nothing). The
-	// coefficient grids a, b, d, c (nil = term absent) have row stride
-	// stride-1 and are indexed at cof0 + t·(stride-2).
-	UpdateDiag(w []float64, a, b, d, c []float64, ext0, cof0, stride, lo, hi int)
+// GridFrame is one grid solve as the kernels see it: the row-major output W
+// with Cols columns, the coefficient grids in the same layout (nil = term
+// absent), and the boundary row, column and corner.
+type GridFrame struct {
+	Cols        int
+	W           []float64
+	A, B, D, C  []float64
+	North, West []float64
+	NW          float64
 }
 
-// gridCell folds one cell update in the canonical term order — up, left,
-// diagonal, constant, ⊕-folded left-associatively over the present terms.
-// Generic over the semiring so concrete instantiations inline the ops while
-// the interface instantiation yields the generic-dispatch reference path.
-func gridCell[R Semiring](ring R, a, b, d, c []float64, cof int, up, left, diag float64) float64 {
+// row returns row i of the tile spanning columns [j0, j1) — the output row,
+// the row above, the coefficient rows (nil when absent), and the first
+// cell's left and diagonal neighbours — resliced so loops skip bounds checks.
+func (f *GridFrame) row(i, j0, j1 int) (out, up, a, b, d, c []float64, left, diag float64) {
+	k := i * f.Cols
+	cut := func(g []float64) []float64 {
+		if g == nil {
+			return nil
+		}
+		return g[k+j0 : k+j1]
+	}
+	above, corner := f.North, f.NW // row i-1 and its west boundary
+	if i > 0 {
+		above, corner = f.W[k-f.Cols:k], f.West[i-1]
+	}
+	out, up, left, diag = f.W[k+j0:k+j1], above[j0:j1], f.West[i], corner
+	if j0 > 0 {
+		left, diag = f.W[k+j0-1], above[j0-1]
+	}
+	return out, up, cut(f.A), cut(f.B), cut(f.D), cut(f.C), left, diag
+}
+
+// GridKernel is the grid family's analogue of Kernel: a tile fold written
+// out per semiring, because a generic fold would be one instantiation for
+// all three struct{} rings (one GC shape) calling ⊕ and ⊗ through its
+// dictionary. GridKernelGeneric is the interface-dispatch twin. Every
+// kernel folds each cell in GridCell's canonical order, so all are
+// bit-identical — which is exactly what the grid2d kernel toggle asserts.
+type GridKernel interface {
+	Semiring
+	// Tile solves rows [i0, i1) × columns [j0, j1) of f.W in row-major
+	// order, reading the cells above and left of the tile from W (or the
+	// boundaries), so those must already be solved. It returns the sum of
+	// v-v over the cells it wrote: 0 when all are finite, NaN otherwise.
+	Tile(f *GridFrame, i0, i1, j0, j1 int) float64
+}
+
+// GridCell folds one cell update in the canonical term order — up, left,
+// diagonal, constant, ⊕-folded left-associatively over the present terms —
+// through interface dispatch. It is the sequential oracle's per-cell step
+// and GridKernelGeneric's; the concrete tile kernels spell out the same
+// steps per ring.
+func GridCell(ring Semiring, a, b, d, c []float64, cof int, up, left, diag float64) float64 {
 	var acc float64
 	has := false
 	if a != nil {
@@ -132,47 +162,110 @@ func gridCell[R Semiring](ring R, a, b, d, c []float64, cof int, up, left, diag 
 	return acc
 }
 
-// GridCell computes one cell update through interface dispatch — the
-// sequential oracle's per-cell step, sharing gridCell with the batched
-// kernels so every path folds terms identically.
-func GridCell(ring Semiring, a, b, d, c []float64, cof int, up, left, diag float64) float64 {
-	return gridCell(ring, a, b, d, c, cof, up, left, diag)
-}
+// negZero is the tropical ⊗ identity for the constant term: c + (-0) is c
+// bit for bit, where c + 0 turns -0 into +0 (the affine kernel uses c · 1).
+var negZero = math.Copysign(0, -1)
 
-// gridKernel is the one UpdateDiag implementation, monomorphized per
-// concrete semiring (direct calls) or instantiated at the interface type
-// (generic dispatch).
-type gridKernel[R Semiring] struct{ ring R }
-
-func (k gridKernel[R]) UpdateDiag(w []float64, a, b, d, c []float64, ext0, cof0, stride, lo, hi int) {
-	estep, cstep := stride-1, stride-2
-	ext := ext0 + lo*estep
-	cof := cof0 + lo*cstep
-	for t := lo; t < hi; t++ {
-		w[ext] = gridCell(k.ring, a, b, d, c, cof, w[ext-stride], w[ext-1], w[ext-stride-1])
-		ext += estep
-		cof += cstep
+// Tile implements GridKernel for the affine ring.
+func (r RingF64) Tile(f *GridFrame, i0, i1, j0, j1 int) (bad float64) {
+	for i := i0; i < i1; i++ {
+		out, up, a, b, d, c, left, diag := f.row(i, j0, j1)
+		for j, u := range up[:len(out)] {
+			acc, has := r.step(0, false, a, j, u)
+			acc, has = r.step(acc, has, b, j, left)
+			acc, has = r.step(acc, has, d, j, diag)
+			acc, _ = r.step(acc, has, c, j, 1)
+			out[j], bad = acc, bad+(acc-acc)
+			left, diag = acc, u
+		}
 	}
+	return bad
 }
 
-// GridKernelFor returns the monomorphized batch kernel for one of the
-// built-in semirings, or nil for an unknown implementation (callers then
-// fall back to GridKernelGeneric).
-func GridKernelFor(ring Semiring) GridKernel {
-	switch ring.(type) {
-	case RingF64:
-		return gridKernel[RingF64]{}
-	case MaxPlusF64:
-		return gridKernel[MaxPlusF64]{}
-	case MinPlusF64:
-		return gridKernel[MinPlusF64]{}
+// step folds the term g[j] ⊗ x into acc if the term is present, exactly as
+// GridCell does.
+func (RingF64) step(acc float64, has bool, g []float64, j int, x float64) (float64, bool) {
+	if j >= len(g) {
+		return acc, has
 	}
-	return nil
+	v := g[j] * x
+	if has {
+		return acc + v, true
+	}
+	return v, true
 }
 
-// GridKernelGeneric returns the interface-dispatch batch kernel over ring —
-// the reference path the kernel kill switch (grid2d.SetKernelsEnabled)
-// falls back to, bit-identical to the monomorphized instances.
+// Tile implements GridKernel for max-plus.
+func (r MaxPlusF64) Tile(f *GridFrame, i0, i1, j0, j1 int) (bad float64) {
+	for i := i0; i < i1; i++ {
+		out, up, a, b, d, c, left, diag := f.row(i, j0, j1)
+		for j, u := range up[:len(out)] {
+			acc, has := r.step(0, false, a, j, u)
+			acc, has = r.step(acc, has, b, j, left)
+			acc, has = r.step(acc, has, d, j, diag)
+			acc, _ = r.step(acc, has, c, j, negZero)
+			out[j], bad = acc, bad+(acc-acc)
+			left, diag = acc, u
+		}
+	}
+	return bad
+}
+
+// step is RingF64.step for max-plus.
+func (MaxPlusF64) step(acc float64, has bool, g []float64, j int, x float64) (float64, bool) {
+	if j >= len(g) {
+		return acc, has
+	}
+	if v := g[j] + x; !has || v > acc {
+		return v, true
+	}
+	return acc, true
+}
+
+// Tile implements GridKernel for min-plus.
+func (r MinPlusF64) Tile(f *GridFrame, i0, i1, j0, j1 int) (bad float64) {
+	for i := i0; i < i1; i++ {
+		out, up, a, b, d, c, left, diag := f.row(i, j0, j1)
+		for j, u := range up[:len(out)] {
+			acc, has := r.step(0, false, a, j, u)
+			acc, has = r.step(acc, has, b, j, left)
+			acc, has = r.step(acc, has, d, j, diag)
+			acc, _ = r.step(acc, has, c, j, negZero)
+			out[j], bad = acc, bad+(acc-acc)
+			left, diag = acc, u
+		}
+	}
+	return bad
+}
+
+// step is RingF64.step for min-plus.
+func (MinPlusF64) step(acc float64, has bool, g []float64, j int, x float64) (float64, bool) {
+	if j >= len(g) {
+		return acc, has
+	}
+	if v := g[j] + x; !has || v < acc {
+		return v, true
+	}
+	return acc, true
+}
+
+// gridGeneric is the interface-dispatch GridKernel over any Semiring.
+type gridGeneric struct{ Semiring }
+
+func (k gridGeneric) Tile(f *GridFrame, i0, i1, j0, j1 int) (bad float64) {
+	for i := i0; i < i1; i++ {
+		out, up, a, b, d, c, left, diag := f.row(i, j0, j1)
+		for j, u := range up[:len(out)] {
+			v := GridCell(k.Semiring, a, b, d, c, j, u, left, diag)
+			out[j], bad = v, bad+(v-v)
+			left, diag = v, u
+		}
+	}
+	return bad
+}
+
+// GridKernelGeneric returns the interface-dispatch tile kernel over ring,
+// the path grid2d.SetKernelsEnabled(false) falls back to.
 func GridKernelGeneric(ring Semiring) GridKernel {
-	return gridKernel[Semiring]{ring: ring}
+	return gridGeneric{ring}
 }

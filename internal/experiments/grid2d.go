@@ -29,9 +29,10 @@ func init() {
 // for the wavefront hot path).
 const GridBaselineEnv = "IRBENCH_GRID_BASELINE"
 
-// gridProcs is the worker count per wavefront round, fixed (like scanProcs)
-// so the artifact is comparable across machines.
-const gridProcs = 8
+// gridProcs is the worker count per tile round: 8, clamped to the host's
+// CPUs so a small host does not time oversubscribed gangs. The output
+// records the host's NumCPU beside it.
+var gridProcs = min(8, runtime.NumCPU())
 
 // gridGateFloorMs exempts sizes whose baseline warm replay is below this
 // many milliseconds from the regression gate — sub-millisecond replays
@@ -67,15 +68,15 @@ func internalGrid(s *ir.Grid2DSystem) (*grid2d.System, error) {
 
 // runGrid2D is E21: the wavefront hot path on n×n edit-distance grids. Per
 // size it measures the cold path (compile + one solve through the public
-// facade) and warm arena replays on a persistent gang — the irserved
-// steady state — and checks three invariants: warm values bit-identical to
-// cold, zero allocations per warm replay, and rounds = 2n-1 (one gang
-// round per anti-diagonal). Machine-readable GRID lines accompany the
-// table so CI and the IRBENCH_GRID_BASELINE gate can parse results. A side
-// table sweeps the three semiring kernels at one size, and a small-size
-// row cross-checks the sequential oracle. The wavefront is depth-limited
-// (2n-1 rounds of ≤ n cells), so warm-vs-cold — plan and arena reuse, not
-// parallel speedup — is the headline on few physical cores.
+// facade), warm arena replays on a persistent gang — the irserved steady
+// state — and two one-goroutine baselines: the plain loop (the same
+// concrete kernel folding the whole grid as one tile, warm) and the
+// generic sequential oracle. It checks three invariants: warm values
+// bit-identical to cold and to the oracle, zero allocations per warm
+// replay, and rounds = 2⌈n/B⌉-1 (one gang round per anti-diagonal of B×B
+// tiles). Machine-readable GRID lines accompany the table so CI and the
+// IRBENCH_GRID_BASELINE gate can parse results. A side table sweeps the
+// three semiring kernels at one size against the oracle.
 func runGrid2D(w io.Writer, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.seed()))
 	coldReps, warmReps := 3, 8
@@ -97,9 +98,9 @@ func runGrid2D(w io.Writer, opt Options) error {
 
 	ctx := context.Background()
 	tb := report.NewTable(
-		fmt.Sprintf("edit-distance wavefront: cold vs warm arena replay (procs=%d, cold x%d, warm x%d, best-of)",
-			gridProcs, coldReps, warmReps),
-		"grid", "cells", "cold ms", "warm ms", "speedup", "rounds", "allocs/op", "identical")
+		fmt.Sprintf("edit-distance wavefront: cold vs warm tiled replay vs one-goroutine loop and oracle (procs=%d on %d CPUs, cold x%d, warm x%d, best-of)",
+			gridProcs, runtime.NumCPU(), coldReps, warmReps),
+		"grid", "cells", "cold ms", "warm ms", "loop ms", "oracle ms", "warm vs loop", "loop vs oracle", "rounds", "allocs/op", "identical")
 
 	var machine []string
 	for _, n := range sizes {
@@ -150,11 +151,38 @@ func runGrid2D(w io.Writer, opt Options) error {
 		})
 		gang.Close()
 
-		if !identical {
-			return fmt.Errorf("grid2d n=%d: warm replay diverged from the cold solve", n)
+		loop, err := grid2d.CompileLoop(gsys)
+		if err != nil {
+			return fmt.Errorf("grid2d n=%d: loop: %w", n, err)
 		}
-		if warmRes.Rounds != 2*n-1 {
-			return fmt.Errorf("grid2d n=%d: %d rounds, want one per anti-diagonal (%d)", n, warmRes.Rounds, 2*n-1)
+		loopArena := loop.NewArena()
+		var loopRes *grid2d.Result
+		loopMs, err := bestOf(warmReps, func() error {
+			r, err := loopArena.SolveCtx(ctx, gsys, 1)
+			loopRes = r
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("grid2d n=%d: loop: %w", n, err)
+		}
+		identical = identical && float64SlicesEqual(coldRes.Values, loopRes.Values)
+		var oracle *grid2d.Result
+		oracleMs, err := bestOf(coldReps, func() error {
+			r, err := grid2d.SolveSequential(gsys)
+			oracle = r
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("grid2d n=%d: oracle: %w", n, err)
+		}
+		identical = identical && float64SlicesEqual(coldRes.Values, oracle.Values)
+
+		if !identical {
+			return fmt.Errorf("grid2d n=%d: warm replay, loop and oracle diverged from the cold solve", n)
+		}
+		b := grid2d.TileSide(n, n)
+		if want := 2*((n+b-1)/b) - 1; warmRes.Rounds != want {
+			return fmt.Errorf("grid2d n=%d: %d rounds, want one per anti-diagonal of %dx%d tiles (%d)", n, warmRes.Rounds, b, b, want)
 		}
 		// Race instrumentation allocates inside the workers; the zero-alloc
 		// contract is only gated in normal builds (the -race path is covered
@@ -188,19 +216,23 @@ func runGrid2D(w io.Writer, opt Options) error {
 		tb.AddRow(fmt.Sprintf("%dx%d", n, n), coldRes.Cells,
 			fmt.Sprintf("%.3f", coldMs),
 			fmt.Sprintf("%.3f", warmMs),
-			fmt.Sprintf("%.2fx", coldMs/warmMs),
+			fmt.Sprintf("%.3f", loopMs),
+			fmt.Sprintf("%.3f", oracleMs),
+			fmt.Sprintf("%.2fx", loopMs/warmMs),
+			fmt.Sprintf("%.2fx", oracleMs/loopMs),
 			warmRes.Rounds,
 			fmt.Sprintf("%.0f", allocs), identical)
 		machine = append(machine, fmt.Sprintf(
-			"GRID n=%d cold_ms=%.3f warm_ms=%.3f rounds=%d allocs=%.0f identical=%v",
-			n, coldMs, warmMs, warmRes.Rounds, allocs, identical))
+			"GRID n=%d cold_ms=%.3f warm_ms=%.3f rounds=%d allocs=%.0f identical=%v tile=%d loop_ms=%.3f oracle_ms=%.3f warm_vs_loop=%.2f loop_vs_oracle=%.2f procs=%d num_cpu=%d",
+			n, coldMs, warmMs, warmRes.Rounds, allocs, identical, b, loopMs, oracleMs,
+			loopMs/warmMs, oracleMs/loopMs, gridProcs, runtime.NumCPU()))
 	}
 	tb.Render(w)
 	fmt.Fprintln(w)
 
-	// Semiring kernel sweep at the smallest size: the same wavefront
-	// schedule drives all three monomorphized kernels, and the affine row
-	// doubles as the oracle cross-check (sequential row-major vs parallel).
+	// Semiring kernel sweep at the smallest size: the same tile schedule
+	// drives all three concrete kernels, each cross-checked against the
+	// sequential oracle.
 	{
 		n := sizes[0]
 		st := report.NewTable(fmt.Sprintf("semiring kernels on a random %dx%d grid (warm x%d)", n, n, warmReps),
@@ -250,9 +282,9 @@ func runGrid2D(w io.Writer, opt Options) error {
 	for _, line := range machine {
 		fmt.Fprintln(w, line)
 	}
-	fmt.Fprintln(w, "\nEach anti-diagonal is one gang round, so a 2n-1-round wavefront replays")
-	fmt.Fprintln(w, "from a warm arena with zero allocations, bit-identical to the cold solve")
-	fmt.Fprintln(w, "and to the sequential row-major oracle.")
+	fmt.Fprintln(w, "\nEach anti-diagonal of BxB tiles is one gang round, so the wavefront replays")
+	fmt.Fprintln(w, "in 2*ceil(n/B)-1 rounds from a warm arena with zero allocations, bit-identical")
+	fmt.Fprintln(w, "to the cold solve, the one-tile loop and the sequential row-major oracle.")
 	return nil
 }
 

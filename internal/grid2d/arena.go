@@ -2,195 +2,127 @@ package grid2d
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"indexedrec/internal/core"
 	"indexedrec/internal/parallel"
 )
 
-// kernelsDisabled is the global kill switch for monomorphized grid kernels
+// kernelsDisabled is the global kill switch for the concrete grid kernels
 // (see SetKernelsEnabled): when set, solves dispatch every cell update
 // through the generic Semiring interface path instead. Fuzzers flip it to
 // prove both dispatch paths are bit-identical.
 var kernelsDisabled atomic.Bool
 
-// SetKernelsEnabled globally enables (default) or disables monomorphized
-// grid-kernel dispatch and reports whether it was enabled before. Intended
-// for tests and fuzzers exercising the generic path; not a production
-// tunable.
+// SetKernelsEnabled globally enables (default) or disables the concrete
+// grid kernels and reports whether they were enabled before. Intended for
+// tests and fuzzers exercising the generic path; not a production tunable.
 func SetKernelsEnabled(on bool) bool {
 	return !kernelsDisabled.Swap(!on)
 }
 
-// kernelFor resolves the ring's batch kernel under the kill switch.
+// kernelFor resolves the ring's tile kernel under the kill switch.
 func kernelFor(r Ring) core.GridKernel {
-	if !kernelsDisabled.Load() {
-		if k := core.GridKernelFor(r.semiring()); k != nil {
-			return k
-		}
+	if kernelsDisabled.Load() {
+		return core.GridKernelGeneric(r.semiring())
 	}
-	return core.GridKernelGeneric(r.semiring())
+	return r.semiring()
 }
 
-// gridGrain is the minimum number of cells a wavefront round hands each
-// extra worker: diagonals shorter than 2·gridGrain run on fewer workers
-// (down to sequentially) because a cell update is a handful of flops and a
-// gang round costs about a microsecond. It is a compile-time constant, not
-// a machine property, so it never enters plans or fingerprints.
-const gridGrain = 512
-
-// errNonFiniteChunk is the internal marker a copy-out chunk returns when
-// its finiteness probe fires; SolveCtx converts it to an ErrNonFinite
-// naming the first bad cell in row-major order.
-var errNonFiniteChunk = errors.New("grid2d: non-finite chunk")
-
-// Arena is the reusable scratch of grid replays: the boundary-extended
-// working grid, the row-major output buffer, the result shell, and the
-// pre-bound round bodies, all sized once for one plan. A steady-state warm
-// replay through an arena performs no allocation at all. An arena is
-// single-solve at a time (not safe for concurrent SolveCtx calls on the
-// same arena), and the result of a solve aliases the arena's buffers — it
-// is valid only until the next SolveCtx on the same arena. Use one arena
-// per worker, or Plan.SolveCtx for a pool-managed copy-out replay.
+// Arena is the reusable state of grid replays: the bound round body and
+// the per-solve bindings it reads, plus — in caller-owned arenas from
+// NewArena — an output buffer and result shell, so warm replays allocate
+// nothing. An arena runs one solve at a time, and Arena.SolveCtx's result
+// aliases its buffer until the next SolveCtx. Use one arena per worker, or
+// Plan.SolveCtx for replays into fresh results.
 type Arena struct {
 	plan *Plan
-	w    []float64 // extended (rows+1)×(cols+1) grid, boundaries in row/col 0
-	out  []float64 // row-major rows×cols interior copy
+	out  []float64 // caller-owned arenas only; nil in shells
 	res  Result
 
-	// Per-solve bindings, cleared on return so pooled arenas retain no
-	// caller data.
-	sys  *System
-	kern core.GridKernel
-	k    int // current diagonal, read by body goroutines
+	// Per-solve bindings, cleared on return so an idle arena retains no
+	// caller data. bad is set by any tile whose finiteness probe fires.
+	frame core.GridFrame
+	kern  core.GridKernel
+	round int
+	bad   atomic.Bool
 
-	// Round bodies, bound once so ForCtx dispatch never allocates.
-	body     func(lo, hi int) error
-	copyBody func(lo, hi int) error
+	// The round body, bound once so ForCtx dispatch never allocates.
+	body func(lo, hi int) error
 }
 
-// NewArena allocates replay scratch for p: the extended working grid, the
-// output buffer, and the bound round bodies.
-func (p *Plan) NewArena() *Arena {
-	a := &Arena{
-		plan: p,
-		w:    make([]float64, (p.rows+1)*p.stride),
-		out:  make([]float64, p.rows*p.cols),
-	}
-	a.body = a.updateDiag
-	a.copyBody = a.copyRows
+// newShell allocates an arena without an output buffer, for a replay that
+// writes into its caller's.
+func (p *Plan) newShell() *Arena {
+	a := &Arena{plan: p}
+	a.body = a.tiles
 	return a
 }
 
-// updateDiag is the wavefront round body: batch-update cells [lo, hi) of
-// the current diagonal through the bound kernel.
-func (a *Arena) updateDiag(lo, hi int) error {
-	d := a.plan.diags[a.k]
-	s := a.sys
-	a.kern.UpdateDiag(a.w, s.A, s.B, s.D, s.C, d.ext0, d.cof0, a.plan.stride, lo, hi)
-	return nil
+// NewArena allocates a caller-owned arena for p, with its output buffer.
+func (p *Plan) NewArena() *Arena {
+	a := p.newShell()
+	a.out = make([]float64, p.rows*p.cols)
+	return a
 }
 
-// copyRows copies interior rows [lo, hi) of the extended grid into the
-// row-major output, probing for non-finite values as it goes: v-v
-// accumulates 0 for finite cells and NaN otherwise, so the whole chunk is
-// checked without a branch per cell.
-func (a *Arena) copyRows(lo, hi int) error {
+// tiles is the round body: solve tiles [lo, hi) of the current round, each
+// B×B tile (ti, round-ti) in row-major order.
+func (a *Arena) tiles(lo, hi int) error {
 	p := a.plan
-	var bad float64
-	for i := lo; i < hi; i++ {
-		src := a.w[(i+1)*p.stride+1 : (i+1)*p.stride+1+p.cols]
-		dst := a.out[i*p.cols : (i+1)*p.cols]
-		for j, v := range src {
-			dst[j] = v
-			bad += v - v
+	ti0, _ := p.roundTiles(a.round)
+	for t := lo; t < hi; t++ {
+		i0, j0 := (ti0+t)*p.tile, (a.round-ti0-t)*p.tile
+		if a.kern.Tile(&a.frame, i0, min(i0+p.tile, p.rows), j0, min(j0+p.tile, p.cols)) != 0 {
+			a.bad.Store(true)
 		}
-	}
-	if bad != 0 {
-		return errNonFiniteChunk
 	}
 	return nil
 }
 
-// firstBadCell recovers the exact row-major-first non-finite cell after a
-// copy chunk's probe fired — the same cell the sequential oracle names.
-func (a *Arena) firstBadCell() error {
+// run replays the tile schedule for the matching system s into out, one
+// parallel round per anti-diagonal of tiles. A non-finite cell does not
+// stop it: a later tile can hold an earlier row-major cell, so a rescan
+// after the last round names the first bad cell.
+func (a *Arena) run(ctx context.Context, s *System, procs int, out []float64) error {
 	p := a.plan
-	for i := 0; i < p.rows; i++ {
-		row := a.w[(i+1)*p.stride+1 : (i+1)*p.stride+1+p.cols]
-		for j, v := range row {
-			if !isFinite(v) {
-				return fmt.Errorf("%w: cell (%d,%d)", ErrNonFinite, i, j)
-			}
-		}
+	if procs <= 0 {
+		procs = parallel.DefaultProcs()
 	}
-	return ErrNonFinite
+	a.frame = core.GridFrame{Cols: p.cols, W: out, A: s.A, B: s.B, D: s.D, C: s.C,
+		North: s.North, West: s.West, NW: s.NW}
+	a.kern = kernelFor(s.Ring)
+	a.bad.Store(false)
+
+	// The widest round holds min(tileRows, tileCols) tiles; size the gang
+	// by its cells so the minimum grain never collapses it.
+	wide := min(p.tileRows, p.tileCols)
+	ctx, release := parallel.EnsureGang(ctx, min(procs, wide), min(wide*p.tile*p.tile, p.rows*p.cols))
+	var err error
+	for k := 0; k < p.Rounds() && err == nil; k++ {
+		a.round = k
+		_, n := p.roundTiles(k)
+		err = parallel.ForCtxWeighted(ctx, n, procs, p.tile*p.tile, a.body)
+	}
+	release()
+	a.frame, a.kern = core.GridFrame{}, nil
+	if err == nil && a.bad.Load() {
+		err = checkFinite(out, p.cols)
+	}
+	return err
 }
 
-// workersFor clamps procs so every worker of a round gets at least
-// gridGrain cells.
-func workersFor(procs, count int) int {
-	w := 1 + count/gridGrain
-	if w > procs {
-		w = procs
-	}
-	return w
-}
-
-// SolveCtx replays the compiled schedule for s in this arena: fill the
-// boundary frame, run one parallel round per anti-diagonal, then copy out
-// the interior with a fused finiteness probe. The returned result aliases
-// the arena's buffers and is valid until the next SolveCtx on the same
-// arena. Warm replays allocate nothing and are bit-identical to
-// SolveSequential.
+// SolveCtx replays the compiled schedule for s into the arena's own buffer,
+// which the result aliases until the next SolveCtx on this arena. Warm
+// replays allocate nothing and are bit-identical to SolveSequential.
 func (a *Arena) SolveCtx(ctx context.Context, s *System, procs int) (*Result, error) {
 	p := a.plan
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	if err := p.matches(s); err != nil {
 		return nil, err
 	}
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
-
-	a.sys = s
-	a.kern = kernelFor(s.Ring)
-	w := a.w
-	w[0] = s.NW
-	copy(w[1:1+p.cols], s.North)
-	for i := 0; i < p.rows; i++ {
-		w[(i+1)*p.stride] = s.West[i]
-	}
-
-	ctx, release := parallel.EnsureGang(ctx, procs, p.maxDiag)
-	var err error
-	for k := range p.diags {
-		a.k = k
-		count := p.diags[k].count
-		if err = parallel.ForCtx(ctx, count, workersFor(procs, count), a.body); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = parallel.ForCtx(ctx, p.rows, workersFor(procs, p.rows*p.cols), a.copyBody)
-	}
-	release()
-	a.sys, a.kern = nil, nil
-	if err != nil {
-		if errors.Is(err, errNonFiniteChunk) {
-			return nil, a.firstBadCell()
-		}
+	if err := a.run(ctx, s, procs, a.out); err != nil {
 		return nil, err
 	}
-	a.res = Result{
-		Values: a.out,
-		Rounds: len(p.diags),
-		Cells:  int64(p.rows) * int64(p.cols),
-	}
+	a.res = p.result(a.out)
 	return &a.res, nil
 }

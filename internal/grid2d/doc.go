@@ -1,6 +1,6 @@
-// Package grid2d solves 2-D indexed recurrence grids by anti-diagonal
-// wavefronts of batched cell updates (Natale, "On the Computation of 2-D
-// Recurrence Equations"):
+// Package grid2d solves 2-D indexed recurrence grids by wavefronts of
+// cache-sized tiles (Natale, "On the Computation of 2-D Recurrence
+// Equations"):
 //
 //	w[i,j] = (a[i,j] ⊗ w[i-1,j]) ⊕ (b[i,j] ⊗ w[i,j-1]) ⊕
 //	         (d[i,j] ⊗ w[i-1,j-1]) ⊕ c[i,j]
@@ -10,35 +10,26 @@
 // turn the same grid into a dynamic program — edit distance, Smith–Waterman
 // and friends are Systems here, not bespoke solvers.
 //
-// # Wavefront schedule
+// # Tile schedule
 //
-// Every cell on anti-diagonal k = i+j depends only on diagonals k-1 and
-// k-2, so a grid solve is Rows+Cols-1 rounds, each round an embarrassingly
-// parallel batch over its diagonal's cells — the same shape as the 1-D
-// solver families' rounds, and executed the same way: one parallel.ForCtx
-// (gang-backed when a gang is installed) per diagonal over monomorphized
-// core.GridKernel batch updates. Cells live in an extended
-// (Rows+1)×(Cols+1) grid whose row 0 and column 0 hold the North/West
-// boundaries, making the interior update uniform and branch-free; walking
-// a diagonal steps the extended index by stride-1 and the coefficient index
-// by stride-2.
-//
-// # Compile once, solve many
-//
-// Compile fixes the schedule — diagonal offsets, cell counts, the widest
-// round — from the system's structure alone (dimensions, semiring, term
-// mask), never from machine properties, so plan fingerprints agree across
-// machines. Plan.SolveCtx replays through a pool of arenas; NewArena gives
-// a caller-owned arena whose warm replays allocate nothing and are
-// bit-identical to cold solves and to the SolveSequential oracle (the
-// monomorphized and generic kernel paths share one per-cell fold in
-// internal/core, and SetKernelsEnabled lets fuzzers prove it).
+// The grid is cut into B×B tiles, B = TileSide(Rows, Cols). A tile reads
+// only the tiles above and left of it, so the tiles on one anti-diagonal of
+// the tile grid are independent: a solve is ⌈Rows/B⌉ + ⌈Cols/B⌉ − 1
+// parallel rounds. Inside a tile the ring's concrete core.GridKernel folds
+// cells row-major, carrying the left and diagonal neighbours in registers
+// and writing straight into the row-major result. The schedule comes from
+// the system's structure alone — never machine properties — so plans and
+// round counts agree across machines, and a plan holds no grid buffers.
+// Every path is bit-identical to the SolveSequential oracle: all kernels
+// fold each cell in core.GridCell's canonical order, and SetKernelsEnabled
+// lets fuzzers prove it.
 //
 // # Finiteness
 //
 // Like the Möbius family, results must be finite: boundaries are checked by
-// Validate, and outputs are probed during the parallel copy-out (fused into
-// the copy, so warm replays pay no separate scan); a NaN or ±Inf anywhere
-// fails the solve with ErrNonFinite naming the first bad cell in row-major
-// order, identically on every path.
+// Validate, and each tile sums v-v over its cells (0 when all are finite).
+// A solve whose probe fired rescans the result row-major after the last
+// round — a later tile can hold an earlier bad cell — and fails with
+// ErrNonFinite naming the first bad cell in row-major order, identically
+// on every path.
 package grid2d

@@ -12,8 +12,8 @@ import (
 // distinct from core.ErrInvalidSystem (services map it to 422, not 400).
 var ErrNonFinite = errors.New("grid2d: non-finite value in solution")
 
-// maxGridDim bounds each grid dimension so cell counts and extended-grid
-// index arithmetic stay far from int overflow on every platform.
+// maxGridDim bounds each grid dimension so cell counts and tile index
+// arithmetic stay far from int overflow on every platform.
 const maxGridDim = 1 << 24
 
 // Ring selects the float64 semiring (⊕, ⊗) a grid system folds with.
@@ -59,9 +59,9 @@ func RingByName(name string) (Ring, error) {
 		core.ErrInvalidSystem, name)
 }
 
-// semiring returns the ring's core algebra; the zero-size concrete types
-// box into the interface without allocating.
-func (r Ring) semiring() core.Semiring {
+// semiring returns the ring's core algebra with its concrete tile kernel;
+// the zero-size types box into the interface without allocating.
+func (r Ring) semiring() core.GridKernel {
 	switch r {
 	case RingMaxPlus:
 		return core.MaxPlusF64{}
@@ -72,7 +72,7 @@ func (r Ring) semiring() core.Semiring {
 }
 
 // Term-presence bits of a System (and of the plans compiled from it). The
-// mask is structural: it is part of the plan fingerprint, and the batch
+// mask is structural: it is part of the plan fingerprint, and the tile
 // kernels branch on grid nil-ness exactly as the mask describes.
 const (
 	// TermA marks the up term a[i,j] ⊗ w[i-1,j].
@@ -115,7 +115,7 @@ type System struct {
 type Result struct {
 	// Values is the solved interior grid, row-major Rows×Cols.
 	Values []float64
-	// Rounds is the number of wavefront rounds executed (Rows+Cols-1).
+	// Rounds is the number of tile rounds (see Plan.Rounds).
 	Rounds int
 	// Cells is the number of interior cells solved.
 	Cells int64
@@ -203,7 +203,7 @@ func (s *System) Validate() error {
 
 // isFinite reports whether v is neither NaN nor ±Inf. v-v is 0 for every
 // finite v and NaN otherwise, so the test compiles to two instructions and
-// fuses into copy loops without branching per cell.
+// the tile kernels sum it over their cells without branching per cell.
 func isFinite(v float64) bool {
 	return v-v == 0
 }
@@ -236,9 +236,9 @@ func (s *System) neighbours(out []float64, i, j int) (up, left, diag float64) {
 }
 
 // SolveSequential is the reference oracle: a plain row-major sweep through
-// interface-dispatched per-cell updates, sharing the canonical term fold
-// with the parallel kernels so both produce bit-identical values. It exists
-// to check the wavefront engine, not to be fast.
+// interface-dispatched per-cell updates in the canonical term order every
+// kernel folds, so all paths produce bit-identical values. Rounds is the
+// tile schedule's, as a replay reports. It checks the wavefront engine.
 func SolveSequential(s *System) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -256,14 +256,14 @@ func SolveSequential(s *System) (*Result, error) {
 	}
 	return &Result{
 		Values: out,
-		Rounds: s.Rows + s.Cols - 1,
+		Rounds: newPlan(s, TileSide(s.Rows, s.Cols)).Rounds(),
 		Cells:  int64(s.Rows) * int64(s.Cols),
 	}, nil
 }
 
 // checkFinite scans a row-major solution and reports the first non-finite
-// cell in row-major order — the order both the oracle and the arena's
-// recovery scan use, so every path names the same cell.
+// cell in row-major order — the order both the oracle and a flagged
+// replay's rescan use, so every path names the same cell.
 func checkFinite(out []float64, cols int) error {
 	for k, v := range out {
 		if !isFinite(v) {

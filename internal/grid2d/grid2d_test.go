@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -41,7 +43,8 @@ func editDistance(a, b string) *System {
 
 // randomSystem builds a random grid with the given shape, ring and term
 // mask (at least one term is forced). Affine coefficients stay small so
-// 32-step products cannot overflow.
+// 32-step products cannot overflow; tropical ones are small integers,
+// with zeros of both signs.
 func randomSystem(rng *rand.Rand, rows, cols int, ring Ring, mask uint8) *System {
 	if mask&(TermA|TermB|TermD|TermC) == 0 {
 		mask = TermA | TermB
@@ -52,8 +55,8 @@ func randomSystem(rng *rand.Rand, rows, cols int, ring Ring, mask uint8) *System
 		for k := range g {
 			if ring == RingAffine {
 				g[k] = 0.6*rng.Float64() - 0.3
-			} else {
-				g[k] = float64(rng.Intn(21) - 10)
+			} else if g[k] = float64(rng.Intn(21) - 10); g[k] == 0 && rng.Intn(2) == 0 {
+				g[k] = math.Copysign(0, -1) // -0 must survive every fold bit for bit
 			}
 		}
 		return g
@@ -100,7 +103,7 @@ func TestSolveSequentialEditDistance(t *testing.T) {
 		if got := res.Values[len(res.Values)-1]; got != tc.want {
 			t.Errorf("edit(%q,%q) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
-		if want := len(tc.a) + len(tc.b) - 1; res.Rounds != want {
+		if want := 1; res.Rounds != want { // every string fits one tile
 			t.Errorf("edit(%q,%q) rounds = %d, want %d", tc.a, tc.b, res.Rounds, want)
 		}
 	}
@@ -180,7 +183,7 @@ func TestPlanMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%dx%d %s mask %#x: SolveCtx: %v", sh[0], sh[1], ring, mask, err)
 				}
-				assertSame(t, fmt.Sprintf("%dx%d %s mask %#x pooled", sh[0], sh[1], ring, mask), want, got)
+				assertSame(t, fmt.Sprintf("%dx%d %s mask %#x plan", sh[0], sh[1], ring, mask), want, got)
 				ar := p.NewArena()
 				for rep := 0; rep < 2; rep++ {
 					res, err := ar.SolveCtx(ctx, s, 3)
@@ -192,6 +195,11 @@ func TestPlanMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tileRounds is the tile schedule's depth: ⌈rows/b⌉ + ⌈cols/b⌉ − 1.
+func tileRounds(rows, cols, b int) int {
+	return (rows+b-1)/b + (cols+b-1)/b - 1
 }
 
 func assertSame(t *testing.T, label string, want, got *Result) {
@@ -289,15 +297,65 @@ func TestArenaShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestDiagonalScheduleMatchesCAPWavefront embeds small grids as dependence
-// DAGs (edges from each cell to the cells it reads) and cross-checks cap's
-// general wavefront labeling against grid2d's compiled diagonal schedule:
-// level(i,j) must equal the anti-diagonal i+j, the number of levels must
-// equal the plan's round count, and each level's population must equal the
-// corresponding diagonal's cell count.
-func TestDiagonalScheduleMatchesCAPWavefront(t *testing.T) {
-	for _, sh := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {3, 4}, {5, 5}} {
+// TestTileScheduleRespectsDependencies replays the tile schedule's order —
+// round by round, tiles in dispatch order, cells row-major inside each tile —
+// for several tile sides, and requires each cell's up, left and diagonal
+// dependencies to sit in an earlier round or earlier in the same tile, so
+// any partition of a round across workers races nothing. It also embeds the
+// grids as dependence DAGs and cross-checks cap's general wavefront
+// labeling: level(i,j) must be the anti-diagonal i+j.
+func TestTileScheduleRespectsDependencies(t *testing.T) {
+	for _, sh := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {3, 4}, {5, 5}, {11, 8}} {
 		r, c := sh[0], sh[1]
+		s := randomSystem(rand.New(rand.NewSource(1)), r, c, RingAffine, TermA|TermB|TermD)
+		for _, b := range []int{1, 2, 3, 7, TileSide(r, c)} {
+			p := newPlan(s, b)
+			if want := tileRounds(r, c, b); p.Rounds() != want {
+				t.Fatalf("%dx%d b=%d: %d rounds, want %d", r, c, b, p.Rounds(), want)
+			}
+			// Where each cell was solved: its round, its tile, and its
+			// position in that tile's row-major fold.
+			type stamp struct{ round, tile, seq int }
+			at := make([]stamp, r*c)
+			seen, tile := 0, 0
+			for k := 0; k < p.Rounds(); k++ {
+				ti0, n := p.roundTiles(k)
+				for u := 0; u < n; u++ {
+					ti, tj := ti0+u, k-ti0-u
+					if ti < 0 || ti >= p.tileRows || tj < 0 || tj >= p.tileCols {
+						t.Fatalf("%dx%d b=%d: round %d tile (%d,%d) outside the tile grid", r, c, b, k, ti, tj)
+					}
+					seq := 0
+					for i := ti * b; i < min((ti+1)*b, r); i++ {
+						for j := tj * b; j < min((tj+1)*b, c); j++ {
+							at[i*c+j] = stamp{k, tile, seq}
+							seq++
+							seen++
+						}
+					}
+					tile++
+				}
+			}
+			if seen != r*c {
+				t.Fatalf("%dx%d b=%d: schedule solved %d cells, want %d", r, c, b, seen, r*c)
+			}
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					v := at[i*c+j]
+					for _, dep := range [][2]int{{i - 1, j}, {i, j - 1}, {i - 1, j - 1}} {
+						if dep[0] < 0 || dep[1] < 0 {
+							continue // boundary
+						}
+						d := at[dep[0]*c+dep[1]]
+						if d.round >= v.round && (d.tile != v.tile || d.seq >= v.seq) {
+							t.Fatalf("%dx%d b=%d: cell (%d,%d) at %+v reads (%d,%d) at %+v",
+								r, c, b, i, j, v, dep[0], dep[1], d)
+						}
+					}
+				}
+			}
+		}
+
 		edges := make(map[int][]cap.Edge)
 		one := big.NewInt(1)
 		for i := 0; i < r; i++ {
@@ -318,33 +376,148 @@ func TestDiagonalScheduleMatchesCAPWavefront(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d: WavefrontLevels: %v", r, c, err)
 		}
-		s := randomSystem(rand.New(rand.NewSource(1)), r, c, RingAffine, TermA|TermB|TermD)
-		p, err := Compile(context.Background(), s)
-		if err != nil {
-			t.Fatalf("%dx%d: Compile: %v", r, c, err)
-		}
-		perLevel := make([]int, p.Rounds())
 		for v, l := range levels {
 			if want := v/c + v%c; l != want {
 				t.Fatalf("%dx%d: level(%d,%d) = %d, want %d", r, c, v/c, v%c, l, want)
 			}
-			perLevel[l]++
-		}
-		for k, d := range p.diags {
-			if perLevel[k] != d.count {
-				t.Errorf("%dx%d: diagonal %d has %d cells, cap level has %d", r, c, k, d.count, perLevel[k])
-			}
-		}
-		if maxL := levels[r*c-1]; maxL+1 != p.Rounds() {
-			t.Errorf("%dx%d: cap depth %d+1 != plan rounds %d", r, c, maxL, p.Rounds())
 		}
 	}
 }
 
-// TestConcurrentWarmReplays hammers one plan from many goroutines — pooled
+// TestTiledMatchesOracle compiles with small tile sides so small grids
+// cross many tile edges — ragged edge tiles, 1×n, n×1 and 1×1 included —
+// and requires plan and arena replays to be bit-identical to the oracle
+// over every ring and term mask, with the gang on and off.
+func TestTiledMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	ctx := context.Background()
+	shapes := [][2]int{{1, 1}, {1, 9}, {9, 1}, {4, 4}, {10, 17}, {23, 6}}
+	for _, gang := range []bool{true, false} {
+		t.Run(fmt.Sprintf("gang=%v", gang), func(t *testing.T) {
+			defer parallel.SetGangEnabled(parallel.SetGangEnabled(gang))
+			for _, sh := range shapes {
+				for _, b := range []int{1, 3, 7, TileSide(sh[0], sh[1])} {
+					for _, ring := range []Ring{RingAffine, RingMaxPlus, RingMinPlus} {
+						for mask := uint8(1); mask < 16; mask++ {
+							label := fmt.Sprintf("%dx%d b=%d %s mask %#x", sh[0], sh[1], b, ring, mask)
+							s := randomSystem(rng, sh[0], sh[1], ring, mask)
+							want, err := SolveSequential(s)
+							if err != nil {
+								t.Fatalf("%s: oracle: %v", label, err)
+							}
+							p := newPlan(s, b)
+							got, err := p.SolveCtx(ctx, s, 3)
+							if err != nil {
+								t.Fatalf("%s: plan: %v", label, err)
+							}
+							assertValues(t, label+" plan", p, want, got)
+							ar := p.NewArena()
+							for rep := 0; rep < 2; rep++ {
+								res, err := ar.SolveCtx(ctx, s, 2)
+								if err != nil {
+									t.Fatalf("%s: arena rep %d: %v", label, rep, err)
+								}
+								assertValues(t, fmt.Sprintf("%s arena rep %d", label, rep), p, want, res)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// assertValues checks a replay of p against the oracle's values and cell
+// count, and its round count against p's tile formula.
+func assertValues(t *testing.T, label string, p *Plan, want, got *Result) {
+	t.Helper()
+	if r := tileRounds(p.rows, p.cols, p.tile); got.Rounds != r || got.Cells != want.Cells {
+		t.Fatalf("%s: rounds/cells = %d/%d, want %d/%d", label, got.Rounds, got.Cells, r, want.Cells)
+	}
+	for k := range want.Values {
+		if math.Float64bits(want.Values[k]) != math.Float64bits(got.Values[k]) {
+			t.Fatalf("%s: cell %d = %v, want %v", label, k, got.Values[k], want.Values[k])
+		}
+	}
+}
+
+// TestTiledNonFinite plants one non-finite coefficient per trial on grids
+// cut into many small tiles, so the first bad cell in row-major order often
+// sits in a later tile round than other bad cells. Every replay must fail
+// with exactly the oracle's error text.
+func TestTiledNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(181))
+	ctx := context.Background()
+	for trial := 0; trial < 60; trial++ {
+		ring := Ring(trial % int(numRings))
+		r, c := 1+rng.Intn(13), 1+rng.Intn(13)
+		s := randomSystem(rng, r, c, ring, TermA|TermB|TermD|TermC)
+		bad := []float64{nan(), inf(), -inf()}[trial%3]
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			grid := [][]float64{s.A, s.B, s.D, s.C}[rng.Intn(4)]
+			grid[rng.Intn(r*c)] = bad
+		}
+		_, oerr := SolveSequential(s)
+		for _, b := range []int{1, 2, 5, TileSide(r, c)} {
+			p := newPlan(s, b)
+			_, perr := p.SolveCtx(ctx, s, 3)
+			_, aerr := p.NewArena().SolveCtx(ctx, s, 2)
+			for _, err := range []error{perr, aerr} {
+				if (oerr == nil) != (err == nil) || (oerr != nil && oerr.Error() != err.Error()) {
+					t.Fatalf("trial %d %dx%d %s b=%d: oracle %v, replay %v", trial, r, c, ring, b, oerr, err)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanSizeBytes pins the plan's cache accounting: a plan is O(1) — the
+// same bytes at 1×1 and 4096×4096 — and SizeBytes matches what Compile
+// allocates, up to the heap's size-class rounding. Each shape takes the
+// quietest of a few trials, since the heap counters also see other
+// goroutines.
+func TestPlanSizeBytes(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ctx := context.Background()
+	var sizes []int64
+	for _, n := range []int{1, 1024, 4096} {
+		s := &System{Rows: n, Cols: n, Ring: RingMinPlus, C: make([]float64, n*n),
+			North: make([]float64, n), West: make([]float64, n)}
+		p, err := Compile(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perPlan := int64(-1)
+		for trial := 0; trial < 5; trial++ {
+			const runs = 50
+			var ms0, ms1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms0)
+			for i := 0; i < runs; i++ {
+				Compile(ctx, s)
+			}
+			runtime.ReadMemStats(&ms1)
+			if b := int64(ms1.TotalAlloc-ms0.TotalAlloc) / runs; perPlan < 0 || b < perPlan {
+				perPlan = b
+			}
+		}
+		t.Logf("%dx%d: SizeBytes %d, Compile allocates %d", n, n, p.SizeBytes(), perPlan)
+		if perPlan < p.SizeBytes() || perPlan > p.SizeBytes()+16 {
+			t.Errorf("%dx%d: SizeBytes %d, but Compile allocates %d bytes", n, n, p.SizeBytes(), perPlan)
+		}
+		sizes = append(sizes, p.SizeBytes())
+	}
+	if sizes[0] != sizes[1] || sizes[1] != sizes[2] {
+		t.Errorf("SizeBytes grows with the grid: %v", sizes)
+	}
+}
+
+// TestConcurrentWarmReplays hammers one plan from many goroutines — plan
 // solves and private arenas interleaved — and requires every result to be
 // bit-identical to the oracle. Run under -race this is the arena-aliasing
-// safety proof.
+// and tile-round safety proof.
 func TestConcurrentWarmReplays(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	ctx := context.Background()
@@ -353,10 +526,7 @@ func TestConcurrentWarmReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Compile(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPlan(s, 5) // 8×7 tiles, so every solve fans its rounds out too
 	const workers, reps = 8, 20
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)

@@ -3,42 +3,34 @@ package grid2d
 import (
 	"context"
 	"fmt"
-	"sync"
+	"unsafe"
 
 	"indexedrec/internal/core"
 )
 
-// diagSpan fixes one wavefront round at compile time: where the diagonal's
-// first cell sits in the extended grid and the coefficient grids, and how
-// many cells it holds. Cell t of the round lives at ext0 + t·(stride-1) /
-// cof0 + t·(stride-2), walking the diagonal with i increasing.
-type diagSpan struct {
-	ext0  int
-	cof0  int
-	count int
-}
+// TileSide returns the side B of the square tiles a rows×cols grid is cut
+// into: 256, whose 2 KiB tile rows stream well and which timed best among
+// 128–1024 at 1024² to 4096². It depends on the shape alone, never on the
+// machine, so plans and their round counts agree everywhere.
+func TileSide(rows, cols int) int { return 256 }
 
-// Plan is the compiled wavefront schedule of one grid shape: the diagonal
-// spans in dependency order, sized from structure alone (dimensions, ring,
-// term mask — never machine properties), plus an arena pool for pooled
-// replays. A Plan is immutable after Compile and safe for concurrent
-// SolveCtx calls from any number of goroutines.
+// Plan is the compiled tile schedule of one grid shape: the tile side and
+// the tile-grid dimensions, fixed from structure alone (dimensions, ring,
+// term mask; never machine properties). A Plan is immutable after Compile
+// and safe for concurrent SolveCtx calls from any number of goroutines.
 type Plan struct {
 	rows, cols int
 	ring       Ring
 	mask       uint8
-	stride     int // extended-grid row stride = cols+1
-	diags      []diagSpan
-	maxDiag    int // widest round, sizes gang requests
-	size       int64
-
-	arenas sync.Pool
+	tile       int // tile side B
+	tileRows   int // ⌈rows/B⌉
+	tileCols   int // ⌈cols/B⌉
 }
 
-// Compile fixes the wavefront schedule for s's shape. The schedule depends
-// only on structure (Rows, Cols, Ring, term mask), so two systems with the
-// same shape share plans regardless of coefficient values; SolveCtx
-// revalidates shape at solve time.
+// Compile fixes the tile schedule for s's shape. The schedule depends only
+// on structure (Rows, Cols, Ring, term mask), so two systems with the same
+// shape share plans regardless of coefficient values; SolveCtx revalidates
+// shape at solve time.
 func Compile(ctx context.Context, s *System) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -46,67 +38,43 @@ func Compile(ctx context.Context, s *System) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r, c := s.Rows, s.Cols
-	stride := c + 1
-	diags := make([]diagSpan, r+c-1)
-	maxDiag := 0
-	for k := range diags {
-		iLo := 0
-		if k > c-1 {
-			iLo = k - (c - 1)
-		}
-		iHi := k
-		if iHi > r-1 {
-			iHi = r - 1
-		}
-		j0 := k - iLo
-		diags[k] = diagSpan{
-			ext0:  (iLo+1)*stride + (j0 + 1),
-			cof0:  iLo*c + j0,
-			count: iHi - iLo + 1,
-		}
-		if diags[k].count > maxDiag {
-			maxDiag = diags[k].count
-		}
-	}
-	p := &Plan{
-		rows:    r,
-		cols:    c,
-		ring:    s.Ring,
-		mask:    s.TermMask(),
-		stride:  stride,
-		diags:   diags,
-		maxDiag: maxDiag,
-	}
-	// Cache accounting charges the schedule plus one pooled arena (its
-	// extended grid dominates); 24 = sizeof(diagSpan).
-	p.size = int64(len(diags))*24 + int64(r+1)*int64(stride)*8 + int64(r)*int64(c)*8
-	p.arenas.New = func() any { return p.NewArena() }
-	return p, nil
+	return newPlan(s, TileSide(s.Rows, s.Cols)), nil
 }
 
-// Rows returns the plan's interior row count.
-func (p *Plan) Rows() int { return p.rows }
+// newPlan compiles the valid system s with tile side b; Compile passes
+// TileSide, tests pass small sides to cross many tile edges on small grids.
+func newPlan(s *System, b int) *Plan {
+	return &Plan{
+		rows:     s.Rows,
+		cols:     s.Cols,
+		ring:     s.Ring,
+		mask:     s.TermMask(),
+		tile:     b,
+		tileRows: (s.Rows + b - 1) / b,
+		tileCols: (s.Cols + b - 1) / b,
+	}
+}
 
-// Cols returns the plan's interior column count.
-func (p *Plan) Cols() int { return p.cols }
+// Rounds returns the number of tile rounds, ⌈Rows/B⌉ + ⌈Cols/B⌉ − 1.
+func (p *Plan) Rounds() int { return p.tileRows + p.tileCols - 1 }
 
-// Ring returns the semiring the plan folds with.
-func (p *Plan) Ring() Ring { return p.ring }
+// SizeBytes is the plan's resident size, for cache accounting: the O(1)
+// schedule alone, since plans hold no grid buffers or arenas.
+func (p *Plan) SizeBytes() int64 { return int64(unsafe.Sizeof(*p)) }
 
-// TermMask returns the structural term-presence bits the plan was compiled
-// for.
-func (p *Plan) TermMask() uint8 { return p.mask }
+// roundTiles returns the first tile row of round k (tile (ti, k-ti)) and the
+// round's tile count.
+func (p *Plan) roundTiles(k int) (ti0, n int) {
+	ti0 = max(0, k-(p.tileCols-1))
+	return ti0, min(k, p.tileRows-1) - ti0 + 1
+}
 
-// Rounds returns the number of wavefront rounds (Rows+Cols-1).
-func (p *Plan) Rounds() int { return len(p.diags) }
-
-// SizeBytes estimates the plan's memory footprint (schedule plus one pooled
-// arena) for cache accounting.
-func (p *Plan) SizeBytes() int64 { return p.size }
-
-// matches checks that s has exactly the structure p was compiled for.
+// matches checks that s is valid and has exactly the structure p was
+// compiled for.
 func (p *Plan) matches(s *System) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
 	if s.Rows != p.rows || s.Cols != p.cols || s.Ring != p.ring || s.TermMask() != p.mask {
 		return fmt.Errorf("%w: system (%dx%d ring %s mask %#x) does not match plan (%dx%d ring %s mask %#x)",
 			core.ErrInvalidSystem, s.Rows, s.Cols, s.Ring, s.TermMask(),
@@ -115,20 +83,33 @@ func (p *Plan) matches(s *System) error {
 	return nil
 }
 
-// SolveCtx replays the compiled schedule for s through a pooled arena and
-// returns a caller-owned result. Safe for concurrent use; each call checks
-// out its own arena, so warm concurrent replays share nothing but the
-// immutable schedule.
+// SolveCtx replays the compiled schedule for s straight into a freshly
+// allocated, caller-owned result, through a fresh arena shell — a few
+// hundred bytes beside the result, so it is not pooled. Safe for
+// concurrent use; concurrent replays share nothing but the schedule.
 func (p *Plan) SolveCtx(ctx context.Context, s *System, procs int) (*Result, error) {
-	ar := p.arenas.Get().(*Arena)
-	res, err := ar.SolveCtx(ctx, s, procs)
-	if err != nil {
-		p.arenas.Put(ar)
+	if err := p.matches(s); err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(res.Values))
-	copy(out, res.Values)
-	r := &Result{Values: out, Rounds: res.Rounds, Cells: res.Cells}
-	p.arenas.Put(ar)
-	return r, nil
+	out := make([]float64, p.rows*p.cols)
+	if err := p.newShell().run(ctx, s, procs, out); err != nil {
+		return nil, err
+	}
+	r := p.result(out)
+	return &r, nil
+}
+
+// result wraps a solved grid.
+func (p *Plan) result(out []float64) Result {
+	return Result{Values: out, Rounds: p.Rounds(), Cells: int64(p.rows) * int64(p.cols)}
+}
+
+// CompileLoop compiles s as a single tile: its replays fold the whole grid
+// row-major on one goroutine, through the same concrete kernel as a tiled
+// replay — the plain-loop baseline the wavefront is measured against.
+func CompileLoop(s *System) (*Plan, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return newPlan(s, max(s.Rows, s.Cols)), nil
 }

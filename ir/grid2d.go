@@ -9,9 +9,9 @@ import (
 
 // The 2-D recurrence-grid family (Natale, "On the Computation of 2-D
 // Recurrence Equations"): w[i,j] = (a ⊗ w[i-1,j]) ⊕ (b ⊗ w[i,j-1]) ⊕
-// (d ⊗ w[i-1,j-1]) ⊕ c over a selectable semiring, solved by anti-diagonal
-// wavefronts of batched cell updates. See internal/grid2d for the engine;
-// this file is the public facade and wire shape.
+// (d ⊗ w[i-1,j-1]) ⊕ c over a selectable semiring, solved by wavefronts
+// over anti-diagonals of cache-sized tiles. See internal/grid2d for the
+// engine; this file is the public facade and wire shape.
 
 // ErrGrid2DNonFinite reports a grid solve whose output overflowed to NaN or
 // ±Inf — a value problem (422 on the wire), not a malformed system.
@@ -47,7 +47,8 @@ type Grid2DSystem struct {
 type Grid2DResult struct {
 	// Values is the solved interior grid, row-major Rows×Cols.
 	Values []float64
-	// Rounds is the number of wavefront rounds (Rows+Cols-1).
+	// Rounds is the number of wavefront rounds: ⌈Rows/B⌉ + ⌈Cols/B⌉ − 1
+	// anti-diagonals of B×B tiles.
 	Rounds int
 	// Cells is the number of interior cells solved.
 	Cells int64
@@ -107,9 +108,9 @@ func CompileGrid2D(s *Grid2DSystem) (*Plan, error) {
 	return CompileGrid2DCtx(context.Background(), s)
 }
 
-// CompileGrid2DCtx compiles a grid system into a Plan: the anti-diagonal
-// spans, slab offsets and round order, fixed from structure alone so plans
-// sharing a Grid2DFingerprint are interchangeable. Replay with
+// CompileGrid2DCtx compiles a grid system into a Plan: the tile side and
+// tile-round order, fixed from structure alone so plans sharing a
+// Grid2DFingerprint are interchangeable. Replay with
 // SolveGrid2DPlanCtx (or Plan.SolveCtx with PlanData.Grid) against any
 // system of the same structure.
 func CompileGrid2DCtx(ctx context.Context, s *Grid2DSystem) (*Plan, error) {
@@ -133,7 +134,7 @@ func CompileGrid2DCtx(ctx context.Context, s *Grid2DSystem) (*Plan, error) {
 
 // SolveGrid2DPlanCtx replays a grid2d-family plan against a fresh system of
 // the compiled structure, bit-identical to SolveGrid2DCtx and to the
-// sequential oracle. Warm replays draw arenas from the plan's pool.
+// sequential oracle. Each replay writes into a fresh result.
 func SolveGrid2DPlanCtx(ctx context.Context, p *Plan, s *Grid2DSystem, opt SolveOptions) (*Grid2DResult, error) {
 	if p.family != FamilyGrid2D {
 		return nil, fmt.Errorf("%w: plan is %v, want grid2d", ErrPlanFamily, p.family)
@@ -155,10 +156,10 @@ func SolveGrid2D(s *Grid2DSystem, opt SolveOptions) (*Grid2DResult, error) {
 	return SolveGrid2DCtx(context.Background(), s, opt)
 }
 
-// SolveGrid2DCtx solves a 2-D recurrence grid by anti-diagonal wavefronts:
-// each diagonal is one parallel batch of semiring cell updates, Rows+Cols-1
-// rounds in all. Results are bit-identical to the row-major sequential
-// oracle regardless of procs. A NaN or ±Inf in the solution fails with
+// SolveGrid2DCtx solves a 2-D recurrence grid by tiled wavefronts: each
+// anti-diagonal of B×B tiles is one parallel round of row-major tile
+// folds, ⌈Rows/B⌉ + ⌈Cols/B⌉ − 1 rounds in all. Results are bit-identical
+// to the row-major sequential oracle regardless of procs. A NaN or ±Inf in the solution fails with
 // ErrGrid2DNonFinite; malformed systems fail with ErrInvalidSystem.
 func SolveGrid2DCtx(ctx context.Context, s *Grid2DSystem, opt SolveOptions) (*Grid2DResult, error) {
 	p, err := CompileGrid2DCtx(ctx, s)

@@ -46,7 +46,7 @@ const (
 	// shapes).
 	FamilyMoebius
 	// FamilyGrid2D is the 2-D recurrence-grid family (SolveGrid2DCtx):
-	// anti-diagonal wavefronts of batched semiring cell updates.
+	// wavefronts over anti-diagonals of tiles of semiring cell updates.
 	FamilyGrid2D
 )
 
