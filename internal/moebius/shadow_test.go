@@ -136,10 +136,11 @@ func TestIndexMapCheckMatchesOracle(t *testing.T) {
 
 // compileMoebiusBytesPerCell is the TotalAlloc budget of compiling a linear
 // chain through moebius.CompilePlan, per cell. The recorded pointer-jumping
-// rounds (which the Möbius layer pins) take ~240 B/cell; one hash set over g
-// adds ~36 B/cell and breaks the budget, as the old map-and-ComputeDeps
-// compile (~790 B/cell) does.
-const compileMoebiusBytesPerCell = 256
+// rounds (which the Möbius layer pins) and the int32 forest and pointer
+// temporaries take ~202 B/cell; one hash set over g adds ~36 B/cell and
+// breaks the budget, as the wide []int forest and pointers (~227 B/cell)
+// and the old map-and-ComputeDeps compile (~790 B/cell) do.
+const compileMoebiusBytesPerCell = 224
 
 // TestCompileMoebiusAllocPerCell is the Möbius compile-allocation gate on a
 // 2^16-iteration linear chain.

@@ -85,21 +85,22 @@ func (b *blockedSched) segBounds(s int) (int, int) {
 	return int(b.segOff[s]), int(b.segOff[s+1])
 }
 
-// buildBlocked compiles the blocked-scan schedule for fr, given its chain
-// terminals in ascending cell order, or returns (nil, nil) when the forest
-// does not qualify under the auto heuristic: the forest
-// must be path-only (no cell is the Next target of two chains — a tree join
-// has no contiguous-segment decomposition) and its longest chain must reach
-// blockedMinChain. force (PlanOptions ScheduleBlocked) skips the length gate
-// and turns the path-only failure into an error.
-func buildBlocked(fr *Forest, m int, terminals []int32, force bool) (*blockedSched, error) {
+// buildBlocked compiles the blocked-scan schedule for fr, given its written
+// cells in iteration order and its chain terminals in ascending cell order,
+// or returns (nil, nil) when the forest does not qualify under the auto
+// heuristic: the forest must be path-only (no cell is the Next target of
+// two chains — a tree join has no contiguous-segment decomposition) and its
+// longest chain must reach blockedMinChain. force (PlanOptions
+// ScheduleBlocked) skips the length gate and turns the path-only failure
+// into an error.
+func buildBlocked(fr *Forest, cells []int, terminals []int32, force bool) (*blockedSched, error) {
 	// Path-only check + reverse links in one pass: prev[y] is y's unique
 	// chain predecessor, or -1.
-	prev := make([]int32, m)
+	prev := make([]int32, len(fr.Next))
 	for x := range prev {
 		prev[x] = -1
 	}
-	for _, x := range fr.Cells {
+	for _, x := range cells {
 		n := fr.Next[x]
 		if n < 0 {
 			continue
@@ -114,7 +115,7 @@ func buildBlocked(fr *Forest, m int, terminals []int32, force bool) (*blockedSch
 	}
 
 	b := &blockedSched{
-		cellSeq:  make([]int32, 0, len(fr.Cells)),
+		cellSeq:  make([]int32, 0, len(cells)),
 		chainOff: make([]int32, 1, len(terminals)+1),
 	}
 	maxLen := 0

@@ -3,6 +3,7 @@ package ordinary
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"indexedrec/internal/core"
 )
@@ -16,61 +17,69 @@ var ErrNotOrdinary = errors.New("ordinary: system is not in ordinary form (H != 
 var ErrGNotDistinct = errors.New("ordinary: g is not distinct")
 
 // Forest is the write-chain forest of an ordinary IR system: the input to
-// pointer jumping, before any values are attached.
+// pointer jumping, before any values are attached. The written cells in
+// iteration order are the system's G, so the forest does not copy them.
 type Forest struct {
 	// Next[x] is the chain successor of cell x (the cell whose final value
 	// iteration writer(x) consumes), or -1 when x's trace terminates.
-	Next []int
+	Next []int32
 	// InitF[x] is, for terminal written cells, the cell whose initial value
 	// the trace starts with (= f(writer(x))); -1 for non-terminal or
 	// unwritten cells.
-	InitF []int
-	// Written[x] reports whether any iteration writes cell x.
-	Written []bool
-	// Cells lists the written cells, the only ones pointer jumping touches.
-	Cells []int
+	InitF []int32
 }
+
+// Written reports whether some iteration writes cell x: exactly the cells
+// with a chain successor or an initial-value source.
+func (fr *Forest) Written(x int) bool { return fr.Next[x] >= 0 || fr.InitF[x] >= 0 }
 
 // BuildForest validates the system and constructs its write-chain forest in
 // one O(n + m) scan over (g, f) — the paper's linear forest construction,
-// with no auxiliary dependence arrays or hash sets. Written doubles as the
-// distinctness check: a g(i) already marked written is a duplicate write.
+// with no auxiliary dependence arrays or hash sets. The scan range-checks
+// every g and f, and Written doubles as the distinctness check (a g(i)
+// already written is a duplicate write). On any defect it defers to
+// Validate for the error, so errors and their precedence are exactly a
+// validate-first pass's: Validate's, then ErrGNotDistinct.
 func BuildForest(s *core.System) (*Forest, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if s.H != nil || s.M <= 0 || s.M > math.MaxInt32 || len(s.G) != s.N || len(s.F) != s.N {
+		// The scan needs the shapes right; an explicit H must also be G.
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		if !s.Ordinary() {
+			return nil, fmt.Errorf("%w: %v", ErrNotOrdinary, s)
+		}
+		if s.M > math.MaxInt32 {
+			return nil, fmt.Errorf("ordinary: m = %d exceeds the forest cell limit %d", s.M, math.MaxInt32)
+		}
 	}
-	if !s.Ordinary() {
-		return nil, fmt.Errorf("%w: %v", ErrNotOrdinary, s)
+	m := uint(s.M)
+	next, initF := make([]int32, m), make([]int32, m)
+	for x := range next {
+		next[x], initF[x] = -1, -1
 	}
-	fr := &Forest{
-		Next:    make([]int, s.M),
-		InitF:   make([]int, s.M),
-		Written: make([]bool, s.M),
-		Cells:   make([]int, 0, s.N),
-	}
-	for x := range fr.Next {
-		fr.Next[x], fr.InitF[x] = -1, -1
-	}
-	for i := 0; i < s.N; i++ {
-		x, fc := s.G[i], s.F[i]
-		if fr.Written[x] {
+	f := s.F[:len(s.G)]
+	for i, x := range s.G {
+		fc := f[i]
+		if uint(x) >= m || uint(fc) >= m || next[x] >= 0 || initF[x] >= 0 {
+			if err := s.Validate(); err != nil {
+				return nil, err
+			}
 			return nil, fmt.Errorf("%w: %v", ErrGNotDistinct, s)
 		}
-		// Written still reflects iterations j < i only, so it answers "does
-		// some earlier iteration write f(i)?" (a self-read f(i) = g(i) reads
-		// the initial value, since g(i) is not yet marked).
-		if fr.Written[fc] {
+		// Only iterations j < i have written so far, so this asks "does some
+		// earlier iteration write f(i)?" (a self-read f(i) = g(i) reads the
+		// initial value, since g(i) is not yet written).
+		if next[fc] >= 0 || initF[fc] >= 0 {
 			// The consumed value is f(i)'s final value, so the chain
 			// continues through cell f(i).
-			fr.Next[x] = fc
+			next[x] = int32(fc)
 		} else {
 			// The consumed value is the initial A₀[f(i)]; fold it in.
-			fr.InitF[x] = fc
+			initF[x] = int32(fc)
 		}
-		fr.Written[x] = true
-		fr.Cells = append(fr.Cells, x)
 	}
-	return fr, nil
+	return &Forest{Next: next, InitF: initF}, nil
 }
 
 // MaxChainLen returns the length (in cells) of the longest pred chain; the
@@ -87,11 +96,14 @@ func (fr *Forest) MaxChainLen() int {
 			depth[x] = 1
 			return 1
 		}
-		depth[x] = 1 + walk(fr.Next[x])
+		depth[x] = 1 + walk(int(fr.Next[x]))
 		return depth[x]
 	}
 	maxLen := 0
-	for _, x := range fr.Cells {
+	for x := range fr.Next {
+		if !fr.Written(x) {
+			continue
+		}
 		if l := walk(x); l > maxLen {
 			maxLen = l
 		}

@@ -17,8 +17,16 @@ import (
 
 // oracleForest is the forest construction BuildForest replaced: a hash-set
 // distinctness check, then core.ComputeDeps' FPrev to decide each write's
-// chain successor. Kept test-local as the equivalence oracle.
-func oracleForest(s *core.System) (*ordinary.Forest, error) {
+// chain successor, into the wide layout BuildForest used to keep ([]int
+// links, a Written flag per cell and a copy of the written cells). Kept
+// test-local as the equivalence oracle.
+type wideForest struct {
+	Next, InitF []int
+	Written     []bool
+	Cells       []int
+}
+
+func oracleForest(s *core.System) (*wideForest, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -33,7 +41,7 @@ func oracleForest(s *core.System) (*ordinary.Forest, error) {
 		seen[g] = struct{}{}
 	}
 	deps := core.ComputeDeps(s)
-	fr := &ordinary.Forest{
+	fr := &wideForest{
 		Next:    make([]int, s.M),
 		InitF:   make([]int, s.M),
 		Written: make([]bool, s.M),
@@ -55,22 +63,20 @@ func oracleForest(s *core.System) (*ordinary.Forest, error) {
 	return fr, nil
 }
 
-func sameForest(a, b *ordinary.Forest) error {
-	if len(a.Next) != len(b.Next) || len(a.Cells) != len(b.Cells) {
-		return fmt.Errorf("shapes differ: m %d/%d, cells %d/%d", len(a.Next), len(b.Next), len(a.Cells), len(b.Cells))
+// sameForest compares the lean forest of s against the oracle field by
+// field: Next and InitF per cell, Written as derived, and the oracle's Cells
+// against s.G, which the lean forest uses in their place.
+func sameForest(s *core.System, got *ordinary.Forest, want *wideForest) error {
+	if len(got.Next) != len(want.Next) || len(got.InitF) != len(want.InitF) {
+		return fmt.Errorf("shapes differ: m %d/%d vs %d", len(got.Next), len(got.InitF), len(want.Next))
 	}
-	for x := range a.Next {
-		if a.Next[x] != b.Next[x] || a.InitF[x] != b.InitF[x] || a.Written[x] != b.Written[x] {
+	for x := range want.Next {
+		if int(got.Next[x]) != want.Next[x] || int(got.InitF[x]) != want.InitF[x] || got.Written(x) != want.Written[x] {
 			return fmt.Errorf("cell %d: (Next %d, InitF %d, Written %v) vs (%d, %d, %v)",
-				x, a.Next[x], a.InitF[x], a.Written[x], b.Next[x], b.InitF[x], b.Written[x])
+				x, got.Next[x], got.InitF[x], got.Written(x), want.Next[x], want.InitF[x], want.Written[x])
 		}
 	}
-	for k := range a.Cells {
-		if a.Cells[k] != b.Cells[k] {
-			return fmt.Errorf("Cells[%d]: %d vs %d", k, a.Cells[k], b.Cells[k])
-		}
-	}
-	return nil
+	return sameInts(s.G, want.Cells)
 }
 
 // TestBuildForestMatchesDepsOracle checks the single-pass forest against the
@@ -99,8 +105,17 @@ func TestBuildForestMatchesDepsOracle(t *testing.T) {
 		if werr != nil || err != nil {
 			t.Fatalf("system %d: oracle err %v, BuildForest err %v", k, werr, err)
 		}
-		if d := sameForest(got, want); d != nil {
+		if d := sameForest(s, got, want); d != nil {
 			t.Fatalf("system %d (%v): %v", k, s, d)
+		}
+		// An explicit H = G takes the validate-first path to the same forest.
+		withH := s.Clone()
+		withH.H = append([]int(nil), s.G...)
+		if got, err = ordinary.BuildForest(withH); err != nil {
+			t.Fatalf("system %d with H = G: %v", k, err)
+		}
+		if d := sameForest(s, got, want); d != nil {
+			t.Fatalf("system %d (%v) with H = G: %v", k, s, d)
 		}
 
 		if s.N < 2 {
@@ -117,11 +132,59 @@ func TestBuildForestMatchesDepsOracle(t *testing.T) {
 	}
 }
 
+// TestForestErrorPrecedence pins the error text of defective systems, as
+// the validate-then-scan forest reported it: Validate's checks (every G
+// before any F, then H) outrank non-ordinary H, which outranks a duplicate
+// g — whichever defect the single scan meets first. BuildForest, CompilePlan
+// and SolveCtx must all report exactly these.
+func TestForestErrorPrecedence(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    *core.System
+		want string
+	}{
+		{"F out of range before G out of range",
+			&core.System{M: 4, N: 3, G: []int{1, 2, 7}, F: []int{9, 0, 1}},
+			"core: invalid IR system: G[2] = 7 out of range [0,4)"},
+		{"duplicate g before F out of range",
+			&core.System{M: 4, N: 3, G: []int{1, 1, 2}, F: []int{0, 0, -1}},
+			"core: invalid IR system: F[2] = -1 out of range [0,4)"},
+		{"duplicate g alone",
+			&core.System{M: 4, N: 3, G: []int{1, 2, 1}, F: []int{0, 1, 2}},
+			"ordinary: g is not distinct: IR{ordinary, n=3, m=4}"},
+		{"duplicate g before H != G",
+			&core.System{M: 4, N: 3, G: []int{1, 1, 2}, F: []int{0, 1, 2}, H: []int{1, 1, 3}},
+			"ordinary: system is not in ordinary form (H != G): IR{general, n=3, m=4}"},
+		{"short F",
+			&core.System{M: 4, N: 3, G: []int{1, 1, 2}, F: []int{0, 1}},
+			"core: invalid IR system: len(G)=3 len(F)=2, want N=3"},
+		{"empty cell range",
+			&core.System{M: 0, N: 0},
+			"core: invalid IR system: M = 0, want > 0"},
+	} {
+		_, err := ordinary.BuildForest(c.s)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: BuildForest err %v, want %q", c.name, err, c.want)
+		}
+		_, err = ordinary.CompilePlan(context.Background(), c.s)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: CompilePlan err %v, want %q", c.name, err, c.want)
+		}
+		_, err = ordinary.SolveCtx[int64](context.Background(), c.s, core.IntAdd{}, make([]int64, max(c.s.M, 0)), ordinary.Options{})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: SolveCtx err %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 // compileBytesPerCell is the TotalAlloc budget of compiling a long chain,
-// per cell. The forest temporary and the blocked schedule need ~33 B/cell;
-// a hash set or a dependence-array pass in compile (an earlier path spent
-// ~109 B/cell) breaks it.
-const compileBytesPerCell = 56
+// per cell. The int32 forest temporary (Next and InitF, 8 B/cell) and the
+// blocked schedule (reverse links and cell order, 8 B/cell) need ~16
+// B/cell. Copying the written cells again (+8), widening the forest back to
+// []int with a Written flag (the earlier forest spent ~33 B/cell in all), a
+// hash set or a dependence-array pass (an earlier path spent ~109 B/cell)
+// breaks it.
+const compileBytesPerCell = 20
 
 // TestCompileChainAllocPerCell is the compile-allocation gate: compiling a
 // 2^18-iteration chain must stay within compileBytesPerCell of heap per cell.
@@ -160,7 +223,7 @@ func BenchmarkCompileChain(b *testing.B) {
 // forest components, found by walking Next to each terminal with path
 // marking, deduplicated through a map and numbered by sorting the terminal
 // cells. Kept test-local as the oracle of the plans' chain tables.
-func oracleChains(fr *ordinary.Forest) (chainOf []int32, sizes []int) {
+func oracleChains(fr *wideForest) (chainOf []int32, sizes []int) {
 	m := len(fr.Next)
 	rootOf := make([]int32, m)
 	for x := range rootOf {
@@ -210,7 +273,7 @@ func oracleChains(fr *ordinary.Forest) (chainOf []int32, sizes []int) {
 
 // oracleRoots is the root propagation the pointer-jumping recorder used to
 // run alongside its pointers: rt[x] ← rt[nx[x]] until every pointer ends.
-func oracleRoots(fr *ordinary.Forest) []int {
+func oracleRoots(fr *wideForest) []int {
 	m := len(fr.Next)
 	nx, rt := make([]int, m), make([]int, m)
 	for x := range nx {
@@ -256,7 +319,7 @@ func TestChainTablesMatchOracle(t *testing.T) {
 	}
 	blocked := 0
 	for k, s := range systems {
-		fr, err := ordinary.BuildForest(s)
+		fr, err := oracleForest(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package ordinary
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"indexedrec/internal/core"
@@ -132,41 +131,38 @@ func CompilePlanOpts(ctx context.Context, s *core.System, popt PlanOptions) (*Pl
 	if err != nil {
 		return nil, err
 	}
-	if s.M > math.MaxInt32 {
-		return nil, fmt.Errorf("ordinary: CompilePlan: m = %d exceeds the plan cell limit %d", s.M, math.MaxInt32)
-	}
 	p := &Plan{M: s.M, N: s.N}
 
 	// Initialization phase, mirroring SolveCtx: unwritten and non-terminal
-	// cells start at init[x]; terminal written cells fold in init[InitF[x]].
-	// Recorded for both schedules (the blocked reduce seeds subsume it, the
-	// member replays and primeable check read it, and its terminal order is
-	// the chain numbering).
+	// cells start at init[x]; terminal written cells — exactly those with
+	// an InitF — fold in init[InitF[x]]. Recorded for both schedules (the
+	// blocked reduce seeds subsume it, the member replays and primeable
+	// check read it, and its terminal order is the chain numbering).
 	terminals := 0
-	for x := 0; x < s.M; x++ {
-		if fr.Written[x] && fr.Next[x] < 0 {
+	for _, src := range fr.InitF {
+		if src >= 0 {
 			terminals++
 		}
 	}
 	p.initDst = make([]int32, 0, terminals)
 	p.initSrc = make([]int32, 0, terminals)
-	for x := 0; x < s.M; x++ {
-		if fr.Written[x] && fr.Next[x] < 0 {
+	for x, src := range fr.InitF {
+		if src >= 0 {
 			p.initDst = append(p.initDst, int32(x))
-			p.initSrc = append(p.initSrc, int32(fr.InitF[x]))
+			p.initSrc = append(p.initSrc, src)
 		}
 	}
 	p.combines = int64(terminals)
 	p.primeable = true
-	for _, s := range p.initSrc {
-		if fr.Written[s] {
+	for _, src := range p.initSrc {
+		if fr.Written(int(src)) {
 			p.primeable = false
 			break
 		}
 	}
 
 	if popt.Schedule != ScheduleJumping {
-		blk, err := buildBlocked(fr, s.M, p.initDst, popt.Schedule == ScheduleBlocked)
+		blk, err := buildBlocked(fr, s.G, p.initDst, popt.Schedule == ScheduleBlocked)
 		if err != nil {
 			return nil, err
 		}
@@ -175,26 +171,26 @@ func CompilePlanOpts(ctx context.Context, s *core.System, popt PlanOptions) (*Pl
 			return p, nil
 		}
 	}
-	p.chainOf = chainTable(fr, s.M, p.initDst)
-	if err := p.recordJumping(ctx, fr); err != nil {
+	p.chainOf = chainTable(fr, s.G, p.initDst)
+	if err := p.recordJumping(ctx, fr, s.G); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
 // chainTable numbers the chain of every written cell: chain c is the
-// forest component ending at terminal initDst[c]. One pass over fr.Cells
-// suffices because Cells is in iteration order and a cell's Next target
-// was written by an earlier iteration, so its id is already known.
-func chainTable(fr *Forest, m int, initDst []int32) []int32 {
-	chainOf := make([]int32, m)
+// forest component ending at terminal initDst[c]. One pass over the written
+// cells in iteration order (the system's G) suffices, because a cell's Next
+// target was written by an earlier iteration, so its id is already known.
+func chainTable(fr *Forest, cells []int, initDst []int32) []int32 {
+	chainOf := make([]int32, len(fr.Next))
 	for x := range chainOf {
 		chainOf[x] = -1
 	}
 	for c, t := range initDst {
 		chainOf[t] = int32(c)
 	}
-	for _, x := range fr.Cells {
+	for _, x := range cells {
 		if n := fr.Next[x]; n >= 0 {
 			chainOf[x] = chainOf[n]
 		}
@@ -202,10 +198,11 @@ func chainTable(fr *Forest, m int, initDst []int32) []int32 {
 	return chainOf
 }
 
-// recordJumping records the pointer-jumping round schedule of forest fr
-// into p.rounds/maxGather and adds its combines to p.combines.
-func (p *Plan) recordJumping(ctx context.Context, fr *Forest) error {
-	nx := make([]int, p.M)
+// recordJumping records the pointer-jumping round schedule of forest fr,
+// whose written cells are cells, into p.rounds/maxGather and adds its
+// combines to p.combines.
+func (p *Plan) recordJumping(ctx context.Context, fr *Forest, cells []int) error {
+	nx := make([]int32, p.M)
 	copy(nx, fr.Next)
 
 	// Lock-step rounds: record each round's (dst, src) combine list while
@@ -213,8 +210,7 @@ func (p *Plan) recordJumping(ctx context.Context, fr *Forest) error {
 	// reads), then split it by dependence: a pair whose src is also written
 	// this round (dstRound stamp) must gather a pre-round snapshot; the
 	// rest read in place.
-	cells := fr.Cells
-	nx2 := make([]int, p.M)
+	nx2 := make([]int32, p.M)
 	tmpDst := make([]int32, 0, len(cells))
 	tmpSrc := make([]int32, 0, len(cells))
 	dstRound := make([]int32, p.M)
@@ -233,7 +229,7 @@ func (p *Plan) recordJumping(ctx context.Context, fr *Forest) error {
 				continue
 			}
 			tmpDst = append(tmpDst, int32(x))
-			tmpSrc = append(tmpSrc, int32(n))
+			tmpSrc = append(tmpSrc, n)
 			dstRound[x] = r
 			nx2[x] = nx[n]
 		}

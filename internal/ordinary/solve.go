@@ -103,15 +103,15 @@ func SolveCtx[T any](ctx context.Context, s *core.System, op core.Semigroup[T], 
 	if err := parallel.ForCtx(ctx, m, opt.Procs, func(lo, hi int) error {
 		var local int64
 		for x := lo; x < hi; x++ {
-			switch {
-			case !fr.Written[x]:
-				v[x], nx[x], rt[x] = init[x], -1, x
-			case fr.Next[x] >= 0:
-				v[x], nx[x], rt[x] = init[x], fr.Next[x], x
-			default:
-				v[x] = op.Combine(init[fr.InitF[x]], init[x])
-				nx[x], rt[x] = -1, fr.InitF[x]
+			switch n, src := fr.Next[x], fr.InitF[x]; {
+			case n >= 0:
+				v[x], nx[x], rt[x] = init[x], int(n), x
+			case src >= 0:
+				v[x] = op.Combine(init[src], init[x])
+				nx[x], rt[x] = -1, int(src)
 				local++
+			default:
+				v[x], nx[x], rt[x] = init[x], -1, x
 			}
 			v2[x], nx2[x], rt2[x] = v[x], nx[x], rt[x]
 		}
@@ -124,7 +124,7 @@ func SolveCtx[T any](ctx context.Context, s *core.System, op core.Semigroup[T], 
 	// Lock-step rounds over the written cells only, with double buffering
 	// so every round reads the previous round's state (synchronous PRAM
 	// semantics). Cells with nx < 0 are done and just copy forward.
-	cells := fr.Cells
+	cells := s.G
 	res = &Result[T]{Rounds: 0, Combines: initCombines.Load()}
 	for {
 		if err := ctx.Err(); err != nil {

@@ -321,7 +321,7 @@ func TestBuildForestAgainstBruteForce(t *testing.T) {
 		for x := 0; x < m; x++ {
 			i, written := writer[x]
 			if !written {
-				if fr.Written[x] || fr.Next[x] != -1 || fr.InitF[x] != -1 {
+				if fr.Written(x) || fr.Next[x] != -1 || fr.InitF[x] != -1 {
 					t.Fatalf("trial %d: unwritten cell %d has forest state", trial, x)
 				}
 				continue
@@ -334,12 +334,12 @@ func TestBuildForestAgainstBruteForce(t *testing.T) {
 				}
 			}
 			if earlier {
-				if fr.Next[x] != s.F[i] || fr.InitF[x] != -1 {
+				if int(fr.Next[x]) != s.F[i] || fr.InitF[x] != -1 {
 					t.Fatalf("trial %d cell %d: Next=%d InitF=%d, want Next=%d",
 						trial, x, fr.Next[x], fr.InitF[x], s.F[i])
 				}
 			} else {
-				if fr.Next[x] != -1 || fr.InitF[x] != s.F[i] {
+				if fr.Next[x] != -1 || int(fr.InitF[x]) != s.F[i] {
 					t.Fatalf("trial %d cell %d: Next=%d InitF=%d, want InitF=%d",
 						trial, x, fr.Next[x], fr.InitF[x], s.F[i])
 				}

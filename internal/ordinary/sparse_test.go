@@ -61,15 +61,15 @@ func TestSparseForestIsomorphic(t *testing.T) {
 		rank[c] = r
 	}
 	for r, c := range sp.Cells {
-		if dense.Written[c] != compact.Written[r] {
+		if dense.Written(c) != compact.Written(r) {
 			t.Fatalf("Written diverges at cell %d", c)
 		}
 		dn, cn := dense.Next[c], compact.Next[r]
-		if (dn < 0) != (cn < 0) || (dn >= 0 && rank[dn] != cn) {
+		if (dn < 0) != (cn < 0) || (dn >= 0 && rank[int(dn)] != int(cn)) {
 			t.Fatalf("Next diverges at cell %d: dense %d compact %d", c, dn, cn)
 		}
 		di, ci := dense.InitF[c], compact.InitF[r]
-		if (di < 0) != (ci < 0) || (di >= 0 && rank[di] != ci) {
+		if (di < 0) != (ci < 0) || (di >= 0 && rank[int(di)] != int(ci)) {
 			t.Fatalf("InitF diverges at cell %d: dense %d compact %d", c, di, ci)
 		}
 	}

@@ -48,7 +48,7 @@ func RunParallelOIRSched(s *core.System, op BinOp, init []Word, procs int, dist 
 		return nil, fmt.Errorf("pram: procs must be >= 1, got %d", procs)
 	}
 	m := s.M
-	cells := fr.Cells
+	cells := s.G
 	k := len(cells)
 
 	baseA := 0

@@ -107,7 +107,7 @@ func RunParallelOIR(s *core.System, op BinOp, init []Word, procs int) (*IRRun, e
 		return nil, fmt.Errorf("pram: procs must be >= 1, got %d", procs)
 	}
 	m := s.M
-	cells := fr.Cells
+	cells := s.G
 	k := len(cells)
 
 	// Layout.

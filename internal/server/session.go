@@ -151,30 +151,13 @@ func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 			if spec.Family == ir.FamilyMoebius {
 				p, err = MoebiusPlan(ctx, s.plans, spec.M, spec.G, spec.F)
 			} else {
-				fam := spec.Family
-				if fam == ir.FamilyAuto {
-					if spec.System.Ordinary() && spec.System.GDistinct() {
-						fam = ir.FamilyOrdinary
-					} else {
-						fam = ir.FamilyGeneral
-					}
+				// The one-shot solve path's key and compile: ordinary
+				// keys drop H and the exponent bits.
+				r := &SolveRequest{Family: ir.ResolveFamily(spec.System, spec.Family), Sys: spec.System}
+				if r.Family == ir.FamilyGeneral {
+					r.Bits = spec.MaxExponentBits
 				}
-				// Key exactly as the session's own fingerprint (and the
-				// one-shot solve paths) do: ordinary drops H and the
-				// exponent bits from the key.
-				var fp string
-				if fam == ir.FamilyOrdinary {
-					fp = ir.PlanFingerprint(fam, spec.System.N, spec.System.M,
-						spec.System.G, spec.System.F, nil, 0)
-				} else {
-					fp = ir.PlanFingerprint(fam, spec.System.N, spec.System.M,
-						spec.System.G, spec.System.F, spec.System.H, spec.MaxExponentBits)
-				}
-				p, err = PlanFor(s.plans, ctx, fp, func(cctx context.Context) (*ir.Plan, error) {
-					return ir.CompileCtx(cctx, spec.System, ir.CompileOptions{
-						Family: fam, MaxExponentBits: spec.MaxExponentBits,
-					})
-				})
+				p, err = PlanFor(s.plans, ctx, r.Fingerprint(), r.Compile)
 			}
 			if err == nil {
 				spec.Plan = p

@@ -134,10 +134,7 @@ func Open(ctx context.Context, spec Spec) (*Session, error) {
 	family := spec.Family
 	switch family {
 	case ir.FamilyAuto:
-		family = ir.FamilyGeneral
-		if sys.Ordinary() && sys.GDistinct() {
-			family = ir.FamilyOrdinary
-		}
+		family = ir.ResolveFamily(sys, family)
 	case ir.FamilyOrdinary:
 		if !sys.Ordinary() {
 			return nil, fmt.Errorf("%w: H != G", ir.ErrPlanFamily)

@@ -222,7 +222,7 @@ func RunParallelOIR(s *core.System, opx func(a, b int64) int64, init []int64, np
 		return nil, fmt.Errorf("simparc: nproc must be >= 1, got %d", nproc)
 	}
 	m := s.M
-	cells := fr.Cells
+	cells := s.G
 	k := len(cells)
 	rounds := 0
 	if maxLen := fr.MaxChainLen(); maxLen > 1 {

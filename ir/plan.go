@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"sync/atomic"
 
 	"indexedrec/internal/gir"
 	"indexedrec/internal/grid2d"
@@ -154,7 +155,14 @@ func (p *Plan) Schedule() string {
 // (ordinary and Möbius families); maxExponentBits only matters for the
 // general family and should be 0 otherwise.
 func PlanFingerprint(family Family, n, m int, g, f, h []int, maxExponentBits int) string {
+	return planFingerprint(nil, family, n, m, g, f, h, maxExponentBits)
+}
+
+// planFingerprint is PlanFingerprint, abandoning the stream early once stop
+// is set (its result is then meaningless).
+func planFingerprint(stop *atomic.Bool, family Family, n, m int, g, f, h []int, maxExponentBits int) string {
 	hs := newStructHasher(family)
+	hs.stop = stop
 	hs.int(n)
 	hs.int(m)
 	hs.int(maxExponentBits)
@@ -170,9 +178,12 @@ func PlanFingerprint(family Family, n, m int, g, f, h []int, maxExponentBits int
 // buffer so the hash sees a few large writes rather than one per integer;
 // the hashed stream — and so every fingerprint — is the same either way.
 type structHasher struct {
-	h   hash.Hash
-	n   int
-	buf [8192]byte
+	h hash.Hash
+	n int
+	// stop, when non-nil and set, makes slice skip the rest of its values:
+	// a compile that failed discards the fingerprint hashed beside it.
+	stop *atomic.Bool
+	buf  [8192]byte
 }
 
 // newStructHasher starts a fingerprint stream with its family byte.
@@ -203,11 +214,26 @@ func (hs *structHasher) int(v int) {
 	hs.n += 8
 }
 
+// slice packs the values a whole buffer block at a time, with no flush
+// check per integer.
 func (hs *structHasher) slice(tag byte, s []int) {
 	hs.byte(tag)
 	hs.int(len(s))
-	for _, v := range s {
-		hs.int(v)
+	for len(s) > 0 {
+		if hs.stop != nil && hs.stop.Load() {
+			return
+		}
+		if hs.n+8 > len(hs.buf) {
+			hs.flush()
+		}
+		k := min(len(s), (len(hs.buf)-hs.n)/8)
+		b := hs.buf[hs.n : hs.n+8*k]
+		for _, v := range s[:k] {
+			binary.LittleEndian.PutUint64(b, uint64(v))
+			b = b[8:]
+		}
+		hs.n += 8 * k
+		s = s[k:]
 	}
 }
 
@@ -217,53 +243,95 @@ func (hs *structHasher) sum(prefix string) string {
 	return prefix + ":" + hex.EncodeToString(hs.h.Sum(nil)[:16])
 }
 
+// compileFingerprinted runs compile on the caller's goroutine while
+// fingerprint hashes the same structure on another — both legs only read
+// the index slices — and joins the hash before returning, on every path:
+// success, error, cancellation and panic. A failed compile stops the hash
+// at its next block, since its fingerprint is discarded.
+func compileFingerprinted(fingerprint func(stop *atomic.Bool) string, compile func() (*Plan, error)) (p *Plan, err error) {
+	var stop atomic.Bool
+	sum := make(chan string, 1)
+	go func() { sum <- fingerprint(&stop) }()
+	defer func() {
+		if p == nil {
+			stop.Store(true)
+		}
+		fp := <-sum
+		if p != nil {
+			p.fingerprint = fp
+		}
+	}()
+	return compile()
+}
+
 // Compile precomputes the structure-only artifacts of a solve — see the
 // file comment. It is CompileCtx with a background context.
 func Compile(s *System, opt CompileOptions) (*Plan, error) {
 	return CompileCtx(context.Background(), s, opt)
 }
 
-// CompileCtx compiles a system into a Plan. For the ordinary family this
-// builds the write-chain forest and records the full pointer-jumping
-// schedule; for the general family it counts the paths of the versioned
-// dependence graph in one pass over the iterations and keeps each cell's
-// final (sink, count) terms — the dominant cost of a general solve, so
-// warm replays skip almost everything. Cancelling ctx stops compilation;
-// errors follow the hardened-solver contract.
-func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, error) {
-	family := opt.Family
-	if family == FamilyAuto {
-		if s.Ordinary() && s.GDistinct() {
-			family = FamilyOrdinary
-		} else {
-			family = FamilyGeneral
-		}
+// ResolveFamily returns the family CompileCtx compiles s under when asked
+// for family: FamilyAuto becomes FamilyOrdinary when s qualifies (H = G, G
+// distinct) and FamilyGeneral otherwise; any other family is returned as
+// is.
+func ResolveFamily(s *System, family Family) Family {
+	if family != FamilyAuto {
+		return family
 	}
+	if s.Ordinary() && s.GDistinct() {
+		return FamilyOrdinary
+	}
+	return FamilyGeneral
+}
+
+// CompileCtx compiles a system into a Plan. For the ordinary family this
+// builds the write-chain forest and records the combine schedule; for the
+// general family it counts the paths of the versioned dependence graph in
+// one pass over the iterations and keeps each cell's final (sink, count)
+// terms — the dominant cost of a general solve, so warm replays skip almost
+// everything. The plan's fingerprint is hashed on a second goroutine while
+// the structure compiles. Cancelling ctx stops compilation; errors follow
+// the hardened-solver contract.
+func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, error) {
+	return compileDense(ctx, s, opt, func(stop *atomic.Bool, family Family) string {
+		if family == FamilyOrdinary {
+			return planFingerprint(stop, family, s.N, s.M, s.G, s.F, nil, 0)
+		}
+		return planFingerprint(stop, family, s.N, s.M, s.G, s.F, s.H, opt.MaxExponentBits)
+	})
+}
+
+// compileDense is CompileCtx with the fingerprint of the resolved family
+// supplied by the caller (CompileSparseCtx hashes the sparse encoding).
+func compileDense(ctx context.Context, s *System, opt CompileOptions, fingerprint func(stop *atomic.Bool, family Family) string) (*Plan, error) {
+	family := ResolveFamily(s, opt.Family)
 	switch family {
 	case FamilyOrdinary:
 		if !s.Ordinary() {
 			return nil, fmt.Errorf("%w: %v is not ordinary (H != G)", ErrPlanFamily, s)
 		}
-		op, err := ordinary.CompilePlan(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		p := &Plan{family: FamilyOrdinary, n: s.N, m: s.M, ord: op}
-		p.fingerprint = PlanFingerprint(FamilyOrdinary, s.N, s.M, s.G, s.F, nil, 0)
-		p.size = op.SizeBytes()
-		return p, nil
 	case FamilyGeneral:
+	default:
+		return nil, fmt.Errorf("%w: cannot compile family %v", ErrPlanFamily, family)
+	}
+	hash := func(stop *atomic.Bool) string { return fingerprint(stop, family) }
+	return compileFingerprinted(hash, func() (*Plan, error) {
+		p := &Plan{family: family, n: s.N, m: s.M}
+		if family == FamilyOrdinary {
+			op, err := ordinary.CompilePlan(ctx, s)
+			if err != nil {
+				return nil, err
+			}
+			p.ord, p.size = op, op.SizeBytes()
+			return p, nil
+		}
 		gp, err := gir.CompilePlanCtx(ctx, s, opt.MaxExponentBits)
 		if err != nil {
 			return nil, err
 		}
-		p := &Plan{family: FamilyGeneral, n: s.N, m: s.M, gen: gp}
-		p.fingerprint = PlanFingerprint(FamilyGeneral, s.N, s.M, s.G, s.F, s.H, opt.MaxExponentBits)
-		p.size = gp.SizeBytes()
+		p.gen, p.size = gp, gp.SizeBytes()
 		return p, nil
-	default:
-		return nil, fmt.Errorf("%w: cannot compile family %v", ErrPlanFamily, family)
-	}
+	})
 }
 
 // CompileMoebius compiles the shared structure of the Möbius family —
@@ -276,14 +344,15 @@ func CompileMoebius(m int, g, f []int) (*Plan, error) {
 
 // CompileMoebiusCtx is CompileMoebius bounded by ctx.
 func CompileMoebiusCtx(ctx context.Context, m int, g, f []int) (*Plan, error) {
-	mp, err := moebius.CompilePlan(ctx, m, g, f)
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{family: FamilyMoebius, n: len(g), m: m, mb: mp}
-	p.fingerprint = PlanFingerprint(FamilyMoebius, len(g), m, g, f, nil, 0)
-	p.size = mp.SizeBytes()
-	return p, nil
+	return compileFingerprinted(func(stop *atomic.Bool) string {
+		return planFingerprint(stop, FamilyMoebius, len(g), m, g, f, nil, 0)
+	}, func() (*Plan, error) {
+		mp, err := moebius.CompilePlan(ctx, m, g, f)
+		if err != nil {
+			return nil, err
+		}
+		return &Plan{family: FamilyMoebius, n: len(g), m: m, mb: mp, size: mp.SizeBytes()}, nil
+	})
 }
 
 // SolveOrdinaryPlanCtx replays an ordinary-family plan against a fresh

@@ -315,6 +315,23 @@ func TestPlanFingerprint(t *testing.T) {
 	}
 }
 
+// multiBlockSystems returns structures whose fingerprint streams span many
+// hasher blocks: a 5,000-iteration ordinary chain (blocked scan), a
+// 2,048-iteration ordinary tree (pointer jumping), a 2,048-iteration general
+// scatter with explicit H, and a 2,048-iteration Möbius (g, f) over
+// len(g)+1 cells.
+func multiBlockSystems() (chain, tree, scatter *System, mg, mf []int) {
+	chain = FromFuncs(5000, 5001, func(i int) int { return i + 1 }, func(i int) int { return i }, nil)
+	tree = FromFuncs(2048, 2048+64, func(i int) int { return 64 + i }, func(i int) int { return (i * 7) % (64 + i) }, nil)
+	bucket := func(i int) int { return (37*i + 11) % 64 }
+	scatter = FromFuncs(2048, 64+2048, bucket, func(i int) int { return 64 + i }, bucket)
+	mg, mf = make([]int, 2048), make([]int, 2048)
+	for i := range mg {
+		mg[i], mf[i] = i+1, i/2
+	}
+	return chain, tree, scatter, mg, mf
+}
+
 // TestGoldenFingerprints pins the exact fingerprint strings (and the compiled
 // cost profile) of fixed structures. Fingerprints key the plan caches and the
 // cluster's rendezvous placement, so a change to the hashed byte stream —
@@ -330,6 +347,9 @@ func TestGoldenFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Multi-block structures: each hashes well past the hasher's 8 KiB
+	// buffer, so block fills and flushes are pinned too.
+	longChain, longTree, scatter, mbG, mbF := multiBlockSystems()
 
 	type ordGolden struct {
 		name      string
@@ -347,6 +367,10 @@ func TestGoldenFingerprints(t *testing.T) {
 			"ordinary:d072a2cb6c64228403f4d57dacbacebc", "pointer-jumping", 2, 52, 672},
 		{"sparse", func() (*Plan, error) { return CompileSparse(sp, CompileOptions{}) }, sp.NumCells(),
 			"sparse-ordinary:c8dd0d7972b585a4a1dcdfa8035c11ce", "pointer-jumping", 2, 6, 108},
+		{"long chain", func() (*Plan, error) { return Compile(longChain, CompileOptions{}) }, longChain.M,
+			"ordinary:ce7d86b765786c9d6083dc385d73c3c4", "blocked-scan", 7, 10050, 20260},
+		{"long tree", func() (*Plan, error) { return Compile(longTree, CompileOptions{}) }, longTree.M,
+			"ordinary:c544d4358718aa626ee51c4bb6be114c", "pointer-jumping", 4, 4615, 45368},
 	} {
 		p, err := c.plan()
 		if err != nil {
@@ -392,6 +416,31 @@ func TestGoldenFingerprints(t *testing.T) {
 		t.Errorf("general: plan fingerprint %q != PlanFingerprint %q", gp.Fingerprint(), want)
 	}
 
+	sg, err := Compile(scatter, CompileOptions{MaxExponentBits: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	init = make([]int64, scatter.M)
+	for x := range init {
+		init[x] = int64(x + 1)
+	}
+	ssol, err := sg.SolveCtx(ctx, PlanData{Op: "int64-add", InitInt: init})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, size, rounds := "general:ee76e513de4cc9b62bb08458eb43a34f", int64(58372), 5; sg.Fingerprint() != want ||
+		sg.SizeBytes() != size || ssol.CAPRounds != rounds {
+		t.Errorf("long general: got (%q, size %d, CAP rounds %d), want (%q, %d, %d)",
+			sg.Fingerprint(), sg.SizeBytes(), ssol.CAPRounds, want, size, rounds)
+	}
+	lm, err := CompileMoebius(len(mbG)+1, mbG, mbF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, size := "moebius:9547e8f352487c8664fc1453d22488b3", int64(102140); lm.Fingerprint() != want || lm.SizeBytes() != size {
+		t.Errorf("long moebius: got (%q, size %d), want (%q, %d)", lm.Fingerprint(), lm.SizeBytes(), want, size)
+	}
+
 	mp, err := CompileMoebius(tree.M, tree.G, tree.F)
 	if err != nil {
 		t.Fatal(err)
@@ -410,5 +459,81 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 	if want := "grid2d:31fcc33538349db686cdd9765864c812"; gfp != want {
 		t.Errorf("grid2d: fingerprint %q, want %q", gfp, want)
+	}
+}
+
+// TestConcurrentCompileFingerprints compiles every family from 16
+// goroutines at once (run it under -race): each compile hashes its
+// fingerprint on a goroutine of its own beside the structure compile, and
+// every plan must carry exactly the fingerprint the sequential hash gives.
+func TestConcurrentCompileFingerprints(t *testing.T) {
+	chain, tree, scatter, mg, mf := multiBlockSystems()
+	short := FromFuncs(300, 301, func(i int) int { return i + 1 }, func(i int) int { return i }, nil)
+	sp, err := NewSparseSystem(1<<20, []int{40, 7000, 123456, 900000}, []int{7, 40, 7000, 123456}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type job struct {
+		name    string
+		compile func() (*Plan, error)
+		want    string
+	}
+	jobs := []job{
+		{"ordinary chain", func() (*Plan, error) { return Compile(chain, CompileOptions{}) },
+			PlanFingerprint(FamilyOrdinary, chain.N, chain.M, chain.G, chain.F, nil, 0)},
+		{"ordinary tree", func() (*Plan, error) { return Compile(tree, CompileOptions{}) },
+			PlanFingerprint(FamilyOrdinary, tree.N, tree.M, tree.G, tree.F, nil, 0)},
+		{"general", func() (*Plan, error) { return Compile(scatter, CompileOptions{MaxExponentBits: 4096}) },
+			PlanFingerprint(FamilyGeneral, scatter.N, scatter.M, scatter.G, scatter.F, scatter.H, 4096)},
+		{"forced general", func() (*Plan, error) { return Compile(short, CompileOptions{Family: FamilyGeneral}) },
+			PlanFingerprint(FamilyGeneral, short.N, short.M, short.G, short.F, nil, 0)},
+		{"moebius", func() (*Plan, error) { return CompileMoebius(len(mg)+1, mg, mf) },
+			PlanFingerprint(FamilyMoebius, len(mg), len(mg)+1, mg, mf, nil, 0)},
+		{"sparse", func() (*Plan, error) { return CompileSparse(sp, CompileOptions{}) },
+			SparseFingerprint(FamilyOrdinary, sp, 0)},
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, j := range jobs {
+				p, err := j.compile()
+				if err != nil {
+					t.Errorf("%s: %v", j.name, err)
+					return
+				}
+				if p.Fingerprint() != j.want {
+					t.Errorf("%s: plan fingerprint %q, PlanFingerprint %q", j.name, p.Fingerprint(), j.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCompileErrorPrecedence pins the error text CompileCtx returns for
+// defective ordinary systems: Validate's range checks (every G before any
+// F) outrank a duplicate g, whichever defect comes first in iteration order.
+func TestCompileErrorPrecedence(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    *System
+		want string
+	}{
+		{"F out of range before G out of range",
+			&System{M: 4, N: 3, G: []int{1, 2, 7}, F: []int{9, 0, 1}},
+			"core: invalid IR system: G[2] = 7 out of range [0,4)"},
+		{"duplicate g before F out of range",
+			&System{M: 4, N: 3, G: []int{1, 1, 2}, F: []int{0, 0, -1}},
+			"core: invalid IR system: F[2] = -1 out of range [0,4)"},
+		{"duplicate g alone",
+			&System{M: 4, N: 3, G: []int{1, 2, 1}, F: []int{0, 1, 2}},
+			"ordinary: g is not distinct: IR{ordinary, n=3, m=4}"},
+	} {
+		_, err := CompileCtx(context.Background(), c.s, CompileOptions{Family: FamilyOrdinary})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: CompileCtx err %v, want %q", c.name, err, c.want)
+		}
 	}
 }

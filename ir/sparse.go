@@ -2,6 +2,7 @@ package ir
 
 import (
 	"context"
+	"sync/atomic"
 
 	"indexedrec/internal/core"
 )
@@ -84,7 +85,14 @@ func SolveSparseGeneralCtx[T any](ctx context.Context, sp *SparseSystem, op Comm
 // fingerprint exactly when they can share a compiled plan — and it can never
 // collide with a dense fingerprint (distinct prefix).
 func SparseFingerprint(family Family, sp *SparseSystem, maxExponentBits int) string {
+	return sparseFingerprint(nil, family, sp, maxExponentBits)
+}
+
+// sparseFingerprint is SparseFingerprint, abandoning the stream early once
+// stop is set.
+func sparseFingerprint(stop *atomic.Bool, family Family, sp *SparseSystem, maxExponentBits int) string {
 	hs := newStructHasher(family)
+	hs.stop = stop
 	hs.int(sp.Compact.N)
 	hs.int(sp.Compact.M)
 	hs.int(sp.M)
@@ -113,13 +121,14 @@ func CompileSparseCtx(ctx context.Context, sp *SparseSystem, opt CompileOptions)
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	p, err := CompileCtx(ctx, sp.Compact, opt)
+	p, err := compileDense(ctx, sp.Compact, opt, func(stop *atomic.Bool, family Family) string {
+		return sparseFingerprint(stop, family, sp, opt.MaxExponentBits)
+	})
 	if err != nil {
 		return nil, err
 	}
 	p.cells = sp.Cells
 	p.globalM = sp.M
-	p.fingerprint = SparseFingerprint(p.family, sp, opt.MaxExponentBits)
 	p.size += int64(len(sp.Cells)) * 8
 	return p, nil
 }

@@ -8,6 +8,7 @@ package indexedrec
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -373,5 +374,63 @@ func TestFacadeCtxMatchesLegacyOnHealthyInput(t *testing.T) {
 		if legacy.Values[i] != hardened.Values[i] {
 			t.Fatalf("cell %d: legacy %d != hardened %d", i, legacy.Values[i], hardened.Values[i])
 		}
+	}
+}
+
+// TestCompileFailuresJoinFingerprint: every compile hashes its fingerprint
+// on a second goroutine, and a compile that fails — cancelled, invalid or
+// non-distinct — must still join it before returning. Under -race the
+// rewrite of the index slices after each call also catches a hash still
+// reading them.
+func TestCompileFailuresJoinFingerprint(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	rng := rand.New(rand.NewSource(19))
+	invalid := workload.Chain(1 << 18)
+	invalid.G[0] = -1
+	dup := workload.Chain(1 << 18)
+	dup.G[dup.N-1] = dup.G[0]
+	mb := workload.Chain(1 << 16)
+	rewrite := func(idx ...[]int) {
+		for _, s := range idx {
+			for i := range s {
+				s[i]++
+				s[i]--
+			}
+		}
+	}
+	scatter := workload.Scatter(rng, 1<<16, 512)
+	random := workload.RandomOrdinary(rng, 1<<16, 1<<16)
+	for _, c := range []struct {
+		name    string
+		compile func() (*ir.Plan, error)
+		want    error
+	}{
+		{"cancelled general", func() (*ir.Plan, error) {
+			return ir.CompileCtx(cancelled, scatter, ir.CompileOptions{})
+		}, context.Canceled},
+		{"cancelled ordinary", func() (*ir.Plan, error) {
+			return ir.CompileCtx(cancelled, random, ir.CompileOptions{Family: ir.FamilyOrdinary})
+		}, context.Canceled},
+		{"cancelled moebius", func() (*ir.Plan, error) {
+			return ir.CompileMoebiusCtx(cancelled, mb.M, mb.G, mb.F)
+		}, context.Canceled},
+		{"invalid system", func() (*ir.Plan, error) {
+			return ir.CompileCtx(context.Background(), invalid, ir.CompileOptions{})
+		}, core.ErrInvalidSystem},
+		{"non-distinct ordinary", func() (*ir.Plan, error) {
+			return ir.CompileCtx(context.Background(), dup, ir.CompileOptions{Family: ir.FamilyOrdinary})
+		}, ordinary.ErrGNotDistinct},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer checkGoroutines(t)()
+			p, err := c.compile()
+			if p != nil || !errors.Is(err, c.want) {
+				t.Fatalf("plan %v, err %v; want nil and %v", p, err, c.want)
+			}
+			for _, sys := range []*core.System{scatter, random, mb, invalid, dup} {
+				rewrite(sys.G, sys.F, sys.H)
+			}
+		})
 	}
 }
