@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"indexedrec/internal/core"
+	"indexedrec/internal/moebius"
 	"indexedrec/internal/server"
+	"indexedrec/internal/session"
 	"indexedrec/internal/workload"
 	"indexedrec/ir"
 )
@@ -81,7 +83,9 @@ func (a crossAnswer) bits() []uint64 {
 // workers. Every ordinary/general answer, read back through its
 // touched-cell list, must be bit-identical to core.RunSequential on the
 // dense expansion; every linear/moebius answer to ir.SolveMoebiusPlanCtx on
-// the same input.
+// the same input. Two session rows (linear and ordinary int64-add) stream
+// the same batches through irserved, both coordinators and an in-process
+// session.Open; see crossSession.
 func TestCrossRouteBitIdentity(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
@@ -242,6 +246,11 @@ func TestCrossRouteBitIdentity(t *testing.T) {
 				crossMoebius(t, rng, endpoint, worker, front1.URL, front2.URL)
 			})
 		}
+		for _, family := range []string{"linear", "ordinary"} {
+			t.Run("session/"+family, func(t *testing.T) {
+				crossSession(t, rng, family, worker, front1.URL, front2.URL)
+			})
+		}
 		if co2.metrics.shards.Value() == 0 {
 			t.Fatal("the two-worker coordinator never scattered")
 		}
@@ -336,6 +345,127 @@ func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker, front1, front2
 		t.Fatal(err)
 	}
 	check("shard", sol.Values)
+}
+
+// crossSession is TestCrossRouteBitIdentity's session row: one stream — a
+// prefix plus four appended batches — opened and appended through
+// irserved, the coordinator with one and with two workers, and an
+// in-process session.Open. Every batch's values must be bit-identical to
+// the sequential loop over the concatenation, and every route must report
+// the same open fingerprint.
+func crossSession(t *testing.T, rng *rand.Rand, family, worker, front1, front2 string) {
+	t.Helper()
+	const n0, batches = 100, 4
+	sys := workload.RandomOrdinary(rng, 512, 400)
+	m, g, f, n := sys.M, sys.G, sys.F, sys.N
+	k := (n - n0) / batches
+	uniform := func(k int) []float64 {
+		out := make([]float64, k)
+		for i := range out {
+			out[i] = 2*rng.Float64() - 1
+		}
+		return out
+	}
+	// |a|, |b|, |x0| <= 1 keep every linear value within [-n, n].
+	a, b, x0 := uniform(n), uniform(n), uniform(m)
+	init := make([]int64, m)
+	for x := range init {
+		init[x] = rng.Int63n(1 << 40)
+	}
+	rawInit, err := json.Marshal(init)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The oracle: the loop over the whole concatenation. Distinct g makes
+	// each cell final once written, so batch j's values are its cells here.
+	var want []uint64
+	if family == "linear" {
+		for _, v := range moebius.NewLinear(m, g, f, a, b).RunSequential(x0) {
+			want = append(want, math.Float64bits(v))
+		}
+	} else {
+		for _, v := range core.RunSequential[int64](sys, core.IntAdd{}, init) {
+			want = append(want, uint64(v))
+		}
+	}
+	open := server.SessionOpenRequest{Family: family}
+	var spec session.Spec
+	if family == "linear" {
+		open.M, open.G, open.F, open.A, open.B, open.X0 = m, g[:n0], f[:n0], a[:n0], b[:n0], x0
+		spec.Family, spec.M, spec.G, spec.F, spec.A, spec.B, spec.X0 = ir.FamilyMoebius, m, g[:n0], f[:n0], a[:n0], b[:n0], x0
+	} else {
+		open.System, open.Op, open.Init = ir.SystemWire{M: m, N: n0, G: g[:n0], F: f[:n0]}, "int64-add", rawInit
+		spec.Family, spec.System, spec.Op, spec.InitInt = ir.FamilyOrdinary, &ir.System{M: m, N: n0, G: g[:n0], F: f[:n0]}, "int64-add", init
+	}
+	batch := func(j int) server.SessionAppendRequest {
+		lo, hi := n0+j*k, n0+(j+1)*k
+		req := server.SessionAppendRequest{G: g[lo:hi], F: f[lo:hi]}
+		if family == "linear" {
+			req.A, req.B = a[lo:hi], b[lo:hi]
+		}
+		return req
+	}
+	check := func(route string, j int, got server.SessionAppendResponse) {
+		t.Helper()
+		vals := make([]uint64, 0, k)
+		for _, v := range got.ValuesInt {
+			vals = append(vals, uint64(v))
+		}
+		for _, v := range got.Values {
+			vals = append(vals, math.Float64bits(v))
+		}
+		cells := batch(j).G
+		if len(vals) != len(cells) || got.N != n0+(j+1)*k {
+			t.Fatalf("%s: batch %d returned %d values at n = %d, want %d at n = %d", route, j, len(vals), got.N, len(cells), n0+(j+1)*k)
+		}
+		for i, x := range cells {
+			if vals[i] != want[x] {
+				t.Fatalf("%s: batch %d, cell %d differs from the loop over the concatenation", route, j, x)
+			}
+		}
+	}
+
+	local, err := session.Open(t.Context(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fingerprint := local.Fingerprint()
+	for j := 0; j < batches; j++ {
+		req := batch(j)
+		res, err := local.Append(t.Context(), session.Batch{G: req.G, F: req.F, A: req.A, B: req.B})
+		if err != nil {
+			t.Fatalf("in-process: batch %d: %v", j, err)
+		}
+		check("in-process", j, server.SessionAppendResponse{N: res.N, ValuesInt: res.ValuesInt, Values: res.Values})
+	}
+
+	for _, r := range []struct{ route, url string }{
+		{"irserved", worker}, {"ircoord/1", front1}, {"ircoord/2", front2},
+	} {
+		code, data := postFront(t, r.url+server.SessionPrefix, open)
+		if code != http.StatusOK {
+			t.Fatalf("%s: open: HTTP %d: %s", r.route, code, data)
+		}
+		var opened server.SessionOpenResponse
+		if err := json.Unmarshal(data, &opened); err != nil {
+			t.Fatal(err)
+		}
+		if opened.Fingerprint != fingerprint {
+			t.Fatalf("%s: open fingerprint %s, in-process %s", r.route, opened.Fingerprint, fingerprint)
+		}
+		for j := 0; j < batches; j++ {
+			code, data := postFront(t, r.url+server.SessionPrefix+"/"+opened.ID+"/append", batch(j))
+			if code != http.StatusOK {
+				t.Fatalf("%s: batch %d: HTTP %d: %s", r.route, j, code, data)
+			}
+			var got server.SessionAppendResponse
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatal(err)
+			}
+			check(r.route, j, got)
+		}
+	}
 }
 
 // TestStatusParity posts the same malformed requests to irserved and to the

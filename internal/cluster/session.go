@@ -17,9 +17,10 @@ import (
 
 // Streaming sessions through the coordinator: the front-end speaks the same
 // /v1/session API as a single irserved, pins each session to one worker by
-// rendezvous rank on its plan fingerprint (so the worker holding the
-// session's arena also tends to hold its compiled plan), and keeps the open
-// request plus the ordered append log as the session's recovery snapshot.
+// rendezvous rank on its plan fingerprint (a stable key, so one structure's
+// streams and its one-shot solves land on the same worker), and keeps the
+// open request plus the ordered append log as the session's recovery
+// snapshot.
 // When the pinned worker dies, sheds, or forgot the session (restart, idle
 // eviction), the coordinator re-homes the stream: it replays the open and
 // every logged append — the fold is deterministic, so the rebuilt state is
@@ -55,8 +56,8 @@ func (co *Coordinator) sessionRoutes() {
 }
 
 // sessionPinKey computes the open request's plan fingerprint — the same key
-// the shard scatter path uses, so a session lands on the worker whose plan
-// cache is already hot for its structure.
+// the shard scatter path uses. Sessions compile no plan, so the key only
+// spreads streams over the fleet deterministically.
 func (co *Coordinator) sessionPinKey(req *server.SessionOpenRequest) (string, error) {
 	switch req.Family {
 	case "linear", "moebius":

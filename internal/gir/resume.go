@@ -11,9 +11,7 @@ import (
 // settled-prefix shortcut — but the sequential fold itself IS the semantic
 // definition of the result, and each appended iteration costs exactly one
 // Combine against the materialized state. AppendFold applies a batch that
-// way; Stale decides when the session's cached dependence-DAG plan (used
-// for cold re-solves and cluster re-homes) has drifted far enough from the
-// concatenated system that it should be recompiled.
+// way, with no path counts and so no exponent growth.
 
 // AppendFold applies k iterations A[g[i]] = op(A[f[i]], A[h[i]]) to the
 // materialized state cur, in order — the incremental extension of a general
@@ -56,28 +54,4 @@ func AppendFold[T any](cur []T, op core.Semigroup[T], g, f, h []int) error {
 		cur[g[i]] = op.Combine(cur[f[i]], cur[h[i]])
 	}
 	return nil
-}
-
-// DefaultStaleFraction is the appended-iteration fraction past which a
-// session's cached general plan is considered stale (see Stale).
-const DefaultStaleFraction = 0.5
-
-// Stale reports whether a cached plan compiled for planN iterations should
-// be recompiled now that appended more iterations exist beyond it. The plan
-// only serves cold re-solves (a session's values advance incrementally), so
-// it is refreshed lazily: once the appended suffix exceeds fraction·planN
-// (DefaultStaleFraction when fraction <= 0), a re-solve through the stale
-// plan would miss too much of the system and the caller should recompile
-// over the concatenated structure instead.
-func Stale(planN, appended int, fraction float64) bool {
-	if fraction <= 0 {
-		fraction = DefaultStaleFraction
-	}
-	if appended <= 0 {
-		return false
-	}
-	if planN <= 0 {
-		return true
-	}
-	return float64(appended) > fraction*float64(planN)
 }

@@ -17,10 +17,11 @@
 // Workers execute solves under the request's context, so deadlines and
 // client disconnects abandon work promptly. Linear and Möbius requests
 // (DecodeMoebius) take the same path: their structure keys one *ir.Plan
-// (MoebiusPlan) that sessions, the shard endpoint and the coordinator
-// share. Solves resolve their structure through the plan cache (see
+// (MoebiusPlan) that the shard endpoint and the coordinator share.
+// Solves resolve their structure through the plan cache (see
 // plancache.go): requests sharing an index-map fingerprint reuse one
 // compiled plan and pay only the data phase; DESIGN.md §9 has the diagram.
+// Streaming sessions compile nothing and bypass the cache.
 //
 // # Invariants
 //
@@ -28,7 +29,7 @@
 // a cached one — caching is a performance layer, never a semantic one.
 // Every admitted
 // request gets exactly one response; Shutdown drains in-flight work before
-// the pool exits.
+// the pool exits, cancelling it if the drain's own ctx ends first.
 //
 // # Concurrency
 //

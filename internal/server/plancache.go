@@ -158,8 +158,8 @@ func PlanFor[P CachedPlan](c *PlanCache, ctx context.Context, key string, compil
 
 // MoebiusPlan resolves the Möbius-family plan for structure (m, g, f)
 // through the cache. It is the one place that keys and compiles a Möbius
-// plan, so the linear/moebius endpoints, linear sessions, the shard
-// endpoint and the coordinator all share one *ir.Plan per structure.
+// plan, so the linear/moebius endpoints, the shard endpoint and the
+// coordinator all share one *ir.Plan per structure.
 func MoebiusPlan(ctx context.Context, c *PlanCache, m int, g, f []int) (*ir.Plan, error) {
 	fp := ir.PlanFingerprint(ir.FamilyMoebius, len(g), m, g, f, nil, 0)
 	return PlanFor(c, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {

@@ -211,8 +211,8 @@ func systemWireScatter(n int) (w ir.SystemWire) {
 }
 
 // TestMoebiusPlanSharedAcrossRoutes sends one structure through every route
-// that compiles a Möbius-family plan — the linear and moebius endpoints, a
-// linear session open and a Möbius shard solve — and asserts each finds the
+// that compiles a Möbius-family plan — the linear and moebius endpoints and
+// a Möbius shard solve — and asserts each finds the
 // same cached *ir.Plan under the structure's fingerprint: one compile, then
 // replays, whichever route came first.
 func TestMoebiusPlanSharedAcrossRoutes(t *testing.T) {
@@ -251,8 +251,6 @@ func TestMoebiusPlanSharedAcrossRoutes(t *testing.T) {
 	send("linear", APIPrefix+"linear", lin)
 	send("moebius", APIPrefix+"moebius", MoebiusRequest{M: lin.M, G: lin.G, F: lin.F,
 		A: lin.A, B: lin.B, C: zeros, D: ones, X0: lin.X0})
-	send("session", SessionPrefix, SessionOpenRequest{Family: "linear", M: lin.M, G: lin.G, F: lin.F,
-		A: lin.A, B: lin.B, X0: lin.X0})
 	send("shard", ShardPrefix+"solve", ShardRequest{Family: "moebius",
 		System: ir.SystemWire{M: lin.M, N: len(lin.G), G: lin.G, F: lin.F},
 		Shard:  ShardWire{Lo: 0, Hi: first.ShardUnits()},

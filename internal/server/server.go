@@ -207,6 +207,10 @@ type Server struct {
 	draining      atomic.Bool
 	inflight      sync.WaitGroup
 	shutOnce      sync.Once
+	// base parents every request ctx; Shutdown cancels it when its own ctx
+	// ends before the drain does.
+	base       context.Context
+	cancelBase context.CancelFunc
 
 	// testHook, when non-nil, runs on the worker goroutine before each
 	// solve — tests use it to hold workers busy deterministically.
@@ -217,6 +221,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{cfg: cfg, reg: NewRegistry()}
+	s.base, s.cancelBase = context.WithCancel(context.Background())
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.Procs, cfg.Tenants,
 		func(tenant string) { s.metrics.tenantShed.Inc(s.shedLabel(tenant)) })
 	s.metrics = newServerMetrics(s.reg,
@@ -305,13 +310,15 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 }
 
 // Shutdown drains the service: new solve requests are refused with 503,
-// queued and running solves finish under their own deadlines, and the
-// worker pool exits. If ctx ends first, Shutdown still waits for them and
-// then reports the interrupted drain. Safe to call once; later calls
-// return nil immediately.
+// and queued and running solves and appends finish under their own
+// deadlines. If ctx ends first, Shutdown cancels every in-flight request
+// (each answers 503), waits for their handlers to return, and reports the
+// interrupted drain. Either way it then closes every session and stops the
+// worker pool. Safe to call once; later calls return nil immediately.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutOnce.Do(func() {
+		defer s.cancelBase()
 		s.draining.Store(true)
 		s.metrics.ready.Set(0)
 		done := make(chan struct{})
@@ -323,6 +330,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		case <-done:
 		case <-ctx.Done():
 			err = fmt.Errorf("server: drain interrupted: %w", ctx.Err())
+			s.cancelBase()
 			<-done
 		}
 		// Drain the streaming sessions after in-flight appends finished: every
@@ -576,7 +584,8 @@ func (s *Server) clampProcs(req int) int {
 }
 
 // requestContext derives the solve ctx: the request's own ctx (cancelled on
-// client disconnect) bounded by the effective deadline.
+// client disconnect) bounded by the effective deadline, and cancelled too
+// when an interrupted Shutdown cancels the server's base ctx.
 func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMs > 0 {
@@ -585,7 +594,12 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 			d = s.cfg.MaxTimeout
 		}
 	}
-	return context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	stop := context.AfterFunc(s.base, cancel)
+	return ctx, func() {
+		stop()
+		cancel()
+	}
 }
 
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {

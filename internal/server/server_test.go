@@ -244,6 +244,85 @@ func TestDrain(t *testing.T) {
 	leak()
 }
 
+// TestShutdownCancelsOnExpiry holds a solve and a session append in the
+// worker hook and calls Shutdown with a 50 ms ctx: the expired drain must
+// cancel both requests, so each client gets a non-2xx promptly, and
+// Shutdown reports the interrupted drain well before either job's own
+// deadline.
+func TestShutdownCancelsOnExpiry(t *testing.T) {
+	leak := checkGoroutines(t)
+	func() {
+		s, ts, down := newTestServer(t, Config{Workers: 2})
+		defer down()
+		resp, data := post(t, ts.URL+SessionPrefix, SessionOpenRequest{
+			Family: "linear",
+			M:      4, G: []int{1}, F: []int{0},
+			A: []float64{1}, B: []float64{1}, X0: []float64{1, 0, 0, 0},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("open: HTTP %d: %s", resp.StatusCode, data)
+		}
+		var open SessionOpenResponse
+		if err := json.Unmarshal(data, &open); err != nil {
+			t.Fatal(err)
+		}
+
+		held := make(chan struct{}, 2)
+		release := make(chan struct{})
+		defer close(release)
+		s.testHook = func() {
+			held <- struct{}{}
+			<-release
+		}
+		codes := make(chan int, 2)
+		send := func(url string, body any) {
+			payload, _ := json.Marshal(body)
+			c := &http.Client{Timeout: 5 * time.Second}
+			resp, err := c.Post(url, "application/json", bytes.NewReader(payload))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}
+		go send(ts.URL+APIPrefix+"linear", chainLinear(8))
+		go send(ts.URL+SessionPrefix+"/"+open.ID+"/append", SessionAppendRequest{
+			G: []int{2}, F: []int{1}, A: []float64{1}, B: []float64{1},
+		})
+		<-held
+		<-held
+
+		start := time.Now()
+		shutdownDone := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			shutdownDone <- s.Shutdown(ctx)
+		}()
+		for i := 0; i < 2; i++ {
+			switch code := <-codes; {
+			case code == 0:
+				t.Error("a held request got no answer after the drain expired")
+			case code/100 == 2:
+				t.Errorf("a held request answered %d after the drain expired, want a non-2xx status", code)
+			}
+		}
+		// The handlers have answered; let the held workers go so the pool
+		// can stop.
+		release <- struct{}{}
+		release <- struct{}{}
+		err := <-shutdownDone
+		if err == nil || !strings.Contains(err.Error(), "drain interrupted") {
+			t.Errorf("Shutdown = %v, want a drain-interrupted error", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("Shutdown took %v, want under 1s", d)
+		}
+	}()
+	leak()
+}
+
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)

@@ -51,8 +51,8 @@ type SessionOpenRequest struct {
 	D        []float64 `json:"d,omitempty"`
 	X0       []float64 `json:"x0,omitempty"`
 	Extended bool      `json:"extended,omitempty"`
-	// Opts carries procs/deadline options for the opening fold and plan
-	// compile.
+	// Opts carries the open's deadline (timeout_ms). Procs is validated but
+	// unused: the opening fold is sequential and compiles no plan.
 	Opts ir.OptionsWire `json:"opts,omitempty"`
 }
 
@@ -68,7 +68,8 @@ type SessionOpenResponse struct {
 	// Fingerprint is the opened structure's plan fingerprint (the cluster's
 	// pinning key).
 	Fingerprint string `json:"fingerprint"`
-	// ElapsedMs is the server-side open cost (fold + plan compile).
+	// ElapsedMs is the server-side open cost: the prefix fold and the
+	// fingerprint hash.
 	ElapsedMs float64 `json:"elapsed_ms"`
 }
 
@@ -129,8 +130,8 @@ func (s *Server) sessionRoutes() {
 }
 
 // execSessionOpen validates an open request and returns the pool job that
-// seeds the session (sequential fold of the prefix + plan compile) and
-// admits it into the store.
+// seeds the session (a sequential fold of the prefix) and admits it into the
+// store. An open compiles nothing and never touches the plan cache.
 func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 	var req SessionOpenRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -142,27 +143,6 @@ func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 	}
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
-		// Resolve the base plan through the plan cache when one is
-		// configured; the session keeps its own reference, so later cache
-		// eviction cannot invalidate it.
-		if s.plans != nil {
-			var p *ir.Plan
-			var err error
-			if spec.Family == ir.FamilyMoebius {
-				p, err = MoebiusPlan(ctx, s.plans, spec.M, spec.G, spec.F)
-			} else {
-				// The one-shot solve path's key and compile: ordinary
-				// keys drop H and the exponent bits.
-				r := &SolveRequest{Family: ir.ResolveFamily(spec.System, spec.Family), Sys: spec.System}
-				if r.Family == ir.FamilyGeneral {
-					r.Bits = spec.MaxExponentBits
-				}
-				p, err = PlanFor(s.plans, ctx, r.Fingerprint(), r.Compile)
-			}
-			if err == nil {
-				spec.Plan = p
-			}
-		}
 		sess, err := session.Open(ctx, *spec)
 		if err != nil {
 			return nil, err
@@ -189,12 +169,11 @@ func (s *Server) sessionSpec(req *SessionOpenRequest) (*session.Spec, error) {
 		MaxN:            s.cfg.MaxN,
 		MaxExponentBits: s.cfg.MaxExponentBits,
 	}
-	opts, err := req.Opts.Options()
-	if err != nil {
+	// A session folds sequentially, so only the wire options' validity
+	// matters here; the timeout bounds the open job itself.
+	if _, err := req.Opts.Options(); err != nil {
 		return nil, err
 	}
-	opts.Procs = s.clampProcs(opts.Procs)
-	spec.Opts = opts
 	switch strings.ToLower(req.Family) {
 	case "linear", "moebius":
 		if len(req.G) > s.cfg.MaxN {

@@ -159,9 +159,18 @@ func TestSessionErrorPaths(t *testing.T) {
 		t.Fatalf("delete unknown: HTTP %d", resp.StatusCode)
 	}
 
-	// Invalid family.
+	// Invalid family, and invalid wire options on an otherwise valid open:
+	// an open compiles nothing, but its opts are still checked.
 	if resp, data := post(t, ts.URL+SessionPrefix, SessionOpenRequest{Family: "quantum"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad family: HTTP %d: %s", resp.StatusCode, data)
+	}
+	for _, opts := range []ir.OptionsWire{{Procs: -1}, {TimeoutMs: -1}} {
+		resp, data := post(t, ts.URL+SessionPrefix, SessionOpenRequest{
+			Family: "linear", M: 2, X0: []float64{0, 0}, Opts: opts,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("open with opts %+v: HTTP %d: %s, want 400", opts, resp.StatusCode, data)
+		}
 	}
 
 	// A linear session: X[i+1] := X[i] + 1 prefix, then appends.
@@ -282,10 +291,12 @@ func TestSessionDrainClosesSessions(t *testing.T) {
 	}
 }
 
-// TestSessionSurvivesPlanCacheEviction opens a session whose plan came
-// through the plan cache, churns the cache until that plan is evicted, and
-// proves the session still appends correctly — it holds its own plan
-// reference, so cache eviction can never invalidate a live stream.
+// TestSessionSurvivesPlanCacheEviction opens an ordinary, a general and a
+// linear session and asserts the opens left the plan cache alone: no entry
+// added and no miss counted, since a session compiles nothing. It then
+// churns the cache and proves the ordinary session still appends
+// bit-identically to a one-shot solve — cache eviction cannot reach a live
+// stream.
 func TestSessionSurvivesPlanCacheEviction(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{PlanCacheBytes: 16 << 10})
 	rng := rand.New(rand.NewSource(11))
@@ -296,23 +307,47 @@ func TestSessionSurvivesPlanCacheEviction(t *testing.T) {
 		init[i] = int64(i)
 	}
 	rawInit, _ := json.Marshal(init)
-	resp, data := post(t, ts.URL+SessionPrefix, SessionOpenRequest{
-		Family: "ordinary",
-		System: ir.SystemWire{M: m, N: n0, G: g[:n0], F: f[:n0]},
-		Op:     "int64-add",
-		Init:   rawInit,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("open: HTTP %d: %s", resp.StatusCode, data)
+	h := make([]int, n0)
+	for i := range h {
+		h[i] = rng.Intn(m)
 	}
-	var open SessionOpenResponse
-	if err := json.Unmarshal(data, &open); err != nil {
-		t.Fatal(err)
+	x0 := make([]float64, m)
+	linA, linB := make([]float64, n0), make([]float64, n0)
+	for i := range linA {
+		linA[i], linB[i] = 1, 1
 	}
 
-	// Churn: 8 distinct ~7 KiB shapes through a 16 KiB cache evict the
-	// session's entry. No cache Get of the session's key in the loop — a
-	// hit would refresh its LRU position and defeat the churn.
+	entries, misses := s.plans.Len(), s.metrics.planMisses.Value()
+	var open SessionOpenResponse
+	for _, o := range []struct {
+		req  SessionOpenRequest
+		want string
+	}{
+		{SessionOpenRequest{Family: "general", Op: "int64-add", Init: rawInit,
+			System: ir.SystemWire{M: m, N: n0, G: g[:n0], F: f[:n0], H: h}},
+			ir.PlanFingerprint(ir.FamilyGeneral, n0, m, g[:n0], f[:n0], h, s.cfg.MaxExponentBits)},
+		{SessionOpenRequest{Family: "linear", M: m, G: g[:n0], F: f[:n0], A: linA, B: linB, X0: x0},
+			ir.PlanFingerprint(ir.FamilyMoebius, n0, m, g[:n0], f[:n0], nil, 0)},
+		{SessionOpenRequest{Family: "ordinary", Op: "int64-add", Init: rawInit,
+			System: ir.SystemWire{M: m, N: n0, G: g[:n0], F: f[:n0]}},
+			ir.PlanFingerprint(ir.FamilyOrdinary, n0, m, g[:n0], f[:n0], nil, 0)},
+	} {
+		resp, data := post(t, ts.URL+SessionPrefix, o.req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("open %s: HTTP %d: %s", o.req.Family, resp.StatusCode, data)
+		}
+		if err := json.Unmarshal(data, &open); err != nil {
+			t.Fatal(err)
+		}
+		if open.Fingerprint != o.want {
+			t.Fatalf("open %s: fingerprint %s, want %s", o.req.Family, open.Fingerprint, o.want)
+		}
+	}
+	if n, mi := s.plans.Len(), s.metrics.planMisses.Value(); n != entries || mi != misses {
+		t.Fatalf("session opens touched the plan cache: entries %d -> %d, misses %d -> %d", entries, n, misses, mi)
+	}
+
+	// Churn: 8 distinct ~7 KiB shapes through a 16 KiB cache.
 	for size := 0; size < 8; size++ {
 		n := 512 + size
 		cg, cf := sessionParts(rng, n+1, n)
@@ -327,8 +362,8 @@ func TestSessionSurvivesPlanCacheEviction(t *testing.T) {
 			t.Fatalf("churn %d: HTTP %d: %s", size, resp.StatusCode, data)
 		}
 	}
-	if _, ok := s.plans.Get(open.Fingerprint); ok {
-		t.Fatal("churn failed to evict the session's plan from the cache")
+	if v := s.metrics.planEvictions.Value(); v == 0 {
+		t.Fatal("churn evicted nothing from the plan cache")
 	}
 
 	at := n0
@@ -341,7 +376,7 @@ func TestSessionSurvivesPlanCacheEviction(t *testing.T) {
 		}
 		at += step
 	}
-	resp, data = post(t, ts.URL+APIPrefix+"ordinary", OrdinaryRequest{
+	resp, data := post(t, ts.URL+APIPrefix+"ordinary", OrdinaryRequest{
 		System: ir.SystemWire{M: m, N: at, G: g[:at], F: f[:at]},
 		Op:     "int64-add",
 		Init:   rawInit,

@@ -11,9 +11,12 @@
 //     composed 2×2 map per write chain, folded in O(1) per appended
 //     coefficient row (moebius.Resume) — the compact re-home snapshot;
 //   - general (GIR): cells may be rewritten, so each appended iteration is
-//     folded sequentially (gir.AppendFold, the semantic definition itself)
-//     and the cached dependence-DAG plan is recompiled lazily once the
-//     appended suffix passes a staleness threshold (gir.Stale).
+//     folded sequentially (gir.AppendFold, the semantic definition itself),
+//     with no path counts and so no MaxExponentBits limit.
+//
+// A session keeps only that fold state plus the concatenated G/F (and H)
+// its fingerprint hashes. It compiles no plan: a cluster re-home replays
+// the append log, and a cold solve compiles on its own.
 //
 // Correctness contract: after any sequence of appends a session's values
 // are bit-identical to core.RunSequential of the concatenated system — the

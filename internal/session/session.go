@@ -46,15 +46,13 @@ type Spec struct {
 	// MaxN bounds the concatenated iteration count across the session's
 	// lifetime (<= 0 means unbounded).
 	MaxN int
-	// Opts carries solver options for plan compiles and cold re-solves.
+	// Opts is ignored: a session compiles nothing and folds sequentially.
+	//
+	// Deprecated: Opts has no effect and will be removed.
 	Opts ir.SolveOptions
-	// MaxExponentBits caps CAP growth for general-family plan compiles.
+	// MaxExponentBits keys a general-family session's fingerprint, exactly
+	// as it keys the one-shot general plan of the same structure.
 	MaxExponentBits int
-	// Plan optionally seeds the session with a pre-compiled plan of the
-	// initial system (e.g. resolved through a server plan cache). The
-	// session keeps its own reference, so cache eviction never invalidates
-	// it; nil compiles one.
-	Plan *ir.Plan
 }
 
 // Batch is one append: k more iterations for the session's family. For
@@ -85,41 +83,36 @@ type Session struct {
 	family ir.Family
 	m      int
 	maxN   int
-	opts   ir.SolveOptions
 	bits   int
 
-	// sys is the concatenated system so far (ordinary/general families).
+	// sys is the concatenated structure so far, kept for the fingerprint:
+	// G/F for every family, H for a general session that appended one.
 	sys *ir.System
 	op  string
 	mod int64
-	// resInt/resFloat is the ordinary resume state; genInt/genFloat the
-	// general family's materialized state. Exactly one is non-nil.
+	// resInt/resFloat is the ordinary resume state, genInt/genFloat the
+	// general family's materialized state, mres the Möbius family's. Exactly
+	// one is non-nil.
 	resInt   *ordinary.Resume[int64]
 	resFloat *ordinary.Resume[float64]
 	genInt   []int64
 	genFloat []float64
+	mres     *moebius.Resume
 	iop      ir.CommutativeMonoid[int64]
 	fop      ir.CommutativeMonoid[float64]
-
-	// ms/x0/mres is the Möbius family's concatenated system and state.
-	ms   *moebius.MoebiusSystem
-	x0   []float64
-	mres *moebius.Resume
-
-	// plan is the compiled structure as of planN iterations; appends past
-	// the staleness threshold recompile it lazily through Plan.ExtendCtx.
-	plan  *ir.Plan
-	planN int
 
 	appends int64
 }
 
 // Open creates a session from a spec, seeding the state with a fold of the
 // initial system (the semantic oracle, so the state is exact from the
-// start) and compiling — or adopting — the structure plan.
+// start). It compiles nothing: the fold state is all a session keeps.
 func Open(ctx context.Context, spec Spec) (*Session, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if spec.Family == ir.FamilyMoebius {
-		return openMoebius(ctx, spec)
+		return openMoebius(spec)
 	}
 	if spec.System == nil {
 		return nil, fmt.Errorf("%w: missing system", ir.ErrInvalidSystem)
@@ -146,11 +139,13 @@ func Open(ctx context.Context, spec Spec) (*Session, error) {
 	default:
 		return nil, fmt.Errorf("%w: cannot open family %v", ir.ErrPlanFamily, family)
 	}
+	if family == ir.FamilyOrdinary {
+		sys.H = nil // H == G: the ordinary fingerprint and fold never read it
+	}
 	s := &Session{
 		family: family,
 		m:      sys.M,
 		maxN:   spec.MaxN,
-		opts:   spec.Opts,
 		bits:   spec.MaxExponentBits,
 		sys:    sys,
 		op:     spec.Op,
@@ -202,24 +197,17 @@ func Open(ctx context.Context, spec Spec) (*Session, error) {
 			s.genFloat = cur
 		}
 	}
-	if err := s.adoptPlan(ctx, spec.Plan); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
-// openMoebius is the Möbius-family Open.
-func openMoebius(ctx context.Context, spec Spec) (*Session, error) {
-	ms := &moebius.MoebiusSystem{
-		M: spec.M,
-		G: append([]int(nil), spec.G...),
-		F: append([]int(nil), spec.F...),
-		A: append([]float64(nil), spec.A...),
-		B: append([]float64(nil), spec.B...),
-		C: append([]float64(nil), spec.C...),
-		D: append([]float64(nil), spec.D...),
-	}
-	n := len(ms.G)
+// openMoebius is the Möbius-family Open. The opening rows are validated as
+// a whole system, folded into the resume state and then dropped: only G and
+// F stay, for the fingerprint.
+func openMoebius(spec Spec) (*Session, error) {
+	n := len(spec.G)
+	ms := &moebius.MoebiusSystem{M: spec.M, G: spec.G, F: spec.F,
+		A: spec.A, B: spec.B, C: spec.C, D: spec.D}
+	// Validate wants full rows: nil C and D are the affine fill.
 	if ms.C == nil {
 		ms.C = make([]float64, n)
 	}
@@ -238,63 +226,30 @@ func openMoebius(ctx context.Context, spec Spec) (*Session, error) {
 	if spec.MaxN > 0 && n > spec.MaxN {
 		return nil, fmt.Errorf("%w: n = %d > %d", ErrLimit, n, spec.MaxN)
 	}
-	res, err := moebius.NewResume(ms.M, spec.X0)
+	res, err := moebius.NewResume(spec.M, spec.X0)
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Append(ms.G, ms.F, ms.A, ms.B, ms.C, ms.D); err != nil {
+	if err := res.Append(spec.G, spec.F, spec.A, spec.B, spec.C, spec.D); err != nil {
 		return nil, err
 	}
-	s := &Session{
+	return &Session{
 		family: ir.FamilyMoebius,
-		m:      ms.M,
+		m:      spec.M,
 		maxN:   spec.MaxN,
-		opts:   spec.Opts,
-		ms:     ms,
-		x0:     append([]float64(nil), spec.X0...),
-		mres:   res,
-	}
-	if err := s.adoptPlan(ctx, spec.Plan); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// adoptPlan installs a caller-provided plan when its fingerprint matches
-// the session's current structure, else compiles a fresh one. The session
-// keeps its own reference, so external cache eviction cannot touch it.
-func (s *Session) adoptPlan(ctx context.Context, p *ir.Plan) error {
-	fp := s.fingerprintLocked()
-	if p != nil && p.Fingerprint() == fp {
-		s.plan, s.planN = p, p.N()
-		return nil
-	}
-	var err error
-	switch s.family {
-	case ir.FamilyMoebius:
-		s.plan, err = ir.CompileMoebiusCtx(ctx, s.ms.M, s.ms.G, s.ms.F)
-	default:
-		s.plan, err = ir.CompileCtx(ctx, s.sys, ir.CompileOptions{
-			Family: s.family, MaxExponentBits: s.bits,
-		})
-	}
-	if err != nil {
-		return err
-	}
-	s.planN = s.plan.N()
-	return nil
+		sys: &ir.System{M: spec.M, N: n,
+			G: append([]int(nil), spec.G...), F: append([]int(nil), spec.F...)},
+		mres: res,
+	}, nil
 }
 
 // fingerprintLocked computes the concatenated structure's fingerprint.
 func (s *Session) fingerprintLocked() string {
-	switch s.family {
-	case ir.FamilyMoebius:
-		return ir.PlanFingerprint(ir.FamilyMoebius, len(s.ms.G), s.ms.M, s.ms.G, s.ms.F, nil, 0)
-	case ir.FamilyGeneral:
+	if s.family == ir.FamilyGeneral {
 		return ir.PlanFingerprint(ir.FamilyGeneral, s.sys.N, s.sys.M, s.sys.G, s.sys.F, s.sys.H, s.bits)
-	default:
-		return ir.PlanFingerprint(ir.FamilyOrdinary, s.sys.N, s.sys.M, s.sys.G, s.sys.F, nil, 0)
 	}
+	// Ordinary and Möbius keys drop H and the exponent bits.
+	return ir.PlanFingerprint(s.family, s.sys.N, s.sys.M, s.sys.G, s.sys.F, nil, 0)
 }
 
 // Append folds a batch into the session, in order, and returns the updated
@@ -313,65 +268,32 @@ func (s *Session) Append(ctx context.Context, b Batch) (*Result, error) {
 		return nil, ErrClosed
 	}
 	k := len(b.G)
-	if s.maxN > 0 && s.nLocked()+k > s.maxN {
-		return nil, fmt.Errorf("%w: n would reach %d > %d", ErrLimit, s.nLocked()+k, s.maxN)
+	if s.maxN > 0 && s.sys.N+k > s.maxN {
+		return nil, fmt.Errorf("%w: n would reach %d > %d", ErrLimit, s.sys.N+k, s.maxN)
 	}
-	switch s.family {
-	case ir.FamilyMoebius:
-		if err := s.mres.Append(b.G, b.F, b.A, b.B, b.C, b.D); err != nil {
-			return nil, err
-		}
-		s.ms.G = append(s.ms.G, b.G...)
-		s.ms.F = append(s.ms.F, b.F...)
-		s.ms.A = append(s.ms.A, b.A...)
-		s.ms.B = append(s.ms.B, b.B...)
-		s.ms.C = appendCoeff(s.ms.C, b.C, k, 0)
-		s.ms.D = appendCoeff(s.ms.D, b.D, k, 1)
-	case ir.FamilyOrdinary:
-		if b.H != nil {
-			return nil, fmt.Errorf("%w: ordinary session append has H", ir.ErrPlanFamily)
-		}
-		if s.resInt != nil {
-			if err := s.resInt.Append(b.G, b.F); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := s.resFloat.Append(b.G, b.F); err != nil {
-				return nil, err
-			}
-		}
-		s.sys.G = append(s.sys.G, b.G...)
-		s.sys.F = append(s.sys.F, b.F...)
-		s.sys.N += k
-	default: // general
-		if s.genInt != nil {
-			if err := gir.AppendFold[int64](s.genInt, s.iop, b.G, b.F, b.H); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := gir.AppendFold[float64](s.genFloat, s.fop, b.G, b.F, b.H); err != nil {
-				return nil, err
-			}
-		}
-		h := b.H
-		if h == nil {
-			h = b.G
-		}
-		if s.sys.H == nil && b.H != nil {
-			s.sys.H = append([]int(nil), s.sys.G...)
-		}
-		s.sys.G = append(s.sys.G, b.G...)
-		s.sys.F = append(s.sys.F, b.F...)
-		if s.sys.H != nil {
-			s.sys.H = append(s.sys.H, h...)
-		}
-		s.sys.N += k
-	}
-	s.appends++
-	s.maybeRecompile(ctx)
-	out := &Result{N: s.nLocked()}
+	var err error
 	switch {
-	case s.family == ir.FamilyMoebius:
+	case s.mres != nil:
+		err = s.mres.Append(b.G, b.F, b.A, b.B, b.C, b.D)
+	case s.family == ir.FamilyOrdinary && b.H != nil:
+		err = fmt.Errorf("%w: ordinary session append has H", ir.ErrPlanFamily)
+	case s.resInt != nil:
+		err = s.resInt.Append(b.G, b.F)
+	case s.resFloat != nil:
+		err = s.resFloat.Append(b.G, b.F)
+	case s.genInt != nil:
+		err = gir.AppendFold[int64](s.genInt, s.iop, b.G, b.F, b.H)
+	default:
+		err = gir.AppendFold[float64](s.genFloat, s.fop, b.G, b.F, b.H)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.extendLocked(b)
+	s.appends++
+	out := &Result{N: s.sys.N}
+	switch {
+	case s.mres != nil:
 		out.Values = gather(s.mres.Values(), b.G)
 	case s.resInt != nil:
 		out.ValuesInt = gather(s.resInt.Values(), b.G)
@@ -385,16 +307,23 @@ func (s *Session) Append(ctx context.Context, b Batch) (*Result, error) {
 	return out, nil
 }
 
-// appendCoeff extends a stored coefficient row with a batch's (possibly nil
-// = constant fill) row.
-func appendCoeff(dst, src []float64, k int, fill float64) []float64 {
-	if src != nil {
-		return append(dst, src...)
+// extendLocked appends a folded batch's structure to the concatenated
+// system; callers hold s.mu.
+func (s *Session) extendLocked(b Batch) {
+	sys := s.sys
+	if b.H != nil && sys.H == nil {
+		sys.H = append([]int(nil), sys.G...)
 	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, fill)
+	if sys.H != nil {
+		h := b.H
+		if h == nil {
+			h = b.G
+		}
+		sys.H = append(sys.H, h...)
 	}
-	return dst
+	sys.G = append(sys.G, b.G...)
+	sys.F = append(sys.F, b.F...)
+	sys.N += len(b.G)
 }
 
 func gather[T any](vals []T, idx []int) []T {
@@ -403,44 +332,6 @@ func gather[T any](vals []T, idx []int) []T {
 		out[i] = vals[x]
 	}
 	return out
-}
-
-// maybeRecompile refreshes the cached plan once the appended suffix passes
-// the staleness threshold, so a cold re-solve (re-home, verification) stays
-// one compile behind at most. Compile failure is non-fatal here — the state
-// is already exact; the stale plan stays until a later append retries.
-func (s *Session) maybeRecompile(ctx context.Context) {
-	if !gir.Stale(s.planN, s.nLocked()-s.planN, 0) {
-		return
-	}
-	if s.family == ir.FamilyMoebius {
-		if p, err := ir.CompileMoebiusCtx(ctx, s.ms.M, s.ms.G, s.ms.F); err == nil {
-			s.plan, s.planN = p, p.N()
-		}
-		return
-	}
-	// Exercise the public extension path: the base is the system as of the
-	// last compile (a prefix view of the concatenated slices).
-	base := &ir.System{M: s.sys.M, N: s.planN, G: s.sys.G[:s.planN], F: s.sys.F[:s.planN]}
-	var h []int
-	if s.sys.H != nil {
-		base.H = s.sys.H[:s.planN]
-		h = s.sys.H[s.planN:]
-	}
-	_, p, err := s.plan.ExtendCtx(ctx, base,
-		s.sys.G[s.planN:], s.sys.F[s.planN:], h,
-		ir.CompileOptions{MaxExponentBits: s.bits})
-	if err == nil {
-		s.plan, s.planN = p, p.N()
-	}
-}
-
-// nLocked is the concatenated iteration count; callers hold s.mu.
-func (s *Session) nLocked() int {
-	if s.family == ir.FamilyMoebius {
-		return len(s.ms.G)
-	}
-	return s.sys.N
 }
 
 // Family reports the session's solver family.
@@ -453,7 +344,7 @@ func (s *Session) M() int { return s.m }
 func (s *Session) N() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nLocked()
+	return s.sys.N
 }
 
 // Appends reports how many append batches have landed.
@@ -470,22 +361,13 @@ func (s *Session) Fingerprint() string {
 	return s.fingerprintLocked()
 }
 
-// Plan returns the session's own compiled plan (possibly staleness-lagged
-// behind the newest appends; see maybeRecompile). Never nil on an open
-// session.
-func (s *Session) Plan() *ir.Plan {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plan
-}
-
 // Values returns a copy of the full current arrays; exactly one slice is
 // non-nil, matching the session's family and domain.
 func (s *Session) Values() (valuesInt []int64, valuesFloat []float64, values []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case s.family == ir.FamilyMoebius:
+	case s.mres != nil:
 		values = append([]float64(nil), s.mres.Values()...)
 	case s.resInt != nil:
 		valuesInt = append([]int64(nil), s.resInt.Values()...)
@@ -497,37 +379,6 @@ func (s *Session) Values() (valuesInt []int64, valuesFloat []float64, values []f
 		valuesFloat = append([]float64(nil), s.genFloat...)
 	}
 	return
-}
-
-// System returns a clone of the concatenated system (ordinary/general
-// families; nil for Möbius), for cold verification solves.
-func (s *Session) System() *ir.System {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sys == nil {
-		return nil
-	}
-	return s.sys.Clone()
-}
-
-// Moebius returns copies of the concatenated Möbius system and its initial
-// array (nil for other families).
-func (s *Session) Moebius() (*moebius.MoebiusSystem, []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ms == nil {
-		return nil, nil
-	}
-	ms := &moebius.MoebiusSystem{
-		M: s.ms.M,
-		G: append([]int(nil), s.ms.G...),
-		F: append([]int(nil), s.ms.F...),
-		A: append([]float64(nil), s.ms.A...),
-		B: append([]float64(nil), s.ms.B...),
-		C: append([]float64(nil), s.ms.C...),
-		D: append([]float64(nil), s.ms.D...),
-	}
-	return ms, append([]float64(nil), s.x0...)
 }
 
 // Op reports the operator spec (ordinary/general families).
@@ -559,26 +410,19 @@ func (s *Session) Closed() bool {
 	return s.closed
 }
 
-// SizeBytes estimates the session's resident size (state arrays, the
-// concatenated structure and the compiled plan) for store accounting.
+// SizeBytes is the session's resident size for store accounting: the
+// concatenated structure's backing arrays plus the family's fold state.
 func (s *Session) SizeBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var b int64
-	if s.sys != nil {
-		b += int64(len(s.sys.G)+len(s.sys.F)+len(s.sys.H)) * 8
-	}
-	if s.ms != nil {
-		b += int64(len(s.ms.G)+len(s.ms.F)) * 8
-		b += int64(len(s.ms.A)+len(s.ms.B)+len(s.ms.C)+len(s.ms.D)+len(s.x0)) * 8
+	b := int64(cap(s.sys.G)+cap(s.sys.F)+cap(s.sys.H)) * 8
+	switch {
+	case s.mres != nil:
 		b += int64(s.m) * (8 + 32 + 8 + 1) // cur + comp + root + written
-	}
-	b += int64(len(s.genInt)+len(s.genFloat)) * 8
-	if s.resInt != nil || s.resFloat != nil {
-		b += int64(s.m) * 9 // cur + written
-	}
-	if s.plan != nil {
-		b += s.plan.SizeBytes()
+	case s.resInt != nil || s.resFloat != nil:
+		b += int64(s.m) * (8 + 1) // cur + written
+	default:
+		b += int64(s.m) * 8 // cur
 	}
 	return b
 }

@@ -2,12 +2,15 @@ package session
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"indexedrec/internal/moebius"
+	"indexedrec/internal/parallel"
 	"indexedrec/internal/workload"
 	"indexedrec/ir"
 )
@@ -108,10 +111,112 @@ func TestGeneralSessionMatchesOracle(t *testing.T) {
 			t.Fatalf("cell %d: session %d, oracle %d", x, got[x], want[x])
 		}
 	}
-	// The staleness rule must have refreshed the plan: appends took the
-	// concatenated system from 0 to sys.N iterations.
-	if pn := s.Plan().N(); pn == 0 {
-		t.Fatalf("plan never recompiled (planN = %d after %d appended)", pn, sys.N)
+}
+
+// TestGeneralSessionPastExponentLimit opens a general session on a
+// Fibonacci prefix whose path counts outgrow MaxExponentBits. A CAP compile
+// of that prefix fails with ErrExponentLimit; a session compiles nothing, so
+// it opens, and the sequential fold has no exponent to outgrow.
+func TestGeneralSessionPastExponentLimit(t *testing.T) {
+	ctx := context.Background()
+	const bits = 16
+	sys := workload.Fibonacci(96)
+	if _, err := ir.CompileCtx(ctx, sys, ir.CompileOptions{Family: ir.FamilyGeneral, MaxExponentBits: bits}); !errors.Is(err, ir.ErrExponentLimit) {
+		t.Fatalf("compile of the prefix: err = %v, want ErrExponentLimit", err)
+	}
+	init := make([]int64, sys.M)
+	for x := range init {
+		init[x] = int64(x%7 + 2)
+	}
+	const mod = 1_000_003
+	n0 := sys.N / 2
+	s, err := Open(ctx, Spec{
+		Family:          ir.FamilyGeneral,
+		System:          &ir.System{M: sys.M, N: n0, G: sys.G[:n0], F: sys.F[:n0], H: sys.H[:n0]},
+		Op:              "mul-mod",
+		Mod:             mod,
+		InitInt:         init,
+		MaxExponentBits: bits,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	op, err := ir.IntOpByName("mul-mod", mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := n0; at < sys.N; at += 5 {
+		hi := min(at+5, sys.N)
+		res, err := s.Append(ctx, Batch{G: sys.G[at:hi], F: sys.F[at:hi], H: sys.H[at:hi]})
+		if err != nil {
+			t.Fatalf("Append at %d: %v", at, err)
+		}
+		want := ir.RunSequential[int64](&ir.System{M: sys.M, N: hi, G: sys.G[:hi], F: sys.F[:hi], H: sys.H[:hi]}, op, init)
+		for i, x := range sys.G[at:hi] {
+			if res.ValuesInt[i] != want[x] {
+				t.Fatalf("append at %d, cell %d: session %d, oracle %d", at, x, res.ValuesInt[i], want[x])
+			}
+		}
+	}
+	if fp, want := s.Fingerprint(), ir.PlanFingerprint(ir.FamilyGeneral, sys.N, sys.M, sys.G, sys.F, sys.H, bits); fp != want {
+		t.Fatalf("fingerprint %s, want %s", fp, want)
+	}
+}
+
+// TestSessionAppendAllocPerRow feeds a linear session 256 batches of 256
+// rows and bounds what an append allocates per row: the fold writes into
+// the resume state in place, so only the structure's growth (kept for the
+// fingerprint) and the returned values allocate. It also checks SizeBytes
+// against the heap the full session retains.
+func TestSessionAppendAllocPerRow(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	const batches, k = 256, 256
+	const m = batches*k + 1
+	const budget = 128 // bytes per appended row
+	ctx := context.Background()
+	g, f := make([]int, m-1), make([]int, m-1)
+	a, b := make([]float64, m-1), make([]float64, m-1)
+	for i := range g {
+		g[i], f[i], a[i], b[i] = i+1, i, 1, 1
+	}
+	x0 := make([]float64, m)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	s, err := Open(ctx, Spec{Family: ir.FamilyMoebius, M: m, X0: x0})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for at := 0; at < m-1; at += k {
+		if _, err := s.Append(ctx, Batch{G: g[at : at+k], F: f[at : at+k], A: a[at : at+k], B: b[at : at+k]}); err != nil {
+			t.Fatalf("Append at %d: %v", at, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(m-1)
+	retained := int64(heap() - base)
+	t.Logf("append allocates %.1f B/row; SizeBytes %d of retained %d", perRow, s.SizeBytes(), retained)
+	if perRow > budget {
+		t.Errorf("append allocates %.1f B/row, budget %d", perRow, budget)
+	}
+	if d := s.SizeBytes() - retained; d > retained/10 || -d > retained/10 {
+		t.Errorf("SizeBytes %d is more than 10%% off the retained %d bytes", s.SizeBytes(), retained)
+	}
+	if _, _, v := s.Values(); v[m-1] != float64(m-1) {
+		t.Fatalf("last cell %v, want %d", v[m-1], m-1)
+	}
+	// The inputs were allocated before base: keep them from being freed
+	// inside the retained measurement.
+	for _, in := range []any{s, g, f, a, b, x0} {
+		runtime.KeepAlive(in)
 	}
 }
 
