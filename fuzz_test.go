@@ -118,6 +118,11 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 	f.Add(int64(16), 256, 128, uint8(4))
 	f.Add(int64(24), 256, 128, uint8(4))
 	f.Add(int64(25), 300, 200, uint8(0))
+	// Unions of contiguous chains (workload.Chains): long runs take the
+	// ordinary run path to the blocked scan, short ones pointer jumping.
+	f.Add(int64(26), 512, 1024, uint8(5))
+	f.Add(int64(27), 512, 900, uint8(5))
+	f.Add(int64(28), 64, 40, uint8(5))
 
 	f.Fuzz(func(t *testing.T, seed int64, m, n int, kind uint8) {
 		if m < 1 || m > 512 || n < 0 || n > 1024 {
@@ -126,7 +131,7 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 		defer toggleEngine(seed)()
 		rng := rand.New(rand.NewSource(seed))
 		var s *core.System
-		switch kind % 5 {
+		switch kind % 6 {
 		case 0:
 			s = workload.RandomOrdinary(rng, m, n)
 		case 1:
@@ -134,15 +139,20 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 		case 2:
 			s = workload.RandomGIR(rng, m, n)
 		case 3:
-			// One chain spanning every cell: the shape that selects the
+			// One chain spanning every cell: the contiguous loop the
+			// ordinary run path compiles straight from g, to the
 			// blocked-scan schedule once it crosses the length threshold.
 			s = workload.Chain(min(n, m-1))
-		default:
+		case 4:
 			// A zipfian touched set scattered over a global array 16x the
 			// fuzz budget: the shape the sparse encoding exists for. The
 			// dense expansion feeds the oracle; the sparse cross-check
 			// below re-compresses it.
 			s = workload.SparseZipf(rng, 16*m+2, max(n, 1)).Dense()
+		default:
+			// 1–8 contiguous chains side by side, each rooted at an
+			// unwritten cell: the run path's union of runs.
+			s = workload.Chains(n, 1+rng.Intn(8))
 		}
 
 		// Commutative, associative, and immune to overflow discrepancies:

@@ -204,6 +204,11 @@ type Coordinator struct {
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
 	leaseDone   chan struct{}
+
+	// base parents every request ctx (requestContext); a drain whose
+	// deadline passes cancels it, so in-flight solves answer at once.
+	base       context.Context
+	cancelBase context.CancelFunc
 }
 
 // New builds a Coordinator, registers its static workers (one synchronous
@@ -220,6 +225,7 @@ func New(cfg Config) *Coordinator {
 		probeDone: make(chan struct{}),
 		leaseDone: make(chan struct{}),
 	}
+	co.base, co.cancelBase = context.WithCancel(context.Background())
 	co.metrics = newClusterMetrics(co.reg)
 	if cfg.PlanCacheBytes > 0 {
 		co.plans = server.NewPlanCache(cfg.PlanCacheBytes, co.metrics.planCacheMetrics())

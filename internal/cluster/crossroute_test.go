@@ -430,7 +430,10 @@ func crossSession(t *testing.T, rng *rand.Rand, family, worker, front1, front2 s
 	if err != nil {
 		t.Fatal(err)
 	}
-	fingerprint := local.Fingerprint()
+	fingerprint := ir.PlanFingerprint(spec.Family, n0, m, g[:n0], f[:n0], nil, 0)
+	if fp := local.Fingerprint(); fp != fingerprint {
+		t.Fatalf("in-process open fingerprint %s, PlanFingerprint %s", fp, fingerprint)
+	}
 	for j := 0; j < batches; j++ {
 		req := batch(j)
 		res, err := local.Append(t.Context(), session.Batch{G: req.G, F: req.F, A: req.A, B: req.B})

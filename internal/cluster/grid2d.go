@@ -23,9 +23,10 @@ import (
 // exactly like scatter's ErrNoWorkers parity.
 
 // solveGrid2D runs a distributed grid solve with local fallback, the
-// grid-family twin of Solve's scatter-or-fallback arm.
-func (co *Coordinator) solveGrid2D(ctx context.Context, p *ir.Plan, spec *solveSpec) (*ir.PlanSolution, error) {
-	sol, err := co.scatterGrid2D(ctx, p, spec)
+// grid-family twin of Solve's scatter-or-fallback arm; key is the plan's
+// cache key.
+func (co *Coordinator) solveGrid2D(ctx context.Context, p *ir.Plan, key string, spec *solveSpec) (*ir.PlanSolution, error) {
+	sol, err := co.scatterGrid2D(ctx, p, key, spec)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -59,10 +60,10 @@ func bandGrid(sys *ir.Grid2DSystem, r0, r1 int, north []float64, nw float64) *ir
 
 // scatterGrid2D executes the band pipeline over the live fleet. Bands go
 // through the same solveShard machinery as 1-D shards — rendezvous worker
-// ranking (by plan fingerprint and band index), circuit breakers, a shared
+// ranking (by plan key and band index), circuit breakers, a shared
 // per-solve retry budget, and hedged duplicates — one band at a time, each
 // seeded with the halo row the previous band produced.
-func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, spec *solveSpec) (*ir.PlanSolution, error) {
+func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, key string, spec *solveSpec) (*ir.PlanSolution, error) {
 	ws := co.alive()
 	if len(ws) == 0 {
 		return nil, ErrNoWorkers
@@ -84,7 +85,7 @@ func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, spec *solv
 		req := base
 		req.Shard = server.ShardWire{Lo: r0, Hi: r1}
 		req.Grid = bandGrid(sys, r0, r1, north, nw)
-		prefs := rankWorkers(ws, p.Fingerprint(), b)
+		prefs := rankWorkers(ws, key, b)
 		resp, err := co.solveShard(ctx, req, prefs, &budget)
 		if err != nil {
 			return nil, fmt.Errorf("band %d [%d, %d): %w", b, r0, r1, err)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -101,19 +102,50 @@ func (co *Coordinator) fallbackRoutes() {
 // Handler returns the coordinator's HTTP handler.
 func (co *Coordinator) Handler() http.Handler { return co.mux }
 
-// ListenAndServe serves the coordinator API on addr until ctx is cancelled.
+// drainTimeout bounds how long ListenAndServe lets in-flight requests
+// finish after its ctx is cancelled.
+const drainTimeout = 30 * time.Second
+
+// ListenAndServe serves the coordinator API on addr until ctx is cancelled,
+// then drains: the listener closes and in-flight requests get drainTimeout
+// to finish. Requests still running then are cancelled, and answer 503.
 func (co *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
-	hs := &http.Server{Addr: addr, Handler: co.mux}
+	if addr == "" {
+		addr = ":http" // as http.Server.ListenAndServe
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return co.serve(ctx, ln, drainTimeout)
+}
+
+// serve is ListenAndServe on a bound listener, draining for up to drain.
+func (co *Coordinator) serve(ctx context.Context, ln net.Listener, drain time.Duration) error {
+	hs := &http.Server{Handler: co.mux}
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
+	go func() { errCh <- hs.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
 	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	err := hs.Shutdown(shCtx)
+	err := hs.Shutdown(drainCtx)
+	if err != nil {
+		// The drain deadline passed: cancel what is still running, and give
+		// those handlers as long again to write their error answers before
+		// the connections close under them.
+		co.cancelBase()
+		graceCtx, cancel := context.WithTimeout(context.Background(), drain)
+		defer cancel()
+		if hs.Shutdown(graceCtx) != nil {
+			hs.Close()
+		}
+		err = fmt.Errorf("ircluster: drain interrupted: %w", err)
+	}
+	<-errCh // Serve has returned http.ErrServerClosed
 	co.Close()
 	return err
 }
@@ -257,7 +289,8 @@ func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, endpo
 }
 
 // requestContext bounds a solve by the client's timeout_ms (clamped to two
-// minutes, as irserved) or a 30s default.
+// minutes, as irserved) or a 30s default, and cancels it too when a drain
+// outlasts its deadline and cancels the coordinator's base ctx.
 func (co *Coordinator) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
 	d := 30 * time.Second
 	if timeoutMs > 0 {
@@ -266,7 +299,12 @@ func (co *Coordinator) requestContext(r *http.Request, timeoutMs int) (context.C
 			d = 2 * time.Minute
 		}
 	}
-	return context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	stop := context.AfterFunc(co.base, cancel)
+	return ctx, func() {
+		stop()
+		cancel()
+	}
 }
 
 // specSolve decodes an ordinary or general request through

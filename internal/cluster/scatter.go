@@ -34,25 +34,29 @@ type solveSpec struct {
 	timeoutMs int
 }
 
-// planFor compiles or cache-loads the spec's plan on the coordinator. The
-// coordinator needs the plan itself — not just its fingerprint — because
-// Partition and MergeShards read the compiled structure. Every shard of a
-// scatter shares the plan's one fingerprint, so rendezvous plan affinity
-// warms workers with one plan per structure.
-func (co *Coordinator) planFor(ctx context.Context, spec *solveSpec) (*ir.Plan, error) {
+// planFor compiles or cache-loads the spec's plan on the coordinator, and
+// returns it with the key it was looked up under. The coordinator needs the
+// plan itself — not just its fingerprint — because Partition and
+// MergeShards read the compiled structure. Every shard of a scatter is
+// ranked by that one key, so rendezvous plan affinity warms workers with one
+// plan per structure.
+func (co *Coordinator) planFor(ctx context.Context, spec *solveSpec) (*ir.Plan, string, error) {
 	switch spec.family {
 	case ir.FamilyMoebius:
 		return server.MoebiusPlan(ctx, co.plans, spec.m, spec.g, spec.f)
 	case ir.FamilyGrid2D:
-		fp, err := ir.Grid2DFingerprint(spec.grid)
+		key, err := ir.Grid2DFingerprint(spec.grid)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
+		p, err := server.PlanFor(co.plans, ctx, key, func(ctx context.Context) (*ir.Plan, error) {
 			return ir.CompileGrid2DCtx(ctx, spec.grid)
 		})
+		return p, key, err
 	default:
-		return server.PlanFor(co.plans, ctx, spec.solve.Fingerprint(), spec.solve.Compile)
+		key := spec.solve.Fingerprint()
+		p, err := server.PlanFor(co.plans, ctx, key, spec.solve.Compile)
+		return p, key, err
 	}
 }
 
@@ -62,19 +66,19 @@ func (co *Coordinator) planFor(ctx context.Context, spec *solveSpec) (*ir.Plan, 
 // machine could. Results are bit-identical to ir.Plan.SolveCtx by the shard
 // layer's contract.
 func (co *Coordinator) Solve(ctx context.Context, spec *solveSpec) (*ir.PlanSolution, error) {
-	p, err := co.planFor(ctx, spec)
+	p, key, err := co.planFor(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	if spec.family == ir.FamilyGrid2D {
-		return co.solveGrid2D(ctx, p, spec)
+		return co.solveGrid2D(ctx, p, key, spec)
 	}
 	if spec.data.WithPowers {
 		// Power traces are a whole-plan artifact; the shard path does not
 		// carry them.
 		return p.SolveCtx(ctx, spec.data)
 	}
-	parts, err := co.scatter(ctx, p, spec)
+	parts, err := co.scatter(ctx, p, key, spec)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -89,8 +93,9 @@ func (co *Coordinator) Solve(ctx context.Context, spec *solveSpec) (*ir.PlanSolu
 }
 
 // scatter partitions the plan over the live fleet and executes every shard
-// remotely, gathering the slices in shard order.
-func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, spec *solveSpec) ([]*ir.ShardSolution, error) {
+// remotely, gathering the slices in shard order. key is the plan's cache
+// key, which ranks the workers of every shard.
+func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, key string, spec *solveSpec) ([]*ir.ShardSolution, error) {
 	ws := co.alive()
 	if len(ws) == 0 {
 		return nil, ErrNoWorkers
@@ -122,7 +127,7 @@ func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, spec *solveSpec)
 			defer wg.Done()
 			req := base
 			req.Shard = server.ShardWire{Lo: sh.Lo, Hi: sh.Hi}
-			prefs := rankWorkers(ws, p.Fingerprint(), i)
+			prefs := rankWorkers(ws, key, i)
 			resp, err := co.solveShard(sctx, req, prefs, &budget)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d [%d, %d): %w", i, sh.Lo, sh.Hi, err)

@@ -9,12 +9,26 @@ const mapBytesPerID = 16
 // j < i, or -1 when ids are pairwise distinct. It is the shared distinctness
 // check of the compile paths (System.GDistinct, the Möbius g checks).
 //
-// When every id lies in [0, m) it runs on an m-bit set: no hashing, and
-// m/8 bytes of scratch. Inputs the bitset cannot hold — an id outside
-// [0, m), or m ≫ len(ids) where the bitset would outweigh a hash set — take
-// a map path instead, so every input, valid or not, gets the same answer.
+// Strictly increasing ids — the paper's contiguous loops — are distinct
+// whatever their range, so a first pass answers -1 for them with no
+// scratch; at the first non-increase it hands over to the full check from
+// index 0. That check runs on an m-bit set when every id lies in [0, m): no
+// hashing, and m/8 bytes of scratch. Inputs the bitset cannot hold — an id
+// outside [0, m), or m ≫ len(ids) where the bitset would outweigh a hash
+// set — take a map path instead, so every input, valid or not, gets the
+// same answer.
 func FirstRepeat(ids []int, m int) int {
 	if len(ids) == 0 {
+		return -1
+	}
+	sorted := true
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
 		return -1
 	}
 	if m <= 0 || m/8 > mapBytesPerID*len(ids) {

@@ -114,24 +114,29 @@ func buildBlocked(fr *Forest, cells []int, terminals []int32, force bool) (*bloc
 		prev[n] = int32(x)
 	}
 
-	b := &blockedSched{
-		cellSeq:  make([]int32, 0, len(cells)),
-		chainOff: make([]int32, 1, len(terminals)+1),
-	}
+	cellSeq := make([]int32, 0, len(cells))
+	chainOff := make([]int32, 1, len(terminals)+1)
 	maxLen := 0
 	for _, t := range terminals {
-		start := len(b.cellSeq)
+		start := len(cellSeq)
 		for x := t; x >= 0; x = prev[x] {
-			b.cellSeq = append(b.cellSeq, x)
+			cellSeq = append(cellSeq, x)
 		}
-		if l := len(b.cellSeq) - start; l > maxLen {
-			maxLen = l
-		}
-		b.chainOff = append(b.chainOff, int32(len(b.cellSeq)))
+		maxLen = max(maxLen, len(cellSeq)-start)
+		chainOff = append(chainOff, int32(len(cellSeq)))
 	}
 	if !force && maxLen < blockedMinChain {
 		return nil, nil
 	}
+	return newBlockedSched(cellSeq, chainOff), nil
+}
+
+// newBlockedSched completes the blocked schedule of the chain-major cell
+// order cellSeq, whose chain c spans chainOff[c] : chainOff[c+1], with its
+// segment table, tree depth and combine count. Both compile paths — the
+// forest walk (buildBlocked) and the run path (compileRuns) — end here.
+func newBlockedSched(cellSeq, chainOff []int32) *blockedSched {
+	b := &blockedSched{cellSeq: cellSeq, chainOff: chainOff}
 
 	// Segment table: fixed-length cuts per chain, never crossing chains,
 	// sized exactly so the resident tables carry no append slack.
@@ -177,7 +182,7 @@ func buildBlocked(fr *Forest, cells []int, terminals []int32, force bool) (*bloc
 			}
 		}
 	}
-	return b, nil
+	return b
 }
 
 // solveBlockedMember is SolvePlanMemberCtx's blocked-schedule path: the

@@ -177,22 +177,24 @@ func TestForestErrorPrecedence(t *testing.T) {
 	}
 }
 
-// compileBytesPerCell is the TotalAlloc budget of compiling a long chain,
-// per cell. The int32 forest temporary (Next and InitF, 8 B/cell) and the
-// blocked schedule (reverse links and cell order, 8 B/cell) need ~16
-// B/cell. Copying the written cells again (+8), widening the forest back to
-// []int with a Written flag (the earlier forest spent ~33 B/cell in all), a
-// hash set or a dependence-array pass (an earlier path spent ~109 B/cell)
-// breaks it.
+// compileBytesPerCell is the TotalAlloc budget of compiling a long chain
+// through the write-chain forest, per cell. The int32 forest temporary
+// (Next and InitF, 8 B/cell) and the blocked schedule (reverse links and
+// cell order, 8 B/cell) need ~16 B/cell. Copying the written cells again
+// (+8), widening the forest back to []int with a Written flag (the earlier
+// forest spent ~33 B/cell in all), a hash set or a dependence-array pass
+// (an earlier path spent ~109 B/cell) breaks it.
 const compileBytesPerCell = 20
 
-// TestCompileChainAllocPerCell is the compile-allocation gate: compiling a
-// 2^18-iteration chain must stay within compileBytesPerCell of heap per cell.
-func TestCompileChainAllocPerCell(t *testing.T) {
-	if parallel.RaceEnabled {
-		t.Skip("race instrumentation allocates; gate runs in the non-race job")
-	}
-	s := workload.Chain(1 << 18)
+// runCompileBytesPerCell is the same budget on the run path, which
+// allocates only the plan: cellSeq (4 B/cell) and the segment tables.
+// Building the forest, or any cell-sized temporary, breaks it.
+const runCompileBytesPerCell = 6
+
+// compileAllocPerCell compiles s with the default schedule and returns the
+// plan and the heap it allocated per cell.
+func compileAllocPerCell(t *testing.T, s *core.System) (*ordinary.Plan, float64) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p, err := ordinary.CompilePlan(context.Background(), s)
@@ -202,8 +204,52 @@ func TestCompileChainAllocPerCell(t *testing.T) {
 	}
 	perCell := float64(after.TotalAlloc-before.TotalAlloc) / float64(s.M)
 	t.Logf("compile %v (%s): %.1f B/cell", s, p.Schedule(), perCell)
+	return p, perCell
+}
+
+// TestCompileChainAllocPerCell is the forest path's compile-allocation
+// gate: a 2^18-iteration chain whose cell ids are permuted by a fixed
+// permutation is still one long path, so it compiles to the blocked scan,
+// but its g is not increasing, so only the forest path takes it. It must
+// stay within compileBytesPerCell of heap per cell.
+func TestCompileChainAllocPerCell(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	s := workload.Chain(1 << 18)
+	perm := rand.New(rand.NewSource(18)).Perm(s.M)
+	for i := range s.G {
+		s.G[i], s.F[i] = perm[s.G[i]], perm[s.F[i]]
+	}
+	if ordinary.RunPathAccepts(s) {
+		t.Fatal("the permuted chain took the run path")
+	}
+	p, perCell := compileAllocPerCell(t, s)
+	if p.Schedule() != "blocked-scan" {
+		t.Fatalf("permuted chain compiled to %s, want blocked-scan", p.Schedule())
+	}
 	if perCell > compileBytesPerCell {
 		t.Fatalf("compile allocated %.1f B/cell, budget %d", perCell, compileBytesPerCell)
+	}
+}
+
+// TestCompileRunAllocPerCell is the run path's compile-allocation gate: a
+// 2^18-iteration contiguous chain must compile on the run path within
+// runCompileBytesPerCell of heap per cell.
+func TestCompileRunAllocPerCell(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	s := workload.Chain(1 << 18)
+	if !ordinary.RunPathAccepts(s) {
+		t.Fatal("the contiguous chain did not take the run path")
+	}
+	p, perCell := compileAllocPerCell(t, s)
+	if p.Schedule() != "blocked-scan" {
+		t.Fatalf("chain compiled to %s, want blocked-scan", p.Schedule())
+	}
+	if perCell > runCompileBytesPerCell {
+		t.Fatalf("compile allocated %.1f B/cell, budget %d", perCell, runCompileBytesPerCell)
 	}
 }
 

@@ -3,6 +3,7 @@ package ordinary
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"indexedrec/internal/core"
@@ -125,8 +126,79 @@ func CompilePlan(ctx context.Context, s *core.System) (*Plan, error) {
 	return CompilePlanOpts(ctx, s, PlanOptions{})
 }
 
-// CompilePlanOpts is CompilePlan with explicit schedule selection.
+// CompilePlanOpts is CompilePlan with explicit schedule selection. Under
+// ScheduleAuto and ScheduleBlocked it first tries the run path
+// (compileRuns), which compiles a union of contiguous chains straight from
+// (g, f); every other system, and every defective one, goes through the
+// write-chain forest (compileForest). Both paths give equal plans.
 func CompilePlanOpts(ctx context.Context, s *core.System, popt PlanOptions) (*Plan, error) {
+	if popt.Schedule != ScheduleJumping {
+		if p := compileRuns(s, popt.Schedule == ScheduleBlocked); p != nil {
+			return p, nil
+		}
+	}
+	return compileForest(ctx, s, popt)
+}
+
+// compileRuns is the run path of CompilePlanOpts: the paper's contiguous
+// loop X[i] := op(X[i−1], X[i]), and any union of such loops. It accepts s
+// only when H is nil, the lengths match, 0 < m ≤ MaxInt32, g is strictly
+// increasing with g[0] ≥ 1 and g[n−1] < m, and f[i] = g[i]−1 for every i.
+// Each maximal run of consecutive g is then one chain, rooted at its
+// start−1, which no iteration writes. So the forest, its reverse links and
+// the chain walk would only rebuild g: cellSeq is g as int32, chainOff holds
+// the run boundaries, initDst/initSrc hold each run's start and start−1, and
+// the plan is primeable. It returns nil — and the forest path then compiles
+// s, or reports its defect — on any mismatch, and, unless force is set,
+// when the longest run is shorter than blockedMinChain (the forest path then
+// picks pointer jumping). The plans it returns equal compileForest's.
+func compileRuns(s *core.System, force bool) *Plan {
+	n := len(s.G)
+	if s.H != nil || n == 0 || n != s.N || len(s.F) != n || s.M <= 0 || s.M > math.MaxInt32 {
+		return nil
+	}
+	g, f, m := s.G, s.F[:n], uint(s.M)
+	// One pass checks the shape and counts the runs. Every g lies in
+	// [1, m), so nothing below overflows an int32.
+	runs, maxLen, start, prev := 1, 0, 0, g[0]-1
+	for i, x := range g {
+		if uint(x-1) >= m-1 || f[i] != x-1 {
+			return nil
+		}
+		if x != prev+1 {
+			if x <= prev {
+				return nil
+			}
+			maxLen = max(maxLen, i-start)
+			runs++
+			start = i
+		}
+		prev = x
+	}
+	maxLen = max(maxLen, n-start)
+	if !force && maxLen < blockedMinChain {
+		return nil
+	}
+
+	p := &Plan{M: s.M, N: s.N, combines: int64(runs), primeable: true,
+		initDst: make([]int32, runs), initSrc: make([]int32, runs)}
+	cellSeq, chainOff := make([]int32, n), make([]int32, runs+1)
+	c := 0
+	for i, x := range g {
+		cellSeq[i] = int32(x)
+		if i == 0 || x != g[i-1]+1 {
+			p.initDst[c], p.initSrc[c], chainOff[c] = int32(x), int32(x-1), int32(i)
+			c++
+		}
+	}
+	chainOff[runs] = int32(n)
+	p.blocked = newBlockedSched(cellSeq, chainOff)
+	return p
+}
+
+// compileForest is the forest path of CompilePlanOpts: it validates s,
+// builds the write-chain forest and records the schedule popt selects.
+func compileForest(ctx context.Context, s *core.System, popt PlanOptions) (*Plan, error) {
 	fr, err := BuildForest(s)
 	if err != nil {
 		return nil, err

@@ -159,12 +159,14 @@ func PlanFor[P CachedPlan](c *PlanCache, ctx context.Context, key string, compil
 // MoebiusPlan resolves the Möbius-family plan for structure (m, g, f)
 // through the cache. It is the one place that keys and compiles a Möbius
 // plan, so the linear/moebius endpoints, the shard endpoint and the
-// coordinator all share one *ir.Plan per structure.
-func MoebiusPlan(ctx context.Context, c *PlanCache, m int, g, f []int) (*ir.Plan, error) {
+// coordinator all share one *ir.Plan per structure. It also returns the
+// key, for callers that place work by it.
+func MoebiusPlan(ctx context.Context, c *PlanCache, m int, g, f []int) (*ir.Plan, string, error) {
 	fp := ir.PlanFingerprint(ir.FamilyMoebius, len(g), m, g, f, nil, 0)
-	return PlanFor(c, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
+	p, err := PlanFor(c, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
 		return ir.CompileMoebiusCtx(ctx, m, g, f)
 	})
+	return p, fp, err
 }
 
 // solveGrid2D runs one grid2d-family solve through the plan cache: grid

@@ -491,7 +491,7 @@ func (s *Server) execMoebius(endpoint string) execFunc {
 		opt.Procs = s.clampProcs(opt.Procs)
 		return func(ctx context.Context) (any, error) {
 			start := time.Now()
-			p, err := MoebiusPlan(ctx, s.plans, ms.M, ms.G, ms.F)
+			p, _, err := MoebiusPlan(ctx, s.plans, ms.M, ms.G, ms.F)
 			if err != nil {
 				return nil, err
 			}

@@ -122,7 +122,7 @@ func (s *Server) execShardMoebius(req *ShardRequest, sh ir.Shard) (runFunc, erro
 	data := ir.PlanData{A: req.A, B: req.B, C: req.C, D: req.D, X0: req.X0, Opts: opt}
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
-		p, err := MoebiusPlan(ctx, s.plans, m, g, f)
+		p, _, err := MoebiusPlan(ctx, s.plans, m, g, f)
 		if err != nil {
 			return nil, err
 		}

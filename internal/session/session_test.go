@@ -79,8 +79,8 @@ func TestOrdinarySessionMatchesColdSolve(t *testing.T) {
 	if s.N() != at || s.Appends() != appends {
 		t.Fatalf("N = %d appends = %d, want %d, %d", s.N(), s.Appends(), at, appends)
 	}
-	if fp := s.Fingerprint(); fp != plan.Fingerprint() {
-		t.Fatalf("fingerprint %s != concat plan %s", fp, plan.Fingerprint())
+	if fp, want := s.Fingerprint(), ir.PlanFingerprint(plan.Family(), plan.N(), plan.M(), concat.G, concat.F, nil, 0); fp != want {
+		t.Fatalf("fingerprint %s != concat plan key %s", fp, want)
 	}
 }
 

@@ -118,18 +118,13 @@ func CompileGrid2DCtx(ctx context.Context, s *Grid2DSystem) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// grid2d.Compile opens with the same gs.Validate() Grid2DFingerprint
+	// runs, so a grid the fingerprint rejects never compiles.
 	gp, err := grid2d.Compile(ctx, gs)
 	if err != nil {
 		return nil, err
 	}
-	fp, err := Grid2DFingerprint(s)
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{family: FamilyGrid2D, n: gp.Rounds(), m: gs.Rows * gs.Cols, g2: gp}
-	p.fingerprint = fp
-	p.size = gp.SizeBytes()
-	return p, nil
+	return &Plan{family: FamilyGrid2D, n: gp.Rounds(), m: gs.Rows * gs.Cols, g2: gp, size: gp.SizeBytes()}, nil
 }
 
 // SolveGrid2DPlanCtx replays a grid2d-family plan against a fresh system of

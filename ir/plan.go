@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"sync/atomic"
 
 	"indexedrec/internal/gir"
 	"indexedrec/internal/grid2d"
@@ -28,8 +27,10 @@ import (
 // results bit-identical to the direct Solve* paths.
 //
 // Plans are safe for concurrent replays from any number of goroutines, and
-// report their fingerprint and resident size so callers (internal/server's
-// LRU plan cache) can key and bound them.
+// report their resident size so callers (internal/server's LRU plan cache)
+// can bound them. A plan does not carry its key: callers that cache plans
+// hash the structure with PlanFingerprint (or SparseFingerprint,
+// Grid2DFingerprint) before the lookup, and only a miss compiles.
 
 // Family identifies which solver family a Plan was compiled for.
 type Family int
@@ -96,10 +97,9 @@ var ErrPlanFamily = errors.New("ir: plan family mismatch")
 // of one family, ready to replay against new data. Immutable and safe for
 // concurrent use.
 type Plan struct {
-	family      Family
-	n, m        int
-	fingerprint string
-	size        int64
+	family Family
+	n, m   int
+	size   int64
 
 	// cells and globalM tag plans compiled from a sparse system (see
 	// CompileSparseCtx): the sorted touched global ids the compact values
@@ -122,10 +122,6 @@ func (p *Plan) N() int { return p.n }
 // M returns the compiled cell count.
 func (p *Plan) M() int { return p.m }
 
-// Fingerprint returns the canonical structure hash the plan was compiled
-// from (see PlanFingerprint) — the natural cache key.
-func (p *Plan) Fingerprint() string { return p.fingerprint }
-
 // SizeBytes estimates the plan's resident size, for cache accounting.
 func (p *Plan) SizeBytes() int64 { return p.size }
 
@@ -135,7 +131,7 @@ func (p *Plan) SizeBytes() int64 { return p.size }
 // ordinary plans and the Möbius family (whose float matrix products pin the
 // jumping association for bit-identity with the direct solver); "cap" for
 // the general family. The selection is a pure function of the system's
-// structure, so plans sharing a Fingerprint share a schedule.
+// structure, so plans sharing a PlanFingerprint share a schedule.
 func (p *Plan) Schedule() string {
 	switch p.family {
 	case FamilyOrdinary:
@@ -155,14 +151,7 @@ func (p *Plan) Schedule() string {
 // (ordinary and Möbius families); maxExponentBits only matters for the
 // general family and should be 0 otherwise.
 func PlanFingerprint(family Family, n, m int, g, f, h []int, maxExponentBits int) string {
-	return planFingerprint(nil, family, n, m, g, f, h, maxExponentBits)
-}
-
-// planFingerprint is PlanFingerprint, abandoning the stream early once stop
-// is set (its result is then meaningless).
-func planFingerprint(stop *atomic.Bool, family Family, n, m int, g, f, h []int, maxExponentBits int) string {
 	hs := newStructHasher(family)
-	hs.stop = stop
 	hs.int(n)
 	hs.int(m)
 	hs.int(maxExponentBits)
@@ -178,12 +167,9 @@ func planFingerprint(stop *atomic.Bool, family Family, n, m int, g, f, h []int, 
 // buffer so the hash sees a few large writes rather than one per integer;
 // the hashed stream — and so every fingerprint — is the same either way.
 type structHasher struct {
-	h hash.Hash
-	n int
-	// stop, when non-nil and set, makes slice skip the rest of its values:
-	// a compile that failed discards the fingerprint hashed beside it.
-	stop *atomic.Bool
-	buf  [8192]byte
+	h   hash.Hash
+	n   int
+	buf [8192]byte
 }
 
 // newStructHasher starts a fingerprint stream with its family byte.
@@ -220,9 +206,6 @@ func (hs *structHasher) slice(tag byte, s []int) {
 	hs.byte(tag)
 	hs.int(len(s))
 	for len(s) > 0 {
-		if hs.stop != nil && hs.stop.Load() {
-			return
-		}
 		if hs.n+8 > len(hs.buf) {
 			hs.flush()
 		}
@@ -241,27 +224,6 @@ func (hs *structHasher) slice(tag byte, s []int) {
 func (hs *structHasher) sum(prefix string) string {
 	hs.flush()
 	return prefix + ":" + hex.EncodeToString(hs.h.Sum(nil)[:16])
-}
-
-// compileFingerprinted runs compile on the caller's goroutine while
-// fingerprint hashes the same structure on another — both legs only read
-// the index slices — and joins the hash before returning, on every path:
-// success, error, cancellation and panic. A failed compile stops the hash
-// at its next block, since its fingerprint is discarded.
-func compileFingerprinted(fingerprint func(stop *atomic.Bool) string, compile func() (*Plan, error)) (p *Plan, err error) {
-	var stop atomic.Bool
-	sum := make(chan string, 1)
-	go func() { sum <- fingerprint(&stop) }()
-	defer func() {
-		if p == nil {
-			stop.Store(true)
-		}
-		fp := <-sum
-		if p != nil {
-			p.fingerprint = fp
-		}
-	}()
-	return compile()
 }
 
 // Compile precomputes the structure-only artifacts of a solve — see the
@@ -289,21 +251,10 @@ func ResolveFamily(s *System, family Family) Family {
 // general family it counts the paths of the versioned dependence graph in
 // one pass over the iterations and keeps each cell's final (sink, count)
 // terms — the dominant cost of a general solve, so warm replays skip almost
-// everything. The plan's fingerprint is hashed on a second goroutine while
-// the structure compiles. Cancelling ctx stops compilation; errors follow
-// the hardened-solver contract.
+// everything. Compile only compiles: the plan's cache key is
+// PlanFingerprint's, hashed by whoever keys a cache. Cancelling ctx stops
+// compilation; errors follow the hardened-solver contract.
 func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, error) {
-	return compileDense(ctx, s, opt, func(stop *atomic.Bool, family Family) string {
-		if family == FamilyOrdinary {
-			return planFingerprint(stop, family, s.N, s.M, s.G, s.F, nil, 0)
-		}
-		return planFingerprint(stop, family, s.N, s.M, s.G, s.F, s.H, opt.MaxExponentBits)
-	})
-}
-
-// compileDense is CompileCtx with the fingerprint of the resolved family
-// supplied by the caller (CompileSparseCtx hashes the sparse encoding).
-func compileDense(ctx context.Context, s *System, opt CompileOptions, fingerprint func(stop *atomic.Bool, family Family) string) (*Plan, error) {
 	family := ResolveFamily(s, opt.Family)
 	switch family {
 	case FamilyOrdinary:
@@ -314,24 +265,21 @@ func compileDense(ctx context.Context, s *System, opt CompileOptions, fingerprin
 	default:
 		return nil, fmt.Errorf("%w: cannot compile family %v", ErrPlanFamily, family)
 	}
-	hash := func(stop *atomic.Bool) string { return fingerprint(stop, family) }
-	return compileFingerprinted(hash, func() (*Plan, error) {
-		p := &Plan{family: family, n: s.N, m: s.M}
-		if family == FamilyOrdinary {
-			op, err := ordinary.CompilePlan(ctx, s)
-			if err != nil {
-				return nil, err
-			}
-			p.ord, p.size = op, op.SizeBytes()
-			return p, nil
-		}
-		gp, err := gir.CompilePlanCtx(ctx, s, opt.MaxExponentBits)
+	p := &Plan{family: family, n: s.N, m: s.M}
+	if family == FamilyOrdinary {
+		op, err := ordinary.CompilePlan(ctx, s)
 		if err != nil {
 			return nil, err
 		}
-		p.gen, p.size = gp, gp.SizeBytes()
+		p.ord, p.size = op, op.SizeBytes()
 		return p, nil
-	})
+	}
+	gp, err := gir.CompilePlanCtx(ctx, s, opt.MaxExponentBits)
+	if err != nil {
+		return nil, err
+	}
+	p.gen, p.size = gp, gp.SizeBytes()
+	return p, nil
 }
 
 // CompileMoebius compiles the shared structure of the Möbius family —
@@ -344,15 +292,11 @@ func CompileMoebius(m int, g, f []int) (*Plan, error) {
 
 // CompileMoebiusCtx is CompileMoebius bounded by ctx.
 func CompileMoebiusCtx(ctx context.Context, m int, g, f []int) (*Plan, error) {
-	return compileFingerprinted(func(stop *atomic.Bool) string {
-		return planFingerprint(stop, FamilyMoebius, len(g), m, g, f, nil, 0)
-	}, func() (*Plan, error) {
-		mp, err := moebius.CompilePlan(ctx, m, g, f)
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{family: FamilyMoebius, n: len(g), m: m, mb: mp, size: mp.SizeBytes()}, nil
-	})
+	mp, err := moebius.CompilePlan(ctx, m, g, f)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{family: FamilyMoebius, n: len(g), m: m, mb: mp, size: mp.SizeBytes()}, nil
 }
 
 // SolveOrdinaryPlanCtx replays an ordinary-family plan against a fresh

@@ -3,7 +3,9 @@ package ir
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -301,18 +303,29 @@ func TestPlanFingerprint(t *testing.T) {
 			t.Fatalf("fingerprint ignores %s", dim)
 		}
 	}
-	// A compiled plan reports the fingerprint of its own structure.
+	// The plan compiled from the structure is the one that key names.
 	s := &System{M: 4, N: 3, G: g, F: f}
 	plan, err := Compile(s, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Fingerprint() != fp {
-		t.Fatalf("plan fingerprint %s != PlanFingerprint %s", plan.Fingerprint(), fp)
+	if key := planKey(plan, s, 0); key != fp {
+		t.Fatalf("plan key %s != PlanFingerprint %s", key, fp)
 	}
 	if plan.SizeBytes() <= 0 {
 		t.Fatal("plan reports non-positive size")
 	}
+}
+
+// planKey is the cache key of plan p compiled from s: PlanFingerprint over
+// the plan's own family, n and m and s's index maps (h only for the
+// general family, as the caches key it).
+func planKey(p *Plan, s *System, maxExponentBits int) string {
+	h := s.H
+	if p.Family() != FamilyGeneral {
+		h = nil
+	}
+	return PlanFingerprint(p.Family(), p.N(), p.M(), s.G, s.F, h, maxExponentBits)
 }
 
 // multiBlockSystems returns structures whose fingerprint streams span many
@@ -336,7 +349,9 @@ func multiBlockSystems() (chain, tree, scatter *System, mg, mf []int) {
 // cost profile) of fixed structures. Fingerprints key the plan caches and the
 // cluster's rendezvous placement, so a change to the hashed byte stream —
 // even one that keeps fingerprints deterministic and collision-free — splits
-// a mixed-version fleet; this test fails on any such change.
+// a mixed-version fleet; this test fails on any such change. Each key is
+// hashed over the family, n and m of the plan compiled from the structure,
+// so a plan that compiled to another family or shape fails it too.
 func TestGoldenFingerprints(t *testing.T) {
 	ctx := context.Background()
 	chain := FromFuncs(300, 301, func(i int) int { return i + 1 }, func(i int) int { return i }, nil)
@@ -354,6 +369,7 @@ func TestGoldenFingerprints(t *testing.T) {
 	type ordGolden struct {
 		name      string
 		plan      func() (*Plan, error)
+		key       func(*Plan) string
 		m         int
 		fp, sched string
 		rounds    int
@@ -361,15 +377,20 @@ func TestGoldenFingerprints(t *testing.T) {
 		size      int64
 	}
 	for _, c := range []ordGolden{
-		{"chain", func() (*Plan, error) { return Compile(chain, CompileOptions{}) }, chain.M,
+		{"chain", func() (*Plan, error) { return Compile(chain, CompileOptions{}) },
+			func(p *Plan) string { return planKey(p, chain, 0) }, chain.M,
 			"ordinary:9bddabc1fd242f648407379a5a6b7c80", "blocked-scan", 3, 600, 1244},
-		{"tree", func() (*Plan, error) { return Compile(tree, CompileOptions{}) }, tree.M,
+		{"tree", func() (*Plan, error) { return Compile(tree, CompileOptions{}) },
+			func(p *Plan) string { return planKey(p, tree, 0) }, tree.M,
 			"ordinary:d072a2cb6c64228403f4d57dacbacebc", "pointer-jumping", 2, 52, 672},
-		{"sparse", func() (*Plan, error) { return CompileSparse(sp, CompileOptions{}) }, sp.NumCells(),
+		{"sparse", func() (*Plan, error) { return CompileSparse(sp, CompileOptions{}) },
+			func(p *Plan) string { return SparseFingerprint(p.Family(), sp, 0) }, sp.NumCells(),
 			"sparse-ordinary:c8dd0d7972b585a4a1dcdfa8035c11ce", "pointer-jumping", 2, 6, 108},
-		{"long chain", func() (*Plan, error) { return Compile(longChain, CompileOptions{}) }, longChain.M,
+		{"long chain", func() (*Plan, error) { return Compile(longChain, CompileOptions{}) },
+			func(p *Plan) string { return planKey(p, longChain, 0) }, longChain.M,
 			"ordinary:ce7d86b765786c9d6083dc385d73c3c4", "blocked-scan", 7, 10050, 20260},
-		{"long tree", func() (*Plan, error) { return Compile(longTree, CompileOptions{}) }, longTree.M,
+		{"long tree", func() (*Plan, error) { return Compile(longTree, CompileOptions{}) },
+			func(p *Plan) string { return planKey(p, longTree, 0) }, longTree.M,
 			"ordinary:c544d4358718aa626ee51c4bb6be114c", "pointer-jumping", 4, 4615, 45368},
 	} {
 		p, err := c.plan()
@@ -384,10 +405,10 @@ func TestGoldenFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if p.Fingerprint() != c.fp || p.Schedule() != c.sched || sol.Rounds != c.rounds ||
+		if key := c.key(p); key != c.fp || p.Schedule() != c.sched || sol.Rounds != c.rounds ||
 			sol.Combines != c.combines || p.SizeBytes() != c.size {
 			t.Errorf("%s: got (%q, %q, rounds %d, combines %d, size %d), want (%q, %q, %d, %d, %d)",
-				c.name, p.Fingerprint(), p.Schedule(), sol.Rounds, sol.Combines, p.SizeBytes(),
+				c.name, key, p.Schedule(), sol.Rounds, sol.Combines, p.SizeBytes(),
 				c.fp, c.sched, c.rounds, c.combines, c.size)
 		}
 	}
@@ -396,8 +417,8 @@ func TestGoldenFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "general:a2ccda0aa8f0edf6e044227e69108e5a"; gp.Fingerprint() != want {
-		t.Errorf("general: fingerprint %q, want %q", gp.Fingerprint(), want)
+	if key, want := planKey(gp, gen, 4096), "general:a2ccda0aa8f0edf6e044227e69108e5a"; key != want {
+		t.Errorf("general: fingerprint %q, want %q", key, want)
 	}
 	// The flat plan holds 4 bytes per offset and 12 per term: 4·17 + 12·76.
 	// (The squaring-engine plan it replaced accounted 5248 bytes.)
@@ -412,9 +433,6 @@ func TestGoldenFingerprints(t *testing.T) {
 	if size, rounds := int64(980), 3; gp.SizeBytes() != size || gsol.CAPRounds != rounds {
 		t.Errorf("general: got (size %d, CAP rounds %d), want (%d, %d)", gp.SizeBytes(), gsol.CAPRounds, size, rounds)
 	}
-	if want := PlanFingerprint(FamilyGeneral, gen.N, gen.M, gen.G, gen.F, gen.H, 4096); gp.Fingerprint() != want {
-		t.Errorf("general: plan fingerprint %q != PlanFingerprint %q", gp.Fingerprint(), want)
-	}
 
 	sg, err := Compile(scatter, CompileOptions{MaxExponentBits: 4096})
 	if err != nil {
@@ -428,27 +446,29 @@ func TestGoldenFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, size, rounds := "general:ee76e513de4cc9b62bb08458eb43a34f", int64(58372), 5; sg.Fingerprint() != want ||
+	if key, want, size, rounds := planKey(sg, scatter, 4096), "general:ee76e513de4cc9b62bb08458eb43a34f", int64(58372), 5; key != want ||
 		sg.SizeBytes() != size || ssol.CAPRounds != rounds {
 		t.Errorf("long general: got (%q, size %d, CAP rounds %d), want (%q, %d, %d)",
-			sg.Fingerprint(), sg.SizeBytes(), ssol.CAPRounds, want, size, rounds)
+			key, sg.SizeBytes(), ssol.CAPRounds, want, size, rounds)
 	}
 	lm, err := CompileMoebius(len(mbG)+1, mbG, mbF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, size := "moebius:9547e8f352487c8664fc1453d22488b3", int64(102140); lm.Fingerprint() != want || lm.SizeBytes() != size {
-		t.Errorf("long moebius: got (%q, size %d), want (%q, %d)", lm.Fingerprint(), lm.SizeBytes(), want, size)
+	lmKey := PlanFingerprint(lm.Family(), lm.N(), lm.M(), mbG, mbF, nil, 0)
+	if want, size := "moebius:9547e8f352487c8664fc1453d22488b3", int64(102140); lmKey != want || lm.SizeBytes() != size {
+		t.Errorf("long moebius: got (%q, size %d), want (%q, %d)", lmKey, lm.SizeBytes(), want, size)
 	}
 
 	mp, err := CompileMoebius(tree.M, tree.G, tree.F)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, size := "moebius:c288818c1a16aa2b1f89e3116ce54709", int64(1644); mp.Fingerprint() != want || mp.SizeBytes() != size ||
+	mpKey := PlanFingerprint(mp.Family(), mp.N(), mp.M(), tree.G, tree.F, nil, 0)
+	if want, size := "moebius:c288818c1a16aa2b1f89e3116ce54709", int64(1644); mpKey != want || mp.SizeBytes() != size ||
 		mp.Schedule() != "pointer-jumping" {
 		t.Errorf("moebius: got (%q, %q, size %d), want (%q, pointer-jumping, %d)",
-			mp.Fingerprint(), mp.Schedule(), mp.SizeBytes(), want, size)
+			mpKey, mp.Schedule(), mp.SizeBytes(), want, size)
 	}
 
 	gfp, err := Grid2DFingerprint(&Grid2DSystem{Rows: 3, Cols: 5, Semiring: "minplus",
@@ -462,49 +482,136 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 }
 
+// TestCompileGrid2DValidates: CompileGrid2D rejects exactly the grids
+// Grid2DFingerprint rejects, with the same error, so a grid no cache can
+// key never compiles either.
+func TestCompileGrid2DValidates(t *testing.T) {
+	valid := func() *Grid2DSystem {
+		return &Grid2DSystem{Rows: 3, Cols: 5, Semiring: "minplus",
+			A: make([]float64, 15), North: make([]float64, 5), West: make([]float64, 3)}
+	}
+	bad := map[string]func(*Grid2DSystem){
+		"zero rows":    func(s *Grid2DSystem) { s.Rows = 0 },
+		"short north":  func(s *Grid2DSystem) { s.North = s.North[:4] },
+		"short a":      func(s *Grid2DSystem) { s.A = s.A[:14] },
+		"no terms":     func(s *Grid2DSystem) { s.A = nil },
+		"nan boundary": func(s *Grid2DSystem) { s.West[1] = math.NaN() },
+		"unknown ring": func(s *Grid2DSystem) { s.Semiring = "tropical?" },
+	}
+	for name, mutate := range bad {
+		s := valid()
+		mutate(s)
+		_, ferr := Grid2DFingerprint(s)
+		p, cerr := CompileGrid2D(s)
+		if ferr == nil || cerr == nil || p != nil || ferr.Error() != cerr.Error() {
+			t.Errorf("%s: Grid2DFingerprint error %v, CompileGrid2D (%v, %v)", name, ferr, p, cerr)
+		}
+	}
+	if _, err := CompileGrid2D(valid()); err != nil {
+		t.Fatalf("valid grid: %v", err)
+	}
+}
+
 // TestConcurrentCompileFingerprints compiles every family from 16
-// goroutines at once (run it under -race): each compile hashes its
-// fingerprint on a goroutine of its own beside the structure compile, and
-// every plan must carry exactly the fingerprint the sequential hash gives.
+// goroutines at once (run it under -race), each goroutine also hashing
+// every job's cache key. Every key must equal the sequential hash, and
+// every plan's SizeBytes, Schedule and replay must equal those of a
+// sequential compile.
 func TestConcurrentCompileFingerprints(t *testing.T) {
+	ctx := context.Background()
 	chain, tree, scatter, mg, mf := multiBlockSystems()
 	short := FromFuncs(300, 301, func(i int) int { return i + 1 }, func(i int) int { return i }, nil)
 	sp, err := NewSparseSystem(1<<20, []int{40, 7000, 123456, 900000}, []int{7, 40, 7000, 123456}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid := &Grid2DSystem{Rows: 40, Cols: 70, Semiring: "minplus",
+		A: make([]float64, 2800), B: make([]float64, 2800), Diag: make([]float64, 2800),
+		North: make([]float64, 70), West: make([]float64, 40)}
+	for k := range grid.A {
+		grid.A[k], grid.B[k], grid.Diag[k] = 1, 1, float64(k%3)
+	}
+	ints := func(m int) PlanData {
+		init := make([]int64, m)
+		for x := range init {
+			init[x] = int64(3*x + 1)
+		}
+		return PlanData{Op: "int64-add", InitInt: init}
+	}
+	mb := PlanData{A: make([]float64, len(mg)), B: make([]float64, len(mg)), X0: make([]float64, len(mg)+1)}
+	for i := range mb.A {
+		mb.A[i], mb.B[i] = 0.5, float64(i%7)
+	}
 	type job struct {
 		name    string
 		compile func() (*Plan, error)
-		want    string
+		key     func() string
+		data    PlanData
 	}
 	jobs := []job{
 		{"ordinary chain", func() (*Plan, error) { return Compile(chain, CompileOptions{}) },
-			PlanFingerprint(FamilyOrdinary, chain.N, chain.M, chain.G, chain.F, nil, 0)},
+			func() string { return PlanFingerprint(FamilyOrdinary, chain.N, chain.M, chain.G, chain.F, nil, 0) }, ints(chain.M)},
 		{"ordinary tree", func() (*Plan, error) { return Compile(tree, CompileOptions{}) },
-			PlanFingerprint(FamilyOrdinary, tree.N, tree.M, tree.G, tree.F, nil, 0)},
+			func() string { return PlanFingerprint(FamilyOrdinary, tree.N, tree.M, tree.G, tree.F, nil, 0) }, ints(tree.M)},
 		{"general", func() (*Plan, error) { return Compile(scatter, CompileOptions{MaxExponentBits: 4096}) },
-			PlanFingerprint(FamilyGeneral, scatter.N, scatter.M, scatter.G, scatter.F, scatter.H, 4096)},
+			func() string {
+				return PlanFingerprint(FamilyGeneral, scatter.N, scatter.M, scatter.G, scatter.F, scatter.H, 4096)
+			}, ints(scatter.M)},
 		{"forced general", func() (*Plan, error) { return Compile(short, CompileOptions{Family: FamilyGeneral}) },
-			PlanFingerprint(FamilyGeneral, short.N, short.M, short.G, short.F, nil, 0)},
+			func() string { return PlanFingerprint(FamilyGeneral, short.N, short.M, short.G, short.F, nil, 0) }, ints(short.M)},
 		{"moebius", func() (*Plan, error) { return CompileMoebius(len(mg)+1, mg, mf) },
-			PlanFingerprint(FamilyMoebius, len(mg), len(mg)+1, mg, mf, nil, 0)},
+			func() string { return PlanFingerprint(FamilyMoebius, len(mg), len(mg)+1, mg, mf, nil, 0) }, mb},
 		{"sparse", func() (*Plan, error) { return CompileSparse(sp, CompileOptions{}) },
-			SparseFingerprint(FamilyOrdinary, sp, 0)},
+			func() string { return SparseFingerprint(FamilyOrdinary, sp, 0) }, ints(sp.NumCells())},
+		{"grid2d", func() (*Plan, error) { return CompileGrid2D(grid) },
+			func() string {
+				fp, err := Grid2DFingerprint(grid)
+				if err != nil {
+					return err.Error()
+				}
+				return fp
+			}, PlanData{Grid: grid}},
+	}
+	type outcome struct {
+		key, sched string
+		size       int64
+		sol        *PlanSolution
+	}
+	run := func(j job) (outcome, error) {
+		key := j.key()
+		p, err := j.compile()
+		if err != nil {
+			return outcome{}, err
+		}
+		sol, err := p.SolveCtx(ctx, j.data)
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{key, p.Schedule(), p.SizeBytes(), sol}, nil
+	}
+	want := make([]outcome, len(jobs))
+	for k, j := range jobs {
+		if want[k], err = run(j); err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, j := range jobs {
-				p, err := j.compile()
+			for k, j := range jobs {
+				got, err := run(j)
 				if err != nil {
 					t.Errorf("%s: %v", j.name, err)
 					return
 				}
-				if p.Fingerprint() != j.want {
-					t.Errorf("%s: plan fingerprint %q, PlanFingerprint %q", j.name, p.Fingerprint(), j.want)
+				if got.key != want[k].key || got.sched != want[k].sched || got.size != want[k].size {
+					t.Errorf("%s: concurrent (%q, %s, %d B), sequential (%q, %s, %d B)", j.name,
+						got.key, got.sched, got.size, want[k].key, want[k].sched, want[k].size)
+				}
+				if !reflect.DeepEqual(got.sol, want[k].sol) {
+					t.Errorf("%s: concurrent replay differs from the sequential compile's", j.name)
 				}
 			}
 		}()

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"context"
-	"sync/atomic"
 
 	"indexedrec/internal/core"
 )
@@ -85,14 +84,7 @@ func SolveSparseGeneralCtx[T any](ctx context.Context, sp *SparseSystem, op Comm
 // fingerprint exactly when they can share a compiled plan — and it can never
 // collide with a dense fingerprint (distinct prefix).
 func SparseFingerprint(family Family, sp *SparseSystem, maxExponentBits int) string {
-	return sparseFingerprint(nil, family, sp, maxExponentBits)
-}
-
-// sparseFingerprint is SparseFingerprint, abandoning the stream early once
-// stop is set.
-func sparseFingerprint(stop *atomic.Bool, family Family, sp *SparseSystem, maxExponentBits int) string {
 	hs := newStructHasher(family)
-	hs.stop = stop
 	hs.int(sp.Compact.N)
 	hs.int(sp.Compact.M)
 	hs.int(sp.M)
@@ -116,14 +108,12 @@ func CompileSparse(sp *SparseSystem, opt CompileOptions) (*Plan, error) {
 // with the touched-cell list and global size. The plan replays exactly like
 // a dense plan over n_c cells: init and values are in compact order, and
 // Plan.TouchedCells maps them back to global ids. Family selection and
-// errors follow CompileCtx; the fingerprint is SparseFingerprint's.
+// errors follow CompileCtx; the plan's cache key is SparseFingerprint's.
 func CompileSparseCtx(ctx context.Context, sp *SparseSystem, opt CompileOptions) (*Plan, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	p, err := compileDense(ctx, sp.Compact, opt, func(stop *atomic.Bool, family Family) string {
-		return sparseFingerprint(stop, family, sp, opt.MaxExponentBits)
-	})
+	p, err := CompileCtx(ctx, sp.Compact, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -188,8 +188,8 @@ func TestCompileSparsePlan(t *testing.T) {
 	if len(p.TouchedCells()) != sp.NumCells() {
 		t.Fatal("TouchedCells length mismatch")
 	}
-	if p.Fingerprint() != SparseFingerprint(FamilyOrdinary, sp, 0) {
-		t.Fatal("plan fingerprint != SparseFingerprint")
+	if p.Family() != FamilyOrdinary {
+		t.Fatalf("sparse plan family %v, want the ordinary family its SparseFingerprint names", p.Family())
 	}
 	if p.Schedule() != "blocked-scan" {
 		t.Fatalf("schedule %q, want blocked-scan for a 600-long chain", p.Schedule())

@@ -377,11 +377,13 @@ func TestFacadeCtxMatchesLegacyOnHealthyInput(t *testing.T) {
 	}
 }
 
-// TestCompileFailuresJoinFingerprint: every compile hashes its fingerprint
-// on a second goroutine, and a compile that fails — cancelled, invalid or
-// non-distinct — must still join it before returning. Under -race the
-// rewrite of the index slices after each call also catches a hash still
-// reading them.
+// TestCompileFailuresJoinFingerprint: a compile that fails — cancelled,
+// invalid or non-distinct — returns its typed error with no goroutine left
+// running, and with nothing still reading the caller's index slices: under
+// -race the rewrite of those slices after each call catches any reader left
+// behind. (Compile once hashed the plan's fingerprint on a goroutine that
+// every return path had to join; it no longer hashes, and this test keeps
+// that from coming back as a leak.)
 func TestCompileFailuresJoinFingerprint(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
