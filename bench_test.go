@@ -221,7 +221,7 @@ func BenchmarkScanVsMoebius(b *testing.B) {
 			scan.LinearRecurrence(a, bb, 1)
 		}
 	})
-	b.Run("kogge-stone-scan", func(b *testing.B) {
+	b.Run("affine-prefix-ordinary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			scan.LinearRecurrenceParallel(a, bb, 1, 0)
 		}

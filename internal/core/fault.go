@@ -41,9 +41,6 @@ type InjectOp[T any] struct {
 	calls atomic.Int64
 }
 
-// Calls returns the number of Combine calls observed so far.
-func (f *InjectOp[T]) Calls() int64 { return f.calls.Load() }
-
 // Name implements Semigroup.
 func (f *InjectOp[T]) Name() string { return "inject(" + f.Inner.Name() + ")" }
 

@@ -58,7 +58,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		"ablation-pow":   "atomic",
 		"ablation-cap":   "squaring",
 		"speedup":        "goroutines",
-		"scan-vs-ir":     "Kogge-Stone",
+		"scan-vs-ir":     "affine-map prefix",
 		"ops":            "commutativity",
 		"sched":          "scheduling",
 		"cold_vs_warm":   "identical",

@@ -291,7 +291,7 @@ func runScanVsIR(w io.Writer, opt Options) error {
 	tb := report.NewTable(fmt.Sprintf("first-order linear recurrence, n=%d", n),
 		"method", "wall time", "max rel err vs sequential")
 	tb.AddRow("sequential loop", seqD.String(), 0.0)
-	tb.AddRow("Kogge-Stone scan (refs [2,4])", scanD.String(), maxErr1)
+	tb.AddRow("affine-map prefix, ordinary engine (refs [2,4])", scanD.String(), maxErr1)
 	tb.AddRow("Moebius + OrdinaryIR (paper §3)", irD.String(), maxErr2)
 	tb.Render(w)
 	fmt.Fprintln(w, "\nBoth parallel routes compute the same values; the paper's route")

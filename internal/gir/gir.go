@@ -67,9 +67,6 @@ type DepGraph struct {
 	Final []int
 }
 
-// LeafNode returns the node id of cell x's initial value.
-func (d *DepGraph) LeafNode(x int) int { return x }
-
 // IterNode returns the node id of iteration i's result.
 func (d *DepGraph) IterNode(i int) int { return d.M + i }
 

@@ -146,15 +146,3 @@ func (r *Resume) N() int { return r.n }
 
 // Written exposes the live written bitmap (not a copy).
 func (r *Resume) Written() []bool { return r.written }
-
-// Summary returns cell x's prefix summary: the composed Möbius map, the
-// chain-root cell whose initial value it applies to, and whether x was
-// written at all. Applying the map to the root's initial value reproduces
-// x's value up to the composition's own rounding; sessions use it as the
-// compact re-home snapshot.
-func (r *Resume) Summary(x int) (comp Mat2, root int, ok bool) {
-	if x < 0 || x >= r.m || !r.written[x] {
-		return Identity(), -1, false
-	}
-	return r.comp[x], r.root[x], true
-}

@@ -191,12 +191,3 @@ func SolveCtx[T any](ctx context.Context, s *core.System, op core.Semigroup[T], 
 	res.Roots = rt
 	return res, nil
 }
-
-// SolveValues is a convenience wrapper returning just the final array.
-func SolveValues[T any](s *core.System, op core.Semigroup[T], init []T, procs int) ([]T, error) {
-	r, err := Solve(s, op, init, Options{Procs: procs})
-	if err != nil {
-		return nil, err
-	}
-	return r.Values, nil
-}

@@ -9,20 +9,18 @@ import (
 	"sync/atomic"
 )
 
-// This file is the hardened half of the runtime: context-aware, panic-safe
-// variants of For and SPMD, plus ForEachCtx, the per-item form of ForCtx.
-// The solvers' error-returning entry points are built on these, while the
-// legacy For/SPMD keep their zero-overhead fire-and-forget contract for
-// callers that control their own bodies (benchmarks, internal sweeps).
+// This file is the runtime's parallel loop: ForCtx, its weighted form
+// ForCtxWeighted and its per-item form ForEachCtx, plus the panic-recovery
+// helpers the solvers' error-returning entry points are built on.
 //
-// Contract shared by ForCtx, ForEachCtx and SPMDCtx:
+// Contract shared by ForCtx, ForCtxWeighted and ForEachCtx:
 //
 //   - a panic in a worker goroutine is recovered and surfaced to the caller
 //     as a *PanicError (never crashes the process, never leaks the worker);
 //   - a body returning a non-nil error stops the run; the first failure
 //     (in completion order) is the one returned;
-//   - cancellation of ctx is observed between chunks (ForCtx) or rounds
-//     (via Barrier break in SPMDCtx), and surfaces as ctx.Err();
+//   - cancellation of ctx is observed between chunks and surfaces as
+//     ctx.Err();
 //   - all worker goroutines are joined before the call returns, whatever
 //     the outcome — callers can assert no goroutine leaks.
 
@@ -53,7 +51,7 @@ func (p *PanicError) Unwrap() error {
 type abortError struct{ err error }
 
 // Abort aborts the surrounding panic-safe parallel region (ForCtx,
-// ForEachCtx, SPMDCtx, or any solver built on them) with err. It exists for
+// ForEachCtx, or any solver built on them) with err. It exists for
 // callbacks whose interface has no error return — e.g. a Semigroup.Combine
 // that detects an unrecoverable condition mid-solve. Calling Abort outside
 // a panic-safe region panics with err itself.
@@ -84,15 +82,9 @@ func RecoverTo(errp *error) {
 	*errp = &PanicError{Value: r, Stack: debug.Stack()}
 }
 
-// guard runs f, converting panics (including Abort) into returned errors.
-func guard(f func() error) (err error) {
-	defer RecoverTo(&err)
-	return f()
-}
-
 // runRange runs body(lo, hi), converting panics (including Abort) into a
-// returned error. It is guard specialized to range bodies so the hot replay
-// path never allocates a closure per sub-chunk.
+// returned error. It takes the range as arguments so the hot replay path
+// never allocates a closure per sub-chunk.
 func runRange(body func(lo, hi int) error, lo, hi int) (err error) {
 	defer RecoverTo(&err)
 	return body(lo, hi)
@@ -124,14 +116,15 @@ func (f *firstErr) get() error {
 // more body calls per round.
 const ctxGrain = 4
 
-// ForCtx is the panic-safe, cancellable For: body(lo, hi) runs over a
-// partition of [0, n) on up to p workers (p <= 0 means DefaultProcs; chunks
-// below the minimum grain shrink the worker count instead of fanning out).
-// The partition is the same static one For uses — worker w owns the w-th
-// contiguous range, so a solver calling ForCtx once per round keeps each
-// range cache-warm on the same worker across rounds — but every worker
-// walks its range in ctxGrain sub-chunks and checks for cancellation and
-// earlier failures between them. When ctx carries a worker gang (WithGang,
+// ForCtx is the panic-safe, cancellable parallel loop: body(lo, hi) runs
+// over a partition of [0, n) on up to p workers (p <= 0 means DefaultProcs;
+// n <= 0 runs nothing; chunks below the minimum grain shrink the worker
+// count instead of fanning out). The partition is static — worker w owns
+// the w-th contiguous range, the ranges differing in size by at most one,
+// so a solver calling ForCtx once per round keeps each range cache-warm on
+// the same worker across rounds — and every worker walks its range in
+// ctxGrain sub-chunks, checking for cancellation and earlier failures
+// between them. When ctx carries a worker gang (WithGang,
 // EnsureGang) the round is dispatched on the gang's parked workers with no
 // goroutine spawns and no allocation; otherwise, or while the gang is busy
 // with an enclosing round, one goroutine per chunk is spawned as before.
@@ -270,69 +263,4 @@ func ForEachCtx(ctx context.Context, n, p int, body func(i int) error) error {
 		}
 		return nil
 	})
-}
-
-// SPMDCtx is the panic-safe, cancellable SPMD: p workers run
-// body(ctx, id, b) against a shared p-party barrier. A worker that panics,
-// returns an error, or calls Abort breaks the barrier, so lock-step peers
-// blocked in b.Wait are released with an error instead of deadlocking;
-// cancellation of ctx also breaks the barrier. The ctx passed to body is a
-// child of the caller's ctx that is cancelled on the first failure, so
-// bodies can poll it between rounds. When ctx carries a worker gang with at
-// least p workers, the parties run on the gang's parked workers; otherwise
-// p goroutines are spawned (the party count is never reduced — barrier
-// semantics require exactly p). All workers are joined before return.
-func SPMDCtx(ctx context.Context, p int, body func(ctx context.Context, id int, b *Barrier) error) error {
-	if p < 1 {
-		p = 1
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	b := NewBarrier(p)
-	var fe firstErr
-	// run is one party: it breaks the barrier before surfacing a failure, so
-	// a party that never starts (gang stop latch) cannot strand its peers.
-	run := func(id int) {
-		if err := guard(func() error { return body(cctx, id, b) }); err != nil {
-			fe.set(err)
-			b.Break(err)
-			cancel()
-		}
-	}
-	// Watchdog: external cancellation must release workers blocked in
-	// b.Wait. It exits as soon as the workers are joined.
-	joined := make(chan struct{})
-	go func() {
-		select {
-		case <-cctx.Done():
-			b.Break(context.Cause(cctx))
-		case <-joined:
-		}
-	}()
-	dispatched := false
-	if gangEnabled() {
-		if g := GangFrom(ctx); g != nil && p <= g.Procs() {
-			// n = k = p gives every gang worker exactly one index: its party id.
-			_, dispatched = g.tryForCtx(cctx, p, p, func(lo, _ int) error {
-				run(lo)
-				return nil
-			})
-		}
-	}
-	if !dispatched {
-		var wg sync.WaitGroup
-		wg.Add(p)
-		for id := 0; id < p; id++ {
-			go func(id int) {
-				defer wg.Done()
-				run(id)
-			}(id)
-		}
-		wg.Wait()
-	}
-	close(joined)
-	if err := fe.get(); err != nil {
-		return err
-	}
-	return ctx.Err()
 }

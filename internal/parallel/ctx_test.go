@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -250,162 +252,66 @@ func TestNestedForEachCtxProcsClamping(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-func TestBarrierBreakReleasesWaiters(t *testing.T) {
-	base := runtime.NumGoroutine()
-	b := NewBarrier(3)
-	cause := errors.New("peer died")
-	results := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() { results <- b.Wait() }()
-	}
-	time.Sleep(20 * time.Millisecond) // let both block
-	b.Break(cause)
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-results:
-			if !errors.Is(err, cause) {
-				t.Fatalf("Wait returned %v, want %v", err, cause)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("waiter still blocked after Break — deadlock")
-		}
-	}
-	// Future waits fail immediately, and the cause is readable.
-	if err := b.Wait(); !errors.Is(err, cause) {
-		t.Fatalf("post-break Wait = %v, want %v", err, cause)
-	}
-	if err := b.Broken(); !errors.Is(err, cause) {
-		t.Fatalf("Broken() = %v, want %v", err, cause)
-	}
-	waitGoroutines(t, base)
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine N [running]:"). Each ForCtx worker is its own goroutine, so
+// grouping sub-chunks by it recovers the worker partition.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
 }
 
-func TestBarrierBreakNilCause(t *testing.T) {
-	b := NewBarrier(2)
-	b.Break(nil)
-	if err := b.Wait(); !errors.Is(err, ErrBarrierBroken) {
-		t.Fatalf("Wait = %v, want ErrBarrierBroken", err)
-	}
-}
-
-func TestBarrierFirstBreakWins(t *testing.T) {
-	b := NewBarrier(2)
-	first := errors.New("first")
-	b.Break(first)
-	b.Break(errors.New("second"))
-	if err := b.Wait(); !errors.Is(err, first) {
-		t.Fatalf("Wait = %v, want the first break cause", err)
-	}
-}
-
-func TestSPMDCtxWorkerPanicBreaksBarrier(t *testing.T) {
-	base := runtime.NumGoroutine()
-	const p = 4
-	err := SPMDCtx(context.Background(), p, func(ctx context.Context, id int, b *Barrier) error {
-		if id == 2 {
-			panic("party 2 died mid-round")
-		}
-		// The surviving parties would deadlock here forever without break
-		// semantics: party 2 never arrives.
-		if err := b.Wait(); err != nil {
-			return err
-		}
-		return nil
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError from party 2", err)
-	}
-	waitGoroutines(t, base)
-}
-
-func TestSPMDCtxWorkerErrorPropagates(t *testing.T) {
-	want := errors.New("party failed")
-	err := SPMDCtx(context.Background(), 4, func(ctx context.Context, id int, b *Barrier) error {
-		if id == 0 {
-			return want
-		}
-		if err := b.Wait(); err != nil {
-			return err
-		}
-		return nil
-	})
-	if !errors.Is(err, want) {
-		t.Fatalf("err = %v, want %v", err, want)
-	}
-}
-
-func TestSPMDCtxExternalCancelReleasesBarrier(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	err := SPMDCtx(ctx, 4, func(ctx context.Context, id int, b *Barrier) error {
-		if id == 0 {
-			<-ctx.Done() // party 0 never reaches the barrier
-			return ctx.Err()
-		}
-		return b.Wait() // peers must be released by the watchdog
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	waitGoroutines(t, base)
-}
-
-func TestSPMDCtxCompletesCleanly(t *testing.T) {
-	const p, rounds = 6, 20
-	counts := make([]int64, rounds)
-	err := SPMDCtx(context.Background(), p, func(ctx context.Context, id int, b *Barrier) error {
-		for r := 0; r < rounds; r++ {
-			atomic.AddInt64(&counts[r], 1)
-			if err := b.Wait(); err != nil {
-				return err
-			}
-			if got := atomic.LoadInt64(&counts[r]); got != p {
-				return fmt.Errorf("round %d: count %d, want %d", r, got, p)
-			}
-			if err := b.Wait(); err != nil {
-				return err
-			}
+// forCtxChunks runs an unweighted ForCtx over n items on p workers and
+// returns each worker's range, the union of the sub-chunks it ran, keyed by
+// goroutine id. It fails the test if a worker's sub-chunks are not one
+// contiguous ascending run.
+func forCtxChunks(t *testing.T, n, p int) map[string][2]int {
+	t.Helper()
+	var mu sync.Mutex
+	chunks := map[string][2]int{}
+	err := ForCtx(context.Background(), n, p, func(lo, hi int) error {
+		id := goid()
+		mu.Lock()
+		defer mu.Unlock()
+		c, ok := chunks[id]
+		switch {
+		case !ok:
+			chunks[id] = [2]int{lo, hi}
+		case c[1] == lo:
+			chunks[id] = [2]int{c[0], hi}
+		default:
+			t.Errorf("worker %s ran [%d,%d) after [%d,%d): not one contiguous range", id, lo, hi, c[0], c[1])
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return chunks
 }
 
-// Edge cases of the legacy primitives (previously only happy-path tested).
+// Edge cases of the worker partition.
 
 func TestForSmallerThanP(t *testing.T) {
 	// n far below p must not fan tiny chunks out to goroutines: the minimum
-	// grain collapses the run to a single sequential chunk covering [0, n).
-	var count int64
-	For(3, 64, func(lo, hi int) {
-		if lo != 0 || hi != 3 {
-			t.Errorf("chunk [%d,%d): n below the grain must run as one chunk", lo, hi)
-		}
-		atomic.AddInt64(&count, 1)
-	})
-	if count != 1 {
-		t.Fatalf("ran %d chunks, want 1", count)
+	// grain collapses the run to a single chunk covering [0, n), run inline
+	// on the caller.
+	chunks := forCtxChunks(t, 3, 64)
+	if c, ok := chunks[goid()]; len(chunks) != 1 || !ok || c != [2]int{0, 3} {
+		t.Fatalf("chunks %v: n below the grain must run as one chunk [0,3) on the caller", chunks)
 	}
 }
 
 func TestForGrainCutover(t *testing.T) {
 	// n slightly above p: worker count is capped at ceil(n/minGrain), so no
 	// chunk is smaller than roughly the grain.
-	var count int64
-	For(70, 64, func(lo, hi int) {
-		if hi-lo < minGrain/2 {
-			t.Errorf("chunk [%d,%d): smaller than half the minimum grain", lo, hi)
+	chunks := forCtxChunks(t, 70, 64)
+	for id, c := range chunks {
+		if c[1]-c[0] < minGrain/2 {
+			t.Errorf("worker %s chunk [%d,%d): smaller than half the minimum grain", id, c[0], c[1])
 		}
-		atomic.AddInt64(&count, 1)
-	})
-	if got, want := count, int64((70+minGrain-1)/minGrain); got != want {
+	}
+	if got, want := len(chunks), (70+minGrain-1)/minGrain; got != want {
 		t.Fatalf("ran %d chunks, want %d", got, want)
 	}
 }
@@ -413,7 +319,12 @@ func TestForGrainCutover(t *testing.T) {
 func TestForZeroAndNegativeN(t *testing.T) {
 	for _, n := range []int{0, -5} {
 		ran := false
-		For(n, 4, func(lo, hi int) { ran = true })
+		if err := ForCtx(context.Background(), n, 4, func(lo, hi int) error {
+			ran = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if ran {
 			t.Fatalf("body ran for n=%d", n)
 		}
@@ -423,26 +334,14 @@ func TestForZeroAndNegativeN(t *testing.T) {
 func TestForNonPositiveP(t *testing.T) {
 	for _, p := range []int{0, -3} {
 		var count int64
-		For(100, p, func(lo, hi int) {
+		if err := ForCtx(context.Background(), 100, p, func(lo, hi int) error {
 			atomic.AddInt64(&count, int64(hi-lo))
-		})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if count != 100 {
 			t.Fatalf("p=%d covered %d of 100 indices", p, count)
 		}
-	}
-}
-
-func TestChunksEdgeCases(t *testing.T) {
-	if got := Chunks(0, 8); got != nil {
-		t.Fatalf("Chunks(0,8) = %v, want nil", got)
-	}
-	if got := Chunks(-1, 8); got != nil {
-		t.Fatalf("Chunks(-1,8) = %v, want nil", got)
-	}
-	if got := len(Chunks(5, 0)); got < 1 {
-		t.Fatalf("Chunks(5,0) yielded %d chunks, want >= 1", got)
-	}
-	if got := len(Chunks(2, 100)); got != 2 {
-		t.Fatalf("Chunks(2,100) yielded %d chunks, want 2 (no empties)", got)
 	}
 }

@@ -1,11 +1,12 @@
 // Package parallel provides the small goroutine runtime the solvers are
-// built on: chunked parallel-for loops with a configurable processor count,
-// and a reusable cyclic barrier for lock-step (PRAM-style) rounds.
+// built on: a chunked, panic-safe, cancellable parallel-for loop with a
+// configurable processor count, and persistent worker gangs that reuse one
+// set of goroutines across a solve's rounds.
 //
 // The design follows the fixed-worker-pool idiom: a bounded number of
-// goroutines each own a contiguous index range, synchronized by WaitGroup or
-// Barrier, so the solvers control their parallelism explicitly (the paper's
-// "forks only up to P processes at the same time" discipline).
+// goroutines each own a contiguous index range and are joined before the
+// loop returns, so the solvers control their parallelism explicitly (the
+// paper's "forks only up to P processes at the same time" discipline).
 //
 // # Contract
 //
@@ -26,9 +27,9 @@
 // O(log n) rounds of a solve instead of being spawned per round. Solvers
 // acquire one per solve via EnsureGang, and long-lived owners (the irserved
 // worker pool) pin one on the context with WithGang so every solve they run
-// reuses the same parked workers. ForCtx and SPMDCtx dispatch onto a
-// context's gang transparently when one is present and idle, and fall back
-// to spawn-per-round otherwise (including under re-entrancy, where an inner
+// reuses the same parked workers. ForCtx dispatches onto a context's
+// gang transparently when one is present and idle, and falls back to
+// spawn-per-round otherwise (including under re-entrancy, where an inner
 // loop finds the gang busy); both paths run the same chunk bodies in the
 // same index ranges, so results are identical. SetGangEnabled is the global
 // kill switch fuzzers use to prove that.

@@ -11,9 +11,9 @@ import (
 // rounds of one solve reuse the same workers instead of paying goroutine
 // spawn + WaitGroup churn per round. A gang is created once per solve (see
 // EnsureGang) or once per server worker, pinned into the context, and picked
-// up transparently by ForCtx/ForEachCtx/SPMDCtx. Dispatch of one round costs
-// k-1 channel sends, one atomic countdown, and at most one channel receive —
-// no allocation.
+// up transparently by ForCtx/ForEachCtx. Dispatch of one round costs k-1
+// channel sends, one atomic countdown, and at most one channel receive — no
+// allocation.
 //
 // Protocol (one round):
 //
@@ -32,9 +32,9 @@ import (
 // on the hot path.
 
 // gangDisabled is the global kill switch (see SetGangEnabled): when set,
-// ForCtx/SPMDCtx ignore pinned gangs and EnsureGang creates none, restoring
-// the spawn-per-round scheduling. Fuzzers flip it to prove both scheduling
-// paths are observationally identical.
+// ForCtx ignores pinned gangs and EnsureGang creates none, restoring the
+// spawn-per-round scheduling. Fuzzers flip it to prove both scheduling paths
+// are observationally identical.
 var gangDisabled atomic.Bool
 
 // SetGangEnabled globally enables (default) or disables gang scheduling and
@@ -48,11 +48,11 @@ func gangEnabled() bool { return !gangDisabled.Load() }
 
 // Gang is a persistent set of parallel workers: procs-1 parked helper
 // goroutines plus the dispatching caller. Rounds are dispatched through
-// ForCtx (and SPMDCtx) on a context carrying the gang — see WithGang and
-// EnsureGang; Gang has no public round API of its own. A gang runs one round
-// at a time: concurrent or re-entrant dispatch attempts (a ForCtx inside a
-// ForCtx body) detect the busy gang and fall back to spawn-per-round, so
-// nesting keeps today's semantics. Close releases the helpers; the owner
+// ForCtx on a context carrying the gang — see WithGang and EnsureGang; Gang
+// has no public round API of its own. A gang runs one round at a time:
+// concurrent or re-entrant dispatch attempts (a ForCtx inside a ForCtx
+// body) detect the busy gang and fall back to spawn-per-round, so nesting
+// keeps today's semantics. Close releases the helpers; the owner
 // must not Close while a round is in flight (joining every ForCtx first is
 // enough, and EnsureGang's release function guarantees it by construction).
 type Gang struct {
@@ -209,10 +209,10 @@ func (g *Gang) tryForCtx(ctx context.Context, n, k int, body func(lo, hi int) er
 // lookups never allocate.
 type gangKey struct{}
 
-// WithGang returns a context carrying g: ForCtx, ForEachCtx and SPMDCtx
-// calls under it dispatch their rounds on the gang instead of spawning
-// goroutines (falling back transparently while the gang is busy with
-// another round). A nil g returns ctx unchanged.
+// WithGang returns a context carrying g: ForCtx and ForEachCtx calls under
+// it dispatch their rounds on the gang instead of spawning goroutines
+// (falling back transparently while the gang is busy with another round).
+// A nil g returns ctx unchanged.
 func WithGang(ctx context.Context, g *Gang) context.Context {
 	if g == nil {
 		return ctx

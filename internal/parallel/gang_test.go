@@ -186,49 +186,6 @@ func TestGangConcurrentSolves(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGangSPMD checks SPMDCtx runs its parties on the gang with exact
-// party count and working barrier semantics.
-func TestGangSPMD(t *testing.T) {
-	g := NewGang(8)
-	defer g.Close()
-	ctx := WithGang(context.Background(), g)
-	const p = 6
-	var phase1 atomic.Int64
-	err := SPMDCtx(ctx, p, func(ctx context.Context, id int, b *Barrier) error {
-		phase1.Add(1)
-		if err := b.Wait(); err != nil {
-			return err
-		}
-		if got := phase1.Load(); got != p {
-			return errors.New("barrier released before all parties arrived")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGangSPMDTooWide checks SPMDCtx never reduces the party count: a
-// request wider than the gang takes the spawn path and still works.
-func TestGangSPMDTooWide(t *testing.T) {
-	g := NewGang(2)
-	defer g.Close()
-	ctx := WithGang(context.Background(), g)
-	const p = 8
-	var parties atomic.Int64
-	err := SPMDCtx(ctx, p, func(ctx context.Context, id int, b *Barrier) error {
-		parties.Add(1)
-		return b.Wait()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := parties.Load(); got != p {
-		t.Fatalf("%d parties ran, want %d", got, p)
-	}
-}
-
 // TestEnsureGang checks the per-solve lifecycle: a gang is created when
 // missing, reused when present, skipped when disabled, and the release
 // function retires the helpers.

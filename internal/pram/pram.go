@@ -19,7 +19,6 @@ package pram
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -104,9 +103,6 @@ func New(words int, opts ...Option) *Machine {
 
 // Stats returns the accumulated counters.
 func (m *Machine) Stats() Stats { return m.stats }
-
-// ResetStats zeroes the counters, keeping memory.
-func (m *Machine) ResetStats() { m.stats = Stats{} }
 
 // ErrConflict reports a memory access conflict detected at a phase barrier.
 var ErrConflict = errors.New("pram: memory access conflict")
@@ -236,17 +232,4 @@ func (m *Machine) Snapshot(lo, hi int) []Word {
 	out := make([]Word, hi-lo)
 	copy(out, m.Mem[lo:hi])
 	return out
-}
-
-// DumpWrites is a debugging aid: it returns the sorted addresses a kernel
-// phase would write, by dry-running body on one processor. Used in tests.
-func (m *Machine) DumpWrites(body func(p *Proc)) []int {
-	p := &Proc{ID: 0, m: m, writes: make(map[int]Word)}
-	body(p)
-	addrs := make([]int, 0, len(p.writes))
-	for a := range p.writes {
-		addrs = append(addrs, a)
-	}
-	sort.Ints(addrs)
-	return addrs
 }

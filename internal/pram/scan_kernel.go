@@ -7,8 +7,8 @@ import (
 
 // RunParallelScan simulates the Kogge–Stone inclusive scan of xs under op on
 // P processors: ⌈log₂ n⌉ phases of out[i] = op(out[i-2^t], out[i]) with
-// double buffering — the cost-model twin of scan.InclusiveParallel, used to
-// compare the classical prefix route against the OrdinaryIR route at the
+// double buffering — the classical prefix route ([4] Kogge–Stone) in the
+// cost model, used to compare it against the OrdinaryIR route at the
 // instruction level (experiment E14's simulated variant).
 func RunParallelScan(xs []Word, op BinOp, procs int) ([]Word, Stats, error) {
 	n := len(xs)

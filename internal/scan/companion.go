@@ -3,7 +3,7 @@ package scan
 import (
 	"fmt"
 
-	"indexedrec/internal/parallel"
+	"indexedrec/internal/core"
 )
 
 // This file extends the first-order machinery to ORDER-K linear recurrences
@@ -24,14 +24,6 @@ type mat struct {
 }
 
 func newMat(n int) mat { return mat{n: n, a: make([]float64, n*n)} }
-
-func identity(n int) mat {
-	m := newMat(n)
-	for i := 0; i < n; i++ {
-		m.a[i*n+i] = 1
-	}
-	return m
-}
 
 // mul returns x·y.
 func (x mat) mul(y mat) mat {
@@ -83,8 +75,16 @@ func KTermRecurrence(k int, a [][]float64, b []float64, x0 []float64) ([]float64
 }
 
 // KTermRecurrenceParallel solves the same recurrence with parallel prefix
-// over companion matrices: O(log n) depth, O(n·k²·log n) work.
+// over companion matrices, taken by chainPrefix: O(n·k³) work on the
+// blocked schedule the plan picks for long chains. A panic inside the
+// prefix returns as the error, with every worker joined.
 func KTermRecurrenceParallel(k int, a [][]float64, b []float64, x0 []float64, procs int) ([]float64, error) {
+	return kTermParallel(matChainOp{}, k, a, b, x0, procs)
+}
+
+// kTermParallel is KTermRecurrenceParallel over an explicit composition op,
+// the seam the panic-contract test wraps a fault-injecting op around.
+func kTermParallel(op core.Semigroup[mat], k int, a [][]float64, b []float64, x0 []float64, procs int) ([]float64, error) {
 	n := len(b)
 	if len(a) != k {
 		return nil, fmt.Errorf("scan: need %d coefficient series, got %d", k, len(a))
@@ -98,27 +98,30 @@ func KTermRecurrenceParallel(k int, a [][]float64, b []float64, x0 []float64, pr
 		return out, nil
 	}
 
+	// steps[t] advances i = k+t; all share one backing array.
 	d := k + 1
-	steps := make([]mat, n-k) // steps[t] advances i = k+t
-	parallel.For(n-k, procs, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			i := k + t
-			m := newMat(d)
-			for j := 0; j < k; j++ {
-				m.a[0*d+j] = a[j][i] // row 0: the recurrence
-			}
-			m.a[0*d+k] = b[i]
-			for r := 1; r < k; r++ {
-				m.a[r*d+(r-1)] = 1 // shift rows
-			}
-			m.a[k*d+k] = 1 // affine 1
-			steps[t] = m
+	steps := make([]mat, n-k)
+	cells := make([]float64, (n-k)*d*d)
+	for t := range steps {
+		i := k + t
+		m := mat{n: d, a: cells[t*d*d : (t+1)*d*d : (t+1)*d*d]}
+		for j := 0; j < k; j++ {
+			m.a[0*d+j] = a[j][i] // row 0: the recurrence
 		}
-	})
+		m.a[0*d+k] = b[i]
+		for r := 1; r < k; r++ {
+			m.a[r*d+(r-1)] = 1 // shift rows
+		}
+		m.a[k*d+k] = 1 // affine 1
+		steps[t] = m
+	}
 
 	// Inclusive prefix of step compositions; pref[t] maps the initial
 	// state to the state after i = k+t.
-	pref := InclusiveParallel[mat](matChainOp{}, steps, procs)
+	pref, err := chainPrefix(op, steps, procs)
+	if err != nil {
+		return nil, err
+	}
 
 	// Initial state: (X[k-1], X[k-2], ..., X[0], 1).
 	state := make([]float64, d)
@@ -127,23 +130,13 @@ func KTermRecurrenceParallel(k int, a [][]float64, b []float64, x0 []float64, pr
 	}
 	state[k] = 1
 
-	parallel.For(n-k, procs, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			m := pref[t]
-			// X[k+t] is row 0 of the composed map applied to the state.
-			v := 0.0
-			for j := 0; j < d; j++ {
-				v += m.a[j] * state[j]
-			}
-			out[k+t] = v
+	for t, m := range pref {
+		// X[k+t] is row 0 of the composed map applied to the state.
+		v := 0.0
+		for j := 0; j < d; j++ {
+			v += m.a[j] * state[j]
 		}
-	})
-	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
+		out[k+t] = v
 	}
-	return b
+	return out, nil
 }

@@ -1,34 +1,33 @@
 // Package scan implements the classical parallel-prefix machinery the paper
 // builds on (its references [2] Stone and [4] Kogge–Stone): sequential and
-// parallel prefix combine (scan), and the first-order linear recurrence
-// solver x[i] = a[i]·x[i-1] + b[i] via scan over coefficient pairs.
+// parallel prefix combine (scan), the first-order linear recurrence
+// x[i] = a[i]·x[i-1] + b[i] via scan over affine maps, and order-k linear
+// recurrences via scan over companion matrices.
 //
-// Two parallel schedules are provided for each entry point:
-//
-//   - InclusiveParallel / LinearRecurrenceParallel — the Kogge–Stone scan:
-//     ⌈log₂ n⌉ lock-step rounds, O(n log n) work, O(log n) depth. The same
-//     round structure as the paper's pointer jumping, specialized to the
-//     chain g(i) = i, f(i) = i-1.
-//   - InclusiveBlocked / LinearRecurrenceBlocked — the work-optimal blocked
-//     (Blelloch-style) scan: sequential per-segment reduce, a Kogge–Stone
-//     tree over the segment summaries, then a per-segment prefix apply.
-//     O(n) work, n/P + O(log P) depth. This is the standalone form of the
-//     schedule ordinary plans compile for long write chains (DESIGN §14).
+// The sequential Inclusive, LinearRecurrence and KTermRecurrence are the
+// reference loops. Their parallel counterparts share one code path: the
+// prefix is the paper's ordinary IR over the chain g(i) = i+1, f(i) = i,
+// compiled with ordinary.CompilePlan and replayed on the ordinary engine,
+// whose auto schedule picks the work-optimal blocked scan for long chains
+// and pointer jumping for short ones (DESIGN §14).
 //
 // Invariants and contracts:
 //
-//   - Both schedules fold the same operand sequence in the same order; they
-//     differ only in association. For exactly associative ops the outputs
-//     are bit-identical to the sequential Inclusive; float results may
-//     differ from sequential (and from each other) by re-association
+//   - The parallel functions fold the same operand sequence in the same
+//     order as the sequential ones and differ only in association. For
+//     exactly associative ops the outputs are bit-identical to the
+//     sequential Inclusive; float results may differ by re-association
 //     rounding only.
 //   - All functions are pure: inputs are never mutated, every call returns
 //     fresh output storage, and the package holds no state — concurrent
-//     calls are safe. Parallelism is internal (parallel.For) and joined
-//     before return.
+//     calls are safe. Parallelism is internal and joined before return.
+//   - A panic in the op is recovered by the ordinary engine with every
+//     worker joined. KTermRecurrenceParallel returns it as its error;
+//     InclusiveParallel and LinearRecurrenceParallel, which have no error
+//     return, re-raise it in the caller's goroutine as a
+//     *parallel.PanicError.
 //
-// These are the baselines of experiments E14 and E20 (DESIGN.md): a linear
+// These are the baselines of experiment E14 (DESIGN.md): a linear
 // recurrence can be solved by the classical scan route or by the paper's
-// Möbius-matrix OrdinaryIR route, and the blocked variants measure what
-// dropping the log n work factor is worth.
+// Möbius-matrix OrdinaryIR route.
 package scan

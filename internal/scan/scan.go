@@ -1,8 +1,10 @@
 package scan
 
 import (
+	"context"
+
 	"indexedrec/internal/core"
-	"indexedrec/internal/parallel"
+	"indexedrec/internal/ordinary"
 )
 
 // Inclusive computes the inclusive prefix combine of xs under op
@@ -19,29 +21,45 @@ func Inclusive[T any](op core.Semigroup[T], xs []T) []T {
 	return out
 }
 
-// InclusiveParallel is the Kogge–Stone scan: ⌈log₂ n⌉ lock-step rounds of
-// out[i] = out[i-2^t] ⊗ out[i] with double buffering, O(n log n) work,
-// O(log n) depth — the same round structure as the paper's pointer jumping,
-// specialized to the chain g(i) = i, f(i) = i-1.
-func InclusiveParallel[T any](op core.Semigroup[T], xs []T, procs int) []T {
+// chainPrefix is the package's one parallel path: the inclusive prefix of xs
+// as the paper's ordinary IR over the chain g(i) = i+1, f(i) = i on
+// m = len(xs) cells, compiled by ordinary.CompilePlan and replayed by
+// ordinary.SolvePlanPooledCtx. The plan's auto schedule picks the blocked
+// scan or pointer jumping exactly as it does for every other chain. A panic
+// in op returns as a *parallel.PanicError (an Abort as its error), with
+// every worker joined.
+func chainPrefix[T any](op core.Semigroup[T], xs []T, procs int) ([]T, error) {
 	n := len(xs)
-	cur := make([]T, n)
-	copy(cur, xs)
-	nxt := make([]T, n)
-	for stride := 1; stride < n; stride *= 2 {
-		s := stride
-		parallel.For(n, procs, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if i >= s {
-					nxt[i] = op.Combine(cur[i-s], cur[i])
-				} else {
-					nxt[i] = cur[i]
-				}
-			}
-		})
-		cur, nxt = nxt, cur
+	if n <= 1 {
+		out := make([]T, n)
+		copy(out, xs)
+		return out, nil
 	}
-	return cur
+	g, f := make([]int, n-1), make([]int, n-1)
+	for i := range g {
+		g[i], f[i] = i+1, i
+	}
+	ctx := context.TODO() // the exported signatures take no context
+	p, err := ordinary.CompilePlan(ctx, &core.System{M: n, N: n - 1, G: g, F: f})
+	if err != nil {
+		return nil, err
+	}
+	res, err := ordinary.SolvePlanPooledCtx(ctx, p, op, xs, ordinary.Options{Procs: procs})
+	if err != nil {
+		return nil, err
+	}
+	return res.Values, nil
+}
+
+// InclusiveParallel computes Inclusive on the ordinary engine (chainPrefix).
+// It has no error return, so a panic in op is re-raised in the caller's
+// goroutine as a *parallel.PanicError.
+func InclusiveParallel[T any](op core.Semigroup[T], xs []T, procs int) []T {
+	out, err := chainPrefix(op, xs, procs)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // affine is the composition semigroup of maps x ↦ a·x + b; combining left
@@ -70,13 +88,14 @@ func LinearRecurrence(a, b []float64, x0 float64) []float64 {
 }
 
 // LinearRecurrenceParallel solves the same recurrence via parallel prefix
-// over affine-map composition (the Kogge–Stone formulation the paper cites
-// as prior art): x[i] = (∘_{k≤i} φ_k)(x0), each φ_k = a_k·x + b_k.
+// over affine-map composition (the formulation the paper cites as prior
+// art): x[i] = (∘_{k≤i} φ_k)(x0), each φ_k = a_k·x + b_k, with the prefix
+// taken by chainPrefix. A panic inside the prefix is re-raised in the
+// caller's goroutine, as in InclusiveParallel.
 func LinearRecurrenceParallel(a, b []float64, x0 float64, procs int) []float64 {
 	n := len(a)
-	out := make([]float64, n)
 	if n == 0 {
-		return out
+		return make([]float64, 0)
 	}
 	maps := make([]affine, n)
 	maps[0] = affine{a: 1, b: 0} // identity; x[0] is given
@@ -84,10 +103,9 @@ func LinearRecurrenceParallel(a, b []float64, x0 float64, procs int) []float64 {
 		maps[i] = affine{a: a[i], b: b[i]}
 	}
 	pref := InclusiveParallel[affine](affineOp{}, maps, procs)
-	parallel.For(n, procs, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = pref[i].a*x0 + pref[i].b
-		}
-	})
+	out := make([]float64, n)
+	for i, m := range pref {
+		out[i] = m.a*x0 + m.b
+	}
 	return out
 }

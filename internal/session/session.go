@@ -384,12 +384,6 @@ func (s *Session) Values() (valuesInt []int64, valuesFloat []float64, values []f
 // Op reports the operator spec (ordinary/general families).
 func (s *Session) Op() (name string, mod int64) { return s.op, s.mod }
 
-// IntDomain reports whether the session's values are int64 (false = float64
-// or Möbius).
-func (s *Session) IntDomain() bool {
-	return s.resInt != nil || s.genInt != nil
-}
-
 // Close marks the session closed; later appends fail with ErrClosed. An
 // append already holding the lock finishes first — state is never freed
 // under it. Idempotent; reports whether this call closed it.

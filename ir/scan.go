@@ -2,10 +2,12 @@ package ir
 
 import "indexedrec/internal/scan"
 
-// Scan returns the inclusive prefix combine of xs under op in parallel
-// (Kogge–Stone): out[i] = xs[0] ⊗ ... ⊗ xs[i]. This is the classical
-// special case of SolveOrdinary for the chain g(i)=i, f(i)=i-1, exposed
-// directly because it needs no index tables.
+// Scan returns the inclusive prefix combine of xs under op in parallel:
+// out[i] = xs[0] ⊗ ... ⊗ xs[i]. This is the classical special case of
+// SolveOrdinary for the chain g(i)=i, f(i)=i-1, exposed directly because it
+// needs no index tables; it runs on the same compiled ordinary plans. A
+// panic in op is re-raised in the caller's goroutine as a worker panic
+// error (see IsWorkerPanic).
 func Scan[T any](op Semigroup[T], xs []T, procs int) []T {
 	return scan.InclusiveParallel[T](op, xs, procs)
 }
