@@ -40,6 +40,16 @@ type Kernel[T any] interface {
 	// primed replay path): each slot is read before it is written, and no
 	// slot is visited twice. Returns the final acc.
 	ScanSeg(v []T, acc T, from []T, idx []int32, lo, hi int) T
+	// FoldRun is FoldSeg over a contiguous run: acc = Combine(acc, from[k])
+	// for every k in ascending order, returning the final acc — the reduce
+	// phase of a run-form blocked plan, whose chains are ascending runs of
+	// consecutive cells and need no index table.
+	FoldRun(acc T, from []T) T
+	// ScanRun is ScanSeg over a contiguous run: acc = Combine(acc, from[k]);
+	// v[k] = acc for every k in ascending order, with len(v) == len(from).
+	// v and from may be the same slice (primed replays): each slot is read
+	// before it is written. Returns the final acc.
+	ScanRun(v []T, acc T, from []T) T
 }
 
 // CombineGathered implements Kernel for int64 sums.
@@ -85,6 +95,24 @@ func (o IntAdd) ScanSeg(v []int64, acc int64, from []int64, idx []int32, lo, hi 
 		x := idx[k]
 		acc += from[x]
 		v[x] = acc
+	}
+	return acc
+}
+
+// FoldRun implements Kernel for int64 sums.
+func (o IntAdd) FoldRun(acc int64, from []int64) int64 {
+	for _, x := range from {
+		acc += x
+	}
+	return acc
+}
+
+// ScanRun implements Kernel for int64 sums.
+func (o IntAdd) ScanRun(v []int64, acc int64, from []int64) int64 {
+	v = v[:len(from)]
+	for k, x := range from {
+		acc += x
+		v[k] = acc
 	}
 	return acc
 }
@@ -136,6 +164,24 @@ func (o Float64Add) ScanSeg(v []float64, acc float64, from []float64, idx []int3
 	return acc
 }
 
+// FoldRun implements Kernel for float64 sums.
+func (o Float64Add) FoldRun(acc float64, from []float64) float64 {
+	for _, x := range from {
+		acc = acc + x
+	}
+	return acc
+}
+
+// ScanRun implements Kernel for float64 sums.
+func (o Float64Add) ScanRun(v []float64, acc float64, from []float64) float64 {
+	v = v[:len(from)]
+	for k, x := range from {
+		acc = acc + x
+		v[k] = acc
+	}
+	return acc
+}
+
 // CombineGathered implements Kernel for float64 minima.
 func (o Float64Min) CombineGathered(v, src []float64, dst []int32, lo, hi int) {
 	for k := lo; k < hi; k++ {
@@ -183,6 +229,24 @@ func (o Float64Min) ScanSeg(v []float64, acc float64, from []float64, idx []int3
 	return acc
 }
 
+// FoldRun implements Kernel for float64 minima.
+func (o Float64Min) FoldRun(acc float64, from []float64) float64 {
+	for _, x := range from {
+		acc = o.Combine(acc, x)
+	}
+	return acc
+}
+
+// ScanRun implements Kernel for float64 minima.
+func (o Float64Min) ScanRun(v []float64, acc float64, from []float64) float64 {
+	v = v[:len(from)]
+	for k, x := range from {
+		acc = o.Combine(acc, x)
+		v[k] = acc
+	}
+	return acc
+}
+
 // CombineGathered implements Kernel for float64 maxima.
 func (o Float64Max) CombineGathered(v, src []float64, dst []int32, lo, hi int) {
 	for k := lo; k < hi; k++ {
@@ -226,6 +290,24 @@ func (o Float64Max) ScanSeg(v []float64, acc float64, from []float64, idx []int3
 		x := idx[k]
 		acc = o.Combine(acc, from[x])
 		v[x] = acc
+	}
+	return acc
+}
+
+// FoldRun implements Kernel for float64 maxima.
+func (o Float64Max) FoldRun(acc float64, from []float64) float64 {
+	for _, x := range from {
+		acc = o.Combine(acc, x)
+	}
+	return acc
+}
+
+// ScanRun implements Kernel for float64 maxima.
+func (o Float64Max) ScanRun(v []float64, acc float64, from []float64) float64 {
+	v = v[:len(from)]
+	for k, x := range from {
+		acc = o.Combine(acc, x)
+		v[k] = acc
 	}
 	return acc
 }

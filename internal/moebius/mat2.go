@@ -162,6 +162,32 @@ func (o ChainOp) ScanSeg(v []Mat2, acc Mat2, from []Mat2, idx []int32, lo, hi in
 	return acc
 }
 
+// FoldRun implements core.Kernel: FoldSeg over a contiguous run.
+func (o ChainOp) FoldRun(acc Mat2, from []Mat2) Mat2 {
+	for _, b := range from {
+		if b.Det() == 0 {
+			acc = b
+			continue
+		}
+		acc = b.Mul(acc).normScale()
+	}
+	return acc
+}
+
+// ScanRun implements core.Kernel: ScanSeg over a contiguous run. v and from
+// may be the same slice; each slot is read before it is written.
+func (o ChainOp) ScanRun(v []Mat2, acc Mat2, from []Mat2) Mat2 {
+	v = v[:len(from)]
+	for k, b := range from {
+		if b.Det() != 0 {
+			b = b.Mul(acc).normScale()
+		}
+		acc = b
+		v[k] = acc
+	}
+	return acc
+}
+
 // JumpRound implements core.Kernel.
 func (o ChainOp) JumpRound(v2, v []Mat2, nx []int, cells []int, lo, hi int) int {
 	combines := 0

@@ -161,30 +161,11 @@ func (a *Arena[T]) apply(lo, hi int) error {
 }
 
 // blkReduce is the blocked schedule's reduce-phase body: each segment folds
-// its cells' initial values sequentially into one summary. A chain-first
-// segment seeds with the chain root's initial value (subsuming the jumping
-// schedule's initialization fold); any other segment seeds with its own
-// first cell. Reads initial values only — safe before any cell is written,
-// including primed mode where a.init aliases a.v.
+// its cells' initial values into one summary (reduceSeg).
 func (a *Arena[T]) blkReduce(lo, hi int) error {
 	b := a.plan.blocked
 	for s := lo; s < hi; s++ {
-		cLo, cHi := b.segBounds(s)
-		var acc T
-		if int(b.segFirst[s]) == s {
-			acc = a.init[a.plan.initSrc[b.segChain[s]]]
-		} else {
-			acc = a.init[b.cellSeq[cLo]]
-			cLo++
-		}
-		if a.kern != nil {
-			acc = a.kern.FoldSeg(acc, a.init, b.cellSeq, cLo, cHi)
-		} else {
-			for k := cLo; k < cHi; k++ {
-				acc = a.op.Combine(acc, a.init[b.cellSeq[k]])
-			}
-		}
-		a.sum[s] = acc
+		a.sum[s] = reduceSeg(a.plan, a.op, a.kern, a.init, s, int(b.segOff[s+1]))
 	}
 	return nil
 }
@@ -208,30 +189,12 @@ func (a *Arena[T]) blkTree(lo, hi int) error {
 }
 
 // blkApply is the blocked schedule's prefix-apply body: each segment
-// re-folds its cells seeded with its predecessor segment's tree prefix
-// (chain-first segments re-seed from the chain root), writing every cell's
-// final value. In primed mode a.init aliases a.v; the fold reads each cell
-// just before overwriting it and segments write disjoint cells, so the
-// in-place replay observes exactly the values a separate init array would.
+// re-folds its cells seeded with its predecessor segment's tree prefix,
+// writing every cell's final value (applySeg).
 func (a *Arena[T]) blkApply(lo, hi int) error {
 	b := a.plan.blocked
 	for s := lo; s < hi; s++ {
-		cLo, cHi := b.segBounds(s)
-		var acc T
-		if int(b.segFirst[s]) == s {
-			acc = a.init[a.plan.initSrc[b.segChain[s]]]
-		} else {
-			acc = a.sum[s-1]
-		}
-		if a.kern != nil {
-			a.kern.ScanSeg(a.v, acc, a.init, b.cellSeq, cLo, cHi)
-		} else {
-			for k := cLo; k < cHi; k++ {
-				x := b.cellSeq[k]
-				acc = a.op.Combine(acc, a.init[x])
-				a.v[x] = acc
-			}
-		}
+		applySeg(a.plan, a.op, a.kern, a.v, a.init, a.sum, s, int(b.segOff[s+1]))
 	}
 	return nil
 }
@@ -294,7 +257,7 @@ func (a *Arena[T]) solve(ctx context.Context, op core.Semigroup[T], init []T, op
 	a.kern = kernelFor(op)
 	if init != nil {
 		a.init = init
-		copy(a.v, init)
+		copyInit(p, a.v, init)
 	} else {
 		a.init = a.v
 	}

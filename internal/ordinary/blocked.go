@@ -48,11 +48,17 @@ const (
 
 // blockedSched is the compiled blocked-scan schedule: the chain-major cell
 // order plus the segment table. All arrays are immutable after buildBlocked.
+//
+// A schedule whose every chain is an ascending run of consecutive cells is
+// in run form: it keeps no cellSeq, because position k of chain c is cell
+// initDst[c] + (k − chainOff[c]) (Plan.cellAt), and its replays fold
+// init[lo:hi] into v[lo:hi] with no index table. The paper's loop
+// X[i] := op(X[i−1], X[i]) and every union of such loops compile to it.
 type blockedSched struct {
 	// cellSeq lists every written cell in chain-major order, each chain
 	// terminal → head — i.e. the order the sequential loop's fold consumes
 	// the chain's values. Chains are ordered by ascending terminal cell,
-	// matching the plan's chain numbering.
+	// matching the plan's chain numbering. nil in run form.
 	cellSeq []int32
 	// chainOff[c] : chainOff[c+1] bound chain c within cellSeq. The cell
 	// whose initial value seeds chain c's fold is the plan's initSrc[c].
@@ -80,9 +86,21 @@ type blockedSched struct {
 // numSegs returns the total segment count across all chains.
 func (b *blockedSched) numSegs() int { return len(b.segOff) - 1 }
 
-// segBounds returns segment s's [lo, hi) range within cellSeq.
-func (b *blockedSched) segBounds(s int) (int, int) {
-	return int(b.segOff[s]), int(b.segOff[s+1])
+// runForm reports whether the schedule keeps no cell table: every chain is
+// an ascending run of consecutive cells.
+func (b *blockedSched) runForm() bool { return b.cellSeq == nil }
+
+// runOff returns the offset from chain c's chain-major positions to its
+// cells in a run-form plan: position k is cell k + runOff(c).
+func (p *Plan) runOff(c int) int { return int(p.initDst[c]) - int(p.blocked.chainOff[c]) }
+
+// cellAt returns the cell at chain-major position k of chain c of a blocked
+// plan, in either form.
+func (p *Plan) cellAt(c, k int) int {
+	if b := p.blocked; !b.runForm() {
+		return int(b.cellSeq[k])
+	}
+	return k + p.runOff(c)
 }
 
 // buildBlocked compiles the blocked-scan schedule for fr, given its written
@@ -128,13 +146,30 @@ func buildBlocked(fr *Forest, cells []int, terminals []int32, force bool) (*bloc
 	if !force && maxLen < blockedMinChain {
 		return nil, nil
 	}
+	if contiguousChains(cellSeq, chainOff) {
+		cellSeq = nil // run form: the runs themselves list the cells
+	}
 	return newBlockedSched(cellSeq, chainOff), nil
 }
 
+// contiguousChains reports whether every chain of the chain-major order
+// cellSeq is an ascending run of consecutive cells.
+func contiguousChains(cellSeq, chainOff []int32) bool {
+	for c := 0; c+1 < len(chainOff); c++ {
+		for k := chainOff[c] + 1; k < chainOff[c+1]; k++ {
+			if cellSeq[k] != cellSeq[k-1]+1 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // newBlockedSched completes the blocked schedule of the chain-major cell
-// order cellSeq, whose chain c spans chainOff[c] : chainOff[c+1], with its
-// segment table, tree depth and combine count. Both compile paths — the
-// forest walk (buildBlocked) and the run path (compileRuns) — end here.
+// order cellSeq (nil in run form), whose chain c spans chainOff[c] :
+// chainOff[c+1], with its segment table, tree depth and combine count. Both
+// compile paths — the forest walk (buildBlocked) and the run path
+// (compileRuns, through newRunPlan) — end here.
 func newBlockedSched(cellSeq, chainOff []int32) *blockedSched {
 	b := &blockedSched{cellSeq: cellSeq, chainOff: chainOff}
 
@@ -185,13 +220,108 @@ func newBlockedSched(cellSeq, chainOff []int32) *blockedSched {
 	return b
 }
 
+// reduceSeg is the reduce phase of segment s over its chain-major positions
+// segOff[s] : hi (hi is segOff[s+1], or a member replay's clamp): it folds
+// the segment's initial values into one summary. A chain-first segment
+// seeds with the chain root's initial value (subsuming the jumping
+// schedule's initialization fold); any other segment seeds with its own
+// first cell. It reads init only, so it is safe before any cell is written,
+// including primed replays where init aliases the working array. The arena
+// and the member replay share it; run and gather form differ only in the
+// inner loop.
+func reduceSeg[T any](p *Plan, op core.Semigroup[T], kern core.Kernel[T], init []T, s, hi int) T {
+	b := p.blocked
+	c, lo := int(b.segChain[s]), int(b.segOff[s])
+	var acc T
+	if int(b.segFirst[s]) == s {
+		acc = init[p.initSrc[c]]
+	} else {
+		acc = init[p.cellAt(c, lo)]
+		lo++
+	}
+	if b.runForm() {
+		off := p.runOff(c)
+		from := init[lo+off : hi+off]
+		if kern != nil {
+			return kern.FoldRun(acc, from)
+		}
+		for _, x := range from {
+			acc = op.Combine(acc, x)
+		}
+		return acc
+	}
+	if kern != nil {
+		return kern.FoldSeg(acc, init, b.cellSeq, lo, hi)
+	}
+	for _, x := range b.cellSeq[lo:hi] {
+		acc = op.Combine(acc, init[x])
+	}
+	return acc
+}
+
+// applySeg is the prefix-apply phase of segment s over the same positions:
+// it re-folds the segment's cells seeded with its predecessor's tree prefix
+// sum[s-1] (chain-first segments re-seed from the chain root), writing
+// every cell's final value into v. In primed replays init aliases v; the
+// fold reads each cell just before overwriting it and segments write
+// disjoint cells, so the in-place replay observes exactly the values a
+// separate init array would.
+func applySeg[T any](p *Plan, op core.Semigroup[T], kern core.Kernel[T], v, init, sum []T, s, hi int) {
+	b := p.blocked
+	c, lo := int(b.segChain[s]), int(b.segOff[s])
+	var acc T
+	if int(b.segFirst[s]) == s {
+		acc = init[p.initSrc[c]]
+	} else {
+		acc = sum[s-1]
+	}
+	if b.runForm() {
+		off := p.runOff(c)
+		dst, from := v[lo+off:hi+off], init[lo+off:hi+off]
+		if kern != nil {
+			kern.ScanRun(dst, acc, from)
+			return
+		}
+		for k, x := range from {
+			acc = op.Combine(acc, x)
+			dst[k] = acc
+		}
+		return
+	}
+	if kern != nil {
+		kern.ScanSeg(v, acc, init, b.cellSeq, lo, hi)
+		return
+	}
+	for _, x := range b.cellSeq[lo:hi] {
+		acc = op.Combine(acc, init[x])
+		v[x] = acc
+	}
+}
+
+// copyInit loads init into the working array v before a replay. A run-form
+// plan's apply phase writes every run cell, so only the gaps before,
+// between and after the runs are copied; any other plan copies all of init.
+func copyInit[T any](p *Plan, v, init []T) {
+	b := p.blocked
+	if b == nil || !b.runForm() {
+		copy(v, init)
+		return
+	}
+	lo := 0
+	for c, x := range p.initDst {
+		copy(v[lo:x], init[lo:x])
+		lo = int(x) + int(b.chainOff[c+1]-b.chainOff[c])
+	}
+	copy(v[lo:], init[lo:])
+}
+
 // solveBlockedMember is SolvePlanMemberCtx's blocked-schedule path: the
 // member set (closed under Next) intersects every chain in a terminal-side
-// prefix of its cellSeq order, so the replay runs the three phases over the
-// member prefixes only. Every tree prefix a member segment consumes comes
-// from a fully-member segment (prefix property), so member cells' combines
-// see exactly the operands of the full blocked replay — bit-identical — and
-// non-member cells keep their init values.
+// prefix of its chain-major order, so the replay runs the three phases over
+// the member prefixes only. Every tree prefix a member segment consumes
+// comes from a fully-member segment (prefix property), so member cells'
+// combines see exactly the operands of the full blocked replay —
+// bit-identical — and non-member cells keep their init values.
 func solveBlockedMember[T any](ctx context.Context, p *Plan, op core.Semigroup[T], init []T, member []bool, opt Options) ([]T, error) {
 	b := p.blocked
 	kern := kernelFor(op)
@@ -201,11 +331,11 @@ func solveBlockedMember[T any](ctx context.Context, p *Plan, op core.Semigroup[T
 	numChains := len(b.chainOff) - 1
 	memEnd := make([]int32, numChains)
 	if err := parallel.ForEachCtx(ctx, numChains, opt.Procs, func(c int) error {
-		k, end := b.chainOff[c], b.chainOff[c+1]
-		for k < end && member[b.cellSeq[k]] {
+		k, end := int(b.chainOff[c]), int(b.chainOff[c+1])
+		for k < end && member[p.cellAt(c, k)] {
 			k++
 		}
-		memEnd[c] = k
+		memEnd[c] = int32(k)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -229,24 +359,8 @@ func solveBlockedMember[T any](ctx context.Context, p *Plan, op core.Semigroup[T
 	sum := make([]T, b.numSegs())
 	sum2 := make([]T, b.numSegs())
 	if err := parallel.ForCtxWeighted(ctx, len(active), opt.Procs, blockedSegLen, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			s := int(active[i])
-			cLo, cHi := int(b.segOff[s]), segEnd(s)
-			var acc T
-			if int(b.segFirst[s]) == s {
-				acc = init[p.initSrc[b.segChain[s]]]
-			} else {
-				acc = init[b.cellSeq[cLo]]
-				cLo++
-			}
-			if kern != nil {
-				acc = kern.FoldSeg(acc, init, b.cellSeq, cLo, cHi)
-			} else {
-				for k := cLo; k < cHi; k++ {
-					acc = op.Combine(acc, init[b.cellSeq[k]])
-				}
-			}
-			sum[s] = acc
+		for _, s := range active[lo:hi] {
+			sum[s] = reduceSeg(p, op, kern, init, int(s), segEnd(int(s)))
 		}
 		return nil
 	}); err != nil {
@@ -274,24 +388,8 @@ func solveBlockedMember[T any](ctx context.Context, p *Plan, op core.Semigroup[T
 	}
 
 	if err := parallel.ForCtxWeighted(ctx, len(active), opt.Procs, blockedSegLen, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			s := int(active[i])
-			cLo, cHi := int(b.segOff[s]), segEnd(s)
-			var acc T
-			if int(b.segFirst[s]) == s {
-				acc = init[p.initSrc[b.segChain[s]]]
-			} else {
-				acc = sum[s-1]
-			}
-			if kern != nil {
-				kern.ScanSeg(v, acc, init, b.cellSeq, cLo, cHi)
-			} else {
-				for k := cLo; k < cHi; k++ {
-					x := b.cellSeq[k]
-					acc = op.Combine(acc, init[x])
-					v[x] = acc
-				}
-			}
+		for _, s := range active[lo:hi] {
+			applySeg(p, op, kern, v, init, sum, int(s), segEnd(int(s)))
 		}
 		return nil
 	}); err != nil {

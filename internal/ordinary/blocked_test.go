@@ -3,6 +3,7 @@ package ordinary
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -27,6 +28,19 @@ func multiChain(k, L int) *core.System {
 	}
 	s.N = len(s.G)
 	return s
+}
+
+// bothForms returns s and a copy with its cell ids permuted by a fixed
+// permutation. multiChain's chains are ascending runs, so s compiles to a
+// run-form blocked plan; the permuted copy has the same forest shape but
+// scattered cells, so it keeps the gather form's cell table.
+func bothForms(s *core.System) []*core.System {
+	perm := rand.New(rand.NewSource(int64(s.M))).Perm(s.M)
+	q := &core.System{M: s.M, N: s.N, G: make([]int, s.N), F: make([]int, s.N)}
+	for i := range s.G {
+		q.G[i], q.F[i] = perm[s.G[i]], perm[s.F[i]]
+	}
+	return []*core.System{s, q}
 }
 
 // affine is x ↦ a·x + b over wrapping int64 arithmetic: exactly associative
@@ -87,6 +101,36 @@ func TestBlockedAutoSelection(t *testing.T) {
 	}
 }
 
+// TestBlockedPlanForms checks which blocked plans drop their cell table:
+// ascending runs compile to the run form on both paths (the run path for a
+// strictly increasing g, the forest walk for interleaved iterations), and
+// scattered chains keep the gather form's 4 B/cell cellSeq.
+func TestBlockedPlanForms(t *testing.T) {
+	ctx := context.Background()
+	forms := bothForms(multiChain(4, 400))
+	for _, c := range []struct {
+		name    string
+		s       *core.System
+		runForm bool
+	}{
+		{"increasing runs", multiChain(1, 1000), true},
+		{"interleaved runs", forms[0], true},
+		{"scattered chains", forms[1], false},
+	} {
+		p, err := CompilePlan(ctx, c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.BlockedScan() || p.blocked.runForm() != c.runForm {
+			t.Fatalf("%s: %s, run form %v, want blocked-scan, run form %v",
+				c.name, p.Schedule(), p.BlockedScan() && p.blocked.runForm(), c.runForm)
+		}
+		if cells := int64(4 * c.s.N); c.runForm == (p.SizeBytes() >= cells) {
+			t.Errorf("%s: SizeBytes %d against %d B of cell table", c.name, p.SizeBytes(), cells)
+		}
+	}
+}
+
 func TestBlockedForcedOnTreeErrors(t *testing.T) {
 	tree := &core.System{M: 4, N: 3, G: []int{1, 2, 3}, F: []int{0, 1, 1}}
 	_, err := CompilePlanOpts(context.Background(), tree, PlanOptions{Schedule: ScheduleBlocked})
@@ -102,6 +146,13 @@ func TestBlockedForcedOnTreeErrors(t *testing.T) {
 // solver and requires all string results identical (Concat is exact and
 // non-commutative, so this checks operand order and association).
 func compareSchedules(t *testing.T, s *core.System, forced bool) {
+	t.Helper()
+	for _, s := range bothForms(s) {
+		compareSchedulesOnce(t, s, forced)
+	}
+}
+
+func compareSchedulesOnce(t *testing.T, s *core.System, forced bool) {
 	t.Helper()
 	ctx := context.Background()
 	init := stringInit(s.M)
@@ -169,32 +220,33 @@ func TestBlockedForcedDegenerateSchedules(t *testing.T) {
 }
 
 func TestBlockedAffineOrderedCombines(t *testing.T) {
-	ctx := context.Background()
-	s := multiChain(2, 1500)
-	init := affineInit(s.M)
-	bp, err := CompilePlan(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bp.BlockedScan() {
-		t.Fatal("expected blocked schedule")
-	}
-	jp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleJumping})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.RunSequential[affine](s, affineCompose{}, init)
-	br, err := SolvePlanCtx[affine](ctx, bp, affineCompose{}, init, Options{Procs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, err := SolvePlanCtx[affine](ctx, jp, affineCompose{}, init, Options{Procs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range want {
-		if br.Values[x] != want[x] || jr.Values[x] != want[x] {
-			t.Fatalf("cell %d: blocked %+v jumping %+v want %+v", x, br.Values[x], jr.Values[x], want[x])
+	for _, s := range bothForms(multiChain(2, 1500)) {
+		ctx := context.Background()
+		init := affineInit(s.M)
+		bp, err := CompilePlan(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bp.BlockedScan() {
+			t.Fatal("expected blocked schedule")
+		}
+		jp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleJumping})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.RunSequential[affine](s, affineCompose{}, init)
+		br, err := SolvePlanCtx[affine](ctx, bp, affineCompose{}, init, Options{Procs: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr, err := SolvePlanCtx[affine](ctx, jp, affineCompose{}, init, Options{Procs: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := range want {
+			if br.Values[x] != want[x] || jr.Values[x] != want[x] {
+				t.Fatalf("cell %d: blocked %+v jumping %+v want %+v", x, br.Values[x], jr.Values[x], want[x])
+			}
 		}
 	}
 }
@@ -289,79 +341,81 @@ func TestBlockedAndJumpingPlansAgree(t *testing.T) {
 }
 
 func TestBlockedPrimedReplay(t *testing.T) {
-	ctx := context.Background()
-	s := multiChain(2, 500)
-	init := stringInit(s.M)
-	p, err := CompilePlan(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.BlockedScan() || !p.Primeable() {
-		t.Fatalf("want blocked primeable plan, got %s primeable=%v", p.Schedule(), p.Primeable())
-	}
-	ref, err := SolvePlanCtx[string](ctx, p, core.Concat{}, init, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewArena[string](p)
-	copy(a.Buf(), init)
-	res, err := a.SolvePrimedCtx(ctx, core.Concat{}, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range ref.Values {
-		if res.Values[x] != ref.Values[x] {
-			t.Fatalf("cell %d: primed %q, want %q", x, res.Values[x], ref.Values[x])
+	for _, s := range bothForms(multiChain(2, 500)) {
+		ctx := context.Background()
+		init := stringInit(s.M)
+		p, err := CompilePlan(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.BlockedScan() || !p.Primeable() {
+			t.Fatalf("want blocked primeable plan, got %s primeable=%v", p.Schedule(), p.Primeable())
+		}
+		ref, err := SolvePlanCtx[string](ctx, p, core.Concat{}, init, Options{Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewArena[string](p)
+		copy(a.Buf(), init)
+		res, err := a.SolvePrimedCtx(ctx, core.Concat{}, Options{Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := range ref.Values {
+			if res.Values[x] != ref.Values[x] {
+				t.Fatalf("cell %d: primed %q, want %q", x, res.Values[x], ref.Values[x])
+			}
 		}
 	}
 }
 
 func TestBlockedMemberChains(t *testing.T) {
-	ctx := context.Background()
-	s := multiChain(4, 300)
-	init := stringInit(s.M)
-	p, err := CompilePlan(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.BlockedScan() {
-		t.Fatal("expected blocked schedule")
-	}
-	full, err := SolvePlanCtx[string](ctx, p, core.Concat{}, init, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every contiguous chain range must reproduce the full solve on its
-	// cells and leave the rest at init.
-	for lo := 0; lo <= p.NumChains(); lo++ {
-		for hi := lo; hi <= p.NumChains(); hi++ {
-			member, err := p.MemberForChains(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := SolvePlanMemberCtx[string](ctx, p, core.Concat{}, init, member, Options{Procs: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for x := range v {
-				want := init[x]
-				if member[x] {
-					want = full.Values[x]
+	for _, s := range bothForms(multiChain(4, 300)) {
+		ctx := context.Background()
+		init := stringInit(s.M)
+		p, err := CompilePlan(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.BlockedScan() {
+			t.Fatal("expected blocked schedule")
+		}
+		full, err := SolvePlanCtx[string](ctx, p, core.Concat{}, init, Options{Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every contiguous chain range must reproduce the full solve on its
+		// cells and leave the rest at init.
+		for lo := 0; lo <= p.NumChains(); lo++ {
+			for hi := lo; hi <= p.NumChains(); hi++ {
+				member, err := p.MemberForChains(lo, hi)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if v[x] != want {
-					t.Fatalf("chains [%d,%d) cell %d: got %q, want %q", lo, hi, x, v[x], want)
+				v, err := SolvePlanMemberCtx[string](ctx, p, core.Concat{}, init, member, Options{Procs: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for x := range v {
+					want := init[x]
+					if member[x] {
+						want = full.Values[x]
+					}
+					if v[x] != want {
+						t.Fatalf("chains [%d,%d) cell %d: got %q, want %q", lo, hi, x, v[x], want)
+					}
 				}
 			}
 		}
-	}
-	// The shard entry point agrees too.
-	sr, err := SolvePlanChainsCtx[string](ctx, p, core.Concat{}, init, 1, 3, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, x := range sr.Cells {
-		if sr.Values[k] != full.Values[x] {
-			t.Fatalf("shard cell %d: got %q, want %q", x, sr.Values[k], full.Values[x])
+		// The shard entry point agrees too.
+		sr, err := SolvePlanChainsCtx[string](ctx, p, core.Concat{}, init, 1, 3, Options{Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, x := range sr.Cells {
+			if sr.Values[k] != full.Values[x] {
+				t.Fatalf("shard cell %d: got %q, want %q", x, sr.Values[k], full.Values[x])
+			}
 		}
 	}
 }
@@ -370,42 +424,43 @@ func TestBlockedMemberChains(t *testing.T) {
 // replay on a blocked and a jumping plan of the same system: the chain
 // numbering and the member cells' values must coincide.
 func TestBlockedAndJumpingMemberReplaysAgree(t *testing.T) {
-	ctx := context.Background()
-	s := multiChain(3, 400)
-	init := stringInit(s.M)
-	bp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleBlocked})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleJumping})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bp.NumChains() != jp.NumChains() {
-		t.Fatalf("chain count: blocked %d, jumping %d", bp.NumChains(), jp.NumChains())
-	}
-	for lo := 0; lo <= bp.NumChains(); lo++ {
-		for hi := lo; hi <= bp.NumChains(); hi++ {
-			bm, err := bp.MemberForChains(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jm, err := jp.MemberForChains(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bv, err := SolvePlanMemberCtx[string](ctx, bp, core.Concat{}, init, bm, Options{Procs: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jv, err := SolvePlanMemberCtx[string](ctx, jp, core.Concat{}, init, jm, Options{Procs: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for x := range bv {
-				if bm[x] != jm[x] || bv[x] != jv[x] {
-					t.Fatalf("chains [%d,%d) cell %d: blocked (%v, %q), jumping (%v, %q)",
-						lo, hi, x, bm[x], bv[x], jm[x], jv[x])
+	for _, s := range bothForms(multiChain(3, 400)) {
+		ctx := context.Background()
+		init := stringInit(s.M)
+		bp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleBlocked})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jp, err := CompilePlanOpts(ctx, s, PlanOptions{Schedule: ScheduleJumping})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bp.NumChains() != jp.NumChains() {
+			t.Fatalf("chain count: blocked %d, jumping %d", bp.NumChains(), jp.NumChains())
+		}
+		for lo := 0; lo <= bp.NumChains(); lo++ {
+			for hi := lo; hi <= bp.NumChains(); hi++ {
+				bm, err := bp.MemberForChains(lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jm, err := jp.MemberForChains(lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bv, err := SolvePlanMemberCtx[string](ctx, bp, core.Concat{}, init, bm, Options{Procs: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				jv, err := SolvePlanMemberCtx[string](ctx, jp, core.Concat{}, init, jm, Options{Procs: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for x := range bv {
+					if bm[x] != jm[x] || bv[x] != jv[x] {
+						t.Fatalf("chains [%d,%d) cell %d: blocked (%v, %q), jumping (%v, %q)",
+							lo, hi, x, bm[x], bv[x], jm[x], jv[x])
+					}
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -187,9 +188,10 @@ func TestForestErrorPrecedence(t *testing.T) {
 const compileBytesPerCell = 20
 
 // runCompileBytesPerCell is the same budget on the run path, which
-// allocates only the plan: cellSeq (4 B/cell) and the segment tables.
-// Building the forest, or any cell-sized temporary, breaks it.
-const runCompileBytesPerCell = 6
+// allocates only the run-form plan: its per-run and per-segment tables
+// (12 B per 256-cell segment, ~0.05 B/cell). A cell table (4 B/cell), the
+// forest, or any cell-sized temporary breaks it.
+const runCompileBytesPerCell = 0.1
 
 // compileAllocPerCell compiles s with the default schedule and returns the
 // plan and the heap it allocated per cell.
@@ -203,8 +205,20 @@ func compileAllocPerCell(t *testing.T, s *core.System) (*ordinary.Plan, float64)
 		t.Fatal(err)
 	}
 	perCell := float64(after.TotalAlloc-before.TotalAlloc) / float64(s.M)
-	t.Logf("compile %v (%s): %.1f B/cell", s, p.Schedule(), perCell)
+	t.Logf("compile %v (%s): %.3f B/cell", s, p.Schedule(), perCell)
 	return p, perCell
+}
+
+// permutedChain is workload.Chain(n) with its cell ids permuted by a fixed
+// permutation: still one long path, but with scattered cells, so only the
+// forest path compiles it, and to the gather form.
+func permutedChain(n int) *core.System {
+	s := workload.Chain(n)
+	perm := rand.New(rand.NewSource(18)).Perm(s.M)
+	for i := range s.G {
+		s.G[i], s.F[i] = perm[s.G[i]], perm[s.F[i]]
+	}
+	return s
 }
 
 // TestCompileChainAllocPerCell is the forest path's compile-allocation
@@ -216,12 +230,8 @@ func TestCompileChainAllocPerCell(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race job")
 	}
-	s := workload.Chain(1 << 18)
-	perm := rand.New(rand.NewSource(18)).Perm(s.M)
-	for i := range s.G {
-		s.G[i], s.F[i] = perm[s.G[i]], perm[s.F[i]]
-	}
-	if ordinary.RunPathAccepts(s) {
+	s := permutedChain(1 << 18)
+	if ordinary.CompileRuns(s) != nil {
 		t.Fatal("the permuted chain took the run path")
 	}
 	p, perCell := compileAllocPerCell(t, s)
@@ -241,7 +251,7 @@ func TestCompileRunAllocPerCell(t *testing.T) {
 		t.Skip("race instrumentation allocates; gate runs in the non-race job")
 	}
 	s := workload.Chain(1 << 18)
-	if !ordinary.RunPathAccepts(s) {
+	if ordinary.CompileRuns(s) == nil {
 		t.Fatal("the contiguous chain did not take the run path")
 	}
 	p, perCell := compileAllocPerCell(t, s)
@@ -249,7 +259,28 @@ func TestCompileRunAllocPerCell(t *testing.T) {
 		t.Fatalf("chain compiled to %s, want blocked-scan", p.Schedule())
 	}
 	if perCell > runCompileBytesPerCell {
-		t.Fatalf("compile allocated %.1f B/cell, budget %d", perCell, runCompileBytesPerCell)
+		t.Fatalf("compile allocated %.3f B/cell, budget %.1f", perCell, runCompileBytesPerCell)
+	}
+}
+
+// TestChainPlanMatchesCompilePlan checks that ChainPlan, which builds the
+// prefix-scan chain's plan from m alone, returns exactly CompilePlan's plan
+// of the tabulated chain, on both sides of the blocked-scan threshold.
+func TestChainPlanMatchesCompilePlan(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range []int{2, 3, 100, 256, 257, 258, 1000, 5000} {
+		got, err := ordinary.ChainPlan(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ordinary.CompilePlan(ctx, workload.Chain(m-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("m=%d: ChainPlan (%s, %d B) != CompilePlan (%s, %d B)",
+				m, got.Schedule(), got.SizeBytes(), want.Schedule(), want.SizeBytes())
+		}
 	}
 }
 
@@ -440,14 +471,20 @@ func sameInts[A, B int | int32](got []A, want []B) error {
 	return nil
 }
 
-// Retained-heap budgets of compiled plans, per cell. A blocked plan keeps
-// its chain-major cell order (4 B/cell) plus per-chain and per-segment
-// tables; a jumping plan keeps its rounds and a 4 B/cell chain table.
-// Keeping the write-chain forest or a roots array resident (~37 and ~42
-// B/cell) breaks both.
+// Retained-heap budgets of compiled plans, per cell. A gather-form blocked
+// plan keeps its chain-major cell order (4 B/cell) plus per-chain and
+// per-segment tables; a run-form one keeps only those tables (12 B per
+// 256-cell segment, ~0.05 B/cell); a jumping plan keeps its rounds and a
+// 4 B/cell chain table. Keeping the write-chain forest or a roots array
+// resident (~37 and ~42 B/cell) breaks all three, and a cell table in the
+// run form breaks its budget. A pooled blocked arena adds two int64
+// segment-summary arrays (16 B per segment, ~0.06 B/cell), which only the
+// run form's pooled budget has to allow for separately.
 const (
-	retainedBlockedPerCell = 8
-	retainedJumpingPerCell = 16
+	retainedRunPerCell       = 0.1
+	retainedRunPooledPerCell = 0.2
+	retainedBlockedPerCell   = 8
+	retainedJumpingPerCell   = 16
 )
 
 // liveHeap returns the heap in use after a full collection.
@@ -460,9 +497,9 @@ func liveHeap() int64 {
 
 // TestPlanRetainedAllocPerCell is the retained-memory gate: the heap a
 // compiled plan keeps alive must stay within the per-cell budget, and
-// SizeBytes — the plan cache's accounting — within 10% of it. For the
-// blocked plan the gate also covers the arena a pooled replay leaves in the
-// plan's pool, which must hold no cell-sized value array.
+// SizeBytes — the plan cache's accounting — within 10% of it. The gate also
+// covers the arena a pooled replay leaves in the plan's pool, which must
+// hold no cell-sized value array.
 func TestPlanRetainedAllocPerCell(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race job")
@@ -470,13 +507,17 @@ func TestPlanRetainedAllocPerCell(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1402))
 	for _, c := range []struct {
-		name   string
-		s      *core.System
-		sched  string
-		budget float64
+		name           string
+		s              *core.System
+		sched          string
+		budget, pooled float64
 	}{
-		{"Chain(1<<20)", workload.Chain(1 << 20), "blocked-scan", retainedBlockedPerCell},
-		{"RandomOrdinary(1<<18)", workload.RandomOrdinary(rng, 1<<18, 1<<18), "pointer-jumping", retainedJumpingPerCell},
+		// The run-form plan is ~0.05 B/cell, so the row takes 2^22 cells to
+		// keep its ~200 KB plan well above heap-measurement noise for the
+		// 10% SizeBytes check (at 2^20 a 49 KB plan once measured 16% off).
+		{"Chain(1<<22)", workload.Chain(1 << 22), "blocked-scan", retainedRunPerCell, retainedRunPooledPerCell},
+		{"permuted Chain(1<<20)", permutedChain(1 << 20), "blocked-scan", retainedBlockedPerCell, retainedBlockedPerCell},
+		{"RandomOrdinary(1<<18)", workload.RandomOrdinary(rng, 1<<18, 1<<18), "pointer-jumping", retainedJumpingPerCell, retainedJumpingPerCell},
 	} {
 		base := liveHeap()
 		p, err := ordinary.CompilePlan(ctx, c.s)
@@ -490,7 +531,7 @@ func TestPlanRetainedAllocPerCell(t *testing.T) {
 			t.Fatalf("%s: schedule %s, want %s", c.name, p.Schedule(), c.sched)
 		}
 		if perCell > c.budget {
-			t.Errorf("%s: plan retains %.2f B/cell, budget %.0f", c.name, perCell, c.budget)
+			t.Errorf("%s: plan retains %.2f B/cell, budget %.1f", c.name, perCell, c.budget)
 		}
 		if d := float64(p.SizeBytes() - retained); d > 0.1*float64(retained) || -d > 0.1*float64(retained) {
 			t.Errorf("%s: SizeBytes %d is more than 10%% off the retained %d bytes", c.name, p.SizeBytes(), retained)
@@ -503,8 +544,8 @@ func TestPlanRetainedAllocPerCell(t *testing.T) {
 		init = nil
 		pooled := float64(liveHeap()-base) / float64(c.s.M)
 		t.Logf("%s: plan plus pooled scratch retains %.2f B/cell", c.name, pooled)
-		if pooled > c.budget {
-			t.Errorf("%s: plan plus pooled scratch retains %.2f B/cell, budget %.0f", c.name, pooled, c.budget)
+		if pooled > c.pooled {
+			t.Errorf("%s: plan plus pooled scratch retains %.2f B/cell, budget %.1f", c.name, pooled, c.pooled)
 		}
 		runtime.KeepAlive(p)
 	}

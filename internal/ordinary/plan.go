@@ -66,7 +66,8 @@ type Plan struct {
 	maxGather int
 	// chainOf maps each cell of a pointer-jumping plan to its chain id (-1
 	// for unwritten cells). Blocked plans leave it nil: their chain-major
-	// cellSeq already lists every chain's cells.
+	// order (cellSeq, or the runs of a run-form plan) already lists every
+	// chain's cells.
 	chainOf []int32
 	// combines is the total op-application count of a pointer-jumping
 	// replay (Result.Combines).
@@ -140,27 +141,36 @@ func CompilePlanOpts(ctx context.Context, s *core.System, popt PlanOptions) (*Pl
 	return compileForest(ctx, s, popt)
 }
 
+// CompileRuns is CompilePlan's run path alone: the run-form plan of s when s
+// is a union of contiguous chains with a chain of at least blockedMinChain
+// cells (see compileRuns), else nil. It reads g once and never errors, so
+// callers may try it before any other pass over the system; on nil,
+// CompilePlan compiles s, or reports its defect, exactly as before.
+func CompileRuns(s *core.System) *Plan { return compileRuns(s, false) }
+
 // compileRuns is the run path of CompilePlanOpts: the paper's contiguous
 // loop X[i] := op(X[i−1], X[i]), and any union of such loops. It accepts s
 // only when H is nil, the lengths match, 0 < m ≤ MaxInt32, g is strictly
 // increasing with g[0] ≥ 1 and g[n−1] < m, and f[i] = g[i]−1 for every i.
 // Each maximal run of consecutive g is then one chain, rooted at its
 // start−1, which no iteration writes. So the forest, its reverse links and
-// the chain walk would only rebuild g: cellSeq is g as int32, chainOff holds
-// the run boundaries, initDst/initSrc hold each run's start and start−1, and
-// the plan is primeable. It returns nil — and the forest path then compiles
-// s, or reports its defect — on any mismatch, and, unless force is set,
-// when the longest run is shorter than blockedMinChain (the forest path then
-// picks pointer jumping). The plans it returns equal compileForest's.
+// the chain walk would only rebuild g: one pass checks the shape and
+// records where each run starts, and newRunPlan builds the run-form plan
+// from those starts alone. It returns nil — and the forest path then
+// compiles s, or reports its defect — on any mismatch, and, unless force is
+// set, when the longest run is shorter than blockedMinChain (the forest
+// path then picks pointer jumping). The plans it returns equal
+// compileForest's.
 func compileRuns(s *core.System, force bool) *Plan {
 	n := len(s.G)
 	if s.H != nil || n == 0 || n != s.N || len(s.F) != n || s.M <= 0 || s.M > math.MaxInt32 {
 		return nil
 	}
 	g, f, m := s.G, s.F[:n], uint(s.M)
-	// One pass checks the shape and counts the runs. Every g lies in
-	// [1, m), so nothing below overflows an int32.
-	runs, maxLen, start, prev := 1, 0, 0, g[0]-1
+	// starts[c] is the iteration that starts run c. Every g lies in [1, m),
+	// so nothing below overflows an int32.
+	starts := make([]int32, 1, 8)
+	maxLen, prev := 0, g[0]-1
 	for i, x := range g {
 		if uint(x-1) >= m-1 || f[i] != x-1 {
 			return nil
@@ -169,31 +179,56 @@ func compileRuns(s *core.System, force bool) *Plan {
 			if x <= prev {
 				return nil
 			}
-			maxLen = max(maxLen, i-start)
-			runs++
-			start = i
+			maxLen = max(maxLen, i-int(starts[len(starts)-1]))
+			starts = append(starts, int32(i))
 		}
 		prev = x
 	}
-	maxLen = max(maxLen, n-start)
+	maxLen = max(maxLen, n-int(starts[len(starts)-1]))
 	if !force && maxLen < blockedMinChain {
 		return nil
 	}
-
-	p := &Plan{M: s.M, N: s.N, combines: int64(runs), primeable: true,
-		initDst: make([]int32, runs), initSrc: make([]int32, runs)}
-	cellSeq, chainOff := make([]int32, n), make([]int32, runs+1)
-	c := 0
-	for i, x := range g {
-		cellSeq[i] = int32(x)
-		if i == 0 || x != g[i-1]+1 {
-			p.initDst[c], p.initSrc[c], chainOff[c] = int32(x), int32(x-1), int32(i)
-			c++
-		}
+	// Exact-capacity tables, so the resident plan carries no append slack.
+	initDst, chainOff := make([]int32, len(starts)), make([]int32, len(starts)+1)
+	for c, i := range starts {
+		initDst[c], chainOff[c] = int32(g[i]), i
 	}
-	chainOff[runs] = int32(n)
-	p.blocked = newBlockedSched(cellSeq, chainOff)
-	return p
+	chainOff[len(starts)] = int32(n)
+	return newRunPlan(s.M, n, initDst, chainOff)
+}
+
+// newRunPlan builds the run-form plan over m cells of a union of runs of
+// consecutive cells written in ascending order, n cells in all: run c
+// starts at cell initDst[c], is rooted at initDst[c]−1 (which no run
+// writes) and spans chain-major positions chainOff[c] : chainOff[c+1].
+// compileRuns and ChainPlan end here.
+func newRunPlan(m, n int, initDst, chainOff []int32) *Plan {
+	initSrc := make([]int32, len(initDst))
+	for c, x := range initDst {
+		initSrc[c] = x - 1
+	}
+	return &Plan{M: m, N: n, combines: int64(len(initDst)), primeable: true,
+		initDst: initDst, initSrc: initSrc, blocked: newBlockedSched(nil, chainOff)}
+}
+
+// ChainPlan returns CompilePlan's plan for the chain g(i) = i+1, f(i) = i
+// over m cells — the inclusive prefix scan — without tabulating g and f
+// when the chain is long enough for the blocked scan: it is then one run,
+// built by newRunPlan. Shorter chains compile to pointer jumping from their
+// tabulated (and then small) tables.
+func ChainPlan(ctx context.Context, m int) (*Plan, error) {
+	n := m - 1
+	if n < blockedMinChain {
+		g, f := make([]int, max(n, 0)), make([]int, max(n, 0))
+		for i := range g {
+			g[i], f[i] = i+1, i
+		}
+		return CompilePlan(ctx, &core.System{M: m, N: n, G: g, F: f})
+	}
+	if m > math.MaxInt32 {
+		return nil, fmt.Errorf("ordinary: m = %d exceeds the forest cell limit %d", m, math.MaxInt32)
+	}
+	return newRunPlan(m, n, []int32{1}, []int32{0, int32(n)}), nil
 }
 
 // compileForest is the forest path of CompilePlanOpts: it validates s,

@@ -159,3 +159,38 @@ func TestPooledReplayAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkChainReplayVsLoop pairs a warm pooled int64-add replay of the
+// run-form Chain(2²²) plan at P=2 with the plain loop a programmer would
+// write for the same scan, allocating its result as the replay does. The
+// run form folds init straight into the result with no cell table, so the
+// replay's ns/op should stay within about 1.2x of the loop's.
+func BenchmarkChainReplayVsLoop(b *testing.B) {
+	s := workload.Chain(1 << 22)
+	p, err := ordinary.CompilePlan(context.Background(), s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	init := pooledInit(s.M, 4)
+	gang := parallel.NewGang(2)
+	defer gang.Close()
+	ctx := parallel.WithGang(context.Background(), gang)
+	b.Run("replay", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ordinary.SolvePlanPooledCtx[int64](ctx, p, core.IntAdd{}, init, ordinary.Options{Procs: 2}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out := make([]int64, len(init))
+			acc := init[0]
+			out[0] = acc
+			for x := 1; x < len(init); x++ {
+				acc += init[x]
+				out[x] = acc
+			}
+		}
+	})
+}

@@ -54,16 +54,93 @@ func runSystem(shape []byte, perturb uint8, at uint16) *core.System {
 	return s
 }
 
+// hideKernel wraps an op so that kernelFor finds no core.Kernel: replays
+// through it take the generic Combine loops, with no global switch flipped.
+type hideKernel struct{ core.Semigroup[int64] }
+
+// checkRunReplays replays p against the sequential loop on s: pooled and
+// arena replays, through IntAdd's kernels and through the generic loops,
+// with a non-commutative exact op (affineCompose) so any operand-order or
+// cell-mapping slip shows, a second replay on the same dirty arena (the
+// run form copies only the gaps between runs), a primed replay, and every
+// chain's member replay.
+func checkRunReplays(t *testing.T, s *core.System, p *Plan) {
+	t.Helper()
+	ctx := context.Background()
+	opt := Options{Procs: 2}
+	ints := make([]int64, s.M)
+	for x := range ints {
+		ints[x] = int64(x*x + 1)
+	}
+	want := core.RunSequential[int64](s, core.IntAdd{}, ints)
+	same := func(what string, got []int64) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v (%s): %s replay differs from the sequential loop", s, p.Schedule(), what)
+		}
+	}
+	for _, op := range []core.Semigroup[int64]{core.IntAdd{}, hideKernel{core.IntAdd{}}} {
+		name := "kernel"
+		if _, ok := op.(hideKernel); ok {
+			name = "generic"
+		}
+		r, err := SolvePlanPooledCtx[int64](ctx, p, op, ints, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(name+" pooled", r.Values)
+		a := NewArena[int64](p)
+		for x := range a.Buf() {
+			a.Buf()[x] = -1 // stale values the gap copy must overwrite
+		}
+		r, err = a.SolveCtx(ctx, op, ints, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(name+" arena", r.Values)
+		if p.Primeable() {
+			copy(a.Buf(), ints)
+			if r, err = a.SolvePrimedCtx(ctx, op, opt); err != nil {
+				t.Fatal(err)
+			}
+			same(name+" primed", r.Values)
+		}
+	}
+
+	aff := affineInit(s.M)
+	affWant := core.RunSequential[affine](s, affineCompose{}, aff)
+	ar, err := SolvePlanCtx[affine](ctx, p, affineCompose{}, aff, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ar.Values, affWant) {
+		t.Fatalf("%v (%s): affine replay differs from the sequential loop", s, p.Schedule())
+	}
+	for c := 0; c < p.NumChains(); c++ {
+		sr, err := SolvePlanChainsCtx[int64](ctx, p, core.IntAdd{}, ints, c, c+1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, x := range sr.Cells {
+			if sr.Values[k] != want[x] {
+				t.Fatalf("%v: chain %d member replay cell %d = %d, want %d", s, c, x, sr.Values[k], want[x])
+			}
+		}
+	}
+}
+
 // FuzzRunPlanMatchesForest is the run path's oracle: on unions of
 // contiguous chains, perturbed or not, compileRuns must either decline or
-// return exactly compileForest's plan, CompilePlanOpts must return
-// compileForest's plan or error, and the two plans' int64-add replays must
-// be identical.
+// return exactly compileForest's plan, and CompilePlanOpts must return
+// compileForest's plan or error. Both paths emit the run form for such
+// unions, so their agreement says nothing about the contiguous fold: every
+// replay is also held to the sequential loop (checkRunReplays).
 func FuzzRunPlanMatchesForest(f *testing.F) {
 	f.Add([]byte{100, 0}, uint8(0), uint8(0), uint16(0))
 	f.Add([]byte{100, 0}, uint8(1), uint8(0), uint16(0))
 	f.Add([]byte{90, 1, 0, 2, 120, 0, 5, 1}, uint8(0), uint8(0), uint16(4))
 	f.Add([]byte{3, 1, 4, 2, 1, 1}, uint8(1), uint8(0), uint16(2))
+	f.Add([]byte{90, 1, 3, 2, 100, 1}, uint8(2), uint8(0), uint16(5))
 	for p := uint8(1); p < 8; p++ {
 		f.Add([]byte{90, 1, 100, 2}, uint8(0), p, uint16(17*p))
 	}
@@ -84,6 +161,8 @@ func FuzzRunPlanMatchesForest(f *testing.F) {
 					s, rp.Schedule(), rp.SizeBytes(), want.Schedule(), want.SizeBytes())
 			case rp == nil && perturb%8 == 0 && s.N > 0 && wantErr == nil && want.BlockedScan():
 				t.Fatalf("run path declined an unperturbed union of runs %v", s)
+			case rp != nil && !rp.blocked.runForm():
+				t.Fatalf("run path compiled %v to the gather form", s)
 			}
 		}
 
@@ -99,20 +178,6 @@ func FuzzRunPlanMatchesForest(f *testing.F) {
 			t.Fatalf("%v: CompilePlanOpts plan (%s, %d B) != forest plan (%s, %d B)",
 				s, got.Schedule(), got.SizeBytes(), want.Schedule(), want.SizeBytes())
 		}
-		init := make([]int64, s.M)
-		for x := range init {
-			init[x] = int64(x*x + 1)
-		}
-		gr, err := SolvePlanCtx[int64](ctx, got, core.IntAdd{}, init, Options{Procs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wr, err := SolvePlanCtx[int64](ctx, want, core.IntAdd{}, init, Options{Procs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gr, wr) {
-			t.Fatalf("%v: replay differs from the forest plan's", s)
-		}
+		checkRunReplays(t, s, got)
 	})
 }

@@ -24,15 +24,15 @@ var ErrShardRange = fmt.Errorf("ordinary: shard range out of bounds")
 // Chains are numbered by ascending terminal cell, so the numbering is a
 // function of the plan structure alone (coordinator and workers agree on it
 // by construction). The plan stores no per-chain cell lists beyond its
-// schedule: blocked plans read them off the chain-major cellSeq, jumping
-// plans off their chainOf table.
+// schedule: blocked plans read them off their chain-major order (Plan.cellAt),
+// jumping plans off their chainOf table.
 
 // eachWritten calls fn(x, c) for every written cell x with its chain id c.
 func (p *Plan) eachWritten(fn func(x, c int)) {
 	if b := p.blocked; b != nil {
 		for c := 0; c+1 < len(b.chainOff); c++ {
-			for _, x := range b.cellSeq[b.chainOff[c]:b.chainOff[c+1]] {
-				fn(int(x), c)
+			for k := int(b.chainOff[c]); k < int(b.chainOff[c+1]); k++ {
+				fn(p.cellAt(c, k), c)
 			}
 		}
 		return
@@ -188,8 +188,10 @@ func (p *Plan) memberForChains(chainLo, chainHi int) ([]bool, int, error) {
 	member := make([]bool, p.M)
 	count := 0
 	if b := p.blocked; b != nil {
-		for _, x := range b.cellSeq[b.chainOff[chainLo]:b.chainOff[chainHi]] {
-			member[x] = true
+		for c := chainLo; c < chainHi; c++ {
+			for k := int(b.chainOff[c]); k < int(b.chainOff[c+1]); k++ {
+				member[p.cellAt(c, k)] = true
+			}
 		}
 		return member, int(b.chainOff[chainHi] - b.chainOff[chainLo]), nil
 	}

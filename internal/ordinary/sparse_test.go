@@ -101,10 +101,11 @@ func TestSparsePlanMatchesDense(t *testing.T) {
 			t.Fatalf("chain count diverges: %d vs %d", dp.NumChains(), cp.NumChains())
 		}
 		// A jumping plan keeps a cell-indexed chain table, so compaction
-		// shrinks it; a blocked plan holds touched-cell tables only, so its
-		// dense and compact forms are the same size.
-		if dp.BlockedScan() && cp.SizeBytes() != dp.SizeBytes() {
-			t.Fatalf("blocked compact plan (%d bytes) differs from dense (%d bytes)",
+		// shrinks it. A blocked plan holds touched-cell tables only, so its
+		// compact form is never larger; compaction can turn a banded system
+		// into a union of runs, whose run form keeps no cell table at all.
+		if dp.BlockedScan() && cp.SizeBytes() > dp.SizeBytes() {
+			t.Fatalf("blocked compact plan (%d bytes) larger than dense (%d bytes)",
 				cp.SizeBytes(), dp.SizeBytes())
 		}
 		if !dp.BlockedScan() && cp.SizeBytes() >= dp.SizeBytes() {

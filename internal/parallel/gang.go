@@ -92,9 +92,6 @@ func NewGang(procs int) *Gang {
 	return g
 }
 
-// Procs returns the gang's worker count (helpers + the dispatching caller).
-func (g *Gang) Procs() int { return g.procs }
-
 // Close releases the gang's helper goroutines and waits for them to exit.
 // Safe to call twice; must not race an in-flight round.
 func (g *Gang) Close() {

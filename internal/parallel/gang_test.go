@@ -210,7 +210,7 @@ func TestEnsureGang(t *testing.T) {
 	// A degenerate request — huge Procs against a tiny solve — must clamp
 	// to the work size instead of parking an absurd number of helpers.
 	ctx4, release4 := EnsureGang(context.Background(), 1<<20, 64)
-	if g4 := GangFrom(ctx4); g4 == nil || g4.Procs() > 2 {
+	if g4 := GangFrom(ctx4); g4 == nil || g4.procs > 2 {
 		t.Fatalf("EnsureGang(1<<20, 64) gang = %+v, want width 2", g4)
 	}
 	release4()

@@ -7,9 +7,10 @@
 // The sequential Inclusive, LinearRecurrence and KTermRecurrence are the
 // reference loops. Their parallel counterparts share one code path: the
 // prefix is the paper's ordinary IR over the chain g(i) = i+1, f(i) = i,
-// compiled with ordinary.CompilePlan and replayed on the ordinary engine,
-// whose auto schedule picks the work-optimal blocked scan for long chains
-// and pointer jumping for short ones (DESIGN §14).
+// compiled with ordinary.ChainPlan (CompilePlan's plan for that chain,
+// built without g or f tables) and replayed on the ordinary engine, whose
+// auto schedule picks the work-optimal blocked scan for long chains and
+// pointer jumping for short ones (DESIGN §14).
 //
 // Invariants and contracts:
 //

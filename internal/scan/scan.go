@@ -23,7 +23,8 @@ func Inclusive[T any](op core.Semigroup[T], xs []T) []T {
 
 // chainPrefix is the package's one parallel path: the inclusive prefix of xs
 // as the paper's ordinary IR over the chain g(i) = i+1, f(i) = i on
-// m = len(xs) cells, compiled by ordinary.CompilePlan and replayed by
+// m = len(xs) cells, compiled by ordinary.ChainPlan (CompilePlan's plan for
+// that chain, with no g or f tables) and replayed by
 // ordinary.SolvePlanPooledCtx. The plan's auto schedule picks the blocked
 // scan or pointer jumping exactly as it does for every other chain. A panic
 // in op returns as a *parallel.PanicError (an Abort as its error), with
@@ -35,12 +36,8 @@ func chainPrefix[T any](op core.Semigroup[T], xs []T, procs int) ([]T, error) {
 		copy(out, xs)
 		return out, nil
 	}
-	g, f := make([]int, n-1), make([]int, n-1)
-	for i := range g {
-		g[i], f[i] = i+1, i
-	}
 	ctx := context.TODO() // the exported signatures take no context
-	p, err := ordinary.CompilePlan(ctx, &core.System{M: n, N: n - 1, G: g, F: f})
+	p, err := ordinary.ChainPlan(ctx, n)
 	if err != nil {
 		return nil, err
 	}

@@ -255,6 +255,14 @@ func ResolveFamily(s *System, family Family) Family {
 // PlanFingerprint's, hashed by whoever keys a cache. Cancelling ctx stops
 // compilation; errors follow the hardened-solver contract.
 func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, error) {
+	// A union of contiguous runs resolves to FamilyOrdinary (its H is nil
+	// and its strictly increasing g is distinct), so under FamilyAuto the
+	// run path goes first and its one read of g is the only one.
+	if opt.Family == FamilyAuto {
+		if op := ordinary.CompileRuns(s); op != nil {
+			return &Plan{family: FamilyOrdinary, n: s.N, m: s.M, ord: op, size: op.SizeBytes()}, nil
+		}
+	}
 	family := ResolveFamily(s, opt.Family)
 	switch family {
 	case FamilyOrdinary:

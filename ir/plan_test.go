@@ -6,8 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+
+	"indexedrec/internal/parallel"
 )
 
 // randOrdinary builds a random ordinary system with distinct g over m cells.
@@ -379,7 +382,7 @@ func TestGoldenFingerprints(t *testing.T) {
 	for _, c := range []ordGolden{
 		{"chain", func() (*Plan, error) { return Compile(chain, CompileOptions{}) },
 			func(p *Plan) string { return planKey(p, chain, 0) }, chain.M,
-			"ordinary:9bddabc1fd242f648407379a5a6b7c80", "blocked-scan", 3, 600, 1244},
+			"ordinary:9bddabc1fd242f648407379a5a6b7c80", "blocked-scan", 3, 600, 44},
 		{"tree", func() (*Plan, error) { return Compile(tree, CompileOptions{}) },
 			func(p *Plan) string { return planKey(p, tree, 0) }, tree.M,
 			"ordinary:d072a2cb6c64228403f4d57dacbacebc", "pointer-jumping", 2, 52, 672},
@@ -388,7 +391,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			"sparse-ordinary:c8dd0d7972b585a4a1dcdfa8035c11ce", "pointer-jumping", 2, 6, 108},
 		{"long chain", func() (*Plan, error) { return Compile(longChain, CompileOptions{}) },
 			func(p *Plan) string { return planKey(p, longChain, 0) }, longChain.M,
-			"ordinary:ce7d86b765786c9d6083dc385d73c3c4", "blocked-scan", 7, 10050, 20260},
+			"ordinary:ce7d86b765786c9d6083dc385d73c3c4", "blocked-scan", 7, 10050, 260},
 		{"long tree", func() (*Plan, error) { return Compile(longTree, CompileOptions{}) },
 			func(p *Plan) string { return planKey(p, longTree, 0) }, longTree.M,
 			"ordinary:c544d4358718aa626ee51c4bb6be114c", "pointer-jumping", 4, 4615, 45368},
@@ -641,6 +644,89 @@ func TestCompileErrorPrecedence(t *testing.T) {
 		_, err := CompileCtx(context.Background(), c.s, CompileOptions{Family: FamilyOrdinary})
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: CompileCtx err %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestCompileAutoRunPathFamily checks that CompileCtx under FamilyAuto,
+// which tries the ordinary run path before ResolveFamily's distinctness
+// pass, still picks ResolveFamily's family and returns the same plan or
+// error as compiling under that family: for run unions, near-runs that the
+// run path declines, duplicate g, an explicit H = G, and an out-of-range g.
+func TestCompileAutoRunPathFamily(t *testing.T) {
+	ctx := context.Background()
+	chain := func(n int) *System {
+		return FromFuncs(n, n+1, func(i int) int { return i + 1 }, func(i int) int { return i }, nil)
+	}
+	runs := FromFuncs(900, 1000, func(i int) int { return i + 1 + 50*(i/300) }, func(i int) int { return i + 50*(i/300) }, nil)
+	offByOne := chain(600)
+	offByOne.F[300]--
+	swapped := chain(600)
+	swapped.G[10], swapped.G[20], swapped.F[10], swapped.F[20] = swapped.G[20], swapped.G[10], swapped.F[20], swapped.F[10]
+	dup := chain(600)
+	dup.G[400], dup.F[400] = dup.G[399], dup.F[399]
+	withH := chain(600)
+	withH.H = append([]int(nil), withH.G...)
+	outOfRange := chain(600)
+	outOfRange.G[599] = outOfRange.M
+	for _, c := range []struct {
+		name string
+		s    *System
+		want Family
+	}{
+		{"chain", chain(1000), FamilyOrdinary},
+		{"run union", runs, FamilyOrdinary},
+		{"short chain", chain(100), FamilyOrdinary},
+		{"f off by one", offByOne, FamilyOrdinary},
+		{"g out of order", swapped, FamilyOrdinary},
+		{"duplicate g", dup, FamilyGeneral},
+		{"H = G", withH, FamilyOrdinary},
+		{"g out of range", outOfRange, FamilyOrdinary},
+	} {
+		if got := ResolveFamily(c.s, FamilyAuto); got != c.want {
+			t.Fatalf("%s: ResolveFamily = %v, want %v", c.name, got, c.want)
+		}
+		auto, autoErr := CompileCtx(ctx, c.s, CompileOptions{})
+		forced, forcedErr := CompileCtx(ctx, c.s, CompileOptions{Family: c.want})
+		if (autoErr == nil) != (forcedErr == nil) || (autoErr != nil && autoErr.Error() != forcedErr.Error()) {
+			t.Fatalf("%s: auto error %v, %v error %v", c.name, autoErr, c.want, forcedErr)
+		}
+		if autoErr != nil {
+			continue
+		}
+		if auto.Family() != c.want || !reflect.DeepEqual(auto, forced) {
+			t.Fatalf("%s: auto compiled %v (%s, %d B), %v compiled (%s, %d B)", c.name,
+				auto.Family(), auto.Schedule(), auto.SizeBytes(), c.want, forced.Schedule(), forced.SizeBytes())
+		}
+	}
+}
+
+// TestScanAllocBudget bounds the heap one Scan of 2²² int64 values
+// allocates: the 32 MiB result plus the run-form plan and the replay
+// scratch, within 40 MiB. Tabulating the chain's g and f (64 MiB) or
+// keeping a cell table in its plan (16 MiB) breaks it.
+func TestScanAllocBudget(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	xs := make([]int64, 1<<22)
+	for i := range xs {
+		xs[i] = int64(i%1000) - 500
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := Scan[int64](IntAdd{}, xs, 2)
+	runtime.ReadMemStats(&after)
+	const budget = 40 << 20
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Scan(2^22 int64) allocated %.1f MiB", float64(alloc)/(1<<20))
+	if alloc > budget {
+		t.Errorf("Scan(2^22 int64) allocated %.1f MiB, budget %d MiB", float64(alloc)/(1<<20), budget>>20)
+	}
+	var acc int64
+	for i, x := range xs {
+		if acc += x; out[i] != acc {
+			t.Fatalf("out[%d] = %d, want %d", i, out[i], acc)
 		}
 	}
 }
