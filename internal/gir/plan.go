@@ -33,20 +33,27 @@ import (
 
 // Plan is the compiled, data-independent part of a general-IR solve: for
 // every cell x, the (sink, count) terms of its final node, sorted by sink.
-// Immutable after compilation and safe for concurrent replays.
+// Only what the iterations touch is stored. A cell no iteration writes
+// (its final node is its own leaf) stores no term: an empty span stands for
+// its trace (x, 1). When every stored count is 1, cnt is nil and a term is
+// just its 4-byte sink. Immutable after compilation and safe for
+// concurrent replays.
 type Plan struct {
 	m, rounds int
 	// MaxExponentBits records the bit cap the counts were computed under
 	// (0 = unlimited); replays inherit it by construction.
 	MaxExponentBits int
 
-	// Cell x's terms are indices off[x] .. off[x+1]-1 of sink and cnt.
+	// Cell x's stored terms are indices off[x] .. off[x+1]-1 of sink and
+	// cnt; an empty span marks an unwritten cell.
 	off  []int32
 	sink []int32
 	// cnt[t] is term t's path count; 0 (never a real count) marks a count
-	// past uint64, whose exact value is wide[t].
+	// past uint64, whose exact value is wide[t]. nil when every count is 1.
 	cnt  []uint64
 	wide map[int32]*big.Int
+	// unwritten is the number of cells with an empty span.
+	unwritten int
 }
 
 // flatPass is the compile-time state of the iteration-order pass. Every
@@ -226,18 +233,33 @@ func (fp *flatPass) count(p int32) *big.Int {
 	return fp.wide[p]
 }
 
-// plan copies the terms of every cell's final node (last[x]) out of the
-// arena into an exactly sized Plan.
+// plan copies the terms of every written cell's final node (last[x]) out
+// of the arena into an exactly sized Plan. An unwritten cell
+// (last[x] == x) gets an empty span, and a plan whose stored counts are
+// all 1 keeps no cnt.
 func (fp *flatPass) plan(m int, last []int32) *Plan {
 	p := &Plan{m: m, off: make([]int32, m+1)}
-	total := 0
+	total, unit := 0, true
 	for x, v := range last {
-		total += int(fp.off[v+1] - fp.off[v])
+		if v == int32(x) {
+			p.unwritten++
+		} else {
+			lo, hi := fp.off[v], fp.off[v+1]
+			total += int(hi - lo)
+			for _, c := range fp.cnt[lo:hi] {
+				unit = unit && c == 1
+			}
+		}
 		p.off[x+1] = int32(total)
 	}
 	p.sink = make([]int32, 0, total)
-	p.cnt = make([]uint64, 0, total)
-	for _, v := range last {
+	if !unit {
+		p.cnt = make([]uint64, 0, total)
+	}
+	for x, v := range last {
+		if v == int32(x) {
+			continue
+		}
 		lo, hi := fp.off[v], fp.off[v+1]
 		for t := lo; t < hi; t++ {
 			if fp.cnt[t] == 0 {
@@ -247,8 +269,10 @@ func (fp *flatPass) plan(m int, last []int32) *Plan {
 				p.wide[int32(len(p.sink))+t-lo] = fp.wide[t]
 			}
 		}
+		if !unit {
+			p.cnt = append(p.cnt, fp.cnt[lo:hi]...)
+		}
 		p.sink = append(p.sink, fp.sink[lo:hi]...)
-		p.cnt = append(p.cnt, fp.cnt[lo:hi]...)
 	}
 	return p
 }
@@ -261,19 +285,45 @@ func (p *Plan) M() int { return p.m }
 // system.
 func (p *Plan) Rounds() int { return p.rounds }
 
-// NumTerms returns the total number of (sink, count) terms over all cells.
-func (p *Plan) NumTerms() int { return len(p.sink) }
+// NumTerms returns the total number of (sink, count) terms over every
+// cell's trace, counting an unwritten cell's (x, 1).
+func (p *Plan) NumTerms() int { return len(p.sink) + p.unwritten }
 
-// Span returns the term indices [lo, hi) of cell x's trace.
-func (p *Plan) Span(x int) (lo, hi int) { return int(p.off[x]), int(p.off[x+1]) }
+// Terms returns the number of terms in cell x's trace.
+func (p *Plan) Terms(x int) int {
+	if n := int(p.off[x+1] - p.off[x]); n > 0 {
+		return n
+	}
+	return 1
+}
 
-// Term returns term t as the paper's Fig. 5 factor A₀[sink]^exp, with the
-// exponent in decimal.
-func (p *Plan) Term(t int) (sink int, exp string) {
+// Term returns term k of cell x's trace (0 <= k < Terms(x)) as the paper's
+// Fig. 5 factor A₀[sink]^exp, with the exponent in decimal.
+func (p *Plan) Term(x, k int) (sink int, exp string) {
+	lo, hi := p.off[x], p.off[x+1]
+	if lo == hi {
+		return x, "1"
+	}
+	t := lo + int32(k)
+	if p.cnt == nil {
+		return int(p.sink[t]), "1"
+	}
 	if c := p.cnt[t]; c != 0 {
 		return int(p.sink[t]), strconv.FormatUint(c, 10)
 	}
-	return int(p.sink[t]), p.wide[int32(t)].String()
+	return int(p.sink[t]), p.wide[t].String()
+}
+
+// count sets k to stored term t's count and returns it, or returns the
+// overflow table's exact count; the result must not be mutated.
+func (p *Plan) count(t int32, k *big.Int) *big.Int {
+	if p.cnt == nil {
+		return k.SetUint64(1)
+	}
+	if c := p.cnt[t]; c != 0 {
+		return k.SetUint64(c)
+	}
+	return p.wide[t]
 }
 
 // wideWordBytes is the accounted cost of one overflow entry beyond its
@@ -281,9 +331,10 @@ func (p *Plan) Term(t int) (sink int, exp string) {
 const wideWordBytes = 48
 
 // SizeBytes is the plan's resident size for cache accounting: the offset
-// table, 12 bytes per term and the overflow table's words.
+// table, 4 bytes per stored term's sink, 8 more per term when the counts
+// are not all 1, and the overflow table's words.
 func (p *Plan) SizeBytes() int64 {
-	size := 4*int64(len(p.off)) + 12*int64(len(p.sink))
+	size := 4*int64(len(p.off)) + 4*int64(len(p.sink)) + 8*int64(len(p.cnt))
 	for _, w := range p.wide {
 		size += wideWordBytes + 8*int64(len(w.Bits()))
 	}
@@ -330,8 +381,10 @@ func CompileSolveCtx[T any](ctx context.Context, s *core.System, op core.Commuta
 	return p, values, nil
 }
 
-// evalCells writes the values of cells lo .. lo+len(out)-1 into out. Each
-// worker chunk reuses one scratch big.Int for the uint64 counts, which the
+// evalCells writes the values of cells lo .. lo+len(out)-1 into out. An
+// unwritten cell folds its one term (x, 1) like any other, so every cell
+// makes the same Combine and Pow calls in either layout. Each worker chunk
+// reuses one scratch big.Int for the uint64 counts, which the
 // CommutativeMonoid contract allows: Pow neither modifies nor retains k.
 func evalCells[T any](ctx context.Context, p *Plan, op core.CommutativeMonoid[T], init []T, lo int, out []T, procs int) error {
 	return parallel.ForCtx(ctx, len(out), procs, func(a, b int) error {
@@ -339,14 +392,12 @@ func evalCells[T any](ctx context.Context, p *Plan, op core.CommutativeMonoid[T]
 		for c := a; c < b; c++ {
 			x := lo + c
 			acc := op.Identity()
-			for t := p.off[x]; t < p.off[x+1]; t++ {
-				var e *big.Int
-				if cnt := p.cnt[t]; cnt != 0 {
-					e = k.SetUint64(cnt)
-				} else {
-					e = p.wide[t]
-				}
-				acc = op.Combine(acc, op.Pow(init[p.sink[t]], e))
+			tlo, thi := p.off[x], p.off[x+1]
+			if tlo == thi {
+				acc = op.Combine(acc, op.Pow(init[x], k.SetUint64(1)))
+			}
+			for t := tlo; t < thi; t++ {
+				acc = op.Combine(acc, op.Pow(init[p.sink[t]], p.count(t, &k)))
 			}
 			out[c] = acc
 		}

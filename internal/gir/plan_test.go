@@ -3,6 +3,8 @@ package gir_test
 import (
 	"context"
 	"errors"
+	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -14,20 +16,97 @@ import (
 	"indexedrec/internal/workload"
 )
 
-// checkPlanTerms compares every cell's plan terms with an engine's counts
-// at the cell's final node.
+// checkPlanTerms compares every cell's plan trace, read through the
+// public accessors, with an engine's counts at the cell's final node. An
+// unwritten cell's final node is its own leaf, whose count is (x, 1).
 func checkPlanTerms(t *testing.T, name string, p *Plan, d *DepGraph, counts cap.Counts) {
 	t.Helper()
+	total := 0
 	for x := 0; x < d.M; x++ {
 		want := counts[d.Final[x]]
-		lo, hi := p.Span(x)
-		if hi-lo != len(want) {
-			t.Fatalf("%s: cell %d has %d terms, want %v", name, x, hi-lo, want)
+		if p.Terms(x) != len(want) {
+			t.Fatalf("%s: cell %d has %d terms, want %v", name, x, p.Terms(x), want)
 		}
+		total += len(want)
 		for k, w := range want {
-			sink, exp := p.Term(lo + k)
-			if sink != w.Sink || PlanCount(p, lo+k).Cmp(w.Count) != 0 || exp != w.Count.String() {
+			sink, exp := p.Term(x, k)
+			if sink != w.Sink || PlanCount(p, x, k).Cmp(w.Count) != 0 || exp != w.Count.String() {
 				t.Fatalf("%s: cell %d term %d = (%d:%s), want %v", name, x, k, sink, exp, w)
+			}
+		}
+	}
+	if p.NumTerms() != total {
+		t.Fatalf("%s: NumTerms %d, want %d", name, p.NumTerms(), total)
+	}
+}
+
+// checkPlanLayout checks what the plan stores: no term for a cell no
+// iteration writes, every written cell's terms, and a count table only
+// when some count is not 1. It returns the unwritten cells, ascending.
+func checkPlanLayout(t *testing.T, p *Plan, d *DepGraph, counts cap.Counts) []int {
+	t.Helper()
+	var unwritten []int
+	stored, unit := 0, true
+	for x := 0; x < d.M; x++ {
+		if d.Final[x] == x {
+			unwritten = append(unwritten, x)
+			continue
+		}
+		stored += len(counts[d.Final[x]])
+		for _, w := range counts[d.Final[x]] {
+			unit = unit && w.Count.Cmp(big.NewInt(1)) == 0
+		}
+	}
+	if StoredTerms(p) != stored || UnitCounts(p) != unit {
+		t.Fatalf("plan stores %d terms (unit counts %v), want %d (%v)", StoredTerms(p), UnitCounts(p), stored, unit)
+	}
+	if want := int64(4*(d.M+1) + 4*stored); unit && p.SizeBytes() != want {
+		t.Fatalf("unit-count plan SizeBytes %d, want %d", p.SizeBytes(), want)
+	}
+	return unwritten
+}
+
+// unwrittenRanges returns the cell ranges [lo, hi) whose first and last
+// cells are both unwritten, drawn from the ascending unwritten cells u:
+// single cells, the span of all of them and the middle third.
+func unwrittenRanges(u []int) [][2]int {
+	if len(u) == 0 {
+		return nil
+	}
+	r := [][2]int{{u[0], u[len(u)-1] + 1}, {u[len(u)/3], u[2*len(u)/3] + 1}}
+	for _, x := range u[:min(len(u), 4)] {
+		r = append(r, [2]int{x, x + 1})
+	}
+	return r
+}
+
+// checkRoutesAgree holds SolvePlanCtx, SolvePlanRangeCtx over ranges that
+// start and end on unwritten cells, and SolveCtx's CAP path to the same
+// bits under op.
+func checkRoutesAgree[T any](t *testing.T, s *core.System, p *Plan, op core.CommutativeMonoid[T], init []T, maxBits int, ranges [][2]int, same func(a, b T) bool) {
+	t.Helper()
+	ctx := context.Background()
+	full, err := SolvePlanCtx[T](ctx, p, op, init, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := SolveCtx[T](ctx, s, op, init, Options{Procs: 1, MaxExponentBits: maxBits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := range full {
+		if !same(full[x], direct.Values[x]) {
+			t.Fatalf("%s cell %d: replay %v, SolveCtx %v", op.Name(), x, full[x], direct.Values[x])
+		}
+	}
+	for _, r := range append(ranges, [2]int{0, s.M}, [2]int{s.M / 2, s.M / 2}) {
+		part, err := SolvePlanRangeCtx[T](ctx, p, op, init, r[0], r[1], 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range part {
+			if !same(v, full[r[0]+k]) {
+				t.Fatalf("%s range %v cell %d: %v, full replay %v", op.Name(), r, r[0]+k, v, full[r[0]+k])
 			}
 		}
 	}
@@ -63,9 +142,10 @@ func encodeSystem(s *core.System) []byte {
 
 // FuzzGeneralPlanCounts is the differential check of the iteration-order
 // pass against the paper's CAP engines: the same terms as CountDPCtx and
-// CountSquaringCtx at every cell's final node, the squaring engine's round
-// count, the same ErrExponentLimit verdict, and replays equal to the
-// sequential loop.
+// CountSquaringCtx at every cell's final node (unwritten cells included),
+// the stored layout, the squaring engine's round count, the same
+// ErrExponentLimit verdict, replays equal to the sequential loop, and full
+// replays, range replays and SolveCtx equal bit for bit.
 func FuzzGeneralPlanCounts(f *testing.F) {
 	f.Add(encodeSystem(workload.Fibonacci(100)), uint8(0)) // counts past uint64
 	f.Add(encodeSystem(workload.Fibonacci(100)), uint8(2))
@@ -75,10 +155,27 @@ func FuzzGeneralPlanCounts(f *testing.F) {
 	}
 	f.Add(encodeSystem(doubling), uint8(0))
 	f.Add(encodeSystem(doubling), uint8(1))
+	// One cell squared 70 times beside an unwritten one: its only stored
+	// count is past uint64, which still needs the count table.
+	f.Add(encodeSystem(&core.System{M: 2, N: 70, G: make([]int, 70), F: make([]int, 70), H: make([]int, 70)}), uint8(0))
 	f.Add([]byte{4}, uint8(0)) // n = 0
 	f.Add([]byte{1, 1, 0, 0}, uint8(1))
 	f.Add(encodeSystem(workload.RandomGIR(rand.New(rand.NewSource(7)), 9, 40)), uint8(1))
 	f.Add(encodeSystem(workload.Scatter(rand.New(rand.NewSource(8)), 48, 6)), uint8(2))
+	// All counts 1, with runs of unwritten cells between written ones.
+	f.Add(encodeSystem(workload.Scatter(rand.New(rand.NewSource(9)), 100, 20)), uint8(0))
+	// Every cell written, counts 1 and 2.
+	all := &core.System{M: 16, N: 16, G: make([]int, 16), F: make([]int, 16), H: make([]int, 16)}
+	for i := range all.G {
+		all.G[i], all.F[i], all.H[i] = i, (i+5)%16, (i+11)%16
+	}
+	f.Add(encodeSystem(all), uint8(0))
+	// Doubling among unwritten cells: counts > 1 and empty spans together.
+	mixed := &core.System{M: 40, N: 30, G: make([]int, 30), F: make([]int, 30), H: make([]int, 30)}
+	for i := range mixed.G {
+		mixed.G[i], mixed.F[i], mixed.H[i] = 3*(i%10), 3*(i%10)+1, 3*(i%10)+1
+	}
+	f.Add(encodeSystem(mixed), uint8(0))
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
 		s := decodeSystem(data)
@@ -102,13 +199,16 @@ func FuzzGeneralPlanCounts(f *testing.F) {
 		}
 		checkPlanTerms(t, "dp", p, d, dp)
 		checkPlanTerms(t, "squaring", p, d, sq)
+		ranges := unwrittenRanges(checkPlanLayout(t, p, d, dp))
 		if p.Rounds() != st.Rounds {
 			t.Fatalf("rounds %d, squaring %d", p.Rounds(), st.Rounds)
 		}
 		op := core.MulMod{M: 1_000_003}
 		init := make([]int64, s.M)
+		finit := make([]float64, s.M)
 		for x := range init {
 			init[x] = int64(x * 7919 % 1_000_003)
+			finit[x] = 1 + float64(x)/64
 		}
 		got, err := SolvePlanCtx[int64](ctx, p, op, init, 1)
 		if err != nil {
@@ -120,6 +220,9 @@ func FuzzGeneralPlanCounts(f *testing.F) {
 				t.Fatalf("cell %d: replay %d, loop %d", x, got[x], want[x])
 			}
 		}
+		checkRoutesAgree[int64](t, s, p, op, init, maxBits, ranges, func(a, b int64) bool { return a == b })
+		checkRoutesAgree[float64](t, s, p, core.Float64Mul{}, finit, maxBits, ranges,
+			func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 	})
 }
 
@@ -226,27 +329,59 @@ func TestCompileGeneralAllocBudget(t *testing.T) {
 	}
 }
 
+// doubledScatter is a non-unit-count system: Scatter(n, buckets), then
+// bucket 0 squared 64 times and every bucket squared once more, so every
+// count is at least 2 and bucket 0's pass uint64 into the overflow table.
+func doubledScatter(rng *rand.Rand, n, buckets int) *core.System {
+	s := workload.Scatter(rng, n, buckets)
+	for b := 0; b < buckets+64; b++ {
+		c := max(b-64, 0)
+		s.G, s.F, s.H = append(s.G, c), append(s.F, c), append(s.H, c)
+	}
+	s.N = len(s.G)
+	return s
+}
+
 // TestGeneralPlanRetainedAlloc checks that SizeBytes, the plan cache's
-// accounting, is within 10% of the heap a compiled plan keeps alive. The
-// system is 16 times the churn shape, so the plan's few megabytes dwarf
-// heap-size-class rounding and runtime noise.
+// accounting, is within 10% of the heap a compiled plan keeps alive, for
+// both layouts: unit counts (sinks only) and counts past 1 with overflow
+// entries. The large rows are 16 times the churn shape, so their few
+// megabytes dwarf heap-size-class rounding and runtime noise. The churn
+// shape itself, Scatter(4096, 512), must also fit 40,000 bytes: its 4,096
+// auxiliary cells are never written and store nothing.
 func TestGeneralPlanRetainedAlloc(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race job")
 	}
-	s := workload.Scatter(rand.New(rand.NewSource(1702)), 1<<16, 1<<13)
-	base := liveHeap()
-	p, err := CompilePlanCtx(context.Background(), s, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		s       *core.System
+		unit    bool
+		ceiling int64
+	}{
+		{"Scatter(4096, 512)", scatterSystem(), true, 40_000},
+		{"Scatter(1<<16, 1<<13)", workload.Scatter(rand.New(rand.NewSource(1702)), 1<<16, 1<<13), true, 0},
+		{"doubled Scatter(1<<16, 1<<13)", doubledScatter(rand.New(rand.NewSource(1703)), 1<<16, 1<<13), false, 0},
+	} {
+		base := liveHeap()
+		p, err := CompilePlanCtx(context.Background(), c.s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := liveHeap() - base
+		t.Logf("%s: SizeBytes %d, retained %d, %d stored terms, %d overflow", c.name, p.SizeBytes(), retained, StoredTerms(p), WideTerms(p))
+		if UnitCounts(p) != c.unit || (!c.unit && WideTerms(p) == 0) {
+			t.Fatalf("%s: unit counts %v with %d overflow terms, want unit %v", c.name, UnitCounts(p), WideTerms(p), c.unit)
+		}
+		if d := float64(p.SizeBytes() - retained); d > 0.1*float64(retained) || -d > 0.1*float64(retained) {
+			t.Errorf("%s: SizeBytes %d is more than 10%% off the retained %d bytes", c.name, p.SizeBytes(), retained)
+		}
+		if c.ceiling > 0 && p.SizeBytes() > c.ceiling {
+			t.Errorf("%s: SizeBytes %d, ceiling %d", c.name, p.SizeBytes(), c.ceiling)
+		}
+		runtime.KeepAlive(p)
+		runtime.KeepAlive(c.s)
 	}
-	retained := liveHeap() - base
-	t.Logf("Scatter(1<<16, 1<<13): SizeBytes %d, retained %d", p.SizeBytes(), retained)
-	if d := float64(p.SizeBytes() - retained); d > 0.1*float64(retained) || -d > 0.1*float64(retained) {
-		t.Errorf("SizeBytes %d is more than 10%% off the retained %d bytes", p.SizeBytes(), retained)
-	}
-	runtime.KeepAlive(p)
-	runtime.KeepAlive(s)
 }
 
 func liveHeap() int64 {
@@ -265,4 +400,61 @@ func BenchmarkCompileGeneralScatter(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// countingMonoid counts the calls a replay makes; single-threaded use only.
+type countingMonoid struct {
+	core.MulMod
+	combines, pows, identities int
+}
+
+func (c *countingMonoid) Combine(a, b int64) int64 { c.combines++; return c.MulMod.Combine(a, b) }
+func (c *countingMonoid) Pow(a int64, k *big.Int) int64 {
+	c.pows++
+	return c.MulMod.Pow(a, k)
+}
+func (c *countingMonoid) Identity() int64 { c.identities++; return c.MulMod.Identity() }
+
+// TestReplayFoldsEveryTerm checks that a replay makes one Pow and one
+// Combine per trace term, an unwritten cell's (x, 1) included, and one
+// Identity per cell: the calls the stored layout must not change.
+func TestReplayFoldsEveryTerm(t *testing.T) {
+	for _, s := range []*core.System{scatterSystem(), doubledScatter(rand.New(rand.NewSource(3)), 64, 8)} {
+		p, err := CompilePlanCtx(context.Background(), s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := &countingMonoid{MulMod: core.MulMod{M: 1_000_003}}
+		if _, err := SolvePlanCtx[int64](context.Background(), p, op, make([]int64, s.M), 1); err != nil {
+			t.Fatal(err)
+		}
+		if op.pows != p.NumTerms() || op.combines != p.NumTerms() || op.identities != s.M {
+			t.Fatalf("m %d, %d terms: %d Pow, %d Combine, %d Identity calls", s.M, p.NumTerms(), op.pows, op.combines, op.identities)
+		}
+	}
+}
+
+// BenchmarkGeneralPlanReplay is a warm mul-mod replay of the churn shape's
+// plan. plan-B reports its SizeBytes beside the replay time, so a layout
+// change shows in every benchmark run.
+func BenchmarkGeneralPlanReplay(b *testing.B) {
+	s := scatterSystem()
+	ctx := context.Background()
+	p, err := CompilePlanCtx(ctx, s, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	op := core.MulMod{M: 1_000_003}
+	init := workload.InitInt64(rand.New(rand.NewSource(1)), s.M, 1_000_003)
+	if _, err := SolvePlanCtx[int64](ctx, p, op, init, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolvePlanCtx[int64](ctx, p, op, init, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(p.SizeBytes()), "plan-B")
 }

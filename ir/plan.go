@@ -360,13 +360,14 @@ func generalResult[T any](gp *gir.Plan, values []T, withPowers bool) *GeneralRes
 // backing array, sorted by cell as the plan stores them.
 func generalPowers(gp *gir.Plan) [][]PowerTerm {
 	flat := make([]PowerTerm, gp.NumTerms())
-	for t := range flat {
-		flat[t].Cell, flat[t].Exp = gp.Term(t)
-	}
 	powers := make([][]PowerTerm, gp.M())
 	for x := range powers {
-		lo, hi := gp.Span(x)
-		powers[x] = flat[lo:hi:hi]
+		k := gp.Terms(x)
+		cell := flat[:k:k]
+		for j := range cell {
+			cell[j].Cell, cell[j].Exp = gp.Term(x, j)
+		}
+		powers[x], flat = cell, flat[k:]
 	}
 	return powers
 }

@@ -336,6 +336,28 @@ func planKey(p *Plan, s *System, maxExponentBits int) string {
 // 2,048-iteration ordinary tree (pointer jumping), a 2,048-iteration general
 // scatter with explicit H, and a 2,048-iteration Möbius (g, f) over
 // len(g)+1 cells.
+// TestGeneralPowersAlloc checks that the rendered traces of a
+// unit-count plan cost two allocations, the shared term array and the
+// per-cell slice headers, whatever the cell count, and that each cell's
+// trace, an unwritten cell's (x, 1) included, is in place.
+func TestGeneralPowersAlloc(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	_, _, scatter, _, _ := multiBlockSystems()
+	p, err := Compile(scatter, CompileOptions{Family: FamilyGeneral})
+	if err != nil {
+		t.Fatal(err)
+	}
+	powers := generalPowers(p.gen)
+	if last := powers[scatter.M-1]; len(last) != 1 || last[0] != (PowerTerm{Cell: scatter.M - 1, Exp: "1"}) {
+		t.Fatalf("unwritten cell %d: trace %v", scatter.M-1, last)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { generalPowers(p.gen) }); allocs > 2 {
+		t.Fatalf("generalPowers made %.0f allocations, want 2", allocs)
+	}
+}
+
 func multiBlockSystems() (chain, tree, scatter *System, mg, mf []int) {
 	chain = FromFuncs(5000, 5001, func(i int) int { return i + 1 }, func(i int) int { return i }, nil)
 	tree = FromFuncs(2048, 2048+64, func(i int) int { return 64 + i }, func(i int) int { return (i * 7) % (64 + i) }, nil)
@@ -424,7 +446,8 @@ func TestGoldenFingerprints(t *testing.T) {
 		t.Errorf("general: fingerprint %q, want %q", key, want)
 	}
 	// The flat plan holds 4 bytes per offset and 12 per term: 4·17 + 12·76.
-	// (The squaring-engine plan it replaced accounted 5248 bytes.)
+	// Every cell is written and some counts exceed 1, so no term is
+	// dropped. (The squaring-engine plan it replaced accounted 5248 bytes.)
 	init := make([]int64, gen.M)
 	for x := range init {
 		init[x] = int64(x + 1)
@@ -449,7 +472,9 @@ func TestGoldenFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key, want, size, rounds := planKey(sg, scatter, 4096), "general:ee76e513de4cc9b62bb08458eb43a34f", int64(58372), 5; key != want ||
+	// All counts are 1 and the 2,048 operand cells are never written, so
+	// the plan holds 4·2113 offsets and the 2,112 written-cell sinks at 4 B.
+	if key, want, size, rounds := planKey(sg, scatter, 4096), "general:ee76e513de4cc9b62bb08458eb43a34f", int64(16900), 5; key != want ||
 		sg.SizeBytes() != size || ssol.CAPRounds != rounds {
 		t.Errorf("long general: got (%q, size %d, CAP rounds %d), want (%q, %d, %d)",
 			key, sg.SizeBytes(), ssol.CAPRounds, want, size, rounds)
