@@ -112,6 +112,7 @@ func TestDocFileContract(t *testing.T) {
 		"internal/core",
 		"internal/graph",
 		"internal/grid2d",
+		"internal/jsonwire",
 		"internal/moebius",
 		"internal/ordinary",
 		"internal/parallel",

@@ -209,7 +209,15 @@ type Coordinator struct {
 	// deadline passes cancels it, so in-flight solves answer at once.
 	base       context.Context
 	cancelBase context.CancelFunc
+
+	// maxBody bounds request bodies on the HTTP front-end: maxRequestBytes,
+	// lowered only by tests.
+	maxBody int64
 }
+
+// maxRequestBytes is the front-end's request body limit; a larger body
+// answers 400 "request body exceeds N bytes".
+const maxRequestBytes = 64 << 20
 
 // New builds a Coordinator, registers its static workers (one synchronous
 // probe each, logging the worker's reported build version), and starts the
@@ -224,6 +232,7 @@ func New(cfg Config) *Coordinator {
 		sessions:  make(map[string]*streamEntry),
 		probeDone: make(chan struct{}),
 		leaseDone: make(chan struct{}),
+		maxBody:   maxRequestBytes,
 	}
 	co.base, co.cancelBase = context.WithCancel(context.Background())
 	co.metrics = newClusterMetrics(co.reg)

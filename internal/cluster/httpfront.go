@@ -267,7 +267,7 @@ type specFunc func(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duratio
 // handleSolve is the shared endpoint path: decode, distribute, respond.
 func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, endpoint string, decode specFunc) {
 	start := time.Now()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := server.ReadBody(w, r, co.maxBody)
 	if err != nil {
 		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
 		return
@@ -376,9 +376,7 @@ func (co *Coordinator) specMoebius(endpoint string) specFunc {
 }
 
 func (co *Coordinator) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	server.WriteJSON(w, code, v)
 	co.metrics.requests.Inc(endpoint, strconv.Itoa(code))
 }
 

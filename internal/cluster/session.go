@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"indexedrec/internal/server"
@@ -110,7 +109,7 @@ func (co *Coordinator) writeSessionErr(w http.ResponseWriter, endpoint string, e
 
 func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "session_open"
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := server.ReadBody(w, r, co.maxBody)
 	if err != nil {
 		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
 		return
@@ -237,7 +236,7 @@ func (co *Coordinator) handleSessionAppend(w http.ResponseWriter, r *http.Reques
 		co.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := server.ReadBody(w, r, co.maxBody)
 	if err != nil {
 		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
 		return

@@ -4,7 +4,7 @@ import "math/big"
 
 // PlanCount returns the exact count of term k of cell x's trace.
 func PlanCount(p *Plan, x, k int) *big.Int {
-	lo, hi := p.off[x], p.off[x+1]
+	lo, hi := p.span(x)
 	if lo == hi {
 		return big.NewInt(1)
 	}

@@ -35,17 +35,21 @@ import (
 // every cell x, the (sink, count) terms of its final node, sorted by sink.
 // Only what the iterations touch is stored. A cell no iteration writes
 // (its final node is its own leaf) stores no term: an empty span stands for
-// its trace (x, 1). When every stored count is 1, cnt is nil and a term is
-// just its 4-byte sink. Immutable after compilation and safe for
-// concurrent replays.
+// its trace (x, 1), and the unwritten cells before the first written cell
+// and after the last store no offset either. When every stored count is 1,
+// cnt is nil and a term is just its 4-byte sink. Immutable after
+// compilation and safe for concurrent replays.
 type Plan struct {
 	m, rounds int
 	// MaxExponentBits records the bit cap the counts were computed under
 	// (0 = unlimited); replays inherit it by construction.
 	MaxExponentBits int
 
-	// Cell x's stored terms are indices off[x] .. off[x+1]-1 of sink and
-	// cnt; an empty span marks an unwritten cell.
+	// off covers the cells from base, the first written cell, to the last
+	// written one: cell x's stored terms are indices off[x-base] ..
+	// off[x-base+1]-1 of sink and cnt. An empty span, or a cell outside
+	// that window, marks an unwritten cell.
+	base int
 	off  []int32
 	sink []int32
 	// cnt[t] is term t's path count; 0 (never a real count) marks a count
@@ -235,10 +239,19 @@ func (fp *flatPass) count(p int32) *big.Int {
 
 // plan copies the terms of every written cell's final node (last[x]) out
 // of the arena into an exactly sized Plan. An unwritten cell
-// (last[x] == x) gets an empty span, and a plan whose stored counts are
-// all 1 keeps no cnt.
+// (last[x] == x) gets an empty span, or none outside the written cells'
+// window, and a plan whose stored counts are all 1 keeps no cnt.
 func (fp *flatPass) plan(m int, last []int32) *Plan {
-	p := &Plan{m: m, off: make([]int32, m+1)}
+	first, end := 0, 0 // the written window [first, end)
+	for x, v := range last {
+		if v != int32(x) {
+			if end == 0 {
+				first = x
+			}
+			end = x + 1
+		}
+	}
+	p := &Plan{m: m, base: first, off: make([]int32, end-first+1)}
 	total, unit := 0, true
 	for x, v := range last {
 		if v == int32(x) {
@@ -250,7 +263,9 @@ func (fp *flatPass) plan(m int, last []int32) *Plan {
 				unit = unit && c == 1
 			}
 		}
-		p.off[x+1] = int32(total)
+		if first <= x && x < end {
+			p.off[x-first+1] = int32(total)
+		}
 	}
 	p.sink = make([]int32, 0, total)
 	if !unit {
@@ -289,10 +304,19 @@ func (p *Plan) Rounds() int { return p.rounds }
 // cell's trace, counting an unwritten cell's (x, 1).
 func (p *Plan) NumTerms() int { return len(p.sink) + p.unwritten }
 
+// span returns the stored terms of cell x as indices lo .. hi-1 of sink
+// and cnt; lo == hi for an unwritten cell.
+func (p *Plan) span(x int) (lo, hi int32) {
+	if i := x - p.base; i >= 0 && i+1 < len(p.off) {
+		return p.off[i], p.off[i+1]
+	}
+	return 0, 0
+}
+
 // Terms returns the number of terms in cell x's trace.
 func (p *Plan) Terms(x int) int {
-	if n := int(p.off[x+1] - p.off[x]); n > 0 {
-		return n
+	if lo, hi := p.span(x); hi > lo {
+		return int(hi - lo)
 	}
 	return 1
 }
@@ -300,7 +324,7 @@ func (p *Plan) Terms(x int) int {
 // Term returns term k of cell x's trace (0 <= k < Terms(x)) as the paper's
 // Fig. 5 factor A₀[sink]^exp, with the exponent in decimal.
 func (p *Plan) Term(x, k int) (sink int, exp string) {
-	lo, hi := p.off[x], p.off[x+1]
+	lo, hi := p.span(x)
 	if lo == hi {
 		return x, "1"
 	}
@@ -331,8 +355,9 @@ func (p *Plan) count(t int32, k *big.Int) *big.Int {
 const wideWordBytes = 48
 
 // SizeBytes is the plan's resident size for cache accounting: the offset
-// table, 4 bytes per stored term's sink, 8 more per term when the counts
-// are not all 1, and the overflow table's words.
+// table over the written cells' window, 4 bytes per stored term's sink, 8
+// more per term when the counts are not all 1, and the overflow table's
+// words.
 func (p *Plan) SizeBytes() int64 {
 	size := 4*int64(len(p.off)) + 4*int64(len(p.sink)) + 8*int64(len(p.cnt))
 	for _, w := range p.wide {
@@ -392,7 +417,7 @@ func evalCells[T any](ctx context.Context, p *Plan, op core.CommutativeMonoid[T]
 		for c := a; c < b; c++ {
 			x := lo + c
 			acc := op.Identity()
-			tlo, thi := p.off[x], p.off[x+1]
+			tlo, thi := p.span(x)
 			if tlo == thi {
 				acc = op.Combine(acc, op.Pow(init[x], k.SetUint64(1)))
 			}

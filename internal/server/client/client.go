@@ -63,9 +63,13 @@ func (e *APIError) IsShed() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }
 
-// do posts req as JSON to path and decodes the response into out.
+// do posts req as JSON to path and decodes the response into out. The
+// ordinary/general request and response types encode and decode through
+// the server package's one-pass codec (server.AppendBody and
+// server.UnmarshalBody), with json.Marshal's bytes and json.Unmarshal's
+// results.
 func (c *Client) do(ctx context.Context, path string, reqBody, out any) error {
-	payload, err := json.Marshal(reqBody)
+	payload, err := server.AppendBody(nil, reqBody)
 	if err != nil {
 		return fmt.Errorf("irserved client: encoding request: %w", err)
 	}
@@ -85,7 +89,7 @@ func (c *Client) do(ctx context.Context, path string, reqBody, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := readResponse(resp)
 	if err != nil {
 		return fmt.Errorf("irserved client: reading response: %w", err)
 	}
@@ -105,10 +109,22 @@ func (c *Client) do(ctx context.Context, path string, reqBody, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(body, out); err != nil {
+	if err := server.UnmarshalBody(body, out); err != nil {
 		return fmt.Errorf("irserved client: decoding response: %w", err)
 	}
 	return nil
+}
+
+// maxResponseBytes caps what the client reads of one response.
+const maxResponseBytes = 64 << 20
+
+// readResponse reads a response body of at most maxResponseBytes, through
+// server.ReadDeclared when the server declared its length.
+func readResponse(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxResponseBytes {
+		return server.ReadDeclared(resp.Body, n)
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 }
 
 // SolveOrdinary solves an ordinary system on the server.
@@ -179,7 +195,7 @@ func (c *Client) get(ctx context.Context, path string) (int, string, error) {
 		return 0, "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	return resp.StatusCode, string(body), err
 }
 

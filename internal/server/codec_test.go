@@ -1,0 +1,323 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"indexedrec/ir"
+)
+
+// Values the byte-identity fuzzer draws from: the int64 and float64 edges
+// where a hand-written encoder could differ from encoding/json, and op
+// strings it must escape.
+var (
+	edgeInts   = []int64{0, 1, -1, 9, -10, 1 << 31, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
+	edgeFloats = []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 9.999999e-7, 1e20, 1e21, -1e21, 123456789.125,
+		5e-324, 2.2250738585072014e-308 / 3, math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, 1.5, 100}
+	edgeOps = []string{"int64-add", "mul-mod", "", "a<b", "x&y", `back\slash`, `q"uote`, "é", "\xff", "\xe2\x80\xa8",
+		"tab\tnew\nline", "\x01\x7f", "<script>", "日本"}
+)
+
+func pickInt(rng *rand.Rand) int64 {
+	if rng.Intn(3) == 0 {
+		return edgeInts[rng.Intn(len(edgeInts))]
+	}
+	return rng.Int63n(2_000_001) - 1_000_000
+}
+
+func pickFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(40) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1 - 2*rng.Intn(2))
+	}
+	if rng.Intn(2) == 0 {
+		return edgeFloats[rng.Intn(len(edgeFloats))]
+	}
+	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(50)-25))
+}
+
+// pickLen is a slice length, with -1 standing for a nil slice.
+func pickLen(rng *rand.Rand) int { return rng.Intn(6) - 1 }
+
+func randInts(rng *rand.Rand) ir.Ints {
+	n := pickLen(rng)
+	if n < 0 {
+		return nil
+	}
+	v := make(ir.Ints, n)
+	for i := range v {
+		v[i] = int(pickInt(rng))
+	}
+	return v
+}
+
+func randInt64s(rng *rand.Rand) ir.Int64s {
+	n := pickLen(rng)
+	if n < 0 {
+		return nil
+	}
+	v := make(ir.Int64s, n)
+	for i := range v {
+		v[i] = pickInt(rng)
+	}
+	return v
+}
+
+func randFloats(rng *rand.Rand) []float64 {
+	n := pickLen(rng)
+	if n < 0 {
+		return nil
+	}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = pickFloat(rng)
+	}
+	return v
+}
+
+// randInit is an init array as callers build them, plus the raw messages
+// json.Marshal compacts, escapes or refuses.
+func randInit(rng *rand.Rand) json.RawMessage {
+	switch rng.Intn(8) {
+	case 0:
+		return nil
+	case 1:
+		return json.RawMessage([]string{`[1, 2]`, `null`, `[1,`, ``, ` [3]`, `["<&>"]`, `{"a":1}`, `[1e400]`}[rng.Intn(8)])
+	case 2:
+		b, _ := json.Marshal(randFloats(rng))
+		return b
+	}
+	b, _ := json.Marshal(randInt64s(rng))
+	return b
+}
+
+func randSystem(rng *rand.Rand) ir.SystemWire {
+	return ir.SystemWire{M: int(pickInt(rng)), N: int(pickInt(rng)), G: randInts(rng), F: randInts(rng), H: randInts(rng), Cells: randInts(rng)}
+}
+
+func randOptions(rng *rand.Rand) ir.OptionsWire {
+	o := ir.OptionsWire{}
+	if rng.Intn(2) == 0 {
+		o.Procs = int(pickInt(rng))
+	}
+	if rng.Intn(2) == 0 {
+		o.MaxExponentBits = int(pickInt(rng))
+	}
+	if rng.Intn(2) == 0 {
+		o.TimeoutMs = int(pickInt(rng))
+	}
+	return o
+}
+
+func randOp(rng *rand.Rand, raw []byte) string {
+	if rng.Intn(4) == 0 {
+		return string(raw[:min(len(raw), 12)])
+	}
+	return edgeOps[rng.Intn(len(edgeOps))]
+}
+
+func randMod(rng *rand.Rand) int64 {
+	if rng.Intn(2) == 0 {
+		return 0
+	}
+	return pickInt(rng)
+}
+
+// checkEncode holds AppendJSON to json.Marshal, and WriteJSON's body to a
+// json.Encoder's, byte for byte and error for error.
+func checkEncode(t *testing.T, v jsonAppender) {
+	t.Helper()
+	want, wantErr := json.Marshal(v)
+	got, err := v.AppendJSON(nil)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%T AppendJSON error %v, json.Marshal error %v", v, err, wantErr)
+	}
+	if err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("%T AppendJSON:\n got %s\nwant %s", v, got, want)
+	}
+	var enc bytes.Buffer
+	_ = json.NewEncoder(&enc).Encode(v)
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, 200, v)
+	if !bytes.Equal(rec.Body.Bytes(), enc.Bytes()) {
+		t.Fatalf("%T WriteJSON:\n got %s\nwant %s", v, rec.Body.Bytes(), enc.Bytes())
+	}
+}
+
+// checkDecode holds the one-pass decode of b to json.Unmarshal's decode into
+// the same struct without the codec's methods (named alike, so even error
+// messages must match).
+func checkDecode(t *testing.T, b []byte) {
+	t.Helper()
+	type OrdinaryRequest ordinaryRequestFields
+	type GeneralRequest generalRequestFields
+	type OrdinaryResponse ordinaryResponseFields
+	type GeneralResponse generalResponseFields
+	same(t, b, func(v *OrdinaryRequest) error { return (*ordinaryRequestFields)(v).UnmarshalJSON(b) })
+	same(t, b, func(v *GeneralRequest) error { return (*generalRequestFields)(v).UnmarshalJSON(b) })
+	same(t, b, func(v *OrdinaryResponse) error { return (*ordinaryResponseFields)(v).UnmarshalJSON(b) })
+	same(t, b, func(v *GeneralResponse) error { return (*generalResponseFields)(v).UnmarshalJSON(b) })
+}
+
+func same[T any](t *testing.T, b []byte, onePass func(*T) error) {
+	t.Helper()
+	var got, want T
+	err := onePass(&got)
+	wantErr := json.Unmarshal(b, &want)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%T %q: error %v, json.Unmarshal error %v", got, b, err, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T %q:\n got %+v\nwant %+v", got, b, got, want)
+	}
+}
+
+// FuzzWireCodec holds the one-pass codec to encoding/json. From the seed it
+// draws random requests and responses (int64 extremes, float edges, op
+// strings needing escapes, nil and empty slices, init arrays json.Marshal
+// must compact or refuses): AppendJSON must equal json.Marshal, WriteJSON
+// must equal a json.Encoder, and decoding the bytes must equal
+// json.Unmarshal. The raw bytes are decoded as all four types too.
+func FuzzWireCodec(f *testing.F) {
+	for i, s := range []string{
+		`{"values_int":[1,-2],"cells":[3,4],"rounds":2,"combines":5,"elapsed_ms":0.25}`,
+		`{"values_float":[1.5,-0,1e-7,5e-324],"cap_rounds":3,"elapsed_ms":1e21}`,
+		`{"values_int":[],"values_float":null,"rounds":1e0}`,
+		`{"values_int":[1],"values_int":[2]}`,
+		`{"Values_Int":[1],"elapsed_ms":1}`,
+		`{"powers":[[{"Cell":1,"Exp":"2"}]],"cap_rounds":1,"elapsed_ms":0}`,
+		`{"system":{"m":3,"n":2,"g":[1,2],"f":[0,1]},"op":"int64-add","init":[1,2,3],"opts":{}}`,
+		`{"system":{"m":3,"g":[1,2],"f":[0,0],"h":[1,1]},"op":"mul-mod","mod":7,"init":[1,2,3],"with_powers":true,"opts":{"procs":2}}`,
+		`{"system":{"m":3,"g":[1,2],"f":[0,0]},"op":"a\u003cb","init":[1.5, 2e3 ,-0.0],"opts":{"timeout_ms":5}} `,
+		`{"system":{"m":3,"g":[1,2],"f":[0,0]},"op":"é","init":null}`,
+		`{"system":{"m":1.5},"op":"x","init":[]}`,
+		`{"system":{"m":3},"op":"x","init":[1,"2"]}`,
+		`{"elapsed_ms":1e400}`, `{"rounds":9223372036854775808}`, `{"op":"\xff"}`, `{"init":[1]}x`,
+		`null`, `[]`, ``, ` {} `, `{"with_powers":null}`,
+	} {
+		f.Add(uint64(i), []byte(s))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
+		checkDecode(t, raw)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		values := []jsonAppender{
+			OrdinaryRequest{System: randSystem(rng), Op: randOp(rng, raw), Mod: randMod(rng), Init: randInit(rng), Opts: randOptions(rng)},
+			GeneralRequest{System: randSystem(rng), Op: randOp(rng, raw), Mod: randMod(rng), Init: randInit(rng),
+				WithPowers: rng.Intn(2) == 0, Opts: randOptions(rng)},
+			OrdinaryResponse{ValuesInt: randInt64s(rng), ValuesFloat: randFloats(rng), Cells: randInts(rng),
+				Rounds: int(pickInt(rng)), Combines: pickInt(rng), ElapsedMs: pickFloat(rng)},
+			GeneralResponse{ValuesInt: randInt64s(rng), ValuesFloat: randFloats(rng), Cells: randInts(rng),
+				CAPRounds: int(pickInt(rng)), ElapsedMs: pickFloat(rng)},
+		}
+		if rng.Intn(4) == 0 {
+			values = append(values, GeneralResponse{ValuesInt: randInt64s(rng), CAPRounds: 1,
+				Powers: [][]ir.PowerTerm{{{Cell: int(pickInt(rng)), Exp: randOp(rng, raw)}}}})
+		}
+		for _, v := range values {
+			checkEncode(t, v)
+			if b, err := json.Marshal(v); err == nil {
+				checkDecode(t, b)
+			}
+		}
+	})
+}
+
+// fillWire sets every field of the wire struct v, nested structs included,
+// to a non-zero value the one-pass codec can carry, except the fields whose
+// json key is in skip. A field of a kind it cannot fill fails the test, so a
+// new field type is noticed too.
+func fillWire(t *testing.T, v reflect.Value, skip map[string]bool) {
+	t.Helper()
+	for i := range v.NumField() {
+		f, sf := v.Field(i), v.Type().Field(i)
+		key, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		if skip[key] {
+			continue
+		}
+		switch {
+		case f.Type() == reflect.TypeOf(json.RawMessage(nil)):
+			f.SetBytes([]byte("[1,-2,3]"))
+		case f.Kind() == reflect.Struct:
+			fillWire(t, f, skip)
+		case f.CanInt():
+			f.SetInt(int64(3 + i))
+		case f.CanFloat():
+			f.SetFloat(0.5 + float64(i))
+		case f.Kind() == reflect.String:
+			f.SetString("mul-mod")
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.Kind() == reflect.Slice && (f.Type().Elem().Kind() == reflect.Int ||
+			f.Type().Elem().Kind() == reflect.Int64 || f.Type().Elem().Kind() == reflect.Float64):
+			s := reflect.MakeSlice(f.Type(), 2, 2)
+			for k := range 2 {
+				if e := s.Index(k); e.CanInt() {
+					e.SetInt(int64(k - i))
+				} else {
+					e.SetFloat(float64(k) - 0.25)
+				}
+			}
+			f.Set(s)
+		default:
+			t.Fatalf("%s.%s: no non-zero value for a %s", v.Type(), sf.Name, f.Type())
+		}
+	}
+}
+
+// TestCodecKnowsEveryField keeps the codec's three lists of wire keys (the
+// struct tags, the walk's key switches, the appenders) in step: with every
+// field of each wire type set, AppendJSON must still equal json.Marshal and
+// the bytes must decode through the walk, not the fallback, to what
+// json.Unmarshal gives. A field added to a type but not to the codec fails
+// here. Power traces are left out: encoding/json writes and reads them.
+func TestCodecKnowsEveryField(t *testing.T) {
+	for _, v := range []jsonAppender{&OrdinaryRequest{}, &GeneralRequest{}, &OrdinaryResponse{}, &GeneralResponse{}} {
+		fillWire(t, reflect.ValueOf(v).Elem(), map[string]bool{"powers": true})
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := v.AppendJSON(nil)
+		if err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("%T AppendJSON (err %v):\n got %s\nwant %s", v, err, got, b)
+		}
+		checkDecode(t, b)
+		before := fallbacks.Load()
+		own := reflect.New(reflect.TypeOf(v).Elem()).Interface().(json.Unmarshaler)
+		if err := own.UnmarshalJSON(b); err != nil || fallbacks.Load() != before {
+			t.Fatalf("%T %s: err %v, decode fell back to encoding/json: %v", v, b, err, fallbacks.Load() != before)
+		}
+	}
+}
+
+// TestUnmarshalJSONCopiesInit: json.Unmarshaler implementations must not
+// keep the bytes they are given (a json.Decoder reuses its buffer), so a
+// walked Init is a copy. DecodeSolveBody alone reads it in place.
+func TestUnmarshalJSONCopiesInit(t *testing.T) {
+	const body = `{"system":{"m":3,"n":2,"g":[1,2],"f":[0,1]},"op":"int64-add","init":[1,2,3],"opts":{}}`
+	before := fallbacks.Load()
+	b := []byte(body)
+	var o OrdinaryRequest
+	var g GeneralRequest
+	if err := o.UnmarshalJSON(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &g); err != nil {
+		t.Fatal(err)
+	}
+	if fallbacks.Load() != before {
+		t.Fatal("the canonical body fell back to encoding/json")
+	}
+	clear(b)
+	if string(o.Init) != "[1,2,3]" || string(g.Init) != "[1,2,3]" {
+		t.Fatalf("Init changed with the input: %q, %q", o.Init, g.Init)
+	}
+}

@@ -51,16 +51,19 @@ type SolveRequest struct {
 }
 
 // DecodeSolveBody unmarshals an OrdinaryRequest or GeneralRequest body,
-// by family, and decodes it with DecodeSolve.
+// by family, and decodes it with DecodeSolve. It calls the types' one-pass
+// walk directly, not json.Unmarshal, so encoding/json's validation pass over
+// the whole body is skipped (the walk checks the grammar itself). Init is
+// read in place, without a copy: body does not change during the call.
 func DecodeSolveBody(family ir.Family, body []byte, lim Limits) (*SolveRequest, error) {
 	var req GeneralRequest
 	var err error
 	if family == ir.FamilyOrdinary {
 		var o OrdinaryRequest
-		err = json.Unmarshal(body, &o)
+		err = o.unmarshal(body, false)
 		req = GeneralRequest{System: o.System, Op: o.Op, Mod: o.Mod, Init: o.Init, Opts: o.Opts}
 	} else {
-		err = json.Unmarshal(body, &req)
+		err = req.unmarshal(body, false)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("bad request body: %v", err)
@@ -210,21 +213,15 @@ func DecodeMoebius(endpoint string, body []byte, maxN int) (*moebius.MoebiusSyst
 	var ms *moebius.MoebiusSystem
 	var x0 []float64
 	var opts ir.OptionsWire
+	var extended bool
 	switch endpoint {
 	case "linear":
 		var req LinearRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, nil, opts, fmt.Errorf("bad request body: %v", err)
 		}
-		if req.Extended {
-			if len(req.X0) != req.M {
-				return nil, nil, opts, fmt.Errorf("extended form: len(x0) = %d, want m = %d", len(req.X0), req.M)
-			}
-			ms = moebius.NewExtended(req.M, req.G, req.F, req.A, req.B, req.X0)
-		} else {
-			ms = moebius.NewLinear(req.M, req.G, req.F, req.A, req.B)
-		}
-		x0, opts = req.X0, req.Opts
+		ms = moebius.NewLinear(req.M, req.G, req.F, req.A, req.B)
+		x0, opts, extended = req.X0, req.Opts, req.Extended
 	case "moebius":
 		var req MoebiusRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -241,9 +238,6 @@ func DecodeMoebius(endpoint string, body []byte, maxN int) (*moebius.MoebiusSyst
 	if err := ms.Validate(); err != nil {
 		return nil, nil, opts, err
 	}
-	if err := ms.CheckFinite(); err != nil {
-		return nil, nil, opts, err
-	}
 	if len(x0) != ms.M {
 		return nil, nil, opts, fmt.Errorf("len(x0) = %d, want m = %d", len(x0), ms.M)
 	}
@@ -251,6 +245,15 @@ func DecodeMoebius(endpoint string, body []byte, maxN int) (*moebius.MoebiusSyst
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, nil, opts, fmt.Errorf("x0[%d] = %v is not finite", i, v)
 		}
+	}
+	if extended {
+		// The rewrite reads b[i] and x0[g[i]] for every iteration, so it
+		// runs only on a valid plain form; its b[i]+x0[g[i]] can overflow
+		// to ±Inf, which CheckFinite refuses.
+		ms = moebius.NewExtended(ms.M, ms.G, ms.F, ms.A, ms.B, x0)
+	}
+	if err := ms.CheckFinite(); err != nil {
+		return nil, nil, opts, err
 	}
 	return ms, x0, opts, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"indexedrec/internal/moebius"
+	"indexedrec/internal/ordinary"
 	"indexedrec/internal/session"
 	"indexedrec/ir"
 )
@@ -386,7 +386,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 		s.writeError(w, endpoint, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	body, werr := s.readBody(w, r)
+	body, werr := ReadBody(w, r, s.cfg.MaxRequestBytes)
 	if werr != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, werr.Error())
 		return
@@ -465,6 +465,10 @@ func (s *Server) execSolve(family ir.Family) execFunc {
 			if err != nil {
 				return nil, err
 			}
+			// The plan holds all the replay needs of the structure, so
+			// g and f (2 MiB at 131,072 cells) need not stay live through
+			// the solve and the response encode.
+			req.Sys = nil
 			sol, err := p.SolveCtx(ctx, req.Data)
 			if err != nil {
 				return nil, err
@@ -602,20 +606,6 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 	}
 }
 
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	rd := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	defer rd.Close()
-	body, err := io.ReadAll(rd)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxRequestBytes)
-		}
-		return nil, fmt.Errorf("reading request body: %v", err)
-	}
-	return body, nil
-}
-
 // refuse answers an admission failure: 429 + Retry-After for a full queue
 // or a spent tenant quota, 503 for draining.
 func (s *Server) refuse(w http.ResponseWriter, endpoint string, err error) {
@@ -680,7 +670,9 @@ func StatusForValidation(err error) int {
 
 // StatusForSolve maps solver errors to HTTP statuses. irserved and the
 // coordinator front-end share it, so the two daemons answer every error
-// type alike.
+// type alike. Defects of the request that only the compile or the replay
+// finds (a repeated g in the ordinary family, a Möbius shard's x0 of the
+// wrong length) are client errors too.
 func StatusForSolve(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -688,7 +680,8 @@ func StatusForSolve(err error) int {
 	case errors.Is(err, context.Canceled), errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ir.ErrInvalidSystem), errors.Is(err, moebius.ErrBadSystem),
-		errors.Is(err, ir.ErrShard):
+		errors.Is(err, ir.ErrShard), errors.Is(err, ordinary.ErrGNotDistinct),
+		errors.Is(err, moebius.ErrInitLen):
 		return http.StatusBadRequest
 	case errors.Is(err, ir.ErrNonFinite), errors.Is(err, ir.ErrGrid2DNonFinite),
 		errors.Is(err, ir.ErrExponentLimit), errors.Is(err, ir.ErrInvalidSparse):
@@ -699,9 +692,7 @@ func StatusForSolve(err error) int {
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	WriteJSON(w, code, v)
 	s.metrics.requests.Inc(endpoint, strconv.Itoa(code))
 }
 

@@ -241,7 +241,7 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, endpoint, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	body, werr := s.readBody(w, r)
+	body, werr := ReadBody(w, r, s.cfg.MaxRequestBytes)
 	if werr != nil {
 		code := http.StatusBadRequest
 		if strings.Contains(werr.Error(), "exceeds") {

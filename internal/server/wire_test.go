@@ -221,12 +221,13 @@ func ordinaryBody131k(tb testing.TB) []byte {
 }
 
 // Decode budget for the 131,072-cell body: a constant allocation count
-// (each integer array is sized once, from its comma count) and at most half
-// the bytes of the reflection decode it replaced (131,179 allocations,
-// 24.7 MB per decode).
+// (each integer array is sized once, from its comma count) and the bytes of
+// its three 1 MiB arrays (g, f and init) plus a tenth, so a copy of init
+// (0.9 MB, as a json.RawMessage once held it) breaks the budget. The
+// reflection decode took 131,179 allocations and 24.7 MB per decode.
 const (
 	decodeAllocBudget = 64
-	decodeBytesBudget = 12_350_000
+	decodeBytesBudget = 3_460_000
 )
 
 // TestDecodeSolveBodyAllocBudget gates the JSON wire's decode cost on the
@@ -266,6 +267,42 @@ func BenchmarkDecodeSolveBody(b *testing.B) {
 	for b.Loop() {
 		if _, err := DecodeSolveBody(ir.FamilyOrdinary, body, lim); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveWireRoundTrip runs the four JSON steps of one
+// served-ordinary-131k solve, as the typed client and irserved take them:
+// client encode, server decode, response encode, client decode. The solve
+// itself is left out; the response carries the init values.
+func BenchmarkSolveWireRoundTrip(b *testing.B) {
+	body := ordinaryBody131k(b)
+	var req OrdinaryRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		b.Fatal(err)
+	}
+	lim := Limits{MaxN: 4 << 20, MaxExponentBits: 64}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		payload, err := AppendBody(nil, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sr, err := DecodeSolveBody(ir.FamilyOrdinary, payload, lim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := AppendBody(nil, OrdinaryResponse{ValuesInt: sr.Data.InitInt, Rounds: 1, Combines: int64(sr.Sys.N), ElapsedMs: 1.25})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var resp OrdinaryResponse
+		if err := UnmarshalBody(out, &resp); err != nil {
+			b.Fatal(err)
+		}
+		if len(resp.ValuesInt) != sr.Sys.M {
+			b.Fatalf("%d values, want %d", len(resp.ValuesInt), sr.Sys.M)
 		}
 	}
 }

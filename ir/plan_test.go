@@ -472,9 +472,10 @@ func TestGoldenFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All counts are 1 and the 2,048 operand cells are never written, so
-	// the plan holds 4·2113 offsets and the 2,112 written-cell sinks at 4 B.
-	if key, want, size, rounds := planKey(sg, scatter, 4096), "general:ee76e513de4cc9b62bb08458eb43a34f", int64(16900), 5; key != want ||
+	// All counts are 1 and the 2,048 operand cells after the 64 buckets are
+	// never written, so the plan holds 4·65 offsets over the buckets and the
+	// 2,112 written-cell sinks at 4 B.
+	if key, want, size, rounds := planKey(sg, scatter, 4096), "general:ee76e513de4cc9b62bb08458eb43a34f", int64(8708), 5; key != want ||
 		sg.SizeBytes() != size || ssol.CAPRounds != rounds {
 		t.Errorf("long general: got (%q, size %d, CAP rounds %d), want (%q, %d, %d)",
 			key, sg.SizeBytes(), ssol.CAPRounds, want, size, rounds)

@@ -1,11 +1,10 @@
 package ir
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"reflect"
 	"strconv"
+
+	"indexedrec/internal/jsonwire"
 )
 
 // Wire types: the JSON shapes a System and SolveOptions take on the network.
@@ -30,7 +29,7 @@ type Int64s []int64
 
 // UnmarshalJSON decodes a JSON array of integers (see Ints).
 func (s *Ints) UnmarshalJSON(b []byte) error {
-	v, err := scanInts[int](b, strconv.IntSize)
+	v, err := jsonwire.Ints[int](b, strconv.IntSize)
 	if err == nil {
 		*s = v
 	}
@@ -39,7 +38,7 @@ func (s *Ints) UnmarshalJSON(b []byte) error {
 
 // UnmarshalJSON decodes a JSON array of integers (see Ints).
 func (s *Int64s) UnmarshalJSON(b []byte) error {
-	v, err := scanInts[int64](b, 64)
+	v, err := jsonwire.Ints[int64](b, 64)
 	if err == nil {
 		*s = v
 	}
@@ -150,181 +149,4 @@ func (w OptionsWire) Options() (SolveOptions, error) {
 		return SolveOptions{}, fmt.Errorf("%w: timeout_ms = %d, want >= 0", ErrInvalidSystem, w.TimeoutMs)
 	}
 	return SolveOptions{Procs: w.Procs, MaxExponentBits: w.MaxExponentBits}, nil
-}
-
-// scanInts parses b, one JSON value with optional surrounding whitespace,
-// as null (nil) or an array of integer literals that fit in bits. It checks
-// the whole JSON grammar itself, since direct callers hand it unvalidated
-// bytes. An element that is not an integer in range (a fraction, an
-// exponent, an overflow, or any non-number value) is a type error, as
-// strconv.ParseInt would make it. The result's capacity comes from the comma
-// count, which bounds the element count of any valid array, so a large
-// allocation needs an equally large body.
-func scanInts[T int | int64](b []byte, bits int) ([]T, error) {
-	i := skipSpace(b, 0)
-	if bytes.HasPrefix(b[i:], []byte("null")) {
-		if j := skipSpace(b, i+4); j < len(b) {
-			return nil, syntaxError(b, j)
-		}
-		return nil, nil
-	}
-	if i == len(b) || b[i] != '[' {
-		return nil, valueError[[]T](b, i, "number")
-	}
-	out := make([]T, 0, bytes.Count(b, []byte(","))+1)
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == ']' {
-		i++
-	} else {
-		for {
-			start := i
-			var v int64
-			var ok bool
-			if v, i, ok = parseInt(b, start, bits); !ok {
-				if i = numberEnd(b, start); i < 0 {
-					return nil, valueError[T](b, start, "")
-				}
-				return nil, valueError[T](b, start, "number "+string(b[start:i]))
-			}
-			out = append(out, T(v))
-			i = skipSpace(b, i)
-			if i < len(b) && b[i] == ',' {
-				i = skipSpace(b, i+1)
-				continue
-			}
-			if i < len(b) && b[i] == ']' {
-				i++
-				break
-			}
-			return nil, syntaxError(b, i)
-		}
-	}
-	if i = skipSpace(b, i); i < len(b) {
-		return nil, syntaxError(b, i)
-	}
-	return out, nil
-}
-
-// skipSpace returns the index of the first non-whitespace byte at or after i.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// numberEnd returns the index just past the JSON number that starts at
-// b[i] (optional minus, integer part, optional fraction and exponent), or
-// -1 when b[i:] does not start with a well-formed number.
-func numberEnd(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		if j := skipDigits(b, i+1); j > i+1 {
-			i = j
-		} else {
-			return -1
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if j := skipDigits(b, i); j > i {
-			i = j
-		} else {
-			return -1
-		}
-	}
-	return i
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// parseInt reads the integer literal at b[i:] (optional minus, then 0 or a
-// digit string without a leading zero) and returns its value and end. ok is
-// false when no digits follow, when a fraction or exponent follows, or when
-// the value does not fit in bits: strconv.ParseInt's failures, which the
-// caller then tells apart from grammar errors with numberEnd.
-func parseInt(b []byte, i, bits int) (int64, int, bool) {
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	d := i
-	var u uint64
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else {
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			u = u*10 + uint64(b[i]-'0')
-		}
-	}
-	// Up to 19 digits cannot wrap a uint64, so u is exact when checked.
-	if i == d || i-d > 19 || i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
-		return 0, i, false
-	}
-	limit := uint64(1)<<(bits-1) - 1
-	if neg {
-		limit++
-	}
-	if u > limit {
-		return 0, i, false
-	}
-	if neg {
-		return -int64(u), i, true
-	}
-	return int64(u), i, true
-}
-
-// valueError reports the value at b[i] as not decodable into T, in
-// encoding/json's own *UnmarshalTypeError form, so json.Unmarshal adds the
-// struct field path. A value is named by its first byte; number describes
-// one that starts like a number, and "" (or a byte that starts no JSON
-// value) makes it a syntax error.
-func valueError[T any](b []byte, i int, number string) error {
-	var what string
-	if i < len(b) {
-		switch c := b[i]; {
-		case c == 'n':
-			what = "null"
-		case c == 't' || c == 'f':
-			what = "bool"
-		case c == '"':
-			what = "string"
-		case c == '[':
-			what = "array"
-		case c == '{':
-			what = "object"
-		case c == '-' || '0' <= c && c <= '9':
-			what = number
-		}
-	}
-	if what == "" {
-		return syntaxError(b, i)
-	}
-	return &json.UnmarshalTypeError{Value: what, Type: reflect.TypeFor[T](), Offset: int64(i)}
-}
-
-// syntaxError reports a JSON grammar error at b[i].
-func syntaxError(b []byte, i int) error {
-	if i >= len(b) {
-		return fmt.Errorf("invalid JSON integer array: unexpected end of input")
-	}
-	return fmt.Errorf("invalid JSON integer array: invalid character %q at offset %d", b[i], i)
 }
