@@ -10,6 +10,11 @@
 //	irbench -exp all -quick -json     # one JSON object per experiment
 //	irbench -cluster localhost:8070   # local vs distributed throughput
 //	irbench -session -json            # E19 streaming-session amortization
+//	irbench -exp hotpath -gate BENCH_hotpath.json   # fail on a >10% regression
+//
+// -gate arms the perf gate of hotpath, blockedscan, grid2d and sparse: the
+// run fails when a measured row is more than 10% slower than the same row
+// of the given irbench -json artifact (CI passes the checked-in BENCH_*.json).
 package main
 
 import (
@@ -60,6 +65,7 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit one JSON object per experiment instead of text")
 		cluster = flag.String("cluster", "", "benchmark an ircluster coordinator at host:port against local solves")
 		session = flag.Bool("session", false, "run the streaming-session benchmark (shorthand for -exp session)")
+		gate    = flag.String("gate", "", "fail hotpath, blockedscan, grid2d or sparse on a >10% regression against this irbench -json baseline")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -144,7 +150,7 @@ func main() {
 		}
 	}
 
-	opt := experiments.Options{N: *n, Seed: *seed, Quick: *quick}
+	opt := experiments.Options{N: *n, Seed: *seed, Quick: *quick, Baseline: *gate}
 	if *procs != "" {
 		for _, tok := range strings.Split(*procs, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(tok))

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
-	"strings"
+	"strconv"
 	"testing"
 
 	"indexedrec/internal/ordinary"
@@ -23,22 +21,9 @@ func init() {
 		"benchmarks the blocked-scan schedule against pointer jumping on chains", runBlockedScan)
 }
 
-// ScanBaselineEnv names the environment variable pointing at a checked-in
-// BENCH_scan.json; when set, runBlockedScan fails if any size's warm blocked
-// replay regressed more than baselineSlack versus that baseline (the CI perf
-// gate for the blocked hot path).
-const ScanBaselineEnv = "IRBENCH_SCAN_BASELINE"
-
 // scanProcs is the simulated processor count, fixed (like hotpathProcs) so
 // the artifact is comparable across machines.
 const scanProcs = 8
-
-// scanGateFloorMs exempts sizes whose baseline warm replay is below this
-// many milliseconds from the regression gate: sub-millisecond replays
-// jitter by tens of percent run to run, so gating them would only make CI
-// flaky. The large sizes — where a real regression in the blocked hot path
-// would show — are always gated.
-const scanGateFloorMs = 1.0
 
 // warmJumpCap bounds the sizes for which a pointer-jumping *plan* is
 // compiled for the warm comparison: a recorded jumping schedule stores every
@@ -53,9 +38,10 @@ const warmJumpCap = 1 << 18
 // warmJumpCap), and the warm blocked replay, and reports both schedules'
 // exact combine counts. Blocked work stays ~2n while jumping grows as
 // n·log n, so the gap widens with n; allocations per warm blocked replay
-// must be zero and the values bit-identical to jumping (IntAdd is exactly
-// associative). Machine-readable SCAN lines accompany the tables so CI and
-// the IRBENCH_SCAN_BASELINE gate can parse results. Two side tables show
+// must be zero, the values bit-identical to jumping (IntAdd is exactly
+// associative) and the blocked combine count below jumping's.
+// Machine-readable SCAN lines accompany the tables so CI and the -gate perf
+// gate (warm_blocked_ms per n) can parse results. Two side tables show
 // the P-sweep at fixed n and the schedule-selection heuristic across chain
 // shapes. With the simulated-P harness on few physical cores the headline
 // is the work ratio, not wall-clock scaling.
@@ -73,7 +59,7 @@ func runBlockedScan(w io.Writer, opt Options) error {
 		sizes = []int{opt.N}
 	}
 
-	base, err := loadScanBaseline(os.Getenv(ScanBaselineEnv))
+	g, err := opt.gate("SCAN", "n", "warm_blocked_ms")
 	if err != nil {
 		return err
 	}
@@ -168,27 +154,24 @@ func runBlockedScan(w io.Writer, opt Options) error {
 		if allocs != 0 && !parallel.RaceEnabled {
 			return fmt.Errorf("blockedscan n=%d: warm blocked replay allocates (%.0f allocs/op), want 0", n, allocs)
 		}
-		if prior, ok := base[n]; ok && prior >= scanGateFloorMs && warmMs > prior*baselineSlack {
-			// One re-measurement with more reps before failing: a scheduler
-			// hiccup during the first best-of window must not fail CI, a
-			// real code regression will reproduce here.
-			gang = parallel.NewGang(scanProcs)
-			gctx = parallel.WithGang(ctx, gang)
-			retryMs, rerr := bestOf(2*warmReps, func() error {
-				_, err := arena.SolveCtx(gctx, ir.IntAdd{}, init, sopt)
-				return err
+		// Work optimality: blocked must do strictly less combine work than
+		// jumping on every measured chain length.
+		if blockedCombines >= coldRes.Combines {
+			return fmt.Errorf("blockedscan n=%d: blocked replay did %d combines, want fewer than jumping's %d",
+				n, blockedCombines, coldRes.Combines)
+		}
+		warmMs, err = g.check(fmt.Sprintf("blockedscan n=%d: warm blocked replay", n), strconv.Itoa(n), warmMs, jitterFloorMs,
+			func() (float64, error) {
+				gang := parallel.NewGang(scanProcs)
+				defer gang.Close()
+				gctx := parallel.WithGang(ctx, gang)
+				return bestOf(2*warmReps, func() error {
+					_, err := arena.SolveCtx(gctx, ir.IntAdd{}, init, sopt)
+					return err
+				})
 			})
-			gang.Close()
-			if rerr != nil {
-				return fmt.Errorf("blockedscan n=%d: warm blocked replay: %w", n, rerr)
-			}
-			if retryMs < warmMs {
-				warmMs = retryMs
-			}
-			if warmMs > prior*baselineSlack {
-				return fmt.Errorf("blockedscan n=%d: warm blocked replay %.3f ms regressed >%.0f%% vs baseline %.3f ms",
-					n, warmMs, (baselineSlack-1)*100, prior)
-			}
+		if err != nil {
+			return err
 		}
 
 		warmJumpCell := "-"
@@ -208,6 +191,9 @@ func runBlockedScan(w io.Writer, opt Options) error {
 		machine = append(machine, fmt.Sprintf(
 			"SCAN n=%d cold_jump_ms=%.3f warm_jump_ms=%.3f warm_blocked_ms=%.3f jump_combines=%d blocked_combines=%d allocs=%.0f identical=%v",
 			n, coldMs, warmJumpMs, warmMs, coldRes.Combines, blockedCombines, allocs, identical))
+	}
+	if err := g.done(); err != nil {
+		return err
 	}
 	tb.Render(w)
 	fmt.Fprintln(w)
@@ -273,43 +259,4 @@ func runBlockedScan(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "work ratio — and with it the cold-vs-warm gap — widens with n. Warm")
 	fmt.Fprintln(w, "blocked replays allocate nothing and are bit-identical to jumping.")
 	return nil
-}
-
-// loadScanBaseline parses a BENCH_scan.json artifact (irbench -json lines)
-// into n -> warm blocked ms, reading the SCAN machine lines embedded in each
-// record's output. An empty path means no baseline (empty map).
-func loadScanBaseline(path string) (map[int]float64, error) {
-	out := map[int]float64{}
-	if path == "" {
-		return out, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("scan baseline: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		for _, line := range strings.Split(sc.Text(), `\n`) {
-			idx := strings.Index(line, "SCAN ")
-			if idx < 0 {
-				continue
-			}
-			var n int
-			var coldJump, warmJump, warmBlocked, allocs float64
-			var jumpC, blockedC int64
-			var identical bool
-			if _, err := fmt.Sscanf(line[idx:],
-				"SCAN n=%d cold_jump_ms=%f warm_jump_ms=%f warm_blocked_ms=%f jump_combines=%d blocked_combines=%d allocs=%f identical=%t",
-				&n, &coldJump, &warmJump, &warmBlocked, &jumpC, &blockedC, &allocs, &identical); err != nil {
-				continue
-			}
-			out[n] = warmBlocked
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("scan baseline: %w", err)
-	}
-	return out, nil
 }

@@ -26,6 +26,10 @@ type Options struct {
 	Seed int64
 	// Quick shrinks sizes for fast CI runs.
 	Quick bool
+	// Baseline, when set, names a checked-in irbench -json artifact the
+	// gated experiments (hotpath, blockedscan, grid2d, sparse) fail
+	// against on a >10% regression (irbench -gate; see baseline.go).
+	Baseline string
 }
 
 func (o Options) n(def int) int {

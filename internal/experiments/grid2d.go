@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
-	"strings"
+	"strconv"
 	"testing"
 
 	"indexedrec/internal/grid2d"
@@ -23,21 +21,10 @@ func init() {
 		"times anti-diagonal wavefront solves cold and warm across grid sizes", runGrid2D)
 }
 
-// GridBaselineEnv names the environment variable pointing at a checked-in
-// BENCH_grid2d.json; when set, runGrid2D fails if any size's warm replay
-// regressed more than baselineSlack versus that baseline (the CI perf gate
-// for the wavefront hot path).
-const GridBaselineEnv = "IRBENCH_GRID_BASELINE"
-
 // gridProcs is the worker count per tile round: 8, clamped to the host's
 // CPUs so a small host does not time oversubscribed gangs. The output
 // records the host's NumCPU beside it.
 var gridProcs = min(8, runtime.NumCPU())
-
-// gridGateFloorMs exempts sizes whose baseline warm replay is below this
-// many milliseconds from the regression gate — sub-millisecond replays
-// jitter too much run to run to gate without flakes.
-const gridGateFloorMs = 1.0
 
 // gridAlphabet keeps the random strings on a small alphabet so substitution
 // costs mix matches and mismatches rather than degenerating to all-1s.
@@ -75,7 +62,7 @@ func internalGrid(s *ir.Grid2DSystem) (*grid2d.System, error) {
 // bit-identical to cold and to the oracle, zero allocations per warm
 // replay, and rounds = 2⌈n/B⌉-1 (one gang round per anti-diagonal of B×B
 // tiles). Machine-readable GRID lines accompany the table so CI and the
-// IRBENCH_GRID_BASELINE gate can parse results. A side table sweeps the
+// -gate perf gate (warm_ms per n) can parse results. A side table sweeps the
 // three semiring kernels at one size against the oracle.
 func runGrid2D(w io.Writer, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.seed()))
@@ -91,7 +78,7 @@ func runGrid2D(w io.Writer, opt Options) error {
 		sizes = []int{opt.N}
 	}
 
-	base, err := loadGridBaseline(os.Getenv(GridBaselineEnv))
+	g, err := opt.gate("GRID", "n", "warm_ms")
 	if err != nil {
 		return err
 	}
@@ -190,27 +177,18 @@ func runGrid2D(w io.Writer, opt Options) error {
 		if allocs != 0 && !parallel.RaceEnabled {
 			return fmt.Errorf("grid2d n=%d: warm replay allocates (%.0f allocs/op), want 0", n, allocs)
 		}
-		if prior, ok := base[n]; ok && prior >= gridGateFloorMs && warmMs > prior*baselineSlack {
-			// One re-measurement with more reps before failing: a scheduler
-			// hiccup during the first best-of window must not fail CI, a
-			// real regression will reproduce here.
-			gang = parallel.NewGang(gridProcs)
-			gctx = parallel.WithGang(ctx, gang)
-			retryMs, rerr := bestOf(2*warmReps, func() error {
-				_, err := arena.SolveCtx(gctx, gsys, gridProcs)
-				return err
+		warmMs, err = g.check(fmt.Sprintf("grid2d n=%d: warm replay", n), strconv.Itoa(n), warmMs, jitterFloorMs,
+			func() (float64, error) {
+				gang := parallel.NewGang(gridProcs)
+				defer gang.Close()
+				gctx := parallel.WithGang(ctx, gang)
+				return bestOf(2*warmReps, func() error {
+					_, err := arena.SolveCtx(gctx, gsys, gridProcs)
+					return err
+				})
 			})
-			gang.Close()
-			if rerr != nil {
-				return fmt.Errorf("grid2d n=%d: warm replay: %w", n, rerr)
-			}
-			if retryMs < warmMs {
-				warmMs = retryMs
-			}
-			if warmMs > prior*baselineSlack {
-				return fmt.Errorf("grid2d n=%d: warm replay %.3f ms regressed >%.0f%% vs baseline %.3f ms",
-					n, warmMs, (baselineSlack-1)*100, prior)
-			}
+		if err != nil {
+			return err
 		}
 
 		tb.AddRow(fmt.Sprintf("%dx%d", n, n), coldRes.Cells,
@@ -226,6 +204,9 @@ func runGrid2D(w io.Writer, opt Options) error {
 			"GRID n=%d cold_ms=%.3f warm_ms=%.3f rounds=%d allocs=%.0f identical=%v tile=%d loop_ms=%.3f oracle_ms=%.3f warm_vs_loop=%.2f loop_vs_oracle=%.2f procs=%d num_cpu=%d",
 			n, coldMs, warmMs, warmRes.Rounds, allocs, identical, b, loopMs, oracleMs,
 			loopMs/warmMs, oracleMs/loopMs, gridProcs, runtime.NumCPU()))
+	}
+	if err := g.done(); err != nil {
+		return err
 	}
 	tb.Render(w)
 	fmt.Fprintln(w)
@@ -286,42 +267,4 @@ func runGrid2D(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "in 2*ceil(n/B)-1 rounds from a warm arena with zero allocations, bit-identical")
 	fmt.Fprintln(w, "to the cold solve, the one-tile loop and the sequential row-major oracle.")
 	return nil
-}
-
-// loadGridBaseline parses a BENCH_grid2d.json artifact (irbench -json
-// lines) into n -> warm ms, reading the GRID machine lines embedded in
-// each record's output. An empty path means no baseline (empty map).
-func loadGridBaseline(path string) (map[int]float64, error) {
-	out := map[int]float64{}
-	if path == "" {
-		return out, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("grid baseline: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		for _, line := range strings.Split(sc.Text(), `\n`) {
-			idx := strings.Index(line, "GRID ")
-			if idx < 0 {
-				continue
-			}
-			var n, rounds int
-			var coldMs, warmMs, allocs float64
-			var identical bool
-			if _, err := fmt.Sscanf(line[idx:],
-				"GRID n=%d cold_ms=%f warm_ms=%f rounds=%d allocs=%f identical=%t",
-				&n, &coldMs, &warmMs, &rounds, &allocs, &identical); err != nil {
-				continue
-			}
-			out[n] = warmMs
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("grid baseline: %w", err)
-	}
-	return out, nil
 }

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
-	"strings"
 	"testing"
 
 	"indexedrec/internal/moebius"
@@ -24,15 +21,6 @@ func init() {
 		"times warm arena replays against cold solves and counts allocations", runHotpath)
 }
 
-// BaselineEnv names the environment variable pointing at a checked-in
-// BENCH_hotpath.json; when set, runHotpath fails if any family's warm replay
-// regressed more than baselineSlack versus that baseline (the CI perf gate).
-const BaselineEnv = "IRBENCH_HOTPATH_BASELINE"
-
-// baselineSlack is the tolerated warm-replay slowdown versus the checked-in
-// baseline before the experiment fails (1.10 = 10% regression budget).
-const baselineSlack = 1.10
-
 // hotpathProcs is the simulated processor count of the warm replays. Fixed
 // rather than NumCPU-derived so the artifact is comparable across machines
 // (the repo's experiments simulate p processors with p goroutines).
@@ -44,8 +32,9 @@ const hotpathProcs = 8
 // each family it reports the cold direct solve, the warm arena replay, the
 // allocations per warm replay (which must be zero), and whether the warm
 // values are bit-identical to the cold solve's. Machine-readable HOTPATH
-// lines accompany the table so CI (and the IRBENCH_HOTPATH_BASELINE gate)
-// can parse results without scraping the table.
+// lines accompany the table so CI (and the -gate perf gate, which checks
+// every family's warm_ms with no floor and no re-measure) can parse results
+// without scraping the table.
 func runHotpath(w io.Writer, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.seed()))
 	coldReps, warmReps := 3, 10
@@ -54,7 +43,7 @@ func runHotpath(w io.Writer, opt Options) error {
 	}
 	nOrd := opt.n(1 << 17)
 
-	base, err := loadHotpathBaseline(os.Getenv(BaselineEnv))
+	g, err := opt.gate("HOTPATH", "family", "warm_ms")
 	if err != nil {
 		return err
 	}
@@ -247,9 +236,8 @@ func runHotpath(w io.Writer, opt Options) error {
 		if allocs != 0 {
 			return fmt.Errorf("hotpath %s: warm replay allocates (%.0f allocs/op), want 0", r.family, allocs)
 		}
-		if prior, ok := base[r.family]; ok && warmMs > prior*baselineSlack {
-			return fmt.Errorf("hotpath %s: warm replay %.3f ms regressed >%.0f%% vs baseline %.3f ms",
-				r.family, warmMs, (baselineSlack-1)*100, prior)
+		if _, err := g.check(fmt.Sprintf("hotpath %s: warm replay", r.family), r.family, warmMs, 0, nil); err != nil {
+			return err
 		}
 
 		tb.AddRow(r.family, r.n,
@@ -262,6 +250,9 @@ func runHotpath(w io.Writer, opt Options) error {
 			"HOTPATH family=%s n=%d cold_ms=%.3f warm_ms=%.3f speedup=%.2f allocs=%.0f identical=%v",
 			r.family, r.n, coldMs, warmMs, coldMs/warmMs, allocs, identical))
 	}
+	if err := g.done(); err != nil {
+		return err
+	}
 
 	tb.Render(w)
 	fmt.Fprintln(w)
@@ -272,43 +263,4 @@ func runHotpath(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "with monomorphized combine kernels: zero allocations per replay, and")
 	fmt.Fprintln(w, "the identical column certifies bit-equal results against direct solves.")
 	return nil
-}
-
-// loadHotpathBaseline parses a BENCH_hotpath.json artifact (irbench -json
-// lines) into family -> warm ms, reading the HOTPATH machine lines embedded
-// in each record's output. An empty path means no baseline (empty map).
-func loadHotpathBaseline(path string) (map[string]float64, error) {
-	out := map[string]float64{}
-	if path == "" {
-		return out, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("hotpath baseline: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		for _, line := range strings.Split(sc.Text(), `\n`) {
-			idx := strings.Index(line, "HOTPATH ")
-			if idx < 0 {
-				continue
-			}
-			var family string
-			var n int
-			var cold, warm, speedup, allocs float64
-			var identical bool
-			if _, err := fmt.Sscanf(line[idx:],
-				"HOTPATH family=%s n=%d cold_ms=%f warm_ms=%f speedup=%f allocs=%f identical=%t",
-				&family, &n, &cold, &warm, &speedup, &allocs, &identical); err != nil {
-				continue
-			}
-			out[family] = warm
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("hotpath baseline: %w", err)
-	}
-	return out, nil
 }

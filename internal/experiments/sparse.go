@@ -1,15 +1,13 @@
 package experiments
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
-	"strings"
+	"strconv"
 
 	"indexedrec/internal/report"
 	"indexedrec/internal/workload"
@@ -21,21 +19,9 @@ func init() {
 		"benchmarks the sparse encoding against dense expansion as the untouched fraction grows", runSparse)
 }
 
-// SparseBaselineEnv names the environment variable pointing at a checked-in
-// BENCH_sparse.json; when set, runSparse fails if any ratio's cold sparse
-// solve regressed more than baselineSlack versus that baseline (the CI perf
-// gate for the sparse hot path).
-const SparseBaselineEnv = "IRBENCH_SPARSE_BASELINE"
-
 // sparseProcs is the simulated processor count, fixed like scanProcs so the
 // artifact is comparable across machines.
 const sparseProcs = 8
-
-// sparseGateFloorMs exempts ratios whose baseline cold sparse solve is under
-// this many milliseconds from the regression gate (sub-millisecond runs
-// jitter too much to gate; the larger ratios are where a regression in the
-// compact path would show anyway).
-const sparseGateFloorMs = 1.0
 
 // densePayloadCap bounds the global sizes for which the dense request body
 // is actually marshalled for the payload comparison: a 10M-cell init array
@@ -50,10 +36,11 @@ const densePayloadCap = 2_000_000
 // and measures wall clock, bytes allocated per cold solve, compiled plan
 // sizes, and the JSON payload a /v1/solve request would carry in each
 // encoding. Values must be bit-identical between the dense and compact
-// routes (the compact relabeling is order-preserving; DESIGN §16). SPARSE
-// machine lines accompany the table so CI and the IRBENCH_SPARSE_BASELINE
-// gate can parse results. The headline: every dense column grows with m
-// while every sparse column stays flat at n.
+// routes (the compact relabeling is order-preserving; DESIGN §16), and in
+// full-size runs the compact route must be >= 5x faster and allocate >= 10x
+// less at m/n >= 100. SPARSE machine lines accompany the table so CI and the
+// -gate perf gate (sparse_cold_ms per m/n) can parse results. The headline:
+// every dense column grows with m while every sparse column stays flat at n.
 func runSparse(w io.Writer, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.seed()))
 	coldReps, warmReps := 3, 8
@@ -69,7 +56,7 @@ func runSparse(w io.Writer, opt Options) error {
 	}
 	const bands = 8
 
-	base, err := loadSparseBaseline(os.Getenv(SparseBaselineEnv))
+	g, err := opt.gate("SPARSE", "mn", "sparse_cold_ms")
 	if err != nil {
 		return err
 	}
@@ -113,7 +100,7 @@ func runSparse(w io.Writer, opt Options) error {
 		// Sparse route, cold: compile the compact plan and solve, both O(n).
 		var sparseVals []int64
 		var plan *ir.Plan
-		sparseBytes, sparseMs, err := allocMeasured(coldReps, func() error {
+		coldSparse := func() error {
 			p, err := ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{Family: ir.FamilyOrdinary})
 			if err != nil {
 				return err
@@ -125,7 +112,8 @@ func runSparse(w io.Writer, opt Options) error {
 			}
 			sparseVals = res.Values
 			return nil
-		})
+		}
+		sparseBytes, sparseMs, err := allocMeasured(coldReps, coldSparse)
 		if err != nil {
 			return fmt.Errorf("sparse m/n=%d: cold sparse solve: %w", ratio, err)
 		}
@@ -151,27 +139,23 @@ func runSparse(w io.Writer, opt Options) error {
 			return fmt.Errorf("sparse m/n=%d: warm sparse replay: %w", ratio, err)
 		}
 
-		if prior, ok := base[ratio]; ok && prior >= sparseGateFloorMs && sparseMs > prior*baselineSlack {
-			// One re-measurement with more reps before failing: a scheduler
-			// hiccup during the first best-of window must not fail CI, a
-			// real code regression will reproduce here.
-			_, retryMs, rerr := allocMeasured(2*coldReps, func() error {
-				p, err := ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{Family: ir.FamilyOrdinary})
-				if err != nil {
-					return err
-				}
-				_, err = ir.SolveOrdinaryPlanCtx[int64](ctx, p, ir.IntAdd{}, init, sopt)
-				return err
+		sparseMs, err = g.check(fmt.Sprintf("sparse m/n=%d: cold sparse solve", ratio), strconv.Itoa(ratio), sparseMs, jitterFloorMs,
+			func() (float64, error) {
+				_, ms, err := allocMeasured(2*coldReps, coldSparse)
+				return ms, err
 			})
-			if rerr != nil {
-				return fmt.Errorf("sparse m/n=%d: cold sparse solve: %w", ratio, rerr)
+		if err != nil {
+			return err
+		}
+		// At 99%+ sparsity the untouched fraction must turn into real
+		// savings. Quick and -n runs are too small for fixed costs not to
+		// blur the ratios, so only full-size runs hold them.
+		if !opt.Quick && opt.N == 0 && ratio >= 100 {
+			if speed := denseMs / sparseMs; speed < 5 {
+				return fmt.Errorf("sparse m/n=%d: cold sparse solve %.2fx faster than dense, want >= 5x", ratio, speed)
 			}
-			if retryMs < sparseMs {
-				sparseMs = retryMs
-			}
-			if sparseMs > prior*baselineSlack {
-				return fmt.Errorf("sparse m/n=%d: cold sparse solve %.3f ms regressed >%.0f%% vs baseline %.3f ms",
-					ratio, sparseMs, (baselineSlack-1)*100, prior)
+			if mem := float64(denseBytes) / float64(sparseBytes); mem < 10 {
+				return fmt.Errorf("sparse m/n=%d: cold sparse solve allocates %.1fx less than dense, want >= 10x", ratio, mem)
 			}
 		}
 
@@ -205,6 +189,9 @@ func runSparse(w io.Writer, opt Options) error {
 		machine = append(machine, fmt.Sprintf(
 			"SPARSE mn=%d m=%d n=%d dense_cold_ms=%.3f sparse_cold_ms=%.3f warm_sparse_ms=%.3f dense_alloc_bytes=%d sparse_alloc_bytes=%d dense_payload=%d sparse_payload=%d identical=%v",
 			ratio, m, n, denseMs, sparseMs, warmMs, denseBytes, sparseBytes, densePayload, sparsePayload, identical))
+	}
+	if err := g.done(); err != nil {
+		return err
 	}
 	tb.Render(w)
 	fmt.Fprintln(w)
@@ -273,43 +260,4 @@ func payloadBytes(sys ir.SystemWire, init []int64) int64 {
 		return -1
 	}
 	return int64(len(body))
-}
-
-// loadSparseBaseline parses a BENCH_sparse.json artifact (irbench -json
-// lines) into m/n ratio -> cold sparse ms, reading the SPARSE machine lines
-// embedded in each record's output. An empty path means no baseline.
-func loadSparseBaseline(path string) (map[int]float64, error) {
-	out := map[int]float64{}
-	if path == "" {
-		return out, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sparse baseline: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		for _, line := range strings.Split(sc.Text(), `\n`) {
-			idx := strings.Index(line, "SPARSE ")
-			if idx < 0 {
-				continue
-			}
-			var ratio, m, n int
-			var denseMs, sparseMs, warmMs float64
-			var denseBytes, sparseBytes, densePayload, sparsePayload int64
-			var identical bool
-			if _, err := fmt.Sscanf(line[idx:],
-				"SPARSE mn=%d m=%d n=%d dense_cold_ms=%f sparse_cold_ms=%f warm_sparse_ms=%f dense_alloc_bytes=%d sparse_alloc_bytes=%d dense_payload=%d sparse_payload=%d identical=%t",
-				&ratio, &m, &n, &denseMs, &sparseMs, &warmMs, &denseBytes, &sparseBytes, &densePayload, &sparsePayload, &identical); err != nil {
-				continue
-			}
-			out[ratio] = sparseMs
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sparse baseline: %w", err)
-	}
-	return out, nil
 }

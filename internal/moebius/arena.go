@@ -55,13 +55,17 @@ func (p *Plan) NewArena() *Arena {
 	return ar
 }
 
-// checkRowFinite rejects NaN/Inf coefficient entries, the up-front half of
-// the ErrNonFinite guard. Replays only run it after fill's fused probe has
-// already seen a non-finite entry, to recover the exact per-row error.
-func checkRowFinite(name string, cs []float64) error {
-	for i, v := range cs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: coefficient %s[%d] = %v", ErrNonFinite, name, i, v)
+// checkRowsFinite rejects NaN/Inf coefficient entries, the up-front half of
+// the ErrNonFinite guard, naming the first one in A, B, C, D row order so
+// the error is the same on every run (nil rows, as the affine form passes
+// for C and D, are skipped). Replays only run it after fill's fused probe
+// has already seen a non-finite entry, to recover the exact per-row error.
+func checkRowsFinite(a, b, c, d []float64) error {
+	for k, cs := range [4][]float64{a, b, c, d} {
+		for i, v := range cs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: coefficient %c[%d] = %v", ErrNonFinite, "ABCD"[k], i, v)
+			}
 		}
 	}
 	return nil
@@ -134,19 +138,8 @@ func (p *Plan) solveArena(ctx context.Context, ar *Arena, a, b, c, d, x0 []float
 		dst = ar.mats
 	}
 	if bad := p.fill(dst, a, b, c, d, affine); bad != 0 {
-		if err := checkRowFinite("A", a); err != nil {
+		if err := checkRowsFinite(a, b, c, d); err != nil {
 			return nil, err
-		}
-		if err := checkRowFinite("B", b); err != nil {
-			return nil, err
-		}
-		if !affine {
-			if err := checkRowFinite("C", c); err != nil {
-				return nil, err
-			}
-			if err := checkRowFinite("D", d); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if len(x0) != p.M {

@@ -60,17 +60,10 @@ var ErrInitLen = errors.New("moebius: initial array length does not match M")
 // values instead.
 var ErrNonFinite = errors.New("moebius: non-finite value")
 
-// CheckFinite reports the first non-finite coefficient as an ErrNonFinite
-// error, or nil when all coefficients are finite.
+// CheckFinite reports the first non-finite coefficient, in A, B, C, D row
+// order, as an ErrNonFinite error, or nil when all coefficients are finite.
 func (ms *MoebiusSystem) CheckFinite() error {
-	for name, c := range map[string][]float64{"A": ms.A, "B": ms.B, "C": ms.C, "D": ms.D} {
-		for i, v := range c {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: coefficient %s[%d] = %v", ErrNonFinite, name, i, v)
-			}
-		}
-	}
-	return nil
+	return checkRowsFinite(ms.A, ms.B, ms.C, ms.D)
 }
 
 // Validate checks lengths, bounds and the distinct-g precondition.

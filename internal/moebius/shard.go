@@ -31,12 +31,8 @@ func (p *Plan) SolveRangeCtx(ctx context.Context, a, b, c, d, x0 []float64, lo, 
 	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
 		return nil, fmt.Errorf("%w: coefficient lengths disagree with n = %d", ErrBadSystem, n)
 	}
-	for name, cs := range map[string][]float64{"A": a, "B": b, "C": c, "D": d} {
-		for i, v := range cs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: coefficient %s[%d] = %v", ErrNonFinite, name, i, v)
-			}
-		}
+	if err := checkRowsFinite(a, b, c, d); err != nil {
+		return nil, err
 	}
 	if len(x0) != p.M {
 		return nil, fmt.Errorf("%w: len(x0) = %d, want M = %d", ErrInitLen, len(x0), p.M)
