@@ -114,6 +114,20 @@ func TestCLIIrbenchFailures(t *testing.T) {
 	})
 }
 
+// TestCLIIrbenchGateUngated checks that -gate on an experiment without a
+// perf gate, or on all, is a one-line usage error (exit 2) naming the gated
+// experiments, instead of a run that ignores the baseline and passes.
+func TestCLIIrbenchGateUngated(t *testing.T) {
+	bin := buildTool(t, "irbench")
+	for _, exp := range []string{"fig1", "all"} {
+		stderr, code := runFail(t, bin, "-exp", exp, "-gate", "BENCH_hotpath.json")
+		want := "irbench: -gate applies only to blockedscan, grid2d, hotpath, sparse, not -exp " + exp + "\n"
+		if code != 2 || stderr != want {
+			t.Errorf("-exp %s -gate: exit %d, stderr %q; want exit 2, %q", exp, code, stderr, want)
+		}
+	}
+}
+
 func TestCLIIrvmFailures(t *testing.T) {
 	reduceArgs := []string{"-builtin", "reduce",
 		"-sym", "N=16", "-sym", "NPROC=4", "-sym", "A=0", "-mem", "16"}

@@ -15,6 +15,7 @@
 // -gate arms the perf gate of hotpath, blockedscan, grid2d and sparse: the
 // run fails when a measured row is more than 10% slower than the same row
 // of the given irbench -json artifact (CI passes the checked-in BENCH_*.json).
+// -gate with any other experiment, or with all, is a usage error (exit 2).
 package main
 
 import (
@@ -148,6 +149,19 @@ func main() {
 				*exp, strings.Join(ids, ", "))
 			os.Exit(2)
 		}
+	}
+
+	// Only the gated experiments read a baseline; -gate anywhere else
+	// would pass without checking anything.
+	if e, _ := experiments.Get(*exp); *gate != "" && !e.Gated {
+		var gated []string
+		for _, e := range experiments.All() {
+			if e.Gated {
+				gated = append(gated, e.ID)
+			}
+		}
+		fmt.Fprintf(os.Stderr, "irbench: -gate applies only to %s, not -exp %s\n", strings.Join(gated, ", "), *exp)
+		os.Exit(2)
 	}
 
 	opt := experiments.Options{N: *n, Seed: *seed, Quick: *quick, Baseline: *gate}

@@ -16,6 +16,7 @@ package indexedrec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -293,7 +294,9 @@ func FuzzSolveAgainstOracle(f *testing.F) {
 // (ErrNonFinite from a division by zero along a chain). The same contract
 // is asserted for the explicit arena replays (including a back-to-back
 // second replay on the same arena, proving prime-in-place reuse is stable)
-// under fuzz-selected gang and kernel dispatch paths.
+// and a random [lo, hi) range replay under fuzz-selected gang and kernel
+// dispatch paths. Affine cases run those replays, and the direct solve
+// once more, with nil c and d, which must equal the 0/1 rows bit for bit.
 func FuzzMoebiusPlanAgainstDirect(f *testing.F) {
 	f.Add(int64(1), 8, 8, false)
 	f.Add(int64(2), 1, 1, true)
@@ -323,59 +326,65 @@ func FuzzMoebiusPlanAgainstDirect(f *testing.F) {
 		for x := range x0 {
 			x0[x] = rng.NormFloat64()
 		}
+		lo := rng.Intn(s.M + 1)
+		hi := lo + rng.Intn(s.M-lo+1)
 		ctx := context.Background()
 
 		direct, derr := ir.SolveMoebiusCtx(ctx, s.M, s.G, s.F, a, b, c, d, x0, ir.SolveOptions{Procs: 4})
+		// same fails unless got and gotErr match the direct solve: the same
+		// rejection, or bit-identical cells [from, from+len(got)).
+		same := func(what string, got []float64, gotErr error, from int) {
+			t.Helper()
+			if (derr == nil) != (gotErr == nil) {
+				t.Fatalf("%s: error disagreement: direct %v, got %v", what, derr, gotErr)
+			}
+			for k, v := range got {
+				if v != direct[from+k] {
+					t.Fatalf("%s cell %d: %v != direct %v", what, from+k, v, direct[from+k])
+				}
+			}
+		}
 		plan, err := ir.CompileMoebius(s.M, s.G, s.F)
 		if err != nil {
 			t.Fatalf("ir.CompileMoebius: %v", err)
 		}
 		replay, rerr := ir.SolveMoebiusPlanCtx(ctx, plan, a, b, c, d, x0, ir.SolveOptions{Procs: 4})
-		if (derr == nil) != (rerr == nil) {
-			t.Fatalf("error disagreement: direct %v, replay %v", derr, rerr)
-		}
+		same("plan replay", replay, rerr, 0)
 
-		// Explicit arena replays, twice on the same arena: the second run
-		// exercises the primed (no init copy) steady state over slots the
-		// first replay already dirtied.
+		// Affine cases replay below with nil c and d: c = 0, d = 1 exactly,
+		// so the affine fill must reproduce the 0/1 rows bit for bit.
+		rc, rd := c, d
+		if !full {
+			rc, rd = nil, nil
+			nilDirect, nerr := ir.SolveMoebiusCtx(ctx, s.M, s.G, s.F, a, b, nil, nil, x0, ir.SolveOptions{Procs: 4})
+			same("direct nil c/d", nilDirect, nerr, 0)
+		}
 		mp, err := moebius.CompilePlan(ctx, s.M, s.G, s.F)
 		if err != nil {
 			t.Fatalf("moebius.CompilePlan: %v", err)
 		}
-		ar := mp.NewArena()
 		sopt := ordinary.Options{Procs: 4}
+		pooled, perr := mp.SolveCtx(ctx, a, b, rc, rd, x0, sopt)
+		same("pooled", pooled, perr, 0)
+
+		// Explicit arena replays, twice on the same arena: the second run
+		// exercises the primed (no init copy) steady state over slots the
+		// first replay already dirtied.
+		ar := mp.NewArena()
 		for pass := 1; pass <= 2; pass++ {
-			var warm []float64
-			var werr error
-			if full {
-				warm, werr = mp.SolveArenaCtx(ctx, ar, a, b, c, d, x0, sopt)
-			} else {
-				// c = 0, d = 1 exactly, so the affine fill must reproduce
-				// the full solve on these coefficients bit for bit.
-				warm, werr = mp.SolveLinearArenaCtx(ctx, ar, a, b, x0, sopt)
-			}
-			if (derr == nil) != (werr == nil) {
-				t.Fatalf("arena pass %d error disagreement: direct %v, arena %v", pass, derr, werr)
-			}
-			if derr == nil {
-				for x, v := range warm {
-					if v != direct[x] {
-						t.Fatalf("arena pass %d cell %d: arena %v != direct %v", pass, x, v, direct[x])
-					}
-				}
-			}
+			warm, werr := mp.SolveArenaCtx(ctx, ar, a, b, rc, rd, x0, sopt)
+			same(fmt.Sprintf("arena pass %d", pass), warm, werr, 0)
 		}
 
-		if derr != nil {
-			if !errors.Is(derr, ir.ErrNonFinite) {
-				t.Fatalf("direct solve failed unexpectedly: %v", derr)
-			}
-			return
+		// A range replay meets only the cells in [lo, hi): it may succeed
+		// where a cell outside the range made the direct solve fail.
+		part, gerr := mp.SolveRangeCtx(ctx, a, b, rc, rd, x0, lo, hi, sopt)
+		if derr == nil || gerr != nil {
+			same(fmt.Sprintf("range [%d, %d)", lo, hi), part, gerr, lo)
 		}
-		for x, v := range replay {
-			if v != direct[x] {
-				t.Fatalf("moebius plan cell %d: replay %v != direct %v", x, v, direct[x])
-			}
+
+		if derr != nil && !errors.Is(derr, ir.ErrNonFinite) {
+			t.Fatalf("direct solve failed unexpectedly: %v", derr)
 		}
 	})
 }

@@ -95,7 +95,7 @@ func TestWarmReplayZeroAlloc(t *testing.T) {
 		t.Errorf("moebius warm replay: %.0f allocs/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := mp.SolveLinearArenaCtx(gctx, mar, a, b, x0, opt); err != nil {
+		if _, err := mp.SolveArenaCtx(gctx, mar, a, b, nil, nil, x0, opt); err != nil {
 			panic(err)
 		}
 	}); allocs != 0 {

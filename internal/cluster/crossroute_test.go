@@ -540,3 +540,41 @@ func TestStatusParity(t *testing.T) {
 	}()
 	leak()
 }
+
+// TestLinearShardBodyOmitsCD checks that a linear request, plain or
+// extended, scatters shard bodies without c and d: the coordinator passes
+// the affine form on as nil rows, so workers are not sent n zeros and n
+// ones per shard. A moebius request still ships its rows.
+func TestLinearShardBodyOmitsCD(t *testing.T) {
+	co := &Coordinator{cfg: Config{MaxN: 1 << 10}}
+	for _, tc := range []struct {
+		endpoint, body string
+		wantCD         bool
+	}{
+		{"linear", `{"m":3,"g":[1,2],"f":[0,1],"a":[1,1],"b":[1,1],"x0":[1,0,0]}`, false},
+		{"linear", `{"m":3,"g":[1,2],"f":[0,1],"a":[2,1],"b":[1,1],"x0":[1,2,3],"extended":true}`, false},
+		{"moebius", `{"m":3,"g":[1,2],"f":[0,1],"a":[1,1],"b":[1,1],"c":[0,0],"d":[1,1],"x0":[1,0,0]}`, true},
+	} {
+		spec, _, err := co.specMoebius(tc.endpoint)([]byte(tc.body))
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.endpoint, tc.body, err)
+		}
+		req, err := shardRequest(spec, context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"c", "d"} {
+			if _, ok := keys[k]; ok != tc.wantCD {
+				t.Errorf("%s %s: shard body has %q = %v, want %v: %s", tc.endpoint, tc.body, k, ok, tc.wantCD, raw)
+			}
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 )
 
 func init() {
-	register("blockedscan", "E20 — work-optimal blocked scan: O(n) combines and n/P + log P depth vs pointer jumping on long write chains",
+	registerGated("blockedscan", "E20 — work-optimal blocked scan: O(n) combines and n/P + log P depth vs pointer jumping on long write chains",
 		"benchmarks the blocked-scan schedule against pointer jumping on chains", runBlockedScan)
 }
 

@@ -68,12 +68,20 @@ type Experiment struct {
 	// experiment measures and what a healthy run shows (irbench -list).
 	Desc string
 	Run  func(w io.Writer, opt Options) error
+	// Gated marks the experiments with a perf gate: only they read
+	// Options.Baseline (irbench -gate).
+	Gated bool
 }
 
 var registry = map[string]Experiment{}
 
 func register(id, title, desc string, run func(w io.Writer, opt Options) error) {
 	registry[id] = Experiment{ID: id, Title: title, Desc: desc, Run: run}
+}
+
+// registerGated registers an experiment that gates on Options.Baseline.
+func registerGated(id, title, desc string, run func(w io.Writer, opt Options) error) {
+	registry[id] = Experiment{ID: id, Title: title, Desc: desc, Run: run, Gated: true}
 }
 
 // All returns the experiments sorted by ID.

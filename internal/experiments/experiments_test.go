@@ -39,6 +39,20 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestGatedExperiments pins which experiments are registered as reading
+// Options.Baseline, the list irbench -gate accepts.
+func TestGatedExperiments(t *testing.T) {
+	var gated []string
+	for _, e := range All() {
+		if e.Gated {
+			gated = append(gated, e.ID)
+		}
+	}
+	if got, want := strings.Join(gated, ","), "blockedscan,grid2d,hotpath,sparse"; got != want {
+		t.Errorf("gated experiments = %s, want %s", got, want)
+	}
+}
+
 // TestAllExperimentsRunQuick executes every experiment in quick mode and
 // sanity-checks the output mentions its key artifact.
 func TestAllExperimentsRunQuick(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 )
 
 func init() {
-	register("grid2d", "E21 — 2-D wavefront grids: cold compile+solve vs warm arena replays on edit-distance DP up to 4096²",
+	registerGated("grid2d", "E21 — 2-D wavefront grids: cold compile+solve vs warm arena replays on edit-distance DP up to 4096²",
 		"times anti-diagonal wavefront solves cold and warm across grid sizes", runGrid2D)
 }
 

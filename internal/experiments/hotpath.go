@@ -17,7 +17,7 @@ import (
 )
 
 func init() {
-	register("hotpath", "E18 — hot-path engine: gang + arena warm replays vs cold solves, allocation counts",
+	registerGated("hotpath", "E18 — hot-path engine: gang + arena warm replays vs cold solves, allocation counts",
 		"times warm arena replays against cold solves and counts allocations", runHotpath)
 }
 
@@ -142,14 +142,14 @@ func runHotpath(w io.Writer, opt Options) error {
 				}
 				plan, arena = p, p.NewArena()
 				// One untimed replay pages the arena in and warms branches.
-				_, lerr := plan.SolveLinearArenaCtx(ctx, arena, a, b, x0, sopt)
+				_, lerr := plan.SolveArenaCtx(ctx, arena, a, b, nil, nil, x0, sopt)
 				return lerr
 			},
 			warm: func(gctx context.Context) (any, error) {
-				return plan.SolveLinearArenaCtx(gctx, arena, a, b, x0, sopt)
+				return plan.SolveArenaCtx(gctx, arena, a, b, nil, nil, x0, sopt)
 			},
 			warmQuiet: func(gctx context.Context) error {
-				_, err := plan.SolveLinearArenaCtx(gctx, arena, a, b, x0, sopt)
+				_, err := plan.SolveArenaCtx(gctx, arena, a, b, nil, nil, x0, sopt)
 				return err
 			},
 			equal: func(a, b any) bool { return float64SlicesEqual(a.([]float64), b.([]float64)) },

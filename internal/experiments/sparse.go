@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	register("sparse", "E22 — compressed sparse systems: solve cost, memory, and wire size scale with touched cells, not the global array",
+	registerGated("sparse", "E22 — compressed sparse systems: solve cost, memory, and wire size scale with touched cells, not the global array",
 		"benchmarks the sparse encoding against dense expansion as the untouched fraction grows", runSparse)
 }
 

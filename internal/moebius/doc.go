@@ -6,7 +6,9 @@
 //	X[g(i)] := (A[i]·X[f(i)] + B[i]) / (C[i]·X[f(i)] + D[i])   (full Möbius)
 //
 // by the Möbius transformation (the paper's Lemma 2): each update is the
-// fractional-linear map φ(x) = (Ax+B)/(Cx+D), maps compose by 2×2 matrix
+// fractional-linear map φ(x) = (Ax+B)/(Cx+D) — the affine forms are C = 0,
+// D = 1, which every entry point reads from nil C and D rows, so they run
+// the same code as the full form — maps compose by 2×2 matrix
 // multiplication (M_{φ∘ψ} = M_φ·M_ψ), and composing along each write chain
 // is an ordinary IR problem over the guarded matrix product ⊙. The final
 // value of a cell is its composed map applied to the initial value of its
@@ -33,7 +35,7 @@
 // The matrix encoding initializes cell c to the matrix of the iteration
 // writing c. An iteration that reads cell c BEFORE c's (later) write must
 // see the identity map instead — its read is of the initial value, not of
-// the chain through c. SolveLinear redirects such reads to fresh "shadow"
+// the chain through c. The solver redirects such reads to fresh "shadow"
 // cells holding the identity, then maps chain roots back to original cells
 // when applying the composed map to initial values. The rewrite preserves
 // distinct g and loop semantics exactly.
@@ -42,8 +44,9 @@
 //
 // CompilePlan precomputes everything above that depends only on (m, g, f) —
 // the shadow rewrite and the ordinary-solver schedule — so repeated solves
-// over the same index maps pay only the numeric phase; Plan.SolveCtx
-// replays bit-identically to the direct entry points. A
-// Plan is immutable after CompilePlan returns and safe for concurrent
-// solves from any number of goroutines.
+// over the same index maps pay only the numeric phase. Plan.SolveCtx,
+// SolveArenaCtx and SolveRangeCtx share one load-and-guard step and one
+// apply step, so they replay bit-identically to the direct entry points and
+// fail with the same errors. A Plan is immutable after CompilePlan returns
+// and safe for concurrent solves from any number of goroutines.
 package moebius

@@ -12,17 +12,21 @@ import (
 
 // MoebiusSystem describes n iterations of the full fractional-linear
 // indexed recurrence X[g(i)] := (A[i]·X[f(i)] + B[i]) / (C[i]·X[f(i)] + D[i])
-// over m cells. The affine forms are the special case C = 0, D = 1.
+// over m cells. The affine forms are the special case C = 0, D = 1, which
+// nil C and D select.
 type MoebiusSystem struct {
 	// M is the number of X cells.
 	M int
 	// G and F are the write/read index maps (G must be distinct).
 	G, F []int
-	// A, B, C, D are the per-iteration coefficients, each of length len(G).
+	// A, B, C, D are the per-iteration coefficients, each of length len(G);
+	// C and D may instead both be nil, the affine form.
 	A, B, C, D []float64
 }
 
-// NewLinear builds the affine system X[g(i)] := a[i]·X[f(i)] + b[i].
+// NewLinear builds the affine system X[g(i)] := a[i]·X[f(i)] + b[i] with
+// materialized C = 0 and D = 1 rows; a system with nil C and D solves
+// bit-identically.
 func NewLinear(m int, g, f []int, a, b []float64) *MoebiusSystem {
 	n := len(g)
 	c := make([]float64, n)
@@ -69,7 +73,7 @@ func (ms *MoebiusSystem) CheckFinite() error {
 // Validate checks lengths, bounds and the distinct-g precondition.
 func (ms *MoebiusSystem) Validate() error {
 	n := len(ms.G)
-	if len(ms.F) != n || len(ms.A) != n || len(ms.B) != n || len(ms.C) != n || len(ms.D) != n {
+	if len(ms.F) != n || !coeffLensOK(n, ms.A, ms.B, ms.C, ms.D) {
 		return fmt.Errorf("%w: map/coefficient lengths disagree", ErrBadSystem)
 	}
 	if ms.M <= 0 {
@@ -100,15 +104,19 @@ func checkIndexMaps(m int, g, f []int) error {
 
 // Iter returns the Möbius matrix of iteration i.
 func (ms *MoebiusSystem) Iter(i int) Mat2 {
+	if ms.C == nil {
+		return Affine(ms.A[i], ms.B[i])
+	}
 	return Mat2{A: ms.A[i], B: ms.B[i], C: ms.C[i], D: ms.D[i]}
 }
 
-// RunSequential executes the loop as written — the correctness oracle.
+// RunSequential executes the loop as written — the correctness oracle. The
+// affine form evaluates the literal (a·v + b) / (0·v + 1) through Iter, so
+// its bits are those of materialized C = 0, D = 1 rows.
 func (ms *MoebiusSystem) RunSequential(x0 []float64) []float64 {
 	x := append([]float64(nil), x0...)
 	for i := range ms.G {
-		v := x[ms.F[i]]
-		x[ms.G[i]] = (ms.A[i]*v + ms.B[i]) / (ms.C[i]*v + ms.D[i])
+		x[ms.G[i]] = ms.Iter(i).Apply(x[ms.F[i]])
 	}
 	return x
 }
@@ -168,20 +176,17 @@ func (ms *MoebiusSystem) solve(ctx context.Context, x0 []float64, opt ordinary.O
 	if len(x0) != ms.M {
 		return nil, fmt.Errorf("%w: len(x0) = %d, want M = %d", ErrInitLen, len(x0), ms.M)
 	}
-	n := len(ms.G)
 	sys, origOf, err := buildShadowSystem(ms.M, ms.G, ms.F)
 	if err != nil {
 		return nil, err
 	}
 
-	// Step 1: per-cell matrices.
+	// Step 1: per-cell matrices, through the plan replays' fill. The
+	// finiteness probe is not needed: SolveCtx checked the rows already,
+	// and Solve keeps IEEE semantics.
 	mats := make([]Mat2, sys.M)
-	for x := range mats {
-		mats[x] = Identity()
-	}
-	for i := 0; i < n; i++ {
-		mats[ms.G[i]] = ms.Iter(i)
-	}
+	fillIdentity(mats)
+	fill(mats, ms.G, ms.A, ms.B, ms.C, ms.D)
 
 	// Step 2: ordinary IR over ⊙.
 	res, err := ordinary.SolveCtx[Mat2](ctx, sys, ChainOp{}, mats, opt)
@@ -191,8 +196,7 @@ func (ms *MoebiusSystem) solve(ctx context.Context, x0 []float64, opt ordinary.O
 
 	// Step 3: apply composed maps to root initial values.
 	out := append([]float64(nil), x0...)
-	for i := 0; i < n; i++ {
-		x := ms.G[i]
+	for _, x := range ms.G {
 		out[x] = res.Values[x].Apply(x0[shadowOrig(res.Roots[x], ms.M, origOf)])
 	}
 	return out, nil

@@ -65,6 +65,11 @@ func CompilePlan(ctx context.Context, m int, g, f []int) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("moebius: %w", err)
 	}
+	// Replays prime the pointer-jumping buffer in place; the shadow rewrite
+	// makes every chain terminal read a shadow or never-written cell.
+	if !ord.Primeable() {
+		return nil, fmt.Errorf("moebius: shadow system is not primeable")
+	}
 	p := &Plan{
 		M:         m,
 		N:         len(g),
@@ -94,18 +99,20 @@ func (p *Plan) SizeBytes() int64 {
 // with the exact guard set of MoebiusSystem.SolveCtx: non-finite
 // coefficients or x0 entries return ErrNonFinite up front, and a division
 // by zero surfacing as a non-finite output cell returns ErrNonFinite after
-// the solve. The affine forms are the special case c = 0, d = 1 (compose
-// the extended form's b rewrite before calling, as NewExtended does).
-// Scratch comes from the plan's arena pool, so a warm replay's only
-// allocation is the returned result; see SolveArenaCtx for the explicit,
-// zero-allocation arena API.
+// the solve. Nil c and d select the affine form c = 0, d = 1 (compose the
+// extended form's b rewrite before calling, as NewExtended does). Scratch
+// comes from the plan's arena pool, so a warm replay's only allocation is
+// the returned result; see SolveArenaCtx for the explicit, zero-allocation
+// arena API.
 func (p *Plan) SolveCtx(ctx context.Context, a, b, c, d, x0 []float64, opt ordinary.Options) ([]float64, error) {
-	return p.solvePooled(ctx, a, b, c, d, x0, false, opt)
-}
-
-// SolveLinearCtx replays the plan for the affine form
-// X[g(i)] := a[i]·X[f(i)] + b[i] (c = 0, d = 1, written by the replay's
-// matrix fill itself).
-func (p *Plan) SolveLinearCtx(ctx context.Context, a, b, x0 []float64, opt ordinary.Options) ([]float64, error) {
-	return p.solvePooled(ctx, a, b, nil, nil, x0, true, opt)
+	ar, _ := p.arenas.Get().(*Arena)
+	if ar == nil {
+		ar = p.NewArena()
+	}
+	defer p.arenas.Put(ar)
+	out, err := p.SolveArenaCtx(ctx, ar, a, b, c, d, x0, opt)
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), out...), nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"indexedrec/internal/ordinary"
 )
@@ -21,45 +20,28 @@ import (
 var ErrShardRange = errors.New("moebius: shard range out of bounds")
 
 // SolveRangeCtx replays the plan for output cells [lo, hi) only, returning
-// their final values (index k holds cell lo+k). Validation mirrors
-// SolveCtx — all coefficients are checked even though only the range's
-// chains are replayed — and the composed matrices, map applications and
-// non-finite guards for cells in range are exactly the full replay's, so
-// the slice is bit-identical to out[lo:hi] of Plan.SolveCtx.
+// their final values (index k holds cell lo+k). It shares the full replay's
+// load and apply steps: the guards run in the same order over all
+// coefficients, even though only the range's chains are replayed, then the
+// range is checked; the composed matrices, map applications and non-finite
+// guards for cells in range are exactly the full replay's, so the slice is
+// bit-identical to out[lo:hi] of Plan.SolveCtx. Nil c and d select the
+// affine form.
 func (p *Plan) SolveRangeCtx(ctx context.Context, a, b, c, d, x0 []float64, lo, hi int, opt ordinary.Options) ([]float64, error) {
-	n := p.N
-	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
-		return nil, fmt.Errorf("%w: coefficient lengths disagree with n = %d", ErrBadSystem, n)
-	}
-	if err := checkRowsFinite(a, b, c, d); err != nil {
+	mats := make([]Mat2, p.shadowM)
+	fillIdentity(mats)
+	if err := p.load(mats, a, b, c, d, x0); err != nil {
 		return nil, err
-	}
-	if len(x0) != p.M {
-		return nil, fmt.Errorf("%w: len(x0) = %d, want M = %d", ErrInitLen, len(x0), p.M)
-	}
-	for x, v := range x0 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%w: x0[%d] = %v", ErrNonFinite, x, v)
-		}
 	}
 	if lo < 0 || hi > p.M || lo > hi {
 		return nil, fmt.Errorf("%w: cells [%d, %d) of %d", ErrShardRange, lo, hi, p.M)
 	}
 
-	// Step 1: per-cell matrices, exactly as the full replay builds them.
-	mats := make([]Mat2, p.shadowM)
-	for x := range mats {
-		mats[x] = Identity()
-	}
-	for i := 0; i < n; i++ {
-		mats[p.g[i]] = Mat2{A: a[i], B: b[i], C: c[i], D: d[i]}
-	}
-
-	// Step 2: replay only the chains that own written cells in range.
+	// Replay only the chains that own written cells in range.
 	chainOf := p.ord.ChainOf()
 	mark := make([]bool, p.ord.NumChains())
-	for i := 0; i < n; i++ {
-		if x := p.g[i]; x >= lo && x < hi {
+	for _, x := range p.g {
+		if x >= lo && x < hi {
 			mark[chainOf[x]] = true
 		}
 	}
@@ -69,24 +51,13 @@ func (p *Plan) SolveRangeCtx(ctx context.Context, a, b, c, d, x0 []float64, lo, 
 			member[x] = true
 		}
 	}
-	res, err := ordinary.SolvePlanMemberCtx[Mat2](ctx, p.ord, ChainOp{}, mats, member, opt)
+	vals, err := ordinary.SolvePlanMemberCtx[Mat2](ctx, p.ord, ChainOp{}, mats, member, opt)
 	if err != nil {
 		return nil, fmt.Errorf("moebius: %w", err)
 	}
-
-	// Step 3: apply composed maps for written cells in range.
-	out := append([]float64(nil), x0[lo:hi]...)
-	for i := 0; i < n; i++ {
-		x := p.g[i]
-		if x >= lo && x < hi {
-			out[x-lo] = res[x].Apply(x0[p.applyRoot[x]])
-		}
-	}
-	for k, v := range out {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%w: cell %d = %v (division by zero along its chain)",
-				ErrNonFinite, lo+k, v)
-		}
+	out := make([]float64, hi-lo)
+	if err := p.apply(out, vals, x0, lo); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -207,8 +207,9 @@ func decodeInit(op string, mod int64, raw json.RawMessage) ([]int64, []float64, 
 }
 
 // DecodeMoebius turns a /v1/solve/linear or /v1/solve/moebius body into a
-// validated Möbius system plus its x0 and wire options. The extended linear
-// form is rewritten to the plain one here, so callers see one shape.
+// validated Möbius system plus its x0 and wire options. The linear forms
+// leave C and D nil (the affine form), and the extended one is rewritten to
+// the plain one here, so callers see one shape.
 func DecodeMoebius(endpoint string, body []byte, maxN int) (*moebius.MoebiusSystem, []float64, ir.OptionsWire, error) {
 	var ms *moebius.MoebiusSystem
 	var x0 []float64
@@ -220,7 +221,7 @@ func DecodeMoebius(endpoint string, body []byte, maxN int) (*moebius.MoebiusSyst
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, nil, opts, fmt.Errorf("bad request body: %v", err)
 		}
-		ms = moebius.NewLinear(req.M, req.G, req.F, req.A, req.B)
+		ms = &moebius.MoebiusSystem{M: req.M, G: req.G, F: req.F, A: req.A, B: req.B}
 		x0, opts, extended = req.X0, req.Opts, req.Extended
 	case "moebius":
 		var req MoebiusRequest
@@ -247,10 +248,13 @@ func DecodeMoebius(endpoint string, body []byte, maxN int) (*moebius.MoebiusSyst
 		}
 	}
 	if extended {
-		// The rewrite reads b[i] and x0[g[i]] for every iteration, so it
-		// runs only on a valid plain form; its b[i]+x0[g[i]] can overflow
-		// to ±Inf, which CheckFinite refuses.
-		ms = moebius.NewExtended(ms.M, ms.G, ms.F, ms.A, ms.B, x0)
+		// NewExtended's rewrite b[i] = x0[g[i]] + b[i], in place on the
+		// decoded row. It reads b[i] and x0[g[i]] for every iteration, so
+		// it runs only on a valid plain form; the sum can overflow to ±Inf,
+		// which CheckFinite refuses.
+		for i, x := range ms.G {
+			ms.B[i] = x0[x] + ms.B[i]
+		}
 	}
 	if err := ms.CheckFinite(); err != nil {
 		return nil, nil, opts, err

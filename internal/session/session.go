@@ -207,16 +207,6 @@ func openMoebius(spec Spec) (*Session, error) {
 	n := len(spec.G)
 	ms := &moebius.MoebiusSystem{M: spec.M, G: spec.G, F: spec.F,
 		A: spec.A, B: spec.B, C: spec.C, D: spec.D}
-	// Validate wants full rows: nil C and D are the affine fill.
-	if ms.C == nil {
-		ms.C = make([]float64, n)
-	}
-	if ms.D == nil {
-		ms.D = make([]float64, n)
-		for i := range ms.D {
-			ms.D[i] = 1
-		}
-	}
 	if err := ms.Validate(); err != nil {
 		return nil, err
 	}

@@ -74,15 +74,16 @@ func SolveGeneralCtx[T any](ctx context.Context, s *System, op CommutativeMonoid
 // SolveLinearCtx is the hardened SolveLinear; non-finite inputs or outputs
 // return ErrNonFinite instead of propagating IEEE Inf/NaN.
 func SolveLinearCtx(ctx context.Context, m int, g, f []int, a, b, x0 []float64, opt SolveOptions) ([]float64, error) {
-	return moebius.NewLinear(m, g, f, a, b).SolveCtx(ctx, x0, ordinary.Options{Procs: opt.Procs})
+	return SolveMoebiusCtx(ctx, m, g, f, a, b, nil, nil, x0, opt)
 }
 
 // SolveLinearExtendedCtx is the hardened SolveLinearExtended.
 func SolveLinearExtendedCtx(ctx context.Context, m int, g, f []int, a, b, x0 []float64, opt SolveOptions) ([]float64, error) {
-	return moebius.NewExtended(m, g, f, a, b, x0).SolveCtx(ctx, x0, ordinary.Options{Procs: opt.Procs})
+	return SolveMoebiusCtx(ctx, m, g, f, a, extendedB(g, b, x0), nil, nil, x0, opt)
 }
 
-// SolveMoebiusCtx is the hardened SolveMoebius.
+// SolveMoebiusCtx is the hardened SolveMoebius; nil c and d select the
+// affine form.
 func SolveMoebiusCtx(ctx context.Context, m int, g, f []int, a, b, c, d, x0 []float64, opt SolveOptions) ([]float64, error) {
 	ms := &moebius.MoebiusSystem{M: m, G: g, F: f, A: a, B: b, C: c, D: d}
 	return ms.SolveCtx(ctx, x0, ordinary.Options{Procs: opt.Procs})

@@ -138,17 +138,30 @@ func SolveGeneral[T any](s *System, op CommutativeMonoid[T], init []T, procs int
 // SolveLinear solves X[g(i)] := a[i]·X[f(i)] + b[i] (g distinct) via the
 // Möbius reduction, returning the final X array.
 func SolveLinear(m int, g, f []int, a, b, x0 []float64, procs int) ([]float64, error) {
-	return moebius.NewLinear(m, g, f, a, b).Solve(x0, ordinary.Options{Procs: procs})
+	return SolveMoebius(m, g, f, a, b, nil, nil, x0, procs)
 }
 
 // SolveLinearExtended solves X[g(i)] := X[g(i)] + a[i]·X[f(i)] + b[i]
 // (g distinct), the paper's extended form.
 func SolveLinearExtended(m int, g, f []int, a, b, x0 []float64, procs int) ([]float64, error) {
-	return moebius.NewExtended(m, g, f, a, b, x0).Solve(x0, ordinary.Options{Procs: procs})
+	return SolveMoebius(m, g, f, a, extendedB(g, b, x0), nil, nil, x0, procs)
+}
+
+// extendedB rewrites the extended form's b to the plain affine one: g
+// distinct means the X[g(i)] on the right-hand side is still x0[g(i)], so
+// b'[i] = x0[g(i)] + b[i] (moebius.NewExtended's rewrite, leaving C and D
+// nil).
+func extendedB(g []int, b, x0 []float64) []float64 {
+	b2 := make([]float64, len(g))
+	for i, x := range g {
+		b2[i] = x0[x] + b[i]
+	}
+	return b2
 }
 
 // SolveMoebius solves the full fractional-linear form
 // X[g(i)] := (a[i]·X[f(i)] + b[i]) / (c[i]·X[f(i)] + d[i]) (g distinct).
+// Nil c and d select the affine form c = 0, d = 1.
 func SolveMoebius(m int, g, f []int, a, b, c, d, x0 []float64, procs int) ([]float64, error) {
 	ms := &moebius.MoebiusSystem{M: m, G: g, F: f, A: a, B: b, C: c, D: d}
 	return ms.Solve(x0, ordinary.Options{Procs: procs})

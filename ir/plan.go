@@ -374,9 +374,9 @@ func generalPowers(gp *gir.Plan) [][]PowerTerm {
 
 // SolveMoebiusPlanCtx replays a Möbius-family plan against fresh
 // coefficients and initial values, bit-identical to SolveMoebiusCtx.
-// For the plain linear form pass c = all zeros, d = all ones (or use
-// PlanData.SolveCtx, which builds them); for the extended form rewrite
-// b[i] += x0[g[i]] first, as SolveLinearExtendedCtx does.
+// For the plain linear form pass nil c and d (the affine form c = 0,
+// d = 1); for the extended form rewrite b[i] += x0[g[i]] first, as
+// SolveLinearExtendedCtx does.
 func SolveMoebiusPlanCtx(ctx context.Context, p *Plan, a, b, c, d, x0 []float64, opt SolveOptions) ([]float64, error) {
 	if p.family != FamilyMoebius {
 		return nil, fmt.Errorf("%w: plan is %v, want moebius", ErrPlanFamily, p.family)
@@ -444,17 +444,7 @@ type PlanSolution struct {
 func (p *Plan) SolveCtx(ctx context.Context, data PlanData) (*PlanSolution, error) {
 	switch p.family {
 	case FamilyMoebius:
-		var (
-			values []float64
-			err    error
-		)
-		if data.C == nil && data.D == nil {
-			// Affine form: the plan's pooled arenas cache the c = 0, d = 1
-			// rows, so no per-solve coefficient allocation.
-			values, err = p.mb.SolveLinearCtx(ctx, data.A, data.B, data.X0, ordinary.Options{Procs: data.Opts.Procs})
-		} else {
-			values, err = SolveMoebiusPlanCtx(ctx, p, data.A, data.B, data.C, data.D, data.X0, data.Opts)
-		}
+		values, err := SolveMoebiusPlanCtx(ctx, p, data.A, data.B, data.C, data.D, data.X0, data.Opts)
 		if err != nil {
 			return nil, err
 		}

@@ -119,15 +119,7 @@ func (p *Plan) SolveShardCtx(ctx context.Context, data PlanData, sh Shard) (*Sha
 	}
 	switch p.family {
 	case FamilyMoebius:
-		c, d := data.C, data.D
-		if c == nil && d == nil {
-			c = make([]float64, p.n)
-			d = make([]float64, p.n)
-			for i := range d {
-				d[i] = 1
-			}
-		}
-		values, err := p.mb.SolveRangeCtx(ctx, data.A, data.B, c, d, data.X0, sh.Lo, sh.Hi,
+		values, err := p.mb.SolveRangeCtx(ctx, data.A, data.B, data.C, data.D, data.X0, sh.Lo, sh.Hi,
 			ordinary.Options{Procs: data.Opts.Procs})
 		if err != nil {
 			return nil, err
