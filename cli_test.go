@@ -128,6 +128,16 @@ func TestCLIIrbenchGateUngated(t *testing.T) {
 	}
 }
 
+// TestCLIIrbenchGateCluster: -gate with -cluster is a usage error before
+// any coordinator is dialled, not a cluster run that ignores the baseline.
+func TestCLIIrbenchGateCluster(t *testing.T) {
+	bin := buildTool(t, "irbench")
+	stderr, code := runFail(t, bin, "-cluster", "127.0.0.1:1", "-gate", "BENCH_hotpath.json")
+	if want := "irbench: -gate does not apply to -cluster\n"; code != 2 || stderr != want {
+		t.Errorf("-cluster -gate: exit %d, stderr %q; want exit 2, %q", code, stderr, want)
+	}
+}
+
 func TestCLIIrvmFailures(t *testing.T) {
 	reduceArgs := []string{"-builtin", "reduce",
 		"-sym", "N=16", "-sym", "NPROC=4", "-sym", "A=0", "-mem", "16"}

@@ -15,7 +15,8 @@
 // -gate arms the perf gate of hotpath, blockedscan, grid2d and sparse: the
 // run fails when a measured row is more than 10% slower than the same row
 // of the given irbench -json artifact (CI passes the checked-in BENCH_*.json).
-// -gate with any other experiment, or with all, is a usage error (exit 2).
+// -gate with any other experiment, with all, or with -cluster is a usage
+// error (exit 2).
 package main
 
 import (
@@ -114,6 +115,11 @@ func main() {
 	}
 
 	if *cluster != "" {
+		// The cluster benchmark has no baseline to check against.
+		if *gate != "" {
+			fmt.Fprintln(os.Stderr, "irbench: -gate does not apply to -cluster")
+			os.Exit(2)
+		}
 		if err := runClusterBench(ctx, *cluster, *n, *quick, *asJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "irbench: cluster: %v\n", err)
 			os.Exit(1)

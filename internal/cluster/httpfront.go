@@ -323,7 +323,7 @@ func (co *Coordinator) specSolve(family ir.Family) specFunc {
 
 func (co *Coordinator) specGrid2D(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
 	var req server.Grid2DRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := server.UnmarshalBody(body, &req); err != nil {
 		return nil, nil, fmt.Errorf("bad request body: %v", err)
 	}
 	sys := &req.System

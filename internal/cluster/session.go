@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -115,7 +114,7 @@ func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var req server.SessionOpenRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := server.UnmarshalBody(body, &req); err != nil {
 		co.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -242,7 +241,7 @@ func (co *Coordinator) handleSessionAppend(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	var req server.SessionAppendRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := server.UnmarshalBody(body, &req); err != nil {
 		co.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}

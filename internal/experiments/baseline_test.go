@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -148,5 +149,25 @@ func TestGateMustMeetARow(t *testing.T) {
 	}
 	if err := unarmed.done(); err != nil {
 		t.Errorf("unarmed gate: %v", err)
+	}
+}
+
+// TestHotpathGateChecksEveryRow: a row over its limit does not stop the
+// hotpath gate, so a baseline no run can meet names all three rows in one
+// error.
+func TestHotpathGateChecksEveryRow(t *testing.T) {
+	path := writeBaseline(t,
+		"HOTPATH family=ordinary warm_ms=0.000001",
+		"HOTPATH family=linear warm_ms=0.000001",
+		"HOTPATH family=moebius warm_ms=0.000001",
+	)
+	err := runHotpath(io.Discard, Options{Quick: true, Baseline: path})
+	if err == nil {
+		t.Fatal("impossible baseline passed")
+	}
+	for _, family := range []string{"ordinary", "linear", "moebius"} {
+		if !strings.Contains(err.Error(), "hotpath "+family+": warm replay") {
+			t.Errorf("gate error does not name the %s row: %v", family, err)
+		}
 	}
 }

@@ -3,7 +3,10 @@ package jsonwire
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
+	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -119,4 +122,174 @@ func TestParseIntMatchesStrconv(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseFloat holds ParseFloat to strconv.ParseFloat bit for bit, on
+// the literal's JSON grammar (NumberEnd) and its end: the exact path and
+// the fallback must agree with strconv on every well-formed number, and
+// both must refuse what encoding/json refuses.
+func FuzzParseFloat(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "-0.0", "0e400", "1", "-1.5", "0.1", "1e22", "1e23", "9007199254740992", "9007199254740993",
+		"5e-324", "4.9e-324", "2.2250738585072014e-308", "2.225073858507201e-308", "1e-400", "1e400",
+		"1.7976931348623157e308", "1.7976931348623159e308", "12345678901234567890", "123456789012345678901234567890e-10",
+		"0.000000000000000000000000001", "00", "01", "-", ".5", "1.", "1e", "1e+", "1E-0005", "1e0000000000000000000001",
+		"3.141592653589793", "-0.9999999999999999", "100000000000000000000000", "1x", "1.5,", "2]",
+		"4503599627370496.5", "4503599627370497.5", "-0.12345678901234567", "0.9999999999999999999",
+		"18446744073709551615e-19", "9007199254740993e-1", "0.0012345678901234567", "1.2345678901234567e-5",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		b := []byte(s)
+		got, end, ok := ParseFloat(b, 0)
+		want := NumberEnd(b, 0)
+		if want < 0 {
+			if ok {
+				t.Fatalf("ParseFloat(%q) = %v, accepted a malformed number", s, got)
+			}
+			return
+		}
+		v, err := strconv.ParseFloat(s[:want], 64)
+		if ok != (err == nil) || end != want {
+			t.Fatalf("ParseFloat(%q) = %v, %d, %v; strconv %v, %v, end %d", s, got, end, ok, v, err, want)
+		}
+		if ok && math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("ParseFloat(%q) = %v (%#x), strconv %v (%#x)", s, got, math.Float64bits(got), v, math.Float64bits(v))
+		}
+	})
+}
+
+// TestParseFloatMatchesStrconv holds ParseFloat to strconv.ParseFloat on
+// the shortest forms of random float64s across the whole exponent range
+// and on random mantissas of 15 to 20 digits over 10^1 to 10^22: the
+// exact path and the fallback, on both sides of 2⁵³ and of 10^-22.
+func TestParseFloatMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(s string) {
+		got, end, ok := ParseFloat([]byte(s), 0)
+		want, err := strconv.ParseFloat(s, 64)
+		if !ok || err != nil || end != len(s) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ParseFloat(%q) = %v, %d, %v; strconv %v, %v", s, got, end, ok, want, err)
+		}
+	}
+	for range 100_000 {
+		f := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		b, _ := AppendFloat(nil, f)
+		check(string(b))
+		b, _ = AppendFloat(nil, 2*rng.Float64()-1)
+		check(string(b))
+		digits := strconv.FormatUint(rng.Uint64()>>rng.Intn(14), 10)
+		switch k := 1 + rng.Intn(22); {
+		case k < len(digits):
+			digits = digits[:len(digits)-k] + "." + digits[len(digits)-k:]
+		default:
+			digits += "e-" + strconv.Itoa(k)
+		}
+		check(digits)
+	}
+}
+
+// tableCase has a field of every kind the tables carry, with and without
+// omitempty, plus one they do not (a map).
+type tableCase struct {
+	I    int               `json:"i,omitempty"`
+	I64  int64             `json:"i64"`
+	F    float64           `json:"f,omitempty"`
+	S    string            `json:"s,omitempty"`
+	B    bool              `json:"b"`
+	Is   []int             `json:"is,omitempty"`
+	I64s []int64           `json:"i64s"`
+	Fs   []float64         `json:"fs"`
+	Raw  json.RawMessage   `json:"raw,omitempty"`
+	Sub  tableSub          `json:"sub,omitempty"`
+	Ptr  *tableSub         `json:"ptr,omitempty"`
+	Map  map[string]string `json:"map,omitempty"`
+	Name string
+	skip int
+}
+
+type tableSub struct {
+	X float64 `json:"x"`
+	Y []int   `json:"y"`
+}
+
+// TestTableMatchesEncodingJSON holds Append and Decode to json.Marshal and
+// json.Unmarshal on the edges of encoding/json's rules: omitempty keeps -0
+// and structs, drops nil pointers and empty slices; null reads as a nil
+// slice; a field of a kind the table lacks, a non-finite float or a raw
+// value that is not a compact number array sends the body to encoding/json.
+func TestTableMatchesEncodingJSON(t *testing.T) {
+	for _, v := range []tableCase{
+		{},
+		{F: math.Copysign(0, -1), Is: []int{}, I64s: []int64{}, Fs: []float64{}, Ptr: &tableSub{}},
+		{I: -3, I64: math.MinInt64, F: 1e21, S: "abc", B: true, Is: []int{1, -2}, I64s: []int64{math.MaxInt64},
+			Fs: []float64{0.1, math.Copysign(0, -1), 5e-324}, Raw: json.RawMessage(`[1,2.5]`), Sub: tableSub{X: -1.5, Y: []int{0}},
+			Ptr: &tableSub{Y: []int{}}, Name: "n"},
+		{Raw: json.RawMessage(`[1, 2]`)},
+		{S: "a<b"},
+		{Fs: []float64{math.Inf(1)}},
+		{Map: map[string]string{"k": "v"}},
+	} {
+		want, wantErr := json.Marshal(v)
+		got, ok := Append(nil, v)
+		if ok && (wantErr != nil || string(got) != string(want)) {
+			t.Errorf("Append(%+v) = %s, json.Marshal %s (%v)", v, got, want, wantErr)
+		}
+		if !ok && wantErr == nil && v.Map == nil && v.Raw == nil {
+			t.Errorf("Append(%+v) declined a value the table carries", v)
+		}
+		if wantErr != nil {
+			continue
+		}
+		var dec, ref tableCase
+		walk := v.Map == nil && v.S != "a<b" // json.Marshal escapes <
+		if Decode(want, &dec, false) != walk {
+			t.Errorf("Decode(%s): walk taken = %v, want %v", want, !walk, walk)
+		}
+		if !walk {
+			continue
+		}
+		if err := json.Unmarshal(want, &ref); err != nil || !reflect.DeepEqual(dec, ref) {
+			t.Errorf("Decode(%s) = %+v, json.Unmarshal %+v (%v)", want, dec, ref, err)
+		}
+	}
+	var v tableCase
+	for _, s := range []string{`{"is":null,"fs":null,"ptr":{"x":1,"y":null}}`, `{"is":[1],"i64s":null}`} {
+		if !Decode([]byte(s), &v, false) {
+			t.Errorf("Decode(%s) declined", s)
+		}
+	}
+	before := v
+	for _, s := range []string{`{"i":null}`, `{"ptr":null}`, `{"raw":null}`, `{"I":1}`, `{"i":1,"i":2}`, `{"skip":1}`, `{"fs":[1e400]}`, `{"is":[1],"b":1}`} {
+		if Decode([]byte(s), &v, false) || !reflect.DeepEqual(v, before) {
+			t.Errorf("Decode(%s) took the walk or changed the value: %+v", s, v)
+		}
+	}
+}
+
+// TestTablesConcurrent builds and uses one type's table from several
+// goroutines at once, as concurrent requests do on a fresh server.
+func TestTablesConcurrent(t *testing.T) {
+	type fresh struct {
+		A []float64 `json:"a"`
+		B tableSub  `json:"b"`
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := fresh{A: []float64{float64(g), 0.5}, B: tableSub{X: 1, Y: []int{g}}}
+			b, ok := Append(nil, v)
+			var got fresh
+			if !ok || !Decode(b, &got, false) || !reflect.DeepEqual(got, v) {
+				t.Errorf("goroutine %d: %s decoded to %+v, want %+v", g, b, got, v)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"strconv"
 )
 
 // Ints parses b, one JSON value with optional surrounding whitespace, as
@@ -40,15 +41,9 @@ func Ints[T int | int64](b []byte, bits int) ([]T, error) {
 // IntsAt parses the integer array that opens at b[i] == '[' and returns it
 // with the index just past its closing bracket; what follows is the
 // caller's. Errors are Ints's, with offsets into b. The result's capacity
-// comes from the commas before the first ']', which bound the element count
-// of any valid integer array, so a large allocation needs an equally large
-// array in the body.
+// is elementBound's.
 func IntsAt[T int | int64](b []byte, i, bits int) ([]T, int, error) {
-	end := bytes.IndexByte(b[i:], ']')
-	if end < 0 {
-		end = len(b) - i
-	}
-	out := make([]T, 0, bytes.Count(b[i:i+end], []byte(","))+1)
+	out := make([]T, 0, elementBound(b, i))
 	i = SkipSpace(b, i+1)
 	if i < len(b) && b[i] == ']' {
 		return out, i + 1, nil
@@ -74,6 +69,18 @@ func IntsAt[T int | int64](b []byte, i, bits int) ([]T, int, error) {
 		}
 		return nil, 0, syntaxError(b, i)
 	}
+}
+
+// elementBound bounds the element count of the number array that opens at
+// b[i]: one more than the commas before the first ']', which closes any
+// array of numbers. Counting them is a vectorized scan, so a large
+// allocation needs an equally large array in the body.
+func elementBound(b []byte, i int) int {
+	end := bytes.IndexByte(b[i:], ']')
+	if end < 0 {
+		end = len(b) - i
+	}
+	return bytes.Count(b[i:i+end], []byte(",")) + 1
 }
 
 // SkipSpace returns the index of the first non-whitespace byte at or after i.
@@ -172,25 +179,7 @@ func ParseInt(b []byte, i, bits int) (int64, int, bool) {
 	if i < len(b) && b[i] == '0' {
 		i++
 	} else {
-		// Eight bytes at a time while they last, then byte by byte.
-		for {
-			if i+8 > len(b) {
-				for _, c := range b[i:] {
-					if c -= '0'; c > 9 {
-						break
-					}
-					u = u*10 + uint64(c)
-					i++
-				}
-				break
-			}
-			x := binary.LittleEndian.Uint64(b[i:])
-			n := digitRun(x)
-			u = u*pow10[n] + digitsValue(x, n)
-			if i += n; n < 8 {
-				break
-			}
-		}
+		u, i = digitsAt(b, i, 0)
 	}
 	// Up to 19 digits cannot wrap a uint64, so u is exact when checked;
 	// longer runs may wrap, and are rejected.
@@ -208,6 +197,108 @@ func ParseInt(b []byte, i, bits int) (int64, int, bool) {
 		return -int64(u), i, true
 	}
 	return int64(u), i, true
+}
+
+// digitsAt reads the run of ASCII digits at b[i:], eight bytes at a time
+// while they last and then byte by byte, appending them to u as decimal
+// digits. It returns the new value, exact only for runs that keep it under
+// 2⁶⁴ (callers count the digits, i minus where the run started), and the
+// run's end.
+func digitsAt(b []byte, i int, u uint64) (uint64, int) {
+	for i+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[i:])
+		n := digitRun(x)
+		u = u*pow10[n] + digitsValue(x, n)
+		if i += n; n < 8 {
+			return u, i
+		}
+	}
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		u = u*10 + uint64(c)
+	}
+	return u, i
+}
+
+// exactPow10 holds the powers of ten that float64 represents exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// ParseFloat reads the JSON number at b[i:] as encoding/json decodes one
+// into a float64, in one pass over its bytes, and returns the value and the
+// number's end. ok is false when b[i:] does not start with a well-formed
+// number or the value overflows float64: the literals json.Unmarshal
+// refuses.
+//
+// The mantissa's digits (integer part and fraction) and the exponent are
+// read as integers. When the mantissa is below 2⁵³ (and at most 19 digits
+// were read, so it did not wrap) and the decimal exponent within ±22, both
+// are exact float64 values and one multiplication or division rounds
+// correctly (Clinger's fast path), so the result is the correctly rounded
+// value strconv.ParseFloat returns, -0 included. Any other literal is
+// handed to strconv.ParseFloat on the same bytes.
+func ParseFloat(b []byte, i int) (float64, int, bool) {
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	d := i
+	var man uint64
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		man, i = digitsAt(b, i, 0)
+	default:
+		return 0, i, false
+	}
+	digits, exp := i-d, 0
+	if i < len(b) && b[i] == '.' {
+		j := i + 1
+		if man, i = digitsAt(b, j, man); i == j {
+			return 0, i, false
+		}
+		digits += i - j
+		exp = j - i
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := i
+		var e uint64
+		if e, i = digitsAt(b, j, 0); i == j {
+			return 0, i, false
+		}
+		if i-j > 4 {
+			e = 1 << 16 // beyond the fast path however it wrapped
+		}
+		if eneg {
+			exp -= int(e)
+		} else {
+			exp += int(e)
+		}
+	}
+	if digits <= 19 && man < 1<<53 && -22 <= exp && exp <= 22 {
+		f := float64(man)
+		if exp < 0 {
+			f /= exactPow10[-exp]
+		} else {
+			f *= exactPow10[exp]
+		}
+		if neg {
+			f = -f
+		}
+		return f, i, true
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return f, i, err == nil
 }
 
 // valueError reports the value at b[i] as not decodable into T, in

@@ -3,7 +3,6 @@ package jsonwire
 import (
 	"bytes"
 	"iter"
-	"strconv"
 )
 
 // Walker reads one JSON document left to right in a single pass, without
@@ -137,24 +136,28 @@ func (w *Walker) Int(bits int) int64 {
 	return v
 }
 
-// Float reads a number as encoding/json decodes one into a float64: the
-// literal through strconv.ParseFloat, out-of-range values failing.
+// Float reads a number as encoding/json decodes one into a float64 (see
+// ParseFloat), out-of-range values failing.
 func (w *Walker) Float() float64 {
 	if !w.ok {
 		return 0
 	}
-	j := NumberEnd(w.b, w.i)
-	if j < 0 {
-		w.ok = false
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(w.b[w.i:j]), 64)
-	if err != nil {
+	f, j, ok := ParseFloat(w.b, w.i)
+	if !ok {
 		w.ok = false
 		return 0
 	}
 	w.i = SkipSpace(w.b, j)
 	return f
+}
+
+// Null reads a null if the cursor holds one, reporting whether it did.
+func (w *Walker) Null() bool {
+	if !w.ok || !bytes.HasPrefix(w.b[w.i:], []byte("null")) {
+		return false
+	}
+	w.i = SkipSpace(w.b, w.i+4)
+	return true
 }
 
 // IntArray reads an integer array (not null) with IntsAt, as ir.Ints and
@@ -174,27 +177,39 @@ func IntArray[T int | int64](w *Walker, bits int) []T {
 }
 
 // Floats reads a number array (not null) as encoding/json decodes one into
-// a []float64; an empty array is empty, not nil.
+// a []float64, each element with ParseFloat in the same pass; an empty
+// array is empty, not nil. The result's capacity is counted as IntsAt
+// counts it.
 func (w *Walker) Floats() []float64 {
-	raw := w.NumberArray()
-	if !w.ok {
+	if !w.ok || w.i >= len(w.b) || w.b[w.i] != '[' {
+		w.ok = false
 		return nil
 	}
-	out := make([]float64, 0, bytes.Count(raw, []byte(","))+1)
-	for i := SkipSpace(raw, 1); i < len(raw)-1; {
-		j := NumberEnd(raw, i)
-		f, err := strconv.ParseFloat(string(raw[i:j]), 64)
-		if err != nil {
+	out := make([]float64, 0, elementBound(w.b, w.i))
+	i := SkipSpace(w.b, w.i+1)
+	if i < len(w.b) && w.b[i] == ']' {
+		w.i = SkipSpace(w.b, i+1)
+		return out
+	}
+	for {
+		f, j, ok := ParseFloat(w.b, i)
+		if !ok {
 			w.ok = false
 			return nil
 		}
 		out = append(out, f)
-		i = SkipSpace(raw, j)
-		if raw[i] == ',' {
-			i = SkipSpace(raw, i+1)
+		i = SkipSpace(w.b, j)
+		if i < len(w.b) && w.b[i] == ',' {
+			i = SkipSpace(w.b, i+1)
+			continue
 		}
+		if i < len(w.b) && w.b[i] == ']' {
+			w.i = SkipSpace(w.b, i+1)
+			return out
+		}
+		w.ok = false
+		return nil
 	}
-	return out
 }
 
 // NumberArray checks that the cursor holds an array of numbers (no null or

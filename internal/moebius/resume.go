@@ -66,14 +66,15 @@ func NewResume(m int, x0 []float64) (*Resume, error) {
 }
 
 // Append folds k more rows X[g[i]] := (a[i]·X[f[i]]+b[i])/(c[i]·X[f[i]]+d[i])
-// into the state, in order. Nil c selects c = 0 and nil d selects d = 1 (the
-// affine forms). Every g[i] must be previously unwritten; coefficients must
-// be finite; a row whose division hits zero surfaces as ErrNonFinite with
-// the offending cell named. On error the state is rolled back untouched.
+// into the state, in order. Nil c and d select the affine form (c = 0,
+// d = 1); exactly one nil row is a length error, as at open and in every
+// plan replay (coeffLensOK). Every g[i] must be previously unwritten;
+// coefficients must be finite; a row whose division hits zero surfaces as
+// ErrNonFinite with the offending cell named. On error the state is rolled
+// back untouched.
 func (r *Resume) Append(g, f []int, a, b, c, d []float64) error {
 	k := len(g)
-	if len(f) != k || len(a) != k || len(b) != k ||
-		(c != nil && len(c) != k) || (d != nil && len(d) != k) {
+	if len(f) != k || !coeffLensOK(k, a, b, c, d) {
 		return fmt.Errorf("%w: append map/coefficient lengths disagree", ErrBadSystem)
 	}
 	row := func(i int) Mat2 {

@@ -63,21 +63,28 @@ func (e *APIError) IsShed() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }
 
-// do posts req as JSON to path and decodes the response into out. The
-// ordinary/general request and response types encode and decode through
-// the server package's one-pass codec (server.AppendBody and
+// do sends reqBody as JSON to path with the given method and decodes the
+// response into out. A nil reqBody sends no payload; a nil out discards the
+// response body (2xx only). The wire types encode and decode through the
+// server package's one-pass codec (server.AppendBody and
 // server.UnmarshalBody), with json.Marshal's bytes and json.Unmarshal's
 // results.
-func (c *Client) do(ctx context.Context, path string, reqBody, out any) error {
-	payload, err := server.AppendBody(nil, reqBody)
-	if err != nil {
-		return fmt.Errorf("irserved client: encoding request: %w", err)
+func (c *Client) do(ctx context.Context, method, path string, reqBody, out any) error {
+	var rd io.Reader
+	if reqBody != nil {
+		payload, err := server.AppendBody(nil, reqBody)
+		if err != nil {
+			return fmt.Errorf("irserved client: encoding request: %w", err)
+		}
+		rd = bytes.NewReader(payload)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if reqBody != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if c.Tenant != "" {
 		req.Header.Set(server.TenantHeader, c.Tenant)
 	}
@@ -130,7 +137,7 @@ func readResponse(resp *http.Response) ([]byte, error) {
 // SolveOrdinary solves an ordinary system on the server.
 func (c *Client) SolveOrdinary(ctx context.Context, req server.OrdinaryRequest) (*server.OrdinaryResponse, error) {
 	var out server.OrdinaryResponse
-	if err := c.do(ctx, server.APIPrefix+"ordinary", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.APIPrefix+"ordinary", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -139,7 +146,7 @@ func (c *Client) SolveOrdinary(ctx context.Context, req server.OrdinaryRequest) 
 // SolveGeneral solves a general system on the server.
 func (c *Client) SolveGeneral(ctx context.Context, req server.GeneralRequest) (*server.GeneralResponse, error) {
 	var out server.GeneralResponse
-	if err := c.do(ctx, server.APIPrefix+"general", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.APIPrefix+"general", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -149,7 +156,7 @@ func (c *Client) SolveGeneral(ctx context.Context, req server.GeneralRequest) (*
 // always 1, kept for wire compatibility.
 func (c *Client) SolveLinear(ctx context.Context, req server.LinearRequest) (*server.MoebiusResponse, error) {
 	var out server.MoebiusResponse
-	if err := c.do(ctx, server.APIPrefix+"linear", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.APIPrefix+"linear", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -159,7 +166,7 @@ func (c *Client) SolveLinear(ctx context.Context, req server.LinearRequest) (*se
 // shape SolveLinear's does.
 func (c *Client) SolveMoebius(ctx context.Context, req server.MoebiusRequest) (*server.MoebiusResponse, error) {
 	var out server.MoebiusResponse
-	if err := c.do(ctx, server.APIPrefix+"moebius", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.APIPrefix+"moebius", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -169,7 +176,7 @@ func (c *Client) SolveMoebius(ctx context.Context, req server.MoebiusRequest) (*
 // linear grids) by server-side anti-diagonal wavefronts.
 func (c *Client) SolveGrid2D(ctx context.Context, req server.Grid2DRequest) (*server.Grid2DResponse, error) {
 	var out server.Grid2DResponse
-	if err := c.do(ctx, server.APIPrefix+"grid2d", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.APIPrefix+"grid2d", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -178,7 +185,7 @@ func (c *Client) SolveGrid2D(ctx context.Context, req server.Grid2DRequest) (*se
 // SolveLoop ships DSL loop source for server-side classify-and-execute.
 func (c *Client) SolveLoop(ctx context.Context, req server.LoopRequest) (*server.LoopResponse, error) {
 	var out server.LoopResponse
-	if err := c.do(ctx, server.APIPrefix+"loop", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.APIPrefix+"loop", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

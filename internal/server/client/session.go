@@ -1,14 +1,8 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	"indexedrec/internal/server"
 )
@@ -19,66 +13,10 @@ import (
 // it. Session IDs are only valid against the server (or coordinator) that
 // issued them.
 
-// doMethod is do generalized over the HTTP method; DELETE and GET session
-// calls need it. A nil reqBody sends no payload; a nil out discards the
-// response body (2xx only).
-func (c *Client) doMethod(ctx context.Context, method, path string, reqBody, out any) error {
-	var rd io.Reader
-	if reqBody != nil {
-		payload, err := json.Marshal(reqBody)
-		if err != nil {
-			return fmt.Errorf("irserved client: encoding request: %w", err)
-		}
-		rd = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
-	if err != nil {
-		return err
-	}
-	if reqBody != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.Tenant != "" {
-		req.Header.Set(server.TenantHeader, c.Tenant)
-	}
-	if c.ClusterToken != "" {
-		req.Header.Set(server.ClusterTokenHeader, c.ClusterToken)
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return fmt.Errorf("irserved client: reading response: %w", err)
-	}
-	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Status: resp.StatusCode}
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			apiErr.RetryAfter = time.Duration(ra) * time.Second
-		}
-		var er server.ErrorResponse
-		if json.Unmarshal(body, &er) == nil && er.Error != "" {
-			apiErr.Message = er.Error
-		} else {
-			apiErr.Message = string(body)
-		}
-		return apiErr
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("irserved client: decoding response: %w", err)
-	}
-	return nil
-}
-
 // OpenSession starts a streaming session on the server.
 func (c *Client) OpenSession(ctx context.Context, req server.SessionOpenRequest) (*server.SessionOpenResponse, error) {
 	var out server.SessionOpenResponse
-	if err := c.do(ctx, server.SessionPrefix, req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.SessionPrefix, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -88,7 +26,7 @@ func (c *Client) OpenSession(ctx context.Context, req server.SessionOpenRequest)
 // updated values of the cells the batch wrote.
 func (c *Client) Append(ctx context.Context, id string, req server.SessionAppendRequest) (*server.SessionAppendResponse, error) {
 	var out server.SessionAppendResponse
-	if err := c.do(ctx, server.SessionPrefix+"/"+id+"/append", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.SessionPrefix+"/"+id+"/append", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -97,7 +35,7 @@ func (c *Client) Append(ctx context.Context, id string, req server.SessionAppend
 // GetSession snapshots a session's full current state.
 func (c *Client) GetSession(ctx context.Context, id string) (*server.SessionStateResponse, error) {
 	var out server.SessionStateResponse
-	if err := c.doMethod(ctx, http.MethodGet, server.SessionPrefix+"/"+id, nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, server.SessionPrefix+"/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -105,5 +43,5 @@ func (c *Client) GetSession(ctx context.Context, id string) (*server.SessionStat
 
 // CloseSession ends a session; appends after this answer 404.
 func (c *Client) CloseSession(ctx context.Context, id string) error {
-	return c.doMethod(ctx, http.MethodDelete, server.SessionPrefix+"/"+id, nil, nil)
+	return c.do(ctx, http.MethodDelete, server.SessionPrefix+"/"+id, nil, nil)
 }

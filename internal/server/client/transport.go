@@ -55,7 +55,7 @@ func NewPooled(base string, timeout time.Duration) *Client {
 // POST /v1/shard/solve).
 func (c *Client) SolveShard(ctx context.Context, req server.ShardRequest) (*server.ShardResponse, error) {
 	var out server.ShardResponse
-	if err := c.do(ctx, server.ShardPrefix+"solve", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.ShardPrefix+"solve", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -74,7 +74,7 @@ func (c *Client) Version(ctx context.Context) (*server.VersionResponse, error) {
 // and returns the granted membership lease.
 func (c *Client) Register(ctx context.Context, req server.RegisterRequest) (*server.RegisterResponse, error) {
 	var out server.RegisterResponse
-	if err := c.do(ctx, server.ClusterPrefix+"register", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.ClusterPrefix+"register", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -85,7 +85,7 @@ func (c *Client) Register(ctx context.Context, req server.RegisterRequest) (*ser
 // coordinator restarted); the caller should Register again.
 func (c *Client) Heartbeat(ctx context.Context, addr string) (*server.RegisterResponse, error) {
 	var out server.RegisterResponse
-	if err := c.do(ctx, server.ClusterPrefix+"heartbeat", server.MemberRequest{Addr: addr}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.ClusterPrefix+"heartbeat", server.MemberRequest{Addr: addr}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -93,5 +93,5 @@ func (c *Client) Heartbeat(ctx context.Context, addr string) (*server.RegisterRe
 
 // Deregister removes a draining worker from the coordinator's fleet.
 func (c *Client) Deregister(ctx context.Context, addr string) error {
-	return c.do(ctx, server.ClusterPrefix+"deregister", server.MemberRequest{Addr: addr}, nil)
+	return c.do(ctx, http.MethodPost, server.ClusterPrefix+"deregister", server.MemberRequest{Addr: addr}, nil)
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,17 +132,17 @@ func randMod(rng *rand.Rand) int64 {
 	return pickInt(rng)
 }
 
-// checkEncode holds AppendJSON to json.Marshal, and WriteJSON's body to a
+// checkEncode holds AppendBody to json.Marshal, and WriteJSON's body to a
 // json.Encoder's, byte for byte and error for error.
-func checkEncode(t *testing.T, v jsonAppender) {
+func checkEncode(t *testing.T, v any) {
 	t.Helper()
 	want, wantErr := json.Marshal(v)
-	got, err := v.AppendJSON(nil)
+	got, err := AppendBody(nil, v)
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("%T AppendJSON error %v, json.Marshal error %v", v, err, wantErr)
+		t.Fatalf("%T AppendBody error %v, json.Marshal error %v", v, err, wantErr)
 	}
 	if err == nil && !bytes.Equal(got, want) {
-		t.Fatalf("%T AppendJSON:\n got %s\nwant %s", v, got, want)
+		t.Fatalf("%T AppendBody:\n got %s\nwant %s", v, got, want)
 	}
 	var enc bytes.Buffer
 	_ = json.NewEncoder(&enc).Encode(v)
@@ -152,40 +153,79 @@ func checkEncode(t *testing.T, v jsonAppender) {
 	}
 }
 
-// checkDecode holds the one-pass decode of b to json.Unmarshal's decode into
-// the same struct without the codec's methods (named alike, so even error
-// messages must match).
-func checkDecode(t *testing.T, b []byte) {
+// checkDecode holds UnmarshalBody's decode of b as typ to json.Unmarshal's:
+// the same value and the same error.
+func checkDecode(t *testing.T, typ reflect.Type, b []byte) {
 	t.Helper()
-	type OrdinaryRequest ordinaryRequestFields
-	type GeneralRequest generalRequestFields
-	type OrdinaryResponse ordinaryResponseFields
-	type GeneralResponse generalResponseFields
-	same(t, b, func(v *OrdinaryRequest) error { return (*ordinaryRequestFields)(v).UnmarshalJSON(b) })
-	same(t, b, func(v *GeneralRequest) error { return (*generalRequestFields)(v).UnmarshalJSON(b) })
-	same(t, b, func(v *OrdinaryResponse) error { return (*ordinaryResponseFields)(v).UnmarshalJSON(b) })
-	same(t, b, func(v *GeneralResponse) error { return (*generalResponseFields)(v).UnmarshalJSON(b) })
+	got, want := reflect.New(typ), reflect.New(typ)
+	err := UnmarshalBody(b, got.Interface())
+	wantErr := json.Unmarshal(b, want.Interface())
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%s %q: error %v, json.Unmarshal error %v", typ, b, err, wantErr)
+	}
+	if !reflect.DeepEqual(got.Interface(), want.Interface()) {
+		t.Fatalf("%s %q:\n got %+v\nwant %+v", typ, b, got.Elem(), want.Elem())
+	}
 }
 
-func same[T any](t *testing.T, b []byte, onePass func(*T) error) {
-	t.Helper()
-	var got, want T
-	err := onePass(&got)
-	wantErr := json.Unmarshal(b, &want)
-	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("%T %q: error %v, json.Unmarshal error %v", got, b, err, wantErr)
+// randWire sets the fields of the wire struct v to values drawn from the
+// edge lists above: nil and empty slices, int64 extremes, float edges, op
+// strings needing escapes and init arrays json.Marshal must compact or
+// refuses. A nested struct pointer is nil or drawn in turn; power traces
+// are set on one struct in four.
+func randWire(rng *rand.Rand, v reflect.Value, raw []byte) {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch {
+		case f.Type() == reflect.TypeFor[json.RawMessage]():
+			f.SetBytes(randInit(rng))
+		case f.Type() == reflect.TypeFor[[][]ir.PowerTerm]():
+			if rng.Intn(4) == 0 {
+				f.Set(reflect.ValueOf([][]ir.PowerTerm{{{Cell: int(pickInt(rng)), Exp: randOp(rng, raw)}}}))
+			}
+		case f.Kind() == reflect.Struct:
+			randWire(rng, f, raw)
+		case f.Kind() == reflect.Pointer:
+			if rng.Intn(2) == 0 {
+				f.Set(reflect.New(f.Type().Elem()))
+				randWire(rng, f.Elem(), raw)
+			}
+		case f.CanInt():
+			if rng.Intn(3) > 0 {
+				f.SetInt(pickInt(rng))
+			}
+		case f.CanFloat():
+			f.SetFloat(pickFloat(rng))
+		case f.Kind() == reflect.String:
+			f.SetString(randOp(rng, raw))
+		case f.Kind() == reflect.Bool:
+			f.SetBool(rng.Intn(2) == 0)
+		case f.Type().Elem().Kind() == reflect.Float64:
+			f.Set(reflect.ValueOf(randFloats(rng)))
+		case f.Type().Elem().Kind() == reflect.Int64:
+			f.Set(reflect.ValueOf(randInt64s(rng)).Convert(f.Type()))
+		default:
+			f.Set(reflect.ValueOf(randInts(rng)).Convert(f.Type()))
+		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%T %q:\n got %+v\nwant %+v", got, b, got, want)
+}
+
+// sortedWireTypes lists the wire types by name, so that a fuzz seed draws
+// the same values on every run.
+func sortedWireTypes() []reflect.Type {
+	var types []reflect.Type
+	for typ := range wireTypes {
+		types = append(types, typ)
 	}
+	slices.SortFunc(types, func(a, b reflect.Type) int { return strings.Compare(a.Name(), b.Name()) })
+	return types
 }
 
 // FuzzWireCodec holds the one-pass codec to encoding/json. From the seed it
-// draws random requests and responses (int64 extremes, float edges, op
-// strings needing escapes, nil and empty slices, init arrays json.Marshal
-// must compact or refuses): AppendJSON must equal json.Marshal, WriteJSON
-// must equal a json.Encoder, and decoding the bytes must equal
-// json.Unmarshal. The raw bytes are decoded as all four types too.
+// draws a random value of every wire type (see randWire): AppendBody must
+// equal json.Marshal, WriteJSON must equal a json.Encoder, and decoding the
+// bytes must equal json.Unmarshal. The raw bytes are decoded as every wire
+// type too.
 func FuzzWireCodec(f *testing.F) {
 	for i, s := range []string{
 		`{"values_int":[1,-2],"cells":[3,4],"rounds":2,"combines":5,"elapsed_ms":0.25}`,
@@ -202,29 +242,25 @@ func FuzzWireCodec(f *testing.F) {
 		`{"system":{"m":3},"op":"x","init":[1,"2"]}`,
 		`{"elapsed_ms":1e400}`, `{"rounds":9223372036854775808}`, `{"op":"\xff"}`, `{"init":[1]}x`,
 		`null`, `[]`, ``, ` {} `, `{"with_powers":null}`,
+		`{"m":3,"g":[1,2],"f":[0,1],"a":[0.1,-0],"b":[1e22,1e23],"x0":[1,2.5e-308,9007199254740993],"extended":true}`,
+		`{"family":"linear","system":{"m":0,"n":0,"g":null,"f":null},"m":2,"x0":[0.5,-1.25],"opts":{}}`,
+		`{"system":{"rows":1,"cols":2,"semiring":"minplus","north":[1,2],"west":[1],"northwest":-0},"opts":{}}`,
+		`{"family":"grid2d","system":{"m":0,"n":0,"g":null,"f":null},"shard":{"lo":0,"hi":1},"grid":{"rows":1,"cols":1,"north":[1],"west":[2]},"opts":{}}`,
+		`{"family":"moebius","system":{"m":2,"n":0,"g":[1],"f":[0]},"shard":{"lo":0,"hi":1},"grid":null,"opts":{}}`,
+		`{"values":[1,2],"batch_size":1,"elapsed_ms":0.5}`, `{"a":[1,null]}`, `{"x0":[1e-400,-1e400]}`,
 	} {
 		f.Add(uint64(i), []byte(s))
 	}
+	types := sortedWireTypes()
 	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
-		checkDecode(t, raw)
 		rng := rand.New(rand.NewSource(int64(seed)))
-		values := []jsonAppender{
-			OrdinaryRequest{System: randSystem(rng), Op: randOp(rng, raw), Mod: randMod(rng), Init: randInit(rng), Opts: randOptions(rng)},
-			GeneralRequest{System: randSystem(rng), Op: randOp(rng, raw), Mod: randMod(rng), Init: randInit(rng),
-				WithPowers: rng.Intn(2) == 0, Opts: randOptions(rng)},
-			OrdinaryResponse{ValuesInt: randInt64s(rng), ValuesFloat: randFloats(rng), Cells: randInts(rng),
-				Rounds: int(pickInt(rng)), Combines: pickInt(rng), ElapsedMs: pickFloat(rng)},
-			GeneralResponse{ValuesInt: randInt64s(rng), ValuesFloat: randFloats(rng), Cells: randInts(rng),
-				CAPRounds: int(pickInt(rng)), ElapsedMs: pickFloat(rng)},
-		}
-		if rng.Intn(4) == 0 {
-			values = append(values, GeneralResponse{ValuesInt: randInt64s(rng), CAPRounds: 1,
-				Powers: [][]ir.PowerTerm{{{Cell: int(pickInt(rng)), Exp: randOp(rng, raw)}}}})
-		}
-		for _, v := range values {
-			checkEncode(t, v)
-			if b, err := json.Marshal(v); err == nil {
-				checkDecode(t, b)
+		for _, typ := range types {
+			checkDecode(t, typ, raw)
+			v := reflect.New(typ)
+			randWire(rng, v.Elem(), raw)
+			checkEncode(t, v.Elem().Interface())
+			if b, err := json.Marshal(v.Interface()); err == nil {
+				checkDecode(t, typ, b)
 			}
 		}
 	})
@@ -247,6 +283,9 @@ func fillWire(t *testing.T, v reflect.Value, skip map[string]bool) {
 			f.SetBytes([]byte("[1,-2,3]"))
 		case f.Kind() == reflect.Struct:
 			fillWire(t, f, skip)
+		case f.Kind() == reflect.Pointer && f.Type().Elem().Kind() == reflect.Struct:
+			f.Set(reflect.New(f.Type().Elem()))
+			fillWire(t, f.Elem(), skip)
 		case f.CanInt():
 			f.SetInt(int64(3 + i))
 		case f.CanFloat():
@@ -272,45 +311,49 @@ func fillWire(t *testing.T, v reflect.Value, skip map[string]bool) {
 	}
 }
 
-// TestCodecKnowsEveryField keeps the codec's three lists of wire keys (the
-// struct tags, the walk's key switches, the appenders) in step: with every
-// field of each wire type set, AppendJSON must still equal json.Marshal and
-// the bytes must decode through the walk, not the fallback, to what
-// json.Unmarshal gives. A field added to a type but not to the codec fails
-// here. Power traces are left out: encoding/json writes and reads them.
+// TestCodecKnowsEveryField: with every field of each wire type set, nested
+// structs included, AppendBody must still equal json.Marshal and the bytes
+// must decode through the walk, not the fallback, to what json.Unmarshal
+// gives. The field tables are built from the struct tags, so this holds a
+// new field of a kind the tables carry to encoding/json, and fails on a
+// field of a kind they do not. Power traces are left out: encoding/json
+// writes and reads them.
 func TestCodecKnowsEveryField(t *testing.T) {
-	for _, v := range []jsonAppender{&OrdinaryRequest{}, &GeneralRequest{}, &OrdinaryResponse{}, &GeneralResponse{}} {
-		fillWire(t, reflect.ValueOf(v).Elem(), map[string]bool{"powers": true})
-		b, err := json.Marshal(v)
+	if len(wireTypes) < 16 {
+		t.Fatalf("%d wire types, want the 16 the solve, session and shard routes carry", len(wireTypes))
+	}
+	for typ := range wireTypes {
+		v := reflect.New(typ)
+		fillWire(t, v.Elem(), map[string]bool{"powers": true})
+		b, err := json.Marshal(v.Interface())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := v.AppendJSON(nil)
+		got, err := AppendBody(nil, v.Elem().Interface())
 		if err != nil || !bytes.Equal(got, b) {
-			t.Fatalf("%T AppendJSON (err %v):\n got %s\nwant %s", v, err, got, b)
+			t.Fatalf("%s AppendBody (err %v):\n got %s\nwant %s", typ, err, got, b)
 		}
-		checkDecode(t, b)
+		checkDecode(t, typ, b)
 		before := fallbacks.Load()
-		own := reflect.New(reflect.TypeOf(v).Elem()).Interface().(json.Unmarshaler)
-		if err := own.UnmarshalJSON(b); err != nil || fallbacks.Load() != before {
-			t.Fatalf("%T %s: err %v, decode fell back to encoding/json: %v", v, b, err, fallbacks.Load() != before)
+		if err := UnmarshalBody(b, reflect.New(typ).Interface()); err != nil || fallbacks.Load() != before {
+			t.Fatalf("%s %s: err %v, decode fell back to encoding/json: %v", typ, b, err, fallbacks.Load() != before)
 		}
 	}
 }
 
-// TestUnmarshalJSONCopiesInit: json.Unmarshaler implementations must not
-// keep the bytes they are given (a json.Decoder reuses its buffer), so a
-// walked Init is a copy. DecodeSolveBody alone reads it in place.
-func TestUnmarshalJSONCopiesInit(t *testing.T) {
+// TestUnmarshalBodyCopiesInit: UnmarshalBody's walked Init is a copy, as
+// json.Unmarshal's is, so a caller may reuse the body's buffer. The server's
+// own decoders alone read it in place.
+func TestUnmarshalBodyCopiesInit(t *testing.T) {
 	const body = `{"system":{"m":3,"n":2,"g":[1,2],"f":[0,1]},"op":"int64-add","init":[1,2,3],"opts":{}}`
 	before := fallbacks.Load()
 	b := []byte(body)
 	var o OrdinaryRequest
 	var g GeneralRequest
-	if err := o.UnmarshalJSON(b); err != nil {
+	if err := UnmarshalBody(b, &o); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(b, &g); err != nil {
+	if err := UnmarshalBody(b, &g); err != nil {
 		t.Fatal(err)
 	}
 	if fallbacks.Load() != before {

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -95,5 +98,83 @@ func FuzzExecShard(f *testing.F) {
 	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkExec(t, s.execShard, body)
+	})
+}
+
+// FuzzDecodeGrid2D feeds raw /v1/solve/grid2d bodies to the grid decode
+// and wavefront solve.
+func FuzzDecodeGrid2D(f *testing.F) {
+	for _, s := range []string{
+		`{"system":{"rows":2,"cols":3,"semiring":"minplus","a":[1,1,1,1,1,1],"b":[1,1,1,1,1,1],"diag":[0,1,0,1,0,1],"north":[1,2,3],"west":[1,2]},"opts":{}}`,
+		`{"system":{"rows":2,"cols":2,"a":[0.5,0.5,0.5,0.5],"c":[1,-1,2.5e-3,0],"north":[1,2],"west":[1,2],"northwest":-0.5},"opts":{"procs":2}}`,
+		`{"system":{"rows":1,"cols":1,"semiring":"maxplus","b":[2],"north":[0],"west":[-1e308]}}`,
+		`{"system":{"rows":1,"cols":2,"a":[1e300,1e300],"north":[1e300,1e300],"west":[1e300]}}`,
+		`{"system":{"rows":2,"cols":2,"north":[1,2],"west":[1,2]}}`,
+		`{"system":{"rows":1,"cols":2,"a":[1],"north":[1,2],"west":[1]}}`,
+		`{"system":{"rows":64,"cols":64,"a":[],"north":[],"west":[]}}`,
+		`{"system":{"rows":-1,"cols":3,"a":[1,1,1]}}`,
+		`{"system":{"rows":9223372036854775807,"cols":2,"a":[1]}}`,
+		`{"system":{"rows":1,"cols":1,"semiring":"tropical","a":[1],"north":[0],"west":[0]}}`,
+		`{"system":{"rows":1,"cols":1,"a":[null],"north":[0],"west":[0]}}`,
+		`{"system":{"rows":1,"cols":1,"a":[1],"north":null,"west":[0]},"opts":{"timeout_ms":-1}}`,
+		`{"system":null}`, `null`, `{`, `[]`,
+	} {
+		f.Add([]byte(s))
+	}
+	s := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkExec(t, s.execGrid2D, body)
+	})
+}
+
+// FuzzSessionRoutes feeds a raw open body to POST /v1/session and a raw
+// append body to POST /v1/session/{id}/append, against the fuzzed open's
+// session when it opens and otherwise against a fresh session of the
+// family kind selects. Every answer must be a 2xx or a 4xx.
+func FuzzSessionRoutes(f *testing.F) {
+	bases := []string{
+		`{"family":"ordinary","system":{"m":8,"n":2,"g":[1,2],"f":[0,1]},"op":"int64-add","init":[1,0,0,0,0,0,0,0]}`,
+		`{"family":"general","system":{"m":4,"n":2,"g":[1,1],"f":[0,0],"h":[1,1]},"op":"mul-mod","mod":7,"init":[2,3,0,0]}`,
+		`{"family":"linear","m":8,"g":[1],"f":[0],"a":[0.5],"b":[1],"x0":[1,0,0,0,0,0,0,0]}`,
+		`{"family":"moebius","m":8,"g":[1],"f":[0],"a":[1],"b":[1],"c":[0.25],"d":[1],"x0":[1,0,0,0,0,0,0,0]}`,
+	}
+	for i, open := range append(bases,
+		`{"family":"linear","m":3,"g":[1,2],"f":[0,1],"a":[2,0.5],"b":[1,-1],"x0":[1,2,3],"extended":true}`,
+		`{"family":"auto","system":{"m":3,"n":1,"g":[1],"f":[0]},"op":"float64-add","init":[0.5,1e-7,-0]}`,
+		`{"family":"linear","m":2,"x0":[1,2],"c":[]}`, `{"family":"quantum"}`, `{"family":"linear","m":-1}`, `null`, `{`,
+	) {
+		for _, app := range []string{
+			`{"g":[3],"f":[2]}`, `{"g":[2],"f":[1],"h":[2]}`, `{"g":[2],"f":[1],"a":[1],"b":[0.5]}`,
+			`{"g":[2],"f":[1],"a":[1],"b":[1],"c":[0]}`, `{"g":[2],"f":[1],"a":[1],"b":[1],"c":[1],"d":[-1]}`,
+			`{"g":[1],"f":[0],"a":[1],"b":[1]}`, `{"g":[99],"f":[0],"a":[1],"b":[1]}`, `{"g":[2],"f":[1],"a":[1e308],"b":[1e308]}`,
+			`{"g":[2],"f":[1],"opts":{"timeout_ms":-1}}`, `{"g":null,"f":null}`, `{}`, `null`, `{`,
+		} {
+			f.Add(uint8(i), []byte(open), []byte(app))
+		}
+	}
+	s := fuzzServer(f)
+	h := s.Handler()
+	post := func(t *testing.T, path string, body []byte) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code/100 != 2 && rec.Code/100 != 4 {
+			t.Fatalf("POST %s %q: HTTP %d: %s", path, body, rec.Code, rec.Body.Bytes())
+		}
+		if rec.Code/100 != 2 {
+			return nil
+		}
+		return rec.Body.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, open, app []byte) {
+		resp := post(t, SessionPrefix, open)
+		if resp == nil {
+			resp = post(t, SessionPrefix, []byte(bases[int(kind)%len(bases)]))
+		}
+		var opened SessionOpenResponse
+		if err := UnmarshalBody(resp, &opened); err != nil {
+			t.Fatalf("open response %s: %v", resp, err)
+		}
+		defer s.sessions.Delete(opened.ID)
+		post(t, SessionPrefix+"/"+opened.ID+"/append", app)
 	})
 }

@@ -12,9 +12,9 @@ import (
 	"indexedrec/ir"
 )
 
-// TestCanonicalBodiesTakeOnePass: every body the typed client emits, and
-// every response irserved writes without power traces, decodes through the
-// one-pass walk. A fallback to encoding/json would still give the right
+// TestCanonicalBodiesTakeOnePass: every body the typed client emits on the
+// solve, session and shard routes, and every response irserved writes there
+// without power traces, decodes through the one-pass walk. A fallback to encoding/json would still give the right
 // answer, so only this count shows the speed-up is there.
 func TestCanonicalBodiesTakeOnePass(t *testing.T) {
 	s := server.New(server.Config{})
@@ -91,6 +91,73 @@ func TestCanonicalBodiesTakeOnePass(t *testing.T) {
 	}
 	if d := server.OnePassFallbacks() - before; d != 0 {
 		t.Fatalf("%d of %d request and response decodes fell back to encoding/json", d, 2*(len(ordinary)+len(general)))
+	}
+
+	// The float routes: linear, extended linear, Möbius, grid2d, a session
+	// open, append and snapshot, and a shard of each family. Coefficients
+	// and x0 mix literals that take the exact float path and ones that do
+	// not.
+	coeffs := func(k int, scale float64) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			v[i] = scale * (float64(i%7) - 2.5) / 3
+		}
+		return v
+	}
+	x0 := coeffs(n+1, 1e-3)
+	lin := server.LinearRequest{M: n + 1, G: dense.G, F: dense.F, A: coeffs(n, 0.1), B: coeffs(n, 1), X0: x0, Opts: opts}
+	ext := lin
+	ext.Extended = true
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	grid := ir.Grid2DSystem{Rows: 3, Cols: 4, Semiring: "minplus", A: ones[:12], B: ones[:12], Diag: coeffs(12, 1),
+		North: []float64{1, 2, 3, 4}, West: []float64{1, 2, 3}, NorthWest: -0.5}
+	before = server.OnePassFallbacks()
+	steps := []func() error{
+		func() error { _, err := c.SolveLinear(ctx, lin); return err },
+		func() error { _, err := c.SolveLinear(ctx, ext); return err },
+		func() error {
+			_, err := c.SolveMoebius(ctx, server.MoebiusRequest{M: n + 1, G: dense.G, F: dense.F,
+				A: lin.A, B: lin.B, C: coeffs(n, 1e-4), D: ones, X0: x0})
+			return err
+		},
+		func() error { _, err := c.SolveGrid2D(ctx, server.Grid2DRequest{System: grid, Opts: opts}); return err },
+		func() error {
+			open, err := c.OpenSession(ctx, server.SessionOpenRequest{Family: "linear", M: n + 1, X0: x0, Opts: opts})
+			if err != nil {
+				return err
+			}
+			if _, err := c.Append(ctx, open.ID, server.SessionAppendRequest{G: dense.G[:8], F: dense.F[:8],
+				A: lin.A[:8], B: lin.B[:8]}); err != nil {
+				return err
+			}
+			_, err = c.GetSession(ctx, open.ID)
+			return err
+		},
+		func() error {
+			_, err := c.SolveShard(ctx, server.ShardRequest{Family: "ordinary", System: dense,
+				Shard: server.ShardWire{Lo: 0, Hi: 1}, Op: "int64-add", Init: ints(n + 1)})
+			return err
+		},
+		func() error {
+			_, err := c.SolveShard(ctx, server.ShardRequest{Family: "moebius", System: ir.SystemWire{M: n + 1, G: dense.G, F: dense.F},
+				Shard: server.ShardWire{Lo: 0, Hi: n + 1}, A: lin.A, B: lin.B, X0: x0})
+			return err
+		},
+		func() error {
+			_, err := c.SolveShard(ctx, server.ShardRequest{Family: "grid2d", Shard: server.ShardWire{Lo: 0, Hi: 3}, Grid: &grid})
+			return err
+		},
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("float route %d: %v", i, err)
+		}
+	}
+	if d := server.OnePassFallbacks() - before; d != 0 {
+		t.Fatalf("float routes: %d request and response decodes fell back to encoding/json", d)
 	}
 
 	// A with_powers request still takes the walk; only its response, whose

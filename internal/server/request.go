@@ -51,19 +51,19 @@ type SolveRequest struct {
 }
 
 // DecodeSolveBody unmarshals an OrdinaryRequest or GeneralRequest body,
-// by family, and decodes it with DecodeSolve. It calls the types' one-pass
-// walk directly, not json.Unmarshal, so encoding/json's validation pass over
-// the whole body is skipped (the walk checks the grammar itself). Init is
-// read in place, without a copy: body does not change during the call.
+// by family, and decodes it with DecodeSolve. It takes the one-pass walk
+// directly, not json.Unmarshal, so encoding/json's validation pass over the
+// whole body is skipped (the walk checks the grammar itself). Init is read
+// in place, without a copy: body does not change during the call.
 func DecodeSolveBody(family ir.Family, body []byte, lim Limits) (*SolveRequest, error) {
 	var req GeneralRequest
 	var err error
 	if family == ir.FamilyOrdinary {
 		var o OrdinaryRequest
-		err = o.unmarshal(body, false)
+		err = decodeBody(body, &o, true)
 		req = GeneralRequest{System: o.System, Op: o.Op, Mod: o.Mod, Init: o.Init, Opts: o.Opts}
 	} else {
-		err = req.unmarshal(body, false)
+		err = decodeBody(body, &req, true)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("bad request body: %v", err)
@@ -218,14 +218,14 @@ func DecodeMoebius(endpoint string, body []byte, maxN int) (*moebius.MoebiusSyst
 	switch endpoint {
 	case "linear":
 		var req LinearRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := decodeBody(body, &req, true); err != nil {
 			return nil, nil, opts, fmt.Errorf("bad request body: %v", err)
 		}
 		ms = &moebius.MoebiusSystem{M: req.M, G: req.G, F: req.F, A: req.A, B: req.B}
 		x0, opts, extended = req.X0, req.Opts, req.Extended
 	case "moebius":
 		var req MoebiusRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := decodeBody(body, &req, true); err != nil {
 			return nil, nil, opts, fmt.Errorf("bad request body: %v", err)
 		}
 		ms = &moebius.MoebiusSystem{M: req.M, G: req.G, F: req.F, A: req.A, B: req.B, C: req.C, D: req.D}

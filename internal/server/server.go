@@ -510,7 +510,7 @@ func (s *Server) execMoebius(endpoint string) execFunc {
 
 func (s *Server) execGrid2D(body []byte) (runFunc, int, error) {
 	var req Grid2DRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeBody(body, &req, true); err != nil {
 		return nil, 0, fmt.Errorf("bad request body: %v", err)
 	}
 	sys := &req.System

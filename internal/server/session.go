@@ -134,7 +134,7 @@ func (s *Server) sessionRoutes() {
 // store. An open compiles nothing and never touches the plan cache.
 func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 	var req SessionOpenRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeBody(body, &req, true); err != nil {
 		return nil, 0, fmt.Errorf("bad request body: %v", err)
 	}
 	spec, err := s.sessionSpec(&req)
@@ -257,7 +257,7 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionAppendRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeBody(body, &req, true); err != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -354,14 +354,15 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 
 // statusForSession maps session-append errors to HTTP statuses: a closed
 // or evicted session reads as gone (404, matching the post-delete view),
-// the iteration bound and validation failures are client errors, and
-// everything else follows the solve mapping.
+// the iteration bound and validation failures (an ordinary append with H
+// among them) are client errors, and everything else follows the solve
+// mapping.
 func statusForSession(err error) int {
 	switch {
 	case errors.Is(err, session.ErrClosed), errors.Is(err, session.ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, session.ErrLimit), errors.Is(err, ordinary.ErrGNotDistinct),
-		errors.Is(err, moebius.ErrInitLen):
+		errors.Is(err, moebius.ErrInitLen), errors.Is(err, ir.ErrPlanFamily):
 		return http.StatusBadRequest
 	case errors.Is(err, session.ErrStoreFull):
 		return http.StatusInsufficientStorage

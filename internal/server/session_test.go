@@ -232,6 +232,42 @@ func TestSessionErrorPaths(t *testing.T) {
 	}
 }
 
+// TestSessionAppendLoneNilRow: an append with exactly one of c and d nil
+// is a length error (400), as at open and on /v1/solve/moebius, and leaves
+// the session as it was: the same snapshot, and the next append lands.
+func TestSessionAppendLoneNilRow(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{Workers: 1})
+	resp, data := post(t, ts.URL+SessionPrefix, SessionOpenRequest{
+		Family: "moebius", M: 4, G: []int{1}, F: []int{0},
+		A: []float64{1}, B: []float64{1}, X0: []float64{1, 0, 0, 0},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("open: HTTP %d: %s", resp.StatusCode, data)
+	}
+	var open SessionOpenResponse
+	if err := json.Unmarshal(data, &open); err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + SessionPrefix + "/" + open.ID
+	_, before := get(t, url)
+	for _, req := range []SessionAppendRequest{
+		{G: []int{2}, F: []int{1}, A: []float64{1}, B: []float64{1}, C: []float64{0}},
+		{G: []int{2}, F: []int{1}, A: []float64{1}, B: []float64{1}, D: []float64{1}},
+	} {
+		resp, data := post(t, url+"/append", req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "lengths disagree") {
+			t.Fatalf("append c=%v d=%v: HTTP %d: %s, want 400 length error", req.C, req.D, resp.StatusCode, data)
+		}
+		if _, after := get(t, url); string(after) != string(before) {
+			t.Fatalf("refused append changed the session:\n got %s\nwant %s", after, before)
+		}
+	}
+	resp, data = post(t, url+"/append", SessionAppendRequest{G: []int{2}, F: []int{1}, A: []float64{1}, B: []float64{1}})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), `"values":[3]`) {
+		t.Fatalf("affine append after the refusals: HTTP %d: %s, want values [3]", resp.StatusCode, data)
+	}
+}
+
 // TestSessionIdleTTLEviction proves the store's idle sweeper evicts a
 // neglected session and the API then reports it gone, with the eviction
 // metric moving.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -26,7 +25,7 @@ import (
 // coordinator holds the touched-cell list to map them back.
 func (s *Server) execShard(body []byte) (runFunc, int, error) {
 	var req ShardRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeBody(body, &req, true); err != nil {
 		return nil, 0, fmt.Errorf("bad request body: %v", err)
 	}
 	fam, err := ir.FamilyByName(req.Family)

@@ -306,3 +306,25 @@ func BenchmarkSolveWireRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSessionOpenWire runs the JSON steps of served-session-append's
+// set-up: the client encodes a linear session open with a 65,537-float x0
+// drawn from [-1, 1), and the server decodes it.
+func BenchmarkSessionOpenWire(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	req := SessionOpenRequest{Family: "linear", M: 65537, X0: make([]float64, 65537)}
+	for i := range req.X0 {
+		req.X0[i] = 2*rng.Float64() - 1
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		payload, err := AppendBody(nil, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var got SessionOpenRequest
+		if err := decodeBody(payload, &got, true); err != nil || len(got.X0) != req.M {
+			b.Fatalf("decode: %v, %d floats", err, len(got.X0))
+		}
+	}
+}
