@@ -110,30 +110,31 @@ func newFleet(t testing.TB, n int, mut func(*Config)) (*Coordinator, []*testWork
 	return co, workers, down
 }
 
-// specFor builds the solve spec a coordinator endpoint would produce.
-func specFor(fam ir.Family, sys *ir.System, m int, g, f []int, data ir.PlanData) *solveSpec {
-	if fam == ir.FamilyMoebius {
-		return &solveSpec{family: fam, m: m, g: g, f: f, data: data}
-	}
-	return &solveSpec{family: fam, solve: &server.SolveRequest{Family: fam, Sys: sys, Data: data}, data: data}
+// specFor builds the solve request a coordinator route would decode; a
+// Möbius structure is M, N, G, F of sys.
+func specFor(fam ir.Family, sys *ir.System, data ir.PlanData) *server.SolveRequest {
+	return &server.SolveRequest{Family: fam, Sys: sys, Data: data}
 }
 
-// localSolution computes the reference answer with the plan layer directly.
-func localSolution(t testing.TB, spec *solveSpec) *ir.PlanSolution {
-	t.Helper()
-	var p *ir.Plan
-	var err error
-	if spec.family == ir.FamilyMoebius {
-		p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
-	} else {
-		p, err = ir.CompileCtx(context.Background(), spec.solve.Sys, ir.CompileOptions{
-			Family: spec.family, MaxExponentBits: spec.solve.Bits,
-		})
-	}
+// localSolve computes the reference answer with the plan layer directly,
+// recovering a panicking draw as an error.
+func localSolve(spec *server.SolveRequest) (sol *ir.PlanSolution, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("local solve panicked: %v", r)
+		}
+	}()
+	p, err := spec.Compile(context.Background())
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	sol, err := p.SolveCtx(context.Background(), spec.data)
+	return p.SolveCtx(context.Background(), spec.Data)
+}
+
+// localSolution is localSolve for draws that must solve.
+func localSolution(t testing.TB, spec *server.SolveRequest) *ir.PlanSolution {
+	t.Helper()
+	sol, err := localSolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func assertSameSolution(t testing.TB, got, want *ir.PlanSolution) {
 }
 
 // randSpec draws a random solve across all three families from rng.
-func randSpec(rng *rand.Rand) *solveSpec {
+func randSpec(rng *rand.Rand) *server.SolveRequest {
 	m := 1 + rng.Intn(32)
 	n := rng.Intn(m + 1)
 	switch rng.Intn(3) {
@@ -184,7 +185,7 @@ func randSpec(rng *rand.Rand) *solveSpec {
 		for x := range init {
 			init[x] = rng.Float64()*100 - 50
 		}
-		return specFor(ir.FamilyOrdinary, &ir.System{M: m, N: n, G: g, F: f}, 0, nil, nil,
+		return specFor(ir.FamilyOrdinary, &ir.System{M: m, N: n, G: g, F: f},
 			ir.PlanData{Op: "float64-add", InitFloat: init})
 	case 1: // general over mul-mod
 		n = rng.Intn(2*m + 1)
@@ -198,9 +199,9 @@ func randSpec(rng *rand.Rand) *solveSpec {
 		for x := range init {
 			init[x] = rng.Int63n(1000) + 1
 		}
-		spec := specFor(ir.FamilyGeneral, &ir.System{M: m, N: n, G: g, F: f, H: h}, 0, nil, nil,
+		spec := specFor(ir.FamilyGeneral, &ir.System{M: m, N: n, G: g, F: f, H: h},
 			ir.PlanData{Op: "mul-mod", Mod: 1_000_003, InitInt: init})
-		spec.solve.Bits = 4096
+		spec.Bits = 4096
 		return spec
 	default: // moebius with denominators kept off zero
 		perm := rng.Perm(m)
@@ -224,7 +225,7 @@ func randSpec(rng *rand.Rand) *solveSpec {
 		for i := range x0 {
 			x0[i] = (rng.Float64()*2 - 1) * 10
 		}
-		return specFor(ir.FamilyMoebius, nil, m, g, f,
+		return specFor(ir.FamilyMoebius, &ir.System{M: m, N: n, G: g, F: f},
 			ir.PlanData{A: coeffs(2), B: coeffs(5), C: coeffs(0.1), D: d, X0: x0})
 	}
 }
@@ -244,26 +245,7 @@ func FuzzClusterAgainstLocal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		spec := randSpec(rng)
-		wantSol, wantErr := func() (sol *ir.PlanSolution, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("local solve panicked: %v", r)
-				}
-			}()
-			var p *ir.Plan
-			if spec.family == ir.FamilyMoebius {
-				p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
-			} else {
-				p, err = ir.CompileCtx(context.Background(), spec.solve.Sys, ir.CompileOptions{
-					Family: spec.family, MaxExponentBits: spec.solve.Bits,
-				})
-			}
-			if err != nil {
-				return nil, err
-			}
-			sol, err = p.SolveCtx(context.Background(), spec.data)
-			return sol, err
-		}()
+		wantSol, wantErr := localSolve(spec)
 		if wantErr != nil {
 			// A division-by-zero or degenerate draw; distributed equivalence
 			// needs a finite baseline.
@@ -292,25 +274,8 @@ func TestClusterSolveAllFamilies(t *testing.T) {
 				t.Fatal("too many degenerate draws")
 			}
 			spec := randSpec(rng)
-			var want *ir.PlanSolution
-			ok := func() (ok bool) {
-				defer func() { recover() }()
-				var p *ir.Plan
-				var err error
-				if spec.family == ir.FamilyMoebius {
-					p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
-				} else {
-					p, err = ir.CompileCtx(context.Background(), spec.solve.Sys, ir.CompileOptions{
-						Family: spec.family, MaxExponentBits: spec.solve.Bits,
-					})
-				}
-				if err != nil {
-					return false
-				}
-				want, err = p.SolveCtx(context.Background(), spec.data)
-				return err == nil
-			}()
-			if !ok {
+			want, err := localSolve(spec)
+			if err != nil {
 				continue
 			}
 			got, err := co.Solve(context.Background(), spec)
@@ -354,7 +319,7 @@ func TestChaosKillWorkerMidScatter(t *testing.T) {
 		// Many-chain ordinary systems; shard placement is rendezvous-hashed
 		// per fingerprint, so vary the shape until a shard lands on the
 		// armed worker. Every answer along the way must still be exact.
-		var spec *solveSpec
+		var spec *server.SolveRequest
 		var want *ir.PlanSolution
 		for attempt := 0; attempt < 8 && !killed.Load(); attempt++ {
 			m := 64 + 2*attempt
@@ -368,8 +333,7 @@ func TestChaosKillWorkerMidScatter(t *testing.T) {
 				init[i] = int64(i)
 			}
 			sys := &ir.System{M: m, N: len(g), G: g, F: f}
-			spec = specFor(ir.FamilyOrdinary, sys, 0, nil, nil,
-				ir.PlanData{Op: "int64-add", InitInt: init})
+			spec = specFor(ir.FamilyOrdinary, sys, ir.PlanData{Op: "int64-add", InitInt: init})
 			want = localSolution(t, spec)
 
 			got, err := co.Solve(context.Background(), spec)
@@ -412,7 +376,7 @@ func TestFallbackWhenAllWorkersDown(t *testing.T) {
 			w.setUp(false)
 		}
 
-		spec := specFor(ir.FamilyOrdinary, &ir.System{M: 4, N: 3, G: []int{1, 2, 3}, F: []int{0, 1, 2}}, 0, nil, nil,
+		spec := specFor(ir.FamilyOrdinary, &ir.System{M: 4, N: 3, G: []int{1, 2, 3}, F: []int{0, 1, 2}},
 			ir.PlanData{Op: "int64-add", InitInt: []int64{1, 2, 3, 4}})
 		want := localSolution(t, spec)
 		got, err := co.Solve(context.Background(), spec)
@@ -451,7 +415,7 @@ func TestHedgedRequest(t *testing.T) {
 		// Single chain → single shard → the first attempt is slow and the
 		// hedge lands on the other, still-fast worker.
 		spec := specFor(ir.FamilyOrdinary, &ir.System{M: 8, N: 7,
-			G: []int{1, 2, 3, 4, 5, 6, 7}, F: []int{0, 1, 2, 3, 4, 5, 6}}, 0, nil, nil,
+			G: []int{1, 2, 3, 4, 5, 6, 7}, F: []int{0, 1, 2, 3, 4, 5, 6}},
 			ir.PlanData{Op: "int64-add", InitInt: []int64{1, 1, 1, 1, 1, 1, 1, 1}})
 		want := localSolution(t, spec)
 		got, err := co.Solve(context.Background(), spec)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"indexedrec/internal/core"
+	"indexedrec/internal/grid2d"
 	"indexedrec/internal/moebius"
 	"indexedrec/internal/server"
 	"indexedrec/internal/session"
@@ -77,27 +78,33 @@ func (a crossAnswer) bits() []uint64 {
 }
 
 // TestCrossRouteBitIdentity runs one table of requests — {ordinary,
-// general} × {dense, sparse} × {integer, float} operator, plus a linear and
-// a moebius row — through irserved's solve endpoint, its shard endpoint over
-// the whole shard domain, and the coordinator with one and with two
-// workers. Every ordinary/general answer, read back through its
-// touched-cell list, must be bit-identical to core.RunSequential on the
+// general} × {dense, sparse} × {integer, float} operator, plus a linear, a
+// moebius and three grid2d rows — through irserved's solve endpoint, its
+// shard endpoint over the whole shard domain, and the coordinator with one,
+// two and four workers. Every ordinary/general answer, read back through
+// its touched-cell list, must be bit-identical to core.RunSequential on the
 // dense expansion; every linear/moebius answer to ir.SolveMoebiusPlanCtx on
-// the same input. Two session rows (linear and ordinary int64-add) stream
-// the same batches through irserved, both coordinators and an in-process
-// session.Open; see crossSession.
+// the same input; every grid2d answer to grid2d.SolveSequential. Two
+// session rows (linear and ordinary int64-add) stream the same batches
+// through irserved, every coordinator and an in-process session.Open; see
+// crossSession.
 func TestCrossRouteBitIdentity(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
 		co1, workers, down1 := newFleet(t, 1, nil)
 		co2, _, down2 := newFleet(t, 2, nil)
+		co4, _, down4 := newFleet(t, 4, nil)
 		front1 := httptest.NewServer(co1.Handler())
 		front2 := httptest.NewServer(co2.Handler())
+		front4 := httptest.NewServer(co4.Handler())
+		defer down4()
 		defer down2()
 		defer down1()
+		defer front4.Close()
 		defer front2.Close()
 		defer front1.Close()
 		worker := workers[0].ts.URL
+		fronts := []route{{"ircoord/1", front1.URL}, {"ircoord/2", front2.URL}, {"ircoord/4", front4.URL}}
 
 		var cases []crossCase
 		for _, fam := range []ir.Family{ir.FamilyOrdinary, ir.FamilyGeneral} {
@@ -200,8 +207,9 @@ func TestCrossRouteBitIdentity(t *testing.T) {
 					check(route, got)
 				}
 				solve("irserved", worker)
-				solve("ircoord/1", front1.URL)
-				solve("ircoord/2", front2.URL)
+				for _, r := range fronts {
+					solve(r.route, r.url)
+				}
 
 				// The shard endpoint over the whole domain, merged the way the
 				// coordinator merges a one-shard scatter.
@@ -243,27 +251,100 @@ func TestCrossRouteBitIdentity(t *testing.T) {
 		}
 		for _, endpoint := range []string{"linear", "moebius"} {
 			t.Run(endpoint, func(t *testing.T) {
-				crossMoebius(t, rng, endpoint, worker, front1.URL, front2.URL)
+				crossMoebius(t, rng, endpoint, worker, fronts)
+			})
+		}
+		for _, g := range []struct {
+			rows, cols int
+			ring       string
+		}{{9, 7, "affine"}, {33, 300, "minplus"}, {5, 40, "maxplus"}} {
+			t.Run(fmt.Sprintf("grid2d/%dx%d/%s", g.rows, g.cols, g.ring), func(t *testing.T) {
+				crossGrid2D(t, workload.RandomGrid2D(rng, g.rows, g.cols, g.ring, 15), worker, fronts)
 			})
 		}
 		for _, family := range []string{"linear", "ordinary"} {
 			t.Run("session/"+family, func(t *testing.T) {
-				crossSession(t, rng, family, worker, front1.URL, front2.URL)
+				crossSession(t, rng, family, worker, fronts)
 			})
 		}
-		if co2.metrics.shards.Value() == 0 {
-			t.Fatal("the two-worker coordinator never scattered")
+		for _, co := range []*Coordinator{co2, co4} {
+			if co.metrics.shards.Value() == 0 {
+				t.Fatalf("the %d-worker coordinator never scattered", len(co.alive()))
+			}
 		}
 	}()
 	leak()
 }
 
+// route names one daemon a cross-route row posts to.
+type route struct{ route, url string }
+
+// crossGrid2D is TestCrossRouteBitIdentity's grid2d row: sys posted to
+// irserved's grid2d endpoint, to its shard endpoint as one band over every
+// row, and to each coordinator, which cuts it into row bands. Every answer
+// must match grid2d.SolveSequential bit for bit, rounds included where the
+// route reports them.
+func crossGrid2D(t *testing.T, sys *ir.Grid2DSystem, worker string, fronts []route) {
+	t.Helper()
+	ring, err := grid2d.RingByName(sys.Semiring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := grid2d.SolveSequential(&grid2d.System{
+		Rows: sys.Rows, Cols: sys.Cols, Ring: ring,
+		A: sys.A, B: sys.B, D: sys.Diag, C: sys.C,
+		North: sys.North, West: sys.West, NW: sys.NorthWest,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(route string, got []float64) {
+		t.Helper()
+		if len(got) != len(want.Values) {
+			t.Fatalf("%s: %d values, want %d", route, len(got), len(want.Values))
+		}
+		for k, v := range want.Values {
+			if math.Float64bits(got[k]) != math.Float64bits(v) {
+				t.Fatalf("%s: cell %d = %v, sequential %v", route, k, got[k], v)
+			}
+		}
+	}
+	for _, r := range append([]route{{"irserved", worker}}, fronts...) {
+		code, data := postFront(t, r.url+server.APIPrefix+"grid2d", server.Grid2DRequest{System: *sys})
+		if code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", r.route, code, data)
+		}
+		var got server.Grid2DResponse
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Rounds != want.Rounds || got.Cells != want.Cells {
+			t.Fatalf("%s: %d rounds over %d cells, sequential %d over %d", r.route, got.Rounds, got.Cells, want.Rounds, want.Cells)
+		}
+		check(r.route, got.Values)
+	}
+	code, data := postFront(t, worker+server.ShardPrefix+"solve", server.ShardRequest{
+		Family: "grid2d", Shard: server.ShardWire{Lo: 0, Hi: sys.Rows}, Grid: sys,
+	})
+	if code != http.StatusOK {
+		t.Fatalf("shard: HTTP %d: %s", code, data)
+	}
+	var part server.ShardResponse
+	if err := json.Unmarshal(data, &part); err != nil {
+		t.Fatal(err)
+	}
+	if part.Shard.Lo != 0 || part.Shard.Hi != sys.Rows {
+		t.Fatalf("shard: echoed band [%d, %d), want [0, %d)", part.Shard.Lo, part.Shard.Hi, sys.Rows)
+	}
+	check("shard", part.Values)
+}
+
 // crossMoebius is TestCrossRouteBitIdentity's linear/moebius row: a random
 // chain forest with coefficients that keep every value bounded, posted to
-// the endpoint on irserved and on both coordinators, and to irserved's shard
-// endpoint over the whole domain. Each answer must match
+// the endpoint on irserved and on every coordinator, and to irserved's
+// shard endpoint over the whole domain. Each answer must match
 // ir.SolveMoebiusPlanCtx bit for bit.
-func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker, front1, front2 string) {
+func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker string, fronts []route) {
 	t.Helper()
 	sys := workload.RandomOrdinary(rng, 512, 400)
 	m, g, f, n := sys.M, sys.G, sys.F, sys.N
@@ -309,9 +390,7 @@ func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker, front1, front2
 			}
 		}
 	}
-	for _, r := range []struct{ route, url string }{
-		{"irserved", worker}, {"ircoord/1", front1}, {"ircoord/2", front2},
-	} {
+	for _, r := range append([]route{{"irserved", worker}}, fronts...) {
 		code, data := postFront(t, r.url+server.APIPrefix+endpoint, body)
 		if code != http.StatusOK {
 			t.Fatalf("%s: HTTP %d: %s", r.route, code, data)
@@ -349,11 +428,10 @@ func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker, front1, front2
 
 // crossSession is TestCrossRouteBitIdentity's session row: one stream — a
 // prefix plus four appended batches — opened and appended through
-// irserved, the coordinator with one and with two workers, and an
-// in-process session.Open. Every batch's values must be bit-identical to
-// the sequential loop over the concatenation, and every route must report
-// the same open fingerprint.
-func crossSession(t *testing.T, rng *rand.Rand, family, worker, front1, front2 string) {
+// irserved, every coordinator, and an in-process session.Open. Every
+// batch's values must be bit-identical to the sequential loop over the
+// concatenation, and every route must report the same open fingerprint.
+func crossSession(t *testing.T, rng *rand.Rand, family, worker string, fronts []route) {
 	t.Helper()
 	const n0, batches = 100, 4
 	sys := workload.RandomOrdinary(rng, 512, 400)
@@ -443,9 +521,7 @@ func crossSession(t *testing.T, rng *rand.Rand, family, worker, front1, front2 s
 		check("in-process", j, server.SessionAppendResponse{N: res.N, ValuesInt: res.ValuesInt, Values: res.Values})
 	}
 
-	for _, r := range []struct{ route, url string }{
-		{"irserved", worker}, {"ircoord/1", front1}, {"ircoord/2", front2},
-	} {
+	for _, r := range append([]route{{"irserved", worker}}, fronts...) {
 		code, data := postFront(t, r.url+server.SessionPrefix, open)
 		if code != http.StatusOK {
 			t.Fatalf("%s: open: HTTP %d: %s", r.route, code, data)
@@ -542,11 +618,10 @@ func TestStatusParity(t *testing.T) {
 }
 
 // TestLinearShardBodyOmitsCD checks that a linear request, plain or
-// extended, scatters shard bodies without c and d: the coordinator passes
-// the affine form on as nil rows, so workers are not sent n zeros and n
-// ones per shard. A moebius request still ships its rows.
+// extended, scatters shard bodies without c and d: the decoded request
+// carries the affine form as nil rows, so workers are not sent n zeros and
+// n ones per shard. A moebius request still ships its rows.
 func TestLinearShardBodyOmitsCD(t *testing.T) {
-	co := &Coordinator{cfg: Config{MaxN: 1 << 10}}
 	for _, tc := range []struct {
 		endpoint, body string
 		wantCD         bool
@@ -555,11 +630,11 @@ func TestLinearShardBodyOmitsCD(t *testing.T) {
 		{"linear", `{"m":3,"g":[1,2],"f":[0,1],"a":[2,1],"b":[1,1],"x0":[1,2,3],"extended":true}`, false},
 		{"moebius", `{"m":3,"g":[1,2],"f":[0,1],"a":[1,1],"b":[1,1],"c":[0,0],"d":[1,1],"x0":[1,0,0]}`, true},
 	} {
-		spec, _, err := co.specMoebius(tc.endpoint)([]byte(tc.body))
+		spec, err := server.Decode(tc.endpoint, []byte(tc.body), server.Limits{MaxN: 1 << 10})
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.endpoint, tc.body, err)
 		}
-		req, err := shardRequest(spec, context.Background())
+		req, err := spec.ShardRequest(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // chainSpec is a deterministic many-chain ordinary solve used as load.
-func chainSpec(m int) *solveSpec {
+func chainSpec(m int) *server.SolveRequest {
 	g := make([]int, m/2)
 	f := make([]int, m/2)
 	init := make([]int64, m)
@@ -87,20 +87,20 @@ func chainSpec(m int) *solveSpec {
 		init[i] = int64(i)
 	}
 	sys := &ir.System{M: m, N: len(g), G: g, F: f}
-	return specFor(ir.FamilyOrdinary, sys, 0, nil, nil,
+	return specFor(ir.FamilyOrdinary, sys,
 		ir.PlanData{Op: "int64-add", InitInt: init})
 }
 
 // singleChainSpec is the smallest one-shard solve: one chain through all
 // of a tiny domain, so a test controls exactly one shard request.
-func singleChainSpec() *solveSpec {
+func singleChainSpec() *server.SolveRequest {
 	return specFor(ir.FamilyOrdinary, &ir.System{M: 8, N: 7,
-		G: []int{1, 2, 3, 4, 5, 6, 7}, F: []int{0, 1, 2, 3, 4, 5, 6}}, 0, nil, nil,
+		G: []int{1, 2, 3, 4, 5, 6, 7}, F: []int{0, 1, 2, 3, 4, 5, 6}},
 		ir.PlanData{Op: "int64-add", InitInt: []int64{1, 1, 1, 1, 1, 1, 1, 1}})
 }
 
 // generalSpec is a deterministic general-family solve over mul-mod.
-func generalSpec(m int) *solveSpec {
+func generalSpec(m int) *server.SolveRequest {
 	n := 2 * m
 	g := make([]int, n)
 	f := make([]int, n)
@@ -112,9 +112,9 @@ func generalSpec(m int) *solveSpec {
 	for x := range init {
 		init[x] = int64(x%97) + 2
 	}
-	spec := specFor(ir.FamilyGeneral, &ir.System{M: m, N: n, G: g, F: f, H: h}, 0, nil, nil,
+	spec := specFor(ir.FamilyGeneral, &ir.System{M: m, N: n, G: g, F: f, H: h},
 		ir.PlanData{Op: "mul-mod", Mod: 1_000_003, InitInt: init})
-	spec.solve.Bits = 4096
+	spec.Bits = 4096
 	return spec
 }
 
@@ -419,7 +419,7 @@ func TestElasticChurnUnderLoad(t *testing.T) {
 		})
 
 		// Deterministic load set with precomputed local reference answers.
-		specs := []*solveSpec{
+		specs := []*server.SolveRequest{
 			chainSpec(64), chainSpec(96), chainSpec(128), generalSpec(24),
 		}
 		wants := make([]*ir.PlanSolution, len(specs))
@@ -577,7 +577,7 @@ func TestBreakerIsolatesFailingWorker(t *testing.T) {
 		// Shard placement is rendezvous-hashed per plan fingerprint, so cycle
 		// system shapes to guarantee some shards rank the failing worker
 		// first regardless of the random test ports.
-		specs := make([]*solveSpec, 8)
+		specs := make([]*server.SolveRequest, 8)
 		wants := make([]*ir.PlanSolution, len(specs))
 		for i := range specs {
 			specs[i] = chainSpec(64 + 4*i)

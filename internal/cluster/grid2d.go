@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -19,26 +18,8 @@ import (
 // full coefficient grids never have to fit one worker — plus plan-cache
 // affinity per band shape, not latency speedup. Per-band values are
 // schedule-independent, so the stitched result is bit-identical to a local
-// solve. Any band failure degrades the whole solve to local execution,
-// exactly like scatter's ErrNoWorkers parity.
-
-// solveGrid2D runs a distributed grid solve with local fallback, the
-// grid-family twin of Solve's scatter-or-fallback arm; key is the plan's
-// cache key.
-func (co *Coordinator) solveGrid2D(ctx context.Context, p *ir.Plan, key string, spec *solveSpec) (*ir.PlanSolution, error) {
-	sol, err := co.scatterGrid2D(ctx, p, key, spec)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		co.metrics.fallbacks.Inc()
-		if !errors.Is(err, ErrNoWorkers) {
-			co.cfg.Logger.Printf("ircluster: grid scatter failed (%v); solving locally", err)
-		}
-		return p.SolveCtx(ctx, spec.data)
-	}
-	return sol, nil
-}
+// solve. Any band failure degrades the whole solve to local execution, as
+// a failed scatter does.
 
 // bandGrid cuts rows [r0, r1) of sys into a self-contained sub-grid, with
 // north/nw carrying the halo from the rows above (the original boundary for
@@ -63,15 +44,15 @@ func bandGrid(sys *ir.Grid2DSystem, r0, r1 int, north []float64, nw float64) *ir
 // ranking (by plan key and band index), circuit breakers, a shared
 // per-solve retry budget, and hedged duplicates — one band at a time, each
 // seeded with the halo row the previous band produced.
-func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, key string, spec *solveSpec) (*ir.PlanSolution, error) {
+func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, key string, sr *server.SolveRequest) (*ir.PlanSolution, error) {
 	ws := co.alive()
 	if len(ws) == 0 {
 		return nil, ErrNoWorkers
 	}
-	sys := spec.grid
+	sys := sr.Data.Grid
 	rows, cols := sys.Rows, sys.Cols
 	nb := min(len(ws), rows)
-	base, err := shardRequest(spec, ctx)
+	base, err := sr.ShardRequest(ctx)
 	if err != nil {
 		return nil, err
 	}

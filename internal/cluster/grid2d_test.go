@@ -21,9 +21,10 @@ import (
 	"indexedrec/ir"
 )
 
-// gridSpec wraps a grid system as the solve spec specGrid2D would build.
-func gridSpec(sys *ir.Grid2DSystem) *solveSpec {
-	return &solveSpec{family: ir.FamilyGrid2D, grid: sys, data: ir.PlanData{Grid: sys}}
+// gridSpec wraps a grid system as the solve request the grid2d route
+// would decode.
+func gridSpec(sys *ir.Grid2DSystem) *server.SolveRequest {
+	return &server.SolveRequest{Family: ir.FamilyGrid2D, Data: ir.PlanData{Grid: sys}}
 }
 
 // randGrid draws a full-mask grid over the given semiring; tropical rings
@@ -409,4 +410,55 @@ func TestFrontJSONErrorSchema(t *testing.T) {
 			t.Fatalf("got %d %q, want 501 pointing at a worker", apiErr.Status, apiErr.Message)
 		}
 	})
+}
+
+// TestGrid2DPlanSharedAcrossRoutes sends one grid through a worker's grid2d
+// endpoint, its shard endpoint as one band over every row, and a
+// one-worker coordinator, whose single band is the whole grid. The worker
+// must compile once and replay twice, and the coordinator must hold one
+// plan, under ir.Grid2DFingerprint: every route keys the structure alike.
+func TestGrid2DPlanSharedAcrossRoutes(t *testing.T) {
+	defer checkGoroutines(t)()
+	co, workers, down := newFleet(t, 1, nil)
+	front := httptest.NewServer(co.Handler())
+	defer down()
+	defer front.Close()
+	worker := workers[0].ts.URL
+	sys := workload.RandomGrid2D(rand.New(rand.NewSource(4)), 9, 300, "maxplus", 15)
+	fp, err := ir.Grid2DFingerprint(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		route, url string
+		body       any
+	}{
+		{"irserved", worker + server.APIPrefix + "grid2d", server.Grid2DRequest{System: *sys}},
+		{"shard", worker + server.ShardPrefix + "solve", server.ShardRequest{
+			Family: "grid2d", Shard: server.ShardWire{Lo: 0, Hi: sys.Rows}, Grid: sys}},
+		{"ircoord", front.URL + server.APIPrefix + "grid2d", server.Grid2DRequest{System: *sys}},
+	} {
+		if code, data := postFront(t, r.url, r.body); code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", r.route, code, data)
+		}
+	}
+	var text strings.Builder
+	if _, err := workers[0].srv.Registry().WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"\nirserved_plan_cache_misses_total 1\n",
+		"\nirserved_plan_cache_hits_total 2\n",
+		"\nirserved_plan_cache_evictions_total 0\n",
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("worker metrics lack %q", strings.TrimSpace(want))
+		}
+	}
+	if n := co.plans.Len(); n != 1 {
+		t.Fatalf("coordinator caches %d plans, want 1", n)
+	}
+	if _, ok := co.plans.Get(fp); !ok {
+		t.Fatal("coordinator plan is not under ir.Grid2DFingerprint")
+	}
 }

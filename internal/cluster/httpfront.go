@@ -13,13 +13,12 @@ import (
 	"time"
 
 	"indexedrec/internal/server"
-	"indexedrec/ir"
 )
 
 // The coordinator's HTTP front-end speaks the same /v1/solve API as a
 // single irserved, so clients point at a coordinator without changing a
-// line: ordinary, general, linear and moebius solves scatter across the
-// fleet, /v1/solve/loop answers 501 (loop execution is whole-machine by
+// line: ordinary, general, linear, moebius and grid2d solves scatter across
+// the fleet, /v1/solve/loop answers 501 (loop execution is whole-machine by
 // construction), and /healthz, /readyz, /metrics, /version behave as on
 // irserved. /v1/cluster/workers reports the fleet view.
 
@@ -49,21 +48,11 @@ func (co *Coordinator) routes() {
 	co.handle("POST", server.ClusterPrefix+"heartbeat", co.handleHeartbeat)
 	co.handle("POST", server.ClusterPrefix+"deregister", co.handleDeregister)
 	co.sessionRoutes()
-	co.handle("POST", server.APIPrefix+"ordinary", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "ordinary", co.specSolve(ir.FamilyOrdinary))
-	})
-	co.handle("POST", server.APIPrefix+"general", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "general", co.specSolve(ir.FamilyGeneral))
-	})
-	co.handle("POST", server.APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "linear", co.specMoebius("linear"))
-	})
-	co.handle("POST", server.APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "moebius", co.specMoebius("moebius"))
-	})
-	co.handle("POST", server.APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "grid2d", co.specGrid2D)
-	})
+	for _, route := range server.Routes {
+		co.handle("POST", server.APIPrefix+route, func(w http.ResponseWriter, r *http.Request) {
+			co.handleSolve(w, r, route)
+		})
+	}
 	co.handle("POST", server.APIPrefix+"loop", func(w http.ResponseWriter, r *http.Request) {
 		co.writeError(w, "loop", http.StatusNotImplemented,
 			"loop execution is not distributed; POST /v1/solve/loop to a worker directly")
@@ -260,32 +249,29 @@ func (co *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) 
 	co.writeJSON(w, "deregister", http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// specFunc decodes a request body into a solve spec plus a function that
-// shapes the finished PlanSolution into the endpoint's response type.
-type specFunc func(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error)
-
-// handleSolve is the shared endpoint path: decode, distribute, respond.
-func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, endpoint string, decode specFunc) {
+// handleSolve is the path of every solve route: decode, distribute,
+// respond.
+func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, route string) {
 	start := time.Now()
 	body, err := server.ReadBody(w, r, co.maxBody)
 	if err != nil {
-		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
+		co.writeError(w, route, http.StatusBadRequest, err.Error())
 		return
 	}
-	spec, shape, err := decode(body)
+	req, err := server.Decode(route, body, server.Limits{MaxN: co.cfg.MaxN, MaxExponentBits: co.cfg.MaxExponentBits})
 	if err != nil {
-		co.writeError(w, endpoint, server.StatusForValidation(err), err.Error())
+		co.writeError(w, route, server.StatusForValidation(err), err.Error())
 		return
 	}
-	ctx, cancel := co.requestContext(r, spec.timeoutMs)
+	ctx, cancel := co.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	sol, err := co.Solve(ctx, spec)
-	co.metrics.solveLatency.With(endpoint).Observe(time.Since(start).Seconds())
+	sol, err := co.Solve(ctx, req)
+	co.metrics.solveLatency.With(route).Observe(time.Since(start).Seconds())
 	if err != nil {
-		co.writeError(w, endpoint, server.StatusForSolve(err), err.Error())
+		co.writeError(w, route, server.StatusForSolve(err), err.Error())
 		return
 	}
-	co.writeJSON(w, endpoint, http.StatusOK, shape(sol, time.Since(start)))
+	co.writeJSON(w, route, http.StatusOK, req.Response(sol, time.Since(start)))
 }
 
 // requestContext bounds a solve by the client's timeout_ms (clamped to two
@@ -304,74 +290,6 @@ func (co *Coordinator) requestContext(r *http.Request, timeoutMs int) (context.C
 	return ctx, func() {
 		stop()
 		cancel()
-	}
-}
-
-// specSolve decodes an ordinary or general request through
-// server.DecodeSolveBody, the decoder irserved uses, so dense and sparse
-// requests validate, key their plans and shape their responses identically
-// on both daemons.
-func (co *Coordinator) specSolve(family ir.Family) specFunc {
-	return func(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-		sr, err := server.DecodeSolveBody(family, body, server.Limits{MaxN: co.cfg.MaxN, MaxExponentBits: co.cfg.MaxExponentBits})
-		if err != nil {
-			return nil, nil, err
-		}
-		return &solveSpec{family: family, solve: sr, data: sr.Data, timeoutMs: sr.TimeoutMs}, sr.Response, nil
-	}
-}
-
-func (co *Coordinator) specGrid2D(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-	var req server.Grid2DRequest
-	if err := server.UnmarshalBody(body, &req); err != nil {
-		return nil, nil, fmt.Errorf("bad request body: %v", err)
-	}
-	sys := &req.System
-	if err := server.ValidateGrid2D(sys, co.cfg.MaxN); err != nil {
-		return nil, nil, err
-	}
-	opt, err := req.Opts.Options()
-	if err != nil {
-		return nil, nil, err
-	}
-	spec := &solveSpec{
-		family:    ir.FamilyGrid2D,
-		grid:      sys,
-		data:      ir.PlanData{Grid: sys, Opts: opt},
-		timeoutMs: req.Opts.TimeoutMs,
-	}
-	cells := int64(sys.Rows) * int64(sys.Cols)
-	return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
-		return server.Grid2DResponse{
-			Values:    sol.Values,
-			Rounds:    sol.Rounds,
-			Cells:     cells,
-			ElapsedMs: float64(elapsed.Microseconds()) / 1000,
-		}
-	}, nil
-}
-
-// specMoebius decodes a linear or moebius request through
-// server.DecodeMoebius, irserved's decoder for the same endpoints.
-func (co *Coordinator) specMoebius(endpoint string) specFunc {
-	return func(body []byte) (*solveSpec, func(*ir.PlanSolution, time.Duration) any, error) {
-		ms, x0, opts, err := server.DecodeMoebius(endpoint, body, co.cfg.MaxN)
-		if err != nil {
-			return nil, nil, err
-		}
-		opt, err := opts.Options()
-		if err != nil {
-			return nil, nil, err
-		}
-		spec := &solveSpec{
-			family: ir.FamilyMoebius,
-			m:      ms.M, g: ms.G, f: ms.F,
-			data:      ir.PlanData{A: ms.A, B: ms.B, C: ms.C, D: ms.D, X0: x0, Opts: opt},
-			timeoutMs: opts.TimeoutMs,
-		}
-		return spec, func(sol *ir.PlanSolution, elapsed time.Duration) any {
-			return server.NewMoebiusResponse(sol.Values, elapsed)
-		}, nil
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,87 +14,57 @@ import (
 	"indexedrec/ir"
 )
 
-// solveSpec is one distributed solve, family-dispatched: solve for the
-// ordinary/general families, (m, g, f) for Möbius, grid for grid2d, data for
-// the values.
-type solveSpec struct {
-	family ir.Family
-	// solve is the decoded ordinary/general request, dense or sparse: its
-	// plan is compiled from solve.Sys (the compact system when sparse) and
-	// shard payloads ship solve.Wire(), so a sparse scatter's traffic is O(n)
-	// however large the global array.
-	solve *server.SolveRequest
-	m     int              // moebius
-	g, f  []int            // moebius
-	grid  *ir.Grid2DSystem // grid2d
-	data  ir.PlanData
-	// timeoutMs is the client's requested deadline (the wire option is not
-	// part of ir.SolveOptions; the coordinator applies it to the solve ctx).
-	timeoutMs int
-}
-
-// planFor compiles or cache-loads the spec's plan on the coordinator, and
-// returns it with the key it was looked up under. The coordinator needs the
-// plan itself — not just its fingerprint — because Partition and
-// MergeShards read the compiled structure. Every shard of a scatter is
-// ranked by that one key, so rendezvous plan affinity warms workers with one
-// plan per structure.
-func (co *Coordinator) planFor(ctx context.Context, spec *solveSpec) (*ir.Plan, string, error) {
-	switch spec.family {
-	case ir.FamilyMoebius:
-		return server.MoebiusPlan(ctx, co.plans, spec.m, spec.g, spec.f)
-	case ir.FamilyGrid2D:
-		key, err := ir.Grid2DFingerprint(spec.grid)
-		if err != nil {
-			return nil, "", err
-		}
-		p, err := server.PlanFor(co.plans, ctx, key, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileGrid2DCtx(ctx, spec.grid)
-		})
-		return p, key, err
-	default:
-		key := spec.solve.Fingerprint()
-		p, err := server.PlanFor(co.plans, ctx, key, spec.solve.Compile)
-		return p, key, err
-	}
-}
-
 // Solve runs one distributed solve: plan, partition, scatter, gather,
-// merge. Any scatter-level failure — including an empty fleet — degrades to
-// a local in-process solve, so the coordinator answers whenever a single
-// machine could. Results are bit-identical to ir.Plan.SolveCtx by the shard
-// layer's contract.
-func (co *Coordinator) Solve(ctx context.Context, spec *solveSpec) (*ir.PlanSolution, error) {
-	p, key, err := co.planFor(ctx, spec)
+// merge. The coordinator compiles or cache-loads the request's plan itself
+// — Partition and MergeShards read the compiled structure — and every
+// shard is ranked by the plan's one key, so rendezvous plan affinity warms
+// workers with one plan per structure. A grid pipelines row bands instead
+// (scatterGrid2D). Any scatter-level failure — including an empty fleet —
+// degrades to a local in-process solve, so the coordinator answers
+// whenever a single machine could. Results are bit-identical to
+// ir.Plan.SolveCtx by the shard layer's contract.
+func (co *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (*ir.PlanSolution, error) {
+	key := req.Fingerprint()
+	p, err := server.PlanFor(co.plans, ctx, key, req.Compile)
 	if err != nil {
 		return nil, err
 	}
-	if spec.family == ir.FamilyGrid2D {
-		return co.solveGrid2D(ctx, p, key, spec)
-	}
-	if spec.data.WithPowers {
+	if req.Data.WithPowers {
 		// Power traces are a whole-plan artifact; the shard path does not
 		// carry them.
-		return p.SolveCtx(ctx, spec.data)
+		return p.SolveCtx(ctx, req.Data)
 	}
-	parts, err := co.scatter(ctx, p, key, spec)
+	if req.Family == ir.FamilyGrid2D {
+		sol, err := co.scatterGrid2D(ctx, p, key, req)
+		if err != nil {
+			return co.solveLocally(ctx, p, req, err)
+		}
+		return sol, nil
+	}
+	parts, err := co.scatter(ctx, p, key, req)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		co.metrics.fallbacks.Inc()
-		if !errors.Is(err, ErrNoWorkers) {
-			co.cfg.Logger.Printf("ircluster: scatter failed (%v); solving locally", err)
-		}
-		return p.SolveCtx(ctx, spec.data)
+		return co.solveLocally(ctx, p, req, err)
 	}
-	return p.MergeShards(spec.data, parts)
+	return p.MergeShards(req.Data, parts)
+}
+
+// solveLocally is Solve's fallback after the scatter failed with err: the
+// whole plan replayed in process, unless the solve's own ctx ended.
+func (co *Coordinator) solveLocally(ctx context.Context, p *ir.Plan, req *server.SolveRequest, err error) (*ir.PlanSolution, error) {
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	co.metrics.fallbacks.Inc()
+	if !errors.Is(err, ErrNoWorkers) {
+		co.cfg.Logger.Printf("ircluster: scatter failed (%v); solving locally", err)
+	}
+	return p.SolveCtx(ctx, req.Data)
 }
 
 // scatter partitions the plan over the live fleet and executes every shard
 // remotely, gathering the slices in shard order. key is the plan's cache
 // key, which ranks the workers of every shard.
-func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, key string, spec *solveSpec) ([]*ir.ShardSolution, error) {
+func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, key string, sr *server.SolveRequest) ([]*ir.ShardSolution, error) {
 	ws := co.alive()
 	if len(ws) == 0 {
 		return nil, ErrNoWorkers
@@ -106,7 +75,7 @@ func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, key string, spec
 		// init-copy answer, no network needed.
 		return nil, nil
 	}
-	base, err := shardRequest(spec, ctx)
+	base, err := sr.ShardRequest(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -346,44 +315,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// shardRequest builds the scatter's base request (everything but the Shard
-// field) from a spec. Per-shard deadlines inherit the solve ctx's deadline,
-// forwarded as timeout_ms so workers bound their own admission.
-func shardRequest(spec *solveSpec, ctx context.Context) (server.ShardRequest, error) {
-	req := server.ShardRequest{
-		Family: spec.family.String(),
-		Opts:   ir.OptionsWire{Procs: spec.data.Opts.Procs},
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		remaining := time.Until(dl).Milliseconds()
-		if remaining < 1 {
-			remaining = 1
-		}
-		req.Opts.TimeoutMs = int(remaining)
-	}
-	if spec.family == ir.FamilyMoebius {
-		req.System = ir.SystemWire{M: spec.m, N: len(spec.g), G: spec.g, F: spec.f}
-		req.A, req.B, req.C, req.D = spec.data.A, spec.data.B, spec.data.C, spec.data.D
-		req.X0 = spec.data.X0
-		return req, nil
-	}
-	if spec.family == ir.FamilyGrid2D {
-		// Bands attach their own Grid (with halo boundaries) per send.
-		return req, nil
-	}
-	req.System = spec.solve.Wire()
-	req.Opts.MaxExponentBits = spec.solve.Bits
-	req.Op, req.Mod = spec.data.Op, spec.data.Mod
-	var init any = spec.data.InitFloat
-	if spec.data.InitInt != nil {
-		init = spec.data.InitInt
-	}
-	raw, err := json.Marshal(init)
-	if err != nil {
-		return req, err
-	}
-	req.Init = raw
-	return req, nil
 }

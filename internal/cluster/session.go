@@ -53,13 +53,15 @@ func (co *Coordinator) sessionRoutes() {
 	co.handle("DELETE", server.SessionPrefix+"/{id}", co.handleSessionDelete)
 }
 
-// sessionPinKey computes the open request's plan fingerprint — the same key
-// the shard scatter path uses. Sessions compile no plan, so the key only
-// spreads streams over the fleet deterministically.
+// sessionPinKey computes the open request's plan fingerprint — the key
+// server.SolveRequest gives the same structure on the solve and shard
+// paths. Sessions compile no plan, so the key only spreads streams over the
+// fleet deterministically.
 func (co *Coordinator) sessionPinKey(req *server.SessionOpenRequest) (string, error) {
 	switch req.Family {
 	case "linear", "moebius":
-		return ir.PlanFingerprint(ir.FamilyMoebius, len(req.G), req.M, req.G, req.F, nil, 0), nil
+		sys := &ir.System{M: req.M, N: len(req.G), G: req.G, F: req.F}
+		return (&server.SolveRequest{Family: ir.FamilyMoebius, Sys: sys}).Fingerprint(), nil
 	}
 	sys, err := req.System.System()
 	if err != nil {
@@ -77,10 +79,11 @@ func (co *Coordinator) sessionPinKey(req *server.SessionOpenRequest) (string, er
 	default:
 		return "", fmt.Errorf("unknown family %q", req.Family)
 	}
-	if fam == ir.FamilyOrdinary {
-		return ir.PlanFingerprint(fam, sys.N, sys.M, sys.G, sys.F, nil, 0), nil
+	key := &server.SolveRequest{Family: fam, Sys: sys}
+	if fam == ir.FamilyGeneral {
+		key.Bits = co.cfg.MaxExponentBits
 	}
-	return ir.PlanFingerprint(fam, sys.N, sys.M, sys.G, sys.F, sys.H, co.cfg.MaxExponentBits), nil
+	return key.Fingerprint(), nil
 }
 
 func newSessionID() (string, error) {

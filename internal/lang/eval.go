@@ -11,6 +11,13 @@ import (
 type Env struct {
 	Scalars map[string]float64
 	Arrays  map[string][]float64
+	// MaxIters, when positive, bounds the iterations of every loop level:
+	// its range times the iterations of the levels around it. A level over
+	// the bound fails with ErrRange before its body runs or is tabulated.
+	MaxIters int
+	// outer is the iterations of the levels around the one running, while
+	// MaxIters is set.
+	outer int
 }
 
 // NewEnv returns an empty environment.
@@ -21,6 +28,7 @@ func NewEnv() *Env {
 // Clone deep-copies the environment (arrays included).
 func (env *Env) Clone() *Env {
 	c := NewEnv()
+	c.MaxIters = env.MaxIters
 	for k, v := range env.Scalars {
 		c.Scalars[k] = v
 	}
@@ -32,6 +40,9 @@ func (env *Env) Clone() *Env {
 
 // ErrEval wraps evaluation failures (unbound names, bad indices).
 var ErrEval = errors.New("lang: evaluation error")
+
+// ErrRange reports a loop level with more iterations than Env.MaxIters.
+var ErrRange = errors.New("lang: loop range over the iteration limit")
 
 // Eval evaluates an expression in env.
 func Eval(e Expr, env *Env) (float64, error) {
@@ -100,14 +111,11 @@ func EvalIndex(e Expr, env *Env) (int, error) {
 // Run interprets the loop sequentially, mutating env — the semantic oracle
 // for every compiled execution path.
 func Run(l *Loop, env *Env) error {
-	lo, err := EvalIndex(l.Lo, env)
+	lo, hi, err := iterRange(l, env)
 	if err != nil {
 		return err
 	}
-	hi, err := EvalIndex(l.Hi, env)
-	if err != nil {
-		return err
-	}
+	defer env.enter(lo, hi)()
 	saved, hadVar := env.Scalars[l.Var]
 	defer func() {
 		if hadVar {

@@ -50,14 +50,35 @@ func (c *Compiled) Strategy() string {
 	}
 }
 
-// iterRange evaluates the loop bounds.
+// iterRange evaluates the loop bounds, and checks the level's iterations
+// against env.MaxIters.
 func iterRange(l *Loop, env *Env) (lo, hi int, err error) {
-	lo, err = EvalIndex(l.Lo, env)
-	if err != nil {
+	if lo, err = EvalIndex(l.Lo, env); err != nil {
 		return
 	}
-	hi, err = EvalIndex(l.Hi, env)
+	if hi, err = EvalIndex(l.Hi, env); err != nil || env.MaxIters <= 0 || hi < lo {
+		return
+	}
+	// hi-lo, as unsigned, is exact for any hi >= lo; below the limit it and
+	// outer are both at most MaxIters, so their product cannot overflow.
+	limit := uint64(env.MaxIters)
+	if span := uint64(hi) - uint64(lo); span >= limit || (span+1)*uint64(max(env.outer, 1)) > limit {
+		err = fmt.Errorf("%w: for %s = %d to %d exceeds %d iterations", ErrRange, l.Var, lo, hi, env.MaxIters)
+		if env.outer > 1 {
+			err = fmt.Errorf("%w in %d outer iterations", err, env.outer)
+		}
+	}
 	return
+}
+
+// enter counts the iterations of a level running lo..hi into env.outer
+// while its body runs nested loops; the returned func restores the count.
+func (env *Env) enter(lo, hi int) func() {
+	outer := env.outer
+	if env.MaxIters > 0 && hi >= lo {
+		env.outer = max(outer, 1) * (hi - lo + 1)
+	}
+	return func() { env.outer = outer }
 }
 
 // tabulate evaluates expression e for every loop index, with the loop
@@ -243,6 +264,7 @@ func (c *Compiled) ExecuteCtx(ctx context.Context, env *Env, procs int) error {
 		if err != nil {
 			return err
 		}
+		defer env.enter(lo, hi)()
 		saved, had := env.Scalars[c.Loop.Var]
 		defer restoreVar(env, c.Loop.Var, saved, had)
 		for i := lo; i <= hi; i++ {

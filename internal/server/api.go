@@ -8,8 +8,8 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"time"
 
+	"indexedrec/internal/jsonwire"
 	"indexedrec/ir"
 )
 
@@ -102,12 +102,6 @@ type MoebiusResponse struct {
 	Values    []float64 `json:"values"`
 	BatchSize int       `json:"batch_size"`
 	ElapsedMs float64   `json:"elapsed_ms"`
-}
-
-// NewMoebiusResponse shapes solved values as the linear/moebius response;
-// irserved and the coordinator both answer through it.
-func NewMoebiusResponse(values []float64, elapsed time.Duration) MoebiusResponse {
-	return MoebiusResponse{Values: values, BatchSize: 1, ElapsedMs: float64(elapsed.Microseconds()) / 1000}
 }
 
 // Grid2DRequest is the body of POST /v1/solve/grid2d — a 2-D recurrence
@@ -304,15 +298,22 @@ func DecodeInitInt(raw json.RawMessage) ([]int64, error) {
 	return vals, nil
 }
 
-// DecodeInitFloat parses the raw init array as float64s, rejecting
-// non-finite values up front (the solvers would reject them anyway).
+// DecodeInitFloat parses the raw init array as float64s in one pass (the
+// jsonwire float scanner), rejecting non-finite values up front (the
+// solvers would reject them anyway). An array the walk declines — null, a
+// non-number element, an out-of-range literal — goes through
+// json.Unmarshal, so its value or error is encoding/json's.
 func DecodeInitFloat(raw json.RawMessage) ([]float64, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("missing \"init\"")
 	}
-	var out []float64
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("bad \"init\": %v", err)
+	w := jsonwire.NewWalker(raw)
+	out := w.Floats()
+	if !w.Done() {
+		out = nil
+		if err := json.Unmarshal(raw, &out); err != nil {
+			return nil, fmt.Errorf("bad \"init\": %v", err)
+		}
 	}
 	for i, v := range out {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -65,7 +65,7 @@ func FuzzDecodeMoebius(f *testing.F) {
 		}
 	}
 	s := fuzzServer(f)
-	execs := []execFunc{s.execMoebius("linear"), s.execMoebius("moebius")}
+	execs := []execFunc{s.execSolve("linear"), s.execSolve("moebius")}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
 		checkExec(t, execs[int(endpoint)%len(execs)], body)
 	})
@@ -123,7 +123,39 @@ func FuzzDecodeGrid2D(f *testing.F) {
 	}
 	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkExec(t, s.execGrid2D, body)
+		checkExec(t, s.execSolve("grid2d"), body)
+	})
+}
+
+// FuzzLoopRoute feeds raw /v1/solve/loop bodies to the loop route's decode
+// and execution: every loop form, nests, and ranges from the client's "n"
+// or literal bounds, which MaxN (1,024 here) bounds at every level before
+// anything is tabulated.
+func FuzzLoopRoute(f *testing.F) {
+	for _, s := range []string{
+		`{"loop":"for i = 1 to n do X[i] := X[i-1] + X[i]","n":8,"arrays":{"X":[1,1,1,1,1,1,1,1,1]}}`,
+		`{"loop":"for i = 1 to n do X[i] := A[i]*X[i-1] + B[i]","n":3,"arrays":{"X":[1,0,0,0],"A":[0,2,2,2],"B":[0,1,1,1]}}`,
+		`{"loop":"for i = 1 to n do X[i] := X[i] + 2*X[i-1] + 1","n":3,"arrays":{"X":[1,1,1,1]}}`,
+		`{"loop":"for i = 1 to n do X[i] := (2*X[i-1] + 1)/(X[i-1] + 3)","n":4,"arrays":{"X":[1,0,0,0,0]}}`,
+		`{"loop":"for i = 0 to 3 do X[G[i]] := X[G[i]] + B[i]","arrays":{"X":[0,0],"G":[0,1,0,1],"B":[1,2,3,4]}}`,
+		`{"loop":"for i = 1 to 4 do X[i] := X[i-1] * X[H[i]]","arrays":{"X":[2,1,1,1,1],"H":[0,0,1,2,3]}}`,
+		`{"loop":"for i = 0 to 3 do X[i] := Y[i] * s","scalars":{"s":2},"arrays":{"X":[0,0,0,0],"Y":[1,2,3,4]}}`,
+		`{"loop":"for j = 1 to 3 do for i = 1 to 4 do X[i] := X[i] + X[i-1]","arrays":{"X":[1,1,1,1,1]}}`,
+		`{"loop":"for i = 1 to 3 do begin X[i] := X[i-1] + 1; Y[i] := Y[i-1] * 2 end","arrays":{"X":[0,0,0,0],"Y":[1,0,0,0]}}`,
+		`{"loop":"for i = 0 to 2 do X[i] := 1/0","arrays":{"X":[0,0,0]}}`,
+		`{"loop":"for i = 1 to n do X[i] := X[i-1] + 1","n":1025,"arrays":{"X":[0]}}`,
+		`{"loop":"for i = 0 to 9223372036854775807 do X[i] := 1","arrays":{"X":[0]}}`,
+		`{"loop":"for j = 1 to 64 do for i = 1 to 32 do X[0] := X[0] + 1","arrays":{"X":[0]}}`,
+		`{"loop":"for i = 1 to 3 do X[i] := Y[i]","arrays":{"X":[0]}}`,
+		`{"loop":"for i = 1 to 3 do X[i] := X[i-1] + 1"}`,
+		`{"loop":"for i = 1 to 2.5 do X[i] := 1","arrays":{"X":[0,0,0]},"opts":{"procs":-1}}`,
+		`{"loop":"for i = 1 to"}`, `{"loop":""}`, `{}`, `null`, `{`,
+	} {
+		f.Add([]byte(s))
+	}
+	s := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkExec(t, s.execLoop, body)
 	})
 }
 

@@ -1,6 +1,6 @@
 // Package server is the solve service over the hardened solver runtime: an
-// HTTP JSON API (stdlib only) exposing the ordinary, general, linear/Möbius
-// and loop-source solvers behind admission control (bounded queue, load
+// HTTP JSON API (stdlib only) exposing the ordinary, general, linear/Möbius,
+// grid2d and loop-source solvers behind admission control (bounded queue, load
 // shedding), a compiled-plan LRU cache, a worker pool sized off GOMAXPROCS,
 // and built-in
 // observability (/healthz, /readyz, Prometheus /metrics). cmd/irserved is a
@@ -11,13 +11,13 @@
 //
 // Every solve request is decoded once and validated before admission (client
 // mistakes cost no worker time), then queued; a full queue sheds with 429 +
-// Retry-After. Ordinary and general requests, dense or sparse, share one
-// decoder (DecodeSolve, also used by the shard endpoint and the coordinator)
-// and one solve path: plan by fingerprint, replay, shape the response.
+// Retry-After. Every plan family — ordinary and general (dense or sparse),
+// linear and Möbius, grid2d — decodes into one SolveRequest (Decode, and
+// DecodeShard for the /v1/shard/solve worker endpoint; the coordinator
+// decodes with the same Decode), and every route runs one solve path: plan
+// by fingerprint, replay whole or one shard, shape the response.
 // Workers execute solves under the request's context, so deadlines and
-// client disconnects abandon work promptly. Linear and Möbius requests
-// (DecodeMoebius) take the same path: their structure keys one *ir.Plan
-// (MoebiusPlan) that the shard endpoint and the coordinator share.
+// client disconnects abandon work promptly.
 // Solves resolve their structure through the plan cache (see
 // plancache.go): requests sharing an index-map fingerprint reuse one
 // compiled plan and pay only the data phase; DESIGN.md §9 has the diagram.

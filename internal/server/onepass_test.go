@@ -3,6 +3,8 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -175,4 +177,45 @@ func TestCanonicalBodiesTakeOnePass(t *testing.T) {
 	if d := server.OnePassFallbacks() - before; d != 1 {
 		t.Fatalf("with_powers round trip: %d fallbacks, want 1 (the response)", d)
 	}
+}
+
+// FuzzDecodeInitFloat holds the one-pass float init decode to its
+// reference, json.Unmarshal into a []float64 plus the finiteness check:
+// the same values bit for bit (nil included) or the same error text.
+func FuzzDecodeInitFloat(f *testing.F) {
+	for _, s := range []string{
+		`[1.5,2,-0,1e-7,5e-324,1.7976931348623157e308]`, `[ 1 , 2e3 ]`, `[]`, `null`, ``,
+		`[1,null]`, `[1e999]`, `["1"]`, `[1,]`, `[01]`, `[1.]`, `{"a":1}`, `[9007199254740993]`, `[1] x`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, err := server.DecodeInitFloat(raw)
+		want, wantErr := func() ([]float64, error) {
+			if len(raw) == 0 {
+				return nil, fmt.Errorf("missing \"init\"")
+			}
+			var out []float64
+			if err := json.Unmarshal(raw, &out); err != nil {
+				return nil, fmt.Errorf("bad \"init\": %v", err)
+			}
+			for i, v := range out {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("init[%d] = %v is not finite", i, v)
+				}
+			}
+			return out, nil
+		}()
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: err %v, json.Unmarshal %v", raw, err, wantErr)
+		}
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("%q: %v, json.Unmarshal %v", raw, got, want)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%q: [%d] = %v, json.Unmarshal %v", raw, i, got[i], want[i])
+			}
+		}
+	})
 }

@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"context"
 	"sync"
-
-	"indexedrec/ir"
 )
 
 // The compiled-plan LRU cache. Production traffic often re-solves one loop
@@ -154,35 +152,4 @@ func PlanFor[P CachedPlan](c *PlanCache, ctx context.Context, key string, compil
 		c.Put(key, p)
 	}
 	return p, nil
-}
-
-// MoebiusPlan resolves the Möbius-family plan for structure (m, g, f)
-// through the cache. It is the one place that keys and compiles a Möbius
-// plan, so the linear/moebius endpoints, the shard endpoint and the
-// coordinator all share one *ir.Plan per structure. It also returns the
-// key, for callers that place work by it.
-func MoebiusPlan(ctx context.Context, c *PlanCache, m int, g, f []int) (*ir.Plan, string, error) {
-	fp := ir.PlanFingerprint(ir.FamilyMoebius, len(g), m, g, f, nil, 0)
-	p, err := PlanFor(c, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-		return ir.CompileMoebiusCtx(ctx, m, g, f)
-	})
-	return p, fp, err
-}
-
-// solveGrid2D runs one grid2d-family solve through the plan cache: grid
-// plans depend only on (rows, cols, semiring, term mask), so repeated DP
-// sweeps over the same shape reuse the compiled wavefront schedule and its
-// pooled arenas.
-func solveGrid2D(ctx context.Context, s *Server, sys *ir.Grid2DSystem, opt ir.SolveOptions) (*ir.Grid2DResult, error) {
-	fp, err := ir.Grid2DFingerprint(sys)
-	if err != nil {
-		return nil, err
-	}
-	p, err := PlanFor(s.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-		return ir.CompileGrid2DCtx(ctx, sys)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ir.SolveGrid2DPlanCtx(ctx, p, sys, opt)
 }

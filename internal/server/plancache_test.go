@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 
+	"indexedrec/internal/workload"
 	"indexedrec/ir"
 )
 
@@ -210,24 +212,19 @@ func systemWireScatter(n int) (w ir.SystemWire) {
 	return w
 }
 
-// TestMoebiusPlanSharedAcrossRoutes sends one structure through every route
-// that compiles a Möbius-family plan — the linear and moebius endpoints and
-// a Möbius shard solve — and asserts each finds the
-// same cached *ir.Plan under the structure's fingerprint: one compile, then
-// replays, whichever route came first.
-func TestMoebiusPlanSharedAcrossRoutes(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{})
-	lin := chainLinear(3)
-	fp := ir.PlanFingerprint(ir.FamilyMoebius, len(lin.G), lin.M, lin.G, lin.F, nil, 0)
-	ones := []float64{1, 1, 1}
-	zeros := []float64{0, 0, 0}
-
+// sharedPlan returns a check that s's plan cache holds exactly one entry,
+// under fp, and that it is the plan the first check found: routes that
+// send one structure compile it once and replay it after.
+func sharedPlan(t *testing.T, s *Server, fp string) func(route string) *ir.Plan {
 	var first *ir.Plan
-	expectShared := func(route string) {
+	return func(route string) *ir.Plan {
 		t.Helper()
+		if n := s.plans.Len(); n != 1 {
+			t.Fatalf("after %s: %d cached plans, want 1", route, n)
+		}
 		got, ok := s.plans.Get(fp)
 		if !ok {
-			t.Fatalf("after %s: no plan cached under the Möbius fingerprint", route)
+			t.Fatalf("after %s: no plan cached under the structure's fingerprint", route)
 		}
 		p, ok := got.(*ir.Plan)
 		if !ok {
@@ -238,14 +235,30 @@ func TestMoebiusPlanSharedAcrossRoutes(t *testing.T) {
 		} else if p != first {
 			t.Fatalf("after %s: cached plan %p replaced the first route's %p", route, p, first)
 		}
+		return p
 	}
+}
+
+// TestMoebiusPlanSharedAcrossRoutes sends one structure through every route
+// that compiles a Möbius-family plan — the linear and moebius endpoints and
+// a Möbius shard solve — and asserts each finds the
+// same cached *ir.Plan under the structure's fingerprint: one compile, then
+// replays, whichever route came first.
+func TestMoebiusPlanSharedAcrossRoutes(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	lin := chainLinear(3)
+	expectShared := sharedPlan(t, s, ir.PlanFingerprint(ir.FamilyMoebius, len(lin.G), lin.M, lin.G, lin.F, nil, 0))
+	ones := []float64{1, 1, 1}
+	zeros := []float64{0, 0, 0}
+
+	var first *ir.Plan
 	send := func(route, path string, body any) {
 		t.Helper()
 		resp, data := post(t, ts.URL+path, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: HTTP %d: %s", route, resp.StatusCode, data)
 		}
-		expectShared(route)
+		first = expectShared(route)
 	}
 
 	send("linear", APIPrefix+"linear", lin)
@@ -256,4 +269,31 @@ func TestMoebiusPlanSharedAcrossRoutes(t *testing.T) {
 		Shard:  ShardWire{Lo: 0, Hi: first.ShardUnits()},
 		A:      lin.A, B: lin.B, X0: lin.X0})
 	send("linear again", APIPrefix+"linear", lin)
+}
+
+// TestGrid2DPlanSharedAcrossRoutes is the grid2d sibling: one grid posted to
+// the grid2d endpoint and as a one-band shard solve leaves one cache entry,
+// under ir.Grid2DFingerprint, compiled by whichever route came first.
+func TestGrid2DPlanSharedAcrossRoutes(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	sys := workload.RandomGrid2D(rand.New(rand.NewSource(3)), 9, 300, "minplus", 15)
+	fp, err := ir.Grid2DFingerprint(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectShared := sharedPlan(t, s, fp)
+	for _, r := range []struct {
+		route, path string
+		body        any
+	}{
+		{"shard", ShardPrefix + "solve", ShardRequest{Family: "grid2d", Shard: ShardWire{Lo: 0, Hi: sys.Rows}, Grid: sys}},
+		{"grid2d", APIPrefix + "grid2d", Grid2DRequest{System: *sys}},
+		{"shard again", ShardPrefix + "solve", ShardRequest{Family: "grid2d", Shard: ShardWire{Lo: 0, Hi: sys.Rows}, Grid: sys}},
+	} {
+		resp, data := post(t, ts.URL+r.path, r.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", r.route, resp.StatusCode, data)
+		}
+		expectShared(r.route)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"indexedrec/internal/lang"
 	"indexedrec/internal/moebius"
 	"indexedrec/internal/ordinary"
 	"indexedrec/internal/session"
@@ -40,7 +41,8 @@ type Config struct {
 	// RetryAfter is the hint returned with 429/503 responses (default 1s).
 	RetryAfter time.Duration
 	// MaxRequestBytes bounds request bodies (default 8 MiB); MaxN bounds
-	// iterations per request (default 4,194,304).
+	// iterations per request (default 4,194,304): a solve's n, a grid's
+	// cells, and the iterations of every level of a loop source.
 	MaxRequestBytes int64
 	MaxN            int
 	// MaxExponentBits caps CAP trace-exponent growth for general solves
@@ -255,21 +257,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST "+APIPrefix+"ordinary", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "ordinary", s.execSolve(ir.FamilyOrdinary))
-	})
-	s.mux.HandleFunc("POST "+APIPrefix+"general", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "general", s.execSolve(ir.FamilyGeneral))
-	})
-	s.mux.HandleFunc("POST "+APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "linear", s.execMoebius("linear"))
-	})
-	s.mux.HandleFunc("POST "+APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "moebius", s.execMoebius("moebius"))
-	})
-	s.mux.HandleFunc("POST "+APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "grid2d", s.execGrid2D)
-	})
+	for _, route := range Routes {
+		exec := s.execSolve(route)
+		s.mux.HandleFunc("POST "+APIPrefix+route, func(w http.ResponseWriter, r *http.Request) {
+			s.handleSolve(w, r, route, exec)
+		})
+	}
 	s.mux.HandleFunc("POST "+APIPrefix+"loop", func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "loop", s.execLoop)
 	})
@@ -445,92 +438,64 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 
 // ------------------------------------------------------------ direct execs
 
-// execSolve is the one exec for the ordinary and general endpoints: decode
-// with DecodeSolveBody, clamp procs, then resolve the plan through the cache
-// (compiling on a miss) and replay it. Dense and sparse requests differ only
-// in the plan key and the Cells relabel inside SolveRequest.
-func (s *Server) execSolve(family ir.Family) execFunc {
+// execSolve is the exec of one solve route: decode with Decode, then replay.
+func (s *Server) execSolve(route string) execFunc {
 	return func(body []byte) (runFunc, int, error) {
-		req, err := DecodeSolveBody(family, body, s.limits())
+		req, err := Decode(route, body, s.limits())
 		if err != nil {
 			return nil, 0, err
 		}
-		req.Data.Opts.Procs = s.clampProcs(req.Data.Opts.Procs)
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			if req.Sparse != nil {
-				s.metrics.sparseSolves.Inc("sparse")
-			}
-			p, err := PlanFor(s.plans, ctx, req.Fingerprint(), req.Compile)
-			if err != nil {
-				return nil, err
-			}
-			// The plan holds all the replay needs of the structure, so
-			// g and f (2 MiB at 131,072 cells) need not stay live through
-			// the solve and the response encode.
-			req.Sys = nil
-			sol, err := p.SolveCtx(ctx, req.Data)
-			if err != nil {
-				return nil, err
-			}
-			return req.Response(sol, time.Since(start)), nil
-		}, req.TimeoutMs, nil
+		return s.replay(req, nil), req.TimeoutMs, nil
 	}
 }
 
-// execMoebius is the exec for the linear and moebius endpoints: decode with
-// DecodeMoebius, clamp procs, then replay the structure's Möbius plan from
-// the cache (compiling on a miss) — the steps the coordinator's specMoebius
-// takes, so both daemons answer bit-identically.
-func (s *Server) execMoebius(endpoint string) execFunc {
-	return func(body []byte) (runFunc, int, error) {
-		ms, x0, wopts, err := DecodeMoebius(endpoint, body, s.cfg.MaxN)
-		if err != nil {
-			return nil, 0, err
-		}
-		opt, err := wopts.Options()
-		if err != nil {
-			return nil, 0, err
-		}
-		opt.Procs = s.clampProcs(opt.Procs)
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			p, _, err := MoebiusPlan(ctx, s.plans, ms.M, ms.G, ms.F)
-			if err != nil {
-				return nil, err
-			}
-			values, err := ir.SolveMoebiusPlanCtx(ctx, p, ms.A, ms.B, ms.C, ms.D, x0, opt)
-			if err != nil {
-				return nil, err
-			}
-			return NewMoebiusResponse(values, time.Since(start)), nil
-		}, wopts.TimeoutMs, nil
-	}
-}
-
-func (s *Server) execGrid2D(body []byte) (runFunc, int, error) {
-	var req Grid2DRequest
-	if err := decodeBody(body, &req, true); err != nil {
-		return nil, 0, fmt.Errorf("bad request body: %v", err)
-	}
-	sys := &req.System
-	if err := ValidateGrid2D(sys, s.cfg.MaxN); err != nil {
-		return nil, 0, err
-	}
-	opt, err := req.Opts.Options()
+// execShard is the exec of the worker role's /v1/shard/solve. A
+// coordinator (internal/cluster) cuts a compiled plan's shard domain with
+// ir.Plan.Partition and scatters the slices here; the worker compiles — or
+// cache-loads, since the body carries the same structure the fingerprint
+// hashes — the plan and executes its slice. Shard solves go through the
+// same admission pool, deadlines, and load-shedding as whole solves, so a
+// worker that also takes direct traffic degrades both honestly rather than
+// either silently.
+func (s *Server) execShard(body []byte) (runFunc, int, error) {
+	req, sh, err := DecodeShard(body, s.limits())
 	if err != nil {
 		return nil, 0, err
 	}
-	opt.Procs = s.clampProcs(opt.Procs)
+	return s.replay(req, &sh), req.TimeoutMs, nil
+}
+
+// replay clamps the request's procs and returns the pool closure every
+// solve and shard runs: resolve the plan through the cache (compiling on a
+// miss), replay it whole — or shard sh of it — and shape the response.
+func (s *Server) replay(req *SolveRequest, sh *ir.Shard) runFunc {
+	req.Data.Opts.Procs = s.clampProcs(req.Data.Opts.Procs)
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
-		res, err := solveGrid2D(ctx, s, sys, opt)
+		if req.Sparse != nil && sh == nil { // whole solves only, as the metric counts
+			s.metrics.sparseSolves.Inc("sparse")
+		}
+		p, err := PlanFor(s.plans, ctx, req.Fingerprint(), req.Compile)
 		if err != nil {
 			return nil, err
 		}
-		return Grid2DResponse{Values: res.Values, Rounds: res.Rounds,
-			Cells: res.Cells, ElapsedMs: ms(start)}, nil
-	}, req.Opts.TimeoutMs, nil
+		// The plan holds all the replay needs of the structure, so g and f
+		// (2 MiB at 131,072 cells) need not stay live through the solve and
+		// the response encode.
+		req.Sys = nil
+		if sh != nil {
+			part, err := req.SolveShard(ctx, p, *sh)
+			if err != nil {
+				return nil, err
+			}
+			return shardResponse(part, time.Since(start)), nil
+		}
+		sol, err := p.SolveCtx(ctx, req.Data)
+		if err != nil {
+			return nil, err
+		}
+		return req.Response(sol, time.Since(start)), nil
+	}
 }
 
 func (s *Server) execLoop(body []byte) (runFunc, int, error) {
@@ -550,6 +515,7 @@ func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
 		env := ir.NewEnv()
+		env.MaxIters = s.cfg.MaxN
 		if req.N != 0 {
 			env.Scalars["n"] = float64(req.N)
 		}
@@ -672,7 +638,8 @@ func StatusForValidation(err error) int {
 // coordinator front-end share it, so the two daemons answer every error
 // type alike. Defects of the request that only the compile or the replay
 // finds (a repeated g in the ordinary family, a Möbius shard's x0 of the
-// wrong length) are client errors too.
+// wrong length, a loop that reads an unbound name or runs more iterations
+// than MaxN) are client errors too.
 func StatusForSolve(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -681,7 +648,8 @@ func StatusForSolve(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ir.ErrInvalidSystem), errors.Is(err, moebius.ErrBadSystem),
 		errors.Is(err, ir.ErrShard), errors.Is(err, ordinary.ErrGNotDistinct),
-		errors.Is(err, moebius.ErrInitLen):
+		errors.Is(err, moebius.ErrInitLen),
+		errors.Is(err, lang.ErrRange), errors.Is(err, lang.ErrEval), errors.Is(err, lang.ErrLower):
 		return http.StatusBadRequest
 	case errors.Is(err, ir.ErrNonFinite), errors.Is(err, ir.ErrGrid2DNonFinite),
 		errors.Is(err, ir.ErrExponentLimit), errors.Is(err, ir.ErrInvalidSparse):

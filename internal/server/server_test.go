@@ -613,3 +613,35 @@ func TestEndpointsEndToEnd(t *testing.T) {
 		}
 	})
 }
+
+// TestLoopRangeBound posts loops whose range, set by "n" or by literal
+// bounds at any level, runs MaxN + 1 iterations: each answers 400 before
+// anything is tabulated, while MaxN iterations still solve.
+func TestLoopRangeBound(t *testing.T) {
+	const maxN = 1024
+	_, ts, _ := newTestServer(t, Config{MaxN: maxN})
+	for _, tc := range []struct {
+		name string
+		req  LoopRequest
+		want int
+	}{
+		{"n at the limit", LoopRequest{Loop: "for i = 1 to n do X[i] := X[i-1] + 1", N: maxN,
+			Arrays: map[string][]float64{"X": make([]float64, maxN+1)}}, http.StatusOK},
+		{"n over the limit", LoopRequest{Loop: "for i = 1 to n do X[i] := X[i-1] + 1", N: maxN + 1,
+			Arrays: map[string][]float64{"X": {0}}}, http.StatusBadRequest},
+		{"literal bounds over the limit", LoopRequest{Loop: "for i = 0 to 1024 do X[i] := 1",
+			Arrays: map[string][]float64{"X": {0}}}, http.StatusBadRequest},
+		{"inner level over the limit", LoopRequest{Loop: "for j = 1 to 2 do for i = 0 to 1024 do X[i] := X[i] + X[i-1]",
+			Arrays: map[string][]float64{"X": {0}}}, http.StatusBadRequest},
+		{"nest over the limit", LoopRequest{Loop: "for j = 1 to 64 do for i = 1 to 17 do X[i] := X[i] + X[i-1]",
+			Arrays: map[string][]float64{"X": make([]float64, 18)}}, http.StatusBadRequest},
+	} {
+		resp, data := post(t, ts.URL+APIPrefix+"loop", tc.req)
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: HTTP %d (%s), want %d", tc.name, resp.StatusCode, data, tc.want)
+		}
+		if tc.want == http.StatusBadRequest && !strings.Contains(string(data), "exceeds 1024 iterations") {
+			t.Errorf("%s: %s does not name the limit", tc.name, data)
+		}
+	}
+}
