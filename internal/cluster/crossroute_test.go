@@ -549,7 +549,9 @@ func crossSession(t *testing.T, rng *rand.Rand, family, worker string, fronts []
 
 // TestStatusParity posts the same malformed requests to irserved and to the
 // coordinator: both daemons share one decoder and one status mapping, so
-// every row must answer the same status from each.
+// every row must answer the same status from each. A row's session form —
+// the same defect in a POST /v1/session body — must answer the status of
+// its solve route too, since an open decodes through the same decoders.
 func TestStatusParity(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
@@ -581,35 +583,58 @@ func TestStatusParity(t *testing.T) {
 		chain := server.LinearRequest{M: 3, G: []int{1, 2}, F: []int{0, 1},
 			A: []float64{1, 1}, B: []float64{1, 1}, X0: []float64{1, 0, 0}}
 		// JSON has no Inf: an overflowing literal is how one arrives.
-		nonFinite := json.RawMessage(`{"m":3,"g":[1,2],"f":[0,1],"a":[1,1],"b":[1,1],"x0":[1,1e999,0]}`)
+		nonFinite := `"m":3,"g":[1,2],"f":[0,1],"a":[1,1],"b":[1,1],"x0":[1,1e999,0]`
+		// The extended rewrite b + x0[g] overflows a finite b and x0.
+		overflow := `"m":2,"g":[1],"f":[0],"a":[1],"b":[1e308],"x0":[1,1e308],"extended":true`
 		outOfRange := chain
 		outOfRange.G = []int{1, 3}
+		open := func(family string, w ir.SystemWire, op string, init json.RawMessage) server.SessionOpenRequest {
+			return server.SessionOpenRequest{Family: family, System: w, Op: op, Init: init}
+		}
 
 		rows := []struct {
 			name     string
 			endpoint string
 			req      any
+			open     any // the same defect as a session open
 			want     int
 		}{
 			{"dense init length", "ordinary",
-				server.GeneralRequest{System: dense, Op: "int64-add", Init: ints(sp.M - 1)}, http.StatusBadRequest},
+				server.GeneralRequest{System: dense, Op: "int64-add", Init: ints(sp.M - 1)},
+				open("ordinary", dense, "int64-add", ints(sp.M-1)), http.StatusBadRequest},
 			{"sparse init length", "ordinary",
-				server.GeneralRequest{System: sparse, Op: "int64-add", Init: ints(sp.NumCells() - 1)}, http.StatusUnprocessableEntity},
+				server.GeneralRequest{System: sparse, Op: "int64-add", Init: ints(sp.NumCells() - 1)},
+				open("ordinary", sparse, "int64-add", ints(sp.NumCells()-1)), http.StatusUnprocessableEntity},
 			{"unsorted cells", "general",
-				server.GeneralRequest{System: unsorted, Op: "int64-add", Init: ints(sp.NumCells())}, http.StatusUnprocessableEntity},
+				server.GeneralRequest{System: unsorted, Op: "int64-add", Init: ints(sp.NumCells())},
+				open("general", unsorted, "int64-add", ints(sp.NumCells())), http.StatusUnprocessableEntity},
 			{"H != G on ordinary", "ordinary",
-				server.GeneralRequest{System: general, Op: "int64-add", Init: ints(sp.M)}, http.StatusBadRequest},
+				server.GeneralRequest{System: general, Op: "int64-add", Init: ints(sp.M)},
+				open("ordinary", general, "int64-add", ints(sp.M)), http.StatusBadRequest},
 			{"unknown op", "general",
-				server.GeneralRequest{System: dense, Op: "no-such-op", Init: ints(sp.M)}, http.StatusBadRequest},
-			{"division by zero along a chain", "moebius", divZero, http.StatusUnprocessableEntity},
-			{"non-finite x0", "linear", nonFinite, http.StatusBadRequest},
-			{"g out of range", "linear", outOfRange, http.StatusBadRequest},
+				server.GeneralRequest{System: dense, Op: "no-such-op", Init: ints(sp.M)},
+				open("general", dense, "no-such-op", ints(sp.M)), http.StatusBadRequest},
+			{"division by zero along a chain", "moebius", divZero,
+				server.SessionOpenRequest{Family: "moebius", M: divZero.M, G: divZero.G, F: divZero.F,
+					A: divZero.A, B: divZero.B, C: divZero.C, D: divZero.D, X0: divZero.X0},
+				http.StatusUnprocessableEntity},
+			{"non-finite x0", "linear", json.RawMessage("{" + nonFinite + "}"),
+				json.RawMessage(`{"family":"linear",` + nonFinite + "}"), http.StatusBadRequest},
+			{"g out of range", "linear", outOfRange,
+				server.SessionOpenRequest{Family: "linear", M: outOfRange.M, G: outOfRange.G, F: outOfRange.F,
+					A: outOfRange.A, B: outOfRange.B, X0: outOfRange.X0},
+				http.StatusBadRequest},
+			{"extended overflow", "linear", json.RawMessage("{" + overflow + "}"),
+				json.RawMessage(`{"family":"linear",` + overflow + "}"), http.StatusBadRequest},
 		}
 		for _, row := range rows {
 			for _, base := range []string{workers[0].ts.URL, front.URL} {
 				code, data := postFront(t, base+server.APIPrefix+row.endpoint, row.req)
 				if code != row.want {
 					t.Errorf("%s via %s: HTTP %d (%s), want %d", row.name, base, code, data, row.want)
+				}
+				if code, data := postFront(t, base+server.SessionPrefix, row.open); code != row.want {
+					t.Errorf("%s as a session open via %s: HTTP %d (%s), want %d", row.name, base, code, data, row.want)
 				}
 			}
 		}

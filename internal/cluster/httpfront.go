@@ -258,7 +258,7 @@ func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, route
 		co.writeError(w, route, http.StatusBadRequest, err.Error())
 		return
 	}
-	req, err := server.Decode(route, body, server.Limits{MaxN: co.cfg.MaxN, MaxExponentBits: co.cfg.MaxExponentBits})
+	req, err := server.Decode(route, body, co.limits())
 	if err != nil {
 		co.writeError(w, route, server.StatusForValidation(err), err.Error())
 		return
@@ -272,6 +272,11 @@ func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, route
 		return
 	}
 	co.writeJSON(w, route, http.StatusOK, req.Response(sol, time.Since(start)))
+}
+
+// limits bounds what the front-end's decoders accept.
+func (co *Coordinator) limits() server.Limits {
+	return server.Limits{MaxN: co.cfg.MaxN, MaxExponentBits: co.cfg.MaxExponentBits}
 }
 
 // requestContext bounds a solve by the client's timeout_ms (clamped to two
@@ -294,8 +299,7 @@ func (co *Coordinator) requestContext(r *http.Request, timeoutMs int) (context.C
 }
 
 func (co *Coordinator) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
-	server.WriteJSON(w, code, v)
-	co.metrics.requests.Inc(endpoint, strconv.Itoa(code))
+	co.metrics.requests.Inc(endpoint, strconv.Itoa(server.WriteJSON(w, code, v)))
 }
 
 func (co *Coordinator) writeError(w http.ResponseWriter, endpoint string, code int, msg string) {

@@ -10,15 +10,15 @@ import (
 
 	"indexedrec/internal/server"
 	"indexedrec/internal/server/client"
-	"indexedrec/ir"
 )
 
 // Streaming sessions through the coordinator: the front-end speaks the same
-// /v1/session API as a single irserved, pins each session to one worker by
-// rendezvous rank on its plan fingerprint (a stable key, so one structure's
-// streams and its one-shot solves land on the same worker), and keeps the
-// open request plus the ordered append log as the session's recovery
-// snapshot.
+// /v1/session API as a single irserved. It decodes each open as a worker
+// does (server.DecodeSessionOpen), answering a defect itself, pins the
+// session to one worker by rendezvous rank on the decoded request's plan
+// fingerprint (a stable key, so one structure's streams and its one-shot
+// solves land on the same worker), and keeps the open request plus the
+// ordered append log as the session's recovery snapshot.
 // When the pinned worker dies, sheds, or forgot the session (restart, idle
 // eviction), the coordinator re-homes the stream: it replays the open and
 // every logged append — the fold is deterministic, so the rebuilt state is
@@ -53,39 +53,6 @@ func (co *Coordinator) sessionRoutes() {
 	co.handle("DELETE", server.SessionPrefix+"/{id}", co.handleSessionDelete)
 }
 
-// sessionPinKey computes the open request's plan fingerprint — the key
-// server.SolveRequest gives the same structure on the solve and shard
-// paths. Sessions compile no plan, so the key only spreads streams over the
-// fleet deterministically.
-func (co *Coordinator) sessionPinKey(req *server.SessionOpenRequest) (string, error) {
-	switch req.Family {
-	case "linear", "moebius":
-		sys := &ir.System{M: req.M, N: len(req.G), G: req.G, F: req.F}
-		return (&server.SolveRequest{Family: ir.FamilyMoebius, Sys: sys}).Fingerprint(), nil
-	}
-	sys, err := req.System.System()
-	if err != nil {
-		return "", err
-	}
-	fam := ir.FamilyGeneral
-	switch req.Family {
-	case "ordinary":
-		fam = ir.FamilyOrdinary
-	case "general":
-	case "auto", "":
-		if sys.Ordinary() && sys.GDistinct() {
-			fam = ir.FamilyOrdinary
-		}
-	default:
-		return "", fmt.Errorf("unknown family %q", req.Family)
-	}
-	key := &server.SolveRequest{Family: fam, Sys: sys}
-	if fam == ir.FamilyGeneral {
-		key.Bits = co.cfg.MaxExponentBits
-	}
-	return key.Fingerprint(), nil
-}
-
 func newSessionID() (string, error) {
 	var buf [16]byte
 	if _, err := rand.Read(buf[:]); err != nil {
@@ -116,16 +83,14 @@ func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request)
 		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
 		return
 	}
-	var req server.SessionOpenRequest
-	if err := server.UnmarshalBody(body, &req); err != nil {
-		co.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	fp, err := co.sessionPinKey(&req)
+	// A defect the decode finds is answered here, as a worker would, and
+	// never reaches the fleet.
+	req, spec, err := server.DecodeSessionOpen(body, co.limits())
 	if err != nil {
-		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
+		co.writeError(w, endpoint, server.StatusForValidation(err), err.Error())
 		return
 	}
+	fp := spec.Fingerprint()
 	ctx, cancel := co.requestContext(r, req.Opts.TimeoutMs)
 	defer cancel()
 	ranked := rankWorkers(co.alive(), fp, 0)

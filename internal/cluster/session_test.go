@@ -3,8 +3,11 @@ package cluster
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"indexedrec/internal/server"
@@ -182,4 +185,62 @@ func TestClusterSessionFailsCleanWithoutWorkers(t *testing.T) {
 		t.Fatalf("append with dead fleet status = %d, want 502 or 503", apiErr.Status)
 	}
 	down()
+}
+
+// badOrdinaryOpen is an ordinary open whose H differs from G: a defect of
+// the request, which the solve route answers 400.
+const badOrdinaryOpen = `{"family":"ordinary","system":{"m":3,"n":1,"g":[0],"f":[1],"h":[2]},"op":"int64-add","init":[1,2,3]}`
+
+// sessionOpens sums a worker's irserved_requests_total{endpoint="session_open"}.
+func sessionOpens(t *testing.T, tw *testWorker) int {
+	t.Helper()
+	var buf strings.Builder
+	if _, err := tw.srv.Registry().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `irserved_requests_total{endpoint="session_open"`); ok {
+			n, err := strconv.Atoi(rest[strings.LastIndexByte(rest, ' ')+1:])
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			total += n
+		}
+	}
+	return total
+}
+
+// TestClusterSessionOpenDefectStaysOnFront proves the coordinator answers a
+// malformed open itself: 400, as the solve route and a lone worker answer
+// it, without a request to any worker — so a stream of bad opens cannot
+// count breaker failures against the fleet, and a valid open still lands.
+func TestClusterSessionOpenDefectStaysOnFront(t *testing.T) {
+	co, workers, down := newFleet(t, 2, nil)
+	defer down()
+	front := httptest.NewServer(co.Handler())
+	defer front.Close()
+	before := []int{sessionOpens(t, workers[0]), sessionOpens(t, workers[1])}
+	for i := 0; i < 10; i++ {
+		resp, err := http.Post(front.URL+server.SessionPrefix, "application/json", strings.NewReader(badOrdinaryOpen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "requires H = G") {
+			t.Fatalf("bad open %d: HTTP %d: %s, want 400 H = G", i, resp.StatusCode, data)
+		}
+	}
+	for i, tw := range workers {
+		if n := sessionOpens(t, tw); n != before[i] {
+			t.Fatalf("worker %d saw %d session opens, want %d: the front forwarded a defect", i, n, before[i])
+		}
+	}
+	c := client.New(front.URL)
+	open := openChain(t, c, 8)
+	appendStep(t, c, open.ID, 3)
+	if e, _ := pinnedWorker(t, co, workers, open.ID); e.fp != open.Fingerprint {
+		t.Fatalf("pinned by %s, session fingerprint %s", e.fp, open.Fingerprint)
+	}
 }

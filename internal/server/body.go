@@ -46,8 +46,11 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return body, nil
 }
 
+// errBodyTooLarge is the error of a body over the limit.
+var errBodyTooLarge = errors.New("request body exceeds")
+
 func bodyTooLarge(limit int64) error {
-	return fmt.Errorf("request body exceeds %d bytes", limit)
+	return fmt.Errorf("%w %d bytes", errBodyTooLarge, limit)
 }
 
 // ReadDeclared reads exactly n bytes from r. The buffer starts at
@@ -76,18 +79,20 @@ func ReadDeclared(r io.Reader, n int64) ([]byte, error) {
 }
 
 // WriteJSON answers with code and v's JSON, newline-terminated, as a
-// json.Encoder writes it, with its Content-Length set. Both daemons write
-// every JSON response through it. If v cannot be encoded the body is empty,
-// as with a json.Encoder that fails.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+// json.Encoder writes it, with its Content-Length set, and returns the
+// status it wrote. Both daemons write every JSON response through it. If v
+// cannot be encoded (a non-finite float has no JSON form) the answer is a
+// 500 ErrorResponse that names the encoding error instead.
+func WriteJSON(w http.ResponseWriter, code int, v any) int {
 	body, err := AppendBody(nil, v)
-	if err == nil {
-		body = append(body, '\n')
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = AppendBody(nil, ErrorResponse{Error: "encoding the response: " + err.Error(), Code: code})
 	}
+	body = append(body, '\n')
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err == nil {
-		_, _ = w.Write(body)
-	}
+	_, _ = w.Write(body)
+	return code
 }

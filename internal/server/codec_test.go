@@ -144,11 +144,20 @@ func checkEncode(t *testing.T, v any) {
 	if err == nil && !bytes.Equal(got, want) {
 		t.Fatalf("%T AppendBody:\n got %s\nwant %s", v, got, want)
 	}
+	rec := httptest.NewRecorder()
+	code := WriteJSON(rec, 200, v)
+	if wantErr != nil {
+		// No JSON form: the answer is a 500 that names the encoding error.
+		var e ErrorResponse
+		if code != 500 || rec.Code != 500 || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+			!strings.Contains(e.Error, wantErr.Error()) {
+			t.Fatalf("%T WriteJSON of an unencodable value: returned %d, HTTP %d: %s", v, code, rec.Code, rec.Body.Bytes())
+		}
+		return
+	}
 	var enc bytes.Buffer
 	_ = json.NewEncoder(&enc).Encode(v)
-	rec := httptest.NewRecorder()
-	WriteJSON(rec, 200, v)
-	if !bytes.Equal(rec.Body.Bytes(), enc.Bytes()) {
+	if code != 200 || !bytes.Equal(rec.Body.Bytes(), enc.Bytes()) {
 		t.Fatalf("%T WriteJSON:\n got %s\nwant %s", v, rec.Body.Bytes(), enc.Bytes())
 	}
 }

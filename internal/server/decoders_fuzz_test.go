@@ -23,21 +23,23 @@ func fuzzServer(f *testing.F) *Server {
 
 // checkExec runs one body through exec and, when it validates, its solve:
 // an error from either must map to a 4xx, never a 5xx, and nothing may
-// panic.
-func checkExec(t *testing.T, exec execFunc, body []byte) {
+// panic. It returns the solve's result, nil on an error.
+func checkExec(t *testing.T, exec execFunc, body []byte) any {
 	t.Helper()
 	run, _, err := exec(body)
 	if err != nil {
 		if c := StatusForValidation(err); c < 400 || c > 499 {
 			t.Fatalf("%q: validation HTTP %d for %v", body, c, err)
 		}
-		return
+		return nil
 	}
-	if _, err := run(context.Background()); err != nil {
+	v, err := run(context.Background())
+	if err != nil {
 		if c := StatusForSolve(err); c < 400 || c > 499 {
 			t.Fatalf("%q: solve HTTP %d for %v", body, c, err)
 		}
 	}
+	return v
 }
 
 // FuzzDecodeMoebius feeds raw bodies to the linear (plain and extended) and
@@ -155,7 +157,12 @@ func FuzzLoopRoute(f *testing.F) {
 	}
 	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkExec(t, s.execLoop, body)
+		if v := checkExec(t, s.execLoop, body); v != nil {
+			// A 2xx must be a body JSON can carry, not an empty answer.
+			if _, err := AppendBody(nil, v); err != nil {
+				t.Fatalf("%q: the 2xx result does not encode: %v", body, err)
+			}
+		}
 	})
 }
 
@@ -174,6 +181,10 @@ func FuzzSessionRoutes(f *testing.F) {
 		`{"family":"linear","m":3,"g":[1,2],"f":[0,1],"a":[2,0.5],"b":[1,-1],"x0":[1,2,3],"extended":true}`,
 		`{"family":"auto","system":{"m":3,"n":1,"g":[1],"f":[0]},"op":"float64-add","init":[0.5,1e-7,-0]}`,
 		`{"family":"linear","m":2,"x0":[1,2],"c":[]}`, `{"family":"quantum"}`, `{"family":"linear","m":-1}`, `null`, `{`,
+		// An ordinary open with H != G once answered 500, and an extended
+		// open with b longer than g panicked in the rewrite.
+		`{"family":"ordinary","system":{"m":3,"n":1,"g":[0],"f":[1],"h":[2]},"op":"int64-add","init":[1,2,3]}`,
+		`{"family":"linear","m":3,"g":[1],"f":[0],"a":[1],"b":[1,2],"x0":[1,0,0],"extended":true}`,
 	) {
 		for _, app := range []string{
 			`{"g":[3],"f":[2]}`, `{"g":[2],"f":[1],"h":[2]}`, `{"g":[2],"f":[1],"a":[1],"b":[0.5]}`,

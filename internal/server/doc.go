@@ -15,7 +15,14 @@
 // linear and Möbius, grid2d — decodes into one SolveRequest (Decode, and
 // DecodeShard for the /v1/shard/solve worker endpoint; the coordinator
 // decodes with the same Decode), and every route runs one solve path: plan
-// by fingerprint, replay whole or one shard, shape the response.
+// by fingerprint, replay whole or one shard, shape the response. A session
+// open decodes into a SolveRequest too (DecodeSessionOpen, through the same
+// decoders, so it answers every defect as the solve route of its family),
+// which is folded into a session instead of replayed; the coordinator
+// pins the session by that request's Fingerprint. Every pooled route —
+// solve, loop, shard, session open and append — passes one admission
+// function: the draining gate, decode, pool submission, shed and deadline
+// wait.
 // Workers execute solves under the request's context, so deadlines and
 // client disconnects abandon work promptly.
 // Solves resolve their structure through the plan cache (see

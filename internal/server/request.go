@@ -101,16 +101,17 @@ func DecodeSolveBody(family ir.Family, body []byte, lim Limits) (*SolveRequest, 
 }
 
 // DecodeSolve validates a wire ordinary/general system against lim,
-// resolves the operator, decodes init into PlanData and checks its length
-// against Sys.M — the global cell count for a dense request, the touched
-// count for a sparse one. Sparse-encoding defects wrap ir.ErrInvalidSparse
-// (422 on the wire); dense defects answer 400. Procs are not clamped here:
-// each server applies its own budget to Data.Opts.Procs.
+// resolves the family (FamilyAuto through ir.ResolveFamily) and the
+// operator, decodes init into PlanData and checks its length against Sys.M
+// — the global cell count for a dense request, the touched count for a
+// sparse one. Sparse-encoding defects wrap ir.ErrInvalidSparse (422 on the
+// wire); dense defects answer 400. Procs are not clamped here: each server
+// applies its own budget to Data.Opts.Procs.
 func DecodeSolve(family ir.Family, w ir.SystemWire, op string, mod int64, init json.RawMessage, withPowers bool, ow ir.OptionsWire, lim Limits) (*SolveRequest, error) {
 	if n := max(w.N, len(w.G), len(w.Cells)); n > lim.MaxN {
 		return nil, fmt.Errorf("n = %d exceeds the server limit %d", n, lim.MaxN)
 	}
-	r := &SolveRequest{Family: family, TimeoutMs: ow.TimeoutMs}
+	r := &SolveRequest{TimeoutMs: ow.TimeoutMs}
 	if w.IsSparse() {
 		sp, err := w.Sparse()
 		if err != nil {
@@ -128,7 +129,8 @@ func DecodeSolve(family ir.Family, w ir.SystemWire, op string, mod int64, init j
 	if err != nil {
 		return nil, err
 	}
-	if family == ir.FamilyGeneral {
+	r.Family = ir.ResolveFamily(r.Sys, family)
+	if r.Family == ir.FamilyGeneral {
 		r.Bits = lim.MaxExponentBits
 		if b := ow.MaxExponentBits; b > 0 && b < r.Bits {
 			r.Bits = b
@@ -160,9 +162,7 @@ func (r *SolveRequest) invalid(format string, args ...any) error {
 }
 
 // DecodeMoebius reads a /v1/solve/linear or /v1/solve/moebius body into a
-// validated Möbius-family request. The linear forms leave C and D nil (the
-// affine form), and the extended one is rewritten to the plain one here,
-// so callers see one shape.
+// validated Möbius-family request with decodeMoebius.
 func DecodeMoebius(endpoint string, body []byte, lim Limits) (*SolveRequest, error) {
 	var req MoebiusRequest
 	var extended bool
@@ -178,6 +178,16 @@ func DecodeMoebius(endpoint string, body []byte, lim Limits) (*SolveRequest, err
 	if err != nil {
 		return nil, fmt.Errorf("bad request body: %v", err)
 	}
+	return decodeMoebius(&req, extended, lim)
+}
+
+// decodeMoebius validates a decoded linear or Möbius system — the solve
+// routes' and the session open's alike. The linear forms leave C and D nil
+// (the affine form), and the extended one is rewritten to the plain one
+// here, so callers see one shape. The rewrite writes a fresh b row, never
+// req's: the coordinator keeps a session's open request and replays it,
+// extended flag and all, on a re-home.
+func decodeMoebius(req *MoebiusRequest, extended bool, lim Limits) (*SolveRequest, error) {
 	ms := &moebius.MoebiusSystem{M: req.M, G: req.G, F: req.F, A: req.A, B: req.B, C: req.C, D: req.D}
 	x0 := req.X0
 	if len(ms.G) > lim.MaxN {
@@ -195,13 +205,14 @@ func DecodeMoebius(endpoint string, body []byte, lim Limits) (*SolveRequest, err
 		}
 	}
 	if extended {
-		// NewExtended's rewrite b[i] = x0[g[i]] + b[i], in place on the
-		// decoded row. It reads b[i] and x0[g[i]] for every iteration, so
-		// it runs only on a valid plain form; the sum can overflow to ±Inf,
-		// which CheckFinite refuses.
+		// NewExtended's rewrite b[i] = x0[g[i]] + b[i]. It reads b[i] and
+		// x0[g[i]] for every iteration, so it runs only on a valid plain
+		// form; the sum can overflow to ±Inf, which CheckFinite refuses.
+		b := make([]float64, len(ms.G))
 		for i, x := range ms.G {
-			ms.B[i] = x0[x] + ms.B[i]
+			b[i] = x0[x] + ms.B[i]
 		}
+		ms.B = b
 	}
 	if err := ms.CheckFinite(); err != nil {
 		return nil, err

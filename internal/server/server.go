@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -366,9 +369,21 @@ type runFunc func(ctx context.Context) (any, error)
 // surface before admission as 4xx.
 type execFunc func(body []byte) (run runFunc, timeoutMs int, err error)
 
-// handleSolve is the one path for every solve endpoint: decode+validate,
-// admit, run on the pool, wait.
+// handleSolve is the one path for every solve endpoint and the session
+// open: admit with a body over the limit answering 400, timed into
+// irserved_solve_seconds.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint string, exec execFunc) {
+	s.admit(w, r, endpoint, exec, http.StatusBadRequest, func(seconds float64) {
+		s.metrics.latency.With(endpoint).Observe(seconds)
+	})
+}
+
+// admit is the admission path every pooled request takes: the draining
+// gate, the body read (a body over MaxRequestBytes answers tooLarge),
+// exec's decode, the pool submission under the request's deadline, shed
+// handling and the wait, which observe times. It answers the outcome
+// itself: the run's value as JSON, or its error by StatusForSolve.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, exec execFunc, tooLarge int, observe func(seconds float64)) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	s.metrics.inflight.Inc()
@@ -381,7 +396,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 	}
 	body, werr := ReadBody(w, r, s.cfg.MaxRequestBytes)
 	if werr != nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, werr.Error())
+		code := http.StatusBadRequest
+		if errors.Is(werr, errBodyTooLarge) {
+			code = tooLarge
+		}
+		s.writeError(w, endpoint, code, werr.Error())
 		return
 	}
 	run, timeoutMs, err := exec(body)
@@ -417,7 +436,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 	}
 	select {
 	case out := <-res:
-		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
+		observe(time.Since(start).Seconds())
 		if errors.Is(out.err, errShed) {
 			// Evicted from the queue by a higher-priority tenant.
 			s.refuse(w, endpoint, out.err)
@@ -431,7 +450,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 	case <-ctx.Done():
 		// Deadline or client disconnect while queued/solving; the worker
 		// will observe ctx and abandon the solve.
-		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
+		observe(time.Since(start).Seconds())
 		s.writeError(w, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
 	}
 }
@@ -528,6 +547,9 @@ func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 		if err := c.ExecuteCtx(ctx, env, procs); err != nil {
 			return nil, err
 		}
+		if err := checkArraysFinite(env.Arrays); err != nil {
+			return nil, err
+		}
 		return LoopResponse{
 			Analysis:  c.Analysis.Describe(),
 			Strategy:  c.Strategy(),
@@ -535,6 +557,19 @@ func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 			ElapsedMs: ms(start),
 		}, nil
 	}, req.Opts.TimeoutMs, nil
+}
+
+// checkArraysFinite refuses a loop result that JSON cannot carry: the
+// first NaN or ±Inf, by array name and then index, wraps ir.ErrNonFinite.
+func checkArraysFinite(arrays map[string][]float64) error {
+	for _, name := range slices.Sorted(maps.Keys(arrays)) {
+		for i, v := range arrays[name] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: %s[%d] = %v", ir.ErrNonFinite, name, i, v)
+			}
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------- plumbing
@@ -622,33 +657,44 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 // StatusForValidation maps pre-admission errors (all client mistakes) to
-// 400, except sparse-encoding defects — an unsorted, duplicated or
-// out-of-range touched-cell list, compact ids off the cell list, a
-// wrong-length compact init — which answer 422: the request parsed but its
-// sparse encoding is semantically unprocessable. Shared with the coordinator
-// front-end, like StatusForSolve.
+// 400, except an unknown session id (404) and sparse-encoding defects — an
+// unsorted, duplicated or out-of-range touched-cell list, compact ids off
+// the cell list, a wrong-length compact init — which answer 422: the
+// request parsed but its sparse encoding is semantically unprocessable.
+// Shared with the coordinator front-end, like StatusForSolve.
 func StatusForValidation(err error) int {
-	if errors.Is(err, ir.ErrInvalidSparse) {
+	switch {
+	case errors.Is(err, ir.ErrInvalidSparse):
 		return http.StatusUnprocessableEntity
+	case errors.Is(err, session.ErrNotFound):
+		return http.StatusNotFound
 	}
 	return http.StatusBadRequest
 }
 
-// StatusForSolve maps solver errors to HTTP statuses. irserved and the
-// coordinator front-end share it, so the two daemons answer every error
-// type alike. Defects of the request that only the compile or the replay
+// StatusForSolve maps the errors of a pooled run — a solve, a shard, a
+// session open or append — to HTTP statuses. irserved and the coordinator
+// front-end share it, so the two daemons answer every error type alike.
+// Defects of the request that only the compile, the replay or the session
 // finds (a repeated g in the ordinary family, a Möbius shard's x0 of the
 // wrong length, a loop that reads an unbound name or runs more iterations
-// than MaxN) are client errors too.
+// than MaxN, an append past MaxN or with H on an ordinary session) are
+// client errors too; a session closed or evicted under an append reads as
+// gone (404, the post-delete view), and a full session store as 507.
 func StatusForSolve(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled), errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, session.ErrClosed), errors.Is(err, session.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, session.ErrStoreFull):
+		return http.StatusInsufficientStorage
 	case errors.Is(err, ir.ErrInvalidSystem), errors.Is(err, moebius.ErrBadSystem),
 		errors.Is(err, ir.ErrShard), errors.Is(err, ordinary.ErrGNotDistinct),
-		errors.Is(err, moebius.ErrInitLen),
+		errors.Is(err, moebius.ErrInitLen), errors.Is(err, ir.ErrPlanFamily),
+		errors.Is(err, session.ErrLimit),
 		errors.Is(err, lang.ErrRange), errors.Is(err, lang.ErrEval), errors.Is(err, lang.ErrLower):
 		return http.StatusBadRequest
 	case errors.Is(err, ir.ErrNonFinite), errors.Is(err, ir.ErrGrid2DNonFinite),
@@ -660,8 +706,7 @@ func StatusForSolve(err error) int {
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
-	WriteJSON(w, code, v)
-	s.metrics.requests.Inc(endpoint, strconv.Itoa(code))
+	s.metrics.requests.Inc(endpoint, strconv.Itoa(WriteJSON(w, code, v)))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, endpoint string, code int, msg string) {

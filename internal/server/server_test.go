@@ -355,6 +355,9 @@ func TestRequestValidation(t *testing.T) {
 		{"general on ordinary endpoint", "ordinary", `{"system":{"m":3,"n":1,"g":[1],"f":[0],"h":[2]},"op":"int64-add","init":[1,2,3]}`, http.StatusBadRequest},
 		{"loop parse error", "loop", `{"loop":"for i = 1 to"}`, http.StatusBadRequest},
 		{"loop missing", "loop", `{}`, http.StatusBadRequest},
+		// JSON has no Inf, so a loop result that overflows is refused, not
+		// sent as a 200 with an empty body.
+		{"loop overflow", "loop", `{"loop":"for i = 0 to 2 do X[i] := 1/0","arrays":{"X":[0,0,0]}}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

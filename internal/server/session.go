@@ -3,14 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
-	"indexedrec/internal/moebius"
-	"indexedrec/internal/ordinary"
 	"indexedrec/internal/session"
 	"indexedrec/ir"
 )
@@ -129,21 +126,65 @@ func (s *Server) sessionRoutes() {
 	s.mux.HandleFunc("DELETE "+SessionPrefix+"/{id}", s.handleSessionDelete)
 }
 
-// execSessionOpen validates an open request and returns the pool job that
-// seeds the session (a sequential fold of the prefix) and admits it into the
-// store. An open compiles nothing and never touches the plan cache.
-func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
+// DecodeSessionOpen reads a POST /v1/session body into the request and the
+// solve request its family describes, through the solve routes' own
+// decoders, so an open answers every defect as the solve route of its
+// family does: ordinary, general and auto (or no family) decode with
+// DecodeSolve, linear and moebius with decodeMoebius, which also applies
+// the extended rewrite. A session folds a dense system, so a sparse one is
+// refused with ir.ErrInvalidSparse, and it keys a general structure with
+// lim.MaxExponentBits whatever the opts ask. The returned request is as
+// sent, never rewritten: the coordinator replays it on a re-home.
+func DecodeSessionOpen(body []byte, lim Limits) (SessionOpenRequest, *SolveRequest, error) {
 	var req SessionOpenRequest
 	if err := decodeBody(body, &req, true); err != nil {
-		return nil, 0, fmt.Errorf("bad request body: %v", err)
+		return req, nil, fmt.Errorf("bad request body: %v", err)
 	}
-	spec, err := s.sessionSpec(&req)
+	var family ir.Family
+	switch strings.ToLower(req.Family) {
+	case "linear", "moebius":
+		r, err := decodeMoebius(&MoebiusRequest{M: req.M, G: req.G, F: req.F,
+			A: req.A, B: req.B, C: req.C, D: req.D, X0: req.X0, Opts: req.Opts}, req.Extended, lim)
+		return req, r, err
+	case "ordinary":
+		family = ir.FamilyOrdinary
+	case "general":
+		family = ir.FamilyGeneral
+	case "auto", "":
+		family = ir.FamilyAuto
+	default:
+		return req, nil, fmt.Errorf("unknown family %q (one of ordinary, general, auto, linear, moebius)", req.Family)
+	}
+	if req.System.IsSparse() {
+		_, err := req.System.System() // the dense decode's ErrInvalidSparse
+		return req, nil, err
+	}
+	ow := req.Opts
+	ow.MaxExponentBits = 0 // the server's bound keys a session's structure
+	r, err := DecodeSolve(family, req.System, req.Op, req.Mod, req.Init, false, ow, lim)
+	return req, r, err
+}
+
+// execSessionOpen decodes an open with DecodeSessionOpen and returns the
+// pool job that seeds the session (a sequential fold of the prefix) and
+// admits it into the store. An open compiles nothing and never touches the
+// plan cache.
+func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
+	_, req, err := DecodeSessionOpen(body, s.limits())
 	if err != nil {
 		return nil, 0, err
 	}
+	// session.Open reads System for ordinary and general, M/G/F for Möbius.
+	spec := session.Spec{
+		Family: req.Family, MaxN: s.cfg.MaxN, MaxExponentBits: req.Bits,
+		System: req.Sys, Op: req.Data.Op, Mod: req.Data.Mod,
+		InitInt: req.Data.InitInt, InitFloat: req.Data.InitFloat,
+		M: req.Sys.M, G: req.Sys.G, F: req.Sys.F,
+		A: req.Data.A, B: req.Data.B, C: req.Data.C, D: req.Data.D, X0: req.Data.X0,
+	}
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
-		sess, err := session.Open(ctx, *spec)
+		sess, err := session.Open(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -159,161 +200,61 @@ func (s *Server) execSessionOpen(body []byte) (runFunc, int, error) {
 			Fingerprint: sess.Fingerprint(),
 			ElapsedMs:   ms(start),
 		}, nil
-	}, req.Opts.TimeoutMs, nil
+	}, req.TimeoutMs, nil
 }
 
-// sessionSpec converts a wire open request into a session.Spec, applying
-// server limits.
-func (s *Server) sessionSpec(req *SessionOpenRequest) (*session.Spec, error) {
-	spec := &session.Spec{
-		MaxN:            s.cfg.MaxN,
-		MaxExponentBits: s.cfg.MaxExponentBits,
-	}
-	// A session folds sequentially, so only the wire options' validity
-	// matters here; the timeout bounds the open job itself.
-	if _, err := req.Opts.Options(); err != nil {
-		return nil, err
-	}
-	switch strings.ToLower(req.Family) {
-	case "linear", "moebius":
-		if len(req.G) > s.cfg.MaxN {
-			return nil, fmt.Errorf("n = %d exceeds the server limit %d", len(req.G), s.cfg.MaxN)
-		}
-		spec.Family = ir.FamilyMoebius
-		spec.M, spec.G, spec.F = req.M, req.G, req.F
-		spec.A, spec.B, spec.C, spec.D = req.A, req.B, req.C, req.D
-		spec.X0 = req.X0
-		if req.Extended {
-			if len(req.X0) != req.M {
-				return nil, fmt.Errorf("extended form: len(x0) = %d, want m = %d", len(req.X0), req.M)
-			}
-			b2 := make([]float64, len(req.B))
-			for i := range b2 {
-				if req.G[i] < 0 || req.G[i] >= req.M {
-					return nil, fmt.Errorf("g[%d] = %d out of range [0,%d)", i, req.G[i], req.M)
-				}
-				b2[i] = req.X0[req.G[i]] + req.B[i]
-			}
-			spec.B = b2
-		}
-	case "ordinary", "general", "auto", "":
-		switch strings.ToLower(req.Family) {
-		case "ordinary":
-			spec.Family = ir.FamilyOrdinary
-		case "general":
-			spec.Family = ir.FamilyGeneral
-		default:
-			spec.Family = ir.FamilyAuto
-		}
-		if req.System.N > s.cfg.MaxN || len(req.System.G) > s.cfg.MaxN {
-			return nil, fmt.Errorf("n = %d exceeds the server limit %d",
-				max(req.System.N, len(req.System.G)), s.cfg.MaxN)
-		}
-		sys, err := req.System.System()
-		if err != nil {
-			return nil, err
-		}
-		spec.System = sys
-		spec.Op, spec.Mod = req.Op, req.Mod
-		if spec.InitInt, spec.InitFloat, err = decodeInit(req.Op, req.Mod, req.Init); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown family %q (one of ordinary, general, auto, linear, moebius)", req.Family)
-	}
-	return spec, nil
-}
-
-// handleSessionAppend folds a batch into a live session. It mirrors
-// handleSolve's admission shape (draining gate, pool submission, deadline
-// mapping) with two session-specific twists: an oversized body answers 413
-// (the append stream is the one place clients naturally grow payloads into
-// the limit) and an unknown or closed session answers 404.
+// handleSessionAppend folds a batch into a live session through the
+// admission path every solve takes (admit), with two session-specific
+// twists: an oversized body answers 413 (the append stream is the one place
+// clients naturally grow payloads into the limit) and an unknown or closed
+// session answers 404.
 func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "session_append"
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	s.metrics.inflight.Inc()
-	defer s.metrics.inflight.Dec()
-	start := time.Now()
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.writeError(w, endpoint, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	body, werr := ReadBody(w, r, s.cfg.MaxRequestBytes)
-	if werr != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(werr.Error(), "exceeds") {
-			code = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, endpoint, code, werr.Error())
-		return
-	}
-	id := r.PathValue("id")
-	sess, err := s.sessions.Get(id)
-	if err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
-		return
-	}
-	var req SessionAppendRequest
-	if err := decodeBody(body, &req, true); err != nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.Opts.TimeoutMs)
-	defer cancel()
+	s.admit(w, r, "session_append", s.execSessionAppend(r.PathValue("id")),
+		http.StatusRequestEntityTooLarge, s.metrics.sessionAppendLatency.Observe)
+}
 
-	type outcome struct {
-		res *session.Result
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	j := &job{ctx: ctx, tenant: tenantOf(r), run: func(jctx context.Context) {
-		if err := jctx.Err(); err != nil {
-			resCh <- outcome{err: err}
-			return
+// execSessionAppend is the exec of an append to session id: the run folds
+// the batch and reports the cells it wrote.
+func (s *Server) execSessionAppend(id string) execFunc {
+	return func(body []byte) (runFunc, int, error) {
+		start := time.Now()
+		sess, err := s.sessions.Get(id)
+		if err != nil {
+			return nil, 0, unknownSession(id)
 		}
-		if s.testHook != nil {
-			s.testHook()
+		var req SessionAppendRequest
+		if err := decodeBody(body, &req, true); err != nil {
+			return nil, 0, fmt.Errorf("bad request body: %v", err)
 		}
-		res, err := sess.Append(jctx, session.Batch{
-			G: req.G, F: req.F, H: req.H,
-			A: req.A, B: req.B, C: req.C, D: req.D,
-		})
-		resCh <- outcome{res: res, err: err}
-	}}
-	j.shed = func() { resCh <- outcome{err: errShed} }
-	if err := s.pool.submit(j); err != nil {
-		s.refuse(w, endpoint, err)
-		return
-	}
-	select {
-	case out := <-resCh:
-		s.metrics.sessionAppendLatency.Observe(time.Since(start).Seconds())
-		if errors.Is(out.err, errShed) {
-			s.refuse(w, endpoint, out.err)
-			return
-		}
-		if out.err != nil {
-			s.writeError(w, endpoint, statusForSession(out.err), out.err.Error())
-			return
-		}
-		s.sessions.Touch(id)
-		s.metrics.sessionAppends.Inc()
-		s.writeJSON(w, endpoint, http.StatusOK, SessionAppendResponse{
-			N:           out.res.N,
-			Appends:     sess.Appends(),
-			ValuesInt:   out.res.ValuesInt,
-			ValuesFloat: out.res.ValuesFloat,
-			Values:      out.res.Values,
-			ElapsedMs:   ms(start),
-		})
-	case <-ctx.Done():
-		s.metrics.sessionAppendLatency.Observe(time.Since(start).Seconds())
-		s.writeError(w, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
+		return func(ctx context.Context) (any, error) {
+			res, err := sess.Append(ctx, session.Batch{
+				G: req.G, F: req.F, H: req.H,
+				A: req.A, B: req.B, C: req.C, D: req.D,
+			})
+			if err != nil {
+				return nil, err
+			}
+			s.sessions.Touch(id)
+			s.metrics.sessionAppends.Inc()
+			return SessionAppendResponse{
+				N:           res.N,
+				Appends:     sess.Appends(),
+				ValuesInt:   res.ValuesInt,
+				ValuesFloat: res.ValuesFloat,
+				Values:      res.Values,
+				ElapsedMs:   ms(start),
+			}, nil
+		}, req.Opts.TimeoutMs, nil
 	}
 }
+
+// unknownSession is the 404 of an id the store does not hold.
+type unknownSession string
+
+func (id unknownSession) Error() string { return fmt.Sprintf("unknown session %q", string(id)) }
+
+// Is makes the error a session.ErrNotFound for the status mappings.
+func (unknownSession) Is(target error) bool { return target == session.ErrNotFound }
 
 // handleSessionGet snapshots a session's full state. Read-only, so it
 // bypasses the admission pool and stays available during drain.
@@ -322,7 +263,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess, err := s.sessions.Get(id)
 	if err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
+		s.writeError(w, endpoint, http.StatusNotFound, unknownSession(id).Error())
 		return
 	}
 	vi, vf, vm := sess.Values()
@@ -345,28 +286,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "session_delete"
 	id := r.PathValue("id")
 	if err := s.sessions.Delete(id); err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
+		s.writeError(w, endpoint, http.StatusNotFound, unknownSession(id).Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 	s.metrics.requests.Inc(endpoint, "204")
-}
-
-// statusForSession maps session-append errors to HTTP statuses: a closed
-// or evicted session reads as gone (404, matching the post-delete view),
-// the iteration bound and validation failures (an ordinary append with H
-// among them) are client errors, and everything else follows the solve
-// mapping.
-func statusForSession(err error) int {
-	switch {
-	case errors.Is(err, session.ErrClosed), errors.Is(err, session.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, session.ErrLimit), errors.Is(err, ordinary.ErrGNotDistinct),
-		errors.Is(err, moebius.ErrInitLen), errors.Is(err, ir.ErrPlanFamily):
-		return http.StatusBadRequest
-	case errors.Is(err, session.ErrStoreFull):
-		return http.StatusInsufficientStorage
-	default:
-		return StatusForSolve(err)
-	}
 }

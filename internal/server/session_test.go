@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"indexedrec/internal/session"
 	"indexedrec/ir"
 )
 
@@ -164,6 +166,14 @@ func TestSessionErrorPaths(t *testing.T) {
 	if resp, data := post(t, ts.URL+SessionPrefix, SessionOpenRequest{Family: "quantum"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad family: HTTP %d: %s", resp.StatusCode, data)
 	}
+	// An ordinary open with H != G decodes like the ordinary solve route: the
+	// same 400 with the same message.
+	const hNotG = `"system":{"m":3,"n":1,"g":[0],"f":[1],"h":[2]},"op":"int64-add","init":[1,2,3]`
+	resp, opened := post(t, ts.URL+SessionPrefix, json.RawMessage(`{"family":"ordinary",`+hNotG+`}`))
+	_, solved := post(t, ts.URL+APIPrefix+"ordinary", json.RawMessage(`{`+hNotG+`}`))
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Equal(opened, solved) {
+		t.Fatalf("ordinary open with H != G: HTTP %d: %s, want 400 %s", resp.StatusCode, opened, solved)
+	}
 	for _, opts := range []ir.OptionsWire{{Procs: -1}, {TimeoutMs: -1}} {
 		resp, data := post(t, ts.URL+SessionPrefix, SessionOpenRequest{
 			Family: "linear", M: 2, X0: []float64{0, 0}, Opts: opts,
@@ -299,6 +309,17 @@ func TestSessionIdleTTLEviction(t *testing.T) {
 	}
 	if v := s.metrics.sessionEvictions.Value(); v < 1 {
 		t.Fatalf("irserved_session_evictions_total = %d, want >= 1", v)
+	}
+}
+
+// TestSessionOpenStoreFull opens a session larger than the whole store
+// budget: the open answers 507, the status an append maps a full store to,
+// not a 500.
+func TestSessionOpenStoreFull(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{SessionBytes: 1 << 10})
+	resp, data := post(t, ts.URL+SessionPrefix, SessionOpenRequest{Family: "linear", M: 1 << 10, X0: make([]float64, 1<<10)})
+	if resp.StatusCode != http.StatusInsufficientStorage || !strings.Contains(string(data), session.ErrStoreFull.Error()) {
+		t.Fatalf("open over the store budget: HTTP %d: %s, want 507 store full", resp.StatusCode, data)
 	}
 }
 
@@ -463,5 +484,23 @@ func TestSessionMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics exposition missing %q", want)
 		}
+	}
+}
+
+// TestDecodeSessionOpenKeepsRequest decodes an extended linear open: the
+// solve request carries the rewritten b = x0[g] + b, while the returned
+// open request keeps the b that was sent, since the coordinator replays
+// that request — extended flag and all — on a re-home.
+func TestDecodeSessionOpenKeepsRequest(t *testing.T) {
+	body := []byte(`{"family":"linear","m":3,"g":[1,2],"f":[0,1],"a":[2,0.5],"b":[1,-1],"x0":[1,2,3],"extended":true}`)
+	open, req, err := DecodeSessionOpen(body, Limits{MaxN: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !open.Extended || open.B[0] != 1 || open.B[1] != -1 {
+		t.Fatalf("open request rewritten: %+v", open)
+	}
+	if req.Family != ir.FamilyMoebius || req.Data.B[0] != 3 || req.Data.B[1] != 2 {
+		t.Fatalf("decoded b = %v, want [3 2]", req.Data.B)
 	}
 }
