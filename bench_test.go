@@ -25,6 +25,7 @@ import (
 	"indexedrec/internal/scan"
 	"indexedrec/internal/simparc"
 	"indexedrec/internal/workload"
+	"indexedrec/ir"
 )
 
 // BenchmarkFig3 regenerates the paper's headline figure on the SimParC
@@ -189,7 +190,7 @@ func BenchmarkLoop23(b *testing.B) {
 		}
 	})
 	b.Run("auto-parallelized", func(b *testing.B) {
-		c := lang.Compile(loop)
+		c := ir.CompileLoop(loop)
 		for i := 0; i < b.N; i++ {
 			env := k.Setup(rows)
 			if err := c.Execute(env, 0); err != nil {

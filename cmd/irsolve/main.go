@@ -23,6 +23,7 @@ import (
 	"syscall"
 
 	"indexedrec/internal/lang"
+	"indexedrec/ir"
 )
 
 type multiFlag []string
@@ -77,7 +78,7 @@ func main() {
 	if err != nil {
 		fail("parse: %v", err)
 	}
-	c := lang.Compile(loop)
+	c := ir.CompileLoop(loop)
 	fmt.Printf("loop:     %s\n", loop)
 	fmt.Printf("analysis: %s\n", c.Analysis.Describe())
 	fmt.Printf("bucket:   %s\n", c.Analysis.Bucket)

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"indexedrec/internal/lang"
+	"indexedrec/ir"
 )
 
 type demo struct {
@@ -86,7 +87,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := lang.Compile(loop)
+		c := ir.CompileLoop(loop)
 		fmt.Printf("   form: %-20v bucket: %-20v strategy: %s\n",
 			c.Analysis.Form, c.Analysis.Bucket, c.Strategy())
 

@@ -21,6 +21,7 @@ import (
 
 	"indexedrec/internal/lang"
 	"indexedrec/internal/livermore"
+	"indexedrec/ir"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := lang.Compile(loop)
+	c := ir.CompileLoop(loop)
 	fmt.Println("\nclassified:", c.Analysis.Describe())
 	fmt.Println("strategy:  ", c.Strategy())
 

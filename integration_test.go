@@ -20,6 +20,7 @@ import (
 	"indexedrec/internal/simparc"
 	"indexedrec/internal/trace"
 	"indexedrec/internal/workload"
+	"indexedrec/ir"
 )
 
 // ordinarySystem is a quick.Generator producing random distinct-g ordinary
@@ -197,7 +198,7 @@ func TestPropertyDSLRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		par := env.Clone()
-		if err := lang.Compile(loop).Execute(par, 2); err != nil {
+		if err := ir.CompileLoop(loop).Execute(par, 2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range seq.Arrays["X"] {

@@ -84,8 +84,9 @@ func (a crossAnswer) bits() []uint64 {
 // two and four workers. Every ordinary/general answer, read back through
 // its touched-cell list, must be bit-identical to core.RunSequential on the
 // dense expansion; every linear/moebius answer to ir.SolveMoebiusPlanCtx on
-// the same input; every grid2d answer to grid2d.SolveSequential. Two
-// session rows (linear and ordinary int64-add) stream the same batches
+// the same input; every grid2d answer to grid2d.SolveSequential. A loop
+// row compares a float chain's loop-route and ir.CompileLoop answers with
+// its /v1/solve/ordinary one (crossLoop). Two session rows (linear and ordinary int64-add) stream the same batches
 // through irserved, every coordinator and an in-process session.Open; see
 // crossSession.
 func TestCrossRouteBitIdentity(t *testing.T) {
@@ -267,6 +268,9 @@ func TestCrossRouteBitIdentity(t *testing.T) {
 				crossSession(t, rng, family, worker, fronts)
 			})
 		}
+		t.Run("loop", func(t *testing.T) {
+			crossLoop(t, rng, worker, fronts)
+		})
 		for _, co := range []*Coordinator{co2, co4} {
 			if co.metrics.shards.Value() == 0 {
 				t.Fatalf("the %d-worker coordinator never scattered", len(co.alive()))
@@ -424,6 +428,84 @@ func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker string, fronts 
 		t.Fatal(err)
 	}
 	check("shard", sol.Values)
+}
+
+// crossLoop is TestCrossRouteBitIdentity's loop row: one float chain,
+// X[i] := X[i-1] + X[i] over non-integral values so the association order
+// shows in the low bits, as loop source on irserved's /v1/solve/loop and
+// in process through ir.CompileLoop(...).ExecuteCtx, and as a system on
+// /v1/solve/ordinary on irserved and every coordinator. Every answer must
+// be bit-identical to irserved's ordinary one. The coordinators answer
+// 501 on the loop route: loop execution is not distributed.
+func crossLoop(t *testing.T, rng *rand.Rand, worker string, fronts []route) {
+	t.Helper()
+	const n = 1024
+	x := make([]float64, n+1)
+	w := ir.SystemWire{M: n + 1, N: n}
+	for i := range x {
+		x[i] = rng.Float64() - 0.25
+	}
+	for i := 1; i <= n; i++ {
+		w.G, w.F = append(w.G, i), append(w.F, i-1)
+	}
+	init, err := json.Marshal(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(route, url string) []float64 {
+		t.Helper()
+		code, data := postFront(t, url+server.APIPrefix+"ordinary", server.GeneralRequest{System: w, Op: "float64-add", Init: init})
+		if code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", route, code, data)
+		}
+		var got crossAnswer
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		return got.ValuesFloat
+	}
+	want := solve("irserved", worker)
+	check := func(route string, got []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", route, len(got), len(want))
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s: cell %d = %v, /v1/solve/ordinary %v", route, k, got[k], want[k])
+			}
+		}
+	}
+	const src = "for i = 1 to n do X[i] := X[i-1] + X[i]"
+	body := server.LoopRequest{Loop: src, N: n, Arrays: map[string][]float64{"X": x}}
+	code, data := postFront(t, worker+server.APIPrefix+"loop", body)
+	if code != http.StatusOK {
+		t.Fatalf("loop: HTTP %d: %s", code, data)
+	}
+	var got server.LoopResponse
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	check("loop", got.Arrays["X"])
+
+	loop, err := ir.ParseLoop(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := ir.NewEnv()
+	env.Scalars["n"] = n
+	env.Arrays["X"] = append([]float64(nil), x...)
+	if err := ir.CompileLoop(loop).ExecuteCtx(t.Context(), env, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("ir.CompileLoop", env.Arrays["X"])
+
+	for _, r := range fronts {
+		check(r.route, solve(r.route, r.url))
+		if code, data := postFront(t, r.url+server.APIPrefix+"loop", body); code != http.StatusNotImplemented {
+			t.Fatalf("%s: loop route HTTP %d (%s), want 501", r.route, code, data)
+		}
+	}
 }
 
 // crossSession is TestCrossRouteBitIdentity's session row: one stream — a

@@ -22,8 +22,22 @@ import (
 // (scatterGrid2D). Any scatter-level failure — including an empty fleet —
 // degrades to a local in-process solve, so the coordinator answers
 // whenever a single machine could. Results are bit-identical to
-// ir.Plan.SolveCtx by the shard layer's contract.
+// ir.Plan.SolveCtx by the shard layer's contract; a float answer with a
+// NaN or ±Inf is refused with ir.ErrNonFinite (422), as on irserved.
 func (co *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (*ir.PlanSolution, error) {
+	sol, err := co.solve(ctx, req)
+	if err == nil {
+		err = server.CheckFinite("values_float", sol.ValuesFloat)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// solve is Solve before the finiteness check of its merged or local
+// answer.
+func (co *Coordinator) solve(ctx context.Context, req *server.SolveRequest) (*ir.PlanSolution, error) {
 	key := req.Fingerprint()
 	p, err := server.PlanFor(co.plans, ctx, key, req.Compile)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"indexedrec/internal/lang"
 	"indexedrec/internal/livermore"
 	"indexedrec/internal/report"
+	"indexedrec/ir"
 )
 
 func init() {
@@ -23,8 +24,8 @@ func init() {
 func runLivermoreExec(w io.Writer, opt Options) error {
 	n := opt.n(512)
 	tb := report.NewTable(
-		fmt.Sprintf("every DSL-encoded kernel: sequential interpreter vs auto-parallelized, n=%d", n),
-		"#", "kernel", "strategy", "seq ms", "par ms", "max rel err")
+		fmt.Sprintf("every DSL-encoded kernel: sequential interpreter vs auto-parallelized vs native Go loop, n=%d", n),
+		"#", "kernel", "strategy", "seq ms", "par ms", "native ms", "max rel err")
 	for _, k := range livermore.All() {
 		if k.DSL == "" {
 			continue
@@ -33,7 +34,7 @@ func runLivermoreExec(w io.Writer, opt Options) error {
 		if err != nil {
 			return fmt.Errorf("kernel %d: %w", k.ID, err)
 		}
-		c := lang.Compile(loop)
+		c := ir.CompileLoop(loop)
 
 		seq := k.Setup(n)
 		t0 := time.Now()
@@ -49,6 +50,11 @@ func runLivermoreExec(w io.Writer, opt Options) error {
 		}
 		parD := time.Since(t0)
 
+		native := k.Setup(n)
+		t0 = time.Now()
+		k.Native(n, native)
+		nativeD := time.Since(t0)
+
 		maxErr := 0.0
 		for name, want := range seq.Arrays {
 			got := par.Arrays[name]
@@ -59,12 +65,14 @@ func runLivermoreExec(w io.Writer, opt Options) error {
 		if maxErr > 1e-9 {
 			return fmt.Errorf("kernel %d: parallel deviates by %g", k.ID, maxErr)
 		}
-		tb.AddRow(k.ID, k.Name, c.Strategy(),
-			float64(seqD.Microseconds())/1000, float64(parD.Microseconds())/1000, maxErr)
+		tb.AddRow(k.ID, k.Name, c.Strategy(), float64(seqD.Microseconds())/1000,
+			float64(parD.Microseconds())/1000, float64(nativeD.Nanoseconds())/1e6, maxErr)
 	}
 	tb.Render(w)
 	fmt.Fprintln(w, "\nEvery kernel the classifier places is executed by its parallel")
-	fmt.Fprintln(w, "strategy and checked against the sequential interpreter.")
+	fmt.Fprintln(w, "strategy and checked against the sequential interpreter; \"native\"")
+	fmt.Fprintln(w, "times the kernel's hand-written Go loop on the same data. Each \"par\"")
+	fmt.Fprintln(w, "time is one cold run: lower, compile every leaf's plan, replay.")
 	return nil
 }
 
@@ -127,7 +135,7 @@ func runLoop23(w io.Writer, opt Options) error {
 
 	par := k.Setup(n)
 	t0 = time.Now()
-	if err := lang.Compile(loop).Execute(par, 0); err != nil {
+	if err := ir.CompileLoop(loop).Execute(par, 0); err != nil {
 		return err
 	}
 	parD := time.Since(t0)

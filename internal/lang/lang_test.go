@@ -2,7 +2,6 @@ package lang
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 )
@@ -233,188 +232,11 @@ func TestClassifyMultiStatementIndependent(t *testing.T) {
 	}
 }
 
-// --- lowering + execution ---
-
-func execBoth(t *testing.T, src string, env *Env) (seq, par *Env) {
-	t.Helper()
-	l := mustParse(t, src)
-	seq = env.Clone()
-	if err := Run(l, seq); err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	par = env.Clone()
-	c := Compile(l)
-	if err := c.Execute(par, 4); err != nil {
-		t.Fatalf("parallel (%v): %v", c.Analysis.Form, err)
-	}
-	return seq, par
-}
-
-func requireSameArrays(t *testing.T, seq, par *Env, tol float64) {
-	t.Helper()
-	for name, want := range seq.Arrays {
-		got := par.Arrays[name]
-		for i := range want {
-			d := math.Abs(got[i] - want[i])
-			if d > tol*math.Max(1, math.Abs(want[i])) {
-				t.Fatalf("array %s[%d]: parallel %v, sequential %v", name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestExecuteOrdinaryIR(t *testing.T) {
-	env := NewEnv()
-	env.Scalars["n"] = 30
-	env.Arrays["X"] = ramp(32)
-	env.Arrays["G"] = ramp(32)
-	env.Arrays["F"] = reverseRamp(32)
-	seq, par := execBoth(t, "for i = 1 to n do X[G[i]] := X[F[i]] + X[G[i]]", env)
-	requireSameArrays(t, seq, par, 1e-12)
-}
-
-func TestExecuteGIR(t *testing.T) {
-	env := NewEnv()
-	env.Scalars["n"] = 10
-	env.Arrays["X"] = []float64{1.01, 1.02, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	seq, par := execBoth(t, "for i = 2 to n do X[i] := X[i-1] * X[i-2]", env)
-	requireSameArrays(t, seq, par, 1e-9)
-}
-
-func TestExecuteLinear(t *testing.T) {
-	env := NewEnv()
-	env.Scalars["n"] = 20
-	env.Arrays["X"] = ramp(24)
-	env.Arrays["A"] = halfRamp(24)
-	env.Arrays["B"] = ramp(24)
-	seq, par := execBoth(t, "for i = 1 to n do X[i] := A[i]*X[i-1] + B[i]", env)
-	requireSameArrays(t, seq, par, 1e-9)
-}
-
-func TestExecuteExtendedIndirect(t *testing.T) {
-	env := NewEnv()
-	env.Scalars["n"] = 15
-	env.Arrays["X"] = ramp(40)
-	env.Arrays["A"] = halfRamp(16)
-	env.Arrays["B"] = halfRamp(16)
-	// G: distinct targets 2i; F: i (mix of earlier/later writes).
-	g := make([]float64, 16)
-	f := make([]float64, 16)
-	for i := range g {
-		g[i] = float64(2 * i)
-		f[i] = float64(i)
-	}
-	env.Arrays["G"] = g
-	env.Arrays["F"] = f
-	seq, par := execBoth(t, "for i = 1 to n do X[G[i]] := X[G[i]] + A[i]*X[F[i]] + B[i]", env)
-	requireSameArrays(t, seq, par, 1e-9)
-}
-
-func TestExecuteMap(t *testing.T) {
-	env := NewEnv()
-	env.Scalars["n"] = 9
-	env.Arrays["X"] = make([]float64, 10)
-	env.Arrays["Y"] = ramp(10)
-	seq, par := execBoth(t, "for i = 0 to n do X[i] := Y[i]*Y[i] + 1", env)
-	requireSameArrays(t, seq, par, 0)
-}
-
-func TestExecuteUnknownFallsBack(t *testing.T) {
-	env := NewEnv()
-	env.Scalars["n"] = 5
-	env.Arrays["X"] = ramp(8)
-	// Quadratic: classifier says unknown; Execute must still be correct
-	// via the sequential fallback.
-	seq, par := execBoth(t, "for i = 1 to n do X[i] := X[i-1]*X[i-1] + X[i]", env)
-	requireSameArrays(t, seq, par, 0)
-}
-
-func TestExecuteMoebius(t *testing.T) {
-	env := NewEnv()
-	env.Scalars["n"] = 12
-	env.Arrays["X"] = onesF(16)
-	env.Arrays["A"] = halfRamp(16)
-	env.Arrays["B"] = onesF(16)
-	env.Arrays["C"] = halfRamp(16)
-	env.Arrays["D"] = onesF(16)
-	seq, par := execBoth(t,
-		"for i = 1 to n do X[i] := (A[i]*X[i-1]+B[i]) / (C[i]*X[i-1]+D[i])", env)
-	requireSameArrays(t, seq, par, 1e-9)
-}
+// --- strategy ---
 
 func TestStrategyNames(t *testing.T) {
 	l := mustParse(t, "for i = 1 to n do X[i] := X[i-1] + X[i]")
 	if s := Compile(l).Strategy(); s != "OrdinaryIR pointer jumping" {
 		t.Fatalf("strategy = %q", s)
 	}
-}
-
-func ramp(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = float64(i + 1)
-	}
-	return v
-}
-
-func reverseRamp(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = float64(n - 1 - i)
-	}
-	return v
-}
-
-func halfRamp(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 0.5 + float64(i%7)/14
-	}
-	return v
-}
-
-func onesF(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}
-
-func TestExecuteMultiStatementMixedForms(t *testing.T) {
-	// Regression: a multi-statement body whose members have different
-	// forms (a recurrence on X, a map on Y) must execute EVERY statement
-	// (fission is valid because the analysis proved independence).
-	src := `
-for i = 1 to n do
-begin
-    X[i] := X[i-1] + X[i];
-    Y[i] := B[i] * 2;
-end`
-	env := NewEnv()
-	env.Scalars["n"] = 20
-	env.Arrays["X"] = ramp(21)
-	env.Arrays["Y"] = make([]float64, 21)
-	env.Arrays["B"] = ramp(21)
-	seq, par := execBoth(t, src, env)
-	requireSameArrays(t, seq, par, 1e-12)
-	if par.Arrays["Y"][5] == 0 {
-		t.Fatal("second statement was not executed")
-	}
-}
-
-func TestExecuteMultiStatementTwoRecurrences(t *testing.T) {
-	src := `
-for i = 1 to n do
-begin
-    X[i] := A[i]*X[i-1] + 1;
-    Z[i] := Z[i-1] + A[i];
-end`
-	env := NewEnv()
-	env.Scalars["n"] = 30
-	env.Arrays["X"] = ramp(31)
-	env.Arrays["Z"] = make([]float64, 31)
-	env.Arrays["A"] = halfRamp(31)
-	seq, par := execBoth(t, src, env)
-	requireSameArrays(t, seq, par, 1e-9)
 }

@@ -6,15 +6,13 @@ import (
 	"fmt"
 
 	"indexedrec/internal/core"
-	"indexedrec/internal/gir"
-	"indexedrec/internal/moebius"
-	"indexedrec/internal/ordinary"
 )
 
 // ErrLower wraps lowering/execution failures.
 var ErrLower = errors.New("lang: lowering error")
 
-// Compiled is a classified loop bound to an executable parallel strategy.
+// Compiled is a classified loop bound to its parallel strategy; Drive runs
+// it with a caller-supplied solve step.
 type Compiled struct {
 	Loop     *Loop
 	Analysis *Analysis
@@ -25,11 +23,10 @@ func Compile(l *Loop) *Compiled {
 	return &Compiled{Loop: l, Analysis: Analyze(l)}
 }
 
-// Strategy names the execution path Execute will take.
+// Strategy names the execution path Drive will take.
 func (c *Compiled) Strategy() string {
 	if c.Analysis.Nest {
-		inner := Compile(c.Loop.InnerLoop())
-		return "sequential outer loop × (" + inner.Strategy() + ")"
+		return "sequential outer loop × (" + Compile(c.Loop.InnerLoop()).Strategy() + ")"
 	}
 	switch c.Analysis.Form {
 	case FormMap:
@@ -81,31 +78,16 @@ func (env *Env) enter(lo, hi int) func() {
 	return func() { env.outer = outer }
 }
 
-// tabulate evaluates expression e for every loop index, with the loop
-// variable bound in env, returning integer index values.
-func tabulate(l *Loop, env *Env, e Expr, lo, hi int) ([]int, error) {
-	out := make([]int, 0, hi-lo+1)
+// tabulate evaluates expression e with eval (EvalIndex for index maps,
+// Eval for coefficients) for every loop index, with the loop variable bound
+// in env.
+func tabulate[T any](l *Loop, env *Env, e Expr, lo, hi int, eval func(Expr, *Env) (T, error)) ([]T, error) {
+	out := make([]T, 0, hi-lo+1)
 	saved, had := env.Scalars[l.Var]
 	defer restoreVar(env, l.Var, saved, had)
 	for i := lo; i <= hi; i++ {
 		env.Scalars[l.Var] = float64(i)
-		v, err := EvalIndex(e, env)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// tabulateF is tabulate for float-valued coefficient expressions.
-func tabulateF(l *Loop, env *Env, e Expr, lo, hi int) ([]float64, error) {
-	out := make([]float64, 0, hi-lo+1)
-	saved, had := env.Scalars[l.Var]
-	defer restoreVar(env, l.Var, saved, had)
-	for i := lo; i <= hi; i++ {
-		env.Scalars[l.Var] = float64(i)
-		v, err := Eval(e, env)
+		v, err := eval(e, env)
 		if err != nil {
 			return nil, err
 		}
@@ -122,143 +104,151 @@ func restoreVar(env *Env, name string, saved float64, had bool) {
 	}
 }
 
-// LowerIR tabulates an ordinary/general IR loop into a core.System over the
-// target array.
-func LowerIR(c *Compiled, env *Env) (*core.System, error) {
-	an := c.Analysis
-	if an.Form != FormOrdinaryIR && an.Form != FormGIR {
-		return nil, fmt.Errorf("%w: LowerIR on %v form", ErrLower, an.Form)
-	}
-	arr, ok := env.Arrays[an.Array]
-	if !ok {
-		return nil, fmt.Errorf("%w: unbound array %q", ErrLower, an.Array)
-	}
-	lo, hi, err := iterRange(c.Loop, env)
-	if err != nil {
-		return nil, err
-	}
-	if hi < lo {
-		return &core.System{M: len(arr), N: 0, G: []int{}, F: []int{}}, nil
-	}
-	g, err := tabulate(c.Loop, env, an.G, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	f, err := tabulate(c.Loop, env, an.F, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	sys := &core.System{M: len(arr), N: len(g), G: g, F: f}
-	if an.Form == FormGIR {
-		if sys.H, err = tabulate(c.Loop, env, an.H, lo, hi); err != nil {
-			return nil, err
-		}
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrLower, err)
-	}
-	return sys, nil
+// Leaf is one parallel leaf of a loop, lowered for a solver: a tabulated
+// system over float cells and the data to solve it against. Its index maps
+// read scalars, loop bounds and index arrays, never the target array.
+// Exactly one shape applies:
+//
+//   - IR (A nil): Sys combined by Op ('+' or '*') over Init. H nil is the
+//     ordinary form X[g] := X[f] op X[g], whose family the solver picks by
+//     structure; H set is the general form. A scatter-add lowers to the
+//     general form over Init widened by one operand cell per iteration.
+//   - Möbius (A set): Sys's M, N, G and F with coefficients A, B and, for
+//     the fractional form, C, D (nil for the affine forms, whose extended
+//     b is already rewritten), over Init.
+type Leaf struct {
+	Sys        *core.System
+	Op         byte
+	Init       []float64
+	A, B, C, D []float64
 }
 
-// LowerLinear tabulates a linear/extended/Möbius loop into a
-// moebius.MoebiusSystem. Extended forms are rewritten per the paper:
-// X[g] := c·X[g] + a·X[f] + b becomes a·X[f] + (c·S[g] + b) because the g
-// are distinct, so the self-reference reads the initial value.
-func LowerLinear(c *Compiled, env *Env) (*moebius.MoebiusSystem, error) {
+// Solver solves one leaf and returns its final cells; the first
+// len(target) of them are copied back into the target array. An error
+// wrapping ErrSequential makes Drive run the leaf's loop as written.
+type Solver func(ctx context.Context, leaf *Leaf) ([]float64, error)
+
+// ErrSequential marks a leaf with no parallel solve: a Möbius g that
+// repeats or leaves the array, or a chain the solver refuses (one that
+// divides by zero). Drive runs such a loop through Run, keeping its
+// IEEE semantics.
+var ErrSequential = errors.New("lang: no parallel solve for this leaf")
+
+// lower tabulates a single-statement IR, scatter-add or linear-form loop
+// into its leaf; a nil leaf with a nil error is an empty range.
+func (c *Compiled) lower(env *Env) (*Leaf, error) {
 	an := c.Analysis
 	arr, ok := env.Arrays[an.Array]
 	if !ok {
 		return nil, fmt.Errorf("%w: unbound array %q", ErrLower, an.Array)
 	}
 	lo, hi, err := iterRange(c.Loop, env)
-	if err != nil {
+	if err != nil || hi < lo {
 		return nil, err
 	}
-	if hi < lo {
-		return moebius.NewLinear(len(arr), []int{}, []int{}, []float64{}, []float64{}), nil
+	ints := func(e Expr) (v []int) {
+		if err == nil {
+			v, err = tabulate(c.Loop, env, e, lo, hi, EvalIndex)
+		}
+		return v
 	}
-	g, err := tabulate(c.Loop, env, an.G, lo, hi)
-	if err != nil {
-		return nil, err
+	floats := func(e Expr) (v []float64) {
+		if err == nil {
+			v, err = tabulate(c.Loop, env, e, lo, hi, Eval)
+		}
+		return v
 	}
-	f, err := tabulate(c.Loop, env, an.F, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	a, err := tabulateF(c.Loop, env, an.A, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	b, err := tabulateF(c.Loop, env, an.B, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	switch an.Form {
-	case FormLinear:
-		return moebius.NewLinear(len(arr), g, f, a, b), nil
-	case FormLinearExtended:
-		sc, err := tabulateF(c.Loop, env, an.SelfCoef, lo, hi)
+	m, n := len(arr), hi-lo+1
+	sys := &core.System{M: m, N: n, G: ints(an.G)}
+	switch {
+	case an.Form == FormOrdinaryIR, an.Form == FormGIR:
+		sys.F = ints(an.F)
+		if an.Form == FormGIR {
+			sys.H = ints(an.H)
+		}
 		if err != nil {
 			return nil, err
 		}
-		b2 := make([]float64, len(b))
-		for i := range b {
-			if g[i] < 0 || g[i] >= len(arr) {
-				return nil, fmt.Errorf("%w: g index %d out of range", ErrLower, g[i])
+		if err := sys.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrLower, err)
+		}
+		return &Leaf{Sys: sys, Op: an.Op, Init: arr}, nil
+	case an.Form == FormLinearExtended && an.SelfOnly && isOne(an.SelfCoef):
+		// X[g(i)] := X[g(i)] + b(i), the particle-in-cell kernels'
+		// scatter-accumulate where g repeats: general IR over + with
+		// one auxiliary cell per iteration holding b(i), iteration i
+		// computing X[g(i)] := X[aux_i] + X[g(i)].
+		b := floats(an.B)
+		if err != nil {
+			return nil, err
+		}
+		init := append(append(make([]float64, 0, m+n), arr...), b...)
+		sys.M, sys.F, sys.H = m+n, make([]int, n), sys.G
+		for i, x := range sys.G {
+			if x < 0 || x >= m {
+				return nil, fmt.Errorf("%w: target index %d out of range", ErrLower, x)
 			}
-			b2[i] = sc[i]*arr[g[i]] + b[i]
+			sys.F[i] = m + i
 		}
-		return moebius.NewLinear(len(arr), g, f, a, b2), nil
-	case FormMoebius:
-		cc, err := tabulateF(c.Loop, env, an.C, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		d, err := tabulateF(c.Loop, env, an.D, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		return &moebius.MoebiusSystem{M: len(arr), G: g, F: f, A: a, B: b, C: cc, D: d}, nil
-	default:
-		return nil, fmt.Errorf("%w: LowerLinear on %v form", ErrLower, an.Form)
+		return &Leaf{Sys: sys, Op: '+', Init: init}, nil
 	}
+	sys.F = ints(an.F)
+	leaf := &Leaf{Sys: sys, Init: arr, A: floats(an.A), B: floats(an.B)}
+	switch an.Form {
+	case FormLinearExtended:
+		// X[g] := c·X[g] + a·X[f] + b becomes a·X[f] + (c·S[g] + b), per
+		// the paper: the g are distinct, so the self-reference reads the
+		// initial value.
+		sc := floats(an.SelfCoef)
+		if err != nil {
+			return nil, err
+		}
+		b := make([]float64, n)
+		for i, x := range sys.G {
+			if x < 0 || x >= m {
+				return nil, fmt.Errorf("%w: g index %d out of range", ErrLower, x)
+			}
+			b[i] = sc[i]*arr[x] + leaf.B[i]
+		}
+		leaf.B = b
+	case FormMoebius:
+		leaf.C, leaf.D = floats(an.C), floats(an.D)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if sys.Validate() != nil || !sys.GDistinct() {
+		return nil, ErrSequential
+	}
+	return leaf, nil
 }
 
-// Execute runs the loop against env using the parallel strategy selected by
-// the analysis, mutating env.Arrays[target] exactly as sequential Run would
-// (up to float rounding from regrouping). FormUnknown falls back to the
-// sequential interpreter. procs <= 0 means GOMAXPROCS.
-func (c *Compiled) Execute(env *Env, procs int) error {
-	return c.ExecuteCtx(context.Background(), env, procs)
-}
-
-// ExecuteCtx is Execute through the hardened solver APIs: cancellation of
-// ctx stops the solve between rounds (and between outer iterations of a
-// nest) with ctx.Err(), and solver-side panics surface as errors. A Möbius
-// chain whose composed map divides by zero falls back to the sequential
-// interpreter, preserving Execute's IEEE semantics.
-func (c *Compiled) ExecuteCtx(ctx context.Context, env *Env, procs int) error {
+// Drive runs the loop against env, mutating its arrays exactly as Run
+// would (up to float rounding from regrouping). It drives nests (the outer
+// loop sequential, the inner one parallel per outer index: the paper's
+// loop-23 shape) and independent multi-statement bodies, evaluates maps
+// itself, and hands every other leaf, lowered, to solve. FormUnknown and a
+// leaf without a parallel solve (ErrSequential) run through Run.
+// Cancelling ctx stops the run between leaves with ctx.Err().
+func (c *Compiled) Drive(ctx context.Context, env *Env, solve Solver) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	an := c.Analysis
 	// Multi-statement bodies reach here only when the analysis proved the
 	// statements independent (disjoint targets, no cross-references), so
-	// each executes as its own single-statement loop with its own strategy.
+	// each runs as its own single-statement loop with its own strategy.
 	// A single pass through executeMap handles the all-map case directly.
 	if asgs := c.Loop.Assigns(); len(asgs) > 1 && an.Form != FormMap && an.Form != FormUnknown {
 		for _, st := range asgs {
 			sub := &Loop{Var: c.Loop.Var, Lo: c.Loop.Lo, Hi: c.Loop.Hi, Body: []Stmt{st}}
-			if err := Compile(sub).ExecuteCtx(ctx, env, procs); err != nil {
+			if err := Compile(sub).Drive(ctx, env, solve); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	if an.Nest {
-		// Loop nest: drive the outer loop sequentially, parallelizing the
-		// inner loop for each outer index (the paper's loop-23 shape,
-		// where the j loop iterates the parallel i-loop over columns).
 		inner := Compile(c.Loop.InnerLoop())
 		lo, hi, err := iterRange(c.Loop, env)
 		if err != nil {
@@ -269,7 +259,7 @@ func (c *Compiled) ExecuteCtx(ctx context.Context, env *Env, procs int) error {
 		defer restoreVar(env, c.Loop.Var, saved, had)
 		for i := lo; i <= hi; i++ {
 			env.Scalars[c.Loop.Var] = float64(i)
-			if err := inner.ExecuteCtx(ctx, env, procs); err != nil {
+			if err := inner.Drive(ctx, env, solve); err != nil {
 				return err
 			}
 		}
@@ -278,78 +268,21 @@ func (c *Compiled) ExecuteCtx(ctx context.Context, env *Env, procs int) error {
 	switch an.Form {
 	case FormMap:
 		return c.executeMap(env)
-	case FormOrdinaryIR:
-		sys, err := LowerIR(c, env)
-		if err != nil {
-			return err
-		}
-		var op core.CommutativeMonoid[float64]
-		if an.Op == '+' {
-			op = core.Float64Add{}
-		} else {
-			op = core.Float64Mul{}
-		}
-		res, err := ordinary.SolveCtx[float64](ctx, sys, op, env.Arrays[an.Array], ordinary.Options{Procs: procs})
-		if errors.Is(err, ordinary.ErrGNotDistinct) {
-			// Repeated writes to one cell: outside §2's precondition, but
-			// + and * are commutative, so the general solver applies
-			// (H = G implicitly).
-			_, values, gerr := gir.CompileSolveCtx[float64](ctx, sys, op, env.Arrays[an.Array], 0, procs)
-			if gerr != nil {
-				return gerr
-			}
-			copy(env.Arrays[an.Array], values)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		copy(env.Arrays[an.Array], res.Values)
-		return nil
-	case FormGIR:
-		sys, err := LowerIR(c, env)
-		if err != nil {
-			return err
-		}
-		var op core.CommutativeMonoid[float64]
-		if an.Op == '+' {
-			op = core.Float64Add{}
-		} else {
-			op = core.Float64Mul{}
-		}
-		_, values, err := gir.CompileSolveCtx[float64](ctx, sys, op, env.Arrays[an.Array], 0, procs)
-		if err != nil {
-			return err
-		}
-		copy(env.Arrays[an.Array], values)
-		return nil
-	case FormLinear, FormLinearExtended, FormMoebius:
-		// Pure accumulations X[g] := X[g] + expr with repeated targets
-		// (scatter-add: the PIC kernels) are general IR over + with an
-		// auxiliary operand cell per iteration.
-		if an.Form == FormLinearExtended && an.SelfOnly && isOne(an.SelfCoef) {
-			return c.executeScatterAdd(ctx, env, procs)
-		}
-		ms, err := LowerLinear(c, env)
-		if err != nil {
-			return err
-		}
-		out, err := ms.SolveCtx(ctx, env.Arrays[an.Array], ordinary.Options{Procs: procs})
-		if errors.Is(err, moebius.ErrBadSystem) || errors.Is(err, moebius.ErrNonFinite) {
-			// Non-distinct g outside the scatter-add shape (no parallel
-			// strategy in the framework), or a chain that divides by zero
-			// (the guarded API rejects non-finite values, the sequential
-			// loop defines them): run the loop as written.
-			return Run(c.Loop, env)
-		}
-		if err != nil {
-			return err
-		}
-		copy(env.Arrays[an.Array], out)
-		return nil
-	default:
+	case FormUnknown:
 		return Run(c.Loop, env)
 	}
+	leaf, err := c.lower(env)
+	var values []float64
+	if leaf != nil {
+		values, err = solve(ctx, leaf)
+	}
+	if errors.Is(err, ErrSequential) {
+		return Run(c.Loop, env)
+	}
+	if err == nil {
+		copy(env.Arrays[an.Array], values)
+	}
+	return err
 }
 
 // executeMap evaluates every iteration's RHS against the loop-entry state,
@@ -375,23 +308,21 @@ func (c *Compiled) executeMap(env *Env) error {
 	}
 	var writes []write
 	saved, had := env.Scalars[c.Loop.Var]
+	defer restoreVar(env, c.Loop.Var, saved, had)
 	for i := lo; i <= hi; i++ {
 		env.Scalars[c.Loop.Var] = float64(i)
 		for _, s := range st {
 			gi, err := EvalIndex(s.Target.Idx, env)
 			if err != nil {
-				restoreVar(env, c.Loop.Var, saved, had)
 				return err
 			}
 			v, err := Eval(s.RHS, env)
 			if err != nil {
-				restoreVar(env, c.Loop.Var, saved, had)
 				return err
 			}
 			writes = append(writes, write{s.Target.Array, gi, v})
 		}
 	}
-	restoreVar(env, c.Loop.Var, saved, had)
 	for _, w := range writes {
 		arr := env.Arrays[w.arr]
 		if w.idx < 0 || w.idx >= len(arr) {
@@ -406,51 +337,4 @@ func (c *Compiled) executeMap(env *Env) error {
 func isOne(e Expr) bool {
 	n, ok := e.(*Num)
 	return ok && n.Val == 1
-}
-
-// executeScatterAdd parallelizes X[g(i)] := X[g(i)] + b(i) — the
-// scatter-accumulate of the particle-in-cell kernels, where g repeats — as
-// a general IR system over +: the X cells are augmented with one auxiliary
-// cell per iteration holding b(i), and iteration i computes
-// X[g(i)] := X[aux_i] + X[g(i)], which package gir solves for non-distinct
-// g via the versioned dependence graph.
-func (c *Compiled) executeScatterAdd(ctx context.Context, env *Env, procs int) error {
-	an := c.Analysis
-	arr, ok := env.Arrays[an.Array]
-	if !ok {
-		return fmt.Errorf("%w: unbound array %q", ErrLower, an.Array)
-	}
-	lo, hi, err := iterRange(c.Loop, env)
-	if err != nil {
-		return err
-	}
-	if hi < lo {
-		return nil
-	}
-	g, err := tabulate(c.Loop, env, an.G, lo, hi)
-	if err != nil {
-		return err
-	}
-	b, err := tabulateF(c.Loop, env, an.B, lo, hi)
-	if err != nil {
-		return err
-	}
-	m, n := len(arr), len(g)
-	init := make([]float64, m+n)
-	copy(init, arr)
-	sys := &core.System{M: m + n, N: n, G: g, F: make([]int, n), H: make([]int, n)}
-	for i := 0; i < n; i++ {
-		if g[i] < 0 || g[i] >= m {
-			return fmt.Errorf("%w: target index %d out of range", ErrLower, g[i])
-		}
-		init[m+i] = b[i]
-		sys.F[i] = m + i
-		sys.H[i] = g[i]
-	}
-	_, values, err := gir.CompileSolveCtx[float64](ctx, sys, core.Float64Add{}, init, 0, procs)
-	if err != nil {
-		return err
-	}
-	copy(arr, values[:m])
-	return nil
 }

@@ -1,7 +1,6 @@
 package lang
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -11,24 +10,6 @@ for j = 1 to 6 do
     for i = 2 to n do
         X[7*(i-1)+j] := X[7*(i-1)+j] + 0.75d0*(Y[i] + X[7*(i-2)+j]*Z[7*(i-1)+j])
 `
-
-func nestEnv(n int) *Env {
-	e := NewEnv()
-	e.Scalars["n"] = float64(n)
-	rows := n + 1
-	x := make([]float64, 7*rows+8)
-	z := make([]float64, 7*rows+8)
-	y := make([]float64, n+1)
-	for i := range x {
-		x[i] = 0.3 + float64(i%11)/23
-		z[i] = 0.2 + float64(i%7)/19
-	}
-	for i := range y {
-		y[i] = float64(i%5) / 7
-	}
-	e.Arrays["X"], e.Arrays["Y"], e.Arrays["Z"] = x, y, z
-	return e
-}
 
 func TestParseNestedLoop(t *testing.T) {
 	l := mustParse(t, loop23Nest)
@@ -71,25 +52,6 @@ func TestNestStrategyString(t *testing.T) {
 	}
 }
 
-func TestExecuteNestMatchesSequential(t *testing.T) {
-	l := mustParse(t, loop23Nest)
-	const n = 64
-	seq := nestEnv(n)
-	if err := Run(l, seq); err != nil {
-		t.Fatal(err)
-	}
-	par := nestEnv(n)
-	if err := Compile(l).Execute(par, 4); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range seq.Arrays["X"] {
-		got := par.Arrays["X"][i]
-		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
-			t.Fatalf("X[%d]: parallel %v, sequential %v", i, got, want)
-		}
-	}
-}
-
 func TestRunTripleNest(t *testing.T) {
 	// Interpreter sanity on a 3-deep nest: accumulate k into T[0] for all
 	// (a, b, k) combinations.
@@ -108,67 +70,5 @@ for a = 1 to 2 do
 	// Σk=1..4 k = 10, times 2*3 = 60.
 	if env.Arrays["T"][0] != 60 {
 		t.Fatalf("T[0] = %v, want 60", env.Arrays["T"][0])
-	}
-}
-
-func TestAnalyzeMixedBodyUnknown(t *testing.T) {
-	src := `
-for j = 1 to 2 do
-begin
-    A[j] := 1;
-    for i = 1 to 3 do B[i] := A[j];
-end`
-	an := Analyze(mustParse(t, src))
-	if an.Form != FormUnknown {
-		t.Fatalf("mixed body: form = %v, want unknown", an.Form)
-	}
-	// The fallback path must still execute it correctly.
-	l := mustParse(t, src)
-	env := NewEnv()
-	env.Arrays["A"] = make([]float64, 3)
-	env.Arrays["B"] = make([]float64, 4)
-	seq := env.Clone()
-	if err := Run(l, seq); err != nil {
-		t.Fatal(err)
-	}
-	par := env.Clone()
-	if err := Compile(l).Execute(par, 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.Arrays["B"] {
-		if seq.Arrays["B"][i] != par.Arrays["B"][i] {
-			t.Fatalf("B mismatch: %v vs %v", par.Arrays["B"], seq.Arrays["B"])
-		}
-	}
-}
-
-func TestDeepNestExecute(t *testing.T) {
-	// A nest of nests whose innermost loop is an ordinary IR: the Execute
-	// path must recurse through both outer levels.
-	src := `
-for a = 0 to 1 do
-  for b = 0 to 1 do
-    for i = 1 to 7 do
-      X[8*(2*a+b) + i] := X[8*(2*a+b) + i - 1] + X[8*(2*a+b) + i]
-`
-	l := mustParse(t, src)
-	env := NewEnv()
-	x := make([]float64, 32)
-	for i := range x {
-		x[i] = float64(i + 1)
-	}
-	env.Arrays["X"] = x
-	seq := env.Clone()
-	if err := Run(l, seq); err != nil {
-		t.Fatal(err)
-	}
-	par := env.Clone()
-	if err := Compile(l).Execute(par, 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.Arrays["X"] {
-		if math.Abs(seq.Arrays["X"][i]-par.Arrays["X"][i]) > 1e-12 {
-			t.Fatalf("X[%d]: %v vs %v", i, par.Arrays["X"][i], seq.Arrays["X"][i])
-		}
 	}
 }

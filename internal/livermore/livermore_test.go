@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"indexedrec/internal/lang"
+	"indexedrec/ir"
 )
 
 const testN = 64
@@ -92,7 +93,7 @@ func TestDSLMatchesNative(t *testing.T) {
 
 func TestDSLKernelsParallelizeCorrectly(t *testing.T) {
 	// Every DSL kernel whose classified form has a parallel strategy must
-	// produce the sequential result through Compiled.Execute.
+	// produce the sequential result through ir.Compiled.Execute.
 	for _, k := range All() {
 		if k.DSL == "" {
 			continue
@@ -108,7 +109,7 @@ func TestDSLKernelsParallelizeCorrectly(t *testing.T) {
 				t.Fatal(err)
 			}
 			par := k.Setup(testN)
-			if err := lang.Compile(loop).Execute(par, 4); err != nil {
+			if err := ir.CompileLoop(loop).Execute(par, 4); err != nil {
 				t.Fatalf("kernel %d Execute: %v", k.ID, err)
 			}
 			for name, want := range seq.Arrays {

@@ -19,7 +19,11 @@
 // open decodes into a SolveRequest too (DecodeSessionOpen, through the same
 // decoders, so it answers every defect as the solve route of its family),
 // which is folded into a session instead of replayed; the coordinator
-// pins the session by that request's Fingerprint. Every pooled route —
+// pins the session by that request's Fingerprint. The loop route turns each
+// parallel leaf of its loop into a SolveRequest (ir.LoopLeaf) and resolves
+// it on the same path, so loops share plans with the solve routes. Every
+// float answer leaving a replay, shard or session passes CheckFinite: an
+// overflow answers 422, never a 5xx. Every pooled route —
 // solve, loop, shard, session open and append — passes one admission
 // function: the draining gate, decode, pool submission, shed and deadline
 // wait.

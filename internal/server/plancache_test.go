@@ -297,3 +297,66 @@ func TestGrid2DPlanSharedAcrossRoutes(t *testing.T) {
 		expectShared(r.route)
 	}
 }
+
+// TestLoopPlanSharedAcrossRoutes: a general-IR loop's leaf and the same
+// system posted to /v1/solve/general compile one plan, under the general
+// route's fingerprint (the server's MaxExponentBits included), and a second
+// identical loop request replays it as a cache hit.
+func TestLoopPlanSharedAcrossRoutes(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	const n = 24
+	x, hIdx := make([]float64, n+1), make([]float64, n+1)
+	w := ir.SystemWire{M: n + 1, N: n}
+	for i := 1; i <= n; i++ {
+		hIdx[i] = float64((i * 7) % i)
+		w.G, w.F, w.H = append(w.G, i), append(w.F, i-1), append(w.H, int(hIdx[i]))
+	}
+	for i := range x {
+		x[i] = 1 + float64(i%3)/4
+	}
+	loop := LoopRequest{Loop: "for i = 1 to n do X[i] := X[i-1] * X[H[i]]", N: n,
+		Arrays: map[string][]float64{"X": x, "H": hIdx}}
+	init, err := json.Marshal(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectShared := sharedPlan(t, s, ir.PlanFingerprint(ir.FamilyGeneral, n, n+1, w.G, w.F, w.H, s.cfg.MaxExponentBits))
+	for k, r := range []struct {
+		route, path string
+		body        any
+	}{
+		{"loop", APIPrefix + "loop", loop},
+		{"general", APIPrefix + "general", GeneralRequest{System: w, Op: "float64-mul", Init: init}},
+		{"loop again", APIPrefix + "loop", loop},
+	} {
+		hits := s.metrics.planHits.Value()
+		resp, data := post(t, ts.URL+r.path, r.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", r.route, resp.StatusCode, data)
+		}
+		if h, m := s.metrics.planHits.Value()-hits, s.metrics.planMisses.Value(); h != min(int64(k), 1) || m != 1 {
+			t.Fatalf("%s: %d hits, %d misses in all; want %d and 1", r.route, h, m, min(k, 1))
+		}
+		expectShared(r.route) // its own lookup counts one hit
+	}
+}
+
+// TestLoopNestHitsPlanCache: an outer loop whose inner leaf does not read
+// the outer index lowers to one structure per outer iteration, so the
+// first compiles it and the other 63 replay it from the cache.
+func TestLoopNestHitsPlanCache(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	resp, data := post(t, ts.URL+APIPrefix+"loop", LoopRequest{
+		Loop:   "for j = 1 to 64 do for i = 1 to 32 do X[i] := X[i] + X[i-1]",
+		Arrays: map[string][]float64{"X": make([]float64, 33)},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, data)
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	for _, want := range []string{"irserved_plan_cache_misses_total 1\n", "irserved_plan_cache_hits_total 63\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}

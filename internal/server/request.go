@@ -280,10 +280,7 @@ func (r *SolveRequest) Fingerprint() string {
 
 // Compile builds the request's plan.
 func (r *SolveRequest) Compile(ctx context.Context) (*ir.Plan, error) {
-	switch {
-	case r.Family == ir.FamilyMoebius:
-		return ir.CompileMoebiusCtx(ctx, r.Sys.M, r.Sys.G, r.Sys.F)
-	case r.Family == ir.FamilyGrid2D:
+	if r.Family == ir.FamilyGrid2D {
 		return ir.CompileGrid2DCtx(ctx, r.Data.Grid)
 	}
 	opt := ir.CompileOptions{Family: r.Family, MaxExponentBits: r.Bits}

@@ -504,12 +504,18 @@ func (s *Server) replay(req *SolveRequest, sh *ir.Shard) runFunc {
 		req.Sys = nil
 		if sh != nil {
 			part, err := req.SolveShard(ctx, p, *sh)
+			if err == nil {
+				err = CheckFinite("values_float", part.ValuesFloat)
+			}
 			if err != nil {
 				return nil, err
 			}
 			return shardResponse(part, time.Since(start)), nil
 		}
 		sol, err := p.SolveCtx(ctx, req.Data)
+		if err == nil {
+			err = CheckFinite("values_float", sol.ValuesFloat)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -517,6 +523,8 @@ func (s *Server) replay(req *SolveRequest, sh *ir.Shard) runFunc {
 	}
 }
 
+// execLoop is the exec of /v1/solve/loop: each parallel leaf of the loop
+// is a SolveRequest whose plan comes through the cache, as on every route.
 func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 	var req LoopRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -531,6 +539,19 @@ func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 	}
 	c := ir.CompileLoop(loop)
 	procs := s.clampProcs(req.Opts.Procs)
+	solve := func(ctx context.Context, leaf *lang.Leaf) ([]float64, error) {
+		r := &SolveRequest{}
+		r.Family, r.Sys, r.Data = ir.LoopLeaf(leaf)
+		r.Data.Opts.Procs = procs
+		if r.Family == ir.FamilyGeneral {
+			r.Bits = s.cfg.MaxExponentBits
+		}
+		p, err := PlanFor(s.plans, ctx, r.Fingerprint(), r.Compile)
+		if err != nil {
+			return nil, err
+		}
+		return ir.LoopValues(ctx, p, r.Data)
+	}
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
 		env := ir.NewEnv()
@@ -544,7 +565,7 @@ func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 		for k, v := range req.Arrays {
 			env.Arrays[k] = append([]float64(nil), v...)
 		}
-		if err := c.ExecuteCtx(ctx, env, procs); err != nil {
+		if err := c.Drive(ctx, env, solve); err != nil {
 			return nil, err
 		}
 		if err := checkArraysFinite(env.Arrays); err != nil {
@@ -563,10 +584,20 @@ func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 // first NaN or ±Inf, by array name and then index, wraps ir.ErrNonFinite.
 func checkArraysFinite(arrays map[string][]float64) error {
 	for _, name := range slices.Sorted(maps.Keys(arrays)) {
-		for i, v := range arrays[name] {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: %s[%d] = %v", ir.ErrNonFinite, name, i, v)
-			}
+		if err := CheckFinite(name, arrays[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckFinite refuses float values JSON cannot carry: the first NaN or
+// ±Inf wraps ir.ErrNonFinite (422), never a 5xx a coordinator's breaker
+// would count. Replays, shards, sessions and ircoord's answers all pass it.
+func CheckFinite(name string, values []float64) error {
+	for i, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %s[%d] = %v", ir.ErrNonFinite, name, i, v)
 		}
 	}
 	return nil

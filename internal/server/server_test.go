@@ -336,6 +336,10 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 // TestRequestValidation exercises the 4xx paths.
+// overflowBody is an ordinary (and general) float solve whose one sum
+// overflows to +Inf, which JSON cannot carry.
+const overflowBody = `{"system":{"m":2,"n":1,"g":[1],"f":[0]},"op":"float64-add","init":[1e308,1e308]}`
+
 func TestRequestValidation(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	cases := []struct {
@@ -358,6 +362,11 @@ func TestRequestValidation(t *testing.T) {
 		// JSON has no Inf, so a loop result that overflows is refused, not
 		// sent as a 200 with an empty body.
 		{"loop overflow", "loop", `{"loop":"for i = 0 to 2 do X[i] := 1/0","arrays":{"X":[0,0,0]}}`, http.StatusUnprocessableEntity},
+		// The same holds for every float replay, and for a loop's ordinary
+		// leaf, which is one.
+		{"ordinary overflow", "ordinary", overflowBody, http.StatusUnprocessableEntity},
+		{"general overflow", "general", overflowBody, http.StatusUnprocessableEntity},
+		{"loop leaf overflow", "loop", `{"loop":"for i = 1 to 1 do X[i] := X[i-1] + X[i]","arrays":{"X":[1e308,1e308]}}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -231,6 +231,9 @@ func (s *Server) execSessionAppend(id string) execFunc {
 				G: req.G, F: req.F, H: req.H,
 				A: req.A, B: req.B, C: req.C, D: req.D,
 			})
+			if err == nil {
+				err = CheckFinite("values_float", res.ValuesFloat)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -267,6 +270,10 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	vi, vf, vm := sess.Values()
+	if err := CheckFinite("values_float", vf); err != nil {
+		s.writeError(w, endpoint, StatusForSolve(err), err.Error())
+		return
+	}
 	s.writeJSON(w, endpoint, http.StatusOK, SessionStateResponse{
 		ID:          id,
 		Family:      sess.Family().String(),

@@ -504,3 +504,35 @@ func TestDecodeSessionOpenKeepsRequest(t *testing.T) {
 		t.Fatalf("decoded b = %v, want [3 2]", req.Data.B)
 	}
 }
+
+// TestSessionOverflowRefused: a float session whose values overflow opens
+// (the open folds nothing it must send back), but its snapshot — and an
+// append whose cells overflow — answer 422 with ir.ErrNonFinite's message,
+// as the solve routes do, not a 500 from the encoder.
+func TestSessionOverflowRefused(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	resp, data := post(t, ts.URL+SessionPrefix, json.RawMessage(`{"family":"ordinary",`+overflowBody[1:]))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("open: HTTP %d: %s", resp.StatusCode, data)
+	}
+	var opened SessionOpenResponse
+	if err := json.Unmarshal(data, &opened); err != nil {
+		t.Fatal(err)
+	}
+	gresp, gdata := get(t, ts.URL+SessionPrefix+"/"+opened.ID)
+	if gresp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(gdata), "values_float[1] = +Inf") {
+		t.Fatalf("snapshot: HTTP %d: %s", gresp.StatusCode, gdata)
+	}
+
+	resp, data = post(t, ts.URL+SessionPrefix, json.RawMessage(`{"family":"ordinary","system":{"m":3,"n":0,"g":[],"f":[]},"op":"float64-add","init":[1e308,1e308,0]}`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("open: HTTP %d: %s", resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, &opened); err != nil {
+		t.Fatal(err)
+	}
+	resp, data = post(t, ts.URL+SessionPrefix+"/"+opened.ID+"/append", SessionAppendRequest{G: []int{1}, F: []int{0}})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "non-finite") {
+		t.Fatalf("append: HTTP %d: %s", resp.StatusCode, data)
+	}
+}

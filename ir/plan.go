@@ -251,7 +251,8 @@ func ResolveFamily(s *System, family Family) Family {
 // general family it counts the paths of the versioned dependence graph in
 // one pass over the iterations and keeps each cell's final (sink, count)
 // terms — the dominant cost of a general solve, so warm replays skip almost
-// everything. Compile only compiles: the plan's cache key is
+// everything. FamilyMoebius compiles s's M, G and F as CompileMoebiusCtx
+// does. Compile only compiles: the plan's cache key is
 // PlanFingerprint's, hashed by whoever keys a cache. Cancelling ctx stops
 // compilation; errors follow the hardened-solver contract.
 func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, error) {
@@ -270,6 +271,8 @@ func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, erro
 			return nil, fmt.Errorf("%w: %v is not ordinary (H != G)", ErrPlanFamily, s)
 		}
 	case FamilyGeneral:
+	case FamilyMoebius:
+		return CompileMoebiusCtx(ctx, s.M, s.G, s.F)
 	default:
 		return nil, fmt.Errorf("%w: cannot compile family %v", ErrPlanFamily, family)
 	}
