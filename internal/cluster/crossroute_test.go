@@ -14,6 +14,7 @@ import (
 	"indexedrec/internal/grid2d"
 	"indexedrec/internal/moebius"
 	"indexedrec/internal/server"
+	"indexedrec/internal/server/client"
 	"indexedrec/internal/session"
 	"indexedrec/internal/workload"
 	"indexedrec/ir"
@@ -81,7 +82,10 @@ func (a crossAnswer) bits() []uint64 {
 // general} × {dense, sparse} × {integer, float} operator, plus a linear, a
 // moebius and three grid2d rows — through irserved's solve endpoint, its
 // shard endpoint over the whole shard domain, and the coordinator with one,
-// two and four workers. Every ordinary/general answer, read back through
+// two and four workers. Every HTTP row runs twice: as a curl-style JSON
+// body, and through the typed client, which sends and asks for the packed
+// encoding. The ordinary/general rows also run in process, through
+// ir.Compile (or CompileSparse) and Plan.SolveCtx. Every ordinary/general answer, read back through
 // its touched-cell list, must be bit-identical to core.RunSequential on the
 // dense expansion; every linear/moebius answer to ir.SolveMoebiusPlanCtx on
 // the same input; every grid2d answer to grid2d.SolveSequential. A loop
@@ -207,9 +211,29 @@ func TestCrossRouteBitIdentity(t *testing.T) {
 					}
 					check(route, got)
 				}
-				solve("irserved", worker)
-				for _, r := range fronts {
+				// The same body through the typed client, which packs it.
+				solveClient := func(route, url string) {
+					t.Helper()
+					cl := client.New(url)
+					var got crossAnswer
+					if c.family == ir.FamilyOrdinary {
+						resp, err := cl.SolveOrdinary(t.Context(), server.OrdinaryRequest{System: wire, Op: c.op, Mod: c.mod, Init: raw})
+						if err != nil {
+							t.Fatalf("%s: %v", route, err)
+						}
+						got = crossAnswer{resp.ValuesInt, resp.ValuesFloat, resp.Cells}
+					} else {
+						resp, err := cl.SolveGeneral(t.Context(), server.GeneralRequest{System: wire, Op: c.op, Mod: c.mod, Init: raw})
+						if err != nil {
+							t.Fatalf("%s: %v", route, err)
+						}
+						got = crossAnswer{resp.ValuesInt, resp.ValuesFloat, resp.Cells}
+					}
+					check(route, got)
+				}
+				for _, r := range append([]route{{"irserved", worker}}, fronts...) {
 					solve(r.route, r.url)
+					solveClient(r.route+" (client)", r.url)
 				}
 
 				// The shard endpoint over the whole domain, merged the way the
@@ -236,18 +260,46 @@ func TestCrossRouteBitIdentity(t *testing.T) {
 				if err := json.Unmarshal(data, &part); err != nil {
 					t.Fatal(err)
 				}
-				sol, err := p.MergeShards(sr.Data, []*ir.ShardSolution{{
-					Shard: ir.Shard{Lo: part.Shard.Lo, Hi: part.Shard.Hi}, Cells: part.Cells,
-					ValuesInt: part.ValuesInt, ValuesFloat: part.ValuesFloat,
-				}})
+				packed, err := client.New(worker).SolveShard(t.Context(), req)
+				if err != nil {
+					t.Fatalf("shard (client): %v", err)
+				}
+				for route, part := range map[string]*server.ShardResponse{"shard": &part, "shard (client)": packed} {
+					sol, err := p.MergeShards(sr.Data, []*ir.ShardSolution{{
+						Shard: ir.Shard{Lo: part.Shard.Lo, Hi: part.Shard.Hi}, Cells: part.Cells,
+						ValuesInt: part.ValuesInt, ValuesFloat: part.ValuesFloat,
+					}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					merged := crossAnswer{ValuesInt: sol.ValuesInt, ValuesFloat: sol.ValuesFloat}
+					if c.sparse {
+						merged.Cells = sp.Cells
+					}
+					check(route, merged)
+				}
+
+				// In process: ir.Compile (or CompileSparse) and Plan.SolveCtx
+				// on the decoded data, no wire at all.
+				opt := ir.CompileOptions{Family: c.family}
+				var plan *ir.Plan
+				if c.sparse {
+					plan, err = ir.CompileSparse(sp, opt)
+				} else {
+					plan, err = ir.Compile(dense, opt)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				merged := crossAnswer{ValuesInt: sol.ValuesInt, ValuesFloat: sol.ValuesFloat}
-				if c.sparse {
-					merged.Cells = sp.Cells
+				sol, err := plan.SolveCtx(t.Context(), sr.Data)
+				if err != nil {
+					t.Fatal(err)
 				}
-				check("shard", merged)
+				local := crossAnswer{ValuesInt: sol.ValuesInt, ValuesFloat: sol.ValuesFloat}
+				if c.sparse {
+					local.Cells = sp.Cells
+				}
+				check("in-process", local)
 			})
 		}
 		for _, endpoint := range []string{"linear", "moebius"} {
@@ -326,10 +378,17 @@ func crossGrid2D(t *testing.T, sys *ir.Grid2DSystem, worker string, fronts []rou
 			t.Fatalf("%s: %d rounds over %d cells, sequential %d over %d", r.route, got.Rounds, got.Cells, want.Rounds, want.Cells)
 		}
 		check(r.route, got.Values)
+		resp, err := client.New(r.url).SolveGrid2D(t.Context(), server.Grid2DRequest{System: *sys})
+		if err != nil {
+			t.Fatalf("%s (client): %v", r.route, err)
+		}
+		if resp.Rounds != want.Rounds || resp.Cells != want.Cells {
+			t.Fatalf("%s (client): %d rounds over %d cells, sequential %d over %d", r.route, resp.Rounds, resp.Cells, want.Rounds, want.Cells)
+		}
+		check(r.route+" (client)", resp.Values)
 	}
-	code, data := postFront(t, worker+server.ShardPrefix+"solve", server.ShardRequest{
-		Family: "grid2d", Shard: server.ShardWire{Lo: 0, Hi: sys.Rows}, Grid: sys,
-	})
+	shard := server.ShardRequest{Family: "grid2d", Shard: server.ShardWire{Lo: 0, Hi: sys.Rows}, Grid: sys}
+	code, data := postFront(t, worker+server.ShardPrefix+"solve", shard)
 	if code != http.StatusOK {
 		t.Fatalf("shard: HTTP %d: %s", code, data)
 	}
@@ -337,10 +396,16 @@ func crossGrid2D(t *testing.T, sys *ir.Grid2DSystem, worker string, fronts []rou
 	if err := json.Unmarshal(data, &part); err != nil {
 		t.Fatal(err)
 	}
-	if part.Shard.Lo != 0 || part.Shard.Hi != sys.Rows {
-		t.Fatalf("shard: echoed band [%d, %d), want [0, %d)", part.Shard.Lo, part.Shard.Hi, sys.Rows)
+	packed, err := client.New(worker).SolveShard(t.Context(), shard)
+	if err != nil {
+		t.Fatalf("shard (client): %v", err)
 	}
-	check("shard", part.Values)
+	for route, part := range map[string]*server.ShardResponse{"shard": &part, "shard (client)": packed} {
+		if part.Shard.Lo != 0 || part.Shard.Hi != sys.Rows {
+			t.Fatalf("%s: echoed band [%d, %d), want [0, %d)", route, part.Shard.Lo, part.Shard.Hi, sys.Rows)
+		}
+		check(route, part.Values)
+	}
 }
 
 // crossMoebius is TestCrossRouteBitIdentity's linear/moebius row: a random
@@ -407,13 +472,24 @@ func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker string, fronts 
 			t.Errorf("%s: batch_size = %d, want 1", r.route, got.BatchSize)
 		}
 		check(r.route, got.Values)
+		var resp *server.MoebiusResponse
+		if req, ok := body.(server.LinearRequest); ok {
+			resp, err = client.New(r.url).SolveLinear(t.Context(), req)
+		} else {
+			resp, err = client.New(r.url).SolveMoebius(t.Context(), body.(server.MoebiusRequest))
+		}
+		if err != nil {
+			t.Fatalf("%s (client): %v", r.route, err)
+		}
+		check(r.route+" (client)", resp.Values)
 	}
 
-	code, data := postFront(t, worker+server.ShardPrefix+"solve", server.ShardRequest{
+	shard := server.ShardRequest{
 		Family: "moebius", System: ir.SystemWire{M: m, N: n, G: g, F: f},
 		Shard: server.ShardWire{Lo: 0, Hi: p.ShardUnits()},
 		A:     a, B: b, C: c, D: d, X0: x0,
-	})
+	}
+	code, data := postFront(t, worker+server.ShardPrefix+"solve", shard)
 	if code != http.StatusOK {
 		t.Fatalf("shard: HTTP %d: %s", code, data)
 	}
@@ -421,13 +497,19 @@ func crossMoebius(t *testing.T, rng *rand.Rand, endpoint, worker string, fronts 
 	if err := json.Unmarshal(data, &part); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.MergeShards(ir.PlanData{A: a, B: b, C: c, D: d, X0: x0}, []*ir.ShardSolution{{
-		Shard: ir.Shard{Lo: part.Shard.Lo, Hi: part.Shard.Hi}, Values: part.Values,
-	}})
+	packed, err := client.New(worker).SolveShard(t.Context(), shard)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("shard (client): %v", err)
 	}
-	check("shard", sol.Values)
+	for route, part := range map[string]*server.ShardResponse{"shard": &part, "shard (client)": packed} {
+		sol, err := p.MergeShards(ir.PlanData{A: a, B: b, C: c, D: d, X0: x0}, []*ir.ShardSolution{{
+			Shard: ir.Shard{Lo: part.Shard.Lo, Hi: part.Shard.Hi}, Values: part.Values,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(route, sol.Values)
+	}
 }
 
 // crossLoop is TestCrossRouteBitIdentity's loop row: one float chain,
@@ -500,6 +582,13 @@ func crossLoop(t *testing.T, rng *rand.Rand, worker string, fronts []route) {
 	}
 	check("ir.CompileLoop", env.Arrays["X"])
 
+	for _, r := range append([]route{{"irserved", worker}}, fronts...) {
+		resp, err := client.New(r.url).SolveOrdinary(t.Context(), server.OrdinaryRequest{System: w, Op: "float64-add", Init: init})
+		if err != nil {
+			t.Fatalf("%s (client): %v", r.route, err)
+		}
+		check(r.route+" (client)", resp.ValuesFloat)
+	}
 	for _, r := range fronts {
 		check(r.route, solve(r.route, r.url))
 		if code, data := postFront(t, r.url+server.APIPrefix+"loop", body); code != http.StatusNotImplemented {
@@ -625,6 +714,23 @@ func crossSession(t *testing.T, rng *rand.Rand, family, worker string, fronts []
 				t.Fatal(err)
 			}
 			check(r.route, j, got)
+		}
+
+		// The same stream through the typed client, packed both ways.
+		cl := client.New(r.url)
+		packed, err := cl.OpenSession(t.Context(), open)
+		if err != nil {
+			t.Fatalf("%s (client): open: %v", r.route, err)
+		}
+		if packed.Fingerprint != fingerprint {
+			t.Fatalf("%s (client): open fingerprint %s, in-process %s", r.route, packed.Fingerprint, fingerprint)
+		}
+		for j := 0; j < batches; j++ {
+			got, err := cl.Append(t.Context(), packed.ID, batch(j))
+			if err != nil {
+				t.Fatalf("%s (client): batch %d: %v", r.route, j, err)
+			}
+			check(r.route+" (client)", j, *got)
 		}
 	}
 }

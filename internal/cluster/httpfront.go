@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"indexedrec/internal/server"
+	"indexedrec/internal/server/client"
 )
 
 // The coordinator's HTTP front-end speaks the same /v1/solve API as a
@@ -41,7 +43,7 @@ func (co *Coordinator) routes() {
 		_, _ = co.reg.WriteTo(w)
 	})
 	co.handle("GET", "/version", func(w http.ResponseWriter, r *http.Request) {
-		co.writeJSON(w, "version", http.StatusOK, server.BuildVersion())
+		co.writeBody(w, r, "version", http.StatusOK, server.BuildVersion())
 	})
 	co.handle("GET", server.ClusterPrefix+"workers", co.handleWorkers)
 	co.handle("POST", server.ClusterPrefix+"register", co.handleRegister)
@@ -176,7 +178,7 @@ func (co *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		wk.mu.Unlock()
 		out = append(out, st)
 	}
-	co.writeJSON(w, "workers", http.StatusOK, out)
+	co.writeBody(w, r, "workers", http.StatusOK, out)
 }
 
 // authorizeMember gates the membership endpoints behind the shared cluster
@@ -213,7 +215,7 @@ func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lease := co.register(req.Addr, req.Version)
-	co.writeJSON(w, "register", http.StatusOK, server.RegisterResponse{LeaseMs: lease.Milliseconds()})
+	co.writeBody(w, r, "register", http.StatusOK, server.RegisterResponse{LeaseMs: lease.Milliseconds()})
 }
 
 // handleHeartbeat renews a registered worker's lease; unknown members get
@@ -232,7 +234,7 @@ func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown member %q, re-register", req.Addr))
 		return
 	}
-	co.writeJSON(w, "heartbeat", http.StatusOK, server.RegisterResponse{LeaseMs: co.cfg.LeaseTTL.Milliseconds()})
+	co.writeBody(w, r, "heartbeat", http.StatusOK, server.RegisterResponse{LeaseMs: co.cfg.LeaseTTL.Milliseconds()})
 }
 
 // handleDeregister removes a draining worker from the fleet.
@@ -246,7 +248,7 @@ func (co *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	co.deregister(req.Addr)
-	co.writeJSON(w, "deregister", http.StatusOK, map[string]string{"status": "ok"})
+	co.writeBody(w, r, "deregister", http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleSolve is the path of every solve route: decode, distribute,
@@ -267,11 +269,16 @@ func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, route
 	defer cancel()
 	sol, err := co.Solve(ctx, req)
 	co.metrics.solveLatency.With(route).Observe(time.Since(start).Seconds())
-	if err != nil {
+	var apiErr *client.APIError
+	switch {
+	case errors.As(err, &apiErr): // a worker refused the request itself
+		co.writeError(w, route, apiErr.Status, apiErr.Message)
+		return
+	case err != nil:
 		co.writeError(w, route, server.StatusForSolve(err), err.Error())
 		return
 	}
-	co.writeJSON(w, route, http.StatusOK, req.Response(sol, time.Since(start)))
+	co.writeBody(w, r, route, http.StatusOK, req.Response(sol, time.Since(start)))
 }
 
 // limits bounds what the front-end's decoders accept.
@@ -298,10 +305,11 @@ func (co *Coordinator) requestContext(r *http.Request, timeoutMs int) (context.C
 	}
 }
 
-func (co *Coordinator) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
-	co.metrics.requests.Inc(endpoint, strconv.Itoa(server.WriteJSON(w, code, v)))
+// writeBody answers v through server.WriteBody, packed when r asks for it.
+func (co *Coordinator) writeBody(w http.ResponseWriter, r *http.Request, endpoint string, code int, v any) {
+	co.metrics.requests.Inc(endpoint, strconv.Itoa(server.WriteBody(w, r, code, v)))
 }
 
 func (co *Coordinator) writeError(w http.ResponseWriter, endpoint string, code int, msg string) {
-	co.writeJSON(w, endpoint, code, server.ErrorResponse{Error: msg, Code: code})
+	co.writeBody(w, nil, endpoint, code, server.ErrorResponse{Error: msg, Code: code})
 }

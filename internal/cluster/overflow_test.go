@@ -3,19 +3,25 @@ package cluster
 import (
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"indexedrec/internal/parallel"
 	"indexedrec/internal/server"
+	"indexedrec/internal/workload"
+	"indexedrec/ir"
 )
 
 // TestOverflowRefusedKeepsFleet: an ordinary or general float solve whose
 // values overflow answers 422 on irserved and through a 2-worker
 // coordinator, and so does the snapshot of a session over the same system.
-// A shard's 422 counts against no breaker, so right after ten such bodies
-// the fleet serves a valid request on its workers, not by local fallback.
+// A shard's 422 counts against no breaker and is the coordinator's answer,
+// never replayed locally, so right after ten such bodies the fleet serves a
+// valid request on its workers, not by local fallback.
 func TestOverflowRefusedKeepsFleet(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
@@ -60,7 +66,12 @@ func TestOverflowRefusedKeepsFleet(t *testing.T) {
 			code, data := postFront(t, front.URL+server.APIPrefix+"ordinary", overflow)
 			refused("repeat", code, data)
 		}
+		// The workers' 422s are the coordinator's answers: none of the 12
+		// overflow solves replayed its plan locally.
 		fallbacks, shards := co.metrics.fallbacks.Value(), co.metrics.shards.Value()
+		if fallbacks != 0 {
+			t.Errorf("%d local fallbacks after the refused bodies, want 0", fallbacks)
+		}
 		code, data := postFront(t, front.URL+server.APIPrefix+"ordinary",
 			json.RawMessage(`{"system":{"m":3,"n":2,"g":[1,2],"f":[0,1]},"op":"float64-add","init":[1,2,3]}`))
 		if code != http.StatusOK || !strings.Contains(string(data), `"values_float":[1,3,6]`) {
@@ -80,4 +91,31 @@ func TestOverflowRefusedKeepsFleet(t *testing.T) {
 		}
 	}()
 	leak()
+}
+
+// TestScatterCompileBudgetCoordinator: the coordinator compiles a general
+// plan itself before it scatters, under the same term budget as irserved,
+// so the 251 KB Scatter(16384, 1) body answers 422 within a second, and no
+// worker or local fallback sees it.
+func TestScatterCompileBudgetCoordinator(t *testing.T) {
+	co, _, down := newFleet(t, 2, nil)
+	front := httptest.NewServer(co.Handler())
+	defer down()
+	defer front.Close()
+	s := workload.Scatter(rand.New(rand.NewSource(1)), 16384, 1)
+	init, _ := json.Marshal(make([]int64, s.M))
+	start := time.Now()
+	code, data := postFront(t, front.URL+server.APIPrefix+"general",
+		server.GeneralRequest{System: ir.WireFromSystem(s), Op: "int64-add", Init: init})
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(data), "compile budget") {
+		t.Fatalf("HTTP %d: %s", code, data)
+	}
+	// Race instrumentation slows the pass several times over; the time
+	// bound holds for the plain build.
+	if d := time.Since(start); d > time.Second && !parallel.RaceEnabled {
+		t.Errorf("refused after %v, want under 1s", d)
+	}
+	if n, m := co.metrics.fallbacks.Value(), co.metrics.shards.Value(); n != 0 || m != 0 {
+		t.Errorf("%d local fallbacks and %d shards for a refused compile", n, m)
+	}
 }

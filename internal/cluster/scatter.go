@@ -21,9 +21,11 @@ import (
 // workers with one plan per structure. A grid pipelines row bands instead
 // (scatterGrid2D). Any scatter-level failure — including an empty fleet —
 // degrades to a local in-process solve, so the coordinator answers
-// whenever a single machine could. Results are bit-identical to
-// ir.Plan.SolveCtx by the shard layer's contract; a float answer with a
-// NaN or ±Inf is refused with ir.ErrNonFinite (422), as on irserved.
+// whenever a single machine could; only a worker's refusal of the request
+// itself (a non-retryable 4xx) is the answer as it stands. Results are
+// bit-identical to ir.Plan.SolveCtx by the shard layer's contract; a float
+// answer with a NaN or ±Inf is refused with ir.ErrNonFinite (422), as on
+// irserved.
 func (co *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (*ir.PlanSolution, error) {
 	sol, err := co.solve(ctx, req)
 	if err == nil {
@@ -63,10 +65,19 @@ func (co *Coordinator) solve(ctx context.Context, req *server.SolveRequest) (*ir
 }
 
 // solveLocally is Solve's fallback after the scatter failed with err: the
-// whole plan replayed in process, unless the solve's own ctx ended.
+// whole plan replayed in process, unless the solve's own ctx ended or a
+// worker refused the request itself. A non-retryable worker answer (a 4xx
+// such as the 422 of an overflowing float solve) is a defect of the
+// request that a local replay would only reach again, so that
+// *client.APIError is the answer, and the front passes on its status and
+// message.
 func (co *Coordinator) solveLocally(ctx context.Context, p *ir.Plan, req *server.SolveRequest, err error) (*ir.PlanSolution, error) {
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
+	}
+	var apiErr *client.APIError
+	if errors.As(err, &apiErr) && !retryable(apiErr) {
+		return nil, apiErr
 	}
 	co.metrics.fallbacks.Inc()
 	if !errors.Is(err, ErrNoWorkers) {

@@ -122,7 +122,7 @@ func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request)
 			co.metrics.sessions.Set(int64(len(co.sessions)))
 			co.smu.Unlock()
 			resp.ID = id
-			co.writeJSON(w, endpoint, http.StatusOK, resp)
+			co.writeBody(w, r, endpoint, http.StatusOK, resp)
 			return
 		}
 		if !retryable(err) {
@@ -226,7 +226,7 @@ func (co *Coordinator) handleSessionAppend(w http.ResponseWriter, r *http.Reques
 		resp, err := e.w.client.Append(ctx, e.remoteID, req)
 		if err == nil {
 			e.log = append(e.log, req)
-			co.writeJSON(w, endpoint, http.StatusOK, resp)
+			co.writeBody(w, r, endpoint, http.StatusOK, resp)
 			return
 		}
 		if !retryable(err) && !remoteGone(err) {
@@ -252,7 +252,7 @@ func (co *Coordinator) handleSessionAppend(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	e.log = append(e.log, req)
-	co.writeJSON(w, endpoint, http.StatusOK, resp)
+	co.writeBody(w, r, endpoint, http.StatusOK, resp)
 }
 
 func (co *Coordinator) handleSessionGet(w http.ResponseWriter, r *http.Request) {
@@ -291,7 +291,7 @@ func (co *Coordinator) handleSessionGet(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	resp.ID = id
-	co.writeJSON(w, endpoint, http.StatusOK, resp)
+	co.writeBody(w, r, endpoint, http.StatusOK, resp)
 }
 
 func (co *Coordinator) handleSessionDelete(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package gir
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -66,10 +67,12 @@ type Plan struct {
 // (x, 1) term, so leaf x is the range [x, x+1) and both operand kinds read
 // alike.
 type flatPass struct {
-	off  []int32
-	sink []int32
-	cnt  []uint64
-	wide map[int32]*big.Int // arena index → exact count where cnt == 0
+	// limit is the most terms the arena may hold: the leaves plus budget.
+	limit, budget int
+	off           []int32
+	sink          []int32
+	cnt           []uint64
+	wide          map[int32]*big.Int // arena index → exact count where cnt == 0
 	// widest is the largest bit length of any count so far.
 	widest int
 }
@@ -77,13 +80,23 @@ type flatPass struct {
 // planCtxStride is how many iterations the pass runs between ctx checks.
 const planCtxStride = 1024
 
+// ErrCompileBudget is returned by CompilePlanCtx when the pass would hold
+// more terms than its budget allows.
+var ErrCompileBudget = errors.New("gir: compile budget exceeded")
+
 // CompilePlanCtx validates s and computes the path counts of every cell's
 // final node in one pass over the iterations — everything a general solve
 // does before it first touches init values. maxBits caps the bit length of
 // any node's path count (<= 0 means unlimited) and fails with
 // ErrExponentLimit on exactly the inputs the squaring engine rejects.
-// Cancellation of ctx is observed every planCtxStride iterations.
-func CompilePlanCtx(ctx context.Context, s *core.System, maxBits int) (_ *Plan, err error) {
+// maxTerms caps the terms the pass builds for its iteration nodes (the m
+// leaf terms not counted; <= 0 means unlimited): a node whose terms would
+// pass it fails with ErrCompileBudget before its arena grows. The pass
+// holds every node's terms, so a cell updated d times costs about d terms
+// at each of its d versions, and one short request could otherwise hold
+// the host's memory. Cancellation of ctx is observed every planCtxStride
+// iterations.
+func CompilePlanCtx(ctx context.Context, s *core.System, maxBits, maxTerms int) (_ *Plan, err error) {
 	defer parallel.RecoverTo(&err)
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -93,10 +106,14 @@ func CompilePlanCtx(ctx context.Context, s *core.System, maxBits int) (_ *Plan, 
 		return nil, fmt.Errorf("%w: %d cells + %d iterations exceed int32 node ids", core.ErrInvalidSystem, m, n)
 	}
 	fp := &flatPass{
+		limit:  math.MaxInt,
 		off:    make([]int32, m+n+1),
 		sink:   make([]int32, m, m+2*n),
 		cnt:    make([]uint64, m, m+2*n),
 		widest: 1,
+	}
+	if maxTerms > 0 {
+		fp.limit, fp.budget = m+maxTerms, maxTerms
 	}
 	for x := 0; x < m; x++ {
 		fp.off[x+1] = int32(x + 1)
@@ -119,9 +136,12 @@ func CompilePlanCtx(ctx context.Context, s *core.System, maxBits int) (_ *Plan, 
 		}
 		a, b := last[s.F[i]], last[s.OperandH(i)]
 		if a == b {
-			fp.double(a)
+			err = fp.double(a)
 		} else {
-			fp.merge(a, b)
+			err = fp.merge(a, b)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if len(fp.sink) > math.MaxInt32 {
 			return nil, fmt.Errorf("gir: path counts exceed %d terms", math.MaxInt32)
@@ -149,10 +169,12 @@ func CompilePlanCtx(ctx context.Context, s *core.System, maxBits int) (_ *Plan, 
 
 // merge appends the sorted union of nodes a's and b's terms, summing the
 // counts of a sink both reach.
-func (fp *flatPass) merge(a, b int32) {
+func (fp *flatPass) merge(a, b int32) error {
 	p, pe := fp.off[a], fp.off[a+1]
 	q, qe := fp.off[b], fp.off[b+1]
-	fp.grow(int(pe - p + qe - q))
+	if err := fp.grow(int(pe - p + qe - q)); err != nil {
+		return err
+	}
 	for p < pe || q < qe {
 		switch {
 		case q == qe || (p < pe && fp.sink[p] < fp.sink[q]):
@@ -167,12 +189,15 @@ func (fp *flatPass) merge(a, b int32) {
 			q++
 		}
 	}
+	return nil
 }
 
 // double appends node a's terms with every count doubled: both operand
 // edges of the iteration reach a.
-func (fp *flatPass) double(a int32) {
-	fp.grow(int(fp.off[a+1] - fp.off[a]))
+func (fp *flatPass) double(a int32) error {
+	if err := fp.grow(int(fp.off[a+1] - fp.off[a])); err != nil {
+		return err
+	}
 	for p := fp.off[a]; p < fp.off[a+1]; p++ {
 		c := fp.cnt[p]
 		if c == 0 || c > math.MaxUint64/2 {
@@ -182,6 +207,7 @@ func (fp *flatPass) double(a int32) {
 		}
 		fp.push(fp.sink[p], 2*c, nil)
 	}
+	return nil
 }
 
 // addTerms appends the sum of terms p and q, which share a sink.
@@ -223,10 +249,15 @@ func (fp *flatPass) push(sink int32, c uint64, w *big.Int) {
 }
 
 // grow makes room for k more terms, so a merge appends without
-// reallocating.
-func (fp *flatPass) grow(k int) {
+// reallocating, or fails with ErrCompileBudget if they would pass the
+// limit.
+func (fp *flatPass) grow(k int) error {
+	if len(fp.sink)+k > fp.limit {
+		return fmt.Errorf("%w: more than %d path-count terms", ErrCompileBudget, fp.budget)
+	}
 	fp.sink = slices.Grow(fp.sink, k)
 	fp.cnt = slices.Grow(fp.cnt, k)
+	return nil
 }
 
 // count returns term p's exact count; the result must not be mutated.
@@ -395,7 +426,7 @@ func CompileSolveCtx[T any](ctx context.Context, s *core.System, op core.Commuta
 		}
 		return nil, nil, fmt.Errorf("%w: len(init) = %d, want s.M = %d", ErrInitLen, len(init), s.M)
 	}
-	p, err := CompilePlanCtx(ctx, s, maxBits)
+	p, err := CompilePlanCtx(ctx, s, maxBits, 0)
 	if err != nil {
 		return nil, nil, err
 	}

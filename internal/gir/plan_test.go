@@ -192,7 +192,7 @@ func FuzzGeneralPlanCounts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
 		s := decodeSystem(data)
 		maxBits := [...]int{0, 3, 64}[sel%3]
-		p, err := CompilePlanCtx(ctx, s, maxBits)
+		p, err := CompilePlanCtx(ctx, s, maxBits, 0)
 		d, derr := Build(s)
 		if derr != nil {
 			t.Fatal(derr)
@@ -244,7 +244,7 @@ func FuzzGeneralPlanCounts(f *testing.F) {
 func TestPlanWideCounts(t *testing.T) {
 	ctx := context.Background()
 	s := workload.Fibonacci(100)
-	p, err := CompilePlanCtx(ctx, s, 16384)
+	p, err := CompilePlanCtx(ctx, s, 16384, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestPlanWideCounts(t *testing.T) {
 			t.Fatalf("cell %d: replay %d, range replay, loop %d", x, got[x], want[x])
 		}
 	}
-	if _, err := CompilePlanCtx(ctx, s, 64); !errors.Is(err, ErrExponentLimit) {
+	if _, err := CompilePlanCtx(ctx, s, 64, 0); !errors.Is(err, ErrExponentLimit) {
 		t.Fatalf("maxBits 64: err %v, want ErrExponentLimit", err)
 	}
 }
@@ -307,8 +307,29 @@ func TestCompileSolveErrorOrder(t *testing.T) {
 func TestCompilePlanCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompilePlanCtx(ctx, workload.Fibonacci(64), 0); !errors.Is(err, context.Canceled) {
+	if _, err := CompilePlanCtx(ctx, workload.Fibonacci(64), 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
+	}
+}
+
+// TestCompilePlanTermBudget: a one-cell scatter of n iterations builds
+// n(n+3)/2 terms for its nodes (node i merges node i-1's i+1 terms, or
+// leaf 0's one, with one leaf term), so that budget compiles it and one term less fails with
+// ErrCompileBudget, while Scatter(4096, 512), served-general-churn's
+// structure, compiles under the budget irserved gives it by default.
+func TestCompilePlanTermBudget(t *testing.T) {
+	ctx := context.Background()
+	const n = 300
+	s := workload.Scatter(rand.New(rand.NewSource(1)), n, 1)
+	need := n * (n + 3) / 2
+	if _, err := CompilePlanCtx(ctx, s, 0, need); err != nil {
+		t.Fatalf("budget %d: %v", need, err)
+	}
+	if _, err := CompilePlanCtx(ctx, s, 0, need-1); !errors.Is(err, ErrCompileBudget) {
+		t.Fatalf("budget %d: err %v, want ErrCompileBudget", need-1, err)
+	}
+	if _, err := CompilePlanCtx(ctx, scatterSystem(), 0, 4<<20+2*4096); err != nil {
+		t.Fatalf("Scatter(4096, 512): %v", err)
 	}
 }
 
@@ -329,7 +350,7 @@ func TestCompileGeneralAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	p, err := CompilePlanCtx(ctx, s, 0)
+	p, err := CompilePlanCtx(ctx, s, 0, 0)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +398,7 @@ func TestGeneralPlanRetainedAlloc(t *testing.T) {
 		{"doubled Scatter(1<<16, 1<<13)", doubledScatter(rand.New(rand.NewSource(1703)), 1<<16, 1<<13), false, 0},
 	} {
 		base := liveHeap()
-		p, err := CompilePlanCtx(context.Background(), c.s, 0)
+		p, err := CompilePlanCtx(context.Background(), c.s, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +430,7 @@ func BenchmarkCompileGeneralScatter(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompilePlanCtx(ctx, s, 0); err != nil {
+		if _, err := CompilePlanCtx(ctx, s, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,7 +454,7 @@ func (c *countingMonoid) Identity() int64 { c.identities++; return c.MulMod.Iden
 // Identity per cell: the calls the stored layout must not change.
 func TestReplayFoldsEveryTerm(t *testing.T) {
 	for _, s := range []*core.System{scatterSystem(), doubledScatter(rand.New(rand.NewSource(3)), 64, 8)} {
-		p, err := CompilePlanCtx(context.Background(), s, 0)
+		p, err := CompilePlanCtx(context.Background(), s, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +474,7 @@ func TestReplayFoldsEveryTerm(t *testing.T) {
 func BenchmarkGeneralPlanReplay(b *testing.B) {
 	s := scatterSystem()
 	ctx := context.Background()
-	p, err := CompilePlanCtx(ctx, s, 0)
+	p, err := CompilePlanCtx(ctx, s, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,9 @@
 // integer-array scanner, a float scanner, a Walker that reads a canonical
 // subset of JSON left to right, appenders that write numbers, strings and
 // arrays byte for byte as encoding/json does, and the field tables that
-// drive both directions for a whole struct (Decode, Append).
+// drive both directions for a whole struct (Decode, Append) and the packed
+// binary form of the same struct (AppendPacked, DecodePacked; see
+// packed.go).
 //
 // Three rules keep every caller equal to encoding/json:
 //

@@ -1,11 +1,13 @@
 package jsonwire
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -292,4 +294,79 @@ func TestTablesConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPackedMatchesEncodingJSON holds the packed form to JSON's values: a
+// packed value decodes to what json.Unmarshal makes of json.Marshal's
+// bytes (an empty omitempty slice and -0 under omitempty read back as JSON
+// reads them; nil and empty stay apart elsewhere), and AppendPacked
+// declines what JSON refuses or rewrites.
+func TestPackedMatchesEncodingJSON(t *testing.T) {
+	for _, v := range []tableCase{
+		{},
+		{F: math.Copysign(0, -1), Is: []int{}, I64s: []int64{}, Fs: []float64{}, Ptr: &tableSub{}},
+		{I: -3, I64: math.MinInt64, F: 1e21, S: "a<b é", B: true, Is: []int{1, -2, 1 << 40}, I64s: []int64{math.MaxInt64},
+			Fs: []float64{0.1, math.Copysign(0, -1), 5e-324}, Raw: json.RawMessage(`[1,2.5]`), Sub: tableSub{X: -1.5, Y: []int{0}},
+			Ptr: &tableSub{Y: []int{}}, Name: "n"},
+	} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got tableCase
+		if err := json.Unmarshal(b, &want); err != nil {
+			t.Fatal(err)
+		}
+		packed, ok := AppendPacked(nil, v)
+		if !ok || !IsPacked(packed) {
+			t.Fatalf("AppendPacked(%+v) declined", v)
+		}
+		if err := DecodePacked(packed, &got, false); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("packed %+v decoded to %+v (%v), JSON to %+v", v, got, err, want)
+		}
+	}
+	for _, v := range []tableCase{
+		{F: math.NaN()}, {Fs: []float64{1, math.Inf(-1)}}, {S: "\xff"},
+		{Raw: json.RawMessage(`[1, 2]`)}, {Map: map[string]string{"k": "v"}},
+	} {
+		if b, ok := AppendPacked([]byte("x"), v); ok || string(b) != "x" {
+			t.Errorf("AppendPacked(%+v) = %q, %v; want it declined with dst unchanged", v, b, ok)
+		}
+	}
+}
+
+// TestDecodePackedRefuses: every prefix of a packed body fails without
+// changing the value, as do a foreign schema, trailing bytes, a bad bool
+// byte, a non-finite float, invalid UTF-8 and a length past the body.
+func TestDecodePackedRefuses(t *testing.T) {
+	v := tableCase{I: 7, S: "ok", B: true, Is: []int{300, -1}, Fs: []float64{1.5}, Ptr: &tableSub{X: 2}}
+	packed, ok := AppendPacked(nil, v)
+	if !ok {
+		t.Fatal("declined")
+	}
+	keep := tableCase{I: 99}
+	for n := range len(packed) {
+		got := keep
+		if err := DecodePacked(packed[:n], &got, false); err == nil || !reflect.DeepEqual(got, keep) {
+			t.Fatalf("%d-byte prefix: err %v, value %+v", n, err, got)
+		}
+	}
+	var sub tableSub
+	if err := DecodePacked(packed, &sub, false); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Errorf("another type's body: err %v", err)
+	}
+	edit := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(packed)) }
+	header := len(PackedMagic) + 4
+	for name, body := range map[string][]byte{
+		"trailing byte":  append(bytes.Clone(packed), 0),
+		"bool byte 2":    edit(func(b []byte) []byte { b[header+1+1+8+3] = 2; return b }), // i, i64, f, s precede it
+		"NaN float":      edit(func(b []byte) []byte { copy(b[header+2:], []byte{1, 0, 0, 0, 0, 0, 0xf8, 0x7f}); return b }),
+		"invalid string": edit(func(b []byte) []byte { b[header+2+8+1] = 0xff; return b }),
+		"huge length":    append(append([]byte(PackedMagic), packed[len(PackedMagic):header]...), 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x0f),
+	} {
+		got := keep
+		if err := DecodePacked(body, &got, false); err == nil || !reflect.DeepEqual(got, keep) {
+			t.Errorf("%s: err %v, value %+v", name, err, got)
+		}
+	}
 }

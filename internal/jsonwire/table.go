@@ -2,8 +2,10 @@ package jsonwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"slices"
 	"strconv"
@@ -18,6 +20,10 @@ import (
 // so a new field needs nothing but its tag.
 type table struct {
 	fields []field
+	// schema hashes the field names and kinds, nested tables included: a
+	// packed body carries it, so a body packed from another layout of the
+	// type is refused rather than misread.
+	schema uint32
 }
 
 type field struct {
@@ -102,6 +108,15 @@ func newTable(t reflect.Type) *table {
 	if len(tb.fields) > 64 {
 		panic(fmt.Sprintf("jsonwire: %s has more than 64 fields", t))
 	}
+	h := fnv.New32a()
+	for _, f := range tb.fields {
+		h.Write([]byte{byte(f.kind)})
+		h.Write([]byte(f.name))
+		if f.sub != nil {
+			h.Write(binary.LittleEndian.AppendUint32(nil, f.sub.schema))
+		}
+	}
+	tb.schema = h.Sum32()
 	return tb
 }
 
@@ -243,20 +258,24 @@ func (t *table) index(key []byte) int {
 // json.RawMessage that is not a compact number array (which json.Marshal
 // compacts, or refuses). The caller then encodes v with json.Marshal.
 func Append(dst []byte, v any) (out []byte, ok bool) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer {
-		// A struct held by value is copied to be addressed.
-		p := reflect.New(rv.Type())
-		p.Elem().Set(rv)
-		rv = p
-	}
-	p := rv.UnsafePointer()
-	tb := tableOf(rv.Type().Elem())
+	p, tb := addressOf(v)
 	n := len(dst)
 	if out, ok = tb.append(slices.Grow(dst, tb.size(p)), p); !ok {
 		return dst[:n], false
 	}
 	return out, true
+}
+
+// addressOf returns the address of the struct v holds or points to, and
+// its table. A struct held by value is copied to be addressed.
+func addressOf(v any) (unsafe.Pointer, *table) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer {
+		p := reflect.New(rv.Type())
+		p.Elem().Set(rv)
+		rv = p
+	}
+	return rv.UnsafePointer(), tableOf(rv.Type().Elem())
 }
 
 func (t *table) append(dst []byte, p unsafe.Pointer) ([]byte, bool) {

@@ -6,10 +6,11 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 )
 
 // HTTP plumbing both daemons share: one body reader with one size limit
-// rule, and one JSON response writer over the wire codec.
+// rule, and one response writer over the wire codec.
 
 // firstBodyBytes is the buffer ReadBody starts a declared-length body in.
 // The buffer doubles, up to the declared length, only as bytes arrive, so a
@@ -78,21 +79,46 @@ func ReadDeclared(r io.Reader, n int64) ([]byte, error) {
 	return body, nil
 }
 
-// WriteJSON answers with code and v's JSON, newline-terminated, as a
-// json.Encoder writes it, with its Content-Length set, and returns the
-// status it wrote. Both daemons write every JSON response through it. If v
-// cannot be encoded (a non-finite float has no JSON form) the answer is a
-// 500 ErrorResponse that names the encoding error instead.
-func WriteJSON(w http.ResponseWriter, code int, v any) int {
-	body, err := AppendBody(nil, v)
-	if err != nil {
-		code = http.StatusInternalServerError
-		body, _ = AppendBody(nil, ErrorResponse{Error: "encoding the response: " + err.Error(), Code: code})
+// WriteBody answers with code and v, with its Content-Length set, and
+// returns the status it wrote. Both daemons write every JSON or packed
+// response through it. v is packed (PackedType) when r is non-nil, its
+// Accept header names PackedType and v has a packed form (AppendPacked);
+// otherwise it is JSON, newline-terminated, as a json.Encoder writes it.
+// Error bodies are never wire types, so they are always JSON. If v cannot
+// be encoded (a non-finite float has no form on either wire) the answer is
+// a 500 ErrorResponse that names the encoding error instead.
+func WriteBody(w http.ResponseWriter, r *http.Request, code int, v any) int {
+	var body []byte
+	ok := false
+	if r != nil && acceptsPacked(r) {
+		body, ok = AppendPacked(nil, v)
 	}
-	body = append(body, '\n')
+	ctype := PackedType
+	if !ok {
+		var err error
+		ctype = "application/json"
+		if body, err = AppendBody(nil, v); err != nil {
+			code = http.StatusInternalServerError
+			body, _ = AppendBody(nil, ErrorResponse{Error: "encoding the response: " + err.Error(), Code: code})
+		}
+		body = append(body, '\n')
+	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ctype)
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
 	return code
+}
+
+// acceptsPacked reports whether r's Accept header names PackedType.
+func acceptsPacked(r *http.Request) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for part := range strings.SplitSeq(v, ",") {
+			mt, _, _ := strings.Cut(part, ";")
+			if strings.EqualFold(strings.TrimSpace(mt), PackedType) {
+				return true
+			}
+		}
+	}
+	return false
 }

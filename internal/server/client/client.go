@@ -63,18 +63,24 @@ func (e *APIError) IsShed() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }
 
-// do sends reqBody as JSON to path with the given method and decodes the
-// response into out. A nil reqBody sends no payload; a nil out discards the
-// response body (2xx only). The wire types encode and decode through the
-// server package's one-pass codec (server.AppendBody and
-// server.UnmarshalBody), with json.Marshal's bytes and json.Unmarshal's
-// results.
+// do sends reqBody to path with the given method and decodes the response
+// into out. A nil reqBody sends no payload; a nil out discards the response
+// body (2xx only). A wire type travels packed (server.AppendPacked) unless
+// its value has only a JSON form, and every request asks for a packed
+// answer; anything else is JSON (server.AppendBody). server.UnmarshalBody
+// reads the answer in whichever encoding the server chose, so the results
+// are json.Unmarshal's either way.
 func (c *Client) do(ctx context.Context, method, path string, reqBody, out any) error {
 	var rd io.Reader
+	ctype := server.PackedType
 	if reqBody != nil {
-		payload, err := server.AppendBody(nil, reqBody)
-		if err != nil {
-			return fmt.Errorf("irserved client: encoding request: %w", err)
+		payload, ok := server.AppendPacked(nil, reqBody)
+		if !ok {
+			var err error
+			ctype = "application/json"
+			if payload, err = server.AppendBody(nil, reqBody); err != nil {
+				return fmt.Errorf("irserved client: encoding request: %w", err)
+			}
 		}
 		rd = bytes.NewReader(payload)
 	}
@@ -83,8 +89,9 @@ func (c *Client) do(ctx context.Context, method, path string, reqBody, out any) 
 		return err
 	}
 	if reqBody != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
 	}
+	req.Header.Set("Accept", server.PackedType+", application/json")
 	if c.Tenant != "" {
 		req.Header.Set(server.TenantHeader, c.Tenant)
 	}

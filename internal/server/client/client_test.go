@@ -1,11 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -199,5 +203,63 @@ func TestClientAPIError(t *testing.T) {
 	}
 	if (&APIError{Status: 429}).IsShed() != true || (&APIError{Status: 503}).IsShed() != true {
 		t.Error("429/503 must read as shed")
+	}
+}
+
+// TestClientSpeaksPacked: the typed client sends a wire type packed and
+// gets a packed answer, while a loop request (no packed form) and a curl
+// body without an Accept header stay JSON both ways. Both clients read the
+// same values.
+func TestClientSpeaksPacked(t *testing.T) {
+	s := server.New(server.Config{})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	type exchange struct{ reqType, respType string }
+	var mu sync.Mutex
+	var seen []exchange
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, r)
+		mu.Lock()
+		seen = append(seen, exchange{r.Header.Get("Content-Type"), rec.Header().Get("Content-Type")})
+		mu.Unlock()
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	ctx := context.Background()
+	req := server.OrdinaryRequest{
+		System: ir.SystemWire{M: 4, N: 3, G: []int{1, 2, 3}, F: []int{0, 1, 2}},
+		Op:     "int64-add", Init: json.RawMessage(`[1,2,3,4]`),
+	}
+	packed, err := c.SolveOrdinary(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SolveLoop(ctx, server.LoopRequest{Loop: "for i = 1 to n do X[i] := X[i-1] + X[i]", N: 1,
+		Arrays: map[string][]float64{"X": {1, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+server.APIPrefix+"ordinary", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var plain server.OrdinaryResponse
+	if err := json.Unmarshal(data, &plain); err != nil {
+		t.Fatalf("curl answer %q: %v", data, err)
+	}
+	want := []exchange{{server.PackedType, server.PackedType}, {"application/json", "application/json"},
+		{"application/json", "application/json"}}
+	if !slices.Equal(seen, want) {
+		t.Errorf("content types %v, want %v", seen, want)
+	}
+	if !slices.Equal(packed.ValuesInt, []int64{1, 3, 6, 10}) || !slices.Equal(plain.ValuesInt, packed.ValuesInt) {
+		t.Errorf("packed %v, JSON %v, want [1 3 6 10]", packed.ValuesInt, plain.ValuesInt)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 
@@ -26,6 +27,14 @@ import (
 //     non-finite float, power traces) json.Marshal encodes that body.
 //
 // The loop route's map-typed bodies stay with encoding/json.
+//
+// The same tables also drive the packed binary form (jsonwire.AppendPacked
+// and DecodePacked): index maps as zigzag varints, floats as their raw
+// bits, no keys. A packed body starts with jsonwire.PackedMagic, which no
+// JSON body can start with, so every decoder here takes either encoding
+// from the bytes alone. The typed client sends packed bodies and asks for
+// packed answers with an Accept header naming PackedType; WriteBody answers
+// packed only then, and JSON otherwise.
 
 // fallbacks counts decodes of wire types that declined the walk; tests read
 // it to prove that canonical bodies never do.
@@ -72,9 +81,24 @@ func AppendBody(dst []byte, v any) ([]byte, error) {
 	return append(dst, b...), nil
 }
 
-// UnmarshalBody decodes a whole body into v as json.Unmarshal does, taking
-// the one-pass walk for a pointer to a wire type. A json.RawMessage field
-// is a copy, as with json.Unmarshal.
+// PackedType is the media type of a packed body.
+const PackedType = "application/x-ir-packed"
+
+// AppendPacked appends v's packed form. ok is false, with dst unchanged,
+// when v is not a wire type or holds a value only JSON carries (power
+// traces) or no encoding carries (a non-finite float); the caller then
+// writes JSON with AppendBody.
+func AppendPacked(dst []byte, v any) (out []byte, ok bool) {
+	if !isWireType(v) {
+		return dst, false
+	}
+	return jsonwire.AppendPacked(dst, v)
+}
+
+// UnmarshalBody decodes a whole body into v: a packed body (one that
+// starts with jsonwire.PackedMagic) with jsonwire.DecodePacked, anything
+// else as json.Unmarshal does, taking the one-pass walk for a pointer to a
+// wire type. A json.RawMessage field is a copy, as with json.Unmarshal.
 func UnmarshalBody(b []byte, v any) error {
 	return decodeBody(b, v, false)
 }
@@ -82,7 +106,14 @@ func UnmarshalBody(b []byte, v any) error {
 // decodeBody is UnmarshalBody; with alias set, a walked json.RawMessage
 // field aliases b, for a caller that owns b and never changes it.
 func decodeBody(b []byte, v any, alias bool) error {
-	if !isWireType(v) || reflect.TypeOf(v).Kind() != reflect.Pointer {
+	wire := isWireType(v) && reflect.TypeOf(v).Kind() == reflect.Pointer
+	if jsonwire.IsPacked(b) {
+		if !wire {
+			return fmt.Errorf("a packed body, but %T has no packed form", v)
+		}
+		return jsonwire.DecodePacked(b, v, alias)
+	}
+	if !wire {
 		return json.Unmarshal(b, v)
 	}
 	if jsonwire.Decode(b, v, alias) {

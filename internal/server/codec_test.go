@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"indexedrec/internal/jsonwire"
 	"indexedrec/ir"
 )
 
@@ -132,7 +134,7 @@ func randMod(rng *rand.Rand) int64 {
 	return pickInt(rng)
 }
 
-// checkEncode holds AppendBody to json.Marshal, and WriteJSON's body to a
+// checkEncode holds AppendBody to json.Marshal, and WriteBody's body to a
 // json.Encoder's, byte for byte and error for error.
 func checkEncode(t *testing.T, v any) {
 	t.Helper()
@@ -145,21 +147,135 @@ func checkEncode(t *testing.T, v any) {
 		t.Fatalf("%T AppendBody:\n got %s\nwant %s", v, got, want)
 	}
 	rec := httptest.NewRecorder()
-	code := WriteJSON(rec, 200, v)
+	code := WriteBody(rec, nil, 200, v)
 	if wantErr != nil {
 		// No JSON form: the answer is a 500 that names the encoding error.
 		var e ErrorResponse
 		if code != 500 || rec.Code != 500 || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
 			!strings.Contains(e.Error, wantErr.Error()) {
-			t.Fatalf("%T WriteJSON of an unencodable value: returned %d, HTTP %d: %s", v, code, rec.Code, rec.Body.Bytes())
+			t.Fatalf("%T WriteBody of an unencodable value: returned %d, HTTP %d: %s", v, code, rec.Code, rec.Body.Bytes())
 		}
 		return
 	}
 	var enc bytes.Buffer
 	_ = json.NewEncoder(&enc).Encode(v)
 	if code != 200 || !bytes.Equal(rec.Body.Bytes(), enc.Bytes()) {
-		t.Fatalf("%T WriteJSON:\n got %s\nwant %s", v, rec.Body.Bytes(), enc.Bytes())
+		t.Fatalf("%T WriteBody:\n got %s\nwant %s", v, rec.Body.Bytes(), enc.Bytes())
 	}
+	// Asked for packed, WriteBody answers AppendPacked's bytes, or JSON
+	// where v has no packed form.
+	r := httptest.NewRequest("POST", "/", nil)
+	r.Header.Set("Accept", "application/json; q=0.5, "+PackedType)
+	rec = httptest.NewRecorder()
+	WriteBody(rec, r, 200, v)
+	want, ctype := enc.Bytes(), "application/json"
+	if packed, ok := AppendPacked(nil, v); ok {
+		want, ctype = packed, PackedType
+	}
+	if got := rec.Header().Get("Content-Type"); got != ctype || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("%T WriteBody, packed accepted: %s %q, want %s %q", v, got, rec.Body.Bytes(), ctype, want)
+	}
+}
+
+// checkPacked holds the packed form to JSON's: the value json.Unmarshal
+// makes of json.Marshal's bytes for v packs (unless it holds power traces,
+// which only JSON carries), and its packed bytes decode back to it exactly,
+// nil and empty slices included. v itself packs only if JSON carries it,
+// and then its packed bytes decode to that same value.
+func checkPacked(t *testing.T, v reflect.Value) {
+	t.Helper()
+	b, err := json.Marshal(v.Interface())
+	packed, ok := AppendPacked(nil, v.Interface())
+	if err != nil {
+		if ok {
+			t.Fatalf("%s packs, json.Marshal refuses it: %v", v.Type(), err)
+		}
+		return
+	}
+	want := reflect.New(v.Type())
+	if err := json.Unmarshal(b, want.Interface()); err != nil {
+		t.Fatalf("%s: json.Unmarshal of json.Marshal's bytes: %v", v.Type(), err)
+	}
+	again, ok2 := AppendPacked(nil, want.Interface())
+	if !ok2 {
+		if p := want.Elem().FieldByName("Powers"); !p.IsValid() || p.Len() == 0 {
+			t.Fatalf("%s %s: JSON's value has no packed form", v.Type(), b)
+		}
+		return
+	}
+	bodies := [][]byte{again}
+	if ok {
+		bodies = append(bodies, packed)
+	}
+	for _, body := range bodies {
+		got := reflect.New(v.Type())
+		if err := UnmarshalBody(body, got.Interface()); err != nil {
+			t.Fatalf("%s %s: packed decode: %v", v.Type(), b, err)
+		}
+		if !reflect.DeepEqual(got.Interface(), want.Interface()) {
+			t.Fatalf("%s packed round trip:\n got %+v\nwant %+v", v.Type(), got.Elem(), want.Elem())
+		}
+	}
+}
+
+// packedHeaderOf is the magic and schema hash a packed typ body starts with.
+func packedHeaderOf(typ reflect.Type) []byte {
+	b, _ := AppendPacked(nil, reflect.New(typ).Interface())
+	return b[:len(jsonwire.PackedMagic)+4]
+}
+
+// checkPackedRaw decodes typ's packed header followed by raw with
+// UnmarshalBody: it must decode or fail without a panic, allocate at most
+// 8 bytes per body byte (plus a fixed 16 KiB for the structs and the
+// error), and what it decodes must pack again to bytes that pack the same
+// way once more (an empty omitempty slice, which a packed body may carry
+// as JSON may, packs as nil).
+func checkPackedRaw(t *testing.T, typ reflect.Type, raw []byte) {
+	t.Helper()
+	body := append(packedHeaderOf(typ), raw...)
+	got := reflect.New(typ)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := UnmarshalBody(body, got.Interface())
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 8*uint64(len(body))+16<<10 {
+		t.Fatalf("%s: %d-byte body allocated %d bytes", typ, len(body), n)
+	}
+	if err != nil {
+		return
+	}
+	again, ok := AppendPacked(nil, got.Interface())
+	if !ok {
+		return // an init json.Marshal would rewrite
+	}
+	back := reflect.New(typ)
+	if err := UnmarshalBody(again, back.Interface()); err != nil {
+		t.Fatalf("%s: repacked %x: %v", typ, again, err)
+	}
+	if third, _ := AppendPacked(nil, back.Interface()); !bytes.Equal(third, again) {
+		t.Fatalf("%s: %+v packs to %x, then to %x", typ, got.Elem(), again, third)
+	}
+}
+
+// FuzzPackedDecode runs checkPackedRaw for every wire type, from seeds
+// that are the packed bodies of random wire values less their header.
+func FuzzPackedDecode(f *testing.F) {
+	types := sortedWireTypes()
+	rng := rand.New(rand.NewSource(1))
+	for _, typ := range types {
+		v := reflect.New(typ)
+		randWire(rng, v.Elem(), []byte("seed"))
+		if b, ok := AppendPacked(nil, v.Interface()); ok {
+			f.Add(b[len(jsonwire.PackedMagic)+4:])
+		}
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{0x80})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, typ := range types {
+			checkPackedRaw(t, typ, raw)
+		}
+	})
 }
 
 // checkDecode holds UnmarshalBody's decode of b as typ to json.Unmarshal's:
@@ -232,9 +348,10 @@ func sortedWireTypes() []reflect.Type {
 
 // FuzzWireCodec holds the one-pass codec to encoding/json. From the seed it
 // draws a random value of every wire type (see randWire): AppendBody must
-// equal json.Marshal, WriteJSON must equal a json.Encoder, and decoding the
-// bytes must equal json.Unmarshal. The raw bytes are decoded as every wire
-// type too.
+// equal json.Marshal, WriteBody must equal a json.Encoder, and decoding the
+// bytes must equal json.Unmarshal; the packed form must round-trip to
+// json.Unmarshal's value too (checkPacked). The raw bytes are decoded as
+// every wire type too, as JSON and behind a packed header.
 func FuzzWireCodec(f *testing.F) {
 	for i, s := range []string{
 		`{"values_int":[1,-2],"cells":[3,4],"rounds":2,"combines":5,"elapsed_ms":0.25}`,
@@ -265,9 +382,11 @@ func FuzzWireCodec(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		for _, typ := range types {
 			checkDecode(t, typ, raw)
+			checkPackedRaw(t, typ, raw)
 			v := reflect.New(typ)
 			randWire(rng, v.Elem(), raw)
 			checkEncode(t, v.Elem().Interface())
+			checkPacked(t, v.Elem())
 			if b, err := json.Marshal(v.Interface()); err == nil {
 				checkDecode(t, typ, b)
 			}
@@ -323,7 +442,7 @@ func fillWire(t *testing.T, v reflect.Value, skip map[string]bool) {
 // TestCodecKnowsEveryField: with every field of each wire type set, nested
 // structs included, AppendBody must still equal json.Marshal and the bytes
 // must decode through the walk, not the fallback, to what json.Unmarshal
-// gives. The field tables are built from the struct tags, so this holds a
+// gives; the packed form must carry the value too (checkPacked). The field tables are built from the struct tags, so this holds a
 // new field of a kind the tables carry to encoding/json, and fails on a
 // field of a kind they do not. Power traces are left out: encoding/json
 // writes and reads them.
@@ -343,6 +462,7 @@ func TestCodecKnowsEveryField(t *testing.T) {
 			t.Fatalf("%s AppendBody (err %v):\n got %s\nwant %s", typ, err, got, b)
 		}
 		checkDecode(t, typ, b)
+		checkPacked(t, v.Elem())
 		before := fallbacks.Load()
 		if err := UnmarshalBody(b, reflect.New(typ).Interface()); err != nil || fallbacks.Load() != before {
 			t.Fatalf("%s %s: err %v, decode fell back to encoding/json: %v", typ, b, err, fallbacks.Load() != before)

@@ -1,5 +1,6 @@
 // Package server is the solve service over the hardened solver runtime: an
-// HTTP JSON API (stdlib only) exposing the ordinary, general, linear/Möbius,
+// HTTP API (stdlib only; JSON, or the packed binary form of codec.go when a
+// client asks for it) exposing the ordinary, general, linear/Möbius,
 // grid2d and loop-source solvers behind admission control (bounded queue, load
 // shedding), a compiled-plan LRU cache, a worker pool sized off GOMAXPROCS,
 // and built-in
@@ -23,7 +24,9 @@
 // parallel leaf of its loop into a SolveRequest (ir.LoopLeaf) and resolves
 // it on the same path, so loops share plans with the solve routes. Every
 // float answer leaving a replay, shard or session passes CheckFinite: an
-// overflow answers 422, never a 5xx. Every pooled route —
+// overflow answers 422, never a 5xx. A general compile runs under a term
+// budget (Limits.CompileTerms), so a structure whose path counts would
+// hold gigabytes answers 422 instead. Every pooled route —
 // solve, loop, shard, session open and append — passes one admission
 // function: the draining gate, decode, pool submission, shed and deadline
 // wait.

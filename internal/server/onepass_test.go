@@ -1,10 +1,13 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -14,11 +17,51 @@ import (
 	"indexedrec/ir"
 )
 
+// jsonOnly is a transport that turns the typed client back into a JSON
+// client: it re-encodes a packed request body as JSON, counting them, and
+// drops the Accept header, so irserved answers JSON.
+type jsonOnly struct{ repacked *int }
+
+func (j jsonOnly) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Del("Accept")
+	if r.Body != nil {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		if r.Header.Get("Content-Type") == server.PackedType {
+			if b, err = server.PackedToJSON(b); err != nil {
+				return nil, err
+			}
+			r.Header.Set("Content-Type", "application/json")
+			*j.repacked++
+		}
+		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(b)), int64(len(b))
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // TestCanonicalBodiesTakeOnePass: every body the typed client emits on the
 // solve, session and shard routes, and every response irserved writes there
-// without power traces, decodes through the one-pass walk. A fallback to encoding/json would still give the right
-// answer, so only this count shows the speed-up is there.
+// without power traces, decodes through the one-pass walk when it travels
+// as JSON, and through the packed decoder as the client sends it. A
+// fallback to encoding/json would still give the right answer, so only
+// this count shows the speed-up is there.
 func TestCanonicalBodiesTakeOnePass(t *testing.T) {
+	t.Run("json", func(t *testing.T) {
+		var repacked int
+		checkOnePass(t, jsonOnly{&repacked})
+		if repacked == 0 {
+			t.Fatal("no request body travelled as JSON")
+		}
+	})
+	t.Run("packed", func(t *testing.T) { checkOnePass(t, nil) })
+}
+
+// checkOnePass sends every body through a typed client over transport (nil
+// for the default one) and counts the decodes that fell back.
+func checkOnePass(t *testing.T, transport http.RoundTripper) {
 	s := server.New(server.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
@@ -28,6 +71,9 @@ func TestCanonicalBodiesTakeOnePass(t *testing.T) {
 		ts.Close()
 	}()
 	c := client.New(ts.URL)
+	if transport != nil {
+		c.HTTP = &http.Client{Transport: transport}
+	}
 	ctx := context.Background()
 
 	const n = 64

@@ -41,6 +41,14 @@ type Limits struct {
 	MaxExponentBits int
 }
 
+// CompileTerms is the term budget of a general compile of n iterations
+// (ir.CompileOptions.MaxTerms): two terms an iteration, as when it merges
+// two leaves, plus MaxN more for the traces that accumulate. A one-cell
+// scatter of n iterations holds about n²/2 terms, so Scatter(16384, 1) is
+// refused after about 4.2 M terms (a 50 MiB arena) instead of holding
+// gigabytes.
+func (l Limits) CompileTerms(n int) int { return l.MaxN + 2*n }
+
 // SolveRequest is one decoded solve of any plan family.
 type SolveRequest struct {
 	// Family is the plan family.
@@ -54,6 +62,9 @@ type SolveRequest struct {
 	// Bits is the effective MaxExponentBits of a general plan (0 for the
 	// other families); it is part of the plan fingerprint.
 	Bits int
+	// Terms is the term budget of a general compile (0 = unlimited); it
+	// bounds the compile only and is not part of the fingerprint.
+	Terms int
 	// Data is the replay data: the operator and init in Sys order, the
 	// Möbius coefficients, or the grid, plus options.
 	Data ir.PlanData
@@ -131,7 +142,7 @@ func DecodeSolve(family ir.Family, w ir.SystemWire, op string, mod int64, init j
 	}
 	r.Family = ir.ResolveFamily(r.Sys, family)
 	if r.Family == ir.FamilyGeneral {
-		r.Bits = lim.MaxExponentBits
+		r.Bits, r.Terms = lim.MaxExponentBits, lim.CompileTerms(r.Sys.N)
 		if b := ow.MaxExponentBits; b > 0 && b < r.Bits {
 			r.Bits = b
 		}
@@ -283,7 +294,7 @@ func (r *SolveRequest) Compile(ctx context.Context) (*ir.Plan, error) {
 	if r.Family == ir.FamilyGrid2D {
 		return ir.CompileGrid2DCtx(ctx, r.Data.Grid)
 	}
-	opt := ir.CompileOptions{Family: r.Family, MaxExponentBits: r.Bits}
+	opt := ir.CompileOptions{Family: r.Family, MaxExponentBits: r.Bits, MaxTerms: r.Terms}
 	if r.Sparse != nil {
 		return ir.CompileSparseCtx(ctx, r.Sparse, opt)
 	}

@@ -446,7 +446,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 			s.writeError(w, endpoint, StatusForSolve(out.err), out.err.Error())
 			return
 		}
-		s.writeJSON(w, endpoint, http.StatusOK, out.v)
+		s.writeBody(w, r, endpoint, http.StatusOK, out.v)
 	case <-ctx.Done():
 		// Deadline or client disconnect while queued/solving; the worker
 		// will observe ctx and abandon the solve.
@@ -505,7 +505,7 @@ func (s *Server) replay(req *SolveRequest, sh *ir.Shard) runFunc {
 		if sh != nil {
 			part, err := req.SolveShard(ctx, p, *sh)
 			if err == nil {
-				err = CheckFinite("values_float", part.ValuesFloat)
+				err = checkShardFinite(part)
 			}
 			if err != nil {
 				return nil, err
@@ -544,7 +544,7 @@ func (s *Server) execLoop(body []byte) (runFunc, int, error) {
 		r.Family, r.Sys, r.Data = ir.LoopLeaf(leaf)
 		r.Data.Opts.Procs = procs
 		if r.Family == ir.FamilyGeneral {
-			r.Bits = s.cfg.MaxExponentBits
+			r.Bits, r.Terms = s.cfg.MaxExponentBits, s.limits().CompileTerms(r.Sys.N)
 		}
 		p, err := PlanFor(s.plans, ctx, r.Fingerprint(), r.Compile)
 		if err != nil {
@@ -598,6 +598,22 @@ func CheckFinite(name string, values []float64) error {
 	for i, v := range values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("%w: %s[%d] = %v", ir.ErrNonFinite, name, i, v)
+		}
+	}
+	return nil
+}
+
+// checkShardFinite is CheckFinite for a shard's float values, naming the
+// first bad value by its index in the whole answer (its owned cell, or its
+// offset from the shard's first cell), as the whole solve's check would.
+func checkShardFinite(part *ir.ShardSolution) error {
+	for i, v := range part.ValuesFloat {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			cell := part.Shard.Lo + i
+			if part.Cells != nil {
+				cell = part.Cells[i]
+			}
+			return fmt.Errorf("%w: values_float[%d] = %v", ir.ErrNonFinite, cell, v)
 		}
 	}
 	return nil
@@ -729,19 +745,21 @@ func StatusForSolve(err error) int {
 		errors.Is(err, lang.ErrRange), errors.Is(err, lang.ErrEval), errors.Is(err, lang.ErrLower):
 		return http.StatusBadRequest
 	case errors.Is(err, ir.ErrNonFinite), errors.Is(err, ir.ErrGrid2DNonFinite),
-		errors.Is(err, ir.ErrExponentLimit), errors.Is(err, ir.ErrInvalidSparse):
+		errors.Is(err, ir.ErrExponentLimit), errors.Is(err, ir.ErrInvalidSparse),
+		errors.Is(err, ir.ErrCompileBudget):
 		return http.StatusUnprocessableEntity
 	default: // worker panics (parallel.PanicError) included
 		return http.StatusInternalServerError
 	}
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
-	s.metrics.requests.Inc(endpoint, strconv.Itoa(WriteJSON(w, code, v)))
+// writeBody answers v through WriteBody, packed when r asks for it.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, endpoint string, code int, v any) {
+	s.metrics.requests.Inc(endpoint, strconv.Itoa(WriteBody(w, r, code, v)))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, endpoint string, code int, msg string) {
-	s.writeJSON(w, endpoint, code, ErrorResponse{Error: msg, Code: code})
+	s.writeBody(w, nil, endpoint, code, ErrorResponse{Error: msg, Code: code})
 }
 
 func (s *Server) writeText(w http.ResponseWriter, endpoint string, code int, body string) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -14,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"indexedrec/internal/parallel"
+	"indexedrec/internal/workload"
 	"indexedrec/ir"
 )
 
@@ -655,5 +658,50 @@ func TestLoopRangeBound(t *testing.T) {
 		if tc.want == http.StatusBadRequest && !strings.Contains(string(data), "exceeds 1024 iterations") {
 			t.Errorf("%s: %s does not name the limit", tc.name, data)
 		}
+	}
+}
+
+// scatterBody is the general request of workload.Scatter(n, 1): one cell
+// that every iteration folds another operand cell into, whose compile holds
+// about n²/2 path-count terms.
+func scatterBody(n int) GeneralRequest {
+	s := workload.Scatter(rand.New(rand.NewSource(1)), n, 1)
+	init := make([]int64, s.M)
+	for i := range init {
+		init[i] = 1
+	}
+	raw, _ := json.Marshal(init)
+	return GeneralRequest{System: ir.WireFromSystem(s), Op: "int64-add", Init: raw}
+}
+
+// TestScatterCompileBudget: the 251 KB general body of Scatter(16384, 1)
+// is far under the body and iteration limits, but its compile would hold
+// gigabytes. The term budget refuses it with a 422 within a second and
+// under 512 MiB allocated; Scatter(4096, 512), a deep-bucket body of the
+// same size class, still solves.
+func TestScatterCompileBudget(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	resp, data := post(t, ts.URL+APIPrefix+"general", scatterBody(16384))
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "compile budget") {
+		t.Fatalf("Scatter(16384, 1): HTTP %d: %s", resp.StatusCode, data)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Scatter(16384, 1) refused after %v, %d MiB allocated", elapsed, alloc>>20)
+	// Race instrumentation slows the pass several times over; the time
+	// bound holds for the plain build.
+	if elapsed > time.Second && !parallel.RaceEnabled || alloc > 512<<20 {
+		t.Errorf("Scatter(16384, 1) refused after %v and %d MiB allocated, want under 1s and 512 MiB", elapsed, alloc>>20)
+	}
+	s := workload.Scatter(rand.New(rand.NewSource(2)), 4096, 512)
+	init := make([]int64, s.M)
+	raw, _ := json.Marshal(init)
+	resp, data = post(t, ts.URL+APIPrefix+"general", GeneralRequest{System: ir.WireFromSystem(s), Op: "int64-add", Init: raw})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("Scatter(4096, 512): HTTP %d: %s", resp.StatusCode, data)
 	}
 }

@@ -274,7 +274,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, endpoint, StatusForSolve(err), err.Error())
 		return
 	}
-	s.writeJSON(w, endpoint, http.StatusOK, SessionStateResponse{
+	s.writeBody(w, r, endpoint, http.StatusOK, SessionStateResponse{
 		ID:          id,
 		Family:      sess.Family().String(),
 		M:           sess.M(),

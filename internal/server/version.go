@@ -36,5 +36,5 @@ func BuildVersion() VersionResponse {
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, "version", http.StatusOK, BuildVersion())
+	s.writeBody(w, r, "version", http.StatusOK, BuildVersion())
 }

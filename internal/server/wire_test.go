@@ -271,10 +271,34 @@ func BenchmarkDecodeSolveBody(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveWireRoundTrip runs the four JSON steps of one
-// served-ordinary-131k solve, as the typed client and irserved take them:
-// client encode, server decode, response encode, client decode. The solve
-// itself is left out; the response carries the init values.
+// wireEncodings are the two body encodings the wire benchmarks compare:
+// JSON, as curl and AppendBody write it, and the packed form the typed
+// client sends. Each appends v or fails the benchmark.
+var wireEncodings = []struct {
+	name   string
+	append func(b *testing.B, v any) []byte
+}{
+	{"json", func(b *testing.B, v any) []byte {
+		out, err := AppendBody(nil, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out
+	}},
+	{"packed", func(b *testing.B, v any) []byte {
+		out, ok := AppendPacked(nil, v)
+		if !ok {
+			b.Fatalf("%T has no packed form", v)
+		}
+		return out
+	}},
+}
+
+// BenchmarkSolveWireRoundTrip runs the four wire steps of one
+// served-ordinary-131k solve, as a client and irserved take them, in each
+// encoding: client encode, server decode, response encode, client decode.
+// The solve itself is left out; the response carries the init values.
+// request_B and response_B report the body sizes.
 func BenchmarkSolveWireRoundTrip(b *testing.B) {
 	body := ordinaryBody131k(b)
 	var req OrdinaryRequest
@@ -282,49 +306,55 @@ func BenchmarkSolveWireRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	lim := Limits{MaxN: 4 << 20, MaxExponentBits: 64}
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for b.Loop() {
-		payload, err := AppendBody(nil, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sr, err := DecodeSolveBody(ir.FamilyOrdinary, payload, lim)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := AppendBody(nil, OrdinaryResponse{ValuesInt: sr.Data.InitInt, Rounds: 1, Combines: int64(sr.Sys.N), ElapsedMs: 1.25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var resp OrdinaryResponse
-		if err := UnmarshalBody(out, &resp); err != nil {
-			b.Fatal(err)
-		}
-		if len(resp.ValuesInt) != sr.Sys.M {
-			b.Fatalf("%d values, want %d", len(resp.ValuesInt), sr.Sys.M)
-		}
+	for _, enc := range wireEncodings {
+		b.Run(enc.name, func(b *testing.B) {
+			var reqBytes, respBytes int
+			b.ReportAllocs()
+			for b.Loop() {
+				payload := enc.append(b, req)
+				sr, err := DecodeSolveBody(ir.FamilyOrdinary, payload, lim)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out := enc.append(b, OrdinaryResponse{ValuesInt: sr.Data.InitInt, Rounds: 1, Combines: int64(sr.Sys.N), ElapsedMs: 1.25})
+				var resp OrdinaryResponse
+				if err := UnmarshalBody(out, &resp); err != nil {
+					b.Fatal(err)
+				}
+				if len(resp.ValuesInt) != sr.Sys.M {
+					b.Fatalf("%d values, want %d", len(resp.ValuesInt), sr.Sys.M)
+				}
+				reqBytes, respBytes = len(payload), len(out)
+			}
+			b.ReportMetric(float64(reqBytes), "request_B")
+			b.ReportMetric(float64(respBytes), "response_B")
+		})
 	}
 }
 
-// BenchmarkSessionOpenWire runs the JSON steps of served-session-append's
-// set-up: the client encodes a linear session open with a 65,537-float x0
-// drawn from [-1, 1), and the server decodes it.
+// BenchmarkSessionOpenWire runs the wire steps of served-session-append's
+// set-up in each encoding: the client encodes a linear session open with a
+// 65,537-float x0 drawn from [-1, 1), and the server decodes it. request_B
+// reports the body size.
 func BenchmarkSessionOpenWire(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	req := SessionOpenRequest{Family: "linear", M: 65537, X0: make([]float64, 65537)}
 	for i := range req.X0 {
 		req.X0[i] = 2*rng.Float64() - 1
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		payload, err := AppendBody(nil, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var got SessionOpenRequest
-		if err := decodeBody(payload, &got, true); err != nil || len(got.X0) != req.M {
-			b.Fatalf("decode: %v, %d floats", err, len(got.X0))
-		}
+	for _, enc := range wireEncodings {
+		b.Run(enc.name, func(b *testing.B) {
+			var reqBytes int
+			b.ReportAllocs()
+			for b.Loop() {
+				payload := enc.append(b, req)
+				var got SessionOpenRequest
+				if err := decodeBody(payload, &got, true); err != nil || len(got.X0) != req.M {
+					b.Fatalf("decode: %v, %d floats", err, len(got.X0))
+				}
+				reqBytes = len(payload)
+			}
+			b.ReportMetric(float64(reqBytes), "request_B")
+		})
 	}
 }

@@ -35,6 +35,9 @@ var (
 	// ErrExponentLimit is returned by SolveGeneralCtx when a trace
 	// exponent exceeds SolveOptions.MaxExponentBits.
 	ErrExponentLimit = gir.ErrExponentLimit
+	// ErrCompileBudget is returned by CompileCtx when a general plan's
+	// path counts would need more terms than CompileOptions.MaxTerms.
+	ErrCompileBudget = gir.ErrCompileBudget
 	// ErrNonFinite is returned by the Möbius solvers for NaN/Inf
 	// coefficients or a division by zero along a composed chain.
 	ErrNonFinite = moebius.ErrNonFinite

@@ -87,6 +87,12 @@ type CompileOptions struct {
 	// solves; <= 0 means unlimited. It is part of the plan's fingerprint,
 	// because it changes the compiled artifact.
 	MaxExponentBits int
+	// MaxTerms caps the path-count terms a general-family compile builds
+	// over all its iteration nodes; <= 0 means unlimited. A compile that
+	// would pass it fails with ErrCompileBudget before it allocates them.
+	// It bounds the compile, not the plan, so it is not part of the
+	// fingerprint.
+	MaxTerms int
 }
 
 // ErrPlanFamily is returned when a plan is replayed through the wrong
@@ -285,7 +291,7 @@ func CompileCtx(ctx context.Context, s *System, opt CompileOptions) (*Plan, erro
 		p.ord, p.size = op, op.SizeBytes()
 		return p, nil
 	}
-	gp, err := gir.CompilePlanCtx(ctx, s, opt.MaxExponentBits)
+	gp, err := gir.CompilePlanCtx(ctx, s, opt.MaxExponentBits, opt.MaxTerms)
 	if err != nil {
 		return nil, err
 	}
